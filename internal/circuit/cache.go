@@ -6,7 +6,7 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -176,6 +176,11 @@ type Cache struct {
 	policy   Policy
 	byDest   map[topology.Node]*Entry
 
+	// Reusable buffers of VictimUsingChannel: victim selection runs once per
+	// blocked Force probe and must not allocate.
+	dsts  []topology.Node
+	cands []*Entry
+
 	// Counters for the E4 experiments.
 	Hits      int64
 	Misses    int64
@@ -264,17 +269,18 @@ func (c *Cache) Entries() []*Entry {
 func (c *Cache) VictimUsingChannel(wanted func(link topology.LinkID, sw int) bool) *Entry {
 	// Deterministic iteration: scan destinations in increasing order so that
 	// identical runs pick identical victims.
-	dsts := make([]topology.Node, 0, len(c.byDest))
+	dsts := c.dsts[:0]
 	for d := range c.byDest {
 		dsts = append(dsts, d)
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	var cands []*Entry
+	slices.Sort(dsts)
+	cands := c.cands[:0]
 	for _, d := range dsts {
 		if e := c.byDest[d]; e.Evictable() && wanted(e.Channel, e.Switch) {
 			cands = append(cands, e)
 		}
 	}
+	c.dsts, c.cands = dsts, cands
 	if len(cands) == 0 {
 		return nil
 	}

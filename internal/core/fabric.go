@@ -377,13 +377,13 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 func (f *Fabric) enableParallel(workers int) {
 	f.pool = engine.NewPool(workers)
 	f.WH.SetParallel(workers)
-	f.PCS.SetParallel(workers)
+	f.PCS.SetParallel()
 	f.engineWorkers = workers
 	f.whPhase = func(worker, lo, hi int) {
 		f.WH.PrepareRange(worker, lo, hi)
 	}
 	f.pcsPhase = func(worker, lo, hi int) {
-		f.PCS.PrepareRange(f.now, worker, lo, hi)
+		f.PCS.PrepareRange(f.now, lo, hi)
 	}
 }
 
@@ -563,8 +563,7 @@ func (f *Fabric) execEvent(kind uint8, args [engine.NumEventArgs]int64, now int6
 		ch := pcs.Channel{Link: topology.LinkID(args[0]), Switch: int(args[1])}
 		f.PCS.InjectDynamicFault(ch)
 		if repair := args[2]; repair > 0 {
-			l, _ := f.Topo.LinkByID(ch.Link)
-			f.events.ScheduleKind(int(l.From), now+repair, evFaultRepair,
+			f.events.ScheduleKind(int(f.Topo.Links().From[ch.Link]), now+repair, evFaultRepair,
 				[engine.NumEventArgs]int64{args[0], args[1]})
 		}
 	case evFaultRepair:
@@ -622,14 +621,14 @@ func (f *Fabric) ScheduleFault(at int64, ch pcs.Channel, repair int64) error {
 	if repair < 0 {
 		return fmt.Errorf("core: fault repair delay must be >= 0, got %d", repair)
 	}
-	l, ok := f.Topo.LinkByID(ch.Link)
-	if !ok {
+	tab := f.Topo.Links()
+	if !tab.Exists(ch.Link) {
 		return fmt.Errorf("core: fault on nonexistent link %d", ch.Link)
 	}
 	if ch.Switch < 0 || ch.Switch >= f.Prm.NumSwitches {
 		return fmt.Errorf("core: fault on switch %d out of range (0..%d)", ch.Switch, f.Prm.NumSwitches-1)
 	}
-	f.events.ScheduleKind(int(l.From), at, evFaultInject,
+	f.events.ScheduleKind(int(tab.From[ch.Link]), at, evFaultInject,
 		[engine.NumEventArgs]int64{int64(ch.Link), int64(ch.Switch), repair})
 	return nil
 }

@@ -205,8 +205,10 @@ type probe struct {
 	histNodes []topology.Node
 	histMasks []uint32
 
-	// opts is the per-cycle output enumeration, reused across cycles.
-	opts []outOption
+	// opts is the output enumeration at the probe's current position;
+	// optsValid is cleared whenever the probe moves (see options).
+	opts      []outOption
+	optsValid bool
 	// prep is the decision precomputed by the parallel compute phase (see
 	// parallel.go); ignored by the serial engine.
 	prep prepState
@@ -245,11 +247,11 @@ type release struct {
 // Engine is the PCS routing control unit for the whole network.
 type Engine struct {
 	topo topology.Topology
-	// geom is topo's cube geometry, nil on non-cube families. The outputs
-	// enumeration keeps a dedicated offset-arithmetic path for cubes (bit-
-	// identical to the pre-generalization engine) and falls back to a
-	// Distance-based port scan otherwise.
-	geom topology.Geometry
+	// tab is topo's link table: every per-hop question (where does this link
+	// lead, which slot runs back, what are the coordinates here) is a load
+	// from it. On cubes (tab.Dims > 0) the outputs enumeration ranks ports by
+	// coordinate offset; other families fall back to a Distance-based scan.
+	tab  *topology.LinkTable
 	prm  Params
 	host Host
 
@@ -276,9 +278,14 @@ type Engine struct {
 	// clock advances to the new cycle.
 	prepGen int64
 
-	// scratch holds per-worker buffers for the outputs enumeration; index 0
-	// doubles as the serial path's scratch.
-	scratch []outScratch
+	// req is requestedChannels' reusable result buffer (serial commit only).
+	req []outOption
+	// wantCh/wantSw are the argument of the wanted predicate handed to
+	// Host.RequestLocalRelease; wantedFn is that method bound once, so a
+	// Force-phase victim search allocates no closure.
+	wantCh   []outOption
+	wantSw   int
+	wantedFn func(Channel) bool
 	// prepList is the probe snapshot being prepared this cycle.
 	prepList []*probe
 
@@ -337,11 +344,10 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 		// word; full meshes are therefore capped at 33 nodes.
 		return nil, fmt.Errorf("pcs: %s has out-degree %d, exceeding the 32-port History Store word", topo.Name(), topo.MaxOutDegree())
 	}
-	geom, _ := topo.(topology.Geometry)
 	n := topo.NumLinkSlots() * prm.NumSwitches
 	e := &Engine{
 		topo:       topo,
-		geom:       geom,
+		tab:        topo.Links(),
 		prm:        prm,
 		host:       host,
 		status:     make([]Status, n),
@@ -350,8 +356,8 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 		directMap:  make([]int32, n),
 		reverseMap: make([]int32, n),
 		circuits:   make(map[circuit.ID]*Circuit),
-		scratch:    make([]outScratch, 1),
 	}
+	e.wantedFn = e.wanted
 	for i := range e.directMap {
 		e.directMap[i] = -1
 		e.reverseMap[i] = -1
@@ -416,10 +422,9 @@ func (e *Engine) WireFields(id flit.ProbeID) (flit.ProbeFields, bool) {
 		if p.id != id {
 			continue
 		}
-		var offs []int
-		if e.geom != nil {
-			offs = make([]int, e.geom.Dims())
-			e.geom.Offsets(p.at, p.dst, offs)
+		var offs []int // nil on families without coordinates
+		for d := 0; d < e.tab.Dims; d++ {
+			offs = append(offs, e.tab.Offset(p.at, p.dst, d))
 		}
 		return flit.ProbeFields{
 			Header:   true,
@@ -704,7 +709,7 @@ func (e *Engine) getProbe() *probe {
 	p.waitingFor = Channel{}
 	p.waitingOwner = 0
 	p.tag = 0
-	p.opts = p.opts[:0]
+	p.optsValid = false
 	p.prep.kind = prepNone
 	p.prep.cycle = -1
 	return p
@@ -1028,15 +1033,7 @@ func (e *Engine) stepProbe(p *probe) bool {
 		return keep
 	}
 
-	opts := p.opts
-	if !e.prepFresh(p) {
-		// Serial engine, or a probe launched after this cycle's compute
-		// phase: enumerate outputs now. A fresh prep's enumeration is still
-		// exact — it depends only on the probe's own position and the
-		// topology, neither of which changed since the compute phase.
-		opts = e.outputs(p, p.opts[:0], &e.scratch[0])
-		p.opts = opts
-	}
+	opts := e.options(p)
 	switch p.phase {
 	case probeAdvancing:
 		return e.probeAdvance(p, opts)
@@ -1047,123 +1044,109 @@ func (e *Engine) stepProbe(p *probe) bool {
 	}
 }
 
-// outputs enumerates node n's existing wave-channel outputs on switch sw, in
-// deterministic order: profitable dimensions first (largest offset first),
-// then the rest in dimension order. Returns (channel, outputBit, profitable).
+// outOption is one candidate output of a probe step: the link slot, its dense
+// channel key on the probe's switch, the History Store bit of its port, and
+// for profitable outputs the remaining offset they reduce. 16 bytes, so a
+// node's whole enumeration sits in one cache line.
 type outOption struct {
-	ch         Channel
+	link       int32
+	key        int32
 	bit        uint32
+	mag        uint16
 	profitable bool
 }
 
-// outScratch holds the reusable buffers one outputs() caller needs; the
-// parallel compute phase owns one per worker so enumerations never contend.
-// The pad keeps neighbouring workers' scratch headers on separate cache
-// lines: the four slice headers are 96 bytes and are rewritten on every
-// enumeration, so two adjacent unpadded entries would false-share a line.
-type outScratch struct {
-	offs []int
-	mags []int
-	mis  []outOption
-	req  []outOption
-	_    [128 - 96]byte
+// channel returns the wave channel o denotes on switch sw.
+func (o outOption) channel(sw int) Channel {
+	return Channel{Link: topology.LinkID(o.link), Switch: sw}
 }
 
+// options returns p's output enumeration, recomputing it only when the probe
+// has moved since the last call: outputs depends on nothing but the probe's
+// position, destination, switch and arrival channel, so a Force probe waiting
+// in place for a release re-reads the same list every cycle.
+func (e *Engine) options(p *probe) []outOption {
+	if !p.optsValid {
+		p.opts = e.outputs(p, p.opts[:0])
+		p.optsValid = true
+	}
+	return p.opts
+}
+
+// outputs enumerates the existing wave-channel outputs of p's current node
+// on p's switch in deterministic order: profitable outputs first (on cubes
+// largest remaining offset first, ties in dimension order; elsewhere in port
+// order), then the misroutes in port order. The slot leading back through
+// the channel the probe arrived on is excluded: going back is what Backtrack
+// is for.
+//
 // outputs is pure with respect to shared mutable state: it reads only the
-// topology and the probe's own fields, which is what allows the parallel
-// compute phase to run it concurrently for every probe. Cube geometries keep
-// the original offset-arithmetic enumeration (bit-identical to the
-// pre-generalization engine); other families rank ports by Distance.
-func (e *Engine) outputs(p *probe, opts []outOption, sc *outScratch) []outOption {
-	// The channel the probe arrived through (to exclude immediate U-turns:
-	// going back is what Backtrack is for).
-	var backCh Channel
-	haveBack := false
-	if len(p.path) > 0 {
-		last := p.path[len(p.path)-1].ch
-		if l, ok := e.topo.LinkByID(last.Link); ok {
-			if rev, ok2 := topology.ReverseLink(e.topo, l); ok2 {
-				backCh = Channel{Link: rev, Switch: p.sw}
-				haveBack = true
-			}
-		}
+// link table and the probe's own fields, which is what allows the parallel
+// compute phase to run it concurrently for every probe. On cubes the whole
+// enumeration is table loads — no interface call, no division, no Link
+// copy; other families rank ports by Distance.
+func (e *Engine) outputs(p *probe, opts []outOption) []outOption {
+	t := e.tab
+	back := int32(-1)
+	if n := len(p.path); n > 0 {
+		back = t.Reverse[p.path[n-1].ch.Link]
 	}
-
+	k, sw := int32(e.prm.NumSwitches), int32(p.sw)
 	base := len(opts)
-	mags := sc.mags[:0]
-	mis := sc.mis[:0]
-	if e.geom != nil {
-		dims := e.geom.Dims()
-		if cap(sc.offs) < dims {
-			sc.offs = make([]int, dims)
-		}
-		offs := sc.offs[:dims]
-		e.geom.Offsets(p.at, p.dst, offs)
-		for dim := 0; dim < dims; dim++ {
-			for dir := topology.Plus; dir <= topology.Minus; dir++ {
-				link, ok := e.geom.OutLink(p.at, dim, dir)
-				if !ok {
-					continue
-				}
-				ch := Channel{Link: link, Switch: p.sw}
-				if haveBack && ch == backCh {
-					continue
-				}
-				bit := uint32(1) << uint(dim*2+int(dir))
-				profitable := (offs[dim] > 0 && dir == topology.Plus) || (offs[dim] < 0 && dir == topology.Minus)
-				o := outOption{ch: ch, bit: bit, profitable: profitable}
-				if profitable {
-					// Insert keeping largest remaining offset first, stable.
-					mag := offs[dim]
-					if mag < 0 {
-						mag = -mag
-					}
-					opts = append(opts, o)
-					mags = append(mags, mag)
-					for j := len(mags) - 1; j > 0 && mags[j] > mags[j-1]; j-- {
-						mags[j], mags[j-1] = mags[j-1], mags[j]
-						opts[base+j], opts[base+j-1] = opts[base+j-1], opts[base+j]
-					}
-				} else {
-					mis = append(mis, o)
-				}
+	var first int32
+	var deg int
+	var prof uint32 // ports emitted as profitable
+	if t.Dims > 0 {
+		first, deg = int32(int(p.at)*2*t.Dims), 2*t.Dims
+		for dim := 0; dim < t.Dims; dim++ {
+			off := t.Offset(p.at, p.dst, dim)
+			if off == 0 {
+				continue
 			}
+			port, mag := 2*dim, uint16(off)
+			if off < 0 {
+				port, mag = port+1, uint16(-off)
+			}
+			link := first + int32(port)
+			if t.To[link] < 0 || link == back {
+				continue
+			}
+			prof |= 1 << uint(port)
+			j := len(opts)
+			opts = append(opts, outOption{})
+			for ; j > base && opts[j-1].mag < mag; j-- {
+				opts[j] = opts[j-1]
+			}
+			opts[j] = outOption{link: link, key: link*k + sw, bit: 1 << uint(port), mag: mag, profitable: true}
 		}
-		sc.mags, sc.mis = mags, mis
-		return append(opts, mis...)
+	} else {
+		// A port is profitable when it strictly reduces the distance to the
+		// destination (by exactly 1 on the shipped families, so there is no
+		// magnitude to rank by).
+		first, deg = int32(e.topo.SlotBase(p.at)), e.topo.OutDegree(p.at)
+		atDist := e.topo.Distance(p.at, p.dst)
+		for port := 0; port < deg; port++ {
+			link := first + int32(port)
+			if t.To[link] < 0 || link == back || e.topo.Distance(topology.Node(t.To[link]), p.dst) >= atDist {
+				continue
+			}
+			prof |= 1 << uint(port)
+			opts = append(opts, outOption{link: link, key: link*k + sw, bit: 1 << uint(port), profitable: true})
+		}
 	}
-
-	// Generic family: a port is profitable when it strictly reduces the
-	// distance to the destination. Profitable ports are kept in port order
-	// (every profitable hop on the shipped families reduces distance by
-	// exactly 1, so there is no magnitude to rank by); misroutes follow.
-	atDist := e.topo.Distance(p.at, p.dst)
-	for port := 0; port < e.topo.OutDegree(p.at); port++ {
-		link, ok := e.topo.OutSlot(p.at, port)
-		if !ok {
+	for port := 0; port < deg; port++ {
+		link := first + int32(port)
+		if prof&(1<<uint(port)) != 0 || t.To[link] < 0 || link == back {
 			continue
 		}
-		ch := Channel{Link: link, Switch: p.sw}
-		if haveBack && ch == backCh {
-			continue
-		}
-		l, _ := e.topo.LinkByID(link)
-		bit := uint32(1) << uint(port)
-		profitable := e.topo.Distance(l.To, p.dst) < atDist
-		o := outOption{ch: ch, bit: bit, profitable: profitable}
-		if profitable {
-			opts = append(opts, o)
-		} else {
-			mis = append(mis, o)
-		}
+		opts = append(opts, outOption{link: link, key: link*k + sw, bit: 1 << uint(port)})
 	}
-	sc.mags, sc.mis = mags, mis
-	return append(opts, mis...)
+	return opts
 }
 
 // takeChannel reserves ch for p and moves the probe across it.
 func (e *Engine) takeChannel(p *probe, o outOption) {
-	k := e.key(o.ch)
+	k := o.key
 	e.status[k] = Reserved
 	e.owner[k] = int64(p.id)
 	e.markTouched(k)
@@ -1175,13 +1158,13 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 		e.reverseMap[k] = in
 	}
 	e.markHistory(p, o.bit)
-	p.path = append(p.path, pathHop{ch: o.ch, misroute: !o.profitable})
+	p.path = append(p.path, pathHop{ch: o.channel(p.sw), misroute: !o.profitable})
 	if !o.profitable {
 		p.misroutes++
 		e.Ctr.Misroutes++
 	}
-	l, _ := e.topo.LinkByID(o.ch.Link)
-	p.at = l.To
+	p.at = topology.Node(e.tab.To[o.link])
+	p.optsValid = false
 	p.phase = probeAdvancing
 	p.requestedRelease = false
 	e.Ctr.ControlHops++
@@ -1230,7 +1213,7 @@ func (e *Engine) probeAdvance(p *probe, opts []outOption) bool {
 		if !o.profitable && p.misroutes >= p.maxMis {
 			continue
 		}
-		if e.status[e.key(o.ch)] == Free {
+		if e.status[o.key] == Free {
 			e.takeChannel(p, o)
 			return true
 		}
@@ -1252,9 +1235,9 @@ func (e *Engine) probeAdvance(p *probe, opts []outOption) bool {
 
 // requestedChannels filters the probe's current candidate outputs the Force
 // logic considers "requested": existing, unsearched, within misroute budget,
-// not faulty. The result aliases the engine's serial scratch buffer.
+// not faulty. The result aliases the engine's req buffer.
 func (e *Engine) requestedChannels(p *probe, opts []outOption, hist uint32) []outOption {
-	req := e.scratch[0].req[:0]
+	req := e.req[:0]
 	for _, o := range opts {
 		if hist&o.bit != 0 {
 			continue
@@ -1262,12 +1245,12 @@ func (e *Engine) requestedChannels(p *probe, opts []outOption, hist uint32) []ou
 		if !o.profitable && p.misroutes >= p.maxMis {
 			continue
 		}
-		if e.status[e.key(o.ch)] == Faulty {
+		if e.status[o.key] == Faulty {
 			continue
 		}
 		req = append(req, o)
 	}
-	e.scratch[0].req = req[:0]
+	e.req = req[:0]
 	return req
 }
 
@@ -1282,7 +1265,7 @@ func (e *Engine) forceSelectVictim(p *probe, opts []outOption, hist uint32) bool
 	}
 	anyEstablished := false
 	for _, o := range req {
-		if e.status[e.key(o.ch)] == Established {
+		if e.status[o.key] == Established {
 			anyEstablished = true
 			break
 		}
@@ -1297,16 +1280,9 @@ func (e *Engine) forceSelectVictim(p *probe, opts []outOption, hist uint32) bool
 		// A release is already pending; keep waiting. probeWait revalidates.
 		return true
 	}
-	wanted := func(c Channel) bool {
-		for _, o := range req {
-			if e.status[e.key(o.ch)] == Established && o.ch == c {
-				return true
-			}
-		}
-		return false
-	}
 	// Preference 1: a circuit starting at the current node (its own cache).
-	if ch, ok := e.host.RequestLocalRelease(p.at, wanted); ok {
+	e.wantCh, e.wantSw = req, p.sw
+	if ch, ok := e.host.RequestLocalRelease(p.at, e.wantedFn); ok {
 		p.requestedRelease = true
 		p.waitingFor = ch
 		p.waitingOwner = e.owner[e.key(ch)]
@@ -1315,11 +1291,23 @@ func (e *Engine) forceSelectVictim(p *probe, opts []outOption, hist uint32) bool
 	// Preference 2: a circuit crossing this node that already returned its
 	// acknowledgment — send a release flit toward its source.
 	for _, o := range req {
-		if e.status[e.key(o.ch)] == Established {
-			e.sendRelease(o.ch)
+		if e.status[o.key] == Established {
+			e.sendRelease(o.channel(p.sw))
 			p.requestedRelease = true
-			p.waitingFor = o.ch
-			p.waitingOwner = e.owner[e.key(o.ch)]
+			p.waitingFor = o.channel(p.sw)
+			p.waitingOwner = e.owner[o.key]
+			return true
+		}
+	}
+	return false
+}
+
+// wanted is the predicate forceSelectVictim hands the host: does c carry an
+// established circuit on one of the requested channels (e.wantCh on switch
+// e.wantSw)?
+func (e *Engine) wanted(c Channel) bool {
+	for _, o := range e.wantCh {
+		if e.status[o.key] == Established && o.channel(e.wantSw) == c {
 			return true
 		}
 	}
@@ -1333,7 +1321,7 @@ func (e *Engine) probeWait(p *probe, opts []outOption) bool {
 	// Grab any requested channel that has come free.
 	req := e.requestedChannels(p, opts, hist)
 	for _, o := range req {
-		if e.status[e.key(o.ch)] == Free {
+		if e.status[o.key] == Free {
 			e.takeChannel(p, o)
 			return true
 		}
@@ -1376,8 +1364,8 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	if hop.misroute {
 		p.misroutes--
 	}
-	l, _ := e.topo.LinkByID(hop.ch.Link)
-	p.at = l.From
+	p.at = topology.Node(e.tab.From[hop.ch.Link])
+	p.optsValid = false
 	p.requestedRelease = false
 	e.Ctr.Backtracks++
 	e.Ctr.ControlHops++

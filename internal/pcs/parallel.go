@@ -57,13 +57,8 @@ func (e *Engine) markTouched(k int32) {
 	}
 }
 
-// SetParallel sizes the per-worker scratch and enables commit validation.
-// Call once, before the first cycle.
-func (e *Engine) SetParallel(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	e.scratch = make([]outScratch, workers)
+// SetParallel enables commit validation. Call once, before the first cycle.
+func (e *Engine) SetParallel() {
 	e.touched = make([]int64, len(e.status))
 	for i := range e.touched {
 		e.touched[i] = -1
@@ -78,18 +73,18 @@ func (e *Engine) PrepareCount() int {
 	return len(e.prepList)
 }
 
-// PrepareRange runs the compute phase for probes [lo, hi) of the snapshot on
-// behalf of `worker`. It reads shared engine state without writing it; all
-// writes go to the probes' own scratch and the worker's outScratch.
-func (e *Engine) PrepareRange(now int64, worker, lo, hi int) {
+// PrepareRange runs the compute phase for probes [lo, hi) of the snapshot. It
+// reads shared engine state without writing it; all writes go to the probes'
+// own scratch, so disjoint ranges may run concurrently.
+func (e *Engine) PrepareRange(now int64, lo, hi int) {
 	for _, p := range e.prepList[lo:hi] {
-		e.prepareProbe(now, worker, p)
+		e.prepareProbe(now, p)
 	}
 }
 
 // prepareProbe evaluates one probe's next step against the cycle-start state
 // and records the decision plus the channel keys it read.
-func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
+func (e *Engine) prepareProbe(now int64, p *probe) {
 	pr := &p.prep
 	pr.cycle = now
 	pr.kind = prepSlow
@@ -98,8 +93,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 	if p.at == p.dst {
 		return // circuit registration + ack launch: serial
 	}
-	opts := e.outputs(p, p.opts[:0], &e.scratch[worker])
-	p.opts = opts
+	opts := e.options(p)
 	hist := p.histAt(p.at)
 
 	if p.phase == probeAdvancing {
@@ -113,7 +107,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 			if !o.profitable && p.misroutes >= p.maxMis {
 				continue
 			}
-			k := e.key(o.ch)
+			k := o.key
 			pr.reads = append(pr.reads, k)
 			if e.status[k] == Free {
 				pr.kind = prepTake
@@ -132,7 +126,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 				if !o.profitable && p.misroutes >= p.maxMis {
 					continue
 				}
-				if e.status[e.key(o.ch)] == Established {
+				if e.status[o.key] == Established {
 					return // prepSlow
 				}
 			}
@@ -154,7 +148,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 		if !o.profitable && p.misroutes >= p.maxMis {
 			continue
 		}
-		k := e.key(o.ch)
+		k := o.key
 		pr.reads = append(pr.reads, k)
 		if e.status[k] == Free {
 			pr.kind = prepTake
@@ -175,7 +169,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 			if !o.profitable && p.misroutes >= p.maxMis {
 				continue
 			}
-			if e.status[e.key(o.ch)] == Established {
+			if e.status[o.key] == Established {
 				pr.kind = prepStay
 				return
 			}
@@ -184,7 +178,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 }
 
 // prepFresh reports whether p carries a decision prepared for the current
-// cycle (and therefore a valid opts enumeration).
+// cycle.
 func (e *Engine) prepFresh(p *probe) bool {
 	return p.prep.kind != prepNone && p.prep.cycle == e.now
 }

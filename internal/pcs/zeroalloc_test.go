@@ -3,10 +3,11 @@ package pcs
 import (
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/topology"
 )
 
-// zeroAllocRound is one full PCS churn cycle on an 8x8 torus: launch a batch
+// zeroAllocRound is one full PCS churn cycle on a k x k torus: launch a batch
 // of probes, cycle until every setup resolves, tear down every established
 // circuit, and cycle until the network is clean. After warmup the probe and
 // circuit pools, the dense history stores, the ack/teardown/release value
@@ -14,6 +15,7 @@ import (
 // capacity, so a round touches every protocol phase without heap allocation.
 type zeroAllocHarness struct {
 	e       *Engine
+	nodes   int
 	now     int64
 	results [16]SetupResult
 	nres    int
@@ -22,14 +24,14 @@ type zeroAllocHarness struct {
 	tdDone  func()
 }
 
-func newZeroAllocHarness(tb testing.TB) *zeroAllocHarness {
+func newZeroAllocHarness(tb testing.TB, k int) *zeroAllocHarness {
 	tb.Helper()
-	topo := topology.MustCube([]int{8, 8}, true)
+	topo := topology.MustCube([]int{k, k}, true)
 	e, err := New(topo, Params{NumSwitches: 2, MaxMisroutes: 2}, &fakeHost{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := &zeroAllocHarness{e: e}
+	h := &zeroAllocHarness{e: e, nodes: k * k}
 	// The callbacks are allocated once here and shared by every launch and
 	// teardown; per-call closures would themselves be heap allocations.
 	h.done = func(r SetupResult) {
@@ -41,11 +43,11 @@ func newZeroAllocHarness(tb testing.TB) *zeroAllocHarness {
 }
 
 func (h *zeroAllocHarness) round(tb testing.TB) {
-	const nodes = 64
 	h.nres = 0
+	step := h.nodes / len(h.results)
 	for i := 0; i < len(h.results); i++ {
-		src := topology.Node(i * 4 % nodes)
-		dst := topology.Node((i*4 + 27) % nodes)
+		src := topology.Node(i * step)
+		dst := topology.Node((i*step + h.nodes*27/64) % h.nodes)
 		h.e.LaunchProbe(src, dst, i%2, false, h.done)
 	}
 	for c := 0; c < 10000 && h.nres < len(h.results); c++ {
@@ -72,7 +74,7 @@ func (h *zeroAllocHarness) round(tb testing.TB) {
 // TestZeroAllocPCSProbeCycle asserts that steady-state probe setup and
 // circuit teardown allocate nothing once the pools are warm.
 func TestZeroAllocPCSProbeCycle(t *testing.T) {
-	h := newZeroAllocHarness(t)
+	h := newZeroAllocHarness(t, 8)
 	round := func() { h.round(t) }
 	for i := 0; i < 3; i++ {
 		round()
@@ -91,10 +93,61 @@ func TestZeroAllocPCSProbeCycle(t *testing.T) {
 	}
 }
 
-// BenchmarkPCSProbeRound measures one full launch/resolve/teardown round;
-// allocs/op must report 0.
-func BenchmarkPCSProbeRound(b *testing.B) {
-	h := newZeroAllocHarness(b)
+// TestZeroAllocForceWait covers the CLRP Force phase: a Force probe blocked
+// by an established circuit consults the local cache through the wanted
+// predicate, sends a release flit, waits, and proceeds once the victim is
+// torn down — all without heap allocation (the predicate must not be a
+// per-call closure).
+func TestZeroAllocForceWait(t *testing.T) {
+	topo := topology.MustCube([]int{4, 2}, false)
+	host := &fakeHost{}
+	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, host)
+	var now int64
+	var res SetupResult
+	resolved, asked := false, 0
+	done := func(r SetupResult) { res, resolved = r, true }
+	host.local = func(_ topology.Node, wanted func(Channel) bool) (Channel, bool) {
+		asked++
+		wanted(res.First)
+		return Channel{}, false // no local victim: the release travels
+	}
+	host.remote = func(id circuit.ID) { e.Teardown(id, nil) }
+	setup := func(src, dst topology.Node, force bool) {
+		resolved = false
+		e.LaunchProbe(src, dst, 0, force, done)
+		for c := 0; c < 500 && !resolved; c++ {
+			e.Cycle(now)
+			now++
+		}
+		if !resolved || !res.OK {
+			t.Fatalf("probe %d->%d (force %v) did not establish", src, dst, force)
+		}
+	}
+	round := func() {
+		setup(1, 3, false) // blocks the line 0 -> 3
+		setup(0, 3, true)  // waits for its release
+		e.Teardown(res.Circuit, nil)
+		for c := 0; c < 500 && e.NumCircuits() > 0; c++ {
+			e.Cycle(now)
+			now++
+		}
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	waits := e.Ctr.ForceWaits
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("%.1f allocs per Force-wait round, want 0", allocs)
+	}
+	if e.Ctr.ForceWaits == waits || asked == 0 {
+		t.Fatalf("rounds never entered the Force wait (waits %d, local asks %d)", e.Ctr.ForceWaits, asked)
+	}
+}
+
+// BenchmarkProbeStep measures one full launch/resolve/teardown round of 16
+// probes on a 16x16 torus; allocs/op must report 0.
+func BenchmarkProbeStep(b *testing.B) {
+	h := newZeroAllocHarness(b, 16)
 	h.round(b)
 	b.ReportAllocs()
 	b.ResetTimer()

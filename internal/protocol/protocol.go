@@ -19,7 +19,7 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -155,6 +155,9 @@ type Manager struct {
 	ageQueue []agedMsg
 	ageHead  int
 
+	// waiters is circuitFreed's reusable slot-waiter list.
+	waiters []topology.Node
+
 	// Events, when non-nil, records protocol actions (see internal/events).
 	Events *events.Log
 
@@ -272,13 +275,13 @@ func (m *Manager) initialSwitch(n topology.Node) int {
 	if m.Opt.NoSwitchSpread {
 		return 0
 	}
-	g, ok := m.Fab.Topo.(topology.Geometry)
-	if !ok {
+	t := m.Fab.Topo.Links()
+	if t.Dims == 0 {
 		return int(n) % k
 	}
 	sum := 0
-	for d := 0; d < g.Dims(); d++ {
-		sum += g.CoordAlong(n, d)
+	for _, x := range t.Coords[int(n)*t.Dims : (int(n)+1)*t.Dims] {
+		sum += int(x)
 	}
 	return sum % k
 }
@@ -600,13 +603,16 @@ func (m *Manager) circuitFreed(src, dst topology.Node, id circuit.ID) {
 	}
 	// Wake destinations waiting for a cache slot, in deterministic order.
 	cache := m.Fab.Cache(src)
-	waiters := make([]topology.Node, 0, len(dsm))
+	// The buffer is detached while in use so a re-entrant call cannot
+	// overwrite the list being walked.
+	waiters := m.waiters[:0]
+	m.waiters = nil
 	for wdst, ds := range dsm {
 		if ds.wantSlot {
 			waiters = append(waiters, wdst)
 		}
 	}
-	sort.Slice(waiters, func(i, j int) bool { return waiters[i] < waiters[j] })
+	slices.Sort(waiters)
 	for _, wdst := range waiters {
 		ds := dsm[wdst]
 		if ds.opening || len(ds.queue) == 0 {
@@ -638,6 +644,7 @@ func (m *Manager) circuitFreed(src, dst topology.Node, id circuit.ID) {
 			m.Fab.InjectWormhole(q)
 		}
 	}
+	m.waiters = waiters
 }
 
 // ---------------------------------------------------------------------------

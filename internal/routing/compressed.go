@@ -60,7 +60,7 @@ type CompressedFunc struct {
 	radix   []int32 // radix per dimension
 	cellOff []int32 // cells offset per dimension (cells[cellOff[d] + xh*radix[d] + xd])
 	cells   []dimCell
-	coords  []uint16 // coords[int(node)*dims+d]
+	coords  []uint16 // coords[int(node)*dims+d]; the cube's own link-table array, shared
 }
 
 // BuildCompressed builds the per-dimension table for fn over topo. It
@@ -161,12 +161,7 @@ func BuildCompressed(fn Func, topo topology.Topology) (*CompressedFunc, bool) {
 		}
 	}
 
-	t.coords = make([]uint16, t.nodes*dims)
-	for n := 0; n < t.nodes; n++ {
-		for d := 0; d < dims; d++ {
-			t.coords[n*dims+d] = uint16(cube.CoordAlong(topology.Node(n), d))
-		}
-	}
+	t.coords = cube.Links().Coords
 
 	if !t.selfCheck(fn) {
 		return nil, false
@@ -374,7 +369,9 @@ func (t *CompressedFunc) Escape() Func {
 }
 
 // MemoryFootprint returns the cell-table and coordinate-array sizes in
-// bytes, the compressed analog of TableFunc.MemoryFootprint.
+// bytes, the compressed analog of TableFunc.MemoryFootprint. The coordinate
+// array is the one the cube already holds, counted here because a lookup
+// reads it.
 func (t *CompressedFunc) MemoryFootprint() (cellBytes, coordBytes int) {
 	return len(t.cells) * sizeofDimCell, len(t.coords) * 2
 }

@@ -183,6 +183,60 @@ func TestBatchMixedSpecs(t *testing.T) {
 	}
 }
 
+// TestEngineSettingsShareOneSimulation: Workers and the two oracle toggles
+// cannot change a result byte (the determinism contract), so specs differing
+// only in them share one content address, one simulation and one set of
+// result bytes.
+func TestEngineSettingsShareOneSimulation(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	spec := func(engine string) string {
+		return fmt.Sprintf(`{
+			"kind": "load",
+			"config": {"topology": {"kind": "torus", "radix": [4, 4]}, "seed": 61%s},
+			"load": {"pattern": "uniform", "load": 0.05, "fixedlength": 16},
+			"warmup": 100, "measure": 3000
+		}`, engine)
+	}
+	variants := []string{"", `, "workers": 2`, `, "disableactivitytracking": true`, `, "disableroutingtable": true`}
+	keys := map[string]bool{}
+	specs := make([]string, len(variants))
+	for i, v := range variants {
+		specs[i] = spec(v)
+		var sp Spec
+		if err := json.Unmarshal([]byte(specs[i]), &sp); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.normalize(&sp); err != nil {
+			t.Fatal(err)
+		}
+		k, err := sp.cacheKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[k] = true
+	}
+	if len(keys) != 1 {
+		t.Fatalf("engine-setting variants hashed to %d keys, want 1", len(keys))
+	}
+	var first []byte
+	for i, raw := range specs {
+		v := submit(t, ts, raw)
+		if waitState(t, ts, v.ID, State.Terminal).State != StateDone {
+			t.Fatalf("variant %d did not finish done", i)
+		}
+		got := fetchResult(t, ts, v.ID)
+		if i == 0 {
+			first = got
+			waitCachePublished(t, s, 1)
+		} else if !bytes.Equal(first, got) {
+			t.Fatalf("variant %d returned different bytes", i)
+		}
+	}
+	if got := s.metrics.completed.Load(); got != 1 {
+		t.Fatalf("ran %d simulations for %d engine-setting variants, want 1", got, len(specs))
+	}
+}
+
 // TestFailureNotCached: a failing spec is never published to the result
 // cache — a later identical submission runs (and fails) again rather than
 // replaying the error as content.

@@ -84,9 +84,10 @@ func (sp *Spec) simConfig() wave.Config {
 // cacheKey returns the spec's content address: the SHA-256 of the canonical
 // effective spec. "Effective" means post-normalize with every default
 // materialised — the simulator config merged over DefaultConfig and nil
-// experiment params resolved to the Quick scale — and with the two fields
-// that cannot affect the result bytes (timeout_sec, the progress interval)
-// zeroed out. Two submissions that would run the same simulation hash
+// experiment params resolved to the Quick scale — and with the fields that
+// cannot affect the result bytes zeroed out: timeout_sec, the progress
+// interval, and the engine settings the determinism contract makes invisible
+// in the output (Workers and the two oracle toggles). Two submissions that would run the same simulation hash
 // identically regardless of JSON field order or which defaults the client
 // spelled out; that address is what the result cache and the single-flight
 // table dedupe on.
@@ -95,6 +96,7 @@ func (sp *Spec) cacheKey() (string, error) {
 	cp.TimeoutSec = 0
 	cp.IntervalCycles = 0
 	ec := SimConfig(sp.simConfig())
+	ec.Workers, ec.DisableActivityTracking, ec.DisableRoutingTable = 0, false, false
 	cp.Config = &ec
 	if cp.Kind == KindExperiment && cp.Params == nil {
 		p := experiments.Quick()

@@ -37,6 +37,7 @@ type FatTree struct {
 	linkDim  []int8
 	linkDir  []uint8
 	linkRev  []int32
+	tab      LinkTable // shares linkTo/linkFrom/linkRev
 }
 
 // NewFatTree constructs a k-ary n-tree with k >= 2 links per direction and
@@ -118,6 +119,7 @@ func NewFatTree(k, n int) (*FatTree, error) {
 		}
 		t.linkRev[id] = rev
 	}
+	t.tab = LinkTable{To: t.linkTo, From: t.linkFrom, Reverse: t.linkRev}
 	return t, nil
 }
 
@@ -226,13 +228,8 @@ func (t *FatTree) LinkByID(id LinkID) (Link, bool) {
 	}, true
 }
 
-// ReverseLinkID implements the reverser fast path for ReverseLink.
-func (t *FatTree) ReverseLinkID(id LinkID) (LinkID, bool) {
-	if id < 0 || int(id) >= t.slots {
-		return Invalid, false
-	}
-	return LinkID(t.linkRev[id]), true
-}
+// Links implements Topology.
+func (t *FatTree) Links() *LinkTable { return &t.tab }
 
 // Level returns the tree level of v: 0 for roots, n-1 for leaf switches, n
 // for hosts.

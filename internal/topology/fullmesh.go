@@ -15,6 +15,7 @@ import "fmt"
 type FullMesh struct {
 	n    int
 	name string
+	tab  LinkTable
 }
 
 // NewFullMesh constructs an all-to-all network over n nodes.
@@ -25,7 +26,15 @@ func NewFullMesh(n int) (*FullMesh, error) {
 	if n > 1<<12 {
 		return nil, fmt.Errorf("topology: full mesh over %d nodes exceeds the 2^12 gate (%d links)", n, n*(n-1))
 	}
-	return &FullMesh{n: n, name: fmt.Sprintf("%d-node full mesh", n)}, nil
+	m := &FullMesh{n: n, name: fmt.Sprintf("%d-node full mesh", n)}
+	slots := m.NumLinkSlots()
+	m.tab = LinkTable{To: make([]int32, slots), From: make([]int32, slots), Reverse: make([]int32, slots)}
+	for id := 0; id < slots; id++ {
+		l, _ := m.LinkByID(LinkID(id))
+		m.tab.To[id], m.tab.From[id] = int32(l.To), int32(l.From)
+		m.tab.Reverse[id] = int32(m.LinkTo(l.To, l.From))
+	}
+	return m, nil
 }
 
 // MustFullMesh is NewFullMesh that panics on error, for tests.
@@ -88,14 +97,8 @@ func (m *FullMesh) LinkByID(id LinkID) (Link, bool) {
 	return Link{ID: id, From: Node(from), To: Node(to), Dim: 0, Dir: Plus}, true
 }
 
-// ReverseLinkID implements the reverser fast path for ReverseLink.
-func (m *FullMesh) ReverseLinkID(id LinkID) (LinkID, bool) {
-	l, ok := m.LinkByID(id)
-	if !ok {
-		return Invalid, false
-	}
-	return m.LinkTo(l.To, l.From), true
-}
+// Links implements Topology.
+func (m *FullMesh) Links() *LinkTable { return &m.tab }
 
 // Distance implements Topology.
 func (m *FullMesh) Distance(a, b Node) int {

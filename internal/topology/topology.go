@@ -17,6 +17,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -104,6 +105,9 @@ type Topology interface {
 	// NumLinkSlots returns the total slot count (the sum of OutDegree over
 	// all nodes), the size of dense per-link arrays.
 	NumLinkSlots() int
+	// Links returns the precomputed link table; per-hop code reads its
+	// slices instead of calling LinkByID.
+	Links() *LinkTable
 	// Distance returns the minimal hop count between a and b.
 	Distance(a, b Node) int
 	// Diameter returns the maximum Distance over host pairs — the hop bound
@@ -155,11 +159,11 @@ type Geometry interface {
 // without wrap (with radix 2 the two directions coincide, so mesh form
 // avoids double links).
 type Cube struct {
-	radix  []int
-	wrap   bool
-	nodes  int
-	stride []int // stride[d] = product of radix[0..d-1]
-	name   string
+	radix []int
+	wrap  bool
+	nodes int
+	name  string
+	tab   *LinkTable
 }
 
 // NewCube constructs a k-ary n-cube. radix lists the nodes per dimension
@@ -169,13 +173,13 @@ func NewCube(radix []int, wrap bool) (*Cube, error) {
 		return nil, fmt.Errorf("topology: need at least one dimension")
 	}
 	nodes := 1
-	stride := make([]int, len(radix))
 	for d, k := range radix {
-		if k < 2 {
-			return nil, fmt.Errorf("topology: dimension %d has radix %d, need >= 2", d, k)
+		if k < 2 || k > 1<<16 {
+			return nil, fmt.Errorf("topology: dimension %d has radix %d, need 2..65536", d, k)
 		}
-		stride[d] = nodes
-		nodes *= k
+		if nodes *= k; nodes*2*len(radix) > math.MaxInt32 {
+			return nil, fmt.Errorf("topology: cube exceeds the 2^31 link-slot gate at dimension %d", d)
+		}
 	}
 	kind := "mesh"
 	if wrap {
@@ -197,7 +201,9 @@ func NewCube(radix []int, wrap bool) (*Cube, error) {
 		}
 		name = fmt.Sprintf("%s %s", strings.Join(parts, "x"), kind)
 	}
-	return &Cube{radix: append([]int(nil), radix...), wrap: wrap, nodes: nodes, stride: stride, name: name}, nil
+	c := &Cube{radix: append([]int(nil), radix...), wrap: wrap, nodes: nodes, name: name}
+	c.tab = newCubeTable(c.radix, nodes, wrap)
+	return c, nil
 }
 
 // MustCube is NewCube that panics on error, for tests and fixed configs.
@@ -250,7 +256,8 @@ func (c *Cube) OutSlot(n Node, port int) (LinkID, bool) {
 	if port < 0 || port >= 2*len(c.radix) {
 		return Invalid, false
 	}
-	return c.OutLink(n, port/2, Dir(port%2))
+	id := int(n)*2*len(c.radix) + port
+	return LinkID(id), c.tab.To[id] >= 0
 }
 
 // Diameter implements Topology: the closed form sum over dimensions of
@@ -279,17 +286,18 @@ func (c *Cube) Wrap() bool { return c.wrap }
 // Name implements Topology.
 func (c *Cube) Name() string { return c.name }
 
-// Coord implements Topology.
+// Links implements Topology.
+func (c *Cube) Links() *LinkTable { return c.tab }
+
+// Coord implements Geometry.
 func (c *Cube) Coord(n Node, out []int) []int {
-	v := int(n)
-	for d, k := range c.radix {
-		out[d] = v % k
-		v /= k
+	for d := range c.radix {
+		out[d] = c.CoordAlong(n, d)
 	}
 	return out[:len(c.radix)]
 }
 
-// NodeAt implements Topology.
+// NodeAt implements Geometry.
 func (c *Cube) NodeAt(coord []int) Node {
 	v := 0
 	for d := len(c.radix) - 1; d >= 0; d-- {
@@ -298,105 +306,58 @@ func (c *Cube) NodeAt(coord []int) Node {
 	return Node(v)
 }
 
-// CoordAlong implements Topology without allocating.
+// CoordAlong implements Geometry without allocating.
 func (c *Cube) CoordAlong(n Node, d int) int {
-	return (int(n) / c.stride[d]) % c.radix[d]
+	return int(c.tab.Coords[int(n)*len(c.radix)+d])
 }
 
-// coordAlong is the internal alias of CoordAlong.
-func (c *Cube) coordAlong(n Node, d int) int { return c.CoordAlong(n, d) }
-
-// Neighbor implements Topology.
+// Neighbor implements Geometry.
 func (c *Cube) Neighbor(n Node, dim int, dir Dir) (Node, bool) {
-	x := c.coordAlong(n, dim)
-	k := c.radix[dim]
-	var nx int
-	if dir == Plus {
-		nx = x + 1
-		if nx == k {
-			if !c.wrap {
-				return 0, false
-			}
-			nx = 0
-		}
-	} else {
-		nx = x - 1
-		if nx < 0 {
-			if !c.wrap {
-				return 0, false
-			}
-			nx = k - 1
-		}
+	to := c.tab.To[int(n)*2*len(c.radix)+2*dim+int(dir)]
+	if to < 0 {
+		return 0, false
 	}
-	return n + Node((nx-x)*c.stride[dim]), true
+	return Node(to), true
 }
 
-// OutLink implements Topology.
+// OutLink implements Geometry.
 func (c *Cube) OutLink(n Node, dim int, dir Dir) (LinkID, bool) {
-	id := LinkID(int(n)*2*len(c.radix) + 2*dim + int(dir))
-	_, ok := c.Neighbor(n, dim, dir)
-	return id, ok
+	id := int(n)*2*len(c.radix) + 2*dim + int(dir)
+	return LinkID(id), c.tab.To[id] >= 0
 }
 
 // NumLinkSlots implements Topology.
-func (c *Cube) NumLinkSlots() int { return c.nodes * 2 * len(c.radix) }
+func (c *Cube) NumLinkSlots() int { return len(c.tab.To) }
 
 // LinkByID implements Topology.
 func (c *Cube) LinkByID(id LinkID) (Link, bool) {
-	if id < 0 || int(id) >= c.NumLinkSlots() {
+	if !c.tab.Exists(id) {
 		return Link{}, false
 	}
-	per := 2 * len(c.radix)
-	n := Node(int(id) / per)
-	rest := int(id) % per
-	dim := rest / 2
-	dir := Dir(rest % 2)
-	to, ok := c.Neighbor(n, dim, dir)
-	if !ok {
-		return Link{}, false
-	}
-	x := c.coordAlong(n, dim)
+	from, to := int(c.tab.From[id]), int(c.tab.To[id])
+	port := int(id) - from*2*len(c.radix)
+	dim, dir := port>>1, Dir(port&1)
+	x := c.CoordAlong(Node(from), dim)
 	wrapLink := c.wrap && ((dir == Plus && x == c.radix[dim]-1) || (dir == Minus && x == 0))
-	return Link{ID: id, From: n, To: to, Dim: dim, Dir: dir, Wrap: wrapLink}, true
+	return Link{ID: id, From: Node(from), To: Node(to), Dim: dim, Dir: dir, Wrap: wrapLink}, true
 }
 
 // Distance implements Topology.
 func (c *Cube) Distance(a, b Node) int {
 	d := 0
 	for dim := range c.radix {
-		d += absInt(c.offsetAlong(a, b, dim))
+		d += absInt(c.tab.Offset(a, b, dim))
 	}
 	return d
 }
 
-// offsetAlong returns the signed minimal offset from a to b in dimension dim.
-// Positive means travel in Plus. On tori, ties (distance exactly k/2 with k
-// even) resolve to Plus so that routing is deterministic.
-func (c *Cube) offsetAlong(a, b Node, dim int) int {
-	xa := c.coordAlong(a, dim)
-	xb := c.coordAlong(b, dim)
-	diff := xb - xa
-	if !c.wrap {
-		return diff
-	}
-	k := c.radix[dim]
-	// Normalize into (-k/2, k/2]; for even k the tie k/2 goes Plus.
-	for diff > k/2 {
-		diff -= k
-	}
-	for diff < -(k-1)/2 {
-		diff += k
-	}
-	return diff
-}
+// OffsetAlong implements Geometry.
+func (c *Cube) OffsetAlong(from, to Node, d int) int { return c.tab.Offset(from, to, d) }
 
-// OffsetAlong implements Topology.
-func (c *Cube) OffsetAlong(from, to Node, d int) int { return c.offsetAlong(from, to, d) }
-
-// Offsets implements Topology.
+// Offsets implements Geometry.
 func (c *Cube) Offsets(from, to Node, out []int) []int {
 	for dim := range c.radix {
-		out[dim] = c.offsetAlong(from, to, dim)
+		out[dim] = c.tab.Offset(from, to, dim)
 	}
 	return out[:len(c.radix)]
 }
@@ -414,33 +375,15 @@ func AllLinks(t Topology) []Link {
 	return links
 }
 
-// reverser is the optional fast path for ReverseLink: families with
-// irregular port layouts precompute the reverse mapping at construction.
-type reverser interface {
-	ReverseLinkID(id LinkID) (LinkID, bool)
-}
-
 // ReverseLink returns the link slot running opposite to l (from l.To back to
-// l.From), used by the probe engine to exclude immediate U-turns. Every
-// family shipped here has symmetric links, so ok is false only for malformed
-// input.
+// l.From), the channel a probe excludes as an immediate U-turn. Every family
+// shipped here has symmetric links, so ok is false only for malformed input.
 func ReverseLink(t Topology, l Link) (LinkID, bool) {
-	if r, ok := t.(reverser); ok {
-		return r.ReverseLinkID(l.ID)
+	tab := t.Links()
+	if !tab.Exists(l.ID) {
+		return Invalid, false
 	}
-	if g, ok := t.(Geometry); ok {
-		return g.OutLink(l.To, l.Dim, l.Dir.Opposite())
-	}
-	for port := 0; port < t.OutDegree(l.To); port++ {
-		id, ok := t.OutSlot(l.To, port)
-		if !ok {
-			continue
-		}
-		if ll, ok2 := t.LinkByID(id); ok2 && ll.To == l.From {
-			return id, true
-		}
-	}
-	return Invalid, false
+	return LinkID(tab.Reverse[l.ID]), true
 }
 
 func absInt(v int) int {

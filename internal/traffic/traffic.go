@@ -94,6 +94,7 @@ func NewNear(topo topology.Topology, radius int) (*Near, error) {
 	for i := range seen {
 		seen[i] = -1
 	}
+	links := topo.Links().To
 	var frontier, next []topology.Node
 	for src := topology.Node(0); int(src) < hosts; src++ {
 		gen := int32(src)
@@ -103,13 +104,12 @@ func NewNear(topo topology.Topology, radius int) (*Near, error) {
 		for depth := 0; depth < radius && len(frontier) > 0; depth++ {
 			next = next[:0]
 			for _, at := range frontier {
-				for port := 0; port < topo.OutDegree(at); port++ {
-					id, ok := topo.OutSlot(at, port)
-					if !ok {
+				base := topo.SlotBase(at)
+				for _, to := range links[base : base+topo.OutDegree(at)] {
+					if to < 0 {
 						continue // phantom slot (mesh boundary)
 					}
-					l, _ := topo.LinkByID(id)
-					nb := l.To
+					nb := topology.Node(to)
 					if seen[nb] == gen {
 						continue
 					}

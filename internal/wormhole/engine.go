@@ -208,6 +208,7 @@ type msgSlot struct {
 // Engine simulates wormhole switching over an entire network.
 type Engine struct {
 	topo  topology.Topology
+	to    []int32 // topo.Links().To: the router at the sink of each link
 	fn    routing.Func
 	prm   Params
 	hooks Hooks
@@ -289,6 +290,7 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 	nch := topo.NumLinkSlots() * prm.NumVCs
 	e := &Engine{
 		topo:        topo,
+		to:          topo.Links().To,
 		fn:          fn,
 		prm:         prm,
 		hooks:       hooks,
@@ -500,11 +502,10 @@ func (e *Engine) allocateLinkVC(port int32) {
 	}
 	link := topology.LinkID(int(port) / e.prm.NumVCs)
 	inVC := int(port) % e.prm.NumVCs
-	l, okL := e.topo.LinkByID(link)
-	if !okL {
+	here := topology.Node(e.to[link])
+	if here < 0 {
 		panic("wormhole: flit on non-existent link")
 	}
-	here := l.To
 	if int(here) == head.Dst {
 		v.phase = vcActive
 		v.outLink = topology.Invalid // deliver locally

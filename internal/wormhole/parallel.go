@@ -198,17 +198,17 @@ func (e *Engine) preparePort(worker, port int) {
 				return
 			}
 			link := topology.LinkID(port / e.prm.NumVCs)
-			l, okL := e.topo.LinkByID(link)
-			if !okL {
+			here := topology.Node(e.to[link])
+			if here < 0 {
 				panic("wormhole: flit on non-existent link")
 			}
-			if int(l.To) == head.Dst {
+			if int(here) == head.Dst {
 				// Local delivery: no candidates to claim.
 				p.cands[port] = p.cands[port][:0]
 				p.ws[worker].alloc = append(p.ws[worker].alloc, int32(port))
 				return
 			}
-			c := e.fn.Candidates(l.To, topology.Node(head.Dst), link, port%e.prm.NumVCs, p.cands[port][:0])
+			c := e.fn.Candidates(here, topology.Node(head.Dst), link, port%e.prm.NumVCs, p.cands[port][:0])
 			e.fillCandCh(port, c)
 			p.pushAlloc(worker, port, c)
 		case vcActive:
@@ -264,8 +264,7 @@ func (e *Engine) commitAlloc(port int) {
 		v := &e.in[port]
 		head, _ := v.buf.Front()
 		link := topology.LinkID(port / e.prm.NumVCs)
-		l, _ := e.topo.LinkByID(link)
-		if int(l.To) == head.Dst {
+		if int(e.to[link]) == head.Dst {
 			v.phase = vcActive
 			v.outLink = topology.Invalid
 			v.curSlot = v.popHeadSlot()

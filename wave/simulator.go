@@ -119,13 +119,10 @@ func (s *Simulator) Hosts() int { return s.topo.Hosts() }
 // programs.
 func (s *Simulator) Neighbors(n int) []int {
 	var out []int
-	for port := 0; port < s.topo.OutDegree(topology.Node(n)); port++ {
-		id, ok := s.topo.OutSlot(topology.Node(n), port)
-		if !ok {
-			continue
-		}
-		if l, ok := s.topo.LinkByID(id); ok {
-			out = append(out, int(l.To))
+	base := s.topo.SlotBase(topology.Node(n))
+	for _, to := range s.topo.Links().To[base : base+s.topo.OutDegree(topology.Node(n))] {
+		if to >= 0 {
+			out = append(out, int(to))
 		}
 	}
 	return out
