@@ -41,7 +41,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		queueCap = fs.Int("queue", 16, "max jobs waiting to run (beyond it: 429 + Retry-After)")
-		workers  = fs.Int("workers", 2, "jobs running concurrently")
+		workers  = fs.Int("workers", 0, "jobs running concurrently (0 = GOMAXPROCS)")
 		storeCap = fs.Int("store", 256, "job records retained (terminal jobs evicted LRU)")
 		interval = fs.Int64("interval", 1000, "default progress-snapshot period in cycles")
 		timeout  = fs.Duration("job-timeout", 10*time.Minute, "default per-job deadline")

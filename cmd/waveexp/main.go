@@ -40,8 +40,6 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "base RNG seed")
 		markdown = fs.Bool("markdown", false, "wrap tables in markdown code fences")
 		headline = fs.Int("headline", 0, "instead of tables: replicate the E1 headline gain across N seeds and report mean +/- 95% CI")
-		workers  = fs.Int("workers", 0, "cycle-engine workers per simulator (0 = auto-tune, 1 = serial; results identical for any value)")
-		benchOut = fs.String("bench-json", "", "instead of tables: run the 16x16 engine stress benchmark and write machine-readable JSON to this path ('-' = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,11 +56,6 @@ func run(args []string, out io.Writer) error {
 		p.Radix = *radix
 	}
 	p.Seed = *seed
-	p.Workers = *workers
-
-	if *benchOut != "" {
-		return runBenchJSON(out, *benchOut, *workers, *seed, p.Warmup, p.Measure)
-	}
 
 	want := map[string]bool{}
 	all := *expList == "all"
@@ -120,7 +113,6 @@ func runHeadline(out io.Writer, reps int, seed uint64, quick bool) error {
 			if err != nil {
 				return 0, err
 			}
-			defer sim.Close()
 			res, err := sim.RunLoad(wave.Workload{
 				Pattern: "uniform", Load: 0.02, FixedLength: 256,
 				WantCircuit: true, Seed: s + 77,

@@ -56,7 +56,6 @@ func run(args []string, out io.Writer) error {
 		policy    = fs.String("replace", "lru", "replacement policy: lru, lfu, random")
 		recovery  = fs.Int64("recovery", 0, "abort-and-retry deadlock recovery timeout in cycles (0 = off)")
 		seed      = fs.Uint64("seed", 1, "RNG seed (identical seeds => identical runs)")
-		workers   = fs.Int("workers", 0, "cycle-engine workers (0 = auto-tune to load and GOMAXPROCS, 1 = serial; results are identical for any value)")
 		fullScan  = fs.Bool("fullscan", false, "disable activity tracking: full port scans every cycle, no quiescence fast-forward (oracle mode; results are identical)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -149,7 +148,6 @@ func run(args []string, out io.Writer) error {
 	cfg.MinCircuitFlits = *minCirc
 	cfg.RecoveryTimeout = *recovery
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	cfg.DisableActivityTracking = *fullScan
 	cfg.FaultSchedule = wave.FaultScheduleConfig{
 		Count: *faultCount, Start: *faultStart, Spacing: *faultSpacing,
@@ -191,7 +189,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer sim.Close()
 	if *faults > 0 {
 		if err := sim.InjectFaults(*faults, *seed+99); err != nil {
 			return err
@@ -293,20 +290,15 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "topology        %s %s, protocol %s (routing %s, w=%d, k=%d, MB-%d, %gx clock)\n",
 		*topoKind, *radix, res.Protocol, *routing, *vcs, *switches, *misroutes, *mult)
-	fmt.Fprintf(out, "engine          %d worker(s)", sim.EngineWorkers())
-	if *workers == 0 {
-		fmt.Fprintf(out, " (auto-tuned)")
-	}
 	rt := sim.RoutingTableInfo()
+	table := fmt.Sprintf("%s (%s)", rt.Mode, fmtBytes(rt.Bytes))
 	switch {
 	case rt.Gated:
-		fmt.Fprintf(out, ", routing table GATED (algorithmic fallback)")
+		table = "GATED (algorithmic fallback)"
 	case rt.Mode == "algorithmic":
-		fmt.Fprintf(out, ", routing table disabled (algorithmic)")
-	default:
-		fmt.Fprintf(out, ", routing table %s (%s)", rt.Mode, fmtBytes(rt.Bytes))
+		table = "disabled (algorithmic)"
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintf(out, "engine          routing table %s\n", table)
 	fmt.Fprintf(out, "workload        %s, load %.3f flits/node/cycle, %d-flit messages", *pattern, *load, *msgLen)
 	if *wset > 0 {
 		fmt.Fprintf(out, ", working set %d @ %.0f%% reuse", *wset, *reuse*100)
@@ -437,7 +429,6 @@ func runResume(out io.Writer, path, ckptPath string, ckptEvery int64, ckptStop, 
 	if err != nil {
 		return err
 	}
-	defer sim.Close()
 
 	ctx := context.Background()
 	if timeout > 0 {
@@ -524,7 +515,6 @@ func runCompare(ctx context.Context, out io.Writer, cfg wave.Config, w wave.Work
 			return err
 		}
 		res, err := sim.RunLoadContext(ctx, w, warmup, measure)
-		sim.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", proto, err)
 		}

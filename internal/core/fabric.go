@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/circuit"
 	"repro/internal/engine"
@@ -95,15 +94,6 @@ type Params struct {
 	DisableActivityTracking bool
 	// Seed drives every random decision in the fabric.
 	Seed uint64
-	// Workers sets the worker count of the parallel cycle engine
-	// (internal/engine). 0 means auto: the fabric measures per-cycle compute
-	// work during warmup and upgrades to a pool sized to the load and
-	// GOMAXPROCS, staying serial below the break-even (see autoTune* below).
-	// 1 forces the serial cycle; higher values run each cycle's compute half
-	// concurrently on a fixed-size pool. Results are bit-identical to the
-	// serial engine for the same seed at every setting — the worker count
-	// changes wall time only. Negative values are rejected by New.
-	Workers int
 }
 
 // DefaultParams is the baseline configuration of the experiments: w=3 VCs of
@@ -131,41 +121,8 @@ func (p Params) validate() error {
 	if p.CacheCapacity < 1 {
 		return fmt.Errorf("core: CacheCapacity must be >= 1, got %d", p.CacheCapacity)
 	}
-	if p.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0 (0 = auto-tune, 1 = serial, N = fixed pool), got %d", p.Workers)
-	}
 	return nil
 }
-
-// Auto-tuner calibration (Workers == 0). The decision must be deterministic
-// for a fixed seed and config — so it is driven entirely by
-// simulation-deterministic quantities (active wormhole ports, live PCS
-// probes) plus host capacity (GOMAXPROCS), never by wall-clock measurement.
-// The selected worker count changes wall time only, never results, so the
-// choice may differ between hosts without breaking response byte-identity.
-const (
-	// autoTuneWindow is how many non-quiescent cycles the fabric observes
-	// before deciding; autoTuneSettle leading cycles are excluded from the
-	// average so the cold-start ramp (an empty network filling up) does not
-	// drag the estimate below steady state.
-	autoTuneWindow = 512
-	autoTuneSettle = 256
-	// autoBreakEvenWork is the busy-port-equivalents of per-cycle work each
-	// additional worker must bring to beat the pool's two phase barriers.
-	autoBreakEvenWork = 192
-	// probeWorkWeight converts live PCS probes into busy-port-equivalents: a
-	// probe decision (output enumeration, misroute ranking) costs roughly an
-	// order of magnitude more than one port's allocate step.
-	probeWorkWeight = 8
-	// maxAutoWorkers caps the automatic choice; explicit Workers values are
-	// not capped.
-	maxAutoWorkers = 8
-	// perCycleMinWork is the hybrid fallback threshold: an activity-tracked
-	// parallel fabric runs any cycle with fewer busy-port-equivalents than
-	// perCycleMinWork×workers through the serial path, skipping the barriers
-	// (the two paths are bit-identical, so this is pure wall-time routing).
-	perCycleMinWork = 64
-)
 
 // BufUnlimited marks a circuit whose endpoint buffers are pre-sized for the
 // longest message of its set (CARP) — re-allocation never triggers.
@@ -236,25 +193,9 @@ type Fabric struct {
 	onCircuitIdle func(src, dst topology.Node)
 
 	// events holds scheduled fabric actions (circuit deliveries, window
-	// acks), sharded by source node; pool is the worker pool of the parallel
-	// cycle engine (nil in serial mode).
-	events *engine.ShardedEvents
-	pool   *engine.Pool
+	// acks, fault injections, retry timers).
+	events *engine.Events
 	now    int64
-
-	// Persistent parallel-phase closures (allocated once in enableParallel so
-	// Cycle never allocates); engineWorkers is the worker count of whatever
-	// engine is currently driving cycles (1 = serial).
-	whPhase       func(worker, lo, hi int)
-	pcsPhase      func(worker, lo, hi int)
-	engineWorkers int
-
-	// Auto-tuner state (Workers == 0): autoTune is true until the decision
-	// window closes, tuneCycles counts observed non-quiescent cycles and
-	// tuneWork accumulates their busy-port-equivalents.
-	autoTune   bool
-	tuneCycles int
-	tuneWork   int64
 
 	// fastForward enables the quiescent-cycle skip in Cycle (off in the
 	// DisableActivityTracking oracle mode).
@@ -297,26 +238,15 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 		// won (or that selection gated out), for the engine report line.
 		fn, tableInfo = routing.SelectTableCached(fn, topo, routing.DefaultTableMaxNodes)
 	}
-	// Event-queue sharding: the shard count never affects pop order (PopDue
-	// merges by (at, seq)), so auto mode fixes it at maxAutoWorkers — the
-	// later worker decision cannot change event semantics even in principle.
-	shards := prm.Workers
-	if prm.Workers == 0 {
-		shards = maxAutoWorkers
-	}
-	if shards < 1 {
-		shards = 1
-	}
 	f := &Fabric{
 		Topo:           topo,
 		Prm:            prm,
 		hooks:          hooks,
 		rng:            sim.NewRNG(prm.Seed),
-		events:         engine.NewShardedEvents(shards),
+		events:         engine.NewShardedEvents(0),
 		transferInject: make(map[flit.MsgID]int64),
 		WaveLinkFlits:  make([]int64, topo.NumLinkSlots()),
 		fastForward:    !prm.DisableActivityTracking,
-		engineWorkers:  1,
 		RoutingTable:   tableInfo,
 	}
 	f.WH, err = wormhole.New(topo, fn, wormhole.Params{NumVCs: prm.NumVCs, BufDepth: prm.BufDepth, CreditDelay: prm.CreditDelay, RouteDelay: prm.RouteDelay, DisableActivityTracking: prm.DisableActivityTracking}, wormhole.Hooks{
@@ -358,80 +288,7 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 		}
 		f.caches[i] = circuit.NewCache(prm.CacheCapacity, pol)
 	}
-	switch {
-	case prm.Workers > 1:
-		f.enableParallel(prm.Workers)
-	case prm.Workers == 0 && !prm.DisableActivityTracking:
-		// Auto: observe a warmup window, then pick. The full-scan oracle mode
-		// is excluded — it exists for cross-checks, and without activity
-		// tracking there is no cheap per-cycle work estimate to tune on.
-		f.autoTune = true
-	}
 	return f, nil
-}
-
-// enableParallel switches the fabric onto a worker pool of the given size.
-// Called at construction for explicit Workers > 1, or mid-run by the
-// auto-tuner — the serial and parallel cycle paths are bit-identical, so the
-// switch point is invisible in the results.
-func (f *Fabric) enableParallel(workers int) {
-	f.pool = engine.NewPool(workers)
-	f.WH.SetParallel(workers)
-	f.PCS.SetParallel()
-	f.engineWorkers = workers
-	f.whPhase = func(worker, lo, hi int) {
-		f.WH.PrepareRange(worker, lo, hi)
-	}
-	f.pcsPhase = func(worker, lo, hi int) {
-		f.PCS.PrepareRange(f.now, lo, hi)
-	}
-}
-
-// EngineWorkers returns the worker count of the engine currently driving
-// cycles: 1 while serial (including the auto-tuner's observation window),
-// the pool size once parallel. Deliberately not part of wave.Stats — the
-// selection is host-dependent while Stats are bit-identical across hosts
-// and worker counts.
-func (f *Fabric) EngineWorkers() int { return f.engineWorkers }
-
-// cycleWork estimates this cycle's compute cost in busy-port-equivalents
-// from simulation-deterministic state.
-func (f *Fabric) cycleWork() int64 {
-	return int64(f.WH.ActivePorts() + probeWorkWeight*f.PCS.ActiveProbes())
-}
-
-// observeTune accumulates the auto-tuner's warmup window and, once it
-// closes, sizes the pool (or decides to stay serial forever).
-func (f *Fabric) observeTune() {
-	f.tuneCycles++
-	if f.tuneCycles <= autoTuneSettle {
-		return
-	}
-	f.tuneWork += f.cycleWork()
-	if f.tuneCycles < autoTuneWindow {
-		return
-	}
-	f.autoTune = false
-	avg := f.tuneWork / int64(autoTuneWindow-autoTuneSettle)
-	workers := int(avg / autoBreakEvenWork)
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers > maxAutoWorkers {
-		workers = maxAutoWorkers
-	}
-	if workers >= 2 {
-		f.enableParallel(workers)
-	}
-}
-
-// Close releases the worker pool. Every parallel fabric must be closed when
-// done — the pool's helper goroutines otherwise outlive it. Safe to call
-// repeatedly, and a no-op for serial fabrics.
-func (f *Fabric) Close() {
-	if f.pool != nil {
-		f.pool.Close()
-	}
 }
 
 func (f *Fabric) progress() {
@@ -446,14 +303,8 @@ func (f *Fabric) Cache(n topology.Node) *circuit.Cache { return f.caches[n] }
 // Now returns the fabric's view of the current cycle.
 func (f *Fabric) Now() int64 { return f.now }
 
-// Cycle advances everything by one wormhole clock.
-//
-// In parallel mode the cycle is split: after the serial event commit and the
-// wormhole prologue, the compute half of both engines — the wormhole port
-// scan with its route computations, and the PCS probe decisions — fans out
-// over the worker pool (one barrier each); the engines then commit serially
-// in exactly the serial engine's effect order, so the outcome is
-// bit-identical to Workers=1 for the same seed (see internal/engine).
+// Cycle advances everything by one wormhole clock: due events in (at, seq)
+// order, then the wormhole engine, then the PCS engine.
 func (f *Fabric) Cycle(now int64) {
 	f.now = now
 	for _, ev := range f.events.PopDue(now) {
@@ -475,33 +326,8 @@ func (f *Fabric) Cycle(now int64) {
 		f.PCS.SkipTo(now)
 		return
 	}
-	if f.autoTune {
-		f.observeTune()
-	}
-	if f.pool == nil || !f.parallelWorthIt() {
-		f.WH.Cycle(now)
-		f.PCS.Cycle(now)
-		return
-	}
-	f.WH.BeginCycle(now)
-	f.pool.Run(f.WH.NumPorts(), 256, f.whPhase)
-	f.pool.Run(f.PCS.PrepareCount(), 8, f.pcsPhase)
-	f.WH.CommitCycle(now)
-	f.PCS.CommitCycle(now)
-}
-
-// parallelWorthIt is the per-cycle half of the tuning story: even a
-// well-sized pool loses on cycles with little ready work, where the two
-// phase barriers dwarf the compute. Activity-tracked fabrics route such
-// cycles through the serial path — bit-identical by the engine contract, so
-// this is pure wall-time routing on simulation-deterministic state. Without
-// activity tracking (the oracle mode) there is no cheap work estimate and a
-// configured pool always runs, keeping the oracle's parallel coverage.
-func (f *Fabric) parallelWorthIt() bool {
-	if !f.fastForward {
-		return true
-	}
-	return f.cycleWork() >= perCycleMinWork*int64(f.pool.Workers())
+	f.WH.Cycle(now)
+	f.PCS.Cycle(now)
 }
 
 // Quiescent reports whether both engines are at rest: no wormhole message
@@ -525,12 +351,6 @@ func (f *Fabric) SkipCycles(n int64, lastNow int64) {
 	f.now = lastNow
 	f.WH.SkipCycles(n, lastNow)
 	f.PCS.SkipTo(lastNow)
-}
-
-// schedule queues fn to run at cycle `at` (at must be > now) on the shard of
-// node n.
-func (f *Fabric) schedule(n topology.Node, at int64, fn func(now int64)) {
-	f.events.Schedule(int(n), at, fn)
 }
 
 // execEvent dispatches one descriptor event (see the ev* kind constants).
@@ -563,7 +383,7 @@ func (f *Fabric) execEvent(kind uint8, args [engine.NumEventArgs]int64, now int6
 		ch := pcs.Channel{Link: topology.LinkID(args[0]), Switch: int(args[1])}
 		f.PCS.InjectDynamicFault(ch)
 		if repair := args[2]; repair > 0 {
-			f.events.ScheduleKind(int(f.Topo.Links().From[ch.Link]), now+repair, evFaultRepair,
+			f.events.ScheduleKind(0, now+repair, evFaultRepair,
 				[engine.NumEventArgs]int64{args[0], args[1]})
 		}
 	case evFaultRepair:
@@ -592,28 +412,26 @@ func (f *Fabric) ScheduleRetry(src, dst topology.Node, at int64) {
 	if at <= f.now {
 		panic(fmt.Sprintf("core: ScheduleRetry(%d) is not in the future (now %d)", at, f.now))
 	}
-	f.events.ScheduleKind(int(src), at, evRetry,
+	f.events.ScheduleKind(0, at, evRetry,
 		[engine.NumEventArgs]int64{int64(src), int64(dst)})
 }
 
 // ScheduleAt queues fn to run at cycle `at` (which must be strictly in the
-// future) on node n's shard of the event queue. The protocol layer uses it
-// for deterministic timers (probe-retry backoff); scheduled work is visible
-// to NextEventAt, so the quiescence fast-forward stops at it instead of
-// jumping past.
-func (f *Fabric) ScheduleAt(n topology.Node, at int64, fn func(now int64)) {
+// future). Scheduled work is visible to NextEventAt, so the quiescence
+// fast-forward stops at it instead of jumping past; being a closure, it
+// blocks EncodeState while pending.
+func (f *Fabric) ScheduleAt(at int64, fn func(now int64)) {
 	if at <= f.now {
 		panic(fmt.Sprintf("core: ScheduleAt(%d) is not in the future (now %d)", at, f.now))
 	}
-	f.schedule(n, at, fn)
+	f.events.Schedule(at, fn)
 }
 
 // ScheduleFault arms one dynamic wave-channel fault: ch fails at cycle `at`;
 // when repair > 0 the channel returns to service repair cycles after the
-// injection. Faults ride the sharded event queue (shard = the link's source
-// node), so injection commits in the serial event phase of the owning cycle
-// — deterministic across worker counts — and NextEventAt keeps the
-// quiescence fast-forward from skipping over a scheduled fault.
+// injection. Faults ride the event queue, so injection commits in the event
+// phase of the owning cycle and NextEventAt keeps the quiescence
+// fast-forward from skipping over a scheduled fault.
 func (f *Fabric) ScheduleFault(at int64, ch pcs.Channel, repair int64) error {
 	if at <= f.now {
 		return fmt.Errorf("core: fault at cycle %d is not in the future (now %d)", at, f.now)
@@ -628,7 +446,7 @@ func (f *Fabric) ScheduleFault(at int64, ch pcs.Channel, repair int64) error {
 	if ch.Switch < 0 || ch.Switch >= f.Prm.NumSwitches {
 		return fmt.Errorf("core: fault on switch %d out of range (0..%d)", ch.Switch, f.Prm.NumSwitches-1)
 	}
-	f.events.ScheduleKind(int(tab.From[ch.Link]), at, evFaultInject,
+	f.events.ScheduleKind(0, at, evFaultInject,
 		[engine.NumEventArgs]int64{int64(ch.Link), int64(ch.Switch), repair})
 	return nil
 }
@@ -708,19 +526,19 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message, onIdle func
 		f.WaveLinkFlits[ch.Link] += int64(m.Len)
 	}
 
-	f.events.ScheduleKind(m.Src, deliverAt, evCircuitDeliver,
+	f.events.ScheduleKind(0, deliverAt, evCircuitDeliver,
 		[engine.NumEventArgs]int64{int64(m.ID), int64(m.Src), int64(m.Dst), int64(m.Len), m.InjectTime})
 	if onIdle == nil {
 		// Protocol path: the ack event clears the In-use bit (guarded by the
 		// circuit ID, in case the entry was replaced meanwhile) and fires the
 		// registered circuit-idle handler. Fully descriptive, so an ack in
 		// flight survives a snapshot.
-		f.events.ScheduleKind(m.Src, ackAt, evCircuitAck,
+		f.events.ScheduleKind(0, ackAt, evCircuitAck,
 			[engine.NumEventArgs]int64{int64(m.Src), int64(entry.Dest), int64(entry.ID)})
 	} else {
 		// Test path: a caller-supplied closure pins this event to the live
 		// entry object; such an event blocks EncodeState.
-		f.schedule(topology.Node(m.Src), ackAt, func(int64) {
+		f.events.Schedule(ackAt, func(int64) {
 			entry.InUse = false
 			onIdle()
 		})

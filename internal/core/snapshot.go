@@ -1,12 +1,11 @@
 package core
 
 // Snapshot support. The fabric serialises its own mutable state — the RNG,
-// the pending event queue (descriptor events only), the auto-tuner window,
-// circuit-transfer bookkeeping and counters — and delegates to the wormhole
-// engine, the PCS engine and every per-node Circuit Cache. Restoring into a
-// fabric built from the identical Params and topology reproduces the
-// original bit for bit; subsequent cycles are indistinguishable from an
-// uninterrupted run.
+// the pending event queue (descriptor events only), circuit-transfer
+// bookkeeping and counters — and delegates to the wormhole engine, the PCS
+// engine and every per-node Circuit Cache. Restoring into a fabric built
+// from the identical Params and topology reproduces the original bit for
+// bit; subsequent cycles are indistinguishable from an uninterrupted run.
 
 import (
 	"fmt"
@@ -22,11 +21,6 @@ import (
 func (f *Fabric) EncodeState(w *snapshot.Writer) error {
 	w.I64(f.now)
 	w.U64(f.rng.State())
-
-	w.Bool(f.autoTune)
-	w.Int(f.tuneCycles)
-	w.I64(f.tuneWork)
-	w.Int(f.engineWorkers)
 
 	w.Int(f.transfersInFlight)
 	ids := make([]flit.MsgID, 0, len(f.transferInject))
@@ -66,18 +60,10 @@ func (f *Fabric) EncodeState(w *snapshot.Writer) error {
 }
 
 // DecodeState restores state written by EncodeState into a fabric built
-// with the same topology and Params. When the snapshot was taken from a
-// parallel run (engine workers > 1) and this fabric is still serial, the
-// pool is brought up to the recorded size — results are bit-identical at
-// any worker count, so this only reproduces the original's wall-time shape.
+// with the same topology and Params.
 func (f *Fabric) DecodeState(r *snapshot.Reader) error {
 	f.now = r.I64()
 	f.rng.Seed(r.U64())
-
-	f.autoTune = r.Bool()
-	f.tuneCycles = r.Int()
-	f.tuneWork = r.I64()
-	workers := r.Int()
 
 	f.transfersInFlight = r.Int()
 	f.transferInject = make(map[flit.MsgID]int64)
@@ -103,9 +89,6 @@ func (f *Fabric) DecodeState(r *snapshot.Reader) error {
 
 	if err := f.events.DecodeState(r); err != nil {
 		return err
-	}
-	if workers > 1 && f.pool == nil {
-		f.enableParallel(workers)
 	}
 	if err := f.WH.DecodeState(r); err != nil {
 		return err

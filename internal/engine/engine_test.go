@@ -1,226 +1,58 @@
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestPoolCoversEveryIndexOnce checks the static sharder visits each index
-// exactly once, for several worker counts and grains.
-func TestPoolCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		for _, n := range []int{0, 1, 7, 64, 1000} {
-			for _, grain := range []int{1, 3, 64, 2000} {
-				p := NewPool(workers)
-				counts := make([]int32, n)
-				p.Run(n, grain, func(_, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&counts[i], 1)
-					}
-				})
-				p.Close()
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times", workers, n, grain, i, c)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPoolDeterministicUnderWorkerCount runs a compute phase writing
-// per-item scratch and checks the result is bit-identical across worker
-// counts — the core contract the fabric relies on.
-func TestPoolDeterministicUnderWorkerCount(t *testing.T) {
-	const n = 5000
-	compute := func(workers int) []uint64 {
-		p := NewPool(workers)
-		defer p.Close()
-		out := make([]uint64, n)
-		p.Run(n, 16, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				r := sim.NewRNG(uint64(i) * 0x9e3779b97f4a7c15)
-				out[i] = r.Uint64() ^ r.Uint64()
-			}
-		})
-		return out
-	}
-	want := compute(1)
-	for _, workers := range []int{2, 4, 7} {
-		got := compute(workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: item %d differs", workers, i)
-			}
-		}
-	}
-}
-
-// TestPoolWorkerIndexInRange checks the worker index passed to fn is always
-// a valid per-worker-scratch index.
-func TestPoolWorkerIndexInRange(t *testing.T) {
-	const workers = 4
-	p := NewPool(workers)
-	defer p.Close()
-	var bad atomic.Int32
-	p.Run(10000, 8, func(w, lo, hi int) {
-		if w < 0 || w >= workers {
-			bad.Store(1)
-		}
-	})
-	if bad.Load() != 0 {
-		t.Fatal("worker index out of [0, Workers())")
-	}
-}
-
-// TestPoolRepeatedRuns exercises the barrier across many phases — the soak
-// the -race CI job leans on.
-func TestPoolRepeatedRuns(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	shared := make([]int64, 256)
-	for cycle := 0; cycle < 2000; cycle++ {
-		// Compute phase: read-only on shared, write per-item scratch.
-		scratch := make([]int64, len(shared))
-		p.Run(len(shared), 16, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				scratch[i] = shared[i] + 1
-			}
-		})
-		// Commit phase: serial canonical-order writes.
-		copy(shared, scratch)
-	}
-	for i, v := range shared {
-		if v != 2000 {
-			t.Fatalf("slot %d = %d after 2000 cycles, want 2000", i, v)
-		}
-	}
-}
-
-// TestPoolStaticContiguousShards pins the sharding contract the wormhole
-// commit rings depend on: each worker receives exactly one contiguous range
-// per Run, and ranges ascend with the worker index — so per-worker buffers
-// filled in index order concatenate into a globally ascending sequence.
-func TestPoolStaticContiguousShards(t *testing.T) {
-	for _, workers := range []int{2, 3, 4, 8} {
-		for _, n := range []int{17, 64, 1000, 4096} {
-			p := NewPool(workers)
-			type rng struct {
-				lo, hi int
-				calls  int
-			}
-			got := make([]rng, workers)
-			var mu sync.Mutex
-			p.Run(n, 1, func(w, lo, hi int) {
-				mu.Lock()
-				got[w] = rng{lo, hi, got[w].calls + 1}
-				mu.Unlock()
-			})
-			p.Close()
-			next := 0
-			for w := 0; w < workers; w++ {
-				if got[w].calls == 0 {
-					continue
-				}
-				if got[w].calls != 1 {
-					t.Fatalf("workers=%d n=%d: worker %d called %d times, want 1", workers, n, w, got[w].calls)
-				}
-				if got[w].lo != next {
-					t.Fatalf("workers=%d n=%d: worker %d range [%d,%d) not contiguous after %d", workers, n, w, got[w].lo, got[w].hi, next)
-				}
-				next = got[w].hi
-			}
-			if next != n {
-				t.Fatalf("workers=%d n=%d: ranges end at %d", workers, n, next)
-			}
-		}
-	}
-}
-
-// TestPoolZeroAllocRun proves the phase barrier itself allocates nothing:
-// the phase descriptor is embedded in the Pool and reused, so the only
-// allocations on the parallel cycle path are the caller's own.
-func TestPoolZeroAllocRun(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	sink := make([]int64, 4096)
-	fn := func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sink[i]++
-		}
-	}
-	p.Run(len(sink), 16, fn) // warm up
-	avg := testing.AllocsPerRun(200, func() {
-		p.Run(len(sink), 16, fn)
-	})
-	if avg != 0 {
-		t.Fatalf("Pool.Run allocates %v per call, want 0", avg)
-	}
-}
-
-func TestPoolNilAndClosedBehaviour(t *testing.T) {
-	var p *Pool
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool workers = %d, want 1", p.Workers())
-	}
-	ran := false
-	p.Run(3, 1, func(_, lo, hi int) { ran = true })
-	if !ran {
-		t.Fatal("nil pool did not run inline")
-	}
-	p.Close() // must not panic
-
-	q := NewPool(3)
-	q.Close()
-	q.Close() // idempotent
-}
-
-// TestShardedEventsMatchesGlobalOrder schedules a pseudo-random workload into
-// differently-sharded stores and checks every configuration pops the exact
-// global (At, Seq) order of a 1-shard (i.e. single-heap) store.
+// TestShardedEventsMatchesGlobalOrder schedules a pseudo-random workload and
+// checks the store fires it in exactly the (At, Seq) order of a sorted
+// reference list, whatever shard argument the events were scheduled with.
 func TestShardedEventsMatchesGlobalOrder(t *testing.T) {
 	type fired struct{ at, seq int64 }
-	run := func(shards int) []fired {
-		s := NewShardedEvents(shards)
-		r := sim.NewRNG(42)
-		var got []fired
-		now := int64(0)
-		pending := 0
-		for now < 400 || pending > 0 {
-			if now < 400 {
-				for i := 0; i < 5; i++ {
-					at := now + 1 + int64(r.Intn(17))
-					node := r.Intn(64)
-					seq := s.seq + 1
-					s.Schedule(node, at, func(int64) { got = append(got, fired{at, seq}) })
-					pending++
+	s := NewShardedEvents(4)
+	r := sim.NewRNG(42)
+	var got, want []fired
+	now := int64(0)
+	for now < 400 || s.Len() > 0 {
+		if now < 400 {
+			for i := 0; i < 5; i++ {
+				at := now + 1 + int64(r.Intn(17))
+				seq := s.seq + 1
+				want = append(want, fired{at, seq})
+				if i%2 == 0 {
+					s.Schedule(at, func(int64) { got = append(got, fired{at, seq}) })
+				} else {
+					s.ScheduleKind(r.Intn(64), at, 1, [NumEventArgs]int64{at, seq})
 				}
 			}
-			for _, ev := range s.PopDue(now) {
+		}
+		for _, ev := range s.PopDue(now) {
+			if ev.At > now {
+				t.Fatalf("event for cycle %d popped at cycle %d", ev.At, now)
+			}
+			if ev.Kind != 0 {
+				got = append(got, fired{ev.Args[0], ev.Args[1]})
+			} else {
 				ev.Fn(now)
-				pending--
 			}
-			now++
 		}
-		if s.Len() != 0 {
-			t.Fatalf("shards=%d: %d events left", shards, s.Len())
-		}
-		return got
+		now++
 	}
-	want := run(1)
-	for _, shards := range []int{2, 4, 16} {
-		got := run(shards)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: fired %d events, want %d", shards, len(got), len(want))
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: event %d fired as %+v, want %+v", shards, i, got[i], want[i])
-			}
+		return want[i].seq < want[j].seq
+	})
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired as %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -228,11 +60,11 @@ func TestShardedEventsMatchesGlobalOrder(t *testing.T) {
 // TestShardedEventsScheduleDuringFire checks events scheduled from a firing
 // handler (always strictly in the future) are deferred to a later PopDue.
 func TestShardedEventsScheduleDuringFire(t *testing.T) {
-	s := NewShardedEvents(4)
+	s := NewShardedEvents(0)
 	var order []int
-	s.Schedule(0, 1, func(now int64) {
+	s.Schedule(1, func(now int64) {
 		order = append(order, 1)
-		s.Schedule(1, now+1, func(int64) { order = append(order, 2) })
+		s.Schedule(now+1, func(int64) { order = append(order, 2) })
 	})
 	for now := int64(1); now <= 2; now++ {
 		for _, ev := range s.PopDue(now) {
@@ -241,30 +73,5 @@ func TestShardedEventsScheduleDuringFire(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("fire order = %v, want [1 2]", order)
-	}
-}
-
-// TestStreamsDeterministic checks per-node streams depend only on the parent
-// seed and the node index.
-func TestStreamsDeterministic(t *testing.T) {
-	a := Streams(sim.NewRNG(7), 16)
-	b := Streams(sim.NewRNG(7), 16)
-	for i := range a {
-		for k := 0; k < 8; k++ {
-			if a[i].Uint64() != b[i].Uint64() {
-				t.Fatalf("stream %d diverged at draw %d", i, k)
-			}
-		}
-	}
-	c := Streams(sim.NewRNG(7), 16)
-	d := Streams(sim.NewRNG(8), 16)
-	same := 0
-	for i := range c {
-		if c[i].Uint64() == d[i].Uint64() {
-			same++
-		}
-	}
-	if same == len(c) {
-		t.Fatal("streams identical across different parent seeds")
 	}
 }

@@ -1,3 +1,6 @@
+// Package engine holds the fabric's scheduled-event store: one typed
+// min-heap ordered by (At, Seq), popped serially at the head of every cycle
+// (see core.Fabric.Cycle).
 package engine
 
 import (
@@ -25,23 +28,24 @@ type Event struct {
 	Args [NumEventArgs]int64
 }
 
+// eventBefore orders events by (At, Seq): the pop order.
+func eventBefore(a, b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	return a.Seq < b.Seq
+}
+
 // eventHeap is a typed min-heap ordered by (At, Seq). It replaces the old
 // container/heap implementation and its interface{} boxing.
 type eventHeap []*Event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].Seq < h[j].Seq
-}
 
 func (h *eventHeap) push(e *Event) {
 	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !eventBefore(q[i], q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -61,10 +65,10 @@ func (h *eventHeap) pop() *Event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && q.less(l, small) {
+		if l < n && eventBefore(q[l], q[small]) {
 			small = l
 		}
-		if r < n && q.less(r, small) {
+		if r < n && eventBefore(q[r], q[small]) {
 			small = r
 		}
 		if small == i {
@@ -77,40 +81,31 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
-// ShardedEvents is the fabric's scheduled-event store, sharded so that each
-// shard holds the events of a disjoint subset of nodes. Scheduling carries a
-// single global sequence number; PopDue merges the due events of every shard
-// by (At, Seq), which reproduces the pop order of a single global heap no
-// matter how the events are distributed across shards.
-type ShardedEvents struct {
-	shards []eventHeap
-	seq    int64
-	size   int
-	due    []*Event // scratch reused across cycles
+// Events is the fabric's scheduled-event store. Scheduling stamps a global
+// sequence number; PopDue returns the due events in (At, Seq) order.
+type Events struct {
+	heap eventHeap
+	seq  int64
+	due  []*Event // scratch reused across cycles
 	// pool recycles Event objects: PopDue's contract forbids callers from
 	// retaining the returned events, so the next call reclaims them and
 	// Schedule reuses the objects instead of allocating per event.
 	pool []*Event
 }
 
-// NewShardedEvents creates a store with `shards` shards (minimum 1).
-func NewShardedEvents(shards int) *ShardedEvents {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedEvents{shards: make([]eventHeap, shards)}
-}
+// NewShardedEvents creates an empty store.
+//
+// Compatibility: the store is one heap and the shard count is ignored. The
+// name and the parameter are kept so the frozen benchmark module compiles;
+// internal callers pass 0.
+func NewShardedEvents(_ int) *Events { return &Events{} }
 
-// Shards returns the shard count.
-func (s *ShardedEvents) Shards() int { return len(s.shards) }
+// Len returns the number of pending events.
+func (s *Events) Len() int { return len(s.heap) }
 
-// Len returns the number of pending events across all shards.
-func (s *ShardedEvents) Len() int { return s.size }
-
-// Schedule queues fn on `shard` to run at cycle `at`. The caller guarantees
-// at is strictly in the future; commit-time handlers may therefore schedule
-// freely without re-entering the current cycle's merge.
-func (s *ShardedEvents) Schedule(shard int, at int64, fn func(now int64)) {
+// push stamps the next sequence number on a recycled (or new) event and
+// queues it.
+func (s *Events) push(at int64, fn func(now int64), kind uint8, args [NumEventArgs]int64) {
 	s.seq++
 	var e *Event
 	if n := len(s.pool); n > 0 {
@@ -121,60 +116,46 @@ func (s *ShardedEvents) Schedule(shard int, at int64, fn func(now int64)) {
 		e = &Event{}
 	}
 	e.At, e.Seq, e.Fn = at, s.seq, fn
-	e.Kind = 0
-	s.shards[shard%len(s.shards)].push(e)
-	s.size++
+	e.Kind, e.Args = kind, args
+	s.heap.push(e)
 }
 
-// ScheduleKind queues a descriptive event on `shard` at cycle `at`. The
-// owner executes it by dispatching on (Kind, Args) — kind must be nonzero.
-// Unlike closure events these serialise, so every steady-state fabric event
-// is scheduled through here.
-func (s *ShardedEvents) ScheduleKind(shard int, at int64, kind uint8, args [NumEventArgs]int64) {
+// Schedule queues fn to run at cycle `at`. The caller guarantees at is
+// strictly in the future, so handlers may schedule freely while the current
+// cycle's due list is being executed.
+func (s *Events) Schedule(at int64, fn func(now int64)) {
+	s.push(at, fn, 0, [NumEventArgs]int64{})
+}
+
+// ScheduleKind queues a descriptive event at cycle `at`. The owner executes
+// it by dispatching on (Kind, Args) — kind must be nonzero. Unlike closure
+// events these serialise, so every steady-state fabric event is scheduled
+// through here.
+//
+// Compatibility: the leading shard argument is ignored. It is kept so the
+// frozen benchmark module compiles; internal callers pass 0.
+func (s *Events) ScheduleKind(_ int, at int64, kind uint8, args [NumEventArgs]int64) {
 	if kind == 0 {
 		panic("engine: ScheduleKind requires a nonzero kind")
 	}
-	s.seq++
-	var e *Event
-	if n := len(s.pool); n > 0 {
-		e = s.pool[n-1]
-		s.pool[n-1] = nil
-		s.pool = s.pool[:n-1]
-	} else {
-		e = &Event{}
-	}
-	e.At, e.Seq, e.Fn = at, s.seq, nil
-	e.Kind, e.Args = kind, args
-	s.shards[shard%len(s.shards)].push(e)
-	s.size++
+	s.push(at, nil, kind, args)
 }
 
-// NextAt returns the cycle of the earliest pending event across all shards,
-// or ok=false when the store is empty. The fabric's quiescence fast-forward
-// uses it to bound how far the clock may jump.
-func (s *ShardedEvents) NextAt() (int64, bool) {
-	if s.size == 0 {
+// NextAt returns the cycle of the earliest pending event, or ok=false when
+// the store is empty. The fabric's quiescence fast-forward uses it to bound
+// how far the clock may jump.
+func (s *Events) NextAt() (int64, bool) {
+	if len(s.heap) == 0 {
 		return 0, false
 	}
-	var min int64
-	found := false
-	for i := range s.shards {
-		if len(s.shards[i]) == 0 {
-			continue
-		}
-		if at := s.shards[i][0].At; !found || at < min {
-			min = at
-			found = true
-		}
-	}
-	return min, found
+	return s.heap[0].At, true
 }
 
 // PopDue removes and returns every event with At <= now, ordered by
 // (At, Seq). The returned slice is reused by the next call; callers must not
-// retain it. Events scheduled while iterating the result land in the shard
-// heaps and are not observed until a later PopDue.
-func (s *ShardedEvents) PopDue(now int64) []*Event {
+// retain it. Events scheduled while iterating the result land in the heap
+// and are not observed until a later PopDue.
+func (s *Events) PopDue(now int64) []*Event {
 	// Reclaim the events handed out by the previous call (callers must not
 	// retain them) before reusing the scratch slice.
 	for _, e := range s.due {
@@ -182,39 +163,10 @@ func (s *ShardedEvents) PopDue(now int64) []*Event {
 		s.pool = append(s.pool, e)
 	}
 	s.due = s.due[:0]
-	for i := range s.shards {
-		for len(s.shards[i]) > 0 && s.shards[i][0].At <= now {
-			s.due = append(s.due, s.shards[i].pop())
-			s.size--
-		}
-	}
-	if len(s.shards) > 1 && len(s.due) > 1 {
-		// The due list is a concatenation of per-shard ascending runs, so an
-		// insertion sort is near-linear here — and unlike sort.Slice it does
-		// not allocate (no closure, no interface conversion), which keeps the
-		// multi-shard store at allocs/cycle parity with a single global heap.
-		due := s.due
-		for i := 1; i < len(due); i++ {
-			for j := i; j > 0 && eventBefore(due[j], due[j-1]); j-- {
-				due[j], due[j-1] = due[j-1], due[j]
-			}
-		}
+	for len(s.heap) > 0 && s.heap[0].At <= now {
+		s.due = append(s.due, s.heap.pop())
 	}
 	return s.due
-}
-
-// eventBefore orders events by (At, Seq) — the pop order of a global heap.
-func eventBefore(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.Seq < b.Seq
-}
-
-// eventRec pairs a pending event with its shard for serialisation.
-type eventRec struct {
-	shard int
-	e     *Event
 }
 
 // EncodeState writes every pending event plus the global sequence counter.
@@ -222,46 +174,36 @@ type eventRec struct {
 // the encoding is independent of heap layout. It returns an error if any
 // pending event is opaque (Kind == 0): such an event holds a closure the
 // snapshot cannot represent.
-func (s *ShardedEvents) EncodeState(w *snapshot.Writer) error {
-	recs := make([]eventRec, 0, s.size)
-	for i := range s.shards {
-		for _, e := range s.shards[i] {
-			if e.Kind == 0 {
-				return fmt.Errorf("engine: pending opaque event at cycle %d (seq %d) cannot be snapshotted", e.At, e.Seq)
-			}
-			recs = append(recs, eventRec{shard: i, e: e})
+func (s *Events) EncodeState(w *snapshot.Writer) error {
+	evs := make([]*Event, len(s.heap))
+	copy(evs, s.heap)
+	for _, e := range evs {
+		if e.Kind == 0 {
+			return fmt.Errorf("engine: pending opaque event at cycle %d (seq %d) cannot be snapshotted", e.At, e.Seq)
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return eventBefore(recs[i].e, recs[j].e) })
+	sort.Slice(evs, func(i, j int) bool { return eventBefore(evs[i], evs[j]) })
 	w.I64(s.seq)
-	w.U32(uint32(len(recs)))
-	for _, rec := range recs {
-		w.U32(uint32(rec.shard))
-		w.I64(rec.e.At)
-		w.I64(rec.e.Seq)
-		w.U8(rec.e.Kind)
-		for _, a := range rec.e.Args {
+	w.U32(uint32(len(evs)))
+	for _, e := range evs {
+		w.I64(e.At)
+		w.I64(e.Seq)
+		w.U8(e.Kind)
+		for _, a := range e.Args {
 			w.I64(a)
 		}
 	}
 	return w.Err()
 }
 
-// DecodeState replaces the pending-event set with the encoded one. Shard
-// placement is remapped modulo the current shard count — pop order depends
-// only on (At, Seq), so a snapshot restores bit-identically into a store
-// with any shard count.
-func (s *ShardedEvents) DecodeState(r *snapshot.Reader) error {
-	for i := range s.shards {
-		s.shards[i] = nil
-	}
+// DecodeState replaces the pending-event set with the encoded one.
+func (s *Events) DecodeState(r *snapshot.Reader) error {
+	s.heap = nil
 	s.due = s.due[:0]
 	s.pool = s.pool[:0]
-	s.size = 0
 	s.seq = r.I64()
 	n := r.Count(1 << 26)
 	for i := 0; i < n; i++ {
-		shard := int(r.U32())
 		e := &Event{At: r.I64(), Seq: r.I64(), Kind: r.U8()}
 		for j := range e.Args {
 			e.Args[j] = r.I64()
@@ -272,8 +214,7 @@ func (s *ShardedEvents) DecodeState(r *snapshot.Reader) error {
 		if e.Kind == 0 {
 			return fmt.Errorf("engine: encoded event %d has zero kind", i)
 		}
-		s.shards[shard%len(s.shards)].push(e)
-		s.size++
+		s.heap.push(e)
 	}
 	return r.Err()
 }

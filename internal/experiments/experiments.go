@@ -29,11 +29,6 @@ type Params struct {
 	Warmup, Measure int64
 	// Seed is the base RNG seed.
 	Seed uint64
-	// Workers is the per-simulator cycle-engine worker count (see
-	// wave.Config.Workers); 0 auto-tunes each simulator to its load and
-	// GOMAXPROCS, 1 forces serial. Results are identical at every setting —
-	// the parallel engine is bit-deterministic.
-	Workers int
 
 	// OnPoint, when non-nil, is called after each completed sweep point
 	// with (done, total) — coarse progress for long sweeps (waved streams
@@ -101,7 +96,6 @@ func baseConfig(p Params) wave.Config {
 	cfg := wave.DefaultConfig()
 	cfg.Topology = wave.TopologyConfig{Kind: "torus", Radix: []int{p.Radix, p.Radix}}
 	cfg.Seed = p.Seed
-	cfg.Workers = p.Workers
 	return cfg
 }
 
@@ -111,7 +105,6 @@ func runOne(ctx context.Context, cfg wave.Config, w wave.Workload, p Params) (*w
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	return s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
 }
 
@@ -251,7 +244,6 @@ func E2LoadSweep(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		if protos[pi] == "carp" {
 			// The compiler opens circuits for each node's working set lazily:
 			// CARP sends to unopened destinations use wormhole; to keep the
@@ -418,7 +410,6 @@ func E5Misroute(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
 		if rerr != nil {
 			return fmt.Errorf("e5 m=%d: %w", ms[i], rerr)
@@ -532,7 +523,6 @@ func E7Stress(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
 		if rerr != nil {
 			return fmt.Errorf("e7 %s: %w (deadlock/livelock?)", protos[i], rerr)
@@ -600,7 +590,6 @@ func E8Faults(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		if regime == "static" {
 			if ferr := s.InjectFaults(count, p.Seed+uint64(i)*17); ferr != nil {
 				return ferr
@@ -680,7 +669,6 @@ func E9Ablation(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
 		if rerr != nil {
 			return fmt.Errorf("e9 %s: %w", variants[i].name, rerr)
@@ -906,7 +894,6 @@ func E13ClosedLoop(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		res, rerr := s.RunClosedLoopContext(ctx, wave.ClosedWorkload{
 			Pattern: "near", ReqFlits: 4, ReplyFlits: 64,
 			Outstanding: outs[oi], Requests: requests,
@@ -1140,7 +1127,6 @@ func E17CacheCapacity(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
 		if rerr != nil {
 			return fmt.Errorf("e17 cap=%d: %w", caps[i], rerr)
@@ -1259,7 +1245,6 @@ func E19EndpointBuffers(ctx context.Context, p Params) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 		if configs[i].proto == "carp" {
 			for n := 0; n < s.Nodes(); n++ {
 				for _, nb := range s.Neighbors(n) {

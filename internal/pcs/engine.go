@@ -198,10 +198,9 @@ type probe struct {
 	// a handful of nodes, so lookups are a short linear scan — and unlike
 	// the previous dense []uint32 of Nodes() entries, a pooled probe costs
 	// O(nodes visited), not O(network size): at 128x128 the dense layout
-	// charged 64 KiB per pooled probe object. Only the probe's own step
-	// writes the store, which is what lets the parallel compute phase read
-	// it lock-free; the backing arrays stay with the pooled probe, so the
-	// store allocates only while the visit list grows.
+	// charged 64 KiB per pooled probe object. The backing arrays stay with
+	// the pooled probe, so the store allocates only while the visit list
+	// grows.
 	histNodes []topology.Node
 	histMasks []uint32
 
@@ -209,9 +208,6 @@ type probe struct {
 	// optsValid is cleared whenever the probe moves (see options).
 	opts      []outOption
 	optsValid bool
-	// prep is the decision precomputed by the parallel compute phase (see
-	// parallel.go); ignored by the serial engine.
-	prep prepState
 
 	launched int64
 	done     func(SetupResult)
@@ -266,19 +262,7 @@ type Engine struct {
 	directMap  []int32
 	reverseMap []int32
 
-	// touched[k] is the prep generation (see prepGen) in which channel k's
-	// status or owner last changed; the parallel commit validates precomputed
-	// decisions against it. Nil when the engine runs serially (SetParallel).
-	touched []int64
-	// prepGen increments at every PrepareCount. A decision conflicts exactly
-	// when one of its read channels carries the current generation — i.e. was
-	// mutated after the compute phase began, whether by the wormhole half's
-	// delivery hooks or by an earlier commit in this cycle. Cycle numbers
-	// cannot play this role: hook-driven teardowns fire before the engine's
-	// clock advances to the new cycle.
-	prepGen int64
-
-	// req is requestedChannels' reusable result buffer (serial commit only).
+	// req is requestedChannels' reusable result buffer.
 	req []outOption
 	// wantCh/wantSw are the argument of the wanted predicate handed to
 	// Host.RequestLocalRelease; wantedFn is that method bound once, so a
@@ -286,8 +270,6 @@ type Engine struct {
 	wantCh   []outOption
 	wantSw   int
 	wantedFn func(Channel) bool
-	// prepList is the probe snapshot being prepared this cycle.
-	prepList []*probe
 
 	probes    []*probe
 	acks      []ack
@@ -303,10 +285,8 @@ type Engine struct {
 	tdSpill    []teardown
 	relSpill   []release
 
-	// Free-lists for probe and circuit objects. Recycling happens only on
-	// the serial commit path (never concurrently, never via sync.Pool), so
-	// reuse order is canonical and runs stay bit-identical across worker
-	// counts.
+	// Free-lists for probe and circuit objects (plain slices, never
+	// sync.Pool, so reuse order is canonical and runs repeat bit for bit).
 	probePool []*probe
 	circPool  []*Circuit
 
@@ -455,7 +435,6 @@ func (e *Engine) InjectFault(c Channel) {
 	k := e.key(c)
 	if e.status[k] == Free {
 		e.status[k] = Faulty
-		e.markTouched(k)
 	}
 }
 
@@ -487,7 +466,6 @@ func (e *Engine) InjectDynamicFault(c Channel) {
 		return // already down
 	case Free:
 		e.status[k] = Faulty
-		e.markTouched(k)
 	case Reserved:
 		// While Reserved the owner register holds a probe ID — both during
 		// the search and, after circuit registration, until the returning
@@ -527,7 +505,6 @@ func (e *Engine) RepairFault(c Channel) {
 	e.status[k] = Free
 	e.owner[k] = 0
 	e.ackRet[k] = false
-	e.markTouched(k)
 	e.Ctr.FaultRepairs++
 }
 
@@ -536,7 +513,6 @@ func (e *Engine) faultChannel(k int32) {
 	e.status[k] = Faulty
 	e.owner[k] = 0
 	e.ackRet[k] = false
-	e.markTouched(k)
 	e.directMap[k] = -1
 	e.reverseMap[k] = -1
 }
@@ -555,7 +531,6 @@ func (e *Engine) freeHopOwned(ch Channel, probeOwner, circOwner int64) {
 	e.status[k] = Free
 	e.owner[k] = 0
 	e.ackRet[k] = false
-	e.markTouched(k)
 	e.directMap[k] = -1
 	e.reverseMap[k] = -1
 }
@@ -710,14 +685,11 @@ func (e *Engine) getProbe() *probe {
 	p.waitingOwner = 0
 	p.tag = 0
 	p.optsValid = false
-	p.prep.kind = prepNone
-	p.prep.cycle = -1
 	return p
 }
 
 // putProbe recycles a finished probe. Callers must have run cleanupHistory
-// and fired the done callback already; recycling happens only on the serial
-// commit path, so reuse order is canonical.
+// and fired the done callback already.
 func (e *Engine) putProbe(p *probe) {
 	p.done = nil
 	e.probePool = append(e.probePool, p)
@@ -841,7 +813,6 @@ func (e *Engine) stepTeardowns() {
 			e.status[k] = Free
 			e.ackRet[k] = false
 			e.owner[k] = 0
-			e.markTouched(k)
 			e.reverseMap[k] = -1
 			e.directMap[k] = -1
 		}
@@ -939,7 +910,6 @@ func (e *Engine) stepAcks() {
 		e.status[k] = Established
 		e.owner[k] = int64(a.circ.ID)
 		e.ackRet[k] = true
-		e.markTouched(k)
 		e.Ctr.ControlHops++
 		e.host.Progress()
 		a.pos--
@@ -1027,12 +997,6 @@ func (e *Engine) stepProbe(p *probe) bool {
 		return false
 	}
 
-	// Parallel mode: apply the decision precomputed against the cycle-start
-	// state if no channel it depends on changed earlier in this commit.
-	if handled, keep := e.tryFastCommit(p); handled {
-		return keep
-	}
-
 	opts := e.options(p)
 	switch p.phase {
 	case probeAdvancing:
@@ -1080,11 +1044,9 @@ func (e *Engine) options(p *probe) []outOption {
 // the channel the probe arrived on is excluded: going back is what Backtrack
 // is for.
 //
-// outputs is pure with respect to shared mutable state: it reads only the
-// link table and the probe's own fields, which is what allows the parallel
-// compute phase to run it concurrently for every probe. On cubes the whole
-// enumeration is table loads — no interface call, no division, no Link
-// copy; other families rank ports by Distance.
+// outputs reads only the link table and the probe's own fields. On cubes
+// the whole enumeration is table loads — no interface call, no division, no
+// Link copy; other families rank ports by Distance.
 func (e *Engine) outputs(p *probe, opts []outOption) []outOption {
 	t := e.tab
 	back := int32(-1)
@@ -1149,7 +1111,6 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 	k := o.key
 	e.status[k] = Reserved
 	e.owner[k] = int64(p.id)
-	e.markTouched(k)
 	// Record the mapping registers at the current node: the previous hop's
 	// channel maps to this one.
 	if len(p.path) > 0 {
@@ -1355,7 +1316,6 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	k := e.key(hop.ch)
 	e.status[k] = Free
 	e.owner[k] = 0
-	e.markTouched(k)
 	if len(p.path) > 0 {
 		in := e.key(p.path[len(p.path)-1].ch)
 		e.directMap[in] = -1

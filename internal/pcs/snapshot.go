@@ -5,10 +5,9 @@ package pcs
 // registers), the circuit registry in ID order, the in-flight probes in
 // slice order (step order is state), acknowledgments with their carried
 // probes, teardown and release flits, the ID counters and all statistics.
-// Per-cycle scratch (prep decisions, output enumerations, spill buffers)
-// and the object pools are excluded — snapshots are taken between cycles,
-// when they are logically empty, and restored probes/circuits come from
-// fresh objects.
+// Per-cycle scratch (output enumerations, spill buffers) and the object
+// pools are excluded — snapshots are taken between cycles, when they are
+// logically empty, and restored probes/circuits come from fresh objects.
 //
 // Closure-carrying work (a probe with a done callback, a teardown with a
 // done closure, a circuit with a deferred closure) cannot be serialised;
@@ -107,8 +106,6 @@ func (e *Engine) decodeProbe(r *snapshot.Reader) (*probe, error) {
 		p.histNodes = append(p.histNodes, n)
 		p.histMasks = append(p.histMasks, mask)
 	}
-	p.prep.kind = prepNone
-	p.prep.cycle = -1
 	return p, r.Err()
 }
 
@@ -206,9 +203,7 @@ func (e *Engine) EncodeState(w *snapshot.Writer) error {
 }
 
 // DecodeState restores state written by EncodeState into an engine built
-// with the same topology and Params. The parallel-validation scratch
-// (touched generations) resets: generation equality is all the fast-commit
-// check reads, so absolute values need not survive the round trip.
+// with the same topology and Params.
 func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	e.now = r.I64()
 
@@ -235,13 +230,6 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	e.relSpill = e.relSpill[:0]
 	e.probePool = e.probePool[:0]
 	e.circPool = e.circPool[:0]
-	e.prepList = nil
-	if e.touched != nil {
-		for i := range e.touched {
-			e.touched[i] = -1
-		}
-		e.prepGen = 0
-	}
 
 	ncirc := r.Count(1 << 26)
 	if r.Err() != nil {

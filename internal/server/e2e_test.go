@@ -233,12 +233,7 @@ func TestMetricsDuringRun(t *testing.T) {
 	if promValue(t, metrics, "waved_cycles_total") <= 0 {
 		t.Fatalf("waved_cycles_total not advancing:\n%s", metrics)
 	}
-	// Engine self-tuning gauges: the running job reports the worker count
-	// its cycle engine settled on (>= 1; the default spec auto-tunes) and a
-	// per-job rate series labelled with its ID.
-	if !strings.Contains(metrics, `waved_engine_workers_selected{job="`+v.ID+`"} `) {
-		t.Fatalf("metrics missing engine workers gauge for job %s:\n%s", v.ID, metrics)
-	}
+	// The running job reports a per-job rate series labelled with its ID.
 	if !strings.Contains(metrics, `waved_job_cycles_per_second{job="`+v.ID+`"} `) {
 		t.Fatalf("metrics missing per-job rate gauge for job %s:\n%s", v.ID, metrics)
 	}

@@ -105,7 +105,7 @@ func TestHandlers(t *testing.T) {
 		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment","experiment":"e99"}`, 400, "unknown experiment"},
 		{"negative workers", "POST", "/v1/jobs",
 			`{"kind":"load","config":{"workers":-3},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
-			400, "auto-tunes the engine"},
+			400, "config.workers must be"},
 		{"get unknown job", "GET", "/v1/jobs/zzz", "", 404, "no such job"},
 		{"result unknown job", "GET", "/v1/jobs/zzz/result", "", 404, "no such job"},
 		{"stream unknown job", "GET", "/v1/jobs/zzz/stream", "", 404, "no such job"},

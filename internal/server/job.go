@@ -88,7 +88,6 @@ type Job struct {
 	cacheKey string
 
 	rateBits atomic.Uint64 // float64 bits: cycles/s over the last interval
-	workers  atomic.Int64  // engine workers driving the sim (0 until running)
 
 	mu        sync.Mutex
 	state     State
@@ -125,13 +124,6 @@ func (j *Job) State() State {
 func (j *Job) Rate() float64 { return math.Float64frombits(j.rateBits.Load()) }
 
 func (j *Job) setRate(v float64) { j.rateBits.Store(math.Float64bits(v)) }
-
-// EngineWorkers returns the cycle-engine worker count last reported by the
-// job's simulator (1 = serial; grows when the Workers=0 auto-tuner upgrades
-// mid-run), or 0 before the simulation starts reporting.
-func (j *Job) EngineWorkers() int64 { return j.workers.Load() }
-
-func (j *Job) setEngineWorkers(v int64) { j.workers.Store(v) }
 
 // publish appends one progress line and wakes streamers.
 func (j *Job) publish(p Progress) {

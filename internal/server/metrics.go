@@ -128,19 +128,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 			r.name, r.help, r.name, r.typ, r.name, r.value)
 	}
 
-	// Per-running-job engine self-tuning gauges: the cycle-engine worker
-	// count each job's simulator settled on (1 = serial; Workers=0 specs
-	// auto-tune, so operators watch this to see when auto mode degrades to
-	// serial) and its cycles/s over the last reporting interval.
-	fmt.Fprintf(w, "# HELP waved_engine_workers_selected Cycle-engine workers driving each running job (1 = serial; auto-tuned when the spec leaves workers at 0).\n# TYPE waved_engine_workers_selected gauge\n")
-	s.store.each(func(j *Job) {
-		if j.State() != StateRunning {
-			return
-		}
-		if wk := j.EngineWorkers(); wk > 0 {
-			fmt.Fprintf(w, "waved_engine_workers_selected{job=%q} %d\n", j.ID, wk)
-		}
-	})
+	// Per-running-job gauge: cycles/s over the last reporting interval.
 	fmt.Fprintf(w, "# HELP waved_job_cycles_per_second Simulation rate of each running job over its last reporting interval.\n# TYPE waved_job_cycles_per_second gauge\n")
 	s.store.each(func(j *Job) {
 		if j.State() != StateRunning {

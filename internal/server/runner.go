@@ -76,7 +76,6 @@ func (s *Server) runSim(ctx context.Context, j *Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sim.Close()
 	if sp.Faults > 0 {
 		if err := sim.InjectFaults(sp.Faults, cfg.Seed+99); err != nil {
 			return nil, err
@@ -94,7 +93,6 @@ func (s *Server) runSim(ctx context.Context, j *Job) (*Result, error) {
 	sim.OnDelivered(func(d wave.Delivery) {
 		rec.Record(d.Injected, d.Delivered, d.Len, d.ViaCircuit)
 	})
-	j.setEngineWorkers(int64(sim.EngineWorkers()))
 	var lastCycle int64
 	lastWall := time.Now()
 	sim.OnInterval(sp.IntervalCycles, func(now int64) {
@@ -106,9 +104,6 @@ func (s *Server) runSim(ctx context.Context, j *Job) (*Result, error) {
 		s.metrics.cycles.Add(now - lastCycle)
 		lastCycle, lastWall = now, wall
 		j.setRate(rate)
-		// Re-sample each interval: the Workers=0 auto-tuner may upgrade the
-		// engine mid-run, and operators watch this gauge to see it happen.
-		j.setEngineWorkers(int64(sim.EngineWorkers()))
 		snap := rec.Snapshot(nodes)
 		j.publish(Progress{
 			Type: "snapshot", Cycle: now, InFlight: sim.InFlight(),

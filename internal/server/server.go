@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +24,8 @@ var (
 type Config struct {
 	// QueueCap bounds jobs waiting to run (default 16).
 	QueueCap int
-	// Workers is the number of concurrently running jobs (default 2).
+	// Workers is the number of concurrently running jobs (default
+	// GOMAXPROCS: one job is exactly one thread).
 	Workers int
 	// StoreCap bounds retained job records, LRU-evicting terminal jobs
 	// (default 256).
@@ -48,7 +50,7 @@ func (c Config) withDefaults() Config {
 		c.QueueCap = 16
 	}
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.StoreCap <= 0 {
 		c.StoreCap = 256

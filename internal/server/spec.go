@@ -86,11 +86,11 @@ func (sp *Spec) simConfig() wave.Config {
 // materialised — the simulator config merged over DefaultConfig and nil
 // experiment params resolved to the Quick scale — and with the fields that
 // cannot affect the result bytes zeroed out: timeout_sec, the progress
-// interval, and the engine settings the determinism contract makes invisible
-// in the output (Workers and the two oracle toggles). Two submissions that would run the same simulation hash
-// identically regardless of JSON field order or which defaults the client
-// spelled out; that address is what the result cache and the single-flight
-// table dedupe on.
+// interval, the ignored Workers field and the two oracle toggles the
+// determinism contract makes invisible in the output. Two submissions that
+// would run the same simulation hash identically regardless of JSON field
+// order or which defaults the client spelled out; that address is what the
+// result cache and the single-flight table dedupe on.
 func (sp *Spec) cacheKey() (string, error) {
 	cp := *sp
 	cp.TimeoutSec = 0
@@ -124,9 +124,9 @@ func (s *Server) normalize(sp *Spec) error {
 		sp.IntervalCycles = s.cfg.DefaultInterval
 	}
 	if cfg := sp.simConfig(); cfg.Workers < 0 {
-		// Reject at submit time, not as a late job failure: negative worker
-		// counts can never be valid (0 = auto-tune, 1 = serial, N = fixed).
-		return fmt.Errorf("config.workers must be >= 0 (0 auto-tunes the engine), got %d", cfg.Workers)
+		// Reject at submit time, not as a late job failure (wave.New refuses
+		// a negative value; every other value is ignored).
+		return fmt.Errorf("config.workers must be >= 0 (the value is otherwise ignored), got %d", cfg.Workers)
 	}
 	switch sp.Kind {
 	case KindLoad:

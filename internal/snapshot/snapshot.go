@@ -28,8 +28,10 @@ import (
 const Magic = "WAVESNAP"
 
 // Version is the current snapshot format version. Readers refuse other
-// versions: state layout changes must bump it.
-const Version = 1
+// versions: state layout changes must bump it. Version 2 dropped the
+// auto-tuner fields and the engine worker count from the fabric state and
+// the per-event shard index from the event queue.
+const Version = 2
 
 // ErrDigest is returned by Reader.Close when the trailing digest does not
 // match the payload read.

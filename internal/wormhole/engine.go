@@ -13,9 +13,9 @@
 //
 // The steady-state cycle allocates nothing: in-flight messages live in a
 // dense slot arena recycled through a free-list in delivery order (never a
-// map — recycling order must be canonical for the serial/parallel identity
-// guarantee), injection queues and the credit pipe are head-indexed rings
-// that reset when drained, and per-cycle scratch slices are length-reset.
+// map — recycling order must be canonical for runs to repeat bit for bit),
+// injection queues and the credit pipe are head-indexed rings that reset
+// when drained, and per-cycle scratch slices are length-reset.
 //
 // Simplifications relative to hardware, documented per DESIGN.md: credits
 // return instantaneously (zero-cycle credit path), and injection queues are
@@ -227,8 +227,7 @@ type Engine struct {
 	// message occupies one dense slot whose index flows through injection
 	// queues and VC bookkeeping in place of a MsgID-keyed map. freeSlots
 	// recycles indices LIFO in delivery order — a canonical order, so slot
-	// assignment never depends on hashing and the serial and parallel
-	// engines assign identical slots.
+	// assignment never depends on hashing.
 	slots     []msgSlot
 	freeSlots []int32
 	liveSlots int
@@ -256,9 +255,6 @@ type Engine struct {
 	recovery *recoveryState
 	// now mirrors the cycle passed to Cycle, for recovery bookkeeping.
 	now int64
-
-	// par holds the parallel-cycle scratch (nil in serial mode).
-	par *parState
 
 	// Active-set state (see activity.go): the membership bitmap over the
 	// global input-port space, its population count, and the dirty lists
@@ -322,6 +318,10 @@ func (e *Engine) ch(link topology.LinkID, vc int) int { return int(link)*e.prm.N
 
 // numLinkInputs returns the size of the link-channel input port space.
 func (e *Engine) numLinkInputs() int { return len(e.in) }
+
+// NumPorts returns the size of the global input-port space: all link virtual
+// channels plus one injection port per node.
+func (e *Engine) NumPorts() int { return e.numLinkInputs() + len(e.inj) }
 
 // injInput returns the global input-port index of node n's injection port.
 func (e *Engine) injInput(n topology.Node) int32 { return int32(e.numLinkInputs() + int(n)) }

@@ -91,56 +91,6 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 	}
 }
 
-// TestZeroAllocWormholeParallelCycle extends the contract to the parallel
-// split: a Begin/Prepare/Commit cycle driven over 4 static worker shards —
-// exactly how the fabric's pool deals the port space — must allocate nothing
-// once the intent rings and candidate scratch reach steady capacity.
-func TestZeroAllocWormholeParallelCycle(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		prm  Params
-	}{
-		{"default", DefaultParams()},
-		{"fullScanOracle", Params{NumVCs: 2, BufDepth: 4, DisableActivityTracking: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const workers = 4
-			eng, delivered := zeroAllocEngine(t, tc.prm)
-			eng.SetParallel(workers)
-			var now int64
-			var nextID flit.MsgID
-			const nodes = 64
-			round := func() {
-				for n := 0; n < nodes; n++ {
-					dst := (n*17 + 5) % nodes
-					if dst == n {
-						dst = (dst + 1) % nodes
-					}
-					nextID++
-					eng.Inject(flit.Message{ID: nextID, Src: n, Dst: dst, Len: 4, InjectTime: now})
-				}
-				for i := 0; i < 10000; i++ {
-					if eng.Quiesce() {
-						return
-					}
-					parallelCycle(eng, now, workers)
-					now++
-				}
-				t.Fatal("network did not drain")
-			}
-			for i := 0; i < 3; i++ {
-				round()
-			}
-			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-				t.Errorf("%.1f allocs per parallel pump-and-drain round, want 0", allocs)
-			}
-			if *delivered == 0 {
-				t.Fatal("no messages delivered")
-			}
-		})
-	}
-}
-
 // TestActiveSetTracksPhases checks the active-set invariant directly: the
 // set is empty at rest, non-empty while messages are in flight, and empty
 // again once the network drains — across repeated rounds, so stale

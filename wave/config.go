@@ -156,16 +156,11 @@ type Config struct {
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed uint64
 
-	// Workers is the worker count of the parallel cycle engine
-	// (internal/engine). 0 (the default) means auto: the engine measures
-	// per-cycle compute work during warmup and upgrades itself to a pool
-	// sized to the load and GOMAXPROCS, staying serial below break-even so
-	// small or lightly loaded fabrics never pay barrier overhead. 1 forces
-	// the serial engine; higher values fix the pool size. Every setting is
-	// bit-identical to the serial engine for the same seed — the choice
-	// affects wall time only (see Simulator.EngineWorkers). Negative values
-	// are rejected by New. Simulators may own a goroutine pool; call Close
-	// when done with them.
+	// Workers was the cycle-engine worker count. Negative values are still
+	// rejected by New.
+	//
+	// Deprecated: ignored, the engine is single-threaded; kept so existing
+	// specs, snapshot headers and the benchmark module decode and compile.
 	Workers int
 
 	// WatchdogMaxAge bounds per-message delivery time in cycles (0 disables);
@@ -217,6 +212,5 @@ func (c Config) coreParams() core.Params {
 		DisableRoutingTable:     c.DisableRoutingTable,
 		DisableActivityTracking: c.DisableActivityTracking,
 		Seed:                    c.Seed,
-		Workers:                 c.Workers,
 	}
 }

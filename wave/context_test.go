@@ -19,7 +19,6 @@ func TestRunContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.RunContext(ctx, 1000); !errors.Is(err, context.Canceled) {
@@ -35,7 +34,6 @@ func TestRunLoadContextCancelStopsBetweenCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel from the interval hook: the run must stop within one cycle of
 	// the cancellation, long before the (enormous) measure budget.
@@ -60,7 +58,6 @@ func TestRunLoadContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	_, err = s.RunLoadContext(ctx, Workload{Pattern: "uniform", Load: 0.05, FixedLength: 16}, 100, 1_000_000_000)
@@ -79,7 +76,6 @@ func TestOnIntervalObservesWithoutPerturbing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		var fired []int64
 		if hook {
 			s.OnInterval(100, func(now int64) { fired = append(fired, now) })
@@ -111,7 +107,6 @@ func TestClosedLoopObserverChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	var seen int
 	s.OnDelivered(func(Delivery) { seen++ })
 	res, err := s.RunClosedLoopContext(context.Background(), ClosedWorkload{
@@ -134,7 +129,6 @@ func TestRunClosedLoopContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = s.RunClosedLoopContext(ctx, ClosedWorkload{

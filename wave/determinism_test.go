@@ -4,16 +4,14 @@ import (
 	"testing"
 )
 
-// runForStats builds a simulator with the given worker count, drives it with
-// a fixed open-loop workload, and returns the full observable outcome.
-func runForStats(t *testing.T, cfg Config, w Workload, workers int, warmup, measure int64) (Stats, Result) {
+// runForStats builds a simulator, drives it with a fixed open-loop workload,
+// and returns the full observable outcome.
+func runForStats(t *testing.T, cfg Config, w Workload, warmup, measure int64) (Stats, Result) {
 	t.Helper()
-	cfg.Workers = workers
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	res, err := s.RunLoad(w, warmup, measure)
 	if err != nil {
 		t.Fatal(err)
@@ -21,49 +19,11 @@ func runForStats(t *testing.T, cfg Config, w Workload, workers int, warmup, meas
 	return s.Stats(), *res
 }
 
-// TestParallelEngineMatchesSerial is the determinism contract of the parallel
-// cycle engine: for every protocol and across topologies, a Workers=4 run
-// must produce Stats and Results bit-identical to the serial engine under the
-// same seed.
-func TestParallelEngineMatchesSerial(t *testing.T) {
-	torus := TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
-	hcube := TopologyConfig{Kind: "hypercube", Dims: 5}
-	cases := []struct {
-		name     string
-		topo     TopologyConfig
-		protocol string
-		w        Workload
-	}{
-		{"clrp-torus", torus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}},
-		{"carp-torus", torus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}},
-		{"wormhole-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}},
-		{"pcs-torus", torus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}},
-		{"clrp-hypercube", hcube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48}},
-		{"pcs-hypercube", hcube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Topology = tc.topo
-			cfg.Protocol = tc.protocol
-			cfg.Seed = 12345
-			serStats, serRes := runForStats(t, cfg, tc.w, 1, 500, 2000)
-			parStats, parRes := runForStats(t, cfg, tc.w, 4, 500, 2000)
-			if serStats != parStats {
-				t.Errorf("Stats diverged:\n serial:   %+v\n parallel: %+v", serStats, parStats)
-			}
-			if serRes != parRes {
-				t.Errorf("Result diverged:\n serial:   %+v\n parallel: %+v", serRes, parRes)
-			}
-		})
-	}
-}
-
 // TestActiveSetMatchesFullScan is the correctness contract of the
-// activity-driven engine: for every protocol, across topologies, serial and
-// parallel, the active-set engine (with its quiescence fast-forward) must
-// produce Stats and Results bit-identical to the full-scan oracle
-// (DisableActivityTracking) under the same seed. Run under -race in CI.
+// activity-driven engine: for every protocol, across topologies, the
+// active-set engine (with its quiescence fast-forward) must produce Stats
+// and Results bit-identical to the full-scan oracle
+// (DisableActivityTracking) under the same seed.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	torus := TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
 	hcube := TopologyConfig{Kind: "hypercube", Dims: 5}
@@ -94,63 +54,17 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 				cfg.Seed = 12345
 				oracle := cfg
 				oracle.DisableActivityTracking = true
-				wantStats, wantRes := runForStats(t, oracle, w, 1, 500, 2000)
-				for _, workers := range []int{1, 3} {
-					gotStats, gotRes := runForStats(t, cfg, w, workers, 500, 2000)
-					if gotStats != wantStats {
-						t.Errorf("load=%g workers=%d: Stats diverged from full-scan oracle:\n oracle: %+v\n active: %+v",
-							w.Load, workers, wantStats, gotStats)
-					}
-					if gotRes != wantRes {
-						t.Errorf("load=%g workers=%d: Result diverged from full-scan oracle:\n oracle: %+v\n active: %+v",
-							w.Load, workers, wantRes, gotRes)
-					}
-					// The oracle must itself be invariant under workers.
-					oStats, oRes := runForStats(t, oracle, w, workers, 500, 2000)
-					if oStats != wantStats || oRes != wantRes {
-						t.Errorf("load=%g workers=%d: full-scan oracle not worker-invariant", w.Load, workers)
-					}
+				wantStats, wantRes := runForStats(t, oracle, w, 500, 2000)
+				gotStats, gotRes := runForStats(t, cfg, w, 500, 2000)
+				if gotStats != wantStats {
+					t.Errorf("load=%g: Stats diverged from full-scan oracle:\n oracle: %+v\n active: %+v",
+						w.Load, wantStats, gotStats)
+				}
+				if gotRes != wantRes {
+					t.Errorf("load=%g: Result diverged from full-scan oracle:\n oracle: %+v\n active: %+v",
+						w.Load, wantRes, gotRes)
 				}
 			}
 		})
-	}
-}
-
-// TestParallelEngineWorkerCountInvariance checks 2, 3 and 8 workers all land
-// on the serial outcome — determinism must not depend on how ranges happen to
-// be dealt to workers.
-func TestParallelEngineWorkerCountInvariance(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 777
-	w := Workload{Pattern: "uniform", Load: 0.15, FixedLength: 32}
-	want, wantRes := runForStats(t, cfg, w, 1, 300, 1200)
-	for _, workers := range []int{2, 3, 8} {
-		got, gotRes := runForStats(t, cfg, w, workers, 300, 1200)
-		if got != want {
-			t.Errorf("workers=%d: Stats diverged from serial:\n serial:   %+v\n parallel: %+v", workers, want, got)
-		}
-		if gotRes != wantRes {
-			t.Errorf("workers=%d: Result diverged from serial", workers)
-		}
-	}
-}
-
-// TestParallelEngineRaceSoak drives the sharded fabric hard enough for the
-// race detector to see every cross-worker interaction: both substrates busy,
-// teardowns forced by a tiny circuit cache. Run with -race in CI.
-func TestParallelEngineRaceSoak(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{6, 6}}
-	cfg.CacheCapacity = 2
-	cfg.MinCircuitFlits = 24
-	cfg.Workers = 4
-	cfg.Seed = 3
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.RunLoad(Workload{Pattern: "uniform", Load: 0.2, FixedLength: 40}, 200, 1500); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -4,11 +4,8 @@ import "testing"
 
 // TestTopologyFamiliesEndToEnd runs the non-cube families — a 4-ary 2-tree
 // under up*/down* routing and a 16-node full mesh under VC-free routing —
-// through CLRP and CARP end to end, and requires Stats and Results to be
-// bit-identical across the auto (0), serial (1) and fixed-pool (4) engine
-// settings. This is the determinism contract extended beyond cubes: the
-// sharded parallel engine partitions topology-owned link slots, so a layout
-// bug in either family would surface here as divergence or a lost message.
+// through wormhole, CLRP and CARP end to end: RunLoad must drain (a lost
+// message or a wedge is an error) and deliver inside the measurement window.
 func TestTopologyFamiliesEndToEnd(t *testing.T) {
 	fattree := TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}
 	fullmesh := TopologyConfig{Kind: "fullmesh", Radix: []int{16}}
@@ -33,18 +30,8 @@ func TestTopologyFamiliesEndToEnd(t *testing.T) {
 			cfg.Routing = tc.routing
 			cfg.Protocol = tc.protocol
 			cfg.Seed = 12345
-			serStats, serRes := runForStats(t, cfg, tc.w, 1, 500, 2000)
-			if serRes.Delivered == 0 {
+			if _, res := runForStats(t, cfg, tc.w, 500, 2000); res.Delivered == 0 {
 				t.Fatal("no messages delivered in the measurement window")
-			}
-			for _, workers := range []int{0, 4} {
-				st, res := runForStats(t, cfg, tc.w, workers, 500, 2000)
-				if st != serStats {
-					t.Errorf("workers=%d: Stats diverged:\n serial: %+v\n got:    %+v", workers, serStats, st)
-				}
-				if res != serRes {
-					t.Errorf("workers=%d: Result diverged:\n serial: %+v\n got:    %+v", workers, serRes, res)
-				}
 			}
 		})
 	}

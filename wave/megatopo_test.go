@@ -7,8 +7,8 @@ import (
 
 // megaTopoConfig is the 64x64 torus the mega-topology contract is pinned
 // at: 4096 nodes is four times the flat-table gate, so the run exercises
-// the compressed per-dimension routing table, the sharded event queue and
-// the wormhole slot arena at a size the flat arena cannot reach. Loads are
+// the compressed per-dimension routing table, the event queue and the
+// wormhole slot arena at a size the flat arena cannot reach. Loads are
 // kept light — mega runs are about scale, not saturation.
 func megaTopoConfig() Config {
 	cfg := DefaultConfig()
@@ -28,7 +28,6 @@ func TestMegaTopoCompressedTableSelected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	rt := s.RoutingTableInfo()
 	if rt.Mode != "compressed" || rt.Gated {
 		t.Fatalf("64x64 torus selected routing table %+v, want compressed", rt)
@@ -49,50 +48,44 @@ func TestMegaTopoCompressedTableSelected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer o.Close()
 	if rt := o.RoutingTableInfo(); rt.Mode != "algorithmic" || rt.Gated {
 		t.Fatalf("DisableRoutingTable selected %+v, want algorithmic (not gated)", rt)
 	}
 }
 
-// TestMegaTopoWorkersAndOracleIdentity proves the two mega-topology
-// determinism contracts in one short run: serial (Workers=1), auto-tuned
-// (Workers=0) and the algorithmic-routing oracle (DisableRoutingTable) all
-// deliver bit-identical Stats at 64x64. Stats is comparable with ==,
-// including per-link flit checksums, so equality means every flit moved
-// identically.
+// TestMegaTopoWorkersAndOracleIdentity proves the mega-topology routing
+// contract in one short run: the compressed table and the algorithmic-routing
+// oracle (DisableRoutingTable) deliver bit-identical Stats at 64x64. Stats is
+// comparable with ==, including per-link flit checksums, so equality means
+// every flit moved identically. (The name predates the removal of the
+// worker dimension it also covered.)
 func TestMegaTopoWorkersAndOracleIdentity(t *testing.T) {
 	w := Workload{Pattern: "uniform", Load: 0.02, FixedLength: 16}
 	const warmup, measure = 100, 300
-	run := func(workers int, disableTable bool) Stats {
+	run := func(disableTable bool) Stats {
 		t.Helper()
 		cfg := megaTopoConfig()
-		cfg.Workers = workers
 		cfg.DisableRoutingTable = disableTable
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		if _, err := s.RunLoad(w, warmup, measure); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
 	}
-	serial := run(1, false)
-	if auto := run(0, false); auto != serial {
-		t.Errorf("workers=0 diverged from workers=1 at 64x64:\n serial %+v\n   auto %+v", serial, auto)
-	}
-	if oracle := run(1, true); oracle != serial {
-		t.Errorf("compressed table diverged from algorithmic oracle at 64x64:\n table  %+v\n oracle %+v", serial, oracle)
+	table := run(false)
+	if oracle := run(true); oracle != table {
+		t.Errorf("compressed table diverged from algorithmic oracle at 64x64:\n table  %+v\n oracle %+v", table, oracle)
 	}
 }
 
 // TestMegaTopoSnapshotResume extends the PR 8 checkpoint contract beyond
 // toy sizes: at 64x64 a run with a mid-measurement Snapshot and a fresh
 // process restoring it must both match the uninterrupted run bit for bit —
-// the wormhole slot arena, the sharded event queue and the sparse PCS
-// history all round-tripping at scale.
+// the wormhole slot arena, the event queue and the sparse PCS history all
+// round-tripping at scale.
 func TestMegaTopoSnapshotResume(t *testing.T) {
 	w := Workload{Pattern: "uniform", Load: 0.02, FixedLength: 16}
 	const warmup, measure, checkpointAt = 100, 300, 250
@@ -101,7 +94,6 @@ func TestMegaTopoSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sA.Close()
 	if _, err := sA.RunLoad(w, warmup, measure); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +103,6 @@ func TestMegaTopoSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sB.Close()
 	var buf bytes.Buffer
 	taken := false
 	sB.OnInterval(checkpointAt, func(now int64) {
@@ -137,7 +128,6 @@ func TestMegaTopoSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	defer sC.Close()
 	if rt := sC.RoutingTableInfo(); rt.Mode != "compressed" {
 		t.Errorf("restored 64x64 simulator selected %q routing table, want compressed", rt.Mode)
 	}

@@ -59,6 +59,9 @@ func New(cfg Config) (*Simulator, error) {
 // Restore skips it, because the pending fault events of a snapshotted run
 // ride the serialised event queue.
 func newSimulator(cfg Config, installFaults bool) (*Simulator, error) {
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("wave: Workers must be >= 0 (the value is otherwise ignored), got %d", cfg.Workers)
+	}
 	topo, err := cfg.Topology.Build()
 	if err != nil {
 		return nil, err
@@ -96,7 +99,6 @@ func newSimulator(cfg Config, installFaults bool) (*Simulator, error) {
 	}
 	if installFaults {
 		if err := s.installFaultSchedule(); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}
@@ -310,12 +312,11 @@ func (s *Simulator) EnginePorts() (active, total int) {
 	return s.mgr.Fab.WH.ActivePorts(), s.mgr.Fab.WH.NumPorts()
 }
 
-// EngineWorkers returns the worker count of the engine currently driving
-// cycles: 1 while serial — including before the Workers=0 auto-tuner has
-// decided — and the pool size once parallel. Deliberately not part of
-// Stats: the selection depends on the host (GOMAXPROCS), while Stats stay
-// bit-identical across hosts and worker counts.
-func (s *Simulator) EngineWorkers() int { return s.mgr.Fab.EngineWorkers() }
+// EngineWorkers returns 1.
+//
+// Deprecated: the engine is single-threaded; kept so the benchmark module
+// compiles.
+func (s *Simulator) EngineWorkers() int { return 1 }
 
 // RoutingTableInfo describes which routing-table representation serves the
 // run's Candidates lookups, so callers can tell "table built" from "gated,
@@ -330,9 +331,9 @@ type RoutingTableInfo struct {
 	Gated bool
 }
 
-// RoutingTableInfo returns the routing-table selection outcome. Like
-// EngineWorkers, it is deliberately not part of Stats: a table-backed run
-// and a DisableRoutingTable oracle run must produce identical Stats.
+// RoutingTableInfo returns the routing-table selection outcome. It is
+// deliberately not part of Stats: a table-backed run and a
+// DisableRoutingTable oracle run must produce identical Stats.
 func (s *Simulator) RoutingTableInfo() RoutingTableInfo {
 	info := s.mgr.Fab.RoutingTable
 	return RoutingTableInfo{Mode: info.Mode.String(), Bytes: info.Bytes, Gated: info.Gated}

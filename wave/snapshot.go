@@ -93,26 +93,21 @@ func Restore(rd io.Reader) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Simulator, error) {
-		s.Close()
-		return nil, err
-	}
-
 	s.now = sr.I64()
 	s.wd.RestoreState(sr.Bool(), sr.I64())
 
 	if sr.Bool() {
 		wlJSON := sr.Bytes()
 		if sr.Err() != nil {
-			return fail(sr.Err())
+			return nil, sr.Err()
 		}
 		var wl Workload
 		if err := json.Unmarshal(wlJSON, &wl); err != nil {
-			return fail(fmt.Errorf("wave: restore workload: %w", err))
+			return nil, fmt.Errorf("wave: restore workload: %w", err)
 		}
 		gen, err := s.buildGenerator(wl)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		ld := &loadRun{w: wl, gen: gen}
 		ld.warmup = sr.I64()
@@ -120,20 +115,20 @@ func Restore(rd io.Reader) (*Simulator, error) {
 		ld.end = sr.I64()
 		ld.drainDeadline = sr.I64()
 		if err := gen.DecodeState(sr); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		ld.run = &stats.Run{}
 		if err := ld.run.DecodeState(sr); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		s.load = ld
 	}
 
 	if err := s.mgr.DecodeState(sr); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if err := sr.Close(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	return s, nil
 }

@@ -16,9 +16,7 @@ import (
 //	C — a fresh process restoring B's snapshot and resuming.
 //
 // Stats is comparable with ==, including the per-link flit checksums, so
-// equality here means every flit travelled identically. Worker settings
-// vary across cases (serial, fixed pool, Workers:0 auto-tune) — all are
-// bound to the same bits by the engine's determinism contract.
+// equality here means every flit travelled identically.
 func TestSnapshotResumeMatrix(t *testing.T) {
 	torus := TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
 	hcube := TopologyConfig{Kind: "hypercube", Dims: 5}
@@ -26,18 +24,17 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 		name     string
 		topo     TopologyConfig
 		protocol string
-		workers  int
 		w        Workload
 	}{
-		{"clrp-torus", torus, "clrp", 0, Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}},
-		{"carp-torus", torus, "carp", 1, Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}},
-		{"wormhole-torus", torus, "wormhole", 4, Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}},
-		{"pcs-torus", torus, "pcs", 1, Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}},
-		{"clrp-hypercube", hcube, "clrp", 1, Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48,
+		{"clrp-torus", torus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}},
+		{"carp-torus", torus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}},
+		{"wormhole-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}},
+		{"pcs-torus", torus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}},
+		{"clrp-hypercube", hcube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48,
 			WorkingSet: 4, Reuse: 0.7, RedrawPeriod: 50}},
-		{"carp-hypercube", hcube, "carp", 0, Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}},
-		{"wormhole-hypercube", hcube, "wormhole", 1, Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}},
-		{"pcs-hypercube", hcube, "pcs", 1, Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}},
+		{"carp-hypercube", hcube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}},
+		{"wormhole-hypercube", hcube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}},
+		{"pcs-hypercube", hcube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}},
 	}
 	const warmup, measure, checkpointAt = 500, 2000, 1000
 	for _, tc := range cases {
@@ -46,7 +43,6 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			cfg.Topology = tc.topo
 			cfg.Protocol = tc.protocol
 			cfg.Seed = 12345
-			cfg.Workers = tc.workers
 			// Fault at 600 repairing at 1100 and fault at 1300: both sides of
 			// the cycle-1000 checkpoint, so the snapshot carries a pending
 			// repair and a pending injection.
@@ -58,7 +54,6 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sA.Close()
 			resA, err := sA.RunLoad(tc.w, warmup, measure)
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +64,6 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sB.Close()
 			var buf bytes.Buffer
 			taken := false
 			sB.OnInterval(checkpointAt, func(now int64) {
@@ -102,7 +96,6 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
-			defer sC.Close()
 			if got := sC.Now(); got != checkpointAt {
 				t.Fatalf("restored clock at %d, want %d", got, checkpointAt)
 			}
@@ -149,9 +142,7 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	}
 
 	sA := build()
-	defer sA.Close()
 	sB := build()
-	defer sB.Close()
 	for _, s := range []*Simulator{sA, sB} {
 		s.Send(0, 9, 32, false)
 		s.Send(3, 12, 32, false)
@@ -167,7 +158,6 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	defer sC.Close()
 	if sC.Stats() != sB.Stats() {
 		t.Fatalf("restored Stats differ before any further stepping:\n B: %+v\n C: %+v", sB.Stats(), sC.Stats())
 	}
@@ -189,7 +179,6 @@ func TestSnapshotDigestRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Send(1, 14, 16, false)
 	if err := s.Run(200); err != nil {
 		t.Fatal(err)
@@ -200,8 +189,7 @@ func TestSnapshotDigestRejectsCorruption(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[len(b)/2] ^= 0x40
-	if sim, err := Restore(bytes.NewReader(b)); err == nil {
-		sim.Close()
+	if _, err := Restore(bytes.NewReader(b)); err == nil {
 		t.Fatal("corrupted snapshot restored without error")
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Stats is a comparable snapshot of everything a run observably computed:
 // every protocol, probe, cache and fabric counter, plus checksums of the
 // per-link flit totals. Two runs of the same configuration and seed must
-// produce equal Stats regardless of the Workers setting — the determinism
-// contract of the parallel cycle engine, enforced by the cross-check tests.
+// produce equal Stats — the determinism contract the oracle cross-check
+// tests compare on.
 type Stats struct {
 	Cycle int64
 
@@ -66,7 +66,8 @@ func (s *Simulator) Stats() Stats {
 	}
 }
 
-// Close releases the worker pool of a Workers > 1 simulator. It is a no-op
-// for serial simulators and safe to call repeatedly; the simulator must not
-// be stepped afterwards.
-func (s *Simulator) Close() { s.mgr.Fab.Close() }
+// Close does nothing.
+//
+// Deprecated: a simulator owns no goroutines or other resources to release;
+// kept so the benchmark module compiles.
+func (s *Simulator) Close() {}
