@@ -1,6 +1,7 @@
 package wave
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -567,4 +568,11 @@ func TestCircuitsSnapshot(t *testing.T) {
 	if cs[0].Src > cs[1].Src {
 		t.Fatal("snapshot not sorted")
 	}
+	// The checkpoint of this state (two cached circuits, idle fabric) has a
+	// pinned byte format.
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, buf.Bytes(), "17ef22f1139b29e283ebede26e8e8bee46f7458a624827c9bdf978b90a0ec873")
 }
