@@ -7,8 +7,6 @@ package circuit
 // serialised; restore targets a cache built identically.
 
 import (
-	"fmt"
-
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
@@ -25,81 +23,40 @@ func (c *Cache) PolicyRNG() interface {
 	return nil
 }
 
-// EncodeState writes the cache's entries and counters.
-func (c *Cache) EncodeState(w *snapshot.Writer) error {
-	w.I64(c.Hits)
-	w.I64(c.Misses)
-	w.I64(c.Evictions)
-	if rng := c.PolicyRNG(); rng != nil {
-		w.Bool(true)
-		w.U64(rng.State())
-	} else {
-		w.Bool(false)
-	}
-	dsts := make([]topology.Node, 0, len(c.byDest))
-	for d := range c.byDest {
-		dsts = append(dsts, d)
-	}
-	for i := 1; i < len(dsts); i++ {
-		for j := i; j > 0 && dsts[j] < dsts[j-1]; j-- {
-			dsts[j], dsts[j-1] = dsts[j-1], dsts[j]
-		}
-	}
-	w.U32(uint32(len(dsts)))
-	for _, d := range dsts {
-		e := c.byDest[d]
-		w.I64(int64(e.ID))
-		w.Int(int(e.Dest))
-		w.Int(e.Switch)
-		w.I64(int64(e.Channel))
-		w.Int(e.InitialSwitch)
-		w.U8(uint8(e.State))
-		w.Bool(e.InUse)
-		w.Bool(e.ReleaseRequested)
-		w.I64(e.LastUse)
-		w.I64(e.UseCount)
-		w.Int(e.BufFlits)
-	}
-	return w.Err()
-}
-
-// DecodeState restores state written by EncodeState into a cache built with
-// the same capacity and policy.
-func (c *Cache) DecodeState(r *snapshot.Reader) error {
-	c.Hits = r.I64()
-	c.Misses = r.I64()
-	c.Evictions = r.I64()
-	hasRNG := r.Bool()
+// State encodes or decodes the cache's entries and counters. Decoding
+// requires a cache built with the same capacity and policy.
+func (c *Cache) State(sc *snapshot.Codec) error {
+	snapshot.I64(sc, &c.Hits)
+	snapshot.I64(sc, &c.Misses)
+	snapshot.I64(sc, &c.Evictions)
 	rng := c.PolicyRNG()
+	hasRNG := rng != nil
+	sc.Bool(&hasRNG)
 	if hasRNG != (rng != nil) {
-		return fmt.Errorf("circuit: snapshot policy RNG=%v, cache policy RNG=%v (policy mismatch)", hasRNG, rng != nil)
+		return sc.Failf("circuit: snapshot policy RNG=%v, cache policy RNG=%v (policy mismatch)", hasRNG, rng != nil)
 	}
 	if hasRNG {
-		rng.Seed(r.U64())
+		st := rng.State()
+		sc.U64(&st)
+		rng.Seed(st)
 	}
-	c.byDest = make(map[topology.Node]*Entry)
-	n := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < n; i++ {
-		e := &Entry{
-			ID:               ID(r.I64()),
-			Dest:             topology.Node(r.Int()),
-			Switch:           r.Int(),
-			Channel:          topology.LinkID(r.I64()),
-			InitialSwitch:    r.Int(),
-			State:            State(r.U8()),
-			InUse:            r.Bool(),
-			ReleaseRequested: r.Bool(),
-			LastUse:          r.I64(),
-			UseCount:         r.I64(),
-			BufFlits:         r.Int(),
+	snapshot.SortedMap(sc, &c.byDest, func(d *topology.Node, ep **Entry) {
+		if sc.Decoding() {
+			*ep = &Entry{}
 		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		c.byDest[e.Dest] = e
-	}
-	return r.Err()
+		e := *ep
+		snapshot.I64(sc, &e.ID)
+		snapshot.I64(sc, &e.Dest)
+		snapshot.I64(sc, &e.Switch)
+		snapshot.I64(sc, &e.Channel)
+		snapshot.I64(sc, &e.InitialSwitch)
+		snapshot.U8(sc, &e.State)
+		sc.Bool(&e.InUse)
+		sc.Bool(&e.ReleaseRequested)
+		snapshot.I64(sc, &e.LastUse)
+		snapshot.I64(sc, &e.UseCount)
+		snapshot.I64(sc, &e.BufFlits)
+		*d = e.Dest
+	})
+	return sc.Err()
 }

@@ -419,7 +419,7 @@ func (f *Fabric) ScheduleRetry(src, dst topology.Node, at int64) {
 // ScheduleAt queues fn to run at cycle `at` (which must be strictly in the
 // future). Scheduled work is visible to NextEventAt, so the quiescence
 // fast-forward stops at it instead of jumping past; being a closure, it
-// blocks EncodeState while pending.
+// blocks snapshot encoding while pending.
 func (f *Fabric) ScheduleAt(at int64, fn func(now int64)) {
 	if at <= f.now {
 		panic(fmt.Sprintf("core: ScheduleAt(%d) is not in the future (now %d)", at, f.now))
@@ -537,7 +537,7 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message, onIdle func
 			[engine.NumEventArgs]int64{int64(m.Src), int64(entry.Dest), int64(entry.ID)})
 	} else {
 		// Test path: a caller-supplied closure pins this event to the live
-		// entry object; such an event blocks EncodeState.
+		// entry object; such an event blocks snapshot encoding.
 		f.events.Schedule(ackAt, func(int64) {
 			entry.InUse = false
 			onIdle()

@@ -4,7 +4,7 @@
 package engine
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/snapshot"
@@ -169,52 +169,45 @@ func (s *Events) PopDue(now int64) []*Event {
 	return s.due
 }
 
-// EncodeState writes every pending event plus the global sequence counter.
-// Events are emitted in (At, Seq) order — the deterministic pop order — so
-// the encoding is independent of heap layout. It returns an error if any
-// pending event is opaque (Kind == 0): such an event holds a closure the
-// snapshot cannot represent.
-func (s *Events) EncodeState(w *snapshot.Writer) error {
-	evs := make([]*Event, len(s.heap))
-	copy(evs, s.heap)
-	for _, e := range evs {
-		if e.Kind == 0 {
-			return fmt.Errorf("engine: pending opaque event at cycle %d (seq %d) cannot be snapshotted", e.At, e.Seq)
-		}
+// State encodes or decodes every pending event plus the global sequence
+// counter. Events are encoded in (At, Seq) order — the deterministic pop
+// order — so the encoding is independent of heap layout. Encoding returns
+// an error if any pending event is opaque (Kind == 0): such an event holds
+// a closure the snapshot cannot represent. Decoding replaces the
+// pending-event set with the encoded one.
+func (s *Events) State(c *snapshot.Codec) error {
+	var evs []*Event
+	if !c.Decoding() {
+		evs = slices.Clone(s.heap)
+		sort.Slice(evs, func(i, j int) bool { return eventBefore(evs[i], evs[j]) })
 	}
-	sort.Slice(evs, func(i, j int) bool { return eventBefore(evs[i], evs[j]) })
-	w.I64(s.seq)
-	w.U32(uint32(len(evs)))
-	for _, e := range evs {
-		w.I64(e.At)
-		w.I64(e.Seq)
-		w.U8(e.Kind)
-		for _, a := range e.Args {
-			w.I64(a)
+	snapshot.I64(c, &s.seq)
+	snapshot.Slice(c, &evs, func(ep **Event) {
+		if c.Decoding() {
+			*ep = &Event{}
 		}
-	}
-	return w.Err()
-}
-
-// DecodeState replaces the pending-event set with the encoded one.
-func (s *Events) DecodeState(r *snapshot.Reader) error {
-	s.heap = nil
-	s.due = s.due[:0]
-	s.pool = s.pool[:0]
-	s.seq = r.I64()
-	n := r.Count(1 << 26)
-	for i := 0; i < n; i++ {
-		e := &Event{At: r.I64(), Seq: r.I64(), Kind: r.U8()}
+		e := *ep
+		if e.Kind == 0 && !c.Decoding() {
+			c.Failf("engine: pending opaque event at cycle %d (seq %d) cannot be snapshotted", e.At, e.Seq)
+			return
+		}
+		snapshot.I64(c, &e.At)
+		snapshot.I64(c, &e.Seq)
+		snapshot.U8(c, &e.Kind)
 		for j := range e.Args {
-			e.Args[j] = r.I64()
-		}
-		if r.Err() != nil {
-			return r.Err()
+			snapshot.I64(c, &e.Args[j])
 		}
 		if e.Kind == 0 {
-			return fmt.Errorf("engine: encoded event %d has zero kind", i)
+			c.Failf("engine: encoded event at cycle %d (seq %d) has zero kind", e.At, e.Seq)
 		}
-		s.heap.push(e)
+	})
+	if c.Decoding() && c.Err() == nil {
+		s.heap = nil
+		s.due = s.due[:0]
+		s.pool = s.pool[:0]
+		for _, e := range evs {
+			s.heap.push(e)
+		}
 	}
-	return r.Err()
+	return c.Err()
 }

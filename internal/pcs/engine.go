@@ -305,7 +305,7 @@ type Engine struct {
 	// per-call closures. A probe launched via LaunchProbeTagged (done == nil)
 	// reports through onDone; a TeardownNotify completion reports through
 	// onFreed. Closures, when present, always win — tests rely on them — but
-	// a pending closure blocks EncodeState.
+	// a pending closure blocks snapshot encoding.
 	onDone  func(src, dst topology.Node, sw int, force bool, tag int64, res SetupResult)
 	onFreed func(src, dst topology.Node, id circuit.ID)
 }

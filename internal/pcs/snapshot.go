@@ -11,318 +11,162 @@ package pcs
 //
 // Closure-carrying work (a probe with a done callback, a teardown with a
 // done closure, a circuit with a deferred closure) cannot be serialised;
-// EncodeState reports an error instead of writing a lossy snapshot. The
+// encoding reports an error instead of writing a lossy snapshot. The
 // production path uses LaunchProbeTagged/TeardownNotify, which carry no
 // closures by construction.
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/circuit"
-	"repro/internal/flit"
 	"repro/internal/snapshot"
-	"repro/internal/topology"
 )
 
-func encodeChannel(w *snapshot.Writer, c Channel) {
-	w.I64(int64(c.Link))
-	w.Int(c.Switch)
+func walkChannel(c *snapshot.Codec, ch *Channel) {
+	snapshot.I64(c, &ch.Link)
+	snapshot.I64(c, &ch.Switch)
 }
 
-func decodeChannel(r *snapshot.Reader) Channel {
-	return Channel{Link: topology.LinkID(r.I64()), Switch: r.Int()}
-}
-
-func (e *Engine) encodeProbe(w *snapshot.Writer, p *probe) error {
+// walkProbe walks one probe; the decoder allocates it fresh.
+func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
+	if c.Decoding() {
+		*pp = &probe{}
+	}
+	p := *pp
 	if p.done != nil {
-		return fmt.Errorf("pcs: probe %d carries a done closure and cannot be snapshotted (use LaunchProbeTagged)", p.id)
+		c.Failf("pcs: probe %d carries a done closure and cannot be snapshotted (use LaunchProbeTagged)", p.id)
+		return
 	}
-	w.I64(int64(p.id))
-	w.Int(int(p.src))
-	w.Int(int(p.dst))
-	w.Int(p.sw)
-	w.Bool(p.force)
-	w.Int(p.maxMis)
-	w.I64(p.tag)
-	w.Int(int(p.at))
-	w.Int(p.misroutes)
-	w.U32(uint32(len(p.path)))
-	for _, h := range p.path {
-		encodeChannel(w, h.ch)
-		w.Bool(h.misroute)
-	}
-	w.U8(uint8(p.phase))
-	w.Bool(p.requestedRelease)
-	encodeChannel(w, p.waitingFor)
-	w.I64(p.waitingOwner)
-	w.I64(p.launched)
+	snapshot.I64(c, &p.id)
+	snapshot.I64(c, &p.src)
+	snapshot.I64(c, &p.dst)
+	snapshot.I64(c, &p.sw)
+	c.Bool(&p.force)
+	snapshot.I64(c, &p.maxMis)
+	snapshot.I64(c, &p.tag)
+	snapshot.I64(c, &p.at)
+	snapshot.I64(c, &p.misroutes)
+	snapshot.Slice(c, &p.path, func(h *pathHop) {
+		walkChannel(c, &h.ch)
+		c.Bool(&h.misroute)
+	})
+	snapshot.U8(c, &p.phase)
+	c.Bool(&p.requestedRelease)
+	walkChannel(c, &p.waitingFor)
+	snapshot.I64(c, &p.waitingOwner)
+	snapshot.I64(c, &p.launched)
 	// History store: the sparse (node, mask) entries in first-touch order —
 	// byte-identical to the dirty-list encoding of the former dense layout.
-	w.U32(uint32(len(p.histNodes)))
-	for i, n := range p.histNodes {
-		w.Int(int(n))
-		w.U32(p.histMasks[i])
+	n := len(p.histNodes)
+	c.Count(&n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			p.histNodes = append(p.histNodes, 0)
+			p.histMasks = append(p.histMasks, 0)
+		}
+		snapshot.I64(c, &p.histNodes[i])
+		snapshot.U32(c, &p.histMasks[i])
+		if node := p.histNodes[i]; c.Decoding() && (node < 0 || int(node) >= e.topo.Nodes()) {
+			c.Failf("pcs: snapshot history node %d out of range", node)
+		}
 	}
-	return w.Err()
 }
 
-func (e *Engine) decodeProbe(r *snapshot.Reader) (*probe, error) {
-	p := &probe{}
-	p.id = flit.ProbeID(r.I64())
-	p.src = topology.Node(r.Int())
-	p.dst = topology.Node(r.Int())
-	p.sw = r.Int()
-	p.force = r.Bool()
-	p.maxMis = r.Int()
-	p.tag = r.I64()
-	p.at = topology.Node(r.Int())
-	p.misroutes = r.Int()
-	np := r.Count(1 << 26)
-	if r.Err() != nil {
-		return nil, r.Err()
+// circuitRef walks a reference to a registered circuit as the circuit's
+// ID; the decoder re-links it to the circuit the registry decoded.
+func (e *Engine) circuitRef(c *snapshot.Codec, circ **Circuit, what string) {
+	var id circuit.ID
+	if !c.Decoding() {
+		id = (*circ).ID
 	}
-	for i := 0; i < np; i++ {
-		p.path = append(p.path, pathHop{ch: decodeChannel(r), misroute: r.Bool()})
-	}
-	p.phase = probePhase(r.U8())
-	p.requestedRelease = r.Bool()
-	p.waitingFor = decodeChannel(r)
-	p.waitingOwner = r.I64()
-	p.launched = r.I64()
-	nh := r.Count(1 << 26)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	for i := 0; i < nh; i++ {
-		n := topology.Node(r.Int())
-		mask := r.U32()
-		if r.Err() != nil {
-			return nil, r.Err()
+	snapshot.I64(c, &id)
+	if c.Decoding() && c.Err() == nil {
+		if *circ = e.circuits[id]; *circ == nil {
+			c.Failf("pcs: snapshot %s refers to unknown circuit %d", what, id)
 		}
-		if n < 0 || int(n) >= e.topo.Nodes() {
-			return nil, fmt.Errorf("pcs: snapshot history node %d out of range", n)
-		}
-		p.histNodes = append(p.histNodes, n)
-		p.histMasks = append(p.histMasks, mask)
 	}
-	return p, r.Err()
 }
 
-// EncodeState writes the engine's mutable state. It errors if any pending
-// work carries a closure (test-only code paths).
-func (e *Engine) EncodeState(w *snapshot.Writer) error {
-	w.I64(e.now)
+// State encodes or decodes the engine's mutable state. Encoding errors if
+// any pending work carries a closure (test-only code paths); decoding
+// requires an engine built with the same topology and Params.
+func (e *Engine) State(c *snapshot.Codec) error {
+	snapshot.I64(c, &e.now)
 
-	w.U32(uint32(len(e.status)))
-	for i := range e.status {
-		w.U8(uint8(e.status[i]))
-		w.I64(e.owner[i])
-		w.Bool(e.ackRet[i])
-		w.U32(uint32(e.directMap[i]))
-		w.U32(uint32(e.reverseMap[i]))
+	c.Fixed(len(e.status), "pcs wave channels", func(i int) {
+		snapshot.U8(c, &e.status[i])
+		snapshot.I64(c, &e.owner[i])
+		c.Bool(&e.ackRet[i])
+		snapshot.U32(c, &e.directMap[i])
+		snapshot.U32(c, &e.reverseMap[i])
+	})
+
+	if c.Decoding() {
+		e.probeSpill = e.probeSpill[:0]
+		e.ackSpill = e.ackSpill[:0]
+		e.tdSpill = e.tdSpill[:0]
+		e.relSpill = e.relSpill[:0]
+		e.probePool = e.probePool[:0]
+		e.circPool = e.circPool[:0]
 	}
 
-	// Circuit registry in ID order (canonical; the map has none).
-	ids := make([]circuit.ID, 0, len(e.circuits))
-	for id := range e.circuits {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		c := e.circuits[id]
-		if c.deferredDone != nil {
-			return fmt.Errorf("pcs: circuit %d carries a deferred teardown closure and cannot be snapshotted (use TeardownNotify)", c.ID)
+	snapshot.SortedMap(c, &e.circuits, func(id *circuit.ID, cp **Circuit) {
+		if c.Decoding() {
+			*cp = &Circuit{}
 		}
-		w.I64(int64(c.ID))
-		w.Int(int(c.Src))
-		w.Int(int(c.Dst))
-		w.Int(c.Switch)
-		w.U32(uint32(len(c.Path)))
-		for _, ch := range c.Path {
-			encodeChannel(w, ch)
+		ci := *cp
+		if ci.deferredDone != nil {
+			c.Failf("pcs: circuit %d carries a deferred teardown closure and cannot be snapshotted (use TeardownNotify)", ci.ID)
+			return
 		}
-		w.Bool(c.releasePending)
-		w.Bool(c.tearingDown)
-		w.Bool(c.ackPending)
-		w.Bool(c.teardownDeferred)
-		w.Bool(c.deferredNotify)
-	}
+		snapshot.I64(c, &ci.ID)
+		snapshot.I64(c, &ci.Src)
+		snapshot.I64(c, &ci.Dst)
+		snapshot.I64(c, &ci.Switch)
+		snapshot.Slice(c, &ci.Path, func(ch *Channel) { walkChannel(c, ch) })
+		c.Bool(&ci.releasePending)
+		c.Bool(&ci.tearingDown)
+		c.Bool(&ci.ackPending)
+		c.Bool(&ci.teardownDeferred)
+		c.Bool(&ci.deferredNotify)
+		*id = ci.ID
+	})
 
 	// Probes in slice order — step iteration order is part of the state.
-	w.U32(uint32(len(e.probes)))
-	for _, p := range e.probes {
-		if err := e.encodeProbe(w, p); err != nil {
-			return err
-		}
-	}
+	snapshot.Slice(c, &e.probes, func(p **probe) { e.walkProbe(c, p) })
 
 	// Acks embed their probe (an ack's probe is not in e.probes) and refer to
 	// their circuit by ID.
-	w.U32(uint32(len(e.acks)))
-	for i := range e.acks {
-		a := &e.acks[i]
-		w.I64(int64(a.circ.ID))
-		w.Int(a.pos)
-		if err := e.encodeProbe(w, a.probe); err != nil {
-			return err
-		}
-	}
+	snapshot.Slice(c, &e.acks, func(a *ack) {
+		e.circuitRef(c, &a.circ, "ack")
+		snapshot.I64(c, &a.pos)
+		e.walkProbe(c, &a.probe)
+	})
 
-	w.U32(uint32(len(e.teardowns)))
-	for i := range e.teardowns {
-		td := &e.teardowns[i]
+	snapshot.Slice(c, &e.teardowns, func(td *teardown) {
 		if td.done != nil {
-			return fmt.Errorf("pcs: teardown of circuit %d carries a closure and cannot be snapshotted (use TeardownNotify)", td.circ.ID)
+			c.Failf("pcs: teardown of circuit %d carries a closure and cannot be snapshotted (use TeardownNotify)", td.circ.ID)
+			return
 		}
-		w.I64(int64(td.circ.ID))
-		w.Int(td.next)
-		w.Bool(td.notify)
-	}
+		e.circuitRef(c, &td.circ, "teardown")
+		snapshot.I64(c, &td.next)
+		c.Bool(&td.notify)
+	})
 
-	w.U32(uint32(len(e.releases)))
-	for i := range e.releases {
-		w.I64(int64(e.releases[i].circID))
-		encodeChannel(w, e.releases[i].at)
-	}
+	snapshot.Slice(c, &e.releases, func(r *release) {
+		snapshot.I64(c, &r.circID)
+		walkChannel(c, &r.at)
+	})
 
-	w.I64(int64(e.nextProbe))
-	w.I64(int64(e.nextCircuit))
+	snapshot.I64(c, &e.nextProbe)
+	snapshot.I64(c, &e.nextCircuit)
 
-	c := &e.Ctr
-	for _, v := range []int64{
-		c.ProbesLaunched, c.ProbesSucceeded, c.ProbesFailed, c.Misroutes,
-		c.Backtracks, c.ForceWaits, c.ReleasesSent, c.ReleasesDiscarded,
-		c.Teardowns, c.ControlHops, c.FaultsInjected, c.FaultRepairs,
-		c.FaultCircuitsTorn, c.FaultProbesKilled,
-	} {
-		w.I64(v)
-	}
-	return w.Err()
-}
-
-// DecodeState restores state written by EncodeState into an engine built
-// with the same topology and Params.
-func (e *Engine) DecodeState(r *snapshot.Reader) error {
-	e.now = r.I64()
-
-	nch := r.Count(1 << 26)
-	if nch != len(e.status) {
-		return fmt.Errorf("pcs: snapshot has %d wave channels, engine has %d (topology/params mismatch)", nch, len(e.status))
-	}
-	for i := range e.status {
-		e.status[i] = Status(r.U8())
-		e.owner[i] = r.I64()
-		e.ackRet[i] = r.Bool()
-		e.directMap[i] = int32(r.U32())
-		e.reverseMap[i] = int32(r.U32())
-	}
-
-	e.circuits = make(map[circuit.ID]*Circuit)
-	e.probes = e.probes[:0]
-	e.acks = e.acks[:0]
-	e.teardowns = e.teardowns[:0]
-	e.releases = e.releases[:0]
-	e.probeSpill = e.probeSpill[:0]
-	e.ackSpill = e.ackSpill[:0]
-	e.tdSpill = e.tdSpill[:0]
-	e.relSpill = e.relSpill[:0]
-	e.probePool = e.probePool[:0]
-	e.circPool = e.circPool[:0]
-
-	ncirc := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < ncirc; i++ {
-		c := &Circuit{}
-		c.ID = circuit.ID(r.I64())
-		c.Src = topology.Node(r.Int())
-		c.Dst = topology.Node(r.Int())
-		c.Switch = r.Int()
-		np := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for j := 0; j < np; j++ {
-			c.Path = append(c.Path, decodeChannel(r))
-		}
-		c.releasePending = r.Bool()
-		c.tearingDown = r.Bool()
-		c.ackPending = r.Bool()
-		c.teardownDeferred = r.Bool()
-		c.deferredNotify = r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		e.circuits[c.ID] = c
-	}
-
-	nprobes := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nprobes; i++ {
-		p, err := e.decodeProbe(r)
-		if err != nil {
-			return err
-		}
-		e.probes = append(e.probes, p)
-	}
-
-	nacks := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nacks; i++ {
-		id := circuit.ID(r.I64())
-		pos := r.Int()
-		p, err := e.decodeProbe(r)
-		if err != nil {
-			return err
-		}
-		c, ok := e.circuits[id]
-		if !ok {
-			return fmt.Errorf("pcs: snapshot ack refers to unknown circuit %d", id)
-		}
-		e.acks = append(e.acks, ack{circ: c, pos: pos, probe: p})
-	}
-
-	ntd := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < ntd; i++ {
-		id := circuit.ID(r.I64())
-		next := r.Int()
-		notify := r.Bool()
-		c, ok := e.circuits[id]
-		if !ok {
-			return fmt.Errorf("pcs: snapshot teardown refers to unknown circuit %d", id)
-		}
-		e.teardowns = append(e.teardowns, teardown{circ: c, next: next, notify: notify})
-	}
-
-	nrel := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nrel; i++ {
-		e.releases = append(e.releases, release{circID: circuit.ID(r.I64()), at: decodeChannel(r)})
-	}
-
-	e.nextProbe = flit.ProbeID(r.I64())
-	e.nextCircuit = circuit.ID(r.I64())
-
-	c := &e.Ctr
+	ctr := &e.Ctr
 	for _, v := range []*int64{
-		&c.ProbesLaunched, &c.ProbesSucceeded, &c.ProbesFailed, &c.Misroutes,
-		&c.Backtracks, &c.ForceWaits, &c.ReleasesSent, &c.ReleasesDiscarded,
-		&c.Teardowns, &c.ControlHops, &c.FaultsInjected, &c.FaultRepairs,
-		&c.FaultCircuitsTorn, &c.FaultProbesKilled,
+		&ctr.ProbesLaunched, &ctr.ProbesSucceeded, &ctr.ProbesFailed, &ctr.Misroutes,
+		&ctr.Backtracks, &ctr.ForceWaits, &ctr.ReleasesSent, &ctr.ReleasesDiscarded,
+		&ctr.Teardowns, &ctr.ControlHops, &ctr.FaultsInjected, &ctr.FaultRepairs,
+		&ctr.FaultCircuitsTorn, &ctr.FaultProbesKilled,
 	} {
-		*v = r.I64()
+		snapshot.I64(c, v)
 	}
-	return r.Err()
+	return c.Err()
 }

@@ -8,155 +8,54 @@ package protocol
 // simulation state, and is not snapshotted.
 
 import (
-	"sort"
-
 	"repro/internal/flit"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
-func encodeMessage(w *snapshot.Writer, m flit.Message) {
-	w.I64(int64(m.ID))
-	w.Int(m.Src)
-	w.Int(m.Dst)
-	w.Int(m.Len)
-	w.I64(m.InjectTime)
-}
+// State encodes or decodes the manager's own state and then the fabric's.
+// Decoding requires a manager built with the same topology, Params, Kind
+// and Options.
+func (m *Manager) State(c *snapshot.Codec) error {
+	snapshot.I64(c, &m.nextMsg)
 
-func decodeMessage(r *snapshot.Reader) flit.Message {
-	return flit.Message{
-		ID:         flit.MsgID(r.I64()),
-		Src:        r.Int(),
-		Dst:        r.Int(),
-		Len:        r.Int(),
-		InjectTime: r.I64(),
-	}
-}
+	snapshot.SortedMap(c, &m.inFlight, func(id *flit.MsgID, at *int64) {
+		snapshot.I64(c, id)
+		snapshot.I64(c, at)
+	})
 
-// EncodeState writes the manager's own state and then the fabric's.
-func (m *Manager) EncodeState(w *snapshot.Writer) error {
-	w.I64(int64(m.nextMsg))
-
-	ids := make([]flit.MsgID, 0, len(m.inFlight))
-	for id := range m.inFlight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		w.I64(int64(id))
-		w.I64(m.inFlight[id])
-	}
-
-	w.U32(uint32(len(m.ageQueue) - m.ageHead))
-	for _, e := range m.ageQueue[m.ageHead:] {
-		w.I64(int64(e.id))
-		w.I64(e.t)
-	}
-
-	for _, dsm := range m.dests {
-		w.U32(uint32(len(dsm)))
-		if len(dsm) == 0 {
-			continue
-		}
-		dsts := make([]topology.Node, 0, len(dsm))
-		for d := range dsm {
-			dsts = append(dsts, d)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, d := range dsts {
-			ds := dsm[d]
-			w.Int(int(d))
-			w.U32(uint32(len(ds.queue)))
-			for _, q := range ds.queue {
-				encodeMessage(w, q)
-			}
-			w.Bool(ds.opening)
-			w.Bool(ds.closeReq)
-			w.Bool(ds.wantSlot)
-			w.Int(ds.retries)
-		}
-	}
-
-	c := &m.Ctr
-	for _, v := range []int64{
-		c.Sent, c.DeliveredWormhole, c.DeliveredCircuit, c.FallbackWormhole,
-		c.SetupsStarted, c.SetupsOK, c.SetupsFailed, c.Phase2Entered,
-		c.Phase3Entered, c.OpensRequested, c.ClosesRequested,
-		c.SetupCyclesTotal, c.CircuitMessagesQueued, c.ShortBypass,
-		c.CircuitWaitCycles, c.CircuitSendsStarted, c.SetupRetries,
-	} {
-		w.I64(v)
-	}
-
-	return m.Fab.EncodeState(w)
-}
-
-// DecodeState restores state written by EncodeState into a manager built
-// with the same topology, Params, Kind and Options.
-func (m *Manager) DecodeState(r *snapshot.Reader) error {
-	m.nextMsg = flit.MsgID(r.I64())
-
-	m.inFlight = make(map[flit.MsgID]int64)
-	nif := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < nif; i++ {
-		id := flit.MsgID(r.I64())
-		m.inFlight[id] = r.I64()
-	}
-
-	m.ageQueue = m.ageQueue[:0]
-	m.ageHead = 0
-	naq := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for i := 0; i < naq; i++ {
-		id := flit.MsgID(r.I64())
-		m.ageQueue = append(m.ageQueue, agedMsg{id: id, t: r.I64()})
-	}
+	snapshot.Queue(c, &m.ageQueue, &m.ageHead, func(a *agedMsg) {
+		snapshot.I64(c, &a.id)
+		snapshot.I64(c, &a.t)
+	})
 
 	for n := range m.dests {
-		nd := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if nd == 0 {
-			m.dests[n] = nil
-			continue
-		}
-		dsm := make(map[topology.Node]*destState, nd)
-		for i := 0; i < nd; i++ {
-			d := topology.Node(r.Int())
-			ds := &destState{}
-			nq := r.Count(1 << 26)
-			if r.Err() != nil {
-				return r.Err()
+		snapshot.SortedMap(c, &m.dests[n], func(d *topology.Node, dsp **destState) {
+			if c.Decoding() {
+				*dsp = &destState{}
 			}
-			for j := 0; j < nq; j++ {
-				ds.queue = append(ds.queue, decodeMessage(r))
-			}
-			ds.opening = r.Bool()
-			ds.closeReq = r.Bool()
-			ds.wantSlot = r.Bool()
-			ds.retries = r.Int()
-			dsm[d] = ds
-		}
-		m.dests[n] = dsm
+			ds := *dsp
+			snapshot.I64(c, d)
+			snapshot.Slice(c, &ds.queue, func(q *flit.Message) { q.Walk(c) })
+			c.Bool(&ds.opening)
+			c.Bool(&ds.closeReq)
+			c.Bool(&ds.wantSlot)
+			snapshot.I64(c, &ds.retries)
+		})
 	}
 
-	c := &m.Ctr
+	ctr := &m.Ctr
 	for _, v := range []*int64{
-		&c.Sent, &c.DeliveredWormhole, &c.DeliveredCircuit, &c.FallbackWormhole,
-		&c.SetupsStarted, &c.SetupsOK, &c.SetupsFailed, &c.Phase2Entered,
-		&c.Phase3Entered, &c.OpensRequested, &c.ClosesRequested,
-		&c.SetupCyclesTotal, &c.CircuitMessagesQueued, &c.ShortBypass,
-		&c.CircuitWaitCycles, &c.CircuitSendsStarted, &c.SetupRetries,
+		&ctr.Sent, &ctr.DeliveredWormhole, &ctr.DeliveredCircuit, &ctr.FallbackWormhole,
+		&ctr.SetupsStarted, &ctr.SetupsOK, &ctr.SetupsFailed, &ctr.Phase2Entered,
+		&ctr.Phase3Entered, &ctr.OpensRequested, &ctr.ClosesRequested,
+		&ctr.SetupCyclesTotal, &ctr.CircuitMessagesQueued, &ctr.ShortBypass,
+		&ctr.CircuitWaitCycles, &ctr.CircuitSendsStarted, &ctr.SetupRetries,
 	} {
-		*v = r.I64()
+		snapshot.I64(c, v)
 	}
-
-	return m.Fab.DecodeState(r)
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return m.Fab.State(c)
 }

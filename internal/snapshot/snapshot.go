@@ -1,20 +1,31 @@
 // Package snapshot provides the versioned, digest-stamped binary codec
 // behind wave.Simulator.Snapshot/Restore. It is a leaf package (stdlib
-// only): each subsystem imports it and implements EncodeState/DecodeState
-// against the Writer/Reader primitives here.
+// only). Each stateful layer states its checkpoint layout once, as a
+// State(*Codec) method that walks its fields in order: the same walk writes
+// the fields when the Codec encodes and fills them in when it decodes, so
+// the two directions cannot drift apart. The few steps that differ by
+// direction (refusing closure-carrying work on encode, range checks and
+// re-linking on decode) branch on Codec.Decoding.
 //
 // Format:
 //
 //	magic "WAVESNAP" (8 bytes) | version u32 | payload | sha256(payload)
 //
-// The payload is a flat sequence of fixed-width little-endian fields and
-// length-prefixed byte strings, written and read in lockstep by the
-// subsystem Encode/Decode pairs. The trailing SHA-256 digest covers every
-// payload byte; Reader.Close verifies it, so a truncated or corrupted
-// snapshot fails loudly instead of restoring a subtly wrong fabric.
+// The payload is a flat sequence of fixed-width little-endian fields,
+// u32-count-prefixed sequences and u32-length-prefixed byte strings.
+//
+// Decoding is digest-first: Open checks the header and the SHA-256 of the
+// whole payload before any field is decoded, so a truncated or corrupted
+// snapshot is refused before it can size an allocation. A digest is not a
+// signature, though, so decoding still distrusts the payload: every count
+// and length is bounded by the payload bytes left, and sequences grow by
+// append as their elements are decoded, never by a make sized from the
+// stream. A forged payload therefore costs memory in proportion to its own
+// length.
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -22,6 +33,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot stream.
@@ -33,274 +45,323 @@ const Magic = "WAVESNAP"
 // the per-event shard index from the event queue.
 const Version = 2
 
-// ErrDigest is returned by Reader.Close when the trailing digest does not
-// match the payload read.
+// ErrDigest is returned by Open when the trailing digest does not match the
+// payload.
 var ErrDigest = errors.New("snapshot: digest mismatch (truncated or corrupted)")
 
-// chunkSize is the internal buffering granularity of Writer and Reader. A
-// snapshot payload is millions of tiny fixed-width fields; on a mega
-// topology, issuing each as its own underlying Write/Read (and its own
-// 1-8 byte sha256 update) dominated snapshot time. Fields accumulate into
-// chunkSize runs that hit the stream and the hash once.
+// errShort reports a field running past the end of a digest-valid payload:
+// the stream was written by a different layout (or forged).
+var errShort = errors.New("snapshot: payload ends inside a field")
+
+// chunkSize is the encoder's buffering granularity. A snapshot payload is
+// millions of tiny fixed-width fields; on a mega topology, issuing each as
+// its own underlying Write (and its own 1-8 byte sha256 update) dominated
+// snapshot time. Fields accumulate into chunkSize runs that hit the stream
+// and the hash once.
 const chunkSize = 64 << 10
 
-// Writer serialises snapshot payload fields, hashing every byte written.
-// Fields are buffered internally (chunkSize runs); Close flushes before
-// stamping the digest. All methods are sticky-error: after a write fails,
-// subsequent calls are no-ops and Close reports the first error.
-type Writer struct {
+// Codec walks a snapshot payload in one direction: an encoder (NewEncoder)
+// writes each field it is handed, a decoder (Open) overwrites it. All
+// methods are sticky-error: after the first failure, later calls are no-ops
+// and Err and Close report that failure.
+type Codec struct {
+	dec bool
+	err error
+
+	// Encoding: the destination, the running payload hash and the payload
+	// not yet written or hashed.
 	w    io.Writer
 	h    hash.Hash
-	err  error
-	buf  [8]byte
-	pend []byte // buffered payload, not yet written or hashed
+	pend []byte
+
+	// Decoding: the payload bytes not yet consumed.
+	in []byte
 }
 
-// NewWriter writes the magic/version header and returns a payload writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	if _, err := w.Write([]byte(Magic)); err != nil {
+// NewEncoder writes the magic/version header to w and returns an encoding
+// Codec. Close stamps the digest.
+func NewEncoder(w io.Writer) (*Codec, error) {
+	head := binary.LittleEndian.AppendUint32([]byte(Magic), Version)
+	if _, err := w.Write(head); err != nil {
 		return nil, err
 	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], Version)
-	if _, err := w.Write(v[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: w, h: sha256.New(), pend: make([]byte, 0, chunkSize)}, nil
+	return &Codec{w: w, h: sha256.New(), pend: make([]byte, 0, chunkSize)}, nil
 }
 
-// flush hashes and writes the pending chunk.
-func (w *Writer) flush() {
-	if w.err != nil || len(w.pend) == 0 {
-		return
+// Open checks a complete snapshot's header and trailing digest and returns
+// a decoding Codec positioned at the start of its payload. It never
+// decodes a field of a stream whose digest does not match.
+func Open(data []byte) (*Codec, error) {
+	head := len(Magic) + 4
+	if len(data) < head {
+		return nil, fmt.Errorf("snapshot: header: %w", io.ErrUnexpectedEOF)
 	}
-	w.h.Write(w.pend)
-	if _, err := w.w.Write(w.pend); err != nil {
-		w.err = err
+	if string(data[:len(Magic)]) != Magic {
+		return nil, errors.New("snapshot: bad magic (not a snapshot)")
 	}
-	w.pend = w.pend[:0]
+	if v := binary.LittleEndian.Uint32(data[len(Magic):head]); v != Version {
+		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
+	}
+	if len(data) < head+sha256.Size {
+		return nil, fmt.Errorf("snapshot: digest: %w", io.ErrUnexpectedEOF)
+	}
+	payload, digest := data[head:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], digest) {
+		return nil, ErrDigest
+	}
+	return &Codec{dec: true, in: payload}, nil
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
+// Decoding reports whether the Codec fills fields in (true) or writes them
+// out (false).
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Err returns the first failure, if any.
+func (c *Codec) Err() error { return c.err }
+
+// Failf records a failure (unless one is already recorded) and returns the
+// Codec's error. State walks use it to refuse state they cannot encode or
+// decoded values out of range.
+func (c *Codec) Failf(format string, args ...any) error {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
-	if len(w.pend)+len(p) > chunkSize {
-		w.flush()
-		if w.err != nil {
-			return
+	return c.err
+}
+
+// Close finishes the walk. An encoder flushes the buffered payload and
+// stamps its SHA-256 digest; a decoder reports any payload bytes the walk
+// left unread.
+func (c *Codec) Close() error {
+	if c.dec {
+		if c.err == nil && len(c.in) > 0 {
+			c.err = fmt.Errorf("snapshot: %d payload bytes left after the last field", len(c.in))
 		}
-		if len(p) > chunkSize {
-			// Oversized field (a big Bytes blob): bypass the buffer.
-			w.h.Write(p)
-			if _, err := w.w.Write(p); err != nil {
-				w.err = err
-			}
-			return
-		}
+		return c.err
 	}
-	w.pend = append(w.pend, p...)
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+	c.flush()
+	if c.err != nil {
+		return c.err
 	}
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes an int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as an int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 by its IEEE-754 bits — bit-exact round-trip.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bytes writes a u32 length prefix followed by the raw bytes.
-func (w *Writer) Bytes(p []byte) {
-	w.U32(uint32(len(p)))
-	w.write(p)
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
-
-// Err returns the first write error, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Close flushes buffered payload and stamps the SHA-256 digest of the
-// payload after it. The digest itself is not hashed.
-func (w *Writer) Close() error {
-	w.flush()
-	if w.err != nil {
-		return w.err
-	}
-	_, err := w.w.Write(w.h.Sum(nil))
+	_, err := c.w.Write(c.h.Sum(nil))
 	return err
 }
 
-// Reader reads snapshot payload fields, hashing every byte read so Close
-// can verify the trailing digest. It buffers internally (chunkSize runs),
-// so it may read ahead of the last field consumed: hand it a dedicated
-// stream, not one with trailing data a co-reader still needs.
-type Reader struct {
-	r    io.Reader
-	h    hash.Hash
-	err  error
-	buf  [8]byte
-	rbuf []byte // buffered window: rbuf[pos:end] is unconsumed
-	pos  int
-	end  int
-}
-
-// NewReader checks the magic/version header and returns a payload reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	head := make([]byte, len(Magic)+4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("snapshot: header: %w", err)
-	}
-	if string(head[:len(Magic)]) != Magic {
-		return nil, errors.New("snapshot: bad magic (not a snapshot)")
-	}
-	if v := binary.LittleEndian.Uint32(head[len(Magic):]); v != Version {
-		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
-	}
-	return &Reader{r: r, h: sha256.New(), rbuf: make([]byte, chunkSize)}, nil
-}
-
-// readRaw fills p from the buffered stream without hashing (the digest
-// trailer is read through it too, and must not hash itself).
-func (r *Reader) readRaw(p []byte) {
-	if r.err != nil {
+// flush hashes and writes the pending chunk.
+func (c *Codec) flush() {
+	if c.err != nil || len(c.pend) == 0 {
 		return
 	}
-	for len(p) > 0 {
-		if r.pos == r.end {
-			n, err := r.r.Read(r.rbuf)
-			if n == 0 {
-				if err == nil || err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				r.err = fmt.Errorf("snapshot: short read: %w", err)
-				return
-			}
-			r.pos, r.end = 0, n
-		}
-		n := copy(p, r.rbuf[r.pos:r.end])
-		r.pos += n
-		p = p[n:]
+	c.h.Write(c.pend)
+	if _, err := c.w.Write(c.pend); err != nil {
+		c.err = err
+	}
+	c.pend = c.pend[:0]
+}
+
+func (c *Codec) put(p []byte) {
+	c.pend = append(c.pend, p...)
+	if len(c.pend) >= chunkSize {
+		c.flush()
 	}
 }
 
-func (r *Reader) read(p []byte) {
-	r.readRaw(p)
-	if r.err == nil {
-		r.h.Write(p)
-	}
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	r.read(r.buf[:1])
-	return r.buf[0]
-}
-
-// Bool reads a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U32 reads a uint32.
-func (r *Reader) U32() uint32 {
-	r.read(r.buf[:4])
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// U64 reads a uint64.
-func (r *Reader) U64() uint64 {
-	r.read(r.buf[:8])
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bytes reads a length-prefixed byte string.
-func (r *Reader) Bytes() []byte {
-	n := r.U32()
-	if r.err != nil {
+// take consumes the next n payload bytes, or fails when fewer are left.
+func (c *Codec) take(n int) []byte {
+	if len(c.in) < n {
+		c.err = errShort
 		return nil
 	}
-	// Cap pre-allocation: a corrupted length must not OOM before the
-	// digest check has a chance to reject the stream.
-	if n > 1<<30 {
-		r.err = fmt.Errorf("snapshot: implausible field length %d", n)
-		return nil
-	}
-	p := make([]byte, n)
-	r.read(p)
+	p := c.in[:n]
+	c.in = c.in[n:]
 	return p
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Count reads a u32 element count and rejects values above max, so decode
-// loops on a corrupted stream stay allocation-bounded until the digest
-// check can condemn it. Returns 0 once the stream is in error.
-func (r *Reader) Count(max int) int {
-	n := int(r.U32())
-	if r.err != nil {
-		return 0
+// word walks an n-byte (1, 4 or 8) little-endian field: the encoder writes
+// the low n bytes of *v, the decoder sets *v from them.
+func (c *Codec) word(v *uint64, n int) {
+	if c.err != nil {
+		return
 	}
-	if n > max {
-		r.err = fmt.Errorf("snapshot: implausible element count %d (max %d)", n, max)
-		return 0
+	var b [8]byte
+	if !c.dec {
+		binary.LittleEndian.PutUint64(b[:], *v)
+		c.put(b[:n])
+		return
 	}
-	return n
+	if p := c.take(n); p != nil {
+		copy(b[:], p)
+		*v = binary.LittleEndian.Uint64(b[:])
+	}
 }
 
-// Err returns the first read error, if any.
-func (r *Reader) Err() error { return r.err }
+// Bool walks a bool as one byte.
+func (c *Codec) Bool(v *bool) {
+	var x uint64
+	if *v {
+		x = 1
+	}
+	c.word(&x, 1)
+	if c.dec {
+		*v = x != 0
+	}
+}
 
-// Close reads the trailing digest and verifies it against the payload.
-func (r *Reader) Close() error {
-	if r.err != nil {
-		return r.err
+// U64 walks a uint64.
+func (c *Codec) U64(v *uint64) { c.word(v, 8) }
+
+// F64 walks a float64 by its IEEE-754 bits — bit-exact round-trip.
+func (c *Codec) F64(v *float64) {
+	x := math.Float64bits(*v)
+	c.word(&x, 8)
+	if c.dec {
+		*v = math.Float64frombits(x)
 	}
-	want := make([]byte, sha256.Size)
-	r.readRaw(want)
-	if r.err != nil {
-		return fmt.Errorf("snapshot: digest: %w", r.err)
+}
+
+// U8 walks a one-byte value (a phase, status or kind enum).
+func U8[T ~uint8](c *Codec, v *T) {
+	x := uint64(*v)
+	c.word(&x, 1)
+	if c.dec {
+		*v = T(x)
 	}
-	got := r.h.Sum(nil)
-	for i := range want {
-		if want[i] != got[i] {
-			return ErrDigest
+}
+
+// U32 walks a four-byte value: a bit mask, or an int32 slot or buffer index
+// (stored as its two's-complement bits, so -1 round-trips).
+func U32[T ~uint32 | ~int32](c *Codec, v *T) {
+	x := uint64(uint32(*v))
+	c.word(&x, 4)
+	if c.dec {
+		*v = T(x)
+	}
+}
+
+// I64 walks an int or int64 (or a named type over one: node, link, message
+// and circuit IDs) as eight bytes.
+func I64[T ~int | ~int64](c *Codec, v *T) {
+	x := uint64(*v)
+	c.word(&x, 8)
+	if c.dec {
+		*v = T(int64(x))
+	}
+}
+
+// Count walks a u32 element count. Every element encodes to at least one
+// byte, so the decoder refuses a count larger than the payload bytes left;
+// on failure *n becomes 0, so a loop bounded by it does not run.
+func (c *Codec) Count(n *int) {
+	x := uint64(uint32(*n))
+	c.word(&x, 4)
+	if !c.dec {
+		return
+	}
+	*n = 0
+	if c.err != nil {
+		return
+	}
+	if x > uint64(len(c.in)) {
+		c.Failf("snapshot: implausible element count %d (%d payload bytes left)", x, len(c.in))
+		return
+	}
+	*n = int(x)
+}
+
+// Bytes walks a u32-length-prefixed byte string. The decoded bytes are a
+// copy, not a view of the payload.
+func (c *Codec) Bytes(p *[]byte) {
+	n := len(*p)
+	c.Count(&n)
+	if c.err != nil {
+		return
+	}
+	if !c.dec {
+		c.put(*p)
+		return
+	}
+	*p = append([]byte(nil), c.take(n)...)
+}
+
+// Fixed walks n elements whose number the engine fixes from its
+// configuration (one per link VC, wave channel, ...), as a count followed
+// by fn(0) ... fn(n-1). Decoding a snapshot with a different count fails
+// with a topology/params mismatch naming what.
+func (c *Codec) Fixed(n int, what string, fn func(i int)) {
+	got := n
+	c.Count(&got)
+	if c.err == nil && got != n {
+		c.Failf("snapshot has %d %s, engine has %d (topology/params mismatch)", got, what, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		fn(i)
+	}
+}
+
+// Slice walks a count-prefixed slice, fn walking one element. The decoder
+// rebuilds *s from empty (reusing its backing array) by appending a zero
+// element per count and handing fn a pointer to it.
+func Slice[T any](c *Codec, s *[]T, fn func(*T)) {
+	n := len(*s)
+	c.Count(&n)
+	if c.dec {
+		*s = (*s)[:0]
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.dec {
+			var zero T
+			*s = append(*s, zero)
 		}
+		fn(&(*s)[i])
 	}
-	return nil
+}
+
+// Queue walks a FIFO held as a slice and the index of its first pending
+// element: only (*q)[*head:] is encoded, and the decoder rebuilds the queue
+// with head 0.
+func Queue[T any](c *Codec, q *[]T, head *int, fn func(*T)) {
+	if c.dec {
+		*head = 0
+		Slice(c, q, fn)
+		return
+	}
+	pending := (*q)[*head:]
+	Slice(c, &pending, fn)
+}
+
+// SortedMap walks a map as a count followed by its entries in ascending key
+// order (a map has no canonical order of its own). fn walks one entry; the
+// decoder hands it zero values and it must fill in both the key and the
+// value. The decoder empties *m before filling it (allocating a map only
+// when *m is nil and entries follow) and refuses a repeated key.
+func SortedMap[K ~int | ~int64, V any](c *Codec, m *map[K]V, fn func(k *K, v *V)) {
+	if !c.dec {
+		keys := make([]K, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		n := len(keys)
+		c.Count(&n)
+		for _, k := range keys {
+			v := (*m)[k]
+			fn(&k, &v)
+		}
+		return
+	}
+	var n int
+	c.Count(&n)
+	clear(*m)
+	for i := 0; i < n && c.err == nil; i++ {
+		var k K
+		var v V
+		fn(&k, &v)
+		if *m == nil {
+			*m = make(map[K]V)
+		}
+		if _, dup := (*m)[k]; dup {
+			c.Failf("snapshot: map key %d repeated", k)
+		}
+		(*m)[k] = v
+	}
 }

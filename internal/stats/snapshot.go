@@ -7,59 +7,25 @@ package stats
 
 import "repro/internal/snapshot"
 
-// EncodeState writes the series' samples and running sum.
-func (s *Series) EncodeState(w *snapshot.Writer) error {
-	w.U32(uint32(len(s.samples)))
-	for _, v := range s.samples {
-		w.F64(v)
+// walk walks the series' samples and running sum.
+func (s *Series) walk(c *snapshot.Codec) {
+	snapshot.Slice(c, &s.samples, c.F64)
+	if c.Decoding() {
+		s.sorted = false
 	}
-	w.F64(s.sum)
-	return w.Err()
+	c.F64(&s.sum)
 }
 
-// DecodeState restores state written by EncodeState.
-func (s *Series) DecodeState(r *snapshot.Reader) error {
-	n := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	s.samples = make([]float64, n)
-	for i := range s.samples {
-		s.samples[i] = r.F64()
-	}
-	s.sorted = false
-	s.sum = r.F64()
-	return r.Err()
-}
-
-// EncodeState writes the run's counters, window bounds and latency series.
-func (r *Run) EncodeState(w *snapshot.Writer) error {
-	w.I64(r.Warmup)
-	w.I64(r.FlitsDelivered)
-	w.I64(r.MsgsDelivered)
-	w.I64(r.start)
-	w.I64(r.end)
-	if err := r.Latency.EncodeState(w); err != nil {
-		return err
-	}
-	if err := r.CircuitLatency.EncodeState(w); err != nil {
-		return err
-	}
-	return r.WormholeLatency.EncodeState(w)
-}
-
-// DecodeState restores state written by EncodeState.
-func (r *Run) DecodeState(rd *snapshot.Reader) error {
-	r.Warmup = rd.I64()
-	r.FlitsDelivered = rd.I64()
-	r.MsgsDelivered = rd.I64()
-	r.start = rd.I64()
-	r.end = rd.I64()
-	if err := r.Latency.DecodeState(rd); err != nil {
-		return err
-	}
-	if err := r.CircuitLatency.DecodeState(rd); err != nil {
-		return err
-	}
-	return r.WormholeLatency.DecodeState(rd)
+// State encodes or decodes the run's counters, window bounds and latency
+// series.
+func (r *Run) State(c *snapshot.Codec) error {
+	snapshot.I64(c, &r.Warmup)
+	snapshot.I64(c, &r.FlitsDelivered)
+	snapshot.I64(c, &r.MsgsDelivered)
+	snapshot.I64(c, &r.start)
+	snapshot.I64(c, &r.end)
+	r.Latency.walk(c)
+	r.CircuitLatency.walk(c)
+	r.WormholeLatency.walk(c)
+	return c.Err()
 }

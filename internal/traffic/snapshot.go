@@ -6,71 +6,40 @@ package traffic
 // configuration, rebuilt by the caller; only the evolving state serialises.
 
 import (
-	"fmt"
-
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
-// EncodeState writes the generator's mutable state.
-func (g *Generator) EncodeState(w *snapshot.Writer) error {
-	w.U64(g.rng.State())
-	if l, ok := g.Pattern.(*Locality); ok {
-		l.encodeState(w)
+// State encodes or decodes the generator's mutable state. Decoding
+// requires a generator built with the same pattern, length distribution,
+// load and node count.
+func (g *Generator) State(c *snapshot.Codec) error {
+	st := g.rng.State()
+	c.U64(&st)
+	g.rng.Seed(st)
+	l, ok := g.Pattern.(*Locality)
+	if !ok {
+		return c.Err()
 	}
-	return w.Err()
-}
-
-// DecodeState restores state written by EncodeState into a generator built
-// with the same pattern, length distribution, load and node count.
-func (g *Generator) DecodeState(r *snapshot.Reader) error {
-	g.rng.Seed(r.U64())
-	if l, ok := g.Pattern.(*Locality); ok {
-		return l.decodeState(r)
-	}
-	return r.Err()
-}
-
-// encodeState writes the working sets. A nil set (never drawn) and an empty
-// one behave differently in Pick, so nil-ness is preserved.
-func (l *Locality) encodeState(w *snapshot.Writer) {
-	for _, set := range l.sets {
-		if set == nil {
-			w.Bool(false)
-			continue
-		}
-		w.Bool(true)
-		w.U32(uint32(len(set)))
-		for _, d := range set {
-			w.Int(int(d))
-		}
-	}
-	for _, c := range l.count {
-		w.Int(c)
-	}
-}
-
-func (l *Locality) decodeState(r *snapshot.Reader) error {
+	// The working sets. A nil set (never drawn) and an empty one behave
+	// differently in Pick, so nil-ness is preserved.
 	for i := range l.sets {
-		if !r.Bool() {
+		drawn := l.sets[i] != nil
+		c.Bool(&drawn)
+		if !drawn {
 			l.sets[i] = nil
 			continue
 		}
-		n := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
+		if c.Decoding() {
+			l.sets[i] = []topology.Node{}
 		}
-		if n > len(l.count)+1 {
-			return fmt.Errorf("traffic: snapshot working set of %d entries exceeds node count", n)
+		snapshot.Slice(c, &l.sets[i], func(d *topology.Node) { snapshot.I64(c, d) })
+		if n := len(l.sets[i]); n > len(l.count)+1 {
+			return c.Failf("traffic: snapshot working set of %d entries exceeds node count", n)
 		}
-		set := make([]topology.Node, n)
-		for j := range set {
-			set[j] = topology.Node(r.Int())
-		}
-		l.sets[i] = set
 	}
 	for i := range l.count {
-		l.count[i] = r.Int()
+		snapshot.I64(c, &l.count[i])
 	}
-	return r.Err()
+	return c.Err()
 }

@@ -1,298 +1,109 @@
 package wormhole
 
-// Snapshot support: EncodeState/DecodeState serialise the engine's complete
-// mutable state — the slot arena with its LIFO free-list order, per-VC
-// buffers and head-slot rings, injection queues, credit counters and the
-// in-flight credit pipe, output ownership, the active-set bitmap, recovery
-// bookkeeping and all counters. Per-cycle scratch (busy flags, dirty lists,
-// arrivals) is excluded: snapshots are taken between cycles, when it is
-// logically empty. Restoring into an engine built from the identical Params
-// and topology reproduces the original bit for bit.
+// Snapshot support: State walks the engine's complete mutable state — the
+// slot arena with its LIFO free-list order, per-VC buffers and head-slot
+// rings, injection queues, credit counters and the in-flight credit pipe,
+// output ownership, the active-set bitmap, recovery bookkeeping and all
+// counters. Per-cycle scratch (busy flags, dirty lists, arrivals) is
+// excluded: snapshots are taken between cycles, when it is logically empty.
+// Restoring into an engine built from the identical Params and topology
+// reproduces the original bit for bit.
 
 import (
-	"fmt"
-
 	"repro/internal/flit"
 	"repro/internal/snapshot"
-	"repro/internal/topology"
 )
 
-func encodeMessage(w *snapshot.Writer, m flit.Message) {
-	w.I64(int64(m.ID))
-	w.Int(m.Src)
-	w.Int(m.Dst)
-	w.Int(m.Len)
-	w.I64(m.InjectTime)
-}
-
-func decodeMessage(r *snapshot.Reader) flit.Message {
-	return flit.Message{
-		ID:         flit.MsgID(r.I64()),
-		Src:        r.Int(),
-		Dst:        r.Int(),
-		Len:        r.Int(),
-		InjectTime: r.I64(),
-	}
-}
-
-func encodeFlit(w *snapshot.Writer, fl flit.Flit) {
-	w.U8(uint8(fl.Kind))
-	w.I64(int64(fl.Msg))
-	w.Int(fl.Src)
-	w.Int(fl.Dst)
-	w.Int(fl.Seq)
-}
-
-func decodeFlit(r *snapshot.Reader) flit.Flit {
-	return flit.Flit{
-		Kind: flit.Kind(r.U8()),
-		Msg:  flit.MsgID(r.I64()),
-		Src:  r.Int(),
-		Dst:  r.Int(),
-		Seq:  r.Int(),
-	}
-}
-
-// EncodeState writes the engine's mutable state. The caller guarantees the
-// engine is between cycles (no arrivals pending commit).
-func (e *Engine) EncodeState(w *snapshot.Writer) error {
-	w.I64(e.now)
-	w.Int(e.rr)
+// State encodes or decodes the engine's mutable state. Encoding requires
+// the engine to be between cycles (no arrivals pending commit); decoding
+// requires an engine built with the same topology and Params.
+func (e *Engine) State(c *snapshot.Codec) error {
+	snapshot.I64(c, &e.now)
+	snapshot.I64(c, &e.rr)
 
 	// Slot arena: every slot (live or free) in index order, then the
 	// free-list in its exact LIFO order — slot assignment is canonical and
 	// must survive the round trip.
-	w.U32(uint32(len(e.slots)))
-	for i := range e.slots {
-		sl := &e.slots[i]
-		encodeMessage(w, sl.msg)
-		w.Bool(sl.live)
-		w.I64(sl.lastProgress)
-		w.Bool(sl.hasProgress)
-		w.Int(sl.retries)
-		w.Bool(sl.parked)
-	}
-	w.U32(uint32(len(e.freeSlots)))
-	for _, s := range e.freeSlots {
-		w.U32(uint32(s))
-	}
-	w.Int(e.liveSlots)
+	snapshot.Slice(c, &e.slots, func(sl *msgSlot) {
+		sl.msg.Walk(c)
+		c.Bool(&sl.live)
+		snapshot.I64(c, &sl.lastProgress)
+		c.Bool(&sl.hasProgress)
+		snapshot.I64(c, &sl.retries)
+		c.Bool(&sl.parked)
+	})
+	snapshot.Slice(c, &e.freeSlots, func(s *int32) { snapshot.U32(c, s) })
+	snapshot.I64(c, &e.liveSlots)
 
-	// Link VCs.
-	w.U32(uint32(len(e.in)))
-	for i := range e.in {
+	c.Fixed(len(e.in), "wormhole link VCs", func(i int) {
 		v := &e.in[i]
-		w.U32(uint32(v.buf.Len()))
-		for j := 0; j < v.buf.Len(); j++ {
-			encodeFlit(w, v.buf.At(j))
+		n := v.buf.Len()
+		c.Count(&n)
+		if c.Decoding() {
+			v.buf.Reset()
 		}
-		w.U8(uint8(v.phase))
-		w.I64(int64(v.outLink))
-		w.Int(v.outVC)
-		w.Int(v.rcWait)
-		w.U32(uint32(v.curSlot))
-		pending := v.headSlots[v.hsHead:]
-		w.U32(uint32(len(pending)))
-		for _, hs := range pending {
-			w.U32(uint32(hs))
+		for j := 0; j < n && c.Err() == nil; j++ {
+			var fl flit.Flit
+			if !c.Decoding() {
+				fl = v.buf.At(j)
+			}
+			fl.Walk(c)
+			if c.Decoding() && !v.buf.Push(fl) {
+				c.Failf("wormhole: snapshot VC %d holds %d flits, buffer depth %d", i, n, v.buf.Cap())
+			}
 		}
+		snapshot.U8(c, &v.phase)
+		snapshot.I64(c, &v.outLink)
+		snapshot.I64(c, &v.outVC)
+		snapshot.I64(c, &v.rcWait)
+		snapshot.U32(c, &v.curSlot)
+		snapshot.Queue(c, &v.headSlots, &v.hsHead, func(s *int32) { snapshot.U32(c, s) })
+	})
+	for i := range e.credits {
+		snapshot.I64(c, &e.credits[i])
 	}
-	for _, c := range e.credits {
-		w.Int(c)
-	}
-	for _, o := range e.outOwner {
-		w.U32(uint32(o))
+	for i := range e.outOwner {
+		snapshot.U32(c, &e.outOwner[i])
 	}
 
-	// Injection ports.
-	w.U32(uint32(len(e.inj)))
-	for i := range e.inj {
+	c.Fixed(len(e.inj), "wormhole injection ports", func(i int) {
 		p := &e.inj[i]
-		pending := p.queue[p.head:]
-		w.U32(uint32(len(pending)))
-		for _, s := range pending {
-			w.U32(uint32(s))
-		}
-		w.Int(p.sent)
-		w.U8(uint8(p.phase))
-		w.I64(int64(p.outLink))
-		w.Int(p.outVC)
-		w.Int(p.rcWait)
-	}
+		snapshot.Queue(c, &p.queue, &p.head, func(s *int32) { snapshot.U32(c, s) })
+		snapshot.I64(c, &p.sent)
+		snapshot.U8(c, &p.phase)
+		snapshot.I64(c, &p.outLink)
+		snapshot.I64(c, &p.outVC)
+		snapshot.I64(c, &p.rcWait)
+	})
 
 	// Credit pipe (only populated when CreditDelay > 0).
-	pendingCredits := e.creditQueue[e.creditHead:]
-	w.U32(uint32(len(pendingCredits)))
-	for _, pc := range pendingCredits {
-		w.U32(uint32(pc.ch))
-		w.I64(pc.at)
-	}
+	snapshot.Queue(c, &e.creditQueue, &e.creditHead, func(pc *pendingCredit) {
+		snapshot.U32(c, &pc.ch)
+		snapshot.I64(c, &pc.at)
+	})
 
 	// Recovery bookkeeping.
-	w.Bool(e.recovery != nil)
-	if e.recovery != nil {
-		w.I64(e.recovery.Aborts)
-		w.U32(uint32(len(e.recovery.parked)))
-		for _, p := range e.recovery.parked {
-			w.U32(uint32(p.slot))
-			w.I64(p.readyAt)
-		}
+	hasRecovery := e.recovery != nil
+	c.Bool(&hasRecovery)
+	if hasRecovery != (e.recovery != nil) {
+		return c.Failf("wormhole: snapshot recovery=%v, engine recovery=%v (params mismatch)", hasRecovery, e.recovery != nil)
+	}
+	if hasRecovery {
+		snapshot.I64(c, &e.recovery.Aborts)
+		snapshot.Slice(c, &e.recovery.parked, func(p *parkedSlot) {
+			snapshot.U32(c, &p.slot)
+			snapshot.I64(c, &p.readyAt)
+		})
 	}
 
 	// Active set.
-	w.Int(e.activeCount)
-	w.U32(uint32(len(e.active)))
-	for _, word := range e.active {
-		w.U64(word)
-	}
+	snapshot.I64(c, &e.activeCount)
+	c.Fixed(len(e.active), "wormhole active-bitmap words", func(i int) { c.U64(&e.active[i]) })
 
 	// Counters.
-	w.I64(e.FlitsMoved)
-	w.I64(e.FlitsDelivered)
-	w.I64(e.MsgsDelivered)
-	w.U32(uint32(len(e.LinkFlits)))
-	for _, lf := range e.LinkFlits {
-		w.I64(lf)
-	}
-	return w.Err()
-}
-
-// DecodeState restores state written by EncodeState into an engine built
-// with the same topology and Params.
-func (e *Engine) DecodeState(r *snapshot.Reader) error {
-	e.now = r.I64()
-	e.rr = r.Int()
-
-	nSlots := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	e.slots = make([]msgSlot, nSlots)
-	for i := range e.slots {
-		sl := &e.slots[i]
-		sl.msg = decodeMessage(r)
-		sl.live = r.Bool()
-		sl.lastProgress = r.I64()
-		sl.hasProgress = r.Bool()
-		sl.retries = r.Int()
-		sl.parked = r.Bool()
-	}
-	nFree := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	e.freeSlots = make([]int32, nFree)
-	for i := range e.freeSlots {
-		e.freeSlots[i] = int32(r.U32())
-	}
-	e.liveSlots = r.Int()
-
-	nIn := r.Count(1 << 26)
-	if nIn != len(e.in) {
-		return fmt.Errorf("wormhole: snapshot has %d link VCs, engine has %d (topology/params mismatch)", nIn, len(e.in))
-	}
-	for i := range e.in {
-		v := &e.in[i]
-		v.buf.Reset()
-		nb := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for j := 0; j < nb; j++ {
-			if !v.buf.Push(decodeFlit(r)) {
-				return fmt.Errorf("wormhole: snapshot VC %d holds %d flits, buffer depth %d", i, nb, v.buf.Cap())
-			}
-		}
-		v.phase = vcPhase(r.U8())
-		v.outLink = topology.LinkID(r.I64())
-		v.outVC = r.Int()
-		v.rcWait = r.Int()
-		v.curSlot = int32(r.U32())
-		nh := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		v.headSlots = v.headSlots[:0]
-		v.hsHead = 0
-		for j := 0; j < nh; j++ {
-			v.headSlots = append(v.headSlots, int32(r.U32()))
-		}
-	}
-	for i := range e.credits {
-		e.credits[i] = r.Int()
-	}
-	for i := range e.outOwner {
-		e.outOwner[i] = int32(r.U32())
-	}
-
-	nInj := r.Count(1 << 26)
-	if nInj != len(e.inj) {
-		return fmt.Errorf("wormhole: snapshot has %d injection ports, engine has %d", nInj, len(e.inj))
-	}
-	for i := range e.inj {
-		p := &e.inj[i]
-		nq := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		p.queue = p.queue[:0]
-		p.head = 0
-		for j := 0; j < nq; j++ {
-			p.queue = append(p.queue, int32(r.U32()))
-		}
-		p.sent = r.Int()
-		p.phase = vcPhase(r.U8())
-		p.outLink = topology.LinkID(r.I64())
-		p.outVC = r.Int()
-		p.rcWait = r.Int()
-	}
-
-	nc := r.Count(1 << 26)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	e.creditQueue = e.creditQueue[:0]
-	e.creditHead = 0
-	for i := 0; i < nc; i++ {
-		e.creditQueue = append(e.creditQueue, pendingCredit{ch: int32(r.U32()), at: r.I64()})
-	}
-
-	hasRecovery := r.Bool()
-	if hasRecovery != (e.recovery != nil) {
-		return fmt.Errorf("wormhole: snapshot recovery=%v, engine recovery=%v (params mismatch)", hasRecovery, e.recovery != nil)
-	}
-	if hasRecovery {
-		e.recovery.Aborts = r.I64()
-		np := r.Count(1 << 26)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		e.recovery.parked = e.recovery.parked[:0]
-		for i := 0; i < np; i++ {
-			e.recovery.parked = append(e.recovery.parked, parkedSlot{slot: int32(r.U32()), readyAt: r.I64()})
-		}
-	}
-
-	e.activeCount = r.Int()
-	na := r.Count(1 << 26)
-	if na != len(e.active) {
-		return fmt.Errorf("wormhole: snapshot active bitmap has %d words, engine has %d", na, len(e.active))
-	}
-	for i := range e.active {
-		e.active[i] = r.U64()
-	}
-
-	e.FlitsMoved = r.I64()
-	e.FlitsDelivered = r.I64()
-	e.MsgsDelivered = r.I64()
-	nl := r.Count(1 << 26)
-	if nl != len(e.LinkFlits) {
-		return fmt.Errorf("wormhole: snapshot has %d link slots, engine has %d", nl, len(e.LinkFlits))
-	}
-	for i := range e.LinkFlits {
-		e.LinkFlits[i] = r.I64()
-	}
-	// Per-cycle scratch (busy flags, dirty lists, arrivals) is already empty
-	// between cycles; nothing to restore.
-	return r.Err()
+	snapshot.I64(c, &e.FlitsMoved)
+	snapshot.I64(c, &e.FlitsDelivered)
+	snapshot.I64(c, &e.MsgsDelivered)
+	c.Fixed(len(e.LinkFlits), "wormhole link slots", func(i int) { snapshot.I64(c, &e.LinkFlits[i]) })
+	return c.Err()
 }

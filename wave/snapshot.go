@@ -28,7 +28,7 @@ import (
 // Snapshot writes the complete simulator state to w. The simulator remains
 // usable; the checkpoint is a pure observation.
 func (s *Simulator) Snapshot(w io.Writer) error {
-	sw, err := snapshot.NewWriter(w)
+	c, err := snapshot.NewEncoder(w)
 	if err != nil {
 		return err
 	}
@@ -36,52 +36,31 @@ func (s *Simulator) Snapshot(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("wave: snapshot config: %w", err)
 	}
-	sw.Bytes(cfgJSON)
-	sw.I64(s.now)
-	progressed, stallRun := s.wd.SaveState()
-	sw.Bool(progressed)
-	sw.I64(stallRun)
-
-	if s.load != nil {
-		sw.Bool(true)
-		wlJSON, err := json.Marshal(s.load.w)
-		if err != nil {
-			return fmt.Errorf("wave: snapshot workload: %w", err)
-		}
-		sw.Bytes(wlJSON)
-		sw.I64(s.load.warmup)
-		sw.I64(s.load.measure)
-		sw.I64(s.load.end)
-		sw.I64(s.load.drainDeadline)
-		if err := s.load.gen.EncodeState(sw); err != nil {
-			return err
-		}
-		if err := s.load.run.EncodeState(sw); err != nil {
-			return err
-		}
-	} else {
-		sw.Bool(false)
-	}
-
-	if err := s.mgr.EncodeState(sw); err != nil {
+	c.Bytes(&cfgJSON)
+	if err := s.state(c); err != nil {
 		return err
 	}
-	return sw.Close()
+	return c.Close()
 }
 
 // Restore rebuilds a simulator from a Snapshot stream. The returned
 // simulator is positioned exactly where the original was: Step, Run, Drain
 // and — when the snapshot was taken mid-RunLoad — ResumeLoad continue
-// bit-identically to the uninterrupted original. The trailing digest is
-// verified before the simulator is returned.
+// bit-identically to the uninterrupted original. The stream's header and
+// trailing digest are verified before anything is decoded or built.
 func Restore(rd io.Reader) (*Simulator, error) {
-	sr, err := snapshot.NewReader(rd)
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("wave: restore: %w", err)
+	}
+	c, err := snapshot.Open(data)
 	if err != nil {
 		return nil, err
 	}
-	cfgJSON := sr.Bytes()
-	if sr.Err() != nil {
-		return nil, sr.Err()
+	var cfgJSON []byte
+	c.Bytes(&cfgJSON)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
 	var cfg Config
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
@@ -93,44 +72,69 @@ func Restore(rd io.Reader) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.now = sr.I64()
-	s.wd.RestoreState(sr.Bool(), sr.I64())
-
-	if sr.Bool() {
-		wlJSON := sr.Bytes()
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		var wl Workload
-		if err := json.Unmarshal(wlJSON, &wl); err != nil {
-			return nil, fmt.Errorf("wave: restore workload: %w", err)
-		}
-		gen, err := s.buildGenerator(wl)
-		if err != nil {
-			return nil, err
-		}
-		ld := &loadRun{w: wl, gen: gen}
-		ld.warmup = sr.I64()
-		ld.measure = sr.I64()
-		ld.end = sr.I64()
-		ld.drainDeadline = sr.I64()
-		if err := gen.DecodeState(sr); err != nil {
-			return nil, err
-		}
-		ld.run = &stats.Run{}
-		if err := ld.run.DecodeState(sr); err != nil {
-			return nil, err
-		}
-		s.load = ld
-	}
-
-	if err := s.mgr.DecodeState(sr); err != nil {
+	if err := s.state(c); err != nil {
 		return nil, err
 	}
-	if err := sr.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// state walks everything after the embedded configuration: the clock, the
+// watchdog, an in-progress RunLoad and the protocol/fabric state.
+func (s *Simulator) state(c *snapshot.Codec) error {
+	snapshot.I64(c, &s.now)
+	progressed, stallRun := s.wd.SaveState()
+	c.Bool(&progressed)
+	snapshot.I64(c, &stallRun)
+	s.wd.RestoreState(progressed, stallRun)
+
+	inLoad := s.load != nil
+	c.Bool(&inLoad)
+	if inLoad {
+		if err := s.loadState(c); err != nil {
+			return err
+		}
+	}
+	return s.mgr.State(c)
+}
+
+// loadState walks an in-progress RunLoad: the workload (embedded as JSON,
+// from which the decoder rebuilds the traffic generator), the phase bounds,
+// the generator's stream and the latency series.
+func (s *Simulator) loadState(c *snapshot.Codec) error {
+	var wlJSON []byte
+	if !c.Decoding() {
+		var err error
+		if wlJSON, err = json.Marshal(s.load.w); err != nil {
+			return fmt.Errorf("wave: snapshot workload: %w", err)
+		}
+	}
+	c.Bytes(&wlJSON)
+	if c.Decoding() {
+		if err := c.Err(); err != nil {
+			return err
+		}
+		var wl Workload
+		if err := json.Unmarshal(wlJSON, &wl); err != nil {
+			return fmt.Errorf("wave: restore workload: %w", err)
+		}
+		gen, err := s.buildGenerator(wl)
+		if err != nil {
+			return err
+		}
+		s.load = &loadRun{w: wl, gen: gen, run: &stats.Run{}}
+	}
+	ld := s.load
+	snapshot.I64(c, &ld.warmup)
+	snapshot.I64(c, &ld.measure)
+	snapshot.I64(c, &ld.end)
+	snapshot.I64(c, &ld.drainDeadline)
+	if err := ld.gen.State(c); err != nil {
+		return err
+	}
+	return ld.run.State(c)
 }
 
 // InLoadRun reports whether a RunLoad is in progress (restored or
