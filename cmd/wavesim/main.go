@@ -291,12 +291,9 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "topology        %s %s, protocol %s (routing %s, w=%d, k=%d, MB-%d, %gx clock)\n",
 		*topoKind, *radix, res.Protocol, *routing, *vcs, *switches, *misroutes, *mult)
 	rt := sim.RoutingTableInfo()
-	table := fmt.Sprintf("%s (%s)", rt.Mode, fmtBytes(rt.Bytes))
-	switch {
-	case rt.Gated:
-		table = "GATED (algorithmic fallback)"
-	case rt.Mode == "algorithmic":
-		table = "disabled (algorithmic)"
+	table := rt.Mode
+	if rt.Bytes > 0 {
+		table = fmt.Sprintf("%s (%s)", rt.Mode, fmtBytes(rt.Bytes))
 	}
 	fmt.Fprintf(out, "engine          routing table %s\n", table)
 	fmt.Fprintf(out, "workload        %s, load %.3f flits/node/cycle, %d-flit messages", *pattern, *load, *msgLen)

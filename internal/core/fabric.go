@@ -80,11 +80,10 @@ type Params struct {
 	// requires deep delivery buffers"). Zero means buffers deep enough that
 	// the window never throttles — the paper's design point.
 	WindowFlits int
-	// DisableRoutingTable turns off the precomputed (here, dst) routing
-	// table (internal/routing.WithTable) and routes every header through the
+	// DisableRoutingTable turns off the compressed per-dimension routing
+	// table (internal/routing.Select) and routes every header through the
 	// algorithmic implementation. Candidate sequences are identical either
-	// way; the flag exists for oracle cross-checks and for memory-constrained
-	// runs on topologies below the automatic size gate.
+	// way; the flag exists for oracle cross-checks.
 	DisableRoutingTable bool
 	// DisableActivityTracking runs the engines as full scans over every port
 	// and disables the quiescence fast-forward, making each cycle cost
@@ -175,10 +174,9 @@ type Fabric struct {
 	WH   *wormhole.Engine
 	PCS  *pcs.Engine
 
-	// RoutingTable records the routing-table selection outcome (flat,
-	// compressed, or algorithmic fallback with the Gated flag). Deliberately
-	// not part of Stats: a table-backed run and an algorithmic oracle run
-	// must stay stats-identical.
+	// RoutingTable records the routing-table selection outcome (compressed
+	// or algorithmic). Deliberately not part of Stats: a table-backed run and
+	// an algorithmic oracle run must stay stats-identical.
 	RoutingTable routing.TableInfo
 
 	hooks  Hooks
@@ -227,16 +225,13 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 	}
 	tableInfo := routing.TableInfo{Mode: routing.TableAlgorithmic}
 	if !prm.DisableRoutingTable {
-		// Freeze the routing function into a lookup table: the algorithmic
-		// implementation above remains the generator and oracle, the
-		// per-cycle hot path becomes a zero-allocation table load — the flat
-		// (here, dst) arena under the node gate, the compressed
-		// per-dimension table on mega k-ary n-cubes above it. The memoizing
-		// wrapper shares one table across identically shaped fabrics, so
-		// sweep points and back-to-back server jobs stop paying the build
-		// repeatedly. The returned TableInfo records which representation
-		// won (or that selection gated out), for the engine report line.
-		fn, tableInfo = routing.SelectTableCached(fn, topo, routing.DefaultTableMaxNodes)
+		// On a k-ary n-cube the per-cycle hot path becomes the compressed
+		// per-dimension table, built for this fabric; the algorithmic
+		// implementation above remains its generator and oracle. Other
+		// families keep their closed-form function. The returned TableInfo
+		// records which representation serves lookups, for the engine
+		// report line.
+		fn, tableInfo = routing.Select(fn, topo)
 	}
 	f := &Fabric{
 		Topo:           topo,

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/topology"
 )
@@ -137,6 +138,57 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 			}
 		}
 	}
+	return g
+}
+
+// A CDG is a pure function of (topology shape, routing function, VC count):
+// identically shaped topologies share one deterministic node and LinkID
+// numbering. BuildCDG walks Nodes^2 injection pairs plus every reachable
+// (channel, destination) state and dedups edges through a per-build map —
+// costly enough that the verification endpoint must not pay it again for
+// every repeated /v1/verify call or matrix sweep over the same
+// configuration. A built CDG is immutable (the prover only reads adjacency),
+// so sharing one instance is free.
+
+// cdgKey identifies a CDG. Topology.Name() encodes the kind and every
+// dimension ("8-ary 2-cube (torus)", "4x6 mesh", "5-dimensional hypercube");
+// nodes guards against any two shapes that could ever share a name; the
+// function name and VC count pin the generator.
+type cdgKey struct {
+	topoName string
+	nodes    int
+	fnName   string
+	numVCs   int
+}
+
+const cdgCacheMax = 32
+
+var (
+	cdgCacheMu sync.Mutex
+	cdgCache   = make(map[cdgKey]*CDG)
+)
+
+// BuildCDGCached is BuildCDG memoized on (topology name, node count,
+// function name, VC count). Safe for concurrent callers; the bound resets
+// the cache rather than letting pathological shape churn grow it without
+// limit.
+func BuildCDGCached(topo topology.Topology, fn Func) *CDG {
+	key := cdgKey{
+		topoName: topo.Name(),
+		nodes:    topo.Nodes(),
+		fnName:   fn.Name(),
+		numVCs:   fn.NumVCs(),
+	}
+	cdgCacheMu.Lock()
+	defer cdgCacheMu.Unlock()
+	if g, ok := cdgCache[key]; ok {
+		return g
+	}
+	g := BuildCDG(topo, fn)
+	if len(cdgCache) >= cdgCacheMax {
+		clear(cdgCache)
+	}
+	cdgCache[key] = g
 	return g
 }
 

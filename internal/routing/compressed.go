@@ -6,18 +6,17 @@ import (
 	"repro/internal/topology"
 )
 
-// This file implements the mega-topology routing fast path. The flat
-// (here, dst) table of table.go is exact but O(Nodes^2); at 64x64 that is
-// ~16M pairs and at 128x128 ~268M — unbuildable. Every routing function in
-// this package, however, decides per dimension: the candidate set for
-// (here, dst) is a pure function of the per-dimension (here-coordinate,
-// dst-coordinate) pairs, and on a k-ary n-cube the output LinkID is itself
-// arithmetic (node*2*dims + 2*dim + dir). So a table indexed by
-// (dimension, xh, xd) — O(sum_d k_d^2) cells of 4 bytes — plus a dense
-// node->coordinate array reproduces the flat table's candidate sequences
-// exactly, in O(dims) loads per lookup and a few bytes per node instead of
-// tens of kilobytes. The algorithmic implementations remain the generator
-// and the exhaustive oracle (TestCompressedMatchesOracle).
+// This file implements the routing fast path of every k-ary n-cube. A table
+// over (here, dst) pairs would be O(Nodes^2): ~1M pairs at 32x32, ~16M at
+// 64x64. Every cube routing function in this package, however, decides per
+// dimension: the candidate set for (here, dst) is a pure function of the
+// per-dimension (here-coordinate, dst-coordinate) pairs, and on a k-ary
+// n-cube the output LinkID is itself arithmetic (node*2*dims + 2*dim + dir).
+// So a table indexed by (dimension, xh, xd) — O(sum_d k_d^2) cells of 4
+// bytes — plus a dense node->coordinate array reproduces the generator's
+// candidate sequences exactly, in O(dims) loads per lookup and a few bytes
+// per node. The algorithmic implementations remain the generator and the
+// exhaustive oracle (TestCompressedMatchesOracle).
 
 // compKind selects the per-function lookup kernel of a CompressedFunc.
 type compKind uint8
@@ -45,10 +44,9 @@ type dimCell struct {
 const sizeofDimCell = 4
 
 // CompressedFunc is a routing function backed by per-dimension offset
-// tables instead of a flat (here, dst) product arena. It implements Func,
-// reproduces the generator's candidate sequences exactly, allocates nothing
-// per lookup, and is safe for concurrent Candidates calls (lookups only
-// read frozen slices).
+// tables. It implements Func, reproduces the generator's candidate
+// sequences exactly, allocates nothing per lookup, and is safe for
+// concurrent Candidates calls (lookups only read frozen slices).
 type CompressedFunc struct {
 	orig    Func
 	kind    compKind
@@ -67,8 +65,7 @@ type CompressedFunc struct {
 // reports ok=false when the pair is outside the compressed scheme's domain:
 // the topology is not a k-ary n-cube (LinkID arithmetic would not hold), a
 // radix overflows the 16-bit cell fields, or fn is not one of the five
-// registered functions. Callers fall back to the flat table or the
-// algorithmic path.
+// registered cube functions. Callers fall back to the algorithmic path.
 func BuildCompressed(fn Func, topo topology.Topology) (*CompressedFunc, bool) {
 	cube, isCube := topo.(*topology.Cube)
 	if !isCube {
@@ -172,8 +169,7 @@ func BuildCompressed(fn Func, topo topology.Topology) (*CompressedFunc, bool) {
 // selfCheck compares the compressed lookup against the generator over a
 // deterministic pseudo-random pair sample at build time — a cheap guard
 // that a kernel/generator divergence degrades to a correct fallback rather
-// than mis-routing a mega-topology run. The exhaustive proof lives in the
-// tests.
+// than mis-routing a run. The exhaustive proof lives in the tests.
 func (t *CompressedFunc) selfCheck(fn Func) bool {
 	const samples = 512
 	var got, want []Candidate
@@ -351,8 +347,8 @@ func (t *CompressedFunc) Candidates(here, dst topology.Node, _ topology.LinkID, 
 // Oracle returns the algorithmic generator the table was built from.
 func (t *CompressedFunc) Oracle() Func { return t.orig }
 
-// Name implements Func: like TableFunc, the compressed table is an
-// implementation detail, so logs and stats report the generator's name.
+// Name implements Func: the compressed table is an implementation detail,
+// so logs and stats report the generator's name.
 func (t *CompressedFunc) Name() string { return t.orig.Name() }
 
 // NumVCs implements Func.
@@ -369,9 +365,8 @@ func (t *CompressedFunc) Escape() Func {
 }
 
 // MemoryFootprint returns the cell-table and coordinate-array sizes in
-// bytes, the compressed analog of TableFunc.MemoryFootprint. The coordinate
-// array is the one the cube already holds, counted here because a lookup
-// reads it.
+// bytes. The coordinate array is the one the cube already holds, counted
+// here because a lookup reads it.
 func (t *CompressedFunc) MemoryFootprint() (cellBytes, coordBytes int) {
 	return len(t.cells) * sizeofDimCell, len(t.coords) * 2
 }

@@ -226,31 +226,23 @@ func TestFamilyMismatchErrors(t *testing.T) {
 }
 
 // TestInLinkDependentStaysAlgorithmic: freezing vcfree into a (here, dst)
-// table would erase the transit restriction, so every table entry point must
-// hand the function back unchanged.
+// table would erase the transit restriction, so Select must hand both
+// full-mesh functions back unchanged. updown is closed-form and stays
+// algorithmic too; only k-ary n-cubes get a table.
 func TestInLinkDependentStaysAlgorithmic(t *testing.T) {
 	m := topology.MustFullMesh(8)
-	fn, err := NewVCFree(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := WithTable(fn, m, 1<<20); got != Func(fn) {
-		t.Errorf("WithTable wrapped an inLink-dependent function: %T", got)
-	}
-	got, info := SelectTableCached(fn, m, 1<<20)
-	if got != Func(fn) {
-		t.Errorf("SelectTableCached wrapped an inLink-dependent function: %T", got)
-	}
-	if info.Mode != TableAlgorithmic || !info.Gated {
-		t.Errorf("SelectTableCached info = %+v, want algorithmic and gated", info)
-	}
-	// updown has no inLink dependence and may be frozen like any other.
 	ft := topology.MustFatTree(2, 2)
-	ud, err := NewUpDown(ft, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := WithTable(ud, ft, 1<<20); got == Func(ud) {
-		t.Error("WithTable declined to freeze updown")
+	for _, c := range []struct {
+		name string
+		topo topology.Topology
+	}{{"vcfree", m}, {"vcfree-nolabel", m}, {"updown", ft}} {
+		fn, err := New(c.name, c.topo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, info := Select(fn, c.topo)
+		if got != fn || info != (TableInfo{Mode: TableAlgorithmic}) {
+			t.Errorf("%s: Select = %T, %+v; want the function itself, algorithmic", c.name, got, info)
+		}
 	}
 }

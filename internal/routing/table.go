@@ -1,187 +1,73 @@
 package routing
 
 import (
-	"fmt"
-
 	"repro/internal/topology"
 )
 
-// This file implements table-driven routing: the per-cycle hot path of both
-// engines is a Candidates call, and almost every routing function in this
-// package is a pure function of (current node, destination) — the
-// inLink/inVC arguments exist for the Func contract, and the dateline
-// virtual-channel classes are themselves memoryless functions of position
-// and remaining offset. That purity is exactly the precondition for
-// precomputation: at fabric build time the algorithmic implementation is run
-// once for every (here, dst) pair and its candidate sequence is frozen into a
-// flat arena, after which Candidates is a two-load slice-view lookup with
-// zero allocation and no arithmetic. The algorithmic implementations remain
-// the table generator and the cross-check oracle (TestTableMatchesOracle).
-//
-// Functions that DO read inLink (the full-mesh VC-free scheme restricts
-// transit hops to the direct link) declare it via the InLinkDependent
-// marker; table selection must leave them algorithmic, because freezing
-// Candidates(..., Invalid, 0) would erase the transit restriction and with
-// it the deadlock-freedom argument.
+// This file selects the representation that serves a fabric's per-cycle
+// Candidates lookups. Every cube routing function decides one dimension at a
+// time, so on a k-ary n-cube BuildCompressed reproduces its candidate
+// sequences from O(n*k^2) cells (compressed.go). The other functions
+// (updown, vcfree, vcfree-nolabel) are closed-form already and run as they
+// are; vcfree also reads inLink, which a table indexed by (here, dst) could
+// not honour, and BuildCompressed refuses it because a full mesh is not a
+// cube. The table is built per fabric: a cold build takes tens to hundreds
+// of microseconds, so no memo is kept.
 
-// DefaultTableMaxNodes bounds automatic table construction: a table holds
-// Nodes^2 candidate lists, so beyond this size the quadratic memory is not
-// worth the per-lookup savings and the (also allocation-free) algorithmic
-// path is used directly.
-const DefaultTableMaxNodes = 1024
-
-// TableMode names the representation actually serving Candidates after
-// table selection, so callers can distinguish "table built" from "gated,
-// fell back to algorithmic" instead of the silent fallback WithTable's
-// unchanged-Func return used to be.
+// TableMode names the representation serving Candidates after selection.
 type TableMode uint8
 
 const (
-	// TableAlgorithmic: no precomputation; the algorithmic Func runs per
+	// TableAlgorithmic: no precomputation; the routing function runs per
 	// lookup.
 	TableAlgorithmic TableMode = iota
-	// TableFlat: flat (here, dst) product arena (small topologies).
+	// TableFlat named the retired flat (here, dst) arena; Select never
+	// returns it.
+	//
+	// Deprecated: kept so the benchmark module compiles.
 	TableFlat
-	// TableCompressed: per-dimension offset tables (mega k-ary n-cubes).
+	// TableCompressed: per-dimension offset tables (k-ary n-cubes).
 	TableCompressed
 )
 
 // String implements fmt.Stringer.
 func (m TableMode) String() string {
-	switch m {
-	case TableFlat:
-		return "flat"
-	case TableCompressed:
+	if m == TableCompressed {
 		return "compressed"
-	default:
-		return "algorithmic"
 	}
+	return "algorithmic"
 }
 
 // TableInfo describes the outcome of routing-table selection.
 type TableInfo struct {
 	// Mode is the representation serving lookups.
 	Mode TableMode
-	// Bytes is the precomputed footprint (arena+index for flat,
-	// cells+coords for compressed); 0 when algorithmic.
+	// Bytes is the compressed table's footprint (cells+coords); 0 when
+	// algorithmic.
 	Bytes int
-	// Gated reports that a table was requested but no precomputed
-	// representation covers the configuration, so lookups fell back to the
-	// algorithmic path.
-	Gated bool
 }
 
-// InLinkDependent is implemented by routing functions whose Candidates
-// output depends on the input link (not just (here, dst)). Such functions
-// cannot be frozen into (here, dst)-indexed tables.
-type InLinkDependent interface {
-	InLinkDependent() bool
-}
-
-// inLinkDependent reports whether fn declares input-link dependence.
-func inLinkDependent(fn Func) bool {
-	d, ok := fn.(InLinkDependent)
-	return ok && d.InLinkDependent()
-}
-
-// TableFunc is a routing function accelerated by a precomputed (here, dst)
-// candidate table. It implements Func and is safe for concurrent Candidates
-// calls (lookups only read the frozen arena).
-type TableFunc struct {
-	orig  Func
-	nodes int
-	// index[here*nodes+dst] is the arena offset of the pair's candidate list;
-	// the list ends at the next pair's offset (one sentinel entry at the end).
-	index []int32
-	arena []Candidate
-}
-
-// BuildTable precomputes fn over every (here, dst) pair of topo. The
-// returned TableFunc reproduces fn's candidate sequences exactly — fn is the
-// generator, so any divergence would be a bug in the lookup, not a modelling
-// choice.
-func BuildTable(fn Func, topo topology.Topology) *TableFunc {
-	nodes := topo.Nodes()
-	t := &TableFunc{
-		orig:  fn,
-		nodes: nodes,
-		index: make([]int32, nodes*nodes+1),
+// Select returns the representation that serves fn's lookups on topo: the
+// compressed per-dimension table for the five cube functions on a k-ary
+// n-cube, fn itself otherwise. Candidate sequences are identical either way.
+func Select(fn Func, topo topology.Topology) (Func, TableInfo) {
+	t, ok := BuildCompressed(fn, topo)
+	if !ok {
+		return fn, TableInfo{Mode: TableAlgorithmic}
 	}
-	scratch := make([]Candidate, 0, 16)
-	for here := 0; here < nodes; here++ {
-		for dst := 0; dst < nodes; dst++ {
-			t.index[here*nodes+dst] = int32(len(t.arena))
-			if here == dst {
-				continue // engines deliver locally; Candidates is never consulted
-			}
-			scratch = fn.Candidates(topology.Node(here), topology.Node(dst), topology.Invalid, 0, scratch[:0])
-			t.arena = append(t.arena, scratch...)
-		}
-	}
-	t.index[nodes*nodes] = int32(len(t.arena))
-	return t
+	cells, coords := t.MemoryFootprint()
+	return t, TableInfo{Mode: TableCompressed, Bytes: cells + coords}
 }
 
-// WithTable returns fn accelerated by a precomputed table when the topology
-// is small enough (Nodes <= maxNodes; pass DefaultTableMaxNodes for the
-// standard gate), and fn unchanged otherwise. Candidate sequences are
-// identical either way.
-func WithTable(fn Func, topo topology.Topology, maxNodes int) Func {
-	if topo.Nodes() > maxNodes || inLinkDependent(fn) {
-		return fn
-	}
-	return BuildTable(fn, topo)
-}
+// DefaultTableMaxNodes was the node gate of the flat (here, dst) arena.
+// Nothing reads it.
+//
+// Deprecated: kept so the benchmark module compiles.
+const DefaultTableMaxNodes = 1024
 
-// Oracle returns the algorithmic generator the table was built from.
-func (t *TableFunc) Oracle() Func { return t.orig }
-
-// Name implements Func: a table is an implementation detail, so logs and
-// stats keep reporting the generator's name.
-func (t *TableFunc) Name() string { return t.orig.Name() }
-
-// NumVCs implements Func.
-func (t *TableFunc) NumVCs() int { return t.orig.NumVCs() }
-
-// Escape implements Func. The escape subfunction is consulted only by the
-// static CDG checker, never per cycle, so it stays algorithmic.
-func (t *TableFunc) Escape() Func {
-	esc := t.orig.Escape()
-	if esc == t.orig {
-		return t
-	}
-	return esc
-}
-
-// Candidates implements Func: a slice-view lookup copied into out. The copy
-// (a handful of words) keeps the Func append contract and makes the caller's
-// scratch safely reusable; it allocates nothing once the scratch has grown to
-// the function's widest candidate list.
-func (t *TableFunc) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
-	pair := int(here)*t.nodes + int(dst)
-	return append(out, t.arena[t.index[pair]:t.index[pair+1]]...)
-}
-
-// View returns the precomputed candidate list for (here, dst) as a read-only
-// view into the arena — the zero-copy variant for callers that only iterate.
-func (t *TableFunc) View(here, dst topology.Node) []Candidate {
-	pair := int(here)*t.nodes + int(dst)
-	return t.arena[t.index[pair]:t.index[pair+1]:t.index[pair+1]]
-}
-
-// MemoryFootprint returns the table's arena and index sizes in bytes, for
-// diagnostics and the DESIGN.md memory-layout accounting.
-func (t *TableFunc) MemoryFootprint() (arenaBytes, indexBytes int) {
-	return len(t.arena) * int(unsafeSizeofCandidate), len(t.index) * 4
-}
-
-// unsafeSizeofCandidate mirrors unsafe.Sizeof(Candidate{}) without importing
-// unsafe: a LinkID (int) plus an int VC.
-const unsafeSizeofCandidate = 16
-
-var _ Func = (*TableFunc)(nil)
-
-// String aids debugging.
-func (t *TableFunc) String() string {
-	return fmt.Sprintf("table[%s, %d nodes, %d candidates]", t.orig.Name(), t.nodes, len(t.arena))
+// SelectTableCached is Select; maxNodes is ignored and nothing is cached.
+//
+// Deprecated: kept so the benchmark module compiles.
+func SelectTableCached(fn Func, topo topology.Topology, maxNodes int) (Func, TableInfo) {
+	return Select(fn, topo)
 }

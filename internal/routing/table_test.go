@@ -6,8 +6,8 @@ import (
 	"repro/internal/topology"
 )
 
-// tableCase enumerates every topology/routing-function combination the table
-// generator supports; the equivalence tests run all of them exhaustively.
+// tableCase pairs a topology with the routing functions it admits; the
+// equivalence tests run every combination exhaustively.
 type tableCase struct {
 	label string
 	topo  topology.Topology
@@ -36,6 +36,16 @@ func tableCases(t *testing.T) []tableCase {
 			topo:  hc,
 			fns:   []string{"dor", "duato", "dor-nodateline"},
 		},
+		{
+			label: "fattree2x2",
+			topo:  topology.MustFatTree(2, 2),
+			fns:   []string{"updown"},
+		},
+		{
+			label: "fullmesh8",
+			topo:  topology.MustFullMesh(8),
+			fns:   []string{"vcfree", "vcfree-nolabel"},
+		},
 	}
 }
 
@@ -51,21 +61,26 @@ func sameCandidates(a, b []Candidate) bool {
 	return true
 }
 
-// TestTableMatchesOracle checks the tentpole's correctness contract: for
-// every (src, dst, inVC) — and for every incoming link, since the Func
-// contract passes one — the precomputed table returns exactly the candidate
-// sequence the algorithmic oracle computes, element for element and in
-// order. Order matters: the engines take the first free candidate, so any
-// permutation would change simulation results.
+// TestTableMatchesOracle checks the correctness contract of table
+// selection: for every (src, dst, inVC) — and for every incoming link, since
+// the Func contract passes one — the representation Select picks returns
+// exactly the candidate sequence the algorithmic oracle computes, element
+// for element and in order. Order matters: the engines take the first free
+// candidate, so any permutation would change simulation results. Cubes get
+// the compressed table; the other families keep their function unchanged,
+// which is what keeps vcfree's transit rule (it reads the incoming link).
 func TestTableMatchesOracle(t *testing.T) {
 	for _, tc := range tableCases(t) {
+		_, isCube := tc.topo.(*topology.Cube)
 		for _, name := range tc.fns {
 			fn, err := New(name, tc.topo, 3)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.label, name, err)
 			}
-			tab := BuildTable(fn, tc.topo)
-			nodes := tc.topo.Nodes()
+			tab, info := Select(fn, tc.topo)
+			if isCube != (info.Mode == TableCompressed) || (!isCube && tab != fn) {
+				t.Fatalf("%s/%s: selected %T (%v)", tc.label, name, tab, info.Mode)
+			}
 			var want, got []Candidate
 			check := func(src, dst topology.Node, inLink topology.LinkID, inVC int) {
 				want = fn.Candidates(src, dst, inLink, inVC, want[:0])
@@ -75,16 +90,16 @@ func TestTableMatchesOracle(t *testing.T) {
 						tc.label, name, src, dst, inLink, inVC, got, want)
 				}
 			}
-			for src := 0; src < nodes; src++ {
-				for dst := 0; dst < nodes; dst++ {
+			// Every node routes (fat-tree switches too); only hosts are
+			// destinations.
+			for src := 0; src < tc.topo.Nodes(); src++ {
+				for dst := 0; dst < tc.topo.Hosts(); dst++ {
 					if src == dst {
 						continue
 					}
 					for inVC := 0; inVC < fn.NumVCs(); inVC++ {
 						check(topology.Node(src), topology.Node(dst), topology.Invalid, inVC)
 					}
-					// The implementations are pure in (src, dst); prove the
-					// table lookup is too by sweeping every link into src.
 					for _, l := range topology.AllLinks(tc.topo) {
 						if l.To != topology.Node(src) {
 							continue
@@ -97,67 +112,16 @@ func TestTableMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestTableViewMatchesCandidates pins the zero-copy View accessor to the
-// append-based lookup.
-func TestTableViewMatchesCandidates(t *testing.T) {
-	topo := topology.MustCube([]int{4, 4}, true)
-	fn, err := New("duato", topo, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := BuildTable(fn, topo)
-	var got []Candidate
-	for src := 0; src < topo.Nodes(); src++ {
-		for dst := 0; dst < topo.Nodes(); dst++ {
-			if src == dst {
-				continue
-			}
-			got = tab.Candidates(topology.Node(src), topology.Node(dst), topology.Invalid, 0, got[:0])
-			view := tab.View(topology.Node(src), topology.Node(dst))
-			if !sameCandidates(got, view) {
-				t.Fatalf("View mismatch at src=%d dst=%d", src, dst)
-			}
-		}
-	}
-}
-
-func TestWithTableGate(t *testing.T) {
-	topo := topology.MustCube([]int{4, 4}, true)
-	fn, err := New("dor", topo, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := WithTable(fn, topo, 8); got != fn {
-		t.Fatal("WithTable built a table beyond the node gate")
-	}
-	tab, ok := WithTable(fn, topo, DefaultTableMaxNodes).(*TableFunc)
-	if !ok {
-		t.Fatal("WithTable did not build a table under the gate")
-	}
-	if tab.Oracle() != fn {
-		t.Fatal("Oracle is not the generator")
-	}
-	if tab.Name() != fn.Name() || tab.NumVCs() != fn.NumVCs() {
-		t.Fatal("table does not mirror the generator's identity")
-	}
-	// DOR is its own escape, so the table must be too (the CDG checker sees
-	// one function either way).
-	if tab.Escape() != Func(tab) {
-		t.Fatal("self-escape generator did not yield self-escape table")
-	}
-	a, i := tab.MemoryFootprint()
-	if a <= 0 || i <= 0 {
-		t.Fatalf("MemoryFootprint = (%d, %d)", a, i)
-	}
-}
-
+// TestTableEscapeOfSplitFunction: the selected table for a function with a
+// separate escape subfunction hands back the generator's own escape, so the
+// CDG checker sees one function either way.
 func TestTableEscapeOfSplitFunction(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)
 	fn, err := New("duato", topo, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := BuildTable(fn, topo)
+	tab, _ := Select(fn, topo)
 	if tab.Escape() != fn.Escape() {
 		t.Fatal("table must delegate to the generator's escape subfunction")
 	}
@@ -165,7 +129,7 @@ func TestTableEscapeOfSplitFunction(t *testing.T) {
 
 // TestZeroAllocCandidates asserts the hot-path contract of this package:
 // once the caller's scratch slice has grown, Candidates allocates nothing —
-// neither the table lookups nor the algorithmic implementations they were
+// neither the selected tables nor the algorithmic implementations they were
 // generated from.
 func TestZeroAllocCandidates(t *testing.T) {
 	for _, tc := range tableCases(t) {
@@ -174,7 +138,7 @@ func TestZeroAllocCandidates(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.label, name, err)
 			}
-			tab := BuildTable(fn, tc.topo)
+			tab, _ := Select(fn, tc.topo)
 			nodes := tc.topo.Nodes()
 			for _, impl := range []struct {
 				kind string
@@ -203,7 +167,7 @@ func benchCandidates(b *testing.B, fn Func, nodes int) {
 	b.Helper()
 	b.ReportAllocs()
 	out := make([]Candidate, 0, 64)
-	b.ResetTimer() // exclude table construction in the *Table variants
+	b.ResetTimer() // exclude table construction in the *Compressed variants
 	for i := 0; i < b.N; i++ {
 		src := i % nodes
 		dst := (src + nodes/2 + 1) % nodes
@@ -224,15 +188,6 @@ func BenchmarkCandidatesDuatoAlgorithmic(b *testing.B) {
 	benchCandidates(b, fn, topo.Nodes())
 }
 
-func BenchmarkCandidatesDuatoTable(b *testing.B) {
-	topo := topology.MustCube([]int{8, 8}, true)
-	fn, err := New("duato", topo, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchCandidates(b, BuildTable(fn, topo), topo.Nodes())
-}
-
 func BenchmarkCandidatesDORAlgorithmic(b *testing.B) {
 	topo := topology.MustCube([]int{8, 8}, true)
 	fn, err := New("dor", topo, 3)
@@ -240,13 +195,4 @@ func BenchmarkCandidatesDORAlgorithmic(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchCandidates(b, fn, topo.Nodes())
-}
-
-func BenchmarkCandidatesDORTable(b *testing.B) {
-	topo := topology.MustCube([]int{8, 8}, true)
-	fn, err := New("dor", topo, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchCandidates(b, BuildTable(fn, topo), topo.Nodes())
 }

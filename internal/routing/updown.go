@@ -21,7 +21,7 @@ import (
 // are emitted in a rotation keyed by the destination: port (dst + i) mod k
 // for i = 0..k-1. Distinct destinations therefore prefer distinct roots,
 // yet the candidate sequence for a given (here, dst) is a pure function of
-// the pair — table precomputation and bit-exact replay both hold.
+// the pair, so bit-exact replay holds.
 type UpDown struct {
 	topo   *topology.FatTree
 	numVCs int

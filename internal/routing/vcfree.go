@@ -16,11 +16,10 @@ import (
 // to a strictly higher one, so the channel dependency graph is acyclic with
 // a single virtual channel — no VC split, no escape subfunction.
 //
-// Because the transit restriction reads the input link, VCFree is
-// inLink-dependent: the flat-table and compressed fast paths (which evaluate
-// Candidates with inLink = Invalid) would erase the restriction and reopen
-// the cycles the labels close. It reports InLinkDependent() so table
-// selection leaves it algorithmic.
+// Because the transit restriction reads the input link, VCFree must never be
+// frozen into a table evaluated with inLink = Invalid: that would erase the
+// restriction and reopen the cycles the labels close. Select leaves it
+// algorithmic, since BuildCompressed accepts only k-ary n-cubes.
 type VCFree struct {
 	topo   *topology.FullMesh
 	numVCs int
@@ -72,10 +71,6 @@ func (r *VCFree) NumVCs() int { return r.numVCs }
 // so the function is its own escape. (The unlabeled variant is also its own
 // escape — and the prover correctly rejects it.)
 func (r *VCFree) Escape() Func { return r }
-
-// InLinkDependent marks the function as reading inLink, gating the table
-// and compressed fast paths off (see table.go).
-func (r *VCFree) InLinkDependent() bool { return true }
 
 // Candidates implements Func.
 func (r *VCFree) Candidates(here, dst topology.Node, inLink topology.LinkID, _ int, out []Candidate) []Candidate {

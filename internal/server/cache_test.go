@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,13 +148,13 @@ func TestBatchSingleFlight(t *testing.T) {
 	}
 }
 
-// TestBatchMixedSpecs: a batch of twins, novel specs and one malformed
-// spec settles per item — the bad spec errors in place without poisoning
-// its neighbours.
+// TestBatchMixedSpecs: a batch of twins, novel specs and two malformed
+// specs (an unknown kind, a misspelt config key) settles per item — each
+// bad spec errors in place without poisoning its neighbours.
 func TestBatchMixedSpecs(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	body := fmt.Sprintf(`{"specs": [%s, %s, %s, {"kind": "weird"}]}`,
-		quickSpec(51, 3000), quickSpec(51, 3000), quickSpec(52, 3000))
+	body := fmt.Sprintf(`{"specs": [%s, %s, %s, {"kind": "weird"}, %s]}`,
+		quickSpec(51, 3000), quickSpec(51, 3000), quickSpec(52, 3000), typoConfigSpec)
 	resp, rbody := doReq(t, ts, "POST", "/v1/batch", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d body %s", resp.StatusCode, rbody)
@@ -167,8 +168,13 @@ func TestBatchMixedSpecs(t *testing.T) {
 	if err := json.Unmarshal([]byte(rbody), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Jobs[3].Error == "" || out.Jobs[3].Job != nil {
-		t.Fatalf("malformed spec accepted: %+v", out.Jobs[3])
+	for i := 3; i < 5; i++ {
+		if out.Jobs[i].Error == "" || out.Jobs[i].Job != nil {
+			t.Fatalf("malformed spec %d accepted: %+v", i, out.Jobs[i])
+		}
+	}
+	if !strings.Contains(out.Jobs[4].Error, `unknown field "protocl"`) {
+		t.Fatalf("misspelt config key: error %q", out.Jobs[4].Error)
 	}
 	for i := 0; i < 3; i++ {
 		if out.Jobs[i].Job == nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -58,10 +59,8 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}
@@ -85,6 +84,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// batchRequest is the /v1/batch body. Items stay raw until the loop in
+// handleBatch decodes each one, so a malformed spec fails alone.
+type batchRequest struct {
+	Specs []json.RawMessage `json:"specs"`
+}
+
 // maxBatchSpecs bounds one /v1/batch request; beyond it a client should
 // split the batch (the limit exists so a single request cannot mint an
 // unbounded number of job records).
@@ -99,12 +104,8 @@ const maxBatchSpecs = 256
 // an in-flight job coalesce onto one simulation, and only novel specs
 // occupy queue slots.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	var req struct {
-		Specs []Spec `json:"specs"`
-	}
-	if err := dec.Decode(&req); err != nil {
+	var req batchRequest
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 8<<20), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad batch: "+err.Error())
 		return
 	}
@@ -122,7 +123,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Error string `json:"error,omitempty"`
 	}
 	items := make([]item, len(req.Specs))
-	for i, sp := range req.Specs {
+	for i, raw := range req.Specs {
+		var sp Spec
+		if err := decodeStrict(bytes.NewReader(raw), &sp); err != nil {
+			items[i].Error = "bad spec: " + err.Error()
+			continue
+		}
 		j, err := s.Submit(sp)
 		if err != nil {
 			items[i].Error = err.Error()
@@ -140,13 +146,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // proof certificate. A 422 carries the certificate too, counterexample
 // included, so a client can see the exact dependency cycle.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req struct {
 		Config *SimConfig `json:"config,omitempty"`
 		Faults int        `json:"faults,omitempty"`
 	}
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}

@@ -38,6 +38,10 @@ func quickSpec(seed uint64, measure int64) string {
 	}`, seed, measure)
 }
 
+// typoConfigSpec misspells a config key; it must be refused, not run with
+// the default protocol.
+const typoConfigSpec = `{"kind":"load","config":{"protocl":"clrp"},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`
+
 func doReq(t *testing.T, ts *httptest.Server, method, path, body string) (*http.Response, string) {
 	t.Helper()
 	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
@@ -103,6 +107,8 @@ func TestHandlers(t *testing.T) {
 		{"load without workload", "POST", "/v1/jobs", `{"kind":"load"}`, 400, "workload"},
 		{"closed without workload", "POST", "/v1/jobs", `{"kind":"closed"}`, 400, "workload"},
 		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment","experiment":"e99"}`, 400, "unknown experiment"},
+		{"config unknown field", "POST", "/v1/jobs", typoConfigSpec, 400, `unknown field \"protocl\"`},
+		{"verify config unknown field", "POST", "/v1/verify", `{"config":{"protocl":"clrp"}}`, 400, `unknown field \"protocl\"`},
 		{"negative workers", "POST", "/v1/jobs",
 			`{"kind":"load","config":{"workers":-3},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
 			400, "config.workers must be"},

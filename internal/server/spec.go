@@ -8,10 +8,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/experiments"
@@ -35,10 +37,20 @@ const (
 // names match wave.Config (JSON matching is case-insensitive).
 type SimConfig wave.Config
 
-// UnmarshalJSON decodes b over a fresh DefaultConfig.
+// UnmarshalJSON decodes b over a fresh DefaultConfig. Unknown keys are
+// refused: a misspelt field would otherwise run its default silently, and
+// a custom unmarshaler does not inherit the caller's DisallowUnknownFields.
 func (c *SimConfig) UnmarshalJSON(b []byte) error {
 	*c = SimConfig(wave.DefaultConfig())
-	return json.Unmarshal(b, (*wave.Config)(c))
+	return decodeStrict(bytes.NewReader(b), (*wave.Config)(c))
+}
+
+// decodeStrict decodes one JSON value from r into v, refusing keys that
+// match no field. Every request body goes through it.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Spec describes one job. Exactly the fields for its Kind must be set;

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/wave"
@@ -23,6 +24,26 @@ func TestSimConfigMergesOverDefaults(t *testing.T) {
 	if got.NumVCs != def.NumVCs || got.CacheCapacity != def.CacheCapacity ||
 		got.Topology.Kind != def.Topology.Kind {
 		t.Fatalf("defaults not preserved: got %+v, defaults %+v", got, def)
+	}
+}
+
+// TestSimConfigRefusesUnknownKeys: a misspelt key inside a config is an
+// error, while a fully spelt-out config — the shape the benchmark's serve
+// workload sends — decodes strictly to the same value.
+func TestSimConfigRefusesUnknownKeys(t *testing.T) {
+	var c SimConfig
+	if err := json.Unmarshal([]byte(`{"protocl":"clrp"}`), &c); err == nil {
+		t.Fatal("misspelt config key accepted")
+	}
+	b, err := json.Marshal(SimConfig(wave.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &c); err != nil {
+		t.Fatalf("marshalled DefaultConfig refused: %v", err)
+	}
+	if !reflect.DeepEqual(wave.Config(c), wave.DefaultConfig()) {
+		t.Fatalf("round trip changed the config: %+v", c)
 	}
 }
 

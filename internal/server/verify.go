@@ -26,7 +26,7 @@ func (e *UncertifiableError) Error() string {
 }
 
 // verdictCacheMax bounds the certificate cache; on overflow the whole map is
-// dropped (the routing-table memoization pattern: re-proving is cheap, the
+// dropped (the routing.BuildCDGCached pattern: re-proving is cheap, the
 // cache exists so per-submit certification of the handful of configurations
 // a client actually cycles through costs one map lookup).
 const verdictCacheMax = 64

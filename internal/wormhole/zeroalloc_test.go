@@ -9,7 +9,7 @@ import (
 )
 
 // zeroAllocEngine builds an 8x8 torus engine on the production routing path
-// (table-driven lookup over the algorithmic generator) with a non-allocating
+// (the table routing.Select picks, as core.New does) with a non-allocating
 // delivery hook, mirroring how core.Fabric wires the engine.
 func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 	tb.Helper()
@@ -18,7 +18,7 @@ func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fn = routing.WithTable(fn, topo, routing.DefaultTableMaxNodes)
+	fn, _ = routing.Select(fn, topo)
 	delivered := 0
 	eng, err := New(topo, fn, prm, Hooks{
 		Delivered: func(m flit.Message, now int64) { delivered++ },

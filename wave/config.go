@@ -139,10 +139,9 @@ type Config struct {
 	RetryBackoffCycles int64
 
 	// DisableRoutingTable routes headers through the algorithmic routing
-	// implementation instead of the precomputed (here, dst) candidate table
-	// built at simulator construction. Results are bit-identical either way;
-	// the flag exists for oracle cross-checks and for bounding memory on
-	// hosts where the Nodes^2 table is unwelcome.
+	// implementation instead of the compressed per-dimension candidate table
+	// built at simulator construction on k-ary n-cubes. Results are
+	// bit-identical either way; the flag exists for oracle cross-checks.
 	DisableRoutingTable bool
 
 	// DisableActivityTracking runs every cycle as a full scan over all ports

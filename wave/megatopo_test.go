@@ -2,14 +2,15 @@ package wave
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
 // megaTopoConfig is the 64x64 torus the mega-topology contract is pinned
-// at: 4096 nodes is four times the flat-table gate, so the run exercises
-// the compressed per-dimension routing table, the event queue and the
-// wormhole slot arena at a size the flat arena cannot reach. Loads are
-// kept light — mega runs are about scale, not saturation.
+// at: 4096 nodes exercises the compressed per-dimension routing table, the
+// event queue and the wormhole slot arena at a size no (here, dst) table
+// could reach. Loads are kept light — mega runs are about scale, not
+// saturation.
 func megaTopoConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{64, 64}}
@@ -21,22 +22,22 @@ func megaTopoConfig() Config {
 }
 
 // TestMegaTopoCompressedTableSelected is the no-fallback acceptance gate:
-// a 64x64 torus must run table-backed via the compressed representation —
-// not gated out to the algorithmic path — and report its footprint.
+// a 64x64 torus must run table-backed via the compressed representation and
+// report its footprint.
 func TestMegaTopoCompressedTableSelected(t *testing.T) {
 	s, err := New(megaTopoConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := s.RoutingTableInfo()
-	if rt.Mode != "compressed" || rt.Gated {
+	if rt.Mode != "compressed" {
 		t.Fatalf("64x64 torus selected routing table %+v, want compressed", rt)
 	}
 	if rt.Bytes <= 0 {
 		t.Fatalf("compressed table reports %d bytes", rt.Bytes)
 	}
-	// Bytes per node must be tiny — the flat layout costs >= 4*Nodes bytes
-	// per node in index alone (16 KiB/node at this size).
+	// Bytes per node must be tiny — a (here, dst) table costs >= 4*Nodes
+	// bytes per node in index alone (16 KiB/node at this size).
 	if perNode := rt.Bytes / s.Nodes(); perNode > 64 {
 		t.Errorf("compressed table costs %d bytes/node, want <= 64", perNode)
 	}
@@ -48,8 +49,54 @@ func TestMegaTopoCompressedTableSelected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt := o.RoutingTableInfo(); rt.Mode != "algorithmic" || rt.Gated {
-		t.Fatalf("DisableRoutingTable selected %+v, want algorithmic (not gated)", rt)
+	if rt := o.RoutingTableInfo(); rt.Mode != "algorithmic" {
+		t.Fatalf("DisableRoutingTable selected %+v, want algorithmic", rt)
+	}
+}
+
+// TestRoutingTableSelection pins which representation serves each family
+// and what building it costs. The benchmark's hybrid_32x32 configuration
+// (32x32 torus, MinCircuitFlits 32) must come up on the compressed table
+// without allocating anything quadratic in the node count: a (here, dst)
+// table at this size is tens of megabytes. The non-cube families run their
+// closed-form functions.
+func TestRoutingTableSelection(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology.Radix = []int{32, 32}
+	cfg.MinCircuitFlits = 32
+	cfg.Seed = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const allocBound = 16 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= allocBound {
+		t.Errorf("New(32x32 torus) allocated %d bytes, want < %d", grew, allocBound)
+	}
+	if rt := s.RoutingTableInfo(); rt.Mode != "compressed" {
+		t.Errorf("32x32 torus selected %+v, want compressed", rt)
+	}
+
+	for _, c := range []struct {
+		topo    TopologyConfig
+		routing string
+	}{
+		{TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}, "updown"},
+		{TopologyConfig{Kind: "fullmesh", Radix: []int{16}}, "vcfree"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Topology = c.topo
+		cfg.Routing = c.routing
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt := s.RoutingTableInfo(); rt != (RoutingTableInfo{Mode: "algorithmic"}) {
+			t.Errorf("%s on %s selected %+v, want algorithmic", c.routing, c.topo.Kind, rt)
+		}
 	}
 }
 

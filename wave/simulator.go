@@ -319,16 +319,13 @@ func (s *Simulator) EnginePorts() (active, total int) {
 func (s *Simulator) EngineWorkers() int { return 1 }
 
 // RoutingTableInfo describes which routing-table representation serves the
-// run's Candidates lookups, so callers can tell "table built" from "gated,
-// fell back to algorithmic" instead of the old silent fallback.
+// run's Candidates lookups.
 type RoutingTableInfo struct {
-	// Mode is "flat", "compressed", or "algorithmic".
+	// Mode is "compressed" (k-ary n-cubes) or "algorithmic" (other
+	// families, or DisableRoutingTable).
 	Mode string
-	// Bytes is the precomputed table footprint; 0 when algorithmic.
+	// Bytes is the compressed table footprint; 0 when algorithmic.
 	Bytes int
-	// Gated reports that a table was requested (DisableRoutingTable unset)
-	// but no precomputed representation covers the configuration.
-	Gated bool
 }
 
 // RoutingTableInfo returns the routing-table selection outcome. It is
@@ -336,7 +333,7 @@ type RoutingTableInfo struct {
 // DisableRoutingTable oracle run must produce identical Stats.
 func (s *Simulator) RoutingTableInfo() RoutingTableInfo {
 	info := s.mgr.Fab.RoutingTable
-	return RoutingTableInfo{Mode: info.Mode.String(), Bytes: info.Bytes, Gated: info.Gated}
+	return RoutingTableInfo{Mode: info.Mode.String(), Bytes: info.Bytes}
 }
 
 // Counters returns a snapshot of the protocol counters.
