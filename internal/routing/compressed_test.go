@@ -125,6 +125,56 @@ func TestCompressedMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestCompressedMatchesFlatTable covers an 8x8 torus and mesh, sizes that
+// used to run on the flat (here, dst) arena: Select now yields the
+// compressed table there, and that table must return the algorithmic
+// oracle's candidates — which the flat arena reproduced verbatim — for every
+// (src, dst, inVC) and every incoming link.
+func TestCompressedMatchesFlatTable(t *testing.T) {
+	for _, wrap := range []bool{true, false} {
+		topo := topology.MustCube([]int{8, 8}, wrap)
+		fns := []string{"dor", "duato", "dor-nodateline"}
+		if !wrap {
+			fns = append(fns, "westfirst", "negativefirst")
+		}
+		links := topology.AllLinks(topo)
+		for _, name := range fns {
+			fn, err := New(name, topo, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, info := Select(fn, topo)
+			if info.Mode != TableCompressed {
+				t.Fatalf("%s wrap=%v: selected %v, want compressed", name, wrap, info.Mode)
+			}
+			var want, got []Candidate
+			check := func(src, dst topology.Node, inLink topology.LinkID, inVC int) {
+				want = fn.Candidates(src, dst, inLink, inVC, want[:0])
+				got = tab.Candidates(src, dst, inLink, inVC, got[:0])
+				if !sameCandidates(want, got) {
+					t.Fatalf("%s wrap=%v: src=%d dst=%d inLink=%d inVC=%d:\ncompressed %v\n    oracle %v",
+						name, wrap, src, dst, inLink, inVC, got, want)
+				}
+			}
+			for src := 0; src < topo.Nodes(); src++ {
+				for dst := 0; dst < topo.Nodes(); dst++ {
+					if src == dst {
+						continue
+					}
+					for inVC := 0; inVC < fn.NumVCs(); inVC++ {
+						check(topology.Node(src), topology.Node(dst), topology.Invalid, inVC)
+					}
+					for _, l := range links {
+						if l.To == topology.Node(src) {
+							check(topology.Node(src), topology.Node(dst), l.ID, 0)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCompressedMegaSample checks the mega-topology sizes an exhaustive
 // sweep cannot reach in unit-test time: a deterministic 10k-pair sample on
 // the 64x64 torus and mesh against the algorithmic oracle.
@@ -249,6 +299,38 @@ func TestCompressedIdentity(t *testing.T) {
 	}
 	if dcomp.Escape() != duato.Escape() {
 		t.Error("split-escape generator must delegate Escape to the algorithmic subfunction")
+	}
+}
+
+// TestWithTableGate pins the retirement of the node-count gate: whatever
+// maxNodes the compatibility selector SelectTableCached is handed — zero,
+// below, at or above the old DefaultTableMaxNodes — a cube function gets the
+// compressed table (never TableFlat, never the bare function), and that
+// table mirrors its generator's identity.
+func TestWithTableGate(t *testing.T) {
+	for _, side := range []int{4, 32, 64} {
+		topo := topology.MustCube([]int{side, side}, true)
+		fn, err := New("dor", topo, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxNodes := range []int{0, 1, topo.Nodes() - 1, DefaultTableMaxNodes} {
+			tab, info := SelectTableCached(fn, topo, maxNodes)
+			comp, ok := tab.(*CompressedFunc)
+			if !ok || info.Mode != TableCompressed {
+				t.Fatalf("%dx%d maxNodes=%d: selected %T (%v), want compressed", side, side, maxNodes, tab, info.Mode)
+			}
+			cells, coords := comp.MemoryFootprint()
+			if info.Bytes != cells+coords {
+				t.Errorf("%dx%d maxNodes=%d: info.Bytes = %d, want %d", side, side, maxNodes, info.Bytes, cells+coords)
+			}
+			if comp.Oracle() != fn || comp.Name() != fn.Name() || comp.NumVCs() != fn.NumVCs() {
+				t.Errorf("%dx%d maxNodes=%d: table does not mirror the generator's identity", side, side, maxNodes)
+			}
+			if comp.Escape() != Func(comp) {
+				t.Errorf("%dx%d maxNodes=%d: self-escape generator did not yield self-escape table", side, side, maxNodes)
+			}
+		}
 	}
 }
 
