@@ -71,6 +71,9 @@ var snapshotMatrix = []matrixRow{
 			c.RecoveryTimeout = 32
 			c.CreditDelay = 2
 		}, "8d11db755f83d70bb9d6ae95b2d0a43a92dd63f88327370887e732e7af122785"},
+	{"wormhole-multimsg-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3,
+		BimodalShort: 2, BimodalLong: 3, BimodalPLong: 0.5},
+		func(c *Config) { c.BufDepth = 8 }, "668a66f6cdddd38d2d507b3a3afcbbc16a370eb22aa8ea72a591bd63929df6d7"},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -141,7 +144,10 @@ func (r matrixRow) checkpointed(tb testing.TB) (Stats, Result, []byte) {
 // The wormhole-recovery row covers the two wormhole branches the others
 // leave empty: a credit-return delay (credits in flight in the credit
 // pipe) and abort-and-retry recovery on the cyclic dor-nodateline routing
-// (parked slots awaiting re-injection).
+// (parked slots awaiting re-injection). The wormhole-multimsg row uses
+// 8-flit buffers and 2–3-flit messages, so at the checkpoint several VCs
+// hold the tail of the message they are streaming with the next message's
+// head queued behind it.
 func TestSnapshotResumeMatrix(t *testing.T) {
 	for _, tc := range snapshotMatrix {
 		t.Run(tc.name, func(t *testing.T) {
