@@ -91,16 +91,20 @@ type Message struct {
 // from their traversal loops instead of storing messages as flit slices, so a
 // message in flight costs one Message struct, not Len Flit values.
 func (m Message) FlitAt(i int) Flit {
-	k := Body
+	return Flit{Kind: m.KindAt(i), Msg: m.ID, Src: m.Src, Dst: m.Dst, Seq: i}
+}
+
+// KindAt returns the kind of flit i of the message.
+func (m Message) KindAt(i int) Kind {
 	switch {
 	case m.Len == 1:
-		k = HeadTail
+		return HeadTail
 	case i == 0:
-		k = Head
+		return Head
 	case i == m.Len-1:
-		k = Tail
+		return Tail
 	}
-	return Flit{Kind: k, Msg: m.ID, Src: m.Src, Dst: m.Dst, Seq: i}
+	return Body
 }
 
 // Flits expands the message into its flit sequence.

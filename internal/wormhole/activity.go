@@ -4,25 +4,28 @@ package wormhole
 // proportional to the number of ports that can possibly act, not to the size
 // of the network.
 //
-// The active set is a membership bitmap over the global input-port space
-// (link VCs followed by injection ports, the same index space allocate and
-// switchAndTraverse walk). Its invariant is simple and conservative:
+// Two membership bitmaps cover the global input-port space (link VCs
+// followed by injection ports, the index space both passes walk), one per
+// non-idle phase:
 //
-//	port active  ⇔  port phase != vcIdle
+//	port in routingSet  ⇔  phase == vcRouting  (a header waits for an output)
+//	port in activeSet   ⇔  phase == vcActive   (an output is held; flits stream)
 //
-// An idle port has zero side effects in every per-port function — an idle
-// linkVC fails the phase guards of allocateLinkVC and traverseLinkVC, an
-// idle injection port has an empty queue — so restricting the rotating scan
-// to the active set visits exactly the subsequence of ports the full scan
-// would have dismissed without touching shared state, in the same order.
-// That makes the active-set engine bit-identical to the full scan, which is
-// kept behind Params.DisableActivityTracking as the cross-check oracle.
+// The allocation pass walks routingSet and the traversal pass walks
+// activeSet, each in the same rotating order as the full scan. Every port a
+// pass skips is one whose guard would have failed without side effects —
+// allocation acts only on vcRouting ports, traversal only on vcActive ports,
+// and idle ports on neither — so each pass visits exactly the subsequence
+// of ports where the full scan does something, in the same order. That
+// makes the active-set engine bit-identical to the full scan, which is kept
+// behind Params.DisableActivityTracking as the cross-check oracle.
 //
 // Membership changes only at phase transitions, which happen on a handful of
 // events: injection into an empty source queue, a flit arriving at an idle
-// VC, a tail flit draining a port, and recovery re-injects/aborts. Each
-// transition site calls activate/deactivate; both are idempotent, O(1) and
-// allocation-free (the bitmap is sized once at construction).
+// VC, a header winning an output, a tail flit leaving its port, and recovery
+// re-injects/aborts. Every transition site goes through setPhase, which
+// writes the phase and both bitmaps together; it is O(1) and
+// allocation-free (the bitmaps are sized once at construction).
 //
 // The switch-allocation busy flags get the same treatment: instead of
 // clearing every outLinkBusy/inPortBusy entry each cycle — O(links+nodes) —
@@ -30,35 +33,37 @@ package wormhole
 // only those. The flags are written and read only inside one traversal pass,
 // so deferred clearing is invisible to the engine's decisions.
 
-// activate inserts port into the active set (no-op if present or if activity
+// setPhase moves port from phase *ph to phase to, keeping routingSet,
+// activeSet and activeCount in step (the bitmaps stay empty when activity
 // tracking is disabled).
-func (e *Engine) activate(port int) {
-	if !e.trackActivity {
+func (e *Engine) setPhase(port int, ph *vcPhase, to vcPhase) {
+	from := *ph
+	*ph = to
+	if !e.trackActivity || from == to {
 		return
 	}
 	w, b := port>>6, uint64(1)<<uint(port&63)
-	if e.active[w]&b == 0 {
-		e.active[w] |= b
+	switch from {
+	case vcRouting:
+		e.routingSet[w] &^= b
+	case vcActive:
+		e.activeSet[w] &^= b
+	default:
 		e.activeCount++
 	}
-}
-
-// deactivate removes port from the active set (no-op if absent or if
-// activity tracking is disabled).
-func (e *Engine) deactivate(port int) {
-	if !e.trackActivity {
-		return
-	}
-	w, b := port>>6, uint64(1)<<uint(port&63)
-	if e.active[w]&b != 0 {
-		e.active[w] &^= b
+	switch to {
+	case vcRouting:
+		e.routingSet[w] |= b
+	case vcActive:
+		e.activeSet[w] |= b
+	default:
 		e.activeCount--
 	}
 }
 
-// ActivePorts returns the current size of the active set — the input ports
-// (link VCs plus injection ports) that are not idle. It is 0 when activity
-// tracking is disabled; NumPorts is the total.
+// ActivePorts returns the number of input ports (link VCs plus injection
+// ports) that are not idle — the size of routingSet ∪ activeSet. It is 0
+// when activity tracking is disabled; NumPorts is the total.
 func (e *Engine) ActivePorts() int { return e.activeCount }
 
 // markOutBusy claims output physical link l for this cycle's traversal pass.

@@ -309,3 +309,81 @@ func TestOldestAge(t *testing.T) {
 func newHarnessP(t *testing.T, topo topology.Topology, fnName string, prm Params) *harness {
 	return newHarness(t, topo, fnName, prm)
 }
+
+// countProgress wires a counting Progress hook into the harness.
+func countProgress(h *harness) *int {
+	calls := new(int)
+	h.eng.hooks.Progress = func() { *calls++ }
+	return calls
+}
+
+// TestProgressOncePerMovingCycle pins the Progress contract: exactly one
+// call at the end of every cycle in which a flit moved (self-sends
+// included), and none in a cycle where nothing moved.
+func TestProgressOncePerMovingCycle(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, true)
+	h := newHarness(t, topo, "dor", Params{NumVCs: 2, BufDepth: 2})
+	calls := countProgress(h)
+	rng := sim.NewRNG(3)
+	for i := 0; i < 200; i++ {
+		src := rng.Intn(16)
+		dst := rng.Intn(16)
+		if i%10 == 0 {
+			dst = src
+		}
+		h.eng.Inject(flit.Message{ID: flit.MsgID(i), Src: src, Dst: dst, Len: 1 + rng.Intn(12), InjectTime: 0})
+	}
+	moving, idle := 0, 0
+	for cyc := int64(0); cyc < 100_000; cyc++ {
+		before, moved := *calls, h.eng.FlitsMoved
+		h.eng.Cycle(cyc)
+		want := 0
+		if h.eng.FlitsMoved != moved {
+			want = 1
+			moving++
+		} else {
+			idle++
+		}
+		if got := *calls - before; got != want {
+			t.Fatalf("cycle %d: %d Progress calls, want %d (flits moved %d)", cyc, got, want, h.eng.FlitsMoved-moved)
+		}
+		if h.eng.Quiesce() && idle > 10 {
+			break
+		}
+	}
+	if !h.eng.Quiesce() || moving == 0 {
+		t.Fatalf("run did not drain (%d moving cycles)", moving)
+	}
+}
+
+// TestProgressOnRecoveryAbort: an abort is progress for the watchdog even
+// in a cycle where no flit moves, so each abort adds its own call.
+func TestProgressOnRecoveryAbort(t *testing.T) {
+	topo := topology.MustCube([]int{8, 2}, true)
+	h := newHarness(t, topo, "dor-nodateline", Params{NumVCs: 1, BufDepth: 2})
+	if err := h.eng.EnableRecovery(RecoveryParams{Timeout: 64}); err != nil {
+		t.Fatal(err)
+	}
+	calls := countProgress(h)
+	ringDeadlockLoad(h, topo)
+	stillAborts := 0
+	for cyc := int64(0); !h.eng.Quiesce(); cyc++ {
+		if cyc > 2_000_000 {
+			t.Fatal("recovery did not drain the deadlock")
+		}
+		before, moved, aborts := *calls, h.eng.FlitsMoved, h.eng.RecoveryAborts()
+		h.eng.Cycle(cyc)
+		want := int(h.eng.RecoveryAborts() - aborts)
+		if h.eng.FlitsMoved != moved {
+			want++
+		} else if want > 0 {
+			stillAborts++
+		}
+		if got := *calls - before; got != want {
+			t.Fatalf("cycle %d: %d Progress calls, want %d", cyc, got, want)
+		}
+	}
+	if stillAborts == 0 {
+		t.Fatal("no abort happened in a cycle without flit movement")
+	}
+}

@@ -18,8 +18,6 @@ package wormhole
 import (
 	"fmt"
 
-	"repro/internal/buffer"
-	"repro/internal/flit"
 	"repro/internal/topology"
 )
 
@@ -90,13 +88,7 @@ func (e *Engine) stepRecovery(now int64) {
 	for _, p := range r.parked {
 		if p.readyAt <= now {
 			sl := &e.slots[p.slot]
-			port := &e.inj[sl.msg.Src]
-			port.push(p.slot)
-			if port.phase == vcIdle {
-				port.phase = vcRouting
-				port.rcWait = e.prm.RouteDelay
-				e.activate(int(e.injInput(topology.Node(sl.msg.Src))))
-			}
+			e.queueAtSource(p.slot)
 			sl.lastProgress = now
 			sl.hasProgress = true
 			sl.parked = false
@@ -152,30 +144,14 @@ func (e *Engine) abort(s int32, now int64) {
 	sl := &e.slots[s]
 	m := sl.msg
 
-	// 1. Scrub link VC buffers.
+	// 1. Scrub link VC buffers. A VC carrying m (its current message)
+	// releases its output allocation and recycles for whatever is behind.
 	for ch := range e.in {
-		v := &e.in[ch]
-		removed := e.removeMsgFlits(v.buf, m.ID)
-		if removed > 0 {
-			e.credits[ch] += removed
+		if removed := e.scrubVC(int32(ch), s); removed > 0 {
+			e.out[ch].credits += removed
 		}
-		v.dropHeadSlot(s)
-		// If this VC was carrying m (its current message), release its
-		// output allocation and recycle the VC for whatever is behind.
-		if v.phase != vcIdle && v.curSlot == s {
-			if v.outLink != topology.Invalid {
-				e.outOwner[e.ch(v.outLink, v.outVC)] = -1
-			}
-			v.outLink = topology.Invalid
-			v.outVC = 0
-			v.curSlot = noSlot
-			if v.buf.Empty() {
-				v.phase = vcIdle
-				e.deactivate(ch)
-			} else {
-				v.phase = vcRouting
-				v.rcWait = e.prm.RouteDelay
-			}
+		if v := &e.in[ch]; v.curSlot == s {
+			e.retireVC(int32(ch), v)
 		}
 	}
 
@@ -187,21 +163,20 @@ func (e *Engine) abort(s int32, now int64) {
 		}
 		atFront := qi == p.head
 		if atFront {
-			if p.outLink != topology.Invalid {
-				e.outOwner[e.ch(p.outLink, p.outVC)] = -1
+			if p.outCh >= 0 {
+				e.out[p.outCh].owner = -1
 			}
-			p.outLink = topology.Invalid
-			p.outVC = 0
+			p.outLink, p.outCh = int32(topology.Invalid), -1
 			p.sent = 0
 		}
 		p.queue = append(p.queue[:qi], p.queue[qi+1:]...)
+		port := int(e.injInput(topology.Node(m.Src)))
 		if p.qlen() == 0 {
 			p.queue = p.queue[:0]
 			p.head = 0
-			p.phase = vcIdle
-			e.deactivate(int(e.injInput(topology.Node(m.Src))))
+			e.setPhase(port, &p.phase, vcIdle)
 		} else if atFront {
-			p.phase = vcRouting
+			e.setPhase(port, &p.phase, vcRouting)
 			p.rcWait = e.prm.RouteDelay
 		}
 		break
@@ -223,23 +198,20 @@ func (e *Engine) abort(s int32, now int64) {
 	}
 }
 
-// removeMsgFlits deletes all flits of msg from the FIFO, preserving the
-// order of everything else, and returns the count removed.
-func (e *Engine) removeMsgFlits(buf *buffer.FIFO, msg flit.MsgID) int {
-	n := buf.Len()
-	removed := 0
-	for i := 0; i < n; i++ {
-		fl, ok := buf.Pop()
-		if !ok {
-			break
-		}
-		if fl.Msg == msg {
-			removed++
-			continue
-		}
-		if !buf.Push(fl) {
-			panic("wormhole: refill overflow during abort scrub")
+// scrubVC deletes every buffered flit of the message in slot s from VC
+// port, preserving the order of everything else, and returns the count
+// removed.
+func (e *Engine) scrubVC(port int32, s int32) int32 {
+	v := &e.in[port]
+	var kept int32
+	for i := int32(0); i < v.count; i++ {
+		r := e.ring[e.ringAt(port, i)]
+		if r.slot != s {
+			e.ring[e.ringAt(port, kept)] = r
+			kept++
 		}
 	}
+	removed := v.count - kept
+	v.count = kept
 	return removed
 }

@@ -86,18 +86,18 @@ func TestRecoveryRandomTraffic(t *testing.T) {
 		t.Fatalf("delivered %d of %d", len(h.delivered), msgs)
 	}
 	// Post-drain invariants: credits restored, no stale allocations.
-	for ch, c := range h.eng.credits {
-		if c != 2 {
+	for ch, o := range h.eng.out {
+		if c := o.credits; c != 2 {
 			t.Fatalf("channel %d credits = %d", ch, c)
 		}
 	}
-	for ch, owner := range h.eng.outOwner {
-		if owner != -1 {
+	for ch, o := range h.eng.out {
+		if owner := o.owner; owner != -1 {
 			t.Fatalf("channel %d still allocated to %d", ch, owner)
 		}
 	}
 	for i := range h.eng.in {
-		if !h.eng.in[i].buf.Empty() || h.eng.in[i].phase != vcIdle {
+		if h.eng.in[i].count != 0 || h.eng.in[i].phase != vcIdle {
 			t.Fatalf("VC %d not clean after drain", i)
 		}
 	}

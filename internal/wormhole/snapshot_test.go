@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
@@ -47,4 +48,93 @@ func TestForgedSlotCountBounded(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 		t.Fatalf("forged slot count allocated %d bytes before failing", grew)
 	}
+}
+
+// queuedHeadEngine runs 2-flit traffic through 8-flit buffers until some VC
+// holds a buffered header behind the message it is streaming, and returns
+// the engine with that VC's port.
+func queuedHeadEngine(t *testing.T) (*harness, int32) {
+	t.Helper()
+	h := newHarness(t, topology.MustCube([]int{8, 8}, true), "dor", Params{NumVCs: 2, BufDepth: 8})
+	for i := 0; i < 4*64; i++ {
+		src := i % 64
+		h.eng.Inject(flit.Message{ID: flit.MsgID(i + 1), Src: src, Dst: (src*17 + 9 + i/64) % 64, Len: 2})
+	}
+	for cyc := int64(0); cyc < 1000; cyc++ {
+		h.eng.Cycle(cyc)
+		for port := range h.eng.in {
+			v := &h.eng.in[port]
+			for j := int32(0); j < v.count; j++ {
+				if r := h.eng.ring[h.eng.ringAt(int32(port), j)]; v.curSlot != noSlot && r.kind.IsHead() && r.slot != v.curSlot {
+					return h, int32(port)
+				}
+			}
+		}
+	}
+	t.Fatal("no VC ever queued a header behind a streaming message")
+	return nil, 0
+}
+
+// restoreInto encodes src's state and decodes it into a fresh engine of the
+// same configuration, returning the decode error.
+func restoreInto(t *testing.T, src *Engine) error {
+	t.Helper()
+	var buf bytes.Buffer
+	enc, err := snapshot.NewEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.State(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(src.topo, src.fn, src.prm, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := snapshot.Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst.State(dec)
+}
+
+// TestRestoreRefusesInconsistentPayload: the byte format carries the
+// buffered flits in full plus each VC's queue of headers still to route,
+// both of which the engine derives from its slot-referenced rings. A
+// payload where they disagree, or whose flit belongs to no live message,
+// must be refused rather than silently re-derived.
+func TestRestoreRefusesInconsistentPayload(t *testing.T) {
+	h, port := queuedHeadEngine(t)
+	if err := restoreInto(t, h.eng); err != nil {
+		t.Fatalf("clean payload refused: %v", err)
+	}
+
+	t.Run("head-slot queue", func(t *testing.T) {
+		h, port := queuedHeadEngine(t)
+		// Hide one queued header from the encoder's derived queue while
+		// the flit itself is still written as a head.
+		v := &h.eng.in[port]
+		for j := int32(0); j < v.count; j++ {
+			if r := &h.eng.ring[h.eng.ringAt(port, j)]; r.kind.IsHead() && r.slot != v.curSlot {
+				r.kind = flit.Body
+				break
+			}
+		}
+		err := restoreInto(t, h.eng)
+		if err == nil || !strings.Contains(err.Error(), "head-slot queue") {
+			t.Fatalf("err = %v, want a head-slot queue mismatch", err)
+		}
+	})
+
+	t.Run("flit of no live message", func(t *testing.T) {
+		v := &h.eng.in[port]
+		h.eng.slots[h.eng.ring[h.eng.ringAt(port, v.count-1)].slot].live = false
+		err := restoreInto(t, h.eng)
+		if err == nil || !strings.Contains(err.Error(), "no live message") {
+			t.Fatalf("err = %v, want a flit of no live message", err)
+		}
+	})
 }

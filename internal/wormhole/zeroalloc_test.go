@@ -31,8 +31,8 @@ func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 
 // pumpDrain injects one 4-flit message per node (a static permutation-ish
 // pattern with no self-sends) and cycles until the network drains. All state
-// the run grows — slot arena, injection rings, headSlots rings, credit pipe,
-// arrival scratch — reaches steady capacity after the first call, so later
+// the run grows — slot arena, injection rings, credit pipe, arrival
+// scratch — reaches steady capacity after the first call, so later
 // calls exercise the full inject/route/traverse/deliver path without
 // allocating.
 func pumpDrain(tb testing.TB, e *Engine, now *int64, nextID *flit.MsgID) {
@@ -115,11 +115,13 @@ func TestActiveSetTracksPhases(t *testing.T) {
 }
 
 // BenchmarkWormholeCycle measures the steady-state cost of one engine cycle
-// under sustained load on an 8x8 torus; allocs/op must report 0.
+// under sustained load on an 8x8 torus; allocs/op must report 0, even at
+// -benchtime 1x (one drained warm-up round grows every buffer first).
 func BenchmarkWormholeCycle(b *testing.B) {
 	eng, _ := zeroAllocEngine(b, DefaultParams())
 	var now int64
 	var nextID flit.MsgID
+	pumpDrain(b, eng, &now, &nextID)
 	const nodes = 64
 	inject := func() {
 		for n := 0; n < nodes; n++ {

@@ -32,15 +32,28 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 		topo     TopologyConfig
 		protocol string
 		w        Workload
+		tweak    func(*Config)
 	}{
-		{"clrp-torus", torus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}},
-		{"carp-torus", torus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}},
-		{"wormhole-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}},
-		{"pcs-torus", torus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}},
-		{"clrp-hypercube", hcube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48}},
-		{"carp-hypercube", hcube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}},
-		{"wormhole-hypercube", hcube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}},
-		{"pcs-hypercube", hcube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}},
+		{"clrp-torus", torus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil},
+		{"carp-torus", torus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil},
+		{"wormhole-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil},
+		{"pcs-torus", torus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil},
+		{"clrp-hypercube", hcube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48}, nil},
+		{"carp-hypercube", hcube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil},
+		{"wormhole-hypercube", hcube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil},
+		{"pcs-hypercube", hcube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil},
+		// The wormhole phase transitions off the common path: a header
+		// waiting out route computation, credits arriving through the
+		// delayed pipe, recovery aborting a message mid-worm, and a tail
+		// leaving a VC onto the next message's queued head.
+		{"wormhole-routedelay-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16},
+			func(c *Config) { c.RouteDelay = 2 }},
+		{"wormhole-creditdelay-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16},
+			func(c *Config) { c.CreditDelay, c.BufDepth = 2, 2 }},
+		{"wormhole-recovery-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 16},
+			func(c *Config) { c.Routing, c.NumVCs, c.RecoveryTimeout = "dor-nodateline", 1, 200 }},
+		{"wormhole-multimsg-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 2},
+			func(c *Config) { c.BufDepth = 8 }},
 	}
 	// A light second workload exercises the quiescence fast-forward harder:
 	// most cycles are dead time between sparse injections and drains.
@@ -52,6 +65,9 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 				cfg.Topology = tc.topo
 				cfg.Protocol = tc.protocol
 				cfg.Seed = 12345
+				if tc.tweak != nil {
+					tc.tweak(&cfg)
+				}
 				oracle := cfg
 				oracle.DisableActivityTracking = true
 				wantStats, wantRes := runForStats(t, oracle, w, 500, 2000)
