@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/pcs"
 	"repro/internal/snapshot"
 )
 
@@ -74,6 +75,9 @@ var snapshotMatrix = []matrixRow{
 	{"wormhole-multimsg-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3,
 		BimodalShort: 2, BimodalLong: 3, BimodalPLong: 0.5},
 		func(c *Config) { c.BufDepth = 8 }, "668a66f6cdddd38d2d507b3a3afcbbc16a370eb22aa8ea72a591bd63929df6d7"},
+	{"clrp-churn-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
+		WorkingSet: 4, Reuse: 0.7},
+		func(c *Config) { c.CacheCapacity = 2 }, "084906e077304022c18d3c1bfe7207247cb426f8e512be2b14681e5c054311cc"},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -147,7 +151,9 @@ func (r matrixRow) checkpointed(tb testing.TB) (Stats, Result, []byte) {
 // (parked slots awaiting re-injection). The wormhole-multimsg row uses
 // 8-flit buffers and 2–3-flit messages, so at the checkpoint several VCs
 // hold the tail of the message they are streaming with the next message's
-// head queued behind it.
+// head queued behind it. The clrp-churn-torus row (2-entry caches under
+// hotspot traffic) checkpoints with probes part-way through an MB-m search
+// after a backtrack (TestSnapshotMatrixHoldsBacktrackedSearch).
 func TestSnapshotResumeMatrix(t *testing.T) {
 	for _, tc := range snapshotMatrix {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,6 +197,24 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 				t.Errorf("restored run's Result diverged:\n A: %+v\n C: %+v", *resA, *resC)
 			}
 		})
+	}
+}
+
+// TestSnapshotMatrixHoldsBacktrackedSearch: the clrp-churn-torus row
+// (2-entry caches under hotspot traffic, the clrp_churn_16x16 benchmark
+// shape) checkpoints with probes mid-search, at least one of them two or
+// more hops deep after a backtrack. Its restored run therefore resumes an
+// MB-m search whose per-depth state the snapshot does not carry.
+func TestSnapshotMatrixHoldsBacktrackedSearch(t *testing.T) {
+	i := slices.IndexFunc(snapshotMatrix, func(r matrixRow) bool { return r.name == "clrp-churn-torus" })
+	_, _, snap := snapshotMatrix[i].checkpointed(t)
+	s, err := Restore(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	searches := s.mgr.Fab.PCS.Searches(nil)
+	if !slices.ContainsFunc(searches, func(p pcs.ProbeSearch) bool { return p.Depth >= 2 && p.Marked > p.Depth }) {
+		t.Fatalf("no probe at depth >= 2 after a backtrack at the checkpoint: %+v", searches)
 	}
 }
 
