@@ -70,7 +70,7 @@ func checkRegisters(t *testing.T, e *Engine, topo topology.Topology) {
 	probeHeld := map[int32]bool{}
 	for _, p := range e.probes {
 		for _, h := range p.path {
-			probeHeld[e.key(h.ch)] = true
+			probeHeld[h.key] = true
 		}
 	}
 	for _, a := range e.acks {

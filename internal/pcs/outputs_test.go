@@ -89,19 +89,18 @@ func TestOutputsMatchInterfaceReference(t *testing.T) {
 		for _, l := range topology.AllLinks(topo) {
 			arrivals[l.To] = append(arrivals[l.To], l.ID)
 		}
-		p := &probe{sw: sw}
+		var got []outOption
 		for at := topology.Node(0); int(at) < topo.Nodes(); at++ {
 			for dst := topology.Node(0); int(dst) < topo.Hosts(); dst++ {
 				if at == dst {
 					continue
 				}
 				for _, arrival := range arrivals[at] {
-					p.at, p.dst, p.path = at, dst, p.path[:0]
+					back := int32(-1)
 					if arrival != topology.Invalid {
-						p.path = append(p.path, pathHop{ch: Channel{Link: arrival, Switch: sw}})
+						back = e.tab.Reverse[arrival]
 					}
-					got := e.outputs(p, p.opts[:0])
-					p.opts = got
+					got = e.outputs(at, dst, back, sw, got[:0])
 					want := referenceOutputs(topo, at, dst, arrival, sw)
 					if len(got) != len(want) {
 						t.Fatalf("%s at %d dst %d via %d: %d options, reference %d", topo.Name(), at, dst, arrival, len(got), len(want))

@@ -5,9 +5,12 @@ package pcs
 // registers), the circuit registry in ID order, the in-flight probes in
 // slice order (step order is state), acknowledgments with their carried
 // probes, teardown and release flits, the ID counters and all statistics.
-// Per-cycle scratch (output enumerations, spill buffers) and the object
-// pools are excluded — snapshots are taken between cycles, when they are
-// logically empty, and restored probes/circuits come from fresh objects.
+// Spill buffers and the object pools are excluded — snapshots are taken
+// between cycles, when they are logically empty, and restored
+// probes/circuits come from fresh objects. So are a probe's search frames
+// (per-depth output lists and History Store indices): they are derived from
+// its path and History Store, and a restored probe rebuilds them on its
+// next step.
 //
 // Closure-carrying work (a probe with a done callback, a teardown with a
 // done closure, a circuit with a deferred closure) cannot be serialised;
@@ -18,6 +21,7 @@ package pcs
 import (
 	"repro/internal/circuit"
 	"repro/internal/snapshot"
+	"repro/internal/topology"
 )
 
 func walkChannel(c *snapshot.Codec, ch *Channel) {
@@ -39,15 +43,36 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 	snapshot.I64(c, &p.src)
 	snapshot.I64(c, &p.dst)
 	snapshot.I64(c, &p.sw)
+	if c.Decoding() && (p.sw < 0 || p.sw >= e.prm.NumSwitches) {
+		c.Failf("pcs: snapshot probe %d on switch %d of %d", p.id, p.sw, e.prm.NumSwitches)
+	}
 	c.Bool(&p.force)
 	snapshot.I64(c, &p.maxMis)
 	snapshot.I64(c, &p.tag)
 	snapshot.I64(c, &p.at)
 	snapshot.I64(c, &p.misroutes)
+	// A hop is written as a full Channel, although it always lies on the
+	// probe's own switch; the decoder refuses one that does not.
 	snapshot.Slice(c, &p.path, func(h *pathHop) {
-		walkChannel(c, &h.ch)
+		ch := h.channel(p.sw)
+		walkChannel(c, &ch)
 		c.Bool(&h.misroute)
+		if c.Decoding() && c.Err() == nil {
+			if ch.Switch != p.sw {
+				c.Failf("pcs: snapshot probe %d has a path hop on switch %d, probe on switch %d", p.id, ch.Switch, p.sw)
+				return
+			}
+			if ch.Link < 0 || int(ch.Link) >= len(e.tab.To) {
+				c.Failf("pcs: snapshot probe %d path link %d out of range", p.id, ch.Link)
+				return
+			}
+			h.link = int32(ch.Link)
+			h.key = e.key(ch)
+		}
 	})
+	if c.Decoding() && c.Err() == nil {
+		e.checkPath(c, p)
+	}
 	snapshot.U8(c, &p.phase)
 	c.Bool(&p.requestedRelease)
 	walkChannel(c, &p.waitingFor)
@@ -67,6 +92,23 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 		if node := p.histNodes[i]; c.Decoding() && (node < 0 || int(node) >= e.topo.Nodes()) {
 			c.Failf("pcs: snapshot history node %d out of range", node)
 		}
+	}
+}
+
+// checkPath refuses a decoded probe whose path is not a chain of existing
+// links from its source to its current node: the search frames the probe
+// rebuilds on its next step are derived from that chain.
+func (e *Engine) checkPath(c *snapshot.Codec, p *probe) {
+	at := p.src
+	for i, h := range p.path {
+		if from := topology.Node(e.tab.From[h.link]); from != at || e.tab.To[h.link] < 0 {
+			c.Failf("pcs: snapshot probe %d path hop %d leaves node %d, previous hop ends at %d", p.id, i, from, at)
+			return
+		}
+		at = topology.Node(e.tab.To[h.link])
+	}
+	if at != p.at {
+		c.Failf("pcs: snapshot probe %d is at node %d, its path ends at %d", p.id, p.at, at)
 	}
 }
 

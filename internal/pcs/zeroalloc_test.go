@@ -144,6 +144,105 @@ func TestZeroAllocForceWait(t *testing.T) {
 	}
 }
 
+// searchHarness is a contended PCS round on a 4x4 torus with one wave
+// switch: fifteen probes at once towards node 10, which has four input
+// channels, every other probe a Force probe. Probes misroute and backtrack
+// until their search is exhausted; Force probes wait for release flits,
+// which the host answers by tearing the victim down.
+type searchHarness struct {
+	e       *Engine
+	now     int64
+	results [15]SetupResult
+	nres    int
+	done    func(SetupResult)
+}
+
+// warmSearchRounds is how many searchHarness rounds it takes the probe
+// frames, History Stores and pools to reach their steady capacity (the
+// eighth is the last round to allocate).
+const warmSearchRounds = 8
+
+func newSearchHarness(tb testing.TB) *searchHarness {
+	tb.Helper()
+	host := &fakeHost{}
+	e, err := New(topology.MustCube([]int{4, 4}, true), Params{NumSwitches: 1, MaxMisroutes: 2}, host)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := &searchHarness{e: e}
+	h.done = func(r SetupResult) {
+		h.results[h.nres] = r
+		h.nres++
+	}
+	host.remote = func(id circuit.ID) { e.Teardown(id, nil) }
+	return h
+}
+
+func (h *searchHarness) round(tb testing.TB) {
+	h.nres = 0
+	for i := 0; i < len(h.results); i++ {
+		src := topology.Node(i)
+		if src >= 10 {
+			src++
+		}
+		h.e.LaunchProbe(src, 10, 0, i%2 == 1, h.done)
+	}
+	for c := 0; c < 10000 && h.nres < len(h.results); c++ {
+		h.e.Cycle(h.now)
+		h.now++
+	}
+	if h.nres < len(h.results) {
+		tb.Fatal("probes did not resolve")
+	}
+	for i := 0; i < h.nres; i++ {
+		if _, live := h.e.CircuitByID(h.results[i].Circuit); h.results[i].OK && live {
+			h.e.Teardown(h.results[i].Circuit, nil)
+		}
+	}
+	for c := 0; c < 10000 && h.e.NumCircuits() > 0; c++ {
+		h.e.Cycle(h.now)
+		h.now++
+	}
+	if h.e.NumCircuits() > 0 {
+		tb.Fatal("circuits did not tear down")
+	}
+}
+
+// TestZeroAllocProbeSearch asserts that a contended search — misroutes,
+// backtracks onto frames already built, Force waits and the release flits
+// they send — allocates nothing once the probe frames and pools are warm.
+func TestZeroAllocProbeSearch(t *testing.T) {
+	h := newSearchHarness(t)
+	round := func() { h.round(t) }
+	for i := 0; i < warmSearchRounds; i++ {
+		round()
+	}
+	before := h.e.Ctr
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("%.1f allocs per contended search round, want 0", allocs)
+	}
+	after := h.e.Ctr
+	if after.Backtracks == before.Backtracks || after.ForceWaits == before.ForceWaits || after.ReleasesSent == before.ReleasesSent {
+		t.Fatalf("rounds did not search under contention: backtracks %d, Force waits %d, releases %d",
+			after.Backtracks-before.Backtracks, after.ForceWaits-before.ForceWaits, after.ReleasesSent-before.ReleasesSent)
+	}
+}
+
+// BenchmarkProbeSearch measures one contended round of searchHarness:
+// fifteen probes with backtracks and Force waits, then teardown.
+// allocs/op must report 0.
+func BenchmarkProbeSearch(b *testing.B) {
+	h := newSearchHarness(b)
+	for i := 0; i < warmSearchRounds; i++ {
+		h.round(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.round(b)
+	}
+}
+
 // BenchmarkProbeStep measures one full launch/resolve/teardown round of 16
 // probes on a 16x16 torus; allocs/op must report 0.
 func BenchmarkProbeStep(b *testing.B) {
