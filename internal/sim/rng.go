@@ -8,7 +8,10 @@
 // test suite relies on.
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator based on
 // splitmix64. It is not safe for concurrent use; each simulator owns one.
@@ -34,11 +37,21 @@ func (r *RNG) State() uint64 { return r.state }
 
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	var v uint64
+	r.state, v = Step(r.state)
+	return v
+}
+
+// Step is one splitmix64 draw on a bare state: it returns the advanced state
+// and the value Uint64 would return from a generator holding state. A loop
+// that draws once per iteration can keep the state in a local, handing it
+// back to the generator (Seed) before anything else draws from it.
+func Step(state uint64) (next, v uint64) {
+	next = state + 0x9e3779b97f4a7c15
+	z := next
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return next, z ^ (z >> 31)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -60,6 +73,19 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// BoolCut is the integer form of Bool for 0 < p < 1: there Bool draws v and
+// returns true exactly when v>>11 < BoolCut(p). Float64 is (v>>11)/2^53 and
+// p·2^53 is exact, so for an integer x, x/2^53 < p holds exactly when
+// x < ceil(p·2^53). A NaN p yields 0, which no draw is below, as no Float64
+// is below NaN. Bool itself consumes no draw for p <= 0 or p >= 1.
+func BoolCut(p float64) uint64 {
+	c := math.Ceil(p * (1 << 53))
+	if !(c > 0) {
+		return 0
+	}
+	return uint64(c)
 }
 
 // Bool returns true with probability p.

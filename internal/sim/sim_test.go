@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +211,51 @@ func TestWatchdogDisabled(t *testing.T) {
 	for cyc := int64(0); cyc < 1000; cyc++ {
 		if err := w.Check(cyc, cyc+1, 5); err != nil {
 			t.Fatalf("disabled watchdog fired: %v", err)
+		}
+	}
+}
+
+// TestStepMatchesUint64 checks that the bare-state draw and the generator's
+// draw are one stream.
+func TestStepMatchesUint64(t *testing.T) {
+	r := NewRNG(77)
+	state := r.State()
+	for i := 0; i < 1000; i++ {
+		var v uint64
+		state, v = Step(state)
+		if want := r.Uint64(); v != want || state != r.State() {
+			t.Fatalf("draw %d: Step gave (%#x, %#x), Uint64 (%#x, %#x)", i, state, v, r.State(), want)
+		}
+	}
+}
+
+// TestBoolCutMatchesFloat64 checks the integer threshold against Bool's
+// float comparison at and around the threshold itself, at the ends of the
+// draw range and on random draws, for rates on the 2^-53 grid, off it, tiny
+// (down to the smallest subnormal), just below 1, and NaN.
+func TestBoolCutMatchesFloat64(t *testing.T) {
+	const top = 1 << 53
+	rates := []float64{
+		1.0 / top, 2.0 / top, 3.0 / top, 12345.0 / top, (top/2 - 1.0) / top, 0.5,
+		(top - 1.0) / top, math.Nextafter(1, 0), 0.1, 0.3, 1.0 / 3, 0.02,
+		1e-300, math.SmallestNonzeroFloat64, math.NaN(),
+	}
+	r := NewRNG(3)
+	for _, p := range rates {
+		cut := BoolCut(p)
+		xs := []uint64{0, 1, top - 2, top - 1}
+		for _, x := range []uint64{cut - 1, cut, cut + 1} {
+			if x < top {
+				xs = append(xs, x)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			xs = append(xs, r.Uint64()>>11)
+		}
+		for _, x := range xs {
+			if float, cutWise := float64(x)/top < p, x < cut; float != cutWise {
+				t.Fatalf("p=%g x=%d: Float64 test %v, BoolCut(%d) test %v", p, x, float, cut, cutWise)
+			}
 		}
 	}
 }

@@ -419,15 +419,39 @@ func NewGenerator(p Pattern, l LengthDist, load float64, nodes int, seed uint64)
 // MsgRate returns the per-node message start probability per cycle.
 func (g *Generator) MsgRate() float64 { return g.Load / g.Length.Mean() }
 
-// Tick emits this cycle's new messages by calling send for each.
+// Tick emits this cycle's new messages by calling send for each. It draws
+// exactly what a g.rng.Bool(MsgRate()) test per node followed by Pick and
+// Draw for each firing node would, in the same order: the per-node test is
+// Bool's integer form (sim.BoolCut) on a state held in a local, which is
+// written back to g.rng before Pick and Draw and reloaded after them.
 func (g *Generator) Tick(send func(src, dst topology.Node, length int)) {
 	rate := g.MsgRate()
+	switch {
+	case rate <= 0:
+		return // Bool(rate) is false without a draw
+	case rate >= 1:
+		for n := 0; n < g.nodes; n++ {
+			g.emit(topology.Node(n), send) // Bool(rate) is true without a draw
+		}
+		return
+	}
+	cut := sim.BoolCut(rate)
+	state := g.rng.State()
 	for n := 0; n < g.nodes; n++ {
-		if !g.rng.Bool(rate) {
+		var v uint64
+		state, v = sim.Step(state)
+		if v>>11 >= cut {
 			continue
 		}
-		src := topology.Node(n)
-		dst := g.Pattern.Pick(src, g.rng)
-		send(src, dst, g.Length.Draw(g.rng))
+		g.rng.Seed(state)
+		g.emit(topology.Node(n), send)
+		state = g.rng.State()
 	}
+	g.rng.Seed(state)
+}
+
+// emit picks a destination and a length for a message from src and sends it.
+func (g *Generator) emit(src topology.Node, send func(src, dst topology.Node, length int)) {
+	dst := g.Pattern.Pick(src, g.rng)
+	send(src, dst, g.Length.Draw(g.rng))
 }

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -305,6 +307,69 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("generator not deterministic")
+		}
+	}
+}
+
+// TestTickMatchesBoolLoop checks Tick against the loop it replaces: a
+// rng.Bool(MsgRate()) test per node, then Pick and Draw for each firing
+// node. The emitted (src, dst, len) sequence and the final RNG state must
+// be equal. Mean length 2 makes each rate exact: rates on the 2^-53 grid,
+// tiny rates, rates just below 1, and the no-draw rates 0, 1 and above 1.
+// The patterns and lengths that draw from the same stream (hotspot,
+// locality, bimodal, uniform lengths) interleave with the per-node draws.
+func TestTickMatchesBoolLoop(t *testing.T) {
+	const nodes = 64
+	rates := []float64{
+		0, 1.0 / (1 << 53), 3.0 / (1 << 53), 1e-300, math.SmallestNonzeroFloat64,
+		0.013, 0.25, 0x0F5C28F5C28F5C / (1 << 53), math.Nextafter(1, 0), 1, 1.5,
+	}
+	patterns := map[string]func() Pattern{
+		"uniform": func() Pattern { return Uniform{N: nodes} },
+		"hotspot": func() Pattern { return Hotspot{N: nodes, Spot: 5, Fraction: 0.2} },
+		"locality": func() Pattern {
+			l, err := NewLocality(Uniform{N: nodes}, nodes, 3, 0.6, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		},
+	}
+	lengths := []LengthDist{Bimodal{Short: 1, Long: 3, PLong: 0.5}, UniformLen{Min: 1, Max: 3}}
+	type msg struct {
+		src, dst topology.Node
+		length   int
+	}
+	for name, pattern := range patterns {
+		for _, length := range lengths {
+			for _, rate := range rates {
+				g, err := NewGenerator(pattern(), length, 2*rate, nodes, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.MsgRate() != rate {
+					t.Fatalf("MsgRate %g, want %g", g.MsgRate(), rate)
+				}
+				refPattern, ref := pattern(), sim.NewRNG(9)
+				var got, want []msg
+				for c := 0; c < 50; c++ {
+					g.Tick(func(src, dst topology.Node, l int) { got = append(got, msg{src, dst, l}) })
+					for n := 0; n < nodes; n++ {
+						if !ref.Bool(rate) {
+							continue
+						}
+						src := topology.Node(n)
+						dst := refPattern.Pick(src, ref)
+						want = append(want, msg{src, dst, length.Draw(ref)})
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/%s rate %g: Tick emitted %d messages, the Bool loop %d (or they differ)", name, length.Name(), rate, len(got), len(want))
+				}
+				if g.rng.State() != ref.State() {
+					t.Fatalf("%s/%s rate %g: final RNG state %#x, Bool loop %#x", name, length.Name(), rate, g.rng.State(), ref.State())
+				}
+			}
 		}
 	}
 }
