@@ -269,7 +269,7 @@ func TestCircuitStateAfterDrainIsClean(t *testing.T) {
 		}
 		if dsm := h.m.dests[n]; dsm != nil {
 			for dst, ds := range dsm {
-				if len(ds.queue) != 0 || ds.opening || ds.wantSlot {
+				if len(ds.pending()) != 0 || ds.opening || ds.wantSlot {
 					t.Fatalf("node %d -> %d residual state: %+v", n, dst, ds)
 				}
 			}
