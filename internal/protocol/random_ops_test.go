@@ -6,13 +6,16 @@ package protocol
 // and coherent state. Seeds are fixed, so failures replay exactly.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/pcs"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
@@ -59,6 +62,7 @@ func randomOps(t *testing.T, h *harness, topo topology.Topology, kind Kind, seed
 		if err := h.wd.Check(now, h.m.OldestAge(now), h.m.InFlight()); err != nil {
 			t.Fatal(err)
 		}
+		checkSlotWaiters(t, h.m)
 	}
 	h.drain(t, &now, 2_000_000)
 	// Settle trailing acks/teardowns, then check state.
@@ -67,6 +71,24 @@ func randomOps(t *testing.T, h *harness, topo topology.Topology, kind Kind, seed
 		now++
 	}
 	return sent
+}
+
+// checkSlotWaiters fails unless every node's slotWaiters index lists
+// exactly the destinations whose state has wantSlot set, in ascending order.
+func checkSlotWaiters(t *testing.T, m *Manager) {
+	t.Helper()
+	for n, dsm := range m.dests {
+		var want []topology.Node
+		for dst, ds := range dsm {
+			if ds.wantSlot {
+				want = append(want, dst)
+			}
+		}
+		slices.Sort(want)
+		if got := m.slotWaiters[n]; !slices.Equal(got, want) {
+			t.Fatalf("node %d: slot-waiter index %v, wantSlot flags set for %v", n, got, want)
+		}
+	}
 }
 
 func TestRandomOperationInterleavings(t *testing.T) {
@@ -137,4 +159,59 @@ func TestRandomOpsWithFaultsAndOptions(t *testing.T) {
 // pcsChan builds a pcs.Channel without importing pcs at every call site.
 func pcsChan(link topology.LinkID, sw int) pcs.Channel {
 	return pcs.Channel{Link: link, Switch: sw}
+}
+
+// TestSnapshotRebuildsSlotWaiters checkpoints a CLRP manager while some
+// destinations wait for a cache slot and restores it into a fresh manager:
+// the slot-waiter index is not in the snapshot, so the decoder must rebuild
+// it from the wantSlot flags, and the restored run must then drain.
+func TestSnapshotRebuildsSlotWaiters(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, true)
+	prm := core.DefaultParams()
+	prm.CacheCapacity = 2
+	h := newHarness(t, topo, prm, CLRP, Options{})
+	rng := sim.NewRNG(7)
+	now, sent, waiting := int64(0), 0, 0
+	for ; now < 5000 && waiting < 2; now++ {
+		h.m.Send(topology.Node(rng.Intn(4)), topology.Node(4+rng.Intn(12)), 64, now, true)
+		sent++
+		h.m.Cycle(now)
+		waiting = 0
+		for _, w := range h.m.slotWaiters {
+			waiting += len(w)
+		}
+	}
+	if waiting < 2 {
+		t.Fatal("no two destinations ever waited for a cache slot together")
+	}
+	var buf bytes.Buffer
+	enc, err := snapshot.NewEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.m.State(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := newHarness(t, topo, prm, CLRP, Options{})
+	dec, err := snapshot.Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.State(dec); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkSlotWaiters(t, r.m)
+	if !slices.EqualFunc(r.m.slotWaiters, h.m.slotWaiters, slices.Equal[[]topology.Node]) {
+		t.Fatalf("restored slot waiters %v, checkpointed %v", r.m.slotWaiters, h.m.slotWaiters)
+	}
+	r.drain(t, &now, 2_000_000)
+	if got := len(r.delivered) + len(h.delivered); got != sent {
+		t.Fatalf("delivered %d of %d after restore", got, sent)
+	}
 }
