@@ -1,9 +1,9 @@
 // Package repro_test is the benchmark harness required by DESIGN.md: one
-// benchmark per regenerated table/figure (E1-E21) plus micro-benchmarks of
-// the substrate engines. The experiment benchmarks run the corresponding
-// experiment at reduced scale once per iteration and report its headline
-// number as a custom metric, so `go test -bench=.` both exercises and
-// summarizes the whole evaluation matrix.
+// sub-benchmark per regenerated table/figure (BenchmarkExperiments/e1 ..
+// e21, one per experiments.Registry entry) plus micro-benchmarks of the
+// substrate engines. Each experiment sub-benchmark runs its experiment at
+// the reduced Quick scale once per iteration, so `go test -bench=.` both
+// exercises and times the whole evaluation matrix.
 package repro_test
 
 import (
@@ -14,58 +14,21 @@ import (
 	"repro/wave"
 )
 
-// benchParams is the reduced scale used inside benchmarks (the full-scale
-// tables are produced by cmd/waveexp and recorded in EXPERIMENTS.md).
-func benchParams() experiments.Params {
-	p := experiments.Quick()
-	return p
-}
-
-func benchExperiment(b *testing.B, fn func(context.Context, experiments.Params) (*experiments.Report, error)) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(context.Background(), benchParams()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every experiment table at Quick scale
+// (the full-scale tables are produced by cmd/waveexp and recorded in
+// EXPERIMENTS.md).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Fn(context.Background(), experiments.Quick()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkE1MessageLength regenerates the E1 table (latency vs message
-// length; the paper's >3x-for-128-flit claim).
-func BenchmarkE1MessageLength(b *testing.B) { benchExperiment(b, experiments.E1MessageLength) }
-
-// BenchmarkE2LoadSweep regenerates the E2 table (latency/throughput vs load).
-func BenchmarkE2LoadSweep(b *testing.B) { benchExperiment(b, experiments.E2LoadSweep) }
-
-// BenchmarkE3Reuse regenerates the E3 table (short-message reuse crossover).
-func BenchmarkE3Reuse(b *testing.B) { benchExperiment(b, experiments.E3Reuse) }
-
-// BenchmarkE4Replacement regenerates the E4 table (replacement policies).
-func BenchmarkE4Replacement(b *testing.B) { benchExperiment(b, experiments.E4Replacement) }
-
-// BenchmarkE5Misroute regenerates the E5 table (MB-m budget).
-func BenchmarkE5Misroute(b *testing.B) { benchExperiment(b, experiments.E5Misroute) }
-
-// BenchmarkE6SwitchCount regenerates the E6 table (wave switch count k).
-func BenchmarkE6SwitchCount(b *testing.B) { benchExperiment(b, experiments.E6SwitchCount) }
-
-// BenchmarkE7Stress regenerates the E7 table (theorem stress).
-func BenchmarkE7Stress(b *testing.B) { benchExperiment(b, experiments.E7Stress) }
-
-// BenchmarkE8Faults regenerates the E8 table (static fault tolerance).
-func BenchmarkE8Faults(b *testing.B) { benchExperiment(b, experiments.E8Faults) }
-
-// BenchmarkE9Ablation regenerates the E9 table (CLRP phase ablations).
-func BenchmarkE9Ablation(b *testing.B) { benchExperiment(b, experiments.E9Ablation) }
-
-// BenchmarkE10ClockMult regenerates the E10 table (wave clock multiplier).
-func BenchmarkE10ClockMult(b *testing.B) { benchExperiment(b, experiments.E10ClockMult) }
-
-// BenchmarkE11Window regenerates the E11 table (end-to-end window size).
-func BenchmarkE11Window(b *testing.B) { benchExperiment(b, experiments.E11Window) }
-
-// BenchmarkE12Topology regenerates the E12 table (topology comparison).
-func BenchmarkE12Topology(b *testing.B) { benchExperiment(b, experiments.E12Topology) }
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: simulator engine costs.
@@ -160,30 +123,3 @@ func BenchmarkFullRunCLRP(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkE13ClosedLoop regenerates the E13 table (closed-loop DSM).
-func BenchmarkE13ClosedLoop(b *testing.B) { benchExperiment(b, experiments.E13ClosedLoop) }
-
-// BenchmarkE14Hybrid regenerates the E14 table (CLRP length threshold).
-func BenchmarkE14Hybrid(b *testing.B) { benchExperiment(b, experiments.E14Hybrid) }
-
-// BenchmarkE15RouterCost regenerates the E15 table (router complexity).
-func BenchmarkE15RouterCost(b *testing.B) { benchExperiment(b, experiments.E15RouterCost) }
-
-// BenchmarkE16Recovery regenerates the E16 table (avoidance vs recovery).
-func BenchmarkE16Recovery(b *testing.B) { benchExperiment(b, experiments.E16Recovery) }
-
-// BenchmarkE17CacheCapacity regenerates the E17 table (cache sizing).
-func BenchmarkE17CacheCapacity(b *testing.B) { benchExperiment(b, experiments.E17CacheCapacity) }
-
-// BenchmarkE18SwitchSpread regenerates the E18 table (initial-switch heuristic).
-func BenchmarkE18SwitchSpread(b *testing.B) { benchExperiment(b, experiments.E18SwitchSpread) }
-
-// BenchmarkE19EndpointBuffers regenerates the E19 table (buffer allocation).
-func BenchmarkE19EndpointBuffers(b *testing.B) { benchExperiment(b, experiments.E19EndpointBuffers) }
-
-// BenchmarkE20SoftwareLayer regenerates the E20 table (messaging software).
-func BenchmarkE20SoftwareLayer(b *testing.B) { benchExperiment(b, experiments.E20SoftwareLayer) }
-
-// BenchmarkE21RoutingFamily regenerates the E21 table (routing comparison).
-func BenchmarkE21RoutingFamily(b *testing.B) { benchExperiment(b, experiments.E21RoutingFamily) }

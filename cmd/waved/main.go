@@ -1,7 +1,6 @@
 // Command waved serves the wave-switching simulator over HTTP: clients
-// POST job specs (open-loop load runs, closed-loop request-reply runs, or
-// whole experiment sweeps e1..e21), stream NDJSON progress, and fetch
-// deterministic results. See the "Serving" section of README.md for the
+// POST job specs (open-loop load runs or closed-loop request-reply runs),
+// stream NDJSON progress, and fetch deterministic results. See the "Serving" section of README.md for the
 // API and internal/server for the semantics.
 //
 // Examples:

@@ -1,4 +1,4 @@
-// Command waveexp regenerates the paper-shaped experiment tables E1-E10 (see
+// Command waveexp regenerates the paper-shaped experiment tables E1-E21 (see
 // DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
 // results). Independent sweep points run in parallel across CPUs; results
 // are deterministic regardless of scheduling.
@@ -17,11 +17,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/wave"
 )
 
 func main() {
@@ -34,7 +34,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("waveexp", flag.ContinueOnError)
 	var (
-		expList  = fs.String("exp", "all", "comma-separated experiment ids (e1..e16) or 'all'")
+		expList  = fs.String("exp", "all", "comma-separated experiment ids (e1..e21) or 'all'")
 		quick    = fs.Bool("quick", false, "reduced scale for smoke runs")
 		radix    = fs.Int("radix", 0, "override torus side (0 = default)")
 		seed     = fs.Uint64("seed", 1, "base RNG seed")
@@ -44,26 +44,30 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *headline > 0 {
-		return runHeadline(out, *headline, *seed, *quick)
-	}
-
 	p := experiments.Defaults()
 	if *quick {
 		p = experiments.Quick()
 	}
+	p.Seed = *seed
+	if *headline > 0 {
+		return runHeadline(out, p, *headline)
+	}
 	if *radix > 0 {
 		p.Radix = *radix
 	}
-	p.Seed = *seed
 
+	// Resolve every id before running anything, so a typo fails fast.
+	ids := experiments.Sorted()
 	want := map[string]bool{}
 	all := *expList == "all"
 	for _, id := range strings.Split(*expList, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
+		id = strings.TrimSpace(strings.ToLower(id))
+		if !all && !slices.Contains(ids, id) {
+			return fmt.Errorf("unknown experiment %q (available: %s)", id, strings.Join(ids, ", "))
+		}
+		want[id] = true
 	}
 
-	ran := 0
 	for _, e := range experiments.Registry() {
 		if !all && !want[e.ID] {
 			continue
@@ -73,7 +77,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		ran++
 		fmt.Fprintf(out, "== %s: %s ==\n", rep.ID, rep.Title)
 		if *markdown {
 			fmt.Fprintln(out, "```")
@@ -87,52 +90,14 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  (%.1fs)\n\n", time.Since(start).Seconds())
 	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment matched %q (available: %s)", *expList, strings.Join(experiments.Sorted(), ", "))
-	}
 	return nil
 }
 
 // runHeadline replicates the paper's headline claim (wormhole/wave latency
 // ratio, 256-flit messages, no reuse, k=1 full-width circuits) across seeds
 // and reports the mean gain with a 95% confidence interval.
-func runHeadline(out io.Writer, reps int, seed uint64, quick bool) error {
-	p := experiments.Defaults()
-	if quick {
-		p = experiments.Quick()
-	}
-	gain := func(s uint64) (float64, error) {
-		lat := func(protocol string) (float64, error) {
-			cfg := wave.DefaultConfig()
-			cfg.Topology = wave.TopologyConfig{Kind: "torus", Radix: []int{p.Radix, p.Radix}}
-			cfg.Seed = s
-			cfg.Protocol = protocol
-			cfg.NumSwitches = 1
-			cfg.MaxMisroutes = 0
-			sim, err := wave.New(cfg)
-			if err != nil {
-				return 0, err
-			}
-			res, err := sim.RunLoad(wave.Workload{
-				Pattern: "uniform", Load: 0.02, FixedLength: 256,
-				WantCircuit: true, Seed: s + 77,
-			}, p.Warmup, p.Measure)
-			if err != nil {
-				return 0, err
-			}
-			return res.AvgLatency, nil
-		}
-		wh, err := lat("wormhole")
-		if err != nil {
-			return 0, err
-		}
-		wv, err := lat("pcs")
-		if err != nil {
-			return 0, err
-		}
-		return wh / wv, nil
-	}
-	mean, ci, err := experiments.Replicate(context.Background(), reps, seed, gain)
+func runHeadline(out io.Writer, p experiments.Params, reps int) error {
+	mean, ci, err := experiments.Headline(context.Background(), p, reps)
 	if err != nil {
 		return err
 	}

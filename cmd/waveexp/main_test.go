@@ -30,14 +30,21 @@ func TestRunMarkdownFences(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown id fails the run before any
+// experiment starts, also when it follows a valid one.
 func TestRunUnknownExperiment(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-quick", "-exp", "e99"}, &out)
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	if !strings.Contains(err.Error(), "e1") {
-		t.Fatalf("error does not list available ids: %v", err)
+	for _, list := range []string{"e99", "e1,e99"} {
+		var out bytes.Buffer
+		err := run([]string{"-quick", "-exp", list}, &out)
+		if err == nil {
+			t.Fatalf("-exp %s: unknown experiment accepted", list)
+		}
+		if !strings.Contains(err.Error(), "e1") {
+			t.Fatalf("error does not list available ids: %v", err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-exp %s: experiments ran before the bad id was rejected:\n%s", list, out.String())
+		}
 	}
 }
 

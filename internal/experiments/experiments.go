@@ -1,11 +1,13 @@
 // Package experiments regenerates every table and figure of the evaluation
-// matrix in DESIGN.md (E1–E20). Each experiment returns a Report holding a
+// matrix in DESIGN.md (E1–E21). Each experiment returns a Report holding a
 // paper-style text table plus commentary on the expected shape; cmd/waveexp
-// prints them and EXPERIMENTS.md records paper-vs-measured.
+// prints them and EXPERIMENTS.md records paper-vs-measured (a test checks
+// that its tables match).
 //
-// Independent sweep points run concurrently on a bounded worker pool (the
-// simulator itself is single-threaded and deterministic; parallelism is
-// across runs, so results are reproducible regardless of scheduling).
+// Every experiment is a list of sweep points handed to one runner, sweep,
+// which runs them concurrently on a bounded worker pool (the simulator
+// itself is single-threaded and deterministic; parallelism is across runs,
+// so results are reproducible regardless of scheduling).
 package experiments
 
 import (
@@ -14,7 +16,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/msglayer"
 	"repro/internal/stats"
@@ -29,13 +30,6 @@ type Params struct {
 	Warmup, Measure int64
 	// Seed is the base RNG seed.
 	Seed uint64
-
-	// OnPoint, when non-nil, is called after each completed sweep point
-	// with (done, total) — coarse progress for long sweeps (waved streams
-	// it to clients). It runs on worker goroutines, so it must be safe for
-	// concurrent use, and it only observes: results are identical with or
-	// without it.
-	OnPoint func(done, total int) `json:"-"`
 }
 
 // Defaults returns the full-size parameters used for EXPERIMENTS.md.
@@ -99,46 +93,74 @@ func baseConfig(p Params) wave.Config {
 	return cfg
 }
 
-// runOne builds a simulator and runs the workload under ctx.
-func runOne(ctx context.Context, cfg wave.Config, w wave.Workload, p Params) (*wave.Result, error) {
-	s, err := wave.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
+// point is one simulator run of a sweep: an open-loop workload run for
+// Params.Warmup + Params.Measure cycles, or a closed-loop one when closed
+// is set.
+type point struct {
+	cfg    wave.Config
+	w      wave.Workload
+	closed *wave.ClosedWorkload
+
+	// faults is the number of static wave-channel faults, drawn with
+	// faultSeed, injected before the run.
+	faults    int
+	faultSeed uint64
+	// open, when set, runs on the fresh simulator before the run (the CARP
+	// compiler's pre-opened circuits).
+	open func(*wave.Simulator)
 }
 
-// parallel runs jobs 0..n-1 across a bounded pool and returns the first
-// error. Workers write into caller-provided slots, so output order is
-// deterministic. Cancelling ctx stops dispatch between sweep points (and
-// the context-aware run loops stop in-flight points between cycles);
-// p.OnPoint, when set, observes completed-point progress.
-func parallel(ctx context.Context, p Params, n int, job func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// outcome is what one point produced: its run result and the simulator
+// counters read after the run.
+type outcome struct {
+	res    *wave.Result
+	closed *wave.ClosedResult
+	st     wave.Stats
+}
+
+// run builds a simulator for pt and runs it under ctx.
+func (pt point) run(ctx context.Context, p Params) (o outcome, err error) {
+	s, err := wave.New(pt.cfg)
+	if err != nil {
+		return o, err
 	}
-	if workers < 1 {
-		workers = 1
+	if pt.faults > 0 {
+		if err = s.InjectFaults(pt.faults, pt.faultSeed); err != nil {
+			return o, err
+		}
 	}
-	var wg sync.WaitGroup
-	var completed atomic.Int64
+	if pt.open != nil {
+		pt.open(s)
+	}
+	if pt.closed != nil {
+		o.closed, err = s.RunClosedLoopContext(ctx, *pt.closed, 20_000_000)
+	} else {
+		o.res, err = s.RunLoadContext(ctx, pt.w, p.Warmup, p.Measure)
+	}
+	o.st = s.Stats()
+	return o, err
+}
+
+// sweep runs every point across a bounded pool and returns their outcomes
+// in point order, or the first failure. Cancelling ctx stops dispatch
+// between points (and the context-aware run loops stop in-flight points
+// between cycles).
+func sweep(ctx context.Context, id string, p Params, pts []point) ([]outcome, error) {
+	outs := make([]outcome, len(pts))
+	errs := make([]error, len(pts))
 	idx := make(chan int)
-	errs := make([]error, n)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for range max(1, min(runtime.GOMAXPROCS(0), len(pts))) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = job(i)
-				if p.OnPoint != nil {
-					p.OnPoint(int(completed.Add(1)), n)
-				}
+				outs[i], errs[i] = pts[i].run(ctx, p)
 			}
 		}()
 	}
 dispatch:
-	for i := 0; i < n; i++ {
+	for i := range pts {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -148,14 +170,27 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("%s point %d (%s): %w", id, i, pts[i].cfg.Protocol, err)
 		}
 	}
-	return nil
+	return outs, nil
+}
+
+// ratio returns num/den, or 0 when den is 0.
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// probeSuccess is the fraction of finished probes that reserved a circuit.
+func probeSuccess(pc wave.ProbeCounters) float64 {
+	return ratio(pc.Succeeded, pc.Succeeded+pc.Failed)
 }
 
 // ---------------------------------------------------------------------------
@@ -163,50 +198,35 @@ dispatch:
 // with reuse). The paper's headline: wave switching wins by a factor > 3 for
 // messages >= 128 flits even without circuit reuse (k=1 full-width config).
 
+// headlinePoint is the E1 configuration: low uniform load over a single
+// full-width wave switch with no misrouting.
+func headlinePoint(p Params, protocol string, length int) point {
+	cfg := baseConfig(p)
+	cfg.Protocol = protocol
+	cfg.NumSwitches = 1 // full-width wave channel
+	cfg.MaxMisroutes = 0
+	return point{cfg: cfg, w: wave.Workload{Pattern: "uniform", Load: 0.02, FixedLength: length, WantCircuit: true}}
+}
+
 // E1MessageLength regenerates the message-length sweep.
 func E1MessageLength(ctx context.Context, p Params) (*Report, error) {
 	lengths := []int{8, 16, 32, 64, 128, 256, 512, 1024}
-	type row struct {
-		wh, pcs, clrp float64
+	var pts []point
+	for _, l := range lengths {
+		// pcs sets up a circuit per message: no reuse.
+		reuse := headlinePoint(p, "clrp", l)
+		reuse.w.WorkingSet = 2
+		reuse.w.Reuse = 0.9
+		pts = append(pts, headlinePoint(p, "wormhole", l), headlinePoint(p, "pcs", l), reuse)
 	}
-	rows := make([]row, len(lengths))
-	err := parallel(ctx, p, len(lengths)*3, func(i int) error {
-		li, which := i/3, i%3
-		cfg := baseConfig(p)
-		cfg.NumSwitches = 1 // full-width wave channel
-		cfg.MaxMisroutes = 0
-		w := wave.Workload{Pattern: "uniform", Load: 0.02, FixedLength: lengths[li], WantCircuit: true}
-		switch which {
-		case 0:
-			cfg.Protocol = "wormhole"
-		case 1:
-			cfg.Protocol = "pcs" // circuit per message: no reuse
-		case 2:
-			cfg.Protocol = "clrp"
-			w.WorkingSet = 2
-			w.Reuse = 0.9
-		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e1 L=%d %s: %w", lengths[li], cfg.Protocol, err)
-		}
-		switch which {
-		case 0:
-			rows[li].wh = res.AvgLatency
-		case 1:
-			rows[li].pcs = res.AvgLatency
-		case 2:
-			rows[li].clrp = res.AvgLatency
-		}
-		return nil
-	})
+	outs, err := sweep(ctx, "e1", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("len(flits)", "wormhole", "wave-noreuse", "wave-reuse(clrp)", "gain-noreuse", "gain-reuse")
 	for i, l := range lengths {
-		r := rows[i]
-		tb.AddRow(l, r.wh, r.pcs, r.clrp, r.wh/r.pcs, r.wh/r.clrp)
+		wh, pcs, clrp := outs[3*i].res.AvgLatency, outs[3*i+1].res.AvgLatency, outs[3*i+2].res.AvgLatency
+		tb.AddRow(l, wh, pcs, clrp, wh/pcs, wh/clrp)
 	}
 	return &Report{
 		ID:    "E1",
@@ -220,6 +240,35 @@ func E1MessageLength(ctx context.Context, p Params) (*Report, error) {
 	}, nil
 }
 
+// Headline replicates the paper's headline claim — the wormhole/wave
+// latency ratio for 256-flit messages without reuse, in E1's configuration —
+// across reps seeds (p.Seed, p.Seed+1, ...) and returns the mean gain and
+// its 95% confidence half-width.
+func Headline(ctx context.Context, p Params, reps int) (mean, ci float64, err error) {
+	if reps < 1 {
+		return 0, 0, fmt.Errorf("experiments: reps must be >= 1")
+	}
+	var pts []point
+	for i := range reps {
+		seed := p.Seed + uint64(i)
+		for _, protocol := range []string{"wormhole", "pcs"} {
+			pt := headlinePoint(p, protocol, 256)
+			pt.cfg.Seed = seed
+			pt.w.Seed = seed + 77
+			pts = append(pts, pt)
+		}
+	}
+	outs, err := sweep(ctx, "headline", p, pts)
+	if err != nil {
+		return 0, 0, err
+	}
+	var gain stats.Series
+	for i := 0; i < len(outs); i += 2 {
+		gain.Add(outs[i].res.AvgLatency / outs[i+1].res.AvgLatency)
+	}
+	return gain.Mean(), gain.CI95(), nil
+}
+
 // ---------------------------------------------------------------------------
 // E2 — latency and accepted throughput vs applied load.
 
@@ -227,45 +276,41 @@ func E1MessageLength(ctx context.Context, p Params) (*Report, error) {
 func E2LoadSweep(ctx context.Context, p Params) (*Report, error) {
 	loads := []float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.30}
 	protos := []string{"wormhole", "clrp", "carp"}
-	type cell struct{ lat, thr float64 }
-	grid := make([][]cell, len(loads))
-	for i := range grid {
-		grid[i] = make([]cell, len(protos))
-	}
-	err := parallel(ctx, p, len(loads)*len(protos), func(i int) error {
-		li, pi := i/len(protos), i%len(protos)
-		cfg := baseConfig(p)
-		cfg.Protocol = protos[pi]
-		w := wave.Workload{
-			Pattern: "uniform", Load: loads[li], FixedLength: 64,
-			WorkingSet: 4, Reuse: 0.8, WantCircuit: true,
-		}
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
-		}
-		if protos[pi] == "carp" {
-			// The compiler opens circuits for each node's working set lazily:
-			// CARP sends to unopened destinations use wormhole; to keep the
-			// comparison fair the harness pre-opens the hot neighbours.
-			for n := 0; n < s.Nodes(); n++ {
-				s.OpenCircuit(n, (n+1)%s.Nodes())
-				s.OpenCircuit(n, (n+5)%s.Nodes())
+	var pts []point
+	for _, l := range loads {
+		for _, proto := range protos {
+			cfg := baseConfig(p)
+			cfg.Protocol = proto
+			pt := point{cfg: cfg, w: wave.Workload{
+				Pattern: "uniform", Load: l, FixedLength: 64,
+				WorkingSet: 4, Reuse: 0.8, WantCircuit: true,
+			}}
+			if proto == "carp" {
+				// The compiler opens circuits for each node's working set
+				// lazily: CARP sends to unopened destinations use wormhole;
+				// to keep the comparison fair the harness pre-opens the hot
+				// neighbours.
+				pt.open = func(s *wave.Simulator) {
+					for n := 0; n < s.Nodes(); n++ {
+						s.OpenCircuit(n, (n+1)%s.Nodes())
+						s.OpenCircuit(n, (n+5)%s.Nodes())
+					}
+				}
 			}
+			pts = append(pts, pt)
 		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e2 load=%.2f %s: %w", loads[li], protos[pi], rerr)
-		}
-		grid[li][pi] = cell{lat: res.AvgLatency, thr: res.Throughput}
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e2", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("load", "wh-lat", "wh-thr", "clrp-lat", "clrp-thr", "carp-lat", "carp-thr")
 	for i, l := range loads {
-		tb.AddRow(l, grid[i][0].lat, grid[i][0].thr, grid[i][1].lat, grid[i][1].thr, grid[i][2].lat, grid[i][2].thr)
+		row := []any{l}
+		for _, o := range outs[3*i : 3*i+3] {
+			row = append(row, o.res.AvgLatency, o.res.Throughput)
+		}
+		tb.AddRow(row...)
 	}
 	return &Report{
 		ID:    "E2",
@@ -284,42 +329,31 @@ func E2LoadSweep(ctx context.Context, p Params) (*Report, error) {
 // E3Reuse regenerates the reuse-probability sweep.
 func E3Reuse(ctx context.Context, p Params) (*Report, error) {
 	reuses := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.95}
-	whLat := make([]float64, 1)
-	clrpLat := make([]float64, len(reuses))
-	hit := make([]float64, len(reuses))
-	err := parallel(ctx, p, len(reuses)+1, func(i int) error {
+	// Spatially mapped processes ("near"): circuits are short, so the
+	// binding constraint is temporal reuse — the variable under test.
+	w := wave.Workload{Pattern: "near", Load: 0.05, FixedLength: 16, WantCircuit: true}
+	cfg := baseConfig(p)
+	cfg.Protocol = "wormhole"
+	pts := []point{{cfg: cfg, w: w}}
+	for _, r := range reuses {
 		cfg := baseConfig(p)
-		// Spatially mapped processes ("near"): circuits are short, so the
-		// binding constraint is temporal reuse — the variable under test.
-		w := wave.Workload{Pattern: "near", Load: 0.05, FixedLength: 16, WantCircuit: true}
-		if i == len(reuses) {
-			cfg.Protocol = "wormhole"
-			res, err := runOne(ctx, cfg, w, p)
-			if err != nil {
-				return err
-			}
-			whLat[0] = res.AvgLatency
-			return nil
-		}
 		cfg.Protocol = "clrp"
-		if reuses[i] > 0 {
+		w := w
+		if r > 0 {
 			w.WorkingSet = 2
-			w.Reuse = reuses[i]
+			w.Reuse = r
 		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e3 p=%.2f: %w", reuses[i], err)
-		}
-		clrpLat[i] = res.AvgLatency
-		hit[i] = res.HitRate
-		return nil
-	})
+		pts = append(pts, point{cfg: cfg, w: w})
+	}
+	outs, err := sweep(ctx, "e3", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("reuse-p", "clrp-lat", "hit-rate", "wormhole-lat", "clrp/wh")
+	wh := outs[0].res.AvgLatency
 	for i, r := range reuses {
-		tb.AddRow(r, clrpLat[i], hit[i], whLat[0], clrpLat[i]/whLat[0])
+		res := outs[i+1].res
+		tb.AddRow(r, res.AvgLatency, res.HitRate, wh, res.AvgLatency/wh)
 	}
 	return &Report{
 		ID:    "E3",
@@ -346,38 +380,32 @@ func E4Replacement(ctx context.Context, p Params) (*Report, error) {
 			setSizes[i] = maxSet
 		}
 	}
-	type cell struct {
-		lat, hit float64
-	}
-	grid := make([][]cell, len(policies))
-	for i := range grid {
-		grid[i] = make([]cell, len(setSizes))
-	}
-	err := parallel(ctx, p, len(policies)*len(setSizes), func(i int) error {
-		pi, si := i/len(setSizes), i%len(setSizes)
-		cfg := baseConfig(p)
-		cfg.Protocol = "clrp"
-		cfg.CacheCapacity = 4 // pressure: working sets up to 4x capacity
-		cfg.ReplacePolicy = policies[pi]
-		// "near" keeps circuits short so cache capacity — not channel
-		// availability — is the binding constraint the policies manage.
-		w := wave.Workload{
-			Pattern: "near", Load: 0.05, FixedLength: 32,
-			WorkingSet: setSizes[si], Reuse: 0.9, RedrawPeriod: 0, WantCircuit: true,
+	var pts []point
+	for _, pol := range policies {
+		for _, set := range setSizes {
+			cfg := baseConfig(p)
+			cfg.Protocol = "clrp"
+			cfg.CacheCapacity = 4 // pressure: working sets up to 4x capacity
+			cfg.ReplacePolicy = pol
+			// "near" keeps circuits short so cache capacity — not channel
+			// availability — is the binding constraint the policies manage.
+			pts = append(pts, point{cfg: cfg, w: wave.Workload{
+				Pattern: "near", Load: 0.05, FixedLength: 32,
+				WorkingSet: set, Reuse: 0.9, RedrawPeriod: 0, WantCircuit: true,
+			}})
 		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e4 %s set=%d: %w", policies[pi], setSizes[si], err)
-		}
-		grid[pi][si] = cell{lat: res.AvgLatency, hit: res.HitRate}
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e4", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("policy", "set=4 hit", "set=4 lat", "set=8 hit", "set=8 lat", "set=16 hit", "set=16 lat")
 	for i, pol := range policies {
-		tb.AddRow(pol, grid[i][0].hit, grid[i][0].lat, grid[i][1].hit, grid[i][1].lat, grid[i][2].hit, grid[i][2].lat)
+		row := []any{pol}
+		for _, o := range outs[3*i : 3*i+3] {
+			row = append(row, o.res.HitRate, o.res.AvgLatency)
+		}
+		tb.AddRow(row...)
 	}
 	return &Report{
 		ID:    "E4",
@@ -396,41 +424,27 @@ func E4Replacement(ctx context.Context, p Params) (*Report, error) {
 // E5Misroute regenerates the misroute-budget sweep.
 func E5Misroute(ctx context.Context, p Params) (*Report, error) {
 	ms := []int{0, 1, 2, 3, 4}
-	type cell struct {
-		success, setup, misPer float64
-	}
-	cells := make([]cell, len(ms))
-	err := parallel(ctx, p, len(ms), func(i int) error {
+	var pts []point
+	for _, m := range ms {
 		cfg := baseConfig(p)
 		cfg.Protocol = "pcs" // every message probes: maximal probe pressure
-		cfg.MaxMisroutes = ms[i]
+		cfg.MaxMisroutes = m
 		cfg.NumSwitches = 1 // a single wave switch: probes collide constantly
-		w := wave.Workload{Pattern: "uniform", Load: 0.15, FixedLength: 128, WantCircuit: true}
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e5 m=%d: %w", ms[i], rerr)
-		}
-		pc := res.Counters
-		total := pc.Succeeded + pc.Failed
-		if total > 0 {
-			cells[i].success = float64(pc.Succeeded) / float64(total)
-		}
-		cells[i].setup = res.AvgSetupCycles
-		if pc.Succeeded > 0 {
-			cells[i].misPer = float64(pc.Misroutes) / float64(pc.Launched)
-		}
-		return nil
-	})
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{Pattern: "uniform", Load: 0.15, FixedLength: 128, WantCircuit: true}})
+	}
+	outs, err := sweep(ctx, "e5", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("m", "probe-success", "avg-setup-cycles", "misroutes/probe")
 	for i, m := range ms {
-		tb.AddRow(m, cells[i].success, cells[i].setup, cells[i].misPer)
+		res := outs[i].res
+		pc := res.Counters
+		misPer := 0.0
+		if pc.Succeeded > 0 {
+			misPer = ratio(pc.Misroutes, pc.Launched)
+		}
+		tb.AddRow(m, probeSuccess(pc), res.AvgSetupCycles, misPer)
 	}
 	return &Report{
 		ID:    "E5",
@@ -449,42 +463,32 @@ func E5Misroute(ctx context.Context, p Params) (*Report, error) {
 // E6SwitchCount regenerates the k sweep.
 func E6SwitchCount(ctx context.Context, p Params) (*Report, error) {
 	ks := []int{1, 2, 3, 4}
-	type cell struct {
-		lat, thr, circ float64
+	// Two workloads probe the two sides of the trade-off: short messages
+	// with a wide working set stress circuit *availability* (k helps); long
+	// messages stress per-circuit *bandwidth* (k hurts).
+	short := wave.Workload{
+		Pattern: "near", Load: 0.08, FixedLength: 16,
+		WorkingSet: 6, Reuse: 0.9, WantCircuit: true,
 	}
-	cells := make([]cell, len(ks))
-	err := parallel(ctx, p, len(ks), func(i int) error {
+	long := wave.Workload{
+		Pattern: "near", Load: 0.08, FixedLength: 256,
+		WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
+	}
+	var pts []point
+	for _, k := range ks {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
-		cfg.NumSwitches = ks[i]
-		// Two workloads probe the two sides of the trade-off: short messages
-		// with a wide working set stress circuit *availability* (k helps);
-		// long messages stress per-circuit *bandwidth* (k hurts).
-		short := wave.Workload{
-			Pattern: "near", Load: 0.08, FixedLength: 16,
-			WorkingSet: 6, Reuse: 0.9, WantCircuit: true,
-		}
-		long := wave.Workload{
-			Pattern: "near", Load: 0.08, FixedLength: 256,
-			WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-		}
-		resS, err := runOne(ctx, cfg, short, p)
-		if err != nil {
-			return fmt.Errorf("e6 k=%d short: %w", ks[i], err)
-		}
-		resL, err := runOne(ctx, cfg, long, p)
-		if err != nil {
-			return fmt.Errorf("e6 k=%d long: %w", ks[i], err)
-		}
-		cells[i] = cell{lat: resS.AvgLatency, thr: resL.AvgLatency, circ: resS.HitRate}
-		return nil
-	})
+		cfg.NumSwitches = k
+		pts = append(pts, point{cfg: cfg, w: short}, point{cfg: cfg, w: long})
+	}
+	outs, err := sweep(ctx, "e6", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("k", "short-msg-lat", "short-hit-rate", "long-msg-lat", "per-circuit-rate")
 	for i, k := range ks {
-		tb.AddRow(k, cells[i].lat, cells[i].circ, cells[i].thr, 4.0/float64(k))
+		s, l := outs[2*i].res, outs[2*i+1].res
+		tb.AddRow(k, s.AvgLatency, s.HitRate, l.AvgLatency, 4.0/float64(k))
 	}
 	return &Report{
 		ID:    "E6",
@@ -504,39 +508,24 @@ func E6SwitchCount(ctx context.Context, p Params) (*Report, error) {
 // E7Stress regenerates the saturation stress table.
 func E7Stress(ctx context.Context, p Params) (*Report, error) {
 	protos := []string{"wormhole", "clrp", "carp", "pcs"}
-	type cell struct {
-		delivered int64
-		maxLat    float64
-		forces    int64
-		releases  int64
-	}
-	cells := make([]cell, len(protos))
-	err := parallel(ctx, p, len(protos), func(i int) error {
+	var pts []point
+	for _, proto := range protos {
 		cfg := baseConfig(p)
-		cfg.Protocol = protos[i]
+		cfg.Protocol = proto
 		cfg.CacheCapacity = 2 // maximal replacement churn
-		w := wave.Workload{
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{
 			Pattern: "hotspot", Load: 0.25, FixedLength: 32,
 			WorkingSet: 4, Reuse: 0.7, WantCircuit: true,
-		}
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e7 %s: %w (deadlock/livelock?)", protos[i], rerr)
-		}
-		pc := res.Counters
-		cells[i] = cell{delivered: res.Delivered, maxLat: res.MaxLatency, forces: pc.ForceWaits, releases: pc.ReleasesSent}
-		return nil
-	})
+		}})
+	}
+	outs, err := sweep(ctx, "e7", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("protocol", "delivered", "stuck", "max-latency", "force-waits", "releases")
-	for i, pr := range protos {
-		tb.AddRow(pr, cells[i].delivered, 0, cells[i].maxLat, cells[i].forces, cells[i].releases)
+	for i, proto := range protos {
+		res := outs[i].res
+		tb.AddRow(proto, res.Delivered, 0, res.MaxLatency, res.Counters.ForceWaits, res.Counters.ReleasesSent)
 	}
 	return &Report{
 		ID:    "E7",
@@ -556,73 +545,43 @@ func E7Stress(ctx context.Context, p Params) (*Report, error) {
 func E8Faults(ctx context.Context, p Params) (*Report, error) {
 	staticCounts := []int{0, 8, 16, 32, 64, 128}
 	transientCounts := []int{8, 16, 32}
-	type cell struct {
-		regime                 string
-		faults                 int
-		circFrac, lat, success float64
-		retries                int64
-		fbFrac                 float64
-	}
-	cells := make([]cell, len(staticCounts)+len(transientCounts))
 	w := wave.Workload{
 		Pattern: "near", Load: 0.05, FixedLength: 64,
 		WorkingSet: 2, Reuse: 0.8, WantCircuit: true,
 	}
-	err := parallel(ctx, p, len(cells), func(i int) error {
+	var pts []point
+	for i, count := range append(staticCounts, transientCounts...) {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
 		cfg.MaxMisroutes = 3 // generous budget: MB-m's fault resilience
-		regime, count := "static", 0
+		seed := p.Seed + uint64(i)*17
 		if i < len(staticCounts) {
-			count = staticCounts[i]
-		} else {
-			// Transient regime: the same channel budget, but failing mid-run
-			// and repairing, with the retry/backoff recovery armed.
-			regime, count = "transient", transientCounts[i-len(staticCounts)]
-			cfg.FaultSchedule = wave.FaultScheduleConfig{
-				Count: count, Start: p.Warmup + p.Measure/10,
-				Spacing: 40, Repair: 350, Seed: p.Seed + uint64(i)*17,
-			}
-			cfg.ProbeRetryLimit = 3
-			cfg.RetryBackoffCycles = 32
+			pts = append(pts, point{cfg: cfg, w: w, faults: count, faultSeed: seed})
+			continue
 		}
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
+		// Transient regime: the same channel budget, but failing mid-run and
+		// repairing, with the retry/backoff recovery armed.
+		cfg.FaultSchedule = wave.FaultScheduleConfig{
+			Count: count, Start: p.Warmup + p.Measure/10,
+			Spacing: 40, Repair: 350, Seed: seed,
 		}
-		if regime == "static" {
-			if ferr := s.InjectFaults(count, p.Seed+uint64(i)*17); ferr != nil {
-				return ferr
-			}
-		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e8 %s faults=%d: %w", regime, count, rerr)
-		}
-		pc := res.Counters
-		total := pc.Succeeded + pc.Failed
-		success := 0.0
-		if total > 0 {
-			success = float64(pc.Succeeded) / float64(total)
-		}
-		st := s.Stats()
-		fbFrac := 0.0
-		if delivered := st.WHMsgsDelivered + st.CircuitMsgsDelivered; delivered > 0 {
-			fbFrac = float64(st.Protocol.FallbackWormhole) / float64(delivered)
-		}
-		cells[i] = cell{
-			regime: regime, faults: count,
-			circFrac: res.CircuitFraction, lat: res.AvgLatency, success: success,
-			retries: st.Protocol.SetupRetries, fbFrac: fbFrac,
-		}
-		return nil
-	})
+		cfg.ProbeRetryLimit = 3
+		cfg.RetryBackoffCycles = 32
+		pts = append(pts, point{cfg: cfg, w: w})
+	}
+	outs, err := sweep(ctx, "e8", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("regime", "faulty-channels", "probe-success", "circuit-frac", "latency", "retries", "fallback-frac")
-	for _, c := range cells {
-		tb.AddRow(c.regime, c.faults, c.success, c.circFrac, c.lat, c.retries, c.fbFrac)
+	for i, o := range outs {
+		regime, count := "static", pts[i].faults
+		if i >= len(staticCounts) {
+			regime, count = "transient", pts[i].cfg.FaultSchedule.Count
+		}
+		st := o.st
+		fbFrac := ratio(st.Protocol.FallbackWormhole, st.WHMsgsDelivered+st.CircuitMsgsDelivered)
+		tb.AddRow(regime, count, probeSuccess(o.res.Counters), o.res.CircuitFraction, o.res.AvgLatency, st.Protocol.SetupRetries, fbFrac)
 	}
 	return &Report{
 		ID:    "E8",
@@ -650,39 +609,26 @@ func E9Ablation(ctx context.Context, p Params) (*Report, error) {
 		{"force-first (skip phase 1)", true, false},
 		{"single-switch phase 2", false, true},
 	}
-	type cell struct {
-		lat, setup float64
-		p2, p3     int64
-	}
-	cells := make([]cell, len(variants))
-	err := parallel(ctx, p, len(variants), func(i int) error {
+	var pts []point
+	for _, v := range variants {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
 		cfg.CacheCapacity = 3
-		cfg.ForceFirst = variants[i].forceFirst
-		cfg.SinglePhase2Switch = variants[i].single
-		w := wave.Workload{
+		cfg.ForceFirst = v.forceFirst
+		cfg.SinglePhase2Switch = v.single
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{
 			Pattern: "uniform", Load: 0.10, FixedLength: 64,
 			WorkingSet: 6, Reuse: 0.8, WantCircuit: true,
-		}
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e9 %s: %w", variants[i].name, rerr)
-		}
-		ctr := s.Counters()
-		cells[i] = cell{lat: res.AvgLatency, setup: res.AvgSetupCycles, p2: ctr.Phase2Entered, p3: ctr.Phase3Entered}
-		return nil
-	})
+		}})
+	}
+	outs, err := sweep(ctx, "e9", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("variant", "latency", "avg-setup", "phase2-entries", "phase3-fallbacks")
 	for i, v := range variants {
-		tb.AddRow(v.name, cells[i].lat, cells[i].setup, cells[i].p2, cells[i].p3)
+		o := outs[i]
+		tb.AddRow(v.name, o.res.AvgLatency, o.res.AvgSetupCycles, o.st.Protocol.Phase2Entered, o.st.Protocol.Phase3Entered)
 	}
 	return &Report{
 		ID:    "E9",
@@ -702,42 +648,29 @@ func E9Ablation(ctx context.Context, p Params) (*Report, error) {
 // E10ClockMult regenerates the clock-multiplier sweep.
 func E10ClockMult(ctx context.Context, p Params) (*Report, error) {
 	mults := []float64{1, 2, 3, 4}
-	type cell struct {
-		lat, thr, gain float64
+	w := wave.Workload{
+		Pattern: "uniform", Load: 0.05, FixedLength: 256,
+		WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
 	}
-	cells := make([]cell, len(mults))
-	whLat := make([]float64, 1)
-	err := parallel(ctx, p, len(mults)+1, func(i int) error {
+	cfg := baseConfig(p)
+	cfg.Protocol = "wormhole"
+	pts := []point{{cfg: cfg, w: w}}
+	for _, m := range mults {
 		cfg := baseConfig(p)
-		w := wave.Workload{
-			Pattern: "uniform", Load: 0.05, FixedLength: 256,
-			WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-		}
-		if i == len(mults) {
-			cfg.Protocol = "wormhole"
-			res, err := runOne(ctx, cfg, w, p)
-			if err != nil {
-				return err
-			}
-			whLat[0] = res.AvgLatency
-			return nil
-		}
 		cfg.Protocol = "clrp"
 		cfg.NumSwitches = 1
-		cfg.WaveClockMult = mults[i]
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e10 mult=%g: %w", mults[i], err)
-		}
-		cells[i] = cell{lat: res.AvgLatency, thr: res.Throughput}
-		return nil
-	})
+		cfg.WaveClockMult = m
+		pts = append(pts, point{cfg: cfg, w: w})
+	}
+	outs, err := sweep(ctx, "e10", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("clock-mult", "clrp-lat", "clrp-thr", "wormhole-lat", "gain")
+	wh := outs[0].res.AvgLatency
 	for i, m := range mults {
-		tb.AddRow(m, cells[i].lat, cells[i].thr, whLat[0], whLat[0]/cells[i].lat)
+		res := outs[i+1].res
+		tb.AddRow(m, res.AvgLatency, res.Throughput, wh, wh/res.AvgLatency)
 	}
 	return &Report{
 		ID:    "E10",
@@ -756,34 +689,28 @@ func E10ClockMult(ctx context.Context, p Params) (*Report, error) {
 // E11Window regenerates the window-size sweep.
 func E11Window(ctx context.Context, p Params) (*Report, error) {
 	windows := []int{0, 64, 32, 16, 8, 4} // 0 = unbounded (deep buffers)
-	type cell struct{ lat, thr float64 }
-	cells := make([]cell, len(windows))
-	err := parallel(ctx, p, len(windows), func(i int) error {
+	var pts []point
+	for _, win := range windows {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
 		cfg.NumSwitches = 1
-		cfg.WindowFlits = windows[i]
-		w := wave.Workload{
+		cfg.WindowFlits = win
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{
 			Pattern: "uniform", Load: 0.05, FixedLength: 256,
 			WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e11 window=%d: %w", windows[i], err)
-		}
-		cells[i] = cell{lat: res.AvgLatency, thr: res.Throughput}
-		return nil
-	})
+		}})
+	}
+	outs, err := sweep(ctx, "e11", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("window(flits)", "latency", "throughput")
-	for i, w := range windows {
-		label := fmt.Sprint(w)
-		if w == 0 {
+	for i, win := range windows {
+		label := fmt.Sprint(win)
+		if win == 0 {
 			label = "unbounded"
 		}
-		tb.AddRow(label, cells[i].lat, cells[i].thr)
+		tb.AddRow(label, outs[i].res.AvgLatency, outs[i].res.Throughput)
 	}
 	return &Report{
 		ID:    "E11",
@@ -820,42 +747,29 @@ func E12Topology(ctx context.Context, p Params) (*Report, error) {
 		topos = append(topos, wave.TopologyConfig{Kind: "hypercube", Dims: d})
 		names = append(names, fmt.Sprintf("%d-hypercube", d))
 	}
-	type cell struct{ whLat, clLat, thr float64 }
-	cells := make([]cell, len(topos))
-	err := parallel(ctx, p, len(topos)*2, func(i int) error {
-		ti, which := i/2, i%2
-		cfg := baseConfig(p)
-		cfg.Topology = topos[ti]
-		if topos[ti].Kind == "mesh" || topos[ti].Kind == "hypercube" {
-			cfg.NumVCs = 2 // Duato on a mesh needs only 1 escape VC
+	var pts []point
+	for _, topo := range topos {
+		for _, proto := range []string{"wormhole", "clrp"} {
+			cfg := baseConfig(p)
+			cfg.Topology = topo
+			if topo.Kind == "mesh" || topo.Kind == "hypercube" {
+				cfg.NumVCs = 2 // Duato on a mesh needs only 1 escape VC
+			}
+			cfg.Protocol = proto
+			pts = append(pts, point{cfg: cfg, w: wave.Workload{
+				Pattern: "uniform", Load: 0.10, FixedLength: 64,
+				WorkingSet: 3, Reuse: 0.8, WantCircuit: true,
+			}})
 		}
-		w := wave.Workload{
-			Pattern: "uniform", Load: 0.10, FixedLength: 64,
-			WorkingSet: 3, Reuse: 0.8, WantCircuit: true,
-		}
-		if which == 0 {
-			cfg.Protocol = "wormhole"
-		} else {
-			cfg.Protocol = "clrp"
-		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e12 %s %s: %w", names[ti], cfg.Protocol, err)
-		}
-		if which == 0 {
-			cells[ti].whLat = res.AvgLatency
-		} else {
-			cells[ti].clLat = res.AvgLatency
-			cells[ti].thr = res.Throughput
-		}
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e12", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("topology", "wormhole-lat", "clrp-lat", "clrp-thr", "clrp-gain")
 	for i, name := range names {
-		tb.AddRow(name, cells[i].whLat, cells[i].clLat, cells[i].thr, cells[i].whLat/cells[i].clLat)
+		wh, cl := outs[2*i].res, outs[2*i+1].res
+		tb.AddRow(name, wh.AvgLatency, cl.AvgLatency, cl.Throughput, wh.AvgLatency/cl.AvgLatency)
 	}
 	return &Report{
 		ID:    "E12",
@@ -875,42 +789,28 @@ func E12Topology(ctx context.Context, p Params) (*Report, error) {
 
 // E13ClosedLoop regenerates the closed-loop round-trip comparison.
 func E13ClosedLoop(ctx context.Context, p Params) (*Report, error) {
-	outs := []int{1, 2, 4, 8}
-	protos := []string{"wormhole", "clrp"}
-	type cell struct{ rtt, rate float64 }
-	grid := make([][]cell, len(outs))
-	for i := range grid {
-		grid[i] = make([]cell, len(protos))
-	}
-	requests := int(p.Measure / 200)
-	if requests < 10 {
-		requests = 10
-	}
-	err := parallel(ctx, p, len(outs)*len(protos), func(i int) error {
-		oi, pi := i/len(protos), i%len(protos)
-		cfg := baseConfig(p)
-		cfg.Protocol = protos[pi]
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
+	outstanding := []int{1, 2, 4, 8}
+	requests := max(int(p.Measure/200), 10)
+	var pts []point
+	for _, o := range outstanding {
+		for _, proto := range []string{"wormhole", "clrp"} {
+			cfg := baseConfig(p)
+			cfg.Protocol = proto
+			pts = append(pts, point{cfg: cfg, closed: &wave.ClosedWorkload{
+				Pattern: "near", ReqFlits: 4, ReplyFlits: 64,
+				Outstanding: o, Requests: requests,
+				WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
+			}})
 		}
-		res, rerr := s.RunClosedLoopContext(ctx, wave.ClosedWorkload{
-			Pattern: "near", ReqFlits: 4, ReplyFlits: 64,
-			Outstanding: outs[oi], Requests: requests,
-			WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-		}, 20_000_000)
-		if rerr != nil {
-			return fmt.Errorf("e13 out=%d %s: %w", outs[oi], protos[pi], rerr)
-		}
-		grid[oi][pi] = cell{rtt: res.AvgRoundTrip, rate: res.Rate * 1000}
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e13", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("outstanding", "wh-rtt", "wh-rate(m)", "clrp-rtt", "clrp-rate(m)", "rtt-gain")
-	for i, o := range outs {
-		tb.AddRow(o, grid[i][0].rtt, grid[i][0].rate, grid[i][1].rtt, grid[i][1].rate, grid[i][0].rtt/grid[i][1].rtt)
+	for i, o := range outstanding {
+		wh, cl := outs[2*i].closed, outs[2*i+1].closed
+		tb.AddRow(o, wh.AvgRoundTrip, wh.Rate*1000, cl.AvgRoundTrip, cl.Rate*1000, wh.AvgRoundTrip/cl.AvgRoundTrip)
 	}
 	return &Report{
 		ID:    "E13",
@@ -931,26 +831,18 @@ func E13ClosedLoop(ctx context.Context, p Params) (*Report, error) {
 // E14Hybrid regenerates the threshold sweep.
 func E14Hybrid(ctx context.Context, p Params) (*Report, error) {
 	thresholds := []int{0, 8, 16, 32, 64, 1 << 30}
-	type cell struct {
-		lat, circ float64
-	}
-	cells := make([]cell, len(thresholds))
-	err := parallel(ctx, p, len(thresholds), func(i int) error {
+	var pts []point
+	for _, th := range thresholds {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
-		cfg.MinCircuitFlits = thresholds[i]
-		w := wave.Workload{
+		cfg.MinCircuitFlits = th
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{
 			Pattern: "near", Load: 0.10,
 			BimodalShort: 4, BimodalLong: 128, BimodalPLong: 0.3,
 			WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e14 threshold=%d: %w", thresholds[i], err)
-		}
-		cells[i] = cell{lat: res.AvgLatency, circ: res.CircuitFraction}
-		return nil
-	})
+		}})
+	}
+	outs, err := sweep(ctx, "e14", p, pts)
 	if err != nil {
 		return nil, err
 	}
@@ -963,7 +855,7 @@ func E14Hybrid(ctx context.Context, p Params) (*Report, error) {
 		case 1 << 30:
 			label = "inf (pure wormhole)"
 		}
-		tb.AddRow(label, cells[i].lat, cells[i].circ)
+		tb.AddRow(label, outs[i].res.AvgLatency, outs[i].res.CircuitFraction)
 	}
 	return &Report{
 		ID:    "E14",
@@ -985,44 +877,36 @@ func E14Hybrid(ctx context.Context, p Params) (*Report, error) {
 
 // E15RouterCost regenerates the router-cost trade-off table.
 func E15RouterCost(ctx context.Context, p Params) (*Report, error) {
-	type config struct {
+	configs := []struct {
 		name    string
 		routing string
 		vcs     int
 		rd      int
-	}
-	configs := []config{
+	}{
 		{"dor w=2, 1-cycle router", "dor", 2, 0},
 		{"duato w=3, 1-cycle router", "duato", 3, 0},
 		{"duato w=3, +1 cycle node delay", "duato", 3, 1},
 		{"duato w=3, +2 cycle node delay", "duato", 3, 2},
 	}
 	loads := []float64{0.05, 0.20, 0.35}
-	grid := make([][]float64, len(configs))
-	for i := range grid {
-		grid[i] = make([]float64, len(loads))
-	}
-	err := parallel(ctx, p, len(configs)*len(loads), func(i int) error {
-		ci, li := i/len(loads), i%len(loads)
-		cfg := baseConfig(p)
-		cfg.Protocol = "wormhole" // isolate the wormhole design space
-		cfg.Routing = configs[ci].routing
-		cfg.NumVCs = configs[ci].vcs
-		cfg.RouteDelay = configs[ci].rd
-		w := wave.Workload{Pattern: "uniform", Load: loads[li], FixedLength: 16}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e15 %s load=%.2f: %w", configs[ci].name, loads[li], err)
+	var pts []point
+	for _, c := range configs {
+		for _, l := range loads {
+			cfg := baseConfig(p)
+			cfg.Protocol = "wormhole" // isolate the wormhole design space
+			cfg.Routing = c.routing
+			cfg.NumVCs = c.vcs
+			cfg.RouteDelay = c.rd
+			pts = append(pts, point{cfg: cfg, w: wave.Workload{Pattern: "uniform", Load: l, FixedLength: 16}})
 		}
-		grid[ci][li] = res.AvgLatency
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e15", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("router", "lat@0.05", "lat@0.20", "lat@0.35")
 	for i, c := range configs {
-		tb.AddRow(c.name, grid[i][0], grid[i][1], grid[i][2])
+		tb.AddRow(c.name, outs[3*i].res.AvgLatency, outs[3*i+1].res.AvgLatency, outs[3*i+2].res.AvgLatency)
 	}
 	return &Report{
 		ID:    "E15",
@@ -1045,50 +929,38 @@ func E15RouterCost(ctx context.Context, p Params) (*Report, error) {
 
 // E16Recovery regenerates the avoidance-vs-recovery table.
 func E16Recovery(ctx context.Context, p Params) (*Report, error) {
-	type config struct {
+	configs := []struct {
 		name    string
 		routing string
 		vcs     int
 		depth   int
 		timeout int64
-	}
-	configs := []config{
+	}{
 		// Equal total buffering per physical channel (4 flits).
 		{"avoidance: dateline DOR, 2 VC x 2", "dor", 2, 2, 0},
 		{"recovery: plain DOR, 1 VC x 4, T=64", "dor-nodateline", 1, 4, 64},
 		{"recovery: plain DOR, 1 VC x 4, T=256", "dor-nodateline", 1, 4, 256},
 	}
 	loads := []float64{0.05, 0.15, 0.25}
-	type cell struct {
-		lat    float64
-		aborts int64
-	}
-	grid := make([][]cell, len(configs))
-	for i := range grid {
-		grid[i] = make([]cell, len(loads))
-	}
-	err := parallel(ctx, p, len(configs)*len(loads), func(i int) error {
-		ci, li := i/len(loads), i%len(loads)
-		cfg := baseConfig(p)
-		cfg.Protocol = "wormhole"
-		cfg.Routing = configs[ci].routing
-		cfg.NumVCs = configs[ci].vcs
-		cfg.BufDepth = configs[ci].depth
-		cfg.RecoveryTimeout = configs[ci].timeout
-		w := wave.Workload{Pattern: "uniform", Load: loads[li], FixedLength: 16}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e16 %s load=%.2f: %w", configs[ci].name, loads[li], err)
+	var pts []point
+	for _, c := range configs {
+		for _, l := range loads {
+			cfg := baseConfig(p)
+			cfg.Protocol = "wormhole"
+			cfg.Routing = c.routing
+			cfg.NumVCs = c.vcs
+			cfg.BufDepth = c.depth
+			cfg.RecoveryTimeout = c.timeout
+			pts = append(pts, point{cfg: cfg, w: wave.Workload{Pattern: "uniform", Load: l, FixedLength: 16}})
 		}
-		grid[ci][li] = cell{lat: res.AvgLatency, aborts: res.RecoveryAborts}
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e16", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("scheme", "lat@0.05", "lat@0.15", "lat@0.25", "aborts@0.25")
 	for i, c := range configs {
-		tb.AddRow(c.name, grid[i][0].lat, grid[i][1].lat, grid[i][2].lat, grid[i][2].aborts)
+		tb.AddRow(c.name, outs[3*i].res.AvgLatency, outs[3*i+1].res.AvgLatency, outs[3*i+2].res.AvgLatency, outs[3*i+2].res.RecoveryAborts)
 	}
 	return &Report{
 		ID:    "E16",
@@ -1110,37 +982,24 @@ func E16Recovery(ctx context.Context, p Params) (*Report, error) {
 // E17CacheCapacity regenerates the cache-capacity sweep.
 func E17CacheCapacity(ctx context.Context, p Params) (*Report, error) {
 	caps := []int{1, 2, 4, 8, 16}
-	type cell struct {
-		lat, hit float64
-		evict    int64
-	}
-	cells := make([]cell, len(caps))
-	err := parallel(ctx, p, len(caps), func(i int) error {
+	var pts []point
+	for _, c := range caps {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
-		cfg.CacheCapacity = caps[i]
-		w := wave.Workload{
+		cfg.CacheCapacity = c
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{
 			Pattern: "near", Load: 0.08, FixedLength: 32,
 			WorkingSet: 6, Reuse: 0.9, WantCircuit: true,
-		}
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e17 cap=%d: %w", caps[i], rerr)
-		}
-		cs := s.CacheStats()
-		cells[i] = cell{lat: res.AvgLatency, hit: res.HitRate, evict: cs.Evictions}
-		return nil
-	})
+		}})
+	}
+	outs, err := sweep(ctx, "e17", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("cache-capacity", "latency", "hit-rate", "evictions")
 	for i, c := range caps {
-		tb.AddRow(c, cells[i].lat, cells[i].hit, cells[i].evict)
+		o := outs[i]
+		tb.AddRow(c, o.res.AvgLatency, o.res.HitRate, o.st.Cache.Evictions)
 	}
 	return &Report{
 		ID:    "E17",
@@ -1167,39 +1026,27 @@ func E18SwitchSpread(ctx context.Context, p Params) (*Report, error) {
 		{"spread: (x+y) mod k (paper)", true},
 		{"no spread: always S1", false},
 	}
-	type cell struct {
-		lat, setup, backs float64
-	}
-	cells := make([]cell, len(variants))
-	err := parallel(ctx, p, len(variants), func(i int) error {
+	var pts []point
+	for _, v := range variants {
 		cfg := baseConfig(p)
 		cfg.Protocol = "clrp"
 		cfg.NumSwitches = 3 // the heuristic only matters with several switches
-		cfg.NoSwitchSpread = !variants[i].spread
+		cfg.NoSwitchSpread = !v.spread
 		// Long messages hold circuits for extended periods, so neighbouring
 		// probes collide on busy channels — the case the heuristic targets.
-		w := wave.Workload{
+		pts = append(pts, point{cfg: cfg, w: wave.Workload{
 			Pattern: "uniform", Load: 0.15, FixedLength: 256,
 			WorkingSet: 3, Reuse: 0.85, WantCircuit: true,
-		}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e18 %s: %w", variants[i].name, err)
-		}
-		pc := res.Counters
-		backs := 0.0
-		if pc.Launched > 0 {
-			backs = float64(pc.Backtracks) / float64(pc.Launched)
-		}
-		cells[i] = cell{lat: res.AvgLatency, setup: res.AvgSetupCycles, backs: backs}
-		return nil
-	})
+		}})
+	}
+	outs, err := sweep(ctx, "e18", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("initial switch", "latency", "avg-setup", "backtracks/probe")
 	for i, v := range variants {
-		tb.AddRow(v.name, cells[i].lat, cells[i].setup, cells[i].backs)
+		res := outs[i].res
+		tb.AddRow(v.name, res.AvgLatency, res.AvgSetupCycles, ratio(res.Counters.Backtracks, res.Counters.Launched))
 	}
 	return &Report{
 		ID:    "E18",
@@ -1220,57 +1067,46 @@ func E18SwitchSpread(ctx context.Context, p Params) (*Report, error) {
 
 // E19EndpointBuffers regenerates the buffer-model comparison.
 func E19EndpointBuffers(ctx context.Context, p Params) (*Report, error) {
-	type config struct {
+	configs := []struct {
 		name    string
 		proto   string
 		initial int
-	}
-	configs := []config{
+	}{
 		{"clrp, guess 16 flits", "clrp", 16},
 		{"clrp, guess 64 flits", "clrp", 64},
 		{"clrp, guess 256 flits", "clrp", 256},
 		{"carp (longest known upfront)", "carp", 16},
 	}
-	type cell struct {
-		lat      float64
-		reallocs int64
-	}
-	cells := make([]cell, len(configs))
-	err := parallel(ctx, p, len(configs), func(i int) error {
+	var pts []point
+	for _, c := range configs {
 		cfg := baseConfig(p)
-		cfg.Protocol = configs[i].proto
-		cfg.InitialBufFlits = configs[i].initial
+		cfg.Protocol = c.proto
+		cfg.InitialBufFlits = c.initial
 		cfg.ReallocPenalty = 40 // a kernel round trip to grow both ends
-		s, err := wave.New(cfg)
-		if err != nil {
-			return err
-		}
-		if configs[i].proto == "carp" {
-			for n := 0; n < s.Nodes(); n++ {
-				for _, nb := range s.Neighbors(n) {
-					s.OpenCircuit(n, nb)
-				}
-			}
-		}
 		// Heavy-tailed lengths: mostly 16-flit, occasionally 256-flit.
-		w := wave.Workload{
+		pt := point{cfg: cfg, w: wave.Workload{
 			Pattern: "neighbor", Load: 0.08,
 			BimodalShort: 16, BimodalLong: 256, BimodalPLong: 0.1,
 			WorkingSet: 1, Reuse: 0.95, WantCircuit: true,
+		}}
+		if c.proto == "carp" {
+			pt.open = func(s *wave.Simulator) {
+				for n := 0; n < s.Nodes(); n++ {
+					for _, nb := range s.Neighbors(n) {
+						s.OpenCircuit(n, nb)
+					}
+				}
+			}
 		}
-		res, rerr := s.RunLoadContext(ctx, w, p.Warmup, p.Measure)
-		if rerr != nil {
-			return fmt.Errorf("e19 %s: %w", configs[i].name, rerr)
-		}
-		cells[i] = cell{lat: res.AvgLatency, reallocs: res.Reallocs}
-		return nil
-	})
+		pts = append(pts, pt)
+	}
+	outs, err := sweep(ctx, "e19", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("buffers", "latency", "reallocs")
 	for i, c := range configs {
-		tb.AddRow(c.name, cells[i].lat, cells[i].reallocs)
+		tb.AddRow(c.name, outs[i].res.AvgLatency, outs[i].res.Reallocs)
 	}
 	return &Report{
 		ID:    "E19",
@@ -1296,42 +1132,33 @@ func E19EndpointBuffers(ctx context.Context, p Params) (*Report, error) {
 func E20SoftwareLayer(ctx context.Context, p Params) (*Report, error) {
 	const msgLen = 128
 	// Measure hardware latencies once per substrate.
-	type hw struct{ wh, circuit float64 }
-	var lat hw
-	{
-		cfg := baseConfig(p)
-		cfg.Protocol = "wormhole"
-		res, err := runOne(ctx, cfg, wave.Workload{Pattern: "uniform", Load: 0.05, FixedLength: msgLen}, p)
-		if err != nil {
-			return nil, err
-		}
-		lat.wh = res.AvgLatency
-	}
-	{
-		cfg := baseConfig(p)
-		cfg.Protocol = "clrp"
-		res, err := runOne(ctx, cfg, wave.Workload{
+	wh, circuit := baseConfig(p), baseConfig(p)
+	wh.Protocol = "wormhole"
+	circuit.Protocol = "clrp"
+	outs, err := sweep(ctx, "e20", p, []point{
+		{cfg: wh, w: wave.Workload{Pattern: "uniform", Load: 0.05, FixedLength: msgLen}},
+		{cfg: circuit, w: wave.Workload{
 			Pattern: "uniform", Load: 0.05, FixedLength: msgLen,
 			WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-		}, p)
-		if err != nil {
-			return nil, err
-		}
-		lat.circuit = res.AvgLatency
+		}},
+	})
+	if err != nil {
+		return nil, err
 	}
+	whLat, circLat := outs[0].res.AvgLatency, outs[1].res.AvgLatency
 	layers := []msglayer.Costs{msglayer.Multicomputer(), msglayer.ActiveMessages(), msglayer.DSM()}
 	tb := stats.NewTable("messaging layer", "wh-total", "sw-share", "circuit-total", "sw-share", "end-to-end gain")
 	for _, c := range layers {
-		whTotal := float64(c.Overhead(msgLen, false)) + lat.wh
-		circTotal := float64(c.Overhead(msgLen, true)) + lat.circuit
+		whTotal := float64(c.Overhead(msgLen, false)) + whLat
+		circTotal := float64(c.Overhead(msgLen, true)) + circLat
 		tb.AddRow(c.Name,
-			whTotal, c.SoftwareShare(msgLen, false, lat.wh),
-			circTotal, c.SoftwareShare(msgLen, true, lat.circuit),
+			whTotal, c.SoftwareShare(msgLen, false, whLat),
+			circTotal, c.SoftwareShare(msgLen, true, circLat),
 			whTotal/circTotal)
 	}
 	return &Report{
 		ID:    "E20",
-		Title: fmt.Sprintf("Software messaging layer + measured hardware (128-flit messages; hw: wh=%.0f, circuit=%.0f cycles)", lat.wh, lat.circuit),
+		Title: fmt.Sprintf("Software messaging layer + measured hardware (128-flit messages; hw: wh=%.0f, circuit=%.0f cycles)", whLat, circLat),
 		Table: tb,
 		Notes: []string{
 			"Paper section 1: software overhead is 50-70% of messaging cost, so 'reducing the",
@@ -1351,43 +1178,35 @@ func E20SoftwareLayer(ctx context.Context, p Params) (*Report, error) {
 
 // E21RoutingFamily regenerates the routing comparison on a mesh.
 func E21RoutingFamily(ctx context.Context, p Params) (*Report, error) {
-	type config struct {
+	configs := []struct {
 		name, fn string
 		vcs      int
-	}
-	configs := []config{
+	}{
 		{"dor (deterministic)", "dor", 2},
 		{"west-first (turn model)", "westfirst", 2},
 		{"negative-first (turn model)", "negativefirst", 2},
 		{"duato (fully adaptive)", "duato", 2},
 	}
 	loads := []float64{0.05, 0.15, 0.25}
-	grid := make([][]float64, len(configs))
-	for i := range grid {
-		grid[i] = make([]float64, len(loads))
-	}
-	err := parallel(ctx, p, len(configs)*len(loads), func(i int) error {
-		ci, li := i/len(loads), i%len(loads)
-		cfg := baseConfig(p)
-		cfg.Topology = wave.TopologyConfig{Kind: "mesh", Radix: []int{p.Radix, p.Radix}}
-		cfg.Protocol = "wormhole"
-		cfg.Routing = configs[ci].fn
-		cfg.NumVCs = configs[ci].vcs
-		// Transpose concentrates traffic: adaptivity earns its keep.
-		w := wave.Workload{Pattern: "transpose", Load: loads[li], FixedLength: 16}
-		res, err := runOne(ctx, cfg, w, p)
-		if err != nil {
-			return fmt.Errorf("e21 %s load=%.2f: %w", configs[ci].name, loads[li], err)
+	var pts []point
+	for _, c := range configs {
+		for _, l := range loads {
+			cfg := baseConfig(p)
+			cfg.Topology = wave.TopologyConfig{Kind: "mesh", Radix: []int{p.Radix, p.Radix}}
+			cfg.Protocol = "wormhole"
+			cfg.Routing = c.fn
+			cfg.NumVCs = c.vcs
+			// Transpose concentrates traffic: adaptivity earns its keep.
+			pts = append(pts, point{cfg: cfg, w: wave.Workload{Pattern: "transpose", Load: l, FixedLength: 16}})
 		}
-		grid[ci][li] = res.AvgLatency
-		return nil
-	})
+	}
+	outs, err := sweep(ctx, "e21", p, pts)
 	if err != nil {
 		return nil, err
 	}
 	tb := stats.NewTable("routing", "lat@0.05", "lat@0.15", "lat@0.25")
 	for i, c := range configs {
-		tb.AddRow(c.name, grid[i][0], grid[i][1], grid[i][2])
+		tb.AddRow(c.name, outs[3*i].res.AvgLatency, outs[3*i+1].res.AvgLatency, outs[3*i+2].res.AvgLatency)
 	}
 	return &Report{
 		ID:    "E21",
@@ -1431,77 +1250,4 @@ func Sorted() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// SaturationLoad binary-searches the applied load at which a configuration's
-// average latency exceeds `factor` times its zero-load latency — the classic
-// saturation-throughput metric of the interconnection-network literature.
-// The returned load is accurate to `tol` flits/node/cycle.
-func SaturationLoad(ctx context.Context, cfg wave.Config, w wave.Workload, p Params, factor, tol float64) (float64, error) {
-	if factor <= 1 || tol <= 0 {
-		return 0, fmt.Errorf("experiments: invalid saturation parameters")
-	}
-	latAt := func(load float64) (float64, error) {
-		wl := w
-		wl.Load = load
-		res, err := runOne(ctx, cfg, wl, p)
-		if err != nil {
-			return 0, err
-		}
-		return res.AvgLatency, nil
-	}
-	base, err := latAt(0.01)
-	if err != nil {
-		return 0, err
-	}
-	limit := base * factor
-	lo, hi := 0.01, 1.0
-	// Expand: if even load 1.0 stays under the limit, the config never
-	// saturates in range (report hi).
-	if lat, err := latAt(hi); err != nil {
-		// A watchdog trip at extreme load counts as saturated.
-		lat = limit + 1
-		_ = lat
-	} else if lat <= limit {
-		return hi, nil
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		lat, err := latAt(mid)
-		if err != nil {
-			// Deadlock-free by theorem; an error here is a drain timeout
-			// from extreme congestion — treat as saturated.
-			hi = mid
-			continue
-		}
-		if lat > limit {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// Replicate runs fn across `reps` seeds (base, base+1, ...) and returns the
-// sample mean and 95% confidence half-width of its scalar result — the
-// multi-seed robustness check behind the EXPERIMENTS.md claims.
-func Replicate(ctx context.Context, reps int, base uint64, fn func(seed uint64) (float64, error)) (mean, ci float64, err error) {
-	if reps < 1 {
-		return 0, 0, fmt.Errorf("experiments: reps must be >= 1")
-	}
-	vals := make([]float64, reps)
-	err = parallel(ctx, Params{}, reps, func(i int) error {
-		v, ferr := fn(base + uint64(i))
-		vals[i] = v
-		return ferr
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var s stats.Series
-	for _, v := range vals {
-		s.Add(v)
-	}
-	return s.Mean(), s.CI95(), nil
 }

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
-
-	"repro/wave"
 )
 
 // TestAllExperimentsRunQuick executes every experiment at quick scale: the
@@ -84,33 +81,8 @@ func TestE1Shape(t *testing.T) {
 // no reuse) across seeds: the >3x factor is not a lucky seed.
 func TestHeadlineClaimCrossSeed(t *testing.T) {
 	p := Quick()
-	gain := func(seed uint64) (float64, error) {
-		run := func(protocol string) (float64, error) {
-			cfg := baseConfig(p)
-			cfg.Seed = seed
-			cfg.Protocol = protocol
-			cfg.NumSwitches = 1
-			cfg.MaxMisroutes = 0
-			res, err := runOne(context.Background(), cfg, wave.Workload{
-				Pattern: "uniform", Load: 0.02, FixedLength: 256,
-				WantCircuit: true, Seed: seed + 77,
-			}, p)
-			if err != nil {
-				return 0, err
-			}
-			return res.AvgLatency, nil
-		}
-		wh, err := run("wormhole")
-		if err != nil {
-			return 0, err
-		}
-		pcs, err := run("pcs")
-		if err != nil {
-			return 0, err
-		}
-		return wh / pcs, nil
-	}
-	mean, ci, err := Replicate(context.Background(), 4, 11, gain)
+	p.Seed = 11
+	mean, ci, err := Headline(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,41 +91,9 @@ func TestHeadlineClaimCrossSeed(t *testing.T) {
 	}
 }
 
-func TestReplicateValidation(t *testing.T) {
-	if _, _, err := Replicate(context.Background(), 0, 1, func(uint64) (float64, error) { return 0, nil }); err == nil {
+func TestHeadlineValidation(t *testing.T) {
+	if _, _, err := Headline(context.Background(), Quick(), 0); err == nil {
 		t.Fatal("0 reps accepted")
-	}
-}
-
-// TestSaturationLoadOrdersProtocols: the saturation metric must rank CLRP
-// (contention-free circuits) above plain wormhole under locality.
-func TestSaturationLoadOrdersProtocols(t *testing.T) {
-	p := Quick()
-	w := wave.Workload{
-		Pattern: "near", FixedLength: 64,
-		WorkingSet: 2, Reuse: 0.9, WantCircuit: true,
-	}
-	sat := func(protocol string) float64 {
-		cfg := baseConfig(p)
-		cfg.Protocol = protocol
-		v, err := SaturationLoad(context.Background(), cfg, w, p, 3.0, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	wh, cl := sat("wormhole"), sat("clrp")
-	if cl <= wh {
-		t.Fatalf("clrp saturation %.3f not above wormhole %.3f", cl, wh)
-	}
-}
-
-func TestSaturationLoadValidation(t *testing.T) {
-	if _, err := SaturationLoad(context.Background(), baseConfig(Quick()), wave.Workload{}, Quick(), 1.0, 0.1); err == nil {
-		t.Fatal("factor 1 accepted")
-	}
-	if _, err := SaturationLoad(context.Background(), baseConfig(Quick()), wave.Workload{}, Quick(), 3.0, 0); err == nil {
-		t.Fatal("zero tolerance accepted")
 	}
 }
 
@@ -164,25 +104,5 @@ func TestExperimentCancellation(t *testing.T) {
 	cancel()
 	if _, err := E2LoadSweep(ctx, Quick()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestOnPointProgress: the sweep progress hook reports every completed
-// point exactly once, ending at (total, total).
-func TestOnPointProgress(t *testing.T) {
-	p := Quick()
-	var calls atomic.Int64
-	var sawTotal atomic.Int64
-	p.OnPoint = func(done, total int) {
-		calls.Add(1)
-		if done == total {
-			sawTotal.Store(int64(total))
-		}
-	}
-	if _, err := E5Misroute(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() == 0 || sawTotal.Load() == 0 {
-		t.Fatalf("OnPoint calls=%d final-total=%d", calls.Load(), sawTotal.Load())
 	}
 }

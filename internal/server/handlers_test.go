@@ -106,7 +106,7 @@ func TestHandlers(t *testing.T) {
 		{"submit unknown kind", "POST", "/v1/jobs", `{"kind":"weird"}`, 400, "unknown job kind"},
 		{"load without workload", "POST", "/v1/jobs", `{"kind":"load"}`, 400, "workload"},
 		{"closed without workload", "POST", "/v1/jobs", `{"kind":"closed"}`, 400, "workload"},
-		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment","experiment":"e99"}`, 400, "unknown experiment"},
+		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment"}`, 400, "unknown job kind"},
 		{"config unknown field", "POST", "/v1/jobs", typoConfigSpec, 400, `unknown field \"protocl\"`},
 		{"verify config unknown field", "POST", "/v1/verify", `{"config":{"protocl":"clrp"}}`, 400, `unknown field \"protocl\"`},
 		{"negative workers", "POST", "/v1/jobs",
@@ -187,33 +187,6 @@ func TestClosedLoopJob(t *testing.T) {
 	}
 	if res.Closed == nil || res.Closed.Completed == 0 {
 		t.Fatalf("closed result empty: %+v", res)
-	}
-}
-
-func TestExperimentJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	v := submit(t, ts, `{
-		"kind": "experiment", "experiment": "e5",
-		"params": {"radix": 4, "warmup": 200, "measure": 800, "seed": 1}
-	}`)
-	final := waitState(t, ts, v.ID, State.Terminal)
-	if final.State != StateDone {
-		t.Fatalf("experiment finished %s (%s)", final.State, final.Error)
-	}
-	var res Result
-	if err := json.Unmarshal(final.Result, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Experiment == nil || res.Experiment.Table == "" || res.Experiment.CSV == "" {
-		t.Fatalf("experiment result empty: %+v", res)
-	}
-	// Sweep progress lines were published.
-	resp, body := doReq(t, ts, "GET", "/v1/jobs/"+v.ID+"/stream", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	if !strings.Contains(body, `"type":"sweep"`) {
-		t.Fatalf("stream %q has no sweep lines", body)
 	}
 }
 

@@ -38,26 +38,16 @@ func (s State) Terminal() bool {
 type Result struct {
 	Kind string `json:"kind"`
 
-	Load       *wave.Result       `json:"load,omitempty"`
-	Closed     *wave.ClosedResult `json:"closed,omitempty"`
-	Experiment *ExperimentResult  `json:"experiment,omitempty"`
+	Load   *wave.Result       `json:"load,omitempty"`
+	Closed *wave.ClosedResult `json:"closed,omitempty"`
 
-	// Stats is the full simulator counter fingerprint (load/closed only).
+	// Stats is the full simulator counter fingerprint.
 	Stats *wave.Stats `json:"stats,omitempty"`
 }
 
-// ExperimentResult is the rendered output of one experiment sweep.
-type ExperimentResult struct {
-	ID    string   `json:"id"`
-	Title string   `json:"title"`
-	Table string   `json:"table"`
-	CSV   string   `json:"csv"`
-	Notes []string `json:"notes,omitempty"`
-}
-
 // Progress is one line of a job's NDJSON stream. Type selects the shape:
-// "snapshot" (periodic load/closed progress), "sweep" (experiment point
-// counts) or "done" (terminal line, carrying State and Result/Error).
+// "snapshot" (periodic progress) or "done" (terminal line, carrying State
+// and Result/Error).
 type Progress struct {
 	Type string `json:"type"`
 
@@ -65,9 +55,6 @@ type Progress struct {
 	InFlight     int             `json:"in_flight,omitempty"`
 	CyclesPerSec float64         `json:"cycles_per_sec,omitempty"`
 	Stats        *stats.Snapshot `json:"stats,omitempty"`
-
-	Done  int `json:"done,omitempty"`
-	Total int `json:"total,omitempty"`
 
 	State  State           `json:"state,omitempty"`
 	Error  string          `json:"error,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/stats"
 	"repro/wave"
 )
@@ -35,7 +34,7 @@ func (s *Server) execute(j *Job) {
 	s.metrics.running.Add(1)
 	defer s.metrics.running.Add(-1)
 
-	res, err := s.runSpec(ctx, j)
+	res, err := s.runSim(ctx, j)
 	now := time.Now()
 	switch {
 	case err == nil:
@@ -59,16 +58,9 @@ func (s *Server) execute(j *Job) {
 	}
 }
 
-// runSpec dispatches on the job kind. The returned Result is pure
-// simulation output (see Result); errors are classified by execute.
-func (s *Server) runSpec(ctx context.Context, j *Job) (*Result, error) {
-	if j.Spec.Kind == KindExperiment {
-		return s.runExperiment(ctx, j)
-	}
-	return s.runSim(ctx, j)
-}
-
 // runSim executes a load or closed job with periodic progress snapshots.
+// The returned Result is pure simulation output (see Result); errors are
+// classified by execute.
 func (s *Server) runSim(ctx context.Context, j *Job) (*Result, error) {
 	sp := j.Spec
 	cfg := sp.simConfig()
@@ -133,25 +125,4 @@ func (s *Server) runSim(ctx context.Context, j *Job) (*Result, error) {
 	s.metrics.wormholeFallbacks.Add(st.Protocol.FallbackWormhole)
 	res.Stats = &st
 	return res, nil
-}
-
-// runExperiment executes one registered sweep, streaming per-point
-// progress through Params.OnPoint.
-func (s *Server) runExperiment(ctx context.Context, j *Job) (*Result, error) {
-	sp := j.Spec
-	p := experiments.Quick()
-	if sp.Params != nil {
-		p = *sp.Params
-	}
-	p.OnPoint = func(done, total int) {
-		j.publish(Progress{Type: "sweep", Done: done, Total: total})
-	}
-	rep, err := experimentFn(sp.Experiment)(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: KindExperiment, Experiment: &ExperimentResult{
-		ID: rep.ID, Title: rep.Title,
-		Table: rep.Table.String(), CSV: rep.Table.CSV(), Notes: rep.Notes,
-	}}, nil
 }

@@ -142,10 +142,9 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	if err := s.normalize(&spec); err != nil {
 		return nil, err
 	}
-	// Load/closed jobs are certified deadlock- and livelock-free before they
-	// touch the queue; an unsafe configuration comes back as
-	// *UncertifiableError with the counterexample attached. Experiments
-	// certify via the verify package's experiment-matrix test instead.
+	// Jobs are certified deadlock- and livelock-free before they touch the
+	// queue; an unsafe configuration comes back as *UncertifiableError with
+	// the counterexample attached.
 	if err := s.certifySpec(&spec); err != nil {
 		return nil, err
 	}

@@ -9,14 +9,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
-	"repro/internal/experiments"
 	"repro/internal/resultcache"
 	"repro/wave"
 )
@@ -27,8 +24,6 @@ const (
 	KindLoad = "load"
 	// KindClosed runs request-reply traffic (RunClosedLoopContext).
 	KindClosed = "closed"
-	// KindExperiment runs one registered experiment sweep (e1..e21).
-	KindExperiment = "experiment"
 )
 
 // SimConfig is wave.Config with merge-over-defaults JSON decoding: absent
@@ -73,13 +68,7 @@ type Spec struct {
 	Closed    *wave.ClosedWorkload `json:"closed,omitempty"`
 	MaxCycles int64                `json:"max_cycles,omitempty"`
 
-	// Experiment/Params configure a KindExperiment job. Params nil runs
-	// the reduced Quick scale.
-	Experiment string              `json:"experiment,omitempty"`
-	Params     *experiments.Params `json:"params,omitempty"`
-
-	// IntervalCycles is the progress-snapshot period for load/closed jobs
-	// (0 = server default). Experiments report per sweep point instead.
+	// IntervalCycles is the progress-snapshot period (0 = server default).
 	IntervalCycles int64 `json:"interval_cycles,omitempty"`
 	// TimeoutSec caps the job's runtime (0 = server default deadline).
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
@@ -95,14 +84,14 @@ func (sp *Spec) simConfig() wave.Config {
 
 // cacheKey returns the spec's content address: the SHA-256 of the canonical
 // effective spec. "Effective" means post-normalize with every default
-// materialised — the simulator config merged over DefaultConfig and nil
-// experiment params resolved to the Quick scale — and with the fields that
-// cannot affect the result bytes zeroed out: timeout_sec, the progress
-// interval, the ignored Workers field and the two oracle toggles the
-// determinism contract makes invisible in the output. Two submissions that
-// would run the same simulation hash identically regardless of JSON field
-// order or which defaults the client spelled out; that address is what the
-// result cache and the single-flight table dedupe on.
+// materialised — the simulator config merged over DefaultConfig — and with
+// the fields that cannot affect the result bytes zeroed out: timeout_sec,
+// the progress interval, the ignored Workers field and the two oracle
+// toggles the determinism contract makes invisible in the output. Two
+// submissions that would run the same simulation hash identically
+// regardless of JSON field order or which defaults the client spelled out;
+// that address is what the result cache and the single-flight table dedupe
+// on.
 func (sp *Spec) cacheKey() (string, error) {
 	cp := *sp
 	cp.TimeoutSec = 0
@@ -110,21 +99,7 @@ func (sp *Spec) cacheKey() (string, error) {
 	ec := SimConfig(sp.simConfig())
 	ec.Workers, ec.DisableActivityTracking, ec.DisableRoutingTable = 0, false, false
 	cp.Config = &ec
-	if cp.Kind == KindExperiment && cp.Params == nil {
-		p := experiments.Quick()
-		cp.Params = &p
-	}
 	return resultcache.Key(&cp)
-}
-
-// experimentFn resolves an experiment ID against the registry.
-func experimentFn(id string) func(context.Context, experiments.Params) (*experiments.Report, error) {
-	for _, e := range experiments.Registry() {
-		if e.ID == id {
-			return e.Fn
-		}
-	}
-	return nil
 }
 
 // normalize validates sp and fills scale defaults from the server config.
@@ -161,14 +136,8 @@ func (s *Server) normalize(sp *Spec) error {
 		if sp.MaxCycles == 0 {
 			sp.MaxCycles = 50_000_000
 		}
-	case KindExperiment:
-		sp.Experiment = strings.ToLower(strings.TrimSpace(sp.Experiment))
-		if experimentFn(sp.Experiment) == nil {
-			return fmt.Errorf("unknown experiment %q (want e1..e21)", sp.Experiment)
-		}
 	default:
-		return fmt.Errorf("unknown job kind %q (want %q, %q or %q)",
-			sp.Kind, KindLoad, KindClosed, KindExperiment)
+		return fmt.Errorf("unknown job kind %q (want %q or %q)", sp.Kind, KindLoad, KindClosed)
 	}
 	return nil
 }

@@ -70,8 +70,8 @@ func TestNormalizeRejections(t *testing.T) {
 		{"empty kind", Spec{}},
 		{"load without workload", Spec{Kind: KindLoad}},
 		{"closed without workload", Spec{Kind: KindClosed}},
-		{"unknown experiment", Spec{Kind: KindExperiment, Experiment: "e99"}},
-		{"negative timeout", Spec{Kind: KindExperiment, Experiment: "e1", TimeoutSec: -1}},
+		{"experiment kind", Spec{Kind: "experiment"}},
+		{"negative timeout", Spec{Kind: KindLoad, Load: &wave.Workload{}, TimeoutSec: -1}},
 		{"negative warmup", Spec{Kind: KindLoad, Load: &wave.Workload{}, Warmup: -1}},
 	}
 	for _, tc := range cases {

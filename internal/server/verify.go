@@ -113,14 +113,8 @@ func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certi
 	return cert, nil
 }
 
-// certifySpec gates a load/closed submission on static certification.
-// Experiment jobs are not gated here: they build their own configurations
-// internally, and the shipped set is certified wholesale by the verify
-// package's experiment-matrix test.
+// certifySpec gates a submission on static certification.
 func (s *Server) certifySpec(sp *Spec) error {
-	if sp.Kind != KindLoad && sp.Kind != KindClosed {
-		return nil
-	}
 	cert, err := s.certifyConfig(sp.simConfig(), sp.Faults)
 	if err != nil {
 		return err

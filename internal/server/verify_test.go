@@ -165,13 +165,3 @@ func TestScheduledPermanentFaultsCertified(t *testing.T) {
 		t.Fatalf("transient faults produced a residual proof: %+v", cert)
 	}
 }
-
-// TestExperimentSpecNotGated: experiment jobs skip submit-time gating (their
-// internally-built configs are certified by the verify package's
-// experiment-matrix test instead).
-func TestExperimentSpecNotGated(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
-	if err := s.certifySpec(&Spec{Kind: KindExperiment, Experiment: "e16"}); err != nil {
-		t.Fatalf("experiment spec gated: %v", err)
-	}
-}
