@@ -33,6 +33,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/verify"
+	"repro/wave"
 )
 
 func main() {
@@ -58,51 +59,71 @@ func errNotCertified(err error) bool {
 	return ok
 }
 
-func run(args []string, out io.Writer) error {
+// cliFlags are the parsed command-line values.
+type cliFlags struct {
+	topoKind, radix, fnName, proto, faults *string
+	dims, vcs, switches, misroute, retries *int
+	recovery                               *int64
+	jsonOut                                *bool
+}
+
+// newFlags declares the command line. Every flag a simulation run shares
+// takes its default from wave.DefaultConfig, so a bare cdgcheck certifies
+// the configuration a bare wavesim or waved job runs.
+func newFlags() (*flag.FlagSet, cliFlags) {
+	def := wave.DefaultConfig()
+	radix := make([]string, len(def.Topology.Radix))
+	for i, r := range def.Topology.Radix {
+		radix[i] = strconv.Itoa(r)
+	}
 	fs := flag.NewFlagSet("cdgcheck", flag.ContinueOnError)
-	var (
-		topoKind = fs.String("topology", "torus", "mesh, torus, hypercube, fattree or fullmesh")
-		radix    = fs.String("radix", "8x8", "nodes per dimension for mesh/torus (e.g. 8x8); arity k for fattree; node count for fullmesh")
-		dims     = fs.Int("dims", 6, "dimensions for -topology hypercube; levels n for fattree")
-		fnName   = fs.String("routing", "duato", "routing function ("+strings.Join(routing.Names(), ", ")+") or 'all'")
-		vcs      = fs.Int("vcs", 3, "virtual channels per physical channel")
-		proto    = fs.String("protocol", "clrp", "protocol: wormhole, clrp, carp or pcs")
-		switches = fs.Int("switches", 2, "wave-pipelined switches per router (k)")
-		misroute = fs.Int("misroutes", 2, "MB-m probe misroute budget")
-		retries  = fs.Int("retries", 3, "setup-sequence retry limit")
-		recovery = fs.Int64("recovery", 0, "abort-and-retry recovery timeout in cycles (0 = off)")
-		faults   = fs.String("faults", "", "permanent wave faults as link:switch pairs, e.g. 12:0,12:1")
-		jsonOut  = fs.Bool("json", false, "emit the certificate as JSON")
-	)
+	return fs, cliFlags{
+		topoKind: fs.String("topology", def.Topology.Kind, "mesh, torus, hypercube, fattree or fullmesh"),
+		radix:    fs.String("radix", strings.Join(radix, "x"), "nodes per dimension for mesh/torus (e.g. 8x8); arity k for fattree; node count for fullmesh"),
+		dims:     fs.Int("dims", 6, "dimensions for -topology hypercube; levels n for fattree"),
+		fnName:   fs.String("routing", def.Routing, "routing function ("+strings.Join(routing.Names(), ", ")+") or 'all'"),
+		vcs:      fs.Int("vcs", def.NumVCs, "virtual channels per physical channel"),
+		proto:    fs.String("protocol", def.Protocol, "protocol: wormhole, clrp, carp or pcs"),
+		switches: fs.Int("switches", def.NumSwitches, "wave-pipelined switches per router (k)"),
+		misroute: fs.Int("misroutes", def.MaxMisroutes, "MB-m probe misroute budget"),
+		retries:  fs.Int("retries", def.ProbeRetryLimit, "setup-sequence retry limit"),
+		recovery: fs.Int64("recovery", def.RecoveryTimeout, "abort-and-retry recovery timeout in cycles (0 = off)"),
+		faults:   fs.String("faults", "", "permanent wave faults as link:switch pairs, e.g. 12:0,12:1"),
+		jsonOut:  fs.Bool("json", false, "emit the certificate as JSON"),
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs, f := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	topo, err := buildTopology(*topoKind, *radix, *dims)
+	topo, err := buildTopology(*f.topoKind, *f.radix, *f.dims)
 	if err != nil {
 		return err
 	}
-	faultSet, err := parseFaults(*faults)
+	faultSet, err := parseFaults(*f.faults)
 	if err != nil {
 		return err
 	}
 
-	names := []string{*fnName}
-	if *fnName == "all" {
+	names := []string{*f.fnName}
+	if *f.fnName == "all" {
 		names = routing.Names()
 	}
 
 	failed := 0
 	for _, name := range names {
 		sp := verify.Spec{
-			Topo: topo, Routing: name, NumVCs: *vcs,
-			Protocol: protocol.Kind(*proto), NumSwitches: *switches,
-			MaxMisroutes: *misroute, ProbeRetryLimit: *retries,
-			RecoveryTimeout: *recovery, Faults: faultSet,
+			Topo: topo, Routing: name, NumVCs: *f.vcs,
+			Protocol: protocol.Kind(*f.proto), NumSwitches: *f.switches,
+			MaxMisroutes: *f.misroute, ProbeRetryLimit: *f.retries,
+			RecoveryTimeout: *f.recovery, Faults: faultSet,
 		}
 		cert, err := verify.Certify(sp)
 		if err != nil {
-			if *fnName == "all" {
+			if *f.fnName == "all" {
 				// Sweeping all functions: one whose VC minimum exceeds -vcs
 				// is skipped, not a usage error.
 				fmt.Fprintf(out, "%s: skipped (%v)\n", name, err)
@@ -110,7 +131,7 @@ func run(args []string, out io.Writer) error {
 			}
 			return err
 		}
-		if *jsonOut {
+		if *f.jsonOut {
 			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(cert); err != nil {

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/routing"
 	"repro/internal/verify"
+	"repro/wave"
 )
 
 func TestCertifiedVerdicts(t *testing.T) {
@@ -161,5 +163,38 @@ func TestNewFamilies(t *testing.T) {
 	if !strings.Contains(out.String(), "VERDICT: NOT CERTIFIED") ||
 		!strings.Contains(out.String(), "link") {
 		t.Fatalf("missing counterexample cycle:\n%s", out.String())
+	}
+}
+
+// TestFlagDefaultsMatchDefaultConfig pins every flag cdgcheck shares with a
+// simulation run to wave.DefaultConfig, so a bare cdgcheck certifies the
+// configuration a bare wavesim or waved job actually runs.
+func TestFlagDefaultsMatchDefaultConfig(t *testing.T) {
+	def := wave.DefaultConfig()
+	radix := make([]string, len(def.Topology.Radix))
+	for i, r := range def.Topology.Radix {
+		radix[i] = strconv.Itoa(r)
+	}
+	want := map[string]string{
+		"topology":  def.Topology.Kind,
+		"radix":     strings.Join(radix, "x"),
+		"routing":   def.Routing,
+		"vcs":       strconv.Itoa(def.NumVCs),
+		"protocol":  def.Protocol,
+		"switches":  strconv.Itoa(def.NumSwitches),
+		"misroutes": strconv.Itoa(def.MaxMisroutes),
+		"retries":   strconv.Itoa(def.ProbeRetryLimit),
+		"recovery":  strconv.FormatInt(def.RecoveryTimeout, 10),
+	}
+	fs, _ := newFlags()
+	for name, v := range want {
+		fl := fs.Lookup(name)
+		if fl == nil {
+			t.Errorf("no -%s flag", name)
+			continue
+		}
+		if fl.DefValue != v {
+			t.Errorf("-%s defaults to %q, wave.DefaultConfig has %q", name, fl.DefValue, v)
+		}
 	}
 }

@@ -39,24 +39,31 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	// Flags a simulation run shares with cdgcheck and waved take their
+	// defaults from wave.DefaultConfig, so the three agree on a bare run.
+	def := wave.DefaultConfig()
+	defRadix := make([]string, len(def.Topology.Radix))
+	for i, r := range def.Topology.Radix {
+		defRadix[i] = strconv.Itoa(r)
+	}
 	fs := flag.NewFlagSet("wavesim", flag.ContinueOnError)
 	var (
-		topoKind  = fs.String("topology", "torus", "topology kind: mesh, torus, hypercube, fattree, fullmesh")
-		radix     = fs.String("radix", "8x8", "nodes per dimension for mesh/torus (e.g. 8x8); arity k for fattree; node count for fullmesh")
+		topoKind  = fs.String("topology", def.Topology.Kind, "topology kind: mesh, torus, hypercube, fattree, fullmesh")
+		radix     = fs.String("radix", strings.Join(defRadix, "x"), "nodes per dimension for mesh/torus (e.g. 8x8); arity k for fattree; node count for fullmesh")
 		hyperDims = fs.Int("hyperdims", 4, "hypercube dimensions (topology=hypercube)")
 		levels    = fs.Int("levels", 2, "fat-tree levels n (topology=fattree)")
-		proto     = fs.String("protocol", "clrp", "protocol: wormhole, clrp, carp, pcs")
-		routing   = fs.String("routing", "duato", "wormhole routing: dor, duato, westfirst, negativefirst (mesh), updown (fattree), vcfree (fullmesh), dor-nodateline/vcfree-nolabel (need -recovery)")
-		vcs       = fs.Int("vcs", 3, "wormhole virtual channels per physical channel (w)")
-		bufDepth  = fs.Int("bufdepth", 4, "per-VC buffer depth in flits")
-		switches  = fs.Int("switches", 2, "wave-pipelined switches per router (k)")
-		misroutes = fs.Int("misroutes", 2, "MB-m misroute budget (m)")
-		mult      = fs.Float64("clockmult", 4, "wave clock multiplier")
-		cacheCap  = fs.Int("cache", 8, "circuit cache capacity per node")
-		policy    = fs.String("replace", "lru", "replacement policy: lru, lfu, random")
-		recovery  = fs.Int64("recovery", 0, "abort-and-retry deadlock recovery timeout in cycles (0 = off)")
-		seed      = fs.Uint64("seed", 1, "RNG seed (identical seeds => identical runs)")
-		fullScan  = fs.Bool("fullscan", false, "disable activity tracking: full port scans every cycle, no quiescence fast-forward (oracle mode; results are identical)")
+		proto     = fs.String("protocol", def.Protocol, "protocol: wormhole, clrp, carp, pcs")
+		routing   = fs.String("routing", def.Routing, "wormhole routing: dor, duato, westfirst, negativefirst (mesh), updown (fattree), vcfree (fullmesh), dor-nodateline/vcfree-nolabel (need -recovery)")
+		vcs       = fs.Int("vcs", def.NumVCs, "wormhole virtual channels per physical channel (w)")
+		bufDepth  = fs.Int("bufdepth", def.BufDepth, "per-VC buffer depth in flits")
+		switches  = fs.Int("switches", def.NumSwitches, "wave-pipelined switches per router (k)")
+		misroutes = fs.Int("misroutes", def.MaxMisroutes, "MB-m misroute budget (m)")
+		mult      = fs.Float64("clockmult", def.WaveClockMult, "wave clock multiplier")
+		cacheCap  = fs.Int("cache", def.CacheCapacity, "circuit cache capacity per node")
+		policy    = fs.String("replace", def.ReplacePolicy, "replacement policy: lru, lfu, random")
+		recovery  = fs.Int64("recovery", def.RecoveryTimeout, "abort-and-retry deadlock recovery timeout in cycles (0 = off)")
+		seed      = fs.Uint64("seed", def.Seed, "RNG seed (identical seeds => identical runs)")
+		fullScan  = fs.Bool("fullscan", false, "disable activity tracking: scan every wormhole port every cycle (oracle mode; results are identical)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -68,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		reuse   = fs.Float64("reuse", 0, "working-set reuse probability")
 		redraw  = fs.Int("redraw", 0, "messages between working-set redraws (0 = never)")
 		noCirc  = fs.Bool("nocircuit", false, "CARP: send without requesting the circuit")
-		minCirc = fs.Int("mincircuit", 0, "CLRP: route messages shorter than this by wormhole (0 = off)")
+		minCirc = fs.Int("mincircuit", def.MinCircuitFlits, "CLRP: route messages shorter than this by wormhole (0 = off)")
 
 		timeout = fs.Duration("timeout", 0, "abort the run after this wall-clock time (0 = no limit); a timed-out run exits non-zero")
 		warmup  = fs.Int64("warmup", 2000, "warm-up cycles (excluded from stats)")
@@ -80,8 +87,8 @@ func run(args []string, out io.Writer) error {
 		faultSpacing = fs.Int64("fault-spacing", 0, "cycles between consecutive dynamic faults")
 		faultRepair  = fs.Int64("fault-repair", 0, "repair each dynamic fault after this many cycles (0 = permanent)")
 		faultSeed    = fs.Uint64("fault-seed", 0, "seed of the dynamic fault draw (0 = derive from -seed)")
-		retryLimit   = fs.Int("retry-limit", 0, "failed circuit setups re-armed up to this many times before falling back to wormhole (0 = off)")
-		retryBackoff = fs.Int64("retry-backoff", 0, "base of the linear retry backoff in cycles (retry r waits r*base; min 1)")
+		retryLimit   = fs.Int("retry-limit", def.ProbeRetryLimit, "failed circuit setups re-armed up to this many times before falling back to wormhole (0 = off)")
+		retryBackoff = fs.Int64("retry-backoff", def.RetryBackoffCycles, "base of the linear retry backoff in cycles (retry r waits r*base; min 1)")
 
 		checkpointPath  = fs.String("checkpoint", "", "write periodic checkpoints (binary snapshots) to this file")
 		checkpointEvery = fs.Int64("checkpoint-every", 5000, "cycles between checkpoints (-checkpoint)")

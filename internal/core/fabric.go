@@ -85,11 +85,10 @@ type Params struct {
 	// algorithmic implementation. Candidate sequences are identical either
 	// way; the flag exists for oracle cross-checks.
 	DisableRoutingTable bool
-	// DisableActivityTracking runs the engines as full scans over every port
-	// and disables the quiescence fast-forward, making each cycle cost
-	// O(network) regardless of load. Results are bit-identical either way;
-	// the full scan is the cross-check oracle for the activity-driven engine
-	// (see wormhole/activity.go).
+	// DisableActivityTracking runs the wormhole engine's passes as full scans
+	// over every port, making each cycle cost O(network) regardless of load.
+	// Results are bit-identical either way; the full scan is the cross-check
+	// oracle for the active-set port iteration (see wormhole/activity.go).
 	DisableActivityTracking bool
 	// Seed drives every random decision in the fabric.
 	Seed uint64
@@ -130,8 +129,7 @@ const BufUnlimited = 1 << 30
 // Descriptor event kinds (engine.Event.Kind). Every steady-state fabric
 // event is one of these, dispatched by execEvent from its serialisable
 // (Kind, Args) form — which is what lets a snapshot capture the pending
-// event queue. Kind 0 is reserved for opaque closure events (ScheduleAt,
-// test-only onIdle callbacks); those cannot be snapshotted.
+// event queue. Kind 0 is never scheduled.
 const (
 	// evCircuitDeliver: a circuit transfer completes.
 	// Args: msgID, src, dst, len, injectTime.
@@ -195,10 +193,6 @@ type Fabric struct {
 	events *engine.Events
 	now    int64
 
-	// fastForward enables the quiescent-cycle skip in Cycle (off in the
-	// DisableActivityTracking oracle mode).
-	fastForward bool
-
 	// transfersInFlight counts circuit messages between send and delivery.
 	transfersInFlight int
 	// oldestTransfer tracks ages for the watchdog.
@@ -241,7 +235,6 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 		events:         engine.NewShardedEvents(0),
 		transferInject: make(map[flit.MsgID]int64),
 		WaveLinkFlits:  make([]int64, topo.NumLinkSlots()),
-		fastForward:    !prm.DisableActivityTracking,
 		RoutingTable:   tableInfo,
 	}
 	f.WH, err = wormhole.New(topo, fn, wormhole.Params{NumVCs: prm.NumVCs, BufDepth: prm.BufDepth, CreditDelay: prm.CreditDelay, RouteDelay: prm.RouteDelay, DisableActivityTracking: prm.DisableActivityTracking}, wormhole.Hooks{
@@ -303,49 +296,11 @@ func (f *Fabric) Now() int64 { return f.now }
 func (f *Fabric) Cycle(now int64) {
 	f.now = now
 	for _, ev := range f.events.PopDue(now) {
-		if ev.Kind != 0 {
-			f.execEvent(ev.Kind, ev.Args, now)
-		} else {
-			ev.Fn(now)
-		}
+		f.execEvent(ev.Kind, ev.Args, now)
 		f.progress()
-	}
-	if f.fastForward && f.WH.InFlight() == 0 && f.PCS.Idle() {
-		// Quiescent cycle: no wormhole message holds any resource (so every
-		// port guard fails) and the PCS engine has no control traffic. A full
-		// Cycle would change nothing but the clocks and the rotating
-		// arbitration offset, so advance those directly. Pending delayed
-		// credits stay queued — the next non-quiescent cycle's drainCredits
-		// applies everything due before any allocation reads the counters.
-		f.WH.SkipCycles(1, now)
-		f.PCS.SkipTo(now)
-		return
 	}
 	f.WH.Cycle(now)
 	f.PCS.Cycle(now)
-}
-
-// Quiescent reports whether both engines are at rest: no wormhole message
-// holds any resource and the PCS engine carries no control traffic. A
-// quiescent fabric's Cycle can only do work through scheduled events
-// (NextEventAt) or external injections; everything in between is dead time
-// that SkipCycles may jump. Always false in DisableActivityTracking oracle
-// mode so cross-checks run every cycle for real.
-func (f *Fabric) Quiescent() bool {
-	return f.fastForward && f.WH.InFlight() == 0 && f.PCS.Idle()
-}
-
-// NextEventAt returns the cycle of the earliest scheduled fabric event
-// (circuit delivery or window ack), or ok=false when none is pending.
-func (f *Fabric) NextEventAt() (int64, bool) { return f.events.NextAt() }
-
-// SkipCycles fast-forwards the fabric over n quiescent cycles ending at cycle
-// lastNow (i.e. the cycles lastNow-n+1 .. lastNow never run). The caller must
-// have observed Quiescent() and must not skip past the next scheduled event.
-func (f *Fabric) SkipCycles(n int64, lastNow int64) {
-	f.now = lastNow
-	f.WH.SkipCycles(n, lastNow)
-	f.PCS.SkipTo(lastNow)
 }
 
 // execEvent dispatches one descriptor event (see the ev* kind constants).
@@ -402,7 +357,6 @@ func (f *Fabric) SetCircuitIdleHandler(fn func(src, dst topology.Node)) { f.onCi
 
 // ScheduleRetry queues a probe-retry timer for the (src, dst) pair at cycle
 // `at` (strictly in the future); the registered retry handler executes it.
-// Unlike ScheduleAt's closures, retry timers serialise with the snapshot.
 func (f *Fabric) ScheduleRetry(src, dst topology.Node, at int64) {
 	if at <= f.now {
 		panic(fmt.Sprintf("core: ScheduleRetry(%d) is not in the future (now %d)", at, f.now))
@@ -411,22 +365,10 @@ func (f *Fabric) ScheduleRetry(src, dst topology.Node, at int64) {
 		[engine.NumEventArgs]int64{int64(src), int64(dst)})
 }
 
-// ScheduleAt queues fn to run at cycle `at` (which must be strictly in the
-// future). Scheduled work is visible to NextEventAt, so the quiescence
-// fast-forward stops at it instead of jumping past; being a closure, it
-// blocks snapshot encoding while pending.
-func (f *Fabric) ScheduleAt(at int64, fn func(now int64)) {
-	if at <= f.now {
-		panic(fmt.Sprintf("core: ScheduleAt(%d) is not in the future (now %d)", at, f.now))
-	}
-	f.events.Schedule(at, fn)
-}
-
 // ScheduleFault arms one dynamic wave-channel fault: ch fails at cycle `at`;
 // when repair > 0 the channel returns to service repair cycles after the
 // injection. Faults ride the event queue, so injection commits in the event
-// phase of the owning cycle and NextEventAt keeps the quiescence
-// fast-forward from skipping over a scheduled fault.
+// phase of the owning cycle.
 func (f *Fabric) ScheduleFault(at int64, ch pcs.Channel, repair int64) error {
 	if at <= f.now {
 		return fmt.Errorf("core: fault at cycle %d is not in the future (now %d)", at, f.now)
@@ -467,16 +409,16 @@ func (f *Fabric) SetProbeDone(fn func(src, dst topology.Node, sw int, force bool
 }
 
 // SendOnCircuit streams message m over the established circuit recorded in
-// entry. onIdle fires when the end-to-end acknowledgment returns and the
-// In-use bit clears (the NI then sends the next queued message or honours a
-// pending release). The caller must ensure the entry is Established and not
-// InUse.
+// entry, which must be Established, not InUse, and registered in the
+// Circuit Cache of node m.Src. When the end-to-end acknowledgment returns, the In-use bit
+// clears and the registered circuit-idle handler runs (the NI then sends the
+// next queued message or honours a pending release).
 //
 // When the endpoint-buffer model is enabled (InitialBufFlits > 0), a message
 // longer than the circuit's current buffers first pays ReallocPenalty cycles
 // while the buffers grow ("buffers may have the be re-allocated for longer
 // messages", section 2).
-func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message, onIdle func()) {
+func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message) {
 	if entry.State != circuit.Established {
 		panic("core: SendOnCircuit on non-established circuit")
 	}
@@ -523,21 +465,10 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message, onIdle func
 
 	f.events.ScheduleKind(0, deliverAt, evCircuitDeliver,
 		[engine.NumEventArgs]int64{int64(m.ID), int64(m.Src), int64(m.Dst), int64(m.Len), m.InjectTime})
-	if onIdle == nil {
-		// Protocol path: the ack event clears the In-use bit (guarded by the
-		// circuit ID, in case the entry was replaced meanwhile) and fires the
-		// registered circuit-idle handler. Fully descriptive, so an ack in
-		// flight survives a snapshot.
-		f.events.ScheduleKind(0, ackAt, evCircuitAck,
-			[engine.NumEventArgs]int64{int64(m.Src), int64(entry.Dest), int64(entry.ID)})
-	} else {
-		// Test path: a caller-supplied closure pins this event to the live
-		// entry object; such an event blocks snapshot encoding.
-		f.events.Schedule(ackAt, func(int64) {
-			entry.InUse = false
-			onIdle()
-		})
-	}
+	// The ack event clears the In-use bit (guarded by the circuit ID, in case
+	// the entry was replaced meanwhile) and fires the circuit-idle handler.
+	f.events.ScheduleKind(0, ackAt, evCircuitAck,
+		[engine.NumEventArgs]int64{int64(m.Src), int64(entry.Dest), int64(entry.ID)})
 }
 
 // TransfersInFlight returns circuit messages between send and delivery.

@@ -134,8 +134,9 @@ func TestCircuitTransferTiming(t *testing.T) {
 	entry := establish(t, f, &now, 0, 15, 0)
 
 	idleAt := int64(-1)
+	f.SetCircuitIdleHandler(func(src, dst topology.Node) { idleAt = f.Now() })
 	start := f.Now() // SendOnCircuit timestamps from the last executed cycle
-	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 128, InjectTime: start}, func() { idleAt = now })
+	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 128, InjectTime: start})
 	if !entry.InUse {
 		t.Fatal("In-use bit not set during transfer")
 	}
@@ -172,7 +173,7 @@ func TestWindowThrottlesTransfer(t *testing.T) {
 	now := int64(0)
 	entry := establish(t, f, &now, 0, 15, 0)
 	start := f.Now()
-	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 120, InjectTime: start}, nil)
+	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 120, InjectTime: start})
 	run(f, &now, 400)
 	if got, want := deliveredAt-start, int64(182); got != want {
 		t.Fatalf("windowed transfer = %d cycles, want %d", got, want)
@@ -192,7 +193,7 @@ func TestWindowLargerThanBDPIsFree(t *testing.T) {
 		now := int64(0)
 		entry := establish(t, f, &now, 0, 15, 0)
 		start := f.Now()
-		f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 64, InjectTime: start}, nil)
+		f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 64, InjectTime: start})
 		run(f, &now, 300)
 		return deliveredAt - start
 	}
@@ -207,7 +208,7 @@ func TestWaveLinkFlitsAccounting(t *testing.T) {
 	now := int64(0)
 	entry := establish(t, f, &now, 0, 15, 0)
 	c, _ := f.PCS.CircuitByID(entry.ID)
-	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 50, InjectTime: now}, nil)
+	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 50, InjectTime: now})
 	run(f, &now, 300)
 	for _, ch := range c.Path {
 		if f.WaveLinkFlits[ch.Link] != 50 {
@@ -239,7 +240,7 @@ func TestCircuitBeatsWormholeForLongMessages(t *testing.T) {
 
 	setupStart := now
 	entry := establish(t, f, &now, src, dst, 0)
-	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: int(src), Dst: int(dst), Len: L, InjectTime: setupStart}, nil)
+	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: int(src), Dst: int(dst), Len: L, InjectTime: setupStart})
 	run(f, &now, 500)
 	circuitLatency := wcAt - setupStart // includes the whole setup round trip
 
@@ -253,14 +254,14 @@ func TestSendOnCircuitGuards(t *testing.T) {
 	f := newFabric(t, topo, DefaultParams(), Hooks{})
 	now := int64(0)
 	entry := establish(t, f, &now, 0, 15, 0)
-	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 4, InjectTime: now}, nil)
+	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 4, InjectTime: now})
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("SendOnCircuit while in use did not panic")
 			}
 		}()
-		f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 4, InjectTime: now}, nil)
+		f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 4, InjectTime: now})
 	}()
 	run(f, &now, 200)
 	entry.State = circuit.Setting
@@ -269,7 +270,7 @@ func TestSendOnCircuitGuards(t *testing.T) {
 			t.Fatal("SendOnCircuit on non-established did not panic")
 		}
 	}()
-	f.SendOnCircuit(entry, flit.Message{ID: 3, Src: 0, Dst: 15, Len: 4, InjectTime: now}, nil)
+	f.SendOnCircuit(entry, flit.Message{ID: 3, Src: 0, Dst: 15, Len: 4, InjectTime: now})
 }
 
 func TestRequestTeardownIdleCircuit(t *testing.T) {
@@ -311,10 +312,11 @@ func TestRequestTeardownDefersWhileInUse(t *testing.T) {
 	})
 	now := int64(0)
 	entry := establish(t, f, &now, 0, 15, 0)
-	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 64, InjectTime: now}, func() {
+	f.SetCircuitIdleHandler(func(src, dst topology.Node) {
 		// NI idle handler: honour any deferred release.
 		f.MaybeHonourRelease(0, entry)
 	})
+	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 64, InjectTime: now})
 	f.RequestTeardown(0, entry) // must defer: message in transit
 	if entry.State != circuit.Established {
 		t.Fatal("teardown did not defer while in use")
@@ -408,7 +410,7 @@ func TestDeterministicFabric(t *testing.T) {
 			f.InjectWormhole(flit.Message{ID: flit.MsgID(i), Src: i % 16, Dst: (i * 7) % 16, Len: 4 + i%9, InjectTime: 0})
 		}
 		e := establish(t, f, &now, 0, 15, 1)
-		f.SendOnCircuit(e, flit.Message{ID: 1000, Src: 0, Dst: 15, Len: 100, InjectTime: now}, nil)
+		f.SendOnCircuit(e, flit.Message{ID: 1000, Src: 0, Dst: 15, Len: 100, InjectTime: now})
 		run(f, &now, 2000)
 		return whSum, wcSum
 	}
@@ -424,7 +426,7 @@ func TestOldestAgeTracksTransfers(t *testing.T) {
 	f := newFabric(t, topo, DefaultParams(), Hooks{})
 	now := int64(0)
 	entry := establish(t, f, &now, 0, 15, 0)
-	f.SendOnCircuit(entry, flit.Message{ID: 5, Src: 0, Dst: 15, Len: 500, InjectTime: now - 7}, nil)
+	f.SendOnCircuit(entry, flit.Message{ID: 5, Src: 0, Dst: 15, Len: 500, InjectTime: now - 7})
 	if got := f.OldestAge(now); got != 7 {
 		t.Fatalf("OldestAge = %d, want 7", got)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestShardedEventsMatchesGlobalOrder schedules a pseudo-random workload and
-// checks the store fires it in exactly the (At, Seq) order of a sorted
-// reference list, whatever shard argument the events were scheduled with.
+// checks the store pops it in exactly the (At, Seq) order of a sorted
+// reference list, whatever shard argument or kind the events carry.
 func TestShardedEventsMatchesGlobalOrder(t *testing.T) {
 	type fired struct{ at, seq int64 }
 	s := NewShardedEvents(4)
@@ -22,22 +22,14 @@ func TestShardedEventsMatchesGlobalOrder(t *testing.T) {
 				at := now + 1 + int64(r.Intn(17))
 				seq := s.seq + 1
 				want = append(want, fired{at, seq})
-				if i%2 == 0 {
-					s.Schedule(at, func(int64) { got = append(got, fired{at, seq}) })
-				} else {
-					s.ScheduleKind(r.Intn(64), at, 1, [NumEventArgs]int64{at, seq})
-				}
+				s.ScheduleKind(r.Intn(64), at, uint8(1+i%2), [NumEventArgs]int64{at, seq})
 			}
 		}
 		for _, ev := range s.PopDue(now) {
 			if ev.At > now {
 				t.Fatalf("event for cycle %d popped at cycle %d", ev.At, now)
 			}
-			if ev.Kind != 0 {
-				got = append(got, fired{ev.Args[0], ev.Args[1]})
-			} else {
-				ev.Fn(now)
-			}
+			got = append(got, fired{ev.Args[0], ev.Args[1]})
 		}
 		now++
 	}
@@ -57,18 +49,19 @@ func TestShardedEventsMatchesGlobalOrder(t *testing.T) {
 	}
 }
 
-// TestShardedEventsScheduleDuringFire checks events scheduled from a firing
-// handler (always strictly in the future) are deferred to a later PopDue.
+// TestShardedEventsScheduleDuringFire checks events scheduled while a due
+// list is being executed (always strictly in the future) are deferred to a
+// later PopDue.
 func TestShardedEventsScheduleDuringFire(t *testing.T) {
 	s := NewShardedEvents(0)
-	var order []int
-	s.Schedule(1, func(now int64) {
-		order = append(order, 1)
-		s.Schedule(now+1, func(int64) { order = append(order, 2) })
-	})
+	var order []int64
+	s.ScheduleKind(0, 1, 1, [NumEventArgs]int64{1})
 	for now := int64(1); now <= 2; now++ {
 		for _, ev := range s.PopDue(now) {
-			ev.Fn(now)
+			order = append(order, ev.Args[0])
+			if ev.Kind == 1 {
+				s.ScheduleKind(0, now+1, 2, [NumEventArgs]int64{2})
+			}
 		}
 	}
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {

@@ -14,16 +14,12 @@ import (
 // for the largest fabric event payload (a full flit.Message).
 const NumEventArgs = 5
 
-// Event is one scheduled fabric action (circuit delivery, window ack, ...).
-// An event is either opaque (Kind == 0, behaviour in Fn) or descriptive
-// (Kind != 0, behaviour dispatched by the owner from Kind and Args). Only
-// descriptive events survive a snapshot: a closure cannot be serialised, so
-// Encode refuses opaque pending events.
+// Event is one scheduled fabric action (circuit delivery, window ack, ...),
+// described by a nonzero Kind and its Args; the owner dispatches on them.
+// The descriptor is plain data, so every pending event survives a snapshot.
 type Event struct {
-	At  int64
-	Seq int64
-	Fn  func(now int64)
-
+	At   int64
+	Seq  int64
 	Kind uint8
 	Args [NumEventArgs]int64
 }
@@ -89,7 +85,7 @@ type Events struct {
 	due  []*Event // scratch reused across cycles
 	// pool recycles Event objects: PopDue's contract forbids callers from
 	// retaining the returned events, so the next call reclaims them and
-	// Schedule reuses the objects instead of allocating per event.
+	// ScheduleKind reuses the objects instead of allocating per event.
 	pool []*Event
 }
 
@@ -103,9 +99,17 @@ func NewShardedEvents(_ int) *Events { return &Events{} }
 // Len returns the number of pending events.
 func (s *Events) Len() int { return len(s.heap) }
 
-// push stamps the next sequence number on a recycled (or new) event and
-// queues it.
-func (s *Events) push(at int64, fn func(now int64), kind uint8, args [NumEventArgs]int64) {
+// ScheduleKind queues an event at cycle `at`; the owner executes it by
+// dispatching on (Kind, Args), and kind must be nonzero. The caller
+// guarantees at is strictly in the future, so handlers may schedule freely
+// while the current cycle's due list is being executed.
+//
+// Compatibility: the leading shard argument is ignored. It is kept so the
+// frozen benchmark module compiles; internal callers pass 0.
+func (s *Events) ScheduleKind(_ int, at int64, kind uint8, args [NumEventArgs]int64) {
+	if kind == 0 {
+		panic("engine: ScheduleKind requires a nonzero kind")
+	}
 	s.seq++
 	var e *Event
 	if n := len(s.pool); n > 0 {
@@ -115,40 +119,8 @@ func (s *Events) push(at int64, fn func(now int64), kind uint8, args [NumEventAr
 	} else {
 		e = &Event{}
 	}
-	e.At, e.Seq, e.Fn = at, s.seq, fn
-	e.Kind, e.Args = kind, args
+	e.At, e.Seq, e.Kind, e.Args = at, s.seq, kind, args
 	s.heap.push(e)
-}
-
-// Schedule queues fn to run at cycle `at`. The caller guarantees at is
-// strictly in the future, so handlers may schedule freely while the current
-// cycle's due list is being executed.
-func (s *Events) Schedule(at int64, fn func(now int64)) {
-	s.push(at, fn, 0, [NumEventArgs]int64{})
-}
-
-// ScheduleKind queues a descriptive event at cycle `at`. The owner executes
-// it by dispatching on (Kind, Args) — kind must be nonzero. Unlike closure
-// events these serialise, so every steady-state fabric event is scheduled
-// through here.
-//
-// Compatibility: the leading shard argument is ignored. It is kept so the
-// frozen benchmark module compiles; internal callers pass 0.
-func (s *Events) ScheduleKind(_ int, at int64, kind uint8, args [NumEventArgs]int64) {
-	if kind == 0 {
-		panic("engine: ScheduleKind requires a nonzero kind")
-	}
-	s.push(at, nil, kind, args)
-}
-
-// NextAt returns the cycle of the earliest pending event, or ok=false when
-// the store is empty. The fabric's quiescence fast-forward uses it to bound
-// how far the clock may jump.
-func (s *Events) NextAt() (int64, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].At, true
 }
 
 // PopDue removes and returns every event with At <= now, ordered by
@@ -158,10 +130,7 @@ func (s *Events) NextAt() (int64, bool) {
 func (s *Events) PopDue(now int64) []*Event {
 	// Reclaim the events handed out by the previous call (callers must not
 	// retain them) before reusing the scratch slice.
-	for _, e := range s.due {
-		e.Fn = nil
-		s.pool = append(s.pool, e)
-	}
+	s.pool = append(s.pool, s.due...)
 	s.due = s.due[:0]
 	for len(s.heap) > 0 && s.heap[0].At <= now {
 		s.due = append(s.due, s.heap.pop())
@@ -171,10 +140,9 @@ func (s *Events) PopDue(now int64) []*Event {
 
 // State encodes or decodes every pending event plus the global sequence
 // counter. Events are encoded in (At, Seq) order — the deterministic pop
-// order — so the encoding is independent of heap layout. Encoding returns
-// an error if any pending event is opaque (Kind == 0): such an event holds
-// a closure the snapshot cannot represent. Decoding replaces the
-// pending-event set with the encoded one.
+// order — so the encoding is independent of heap layout. Decoding replaces
+// the pending-event set with the encoded one and rejects a zero kind, which
+// no scheduled event carries.
 func (s *Events) State(c *snapshot.Codec) error {
 	var evs []*Event
 	if !c.Decoding() {
@@ -187,10 +155,6 @@ func (s *Events) State(c *snapshot.Codec) error {
 			*ep = &Event{}
 		}
 		e := *ep
-		if e.Kind == 0 && !c.Decoding() {
-			c.Failf("engine: pending opaque event at cycle %d (seq %d) cannot be snapshotted", e.At, e.Seq)
-			return
-		}
 		snapshot.I64(c, &e.At)
 		snapshot.I64(c, &e.Seq)
 		snapshot.U8(c, &e.Kind)

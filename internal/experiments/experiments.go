@@ -591,7 +591,7 @@ func E8Faults(ctx context.Context, p Params) (*Report, error) {
 			"Expected shape: probe success degrades gracefully with faults (backtracking routes",
 			"around them); delivery never fails because phase 3 falls back to wormhole.",
 			"Transient rows fail channels mid-run (spacing 40, repair 350) with a 3-try linear",
-			"backoff armed: fallback-frac stays near zero because retries outlive the repairs.",
+			"backoff armed; the retries column counts how often it actually fired.",
 		},
 	}, nil
 }

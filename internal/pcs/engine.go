@@ -815,26 +815,10 @@ func (e *Engine) Cycle(now int64) {
 
 // Idle reports whether the engine holds no in-flight work at all: no probes
 // searching, no acks, teardowns or release flits travelling. An idle engine's
-// Cycle is a pure no-op (every step function returns immediately), which is
-// what lets the fabric fast-forward over quiescent gaps.
+// Cycle only advances its clock (every step function returns immediately).
 func (e *Engine) Idle() bool {
 	return len(e.probes) == 0 && len(e.acks) == 0 &&
 		len(e.teardowns) == 0 && len(e.releases) == 0
-}
-
-// SkipTo advances the engine's clock over skipped quiescent cycles without
-// running them. The clock feeds probe setup-latency accounting (LaunchProbe
-// records e.now): host callbacks that run between the skip and the next Cycle
-// — e.g. an injection event launching a probe — must observe the same clock
-// they would have under cycle-by-cycle execution. Skipping while work is in
-// flight would silently corrupt that accounting (the skipped cycles never
-// step the work), so a non-idle skip panics instead.
-func (e *Engine) SkipTo(now int64) {
-	if !e.Idle() {
-		panic(fmt.Sprintf("pcs: SkipTo(%d) with in-flight work (%d probes, %d acks, %d teardowns, %d releases)",
-			now, len(e.probes), len(e.acks), len(e.teardowns), len(e.releases)))
-	}
-	e.now = now
 }
 
 // ---------------------------------------------------------------------------

@@ -18,25 +18,6 @@ func outChannel(t *testing.T, topo topology.Geometry, n topology.Node, dim int, 
 	return Channel{Link: link, Switch: sw}
 }
 
-func TestSkipToPanicsWhenBusy(t *testing.T) {
-	topo := topology.MustCube([]int{4, 4}, false)
-	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
-
-	// Idle skips are the fast-forward contract and must keep working.
-	e.SkipTo(10)
-	if e.now != 10 {
-		t.Fatalf("idle SkipTo did not advance the clock: now=%d", e.now)
-	}
-
-	e.LaunchProbe(0, 3, 0, false, func(SetupResult) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SkipTo with an in-flight probe did not panic")
-		}
-	}()
-	e.SkipTo(20)
-}
-
 func TestDynamicFaultOnFreeChannelAndRepair(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, &fakeHost{})

@@ -85,7 +85,7 @@ type Options struct {
 	// RetryBackoffCycles is the base of the deterministic linear backoff:
 	// retry r fires r*RetryBackoffCycles cycles after the failure (values
 	// below 1 are treated as 1). The timer rides the fabric event queue, so
-	// backoff waits are deterministic and fast-forward-safe.
+	// backoff waits are deterministic and survive a snapshot.
 	RetryBackoffCycles int64
 }
 
@@ -624,7 +624,7 @@ func (m *Manager) pump(src, dst topology.Node, entry *circuit.Entry) {
 	msg := m.pop(ds)
 	m.Ctr.CircuitWaitCycles += m.Fab.Now() - msg.InjectTime
 	m.Ctr.CircuitSendsStarted++
-	m.Fab.SendOnCircuit(entry, msg, nil)
+	m.Fab.SendOnCircuit(entry, msg)
 }
 
 // retryFire is the registered setup-retry handler: the deterministic

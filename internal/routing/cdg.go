@@ -317,8 +317,9 @@ func (g *CDG) NumEdges() int {
 }
 
 // Verify builds the escape-restricted dependency graph for fn on topo and
-// returns an error describing a cycle if one exists. This is the static
-// deadlock-freedom check used by the theorem tests and cmd/cdgcheck.
+// returns an error describing a cycle if one exists: the quick Dally–Seitz
+// check the routing and theorem tests use. cmd/cdgcheck runs the full proof
+// ladder of verify.Certify instead.
 func Verify(topo topology.Topology, fn Func) error {
 	g := BuildCDG(topo, fn.Escape())
 	if cyc := g.FindCycle(); cyc != nil {

@@ -88,81 +88,3 @@ func (w *Watchdog) SaveState() (progressed bool, stallRun int64) {
 func (w *Watchdog) RestoreState(progressed bool, stallRun int64) {
 	w.progressed, w.stallRun = progressed, stallRun
 }
-
-// Advance replays `cycles` consecutive progress-free Check calls in O(1):
-// cycle `now` through now+cycles-1, with the oldest message age starting at
-// oldestAge and growing by one per cycle, and a constant in-flight count. It
-// is the watchdog half of the quiescence fast-forward — a skipped cycle moves
-// nothing, so its Check outcome is computable in closed form. The returned
-// error (if any) is identical, field for field, to what the cycle-by-cycle
-// Check sequence would have produced, and the watchdog's internal state
-// afterwards matches the replay exactly.
-func (w *Watchdog) Advance(now, cycles, oldestAge int64, inFlight int) error {
-	if cycles <= 0 {
-		return nil
-	}
-	// The first replayed cycle consumes the pending progress flag, exactly as
-	// its Check would have.
-	first := w.progressed
-	w.progressed = false
-	if inFlight == 0 {
-		w.stallRun = 0
-		return nil
-	}
-
-	const never = int64(1)<<62 - 1
-	// Earliest replay index whose age check fires: oldestAge+t > MaxAge.
-	tAge := int64(never)
-	if w.MaxAge > 0 {
-		tAge = w.MaxAge + 1 - oldestAge
-		if tAge < 0 {
-			tAge = 0
-		}
-	}
-	// Earliest replay index whose stall check fires. With the flag set, cycle
-	// 0 resets the run and cycle t ends with stallRun == t; otherwise cycle t
-	// ends with stallRun == stallRun0+t+1.
-	tStall := int64(never)
-	if w.StallWindow > 0 {
-		if first {
-			tStall = w.StallWindow
-		} else {
-			tStall = w.StallWindow - w.stallRun - 1
-			if tStall < 0 {
-				tStall = 0
-			}
-		}
-	}
-
-	trip := tAge
-	if tStall < trip {
-		trip = tStall
-	}
-	if trip >= cycles {
-		// No trip: just account the progress-free run.
-		if first {
-			w.stallRun = cycles - 1
-		} else {
-			w.stallRun += cycles
-		}
-		return nil
-	}
-	if tAge <= tStall { // Check tests age first, so age wins ties
-		if first {
-			if trip >= 1 {
-				w.stallRun = trip - 1
-			}
-		} else {
-			w.stallRun += trip
-		}
-		return &ErrStuck{Cycle: now + trip, Reason: "message exceeded delivery bound (possible deadlock or livelock)",
-			OldestAge: oldestAge + trip, InFlight: inFlight}
-	}
-	if first {
-		w.stallRun = trip
-	} else {
-		w.stallRun += trip + 1
-	}
-	return &ErrStuck{Cycle: now + trip, Reason: "no progress with work in flight (network deadlock)",
-		OldestAge: oldestAge + trip, InFlight: inFlight}
-}

@@ -215,12 +215,6 @@ func MustCube(radix []int, wrap bool) *Cube {
 	return c
 }
 
-// NewMesh2D returns an x-by-y mesh.
-func NewMesh2D(x, y int) (*Cube, error) { return NewCube([]int{x, y}, false) }
-
-// NewTorus2D returns an x-by-y torus.
-func NewTorus2D(x, y int) (*Cube, error) { return NewCube([]int{x, y}, true) }
-
 // NewHypercube returns an n-dimensional binary hypercube (2^n nodes).
 func NewHypercube(n int) (*Cube, error) {
 	radix := make([]int, n)

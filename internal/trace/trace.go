@@ -66,16 +66,17 @@ type Directive struct {
 // Program is an ordered directive list.
 type Program []Directive
 
-// Validate checks ordering and field sanity against a node count.
-func (p Program) Validate(nodes int) error {
+// Validate checks ordering and field sanity against a host count: every
+// endpoint must be a processor-bearing node 0..hosts-1.
+func (p Program) Validate(hosts int) error {
 	var last int64 = -1 << 62
 	for i, d := range p {
 		if d.Cycle < last {
 			return fmt.Errorf("trace: directive %d out of order (cycle %d after %d)", i, d.Cycle, last)
 		}
 		last = d.Cycle
-		if d.Src < 0 || d.Src >= nodes || d.Dst < 0 || d.Dst >= nodes {
-			return fmt.Errorf("trace: directive %d has node out of range (%d -> %d, %d nodes)", i, d.Src, d.Dst, nodes)
+		if d.Src < 0 || d.Src >= hosts || d.Dst < 0 || d.Dst >= hosts {
+			return fmt.Errorf("trace: directive %d has node out of range (%d -> %d, %d hosts)", i, d.Src, d.Dst, hosts)
 		}
 		if d.Op == Send && d.Flits < 1 {
 			return fmt.Errorf("trace: directive %d sends %d flits", i, d.Flits)

@@ -106,18 +106,3 @@ func (e *Engine) clearBusy() {
 	}
 	e.dirtyInPorts = e.dirtyInPorts[:0]
 }
-
-// SkipCycles fast-forwards the engine over n quiescent cycles ending at
-// cycle lastNow. The caller must guarantee InFlight() == 0 for the whole
-// gap: with no live messages every port guard fails, arrivals are empty and
-// recovery has nothing parked, so a real Cycle would change nothing except
-// the rotating arbitration offset — which a skipped cycle must still
-// advance, or the first post-gap cycle would arbitrate differently from the
-// cycle-by-cycle engine. Pending delayed credits (CreditDelay > 0) are left
-// queued; the next real Cycle's drainCredits applies everything due before
-// any allocation decision reads the credit counters, so the outcome is
-// unchanged.
-func (e *Engine) SkipCycles(n int64, lastNow int64) {
-	e.rr += int(n)
-	e.now = lastNow
-}

@@ -711,40 +711,6 @@ func (e *Engine) commitArrivals() {
 	}
 }
 
-// Quiesce reports whether the engine holds no work at all (used by drain
-// loops in tests and experiments).
+// Quiesce reports whether the engine holds no work at all (the drain
+// condition of the package's standalone-engine tests).
 func (e *Engine) Quiesce() bool { return e.liveSlots == 0 }
-
-// DebugDump prints internal engine state for stuck-network diagnosis. It is
-// test-only scaffolding.
-func (e *Engine) DebugDump() {
-	fmt.Println("=== wormhole debug dump ===")
-	for s := range e.slots {
-		if !e.slots[s].live {
-			continue
-		}
-		m := e.slots[s].msg
-		fmt.Printf("in-flight msg %d (slot %d): src=%d dst=%d len=%d\n", m.ID, s, m.Src, m.Dst, m.Len)
-	}
-	for i := range e.in {
-		v := &e.in[i]
-		if v.phase == vcIdle && v.count == 0 {
-			continue
-		}
-		l, _ := e.topo.LinkByID(topology.LinkID(v.inLink))
-		fmt.Printf("linkVC link=%d(%d->%d) vc=%d phase=%d buflen=%d out=(%d,ch %d) cur=%d\n",
-			v.inLink, l.From, l.To, int32(i)-v.inLink*e.nvc, v.phase, v.count, v.outLink, v.outCh, v.curSlot)
-	}
-	for n := range e.inj {
-		p := &e.inj[n]
-		if p.phase == vcIdle && p.qlen() == 0 {
-			continue
-		}
-		fmt.Printf("inj node=%d phase=%d queue=%d sent=%d out=(%d,ch %d)\n", n, p.phase, p.qlen(), p.sent, p.outLink, p.outCh)
-	}
-	for ch, o := range e.out {
-		if o.owner != -1 {
-			fmt.Printf("out ch=%d owner=%d credits=%d\n", ch, o.owner, o.credits)
-		}
-	}
-}

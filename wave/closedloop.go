@@ -60,7 +60,7 @@ func (w ClosedWorkload) validate() error {
 type ClosedResult struct {
 	Protocol string
 
-	// Completed round trips (all of them: Requests x Nodes).
+	// Completed round trips (all of them: Requests x Hosts).
 	Completed int64
 	// TotalCycles is the makespan of the whole run.
 	TotalCycles int64
@@ -69,7 +69,7 @@ type ClosedResult struct {
 	P50RoundTrip float64
 	P99RoundTrip float64
 
-	// Rate is completed requests per node per cycle — closed-loop
+	// Rate is completed requests per host per cycle — closed-loop
 	// throughput.
 	Rate float64
 
@@ -111,7 +111,7 @@ func (s *Simulator) RunClosedLoopContext(ctx context.Context, w ClosedWorkload, 
 		return nil, err
 	}
 	if w.WorkingSet > 0 {
-		pat, err = traffic.NewLocality(pat, s.topo.Nodes(), w.WorkingSet, w.Reuse, w.RedrawPeriod)
+		pat, err = traffic.NewLocality(pat, s.topo.Hosts(), w.WorkingSet, w.Reuse, w.RedrawPeriod)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,10 @@ func (s *Simulator) RunClosedLoopContext(ctx context.Context, w ClosedWorkload, 
 	}
 	rng := sim.NewRNG(seed)
 
-	nodes := s.topo.Nodes()
+	// Only hosts issue and answer requests: on indirect topologies the
+	// switch-only vertices carry no processor, and the routing function has
+	// no route between them.
+	nodes := s.topo.Hosts()
 	type nodeState struct {
 		remaining   int
 		outstanding int

@@ -144,11 +144,11 @@ type Config struct {
 	// bit-identical either way; the flag exists for oracle cross-checks.
 	DisableRoutingTable bool
 
-	// DisableActivityTracking runs every cycle as a full scan over all ports
-	// and disables the quiescence fast-forward, making per-cycle cost
+	// DisableActivityTracking runs the wormhole engine's passes as full scans
+	// over all ports instead of only the active ones, making per-cycle cost
 	// O(network) regardless of offered load. Results are bit-identical either
-	// way; the full-scan engine is the cross-check oracle for the
-	// activity-driven engine (see internal/wormhole/activity.go and
+	// way; the full scan is the cross-check oracle for the active-set port
+	// iteration (see internal/wormhole/activity.go and
 	// TestActiveSetMatchesFullScan).
 	DisableActivityTracking bool
 

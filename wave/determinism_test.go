@@ -21,9 +21,8 @@ func runForStats(t *testing.T, cfg Config, w Workload, warmup, measure int64) (S
 
 // TestActiveSetMatchesFullScan is the correctness contract of the
 // activity-driven engine: for every protocol, across topologies, the
-// active-set engine (with its quiescence fast-forward) must produce Stats
-// and Results bit-identical to the full-scan oracle
-// (DisableActivityTracking) under the same seed.
+// active-set port iteration must produce Stats and Results bit-identical to
+// the full-scan oracle (DisableActivityTracking) under the same seed.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	torus := TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
 	hcube := TopologyConfig{Kind: "hypercube", Dims: 5}
@@ -55,8 +54,8 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 		{"wormhole-multimsg-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 2},
 			func(c *Config) { c.BufDepth = 8 }},
 	}
-	// A light second workload exercises the quiescence fast-forward harder:
-	// most cycles are dead time between sparse injections and drains.
+	// A light second workload exercises the near-empty sets: most cycles
+	// have no active port between sparse injections and drains.
 	light := Workload{Pattern: "uniform", Load: 0.01, FixedLength: 32}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,8 +23,7 @@ type FaultEvent struct {
 // random part draws Count distinct channels (seeded) and injects the i-th at
 // Start+i*Spacing; Events adds explicit faults on top. All injections ride
 // the fabric's event queue, so a faulted run is bit-identical across the
-// activity-tracking/full-scan engines — the quiescence fast-forward stops at
-// the next scheduled fault rather than skipping it.
+// active-set and full-scan engines and survives a snapshot.
 type FaultScheduleConfig struct {
 	// Count is the number of random distinct faulty channels (0 = none).
 	Count int

@@ -149,13 +149,11 @@ func TestDynamicFaultPermanentFallback(t *testing.T) {
 	}
 }
 
-// TestDynamicFaultFastForwardStopsAtFault pins the DrainContext interaction:
-// during a long circuit transfer the fabric is quiescent and the drain
-// fast-forwards between scheduled events, so a fault (and its repair) timed
-// inside that gap must still fire on its exact cycle — NextEventAt includes
-// fault events — and the run must stay bit-identical to the full-scan engine,
-// which never skips a cycle.
-func TestDynamicFaultFastForwardStopsAtFault(t *testing.T) {
+// TestDynamicFaultDuringTransferDrain pins faults that fire while Drain
+// waits out a long circuit transfer: the fabric is otherwise idle, so only
+// the event queue carries the fault (and its repair) to its exact cycle,
+// and the run must stay bit-identical to the full-scan engine.
+func TestDynamicFaultDuringTransferDrain(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	// A channel far from the 0->3 circuit's straight-line path.
 	link, ok := topo.OutLink(15, 0, topology.Minus)
@@ -182,10 +180,10 @@ func TestDynamicFaultFastForwardStopsAtFault(t *testing.T) {
 	active := run(false)
 	oracle := run(true)
 	if active != oracle {
-		t.Errorf("fast-forward run diverged from full scan:\n active: %+v\n oracle: %+v", active, oracle)
+		t.Errorf("active-set run diverged from full scan:\n active: %+v\n oracle: %+v", active, oracle)
 	}
 	if active.Probes.FaultsInjected != 1 || active.Probes.FaultRepairs != 1 {
-		t.Errorf("fault event skipped by fast-forward: injected=%d repairs=%d, want 1/1",
+		t.Errorf("fault event did not fire during the drain: injected=%d repairs=%d, want 1/1",
 			active.Probes.FaultsInjected, active.Probes.FaultRepairs)
 	}
 }

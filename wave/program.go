@@ -110,14 +110,14 @@ func (s *Simulator) StencilProgram(iters, haloFlits int, gap int64) (*Program, e
 }
 
 // RingProgram generates a ring-shift program: node i streams `rounds`
-// messages of `flits` to node i+1 mod N over a held-open circuit.
+// messages of `flits` to host i+1 mod Hosts() over a held-open circuit.
 func (s *Simulator) RingProgram(rounds, flits int, gap int64) (*Program, error) {
-	return fromTrace(trace.Ring(s.Nodes(), rounds, flits, gap))
+	return fromTrace(trace.Ring(s.Hosts(), rounds, flits, gap))
 }
 
 // AllToAllProgram generates a staged personalized all-to-all (XOR pairing),
 // opening each circuit just before its exchange and closing it right after —
 // the compiler time-multiplexing scarce channels.
 func (s *Simulator) AllToAllProgram(flits int, stageGap int64) (*Program, error) {
-	return fromTrace(trace.AllToAll(s.Nodes(), flits, stageGap))
+	return fromTrace(trace.AllToAll(s.Hosts(), flits, stageGap))
 }

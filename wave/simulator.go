@@ -2,7 +2,6 @@ package wave
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -222,85 +221,17 @@ func (s *Simulator) Drain(maxCycles int64) error {
 	return s.DrainContext(context.Background(), maxCycles)
 }
 
-// DrainContext is Drain with between-cycle cancellation. While the fabric is
-// quiescent — no wormhole flit holds a resource, no control traffic — and the
-// only pending work is a scheduled event (a circuit delivery or window ack)
-// at a future cycle, the clock jumps straight to it instead of ticking the
-// dead cycles one by one; the watchdog replays the gap in O(1) so the drain's
-// observable behaviour (stats, errors, interval hooks) is bit-identical to
-// the cycle-by-cycle loop.
+// DrainContext is Drain with between-cycle cancellation. It steps cycle by
+// cycle, so the watchdog checks every drained cycle.
 func (s *Simulator) DrainContext(ctx context.Context, maxCycles int64) error {
 	deadline := s.now + maxCycles
 	for s.mgr.InFlight() > 0 {
 		if s.now >= deadline {
 			return fmt.Errorf("wave: %d messages still in flight after %d cycles", s.mgr.InFlight(), maxCycles)
 		}
-		if n := s.quiescentGap(deadline); n > 0 {
-			if err := s.skipCycles(ctx, n); err != nil {
-				return err
-			}
-			continue
-		}
 		if err := s.stepCtx(ctx); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// quiescentGap returns how many upcoming cycles are provably dead: the fabric
-// is quiescent and its next scheduled event lies strictly in the future. The
-// gap is capped so the jump never crosses the drain deadline or more than one
-// interval-hook boundary. Zero means step normally.
-func (s *Simulator) quiescentGap(deadline int64) int64 {
-	fab := s.mgr.Fab
-	if !fab.Quiescent() {
-		return 0
-	}
-	at, ok := fab.NextEventAt()
-	if !ok {
-		// In-flight work with no event to wake it — a genuine stall. Step
-		// normally and let the watchdog observe it cycle by cycle.
-		return 0
-	}
-	n := at - s.now
-	if lim := deadline - s.now; lim < n {
-		n = lim
-	}
-	if every := s.intervalEvery; every > 0 {
-		if lim := every - s.now%every; lim < n {
-			n = lim
-		}
-	}
-	if n < 1 {
-		return 0
-	}
-	return n
-}
-
-// skipCycles fast-forwards the simulator over n dead cycles: the watchdog
-// replays the gap in closed form (tripping mid-gap exactly where the
-// cycle-by-cycle loop would have), the fabric advances its clocks and the
-// rotating arbitration offset, and the interval hook fires if the jump lands
-// on a boundary — quiescentGap guarantees it crosses at most one.
-func (s *Simulator) skipCycles(ctx context.Context, n int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := s.wd.Advance(s.now, n, s.mgr.OldestAge(s.now), s.mgr.InFlight()); err != nil {
-		var stuck *sim.ErrStuck
-		if errors.As(err, &stuck) {
-			// Stop exactly where the per-cycle loop would have: the cycles up
-			// to and including the tripping one did execute (as skips).
-			s.mgr.Fab.SkipCycles(stuck.Cycle-s.now+1, stuck.Cycle)
-			s.now = stuck.Cycle + 1
-		}
-		return err
-	}
-	s.mgr.Fab.SkipCycles(n, s.now+n-1)
-	s.now += n
-	if s.intervalFn != nil && s.now%s.intervalEvery == 0 {
-		s.intervalFn(s.now)
 	}
 	return nil
 }
@@ -519,7 +450,7 @@ func (s *Simulator) RunProgramContext(ctx context.Context, r io.Reader, drainBud
 	if err != nil {
 		return err
 	}
-	if err := prog.Validate(s.topo.Nodes()); err != nil {
+	if err := prog.Validate(s.topo.Hosts()); err != nil {
 		return err
 	}
 	carp := s.cfg.Protocol == "carp"

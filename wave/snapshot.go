@@ -10,9 +10,11 @@ package wave
 // to stepping the original, so checkpoint + resume reproduces an
 // uninterrupted run's Stats exactly.
 //
-// Snapshot must be taken between cycles (never from inside a callback) and
-// only captures closure-free pending work: ScheduleAt timers and the other
-// test-only closure APIs make a snapshot fail with a descriptive error.
+// Snapshot must be taken between cycles (never from inside a callback).
+// Every scheduled fabric event is a serialisable descriptor; only a pending
+// PCS probe or teardown carrying a completion closure (the test-only
+// LaunchProbe/Teardown done callbacks) makes a snapshot fail with a
+// descriptive error.
 // The structured protocol event log (EnableEventLog) is diagnostic output
 // and is not captured; a restored simulator starts with an empty log.
 

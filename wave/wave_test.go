@@ -202,6 +202,18 @@ func TestRunProgramRejectsBadTrace(t *testing.T) {
 	if err := s.RunProgram(strings.NewReader("@0 warp 0 1"), 100); err == nil {
 		t.Fatal("bad op accepted")
 	}
+	// On a fat tree nodes 16.. are switches: no route joins two of them, so
+	// a send between them must be refused up front rather than wedge.
+	cfg.Topology = TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}
+	cfg.Routing = "updown"
+	ft, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ft.RunProgram(strings.NewReader("@0 send 16 17 8"), 100_000)
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("switch-to-switch send not refused by validation: %v", err)
+	}
 }
 
 func TestInjectFaultsStillDelivers(t *testing.T) {
