@@ -99,7 +99,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	topo, err := buildTopology(*f.topoKind, *f.radix, *f.dims)
+	tc, err := wave.ParseTopology(*f.topoKind, *f.radix, *f.dims)
+	if err != nil {
+		return err
+	}
+	topo, err := tc.Build()
 	if err != nil {
 		return err
 	}
@@ -148,39 +152,6 @@ func run(args []string, out io.Writer) error {
 		return notCertified{fmt.Sprintf("%d configuration(s) failed certification", failed)}
 	}
 	return nil
-}
-
-// buildTopology constructs the requested topology.
-func buildTopology(kind, radix string, dims int) (topology.Topology, error) {
-	switch kind {
-	case "hypercube":
-		return topology.NewHypercube(dims)
-	case "fattree":
-		k, err := strconv.Atoi(radix)
-		if err != nil {
-			return nil, fmt.Errorf("bad fat-tree arity %q: %v", radix, err)
-		}
-		return topology.NewFatTree(k, dims)
-	case "fullmesh":
-		n, err := strconv.Atoi(radix)
-		if err != nil {
-			return nil, fmt.Errorf("bad full-mesh node count %q: %v", radix, err)
-		}
-		return topology.NewFullMesh(n)
-	case "mesh", "torus":
-		parts := strings.Split(radix, "x")
-		r := make([]int, len(parts))
-		for i, p := range parts {
-			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("bad radix %q: %v", radix, err)
-			}
-			r[i] = v
-		}
-		return topology.NewCube(r, kind == "torus")
-	default:
-		return nil, fmt.Errorf("unknown topology %q (mesh, torus, hypercube, fattree or fullmesh)", kind)
-	}
 }
 
 // parseFaults parses "link:switch,link:switch,..." into wave channels.

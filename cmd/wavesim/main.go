@@ -162,28 +162,15 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg.ProbeRetryLimit = *retryLimit
 	cfg.RetryBackoffCycles = *retryBackoff
-	switch *topoKind {
-	case "hypercube":
-		cfg.Topology = wave.TopologyConfig{Kind: "hypercube", Dims: *hyperDims}
-	case "fattree":
-		k, err := strconv.Atoi(*radix)
-		if err != nil {
-			return fmt.Errorf("bad fat-tree arity %q: %v", *radix, err)
-		}
-		cfg.Topology = wave.TopologyConfig{Kind: "fattree", Radix: []int{k}, Dims: *levels}
-	case "fullmesh":
-		n, err := strconv.Atoi(*radix)
-		if err != nil {
-			return fmt.Errorf("bad full-mesh node count %q: %v", *radix, err)
-		}
-		cfg.Topology = wave.TopologyConfig{Kind: "fullmesh", Radix: []int{n}}
-	default:
-		r, err := parseRadix(*radix)
-		if err != nil {
-			return err
-		}
-		cfg.Topology = wave.TopologyConfig{Kind: *topoKind, Radix: r}
+	dims := *levels
+	if *topoKind == "hypercube" {
+		dims = *hyperDims
 	}
+	topo, err := wave.ParseTopology(*topoKind, *radix, dims)
+	if err != nil {
+		return err
+	}
+	cfg.Topology = topo
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -492,19 +479,6 @@ func printLinkMap(out io.Writer, sim *wave.Simulator, cfg wave.Config) error {
 	}
 	fmt.Fprintln(out)
 	return viz.HeatMap(out, cfg.Topology.Radix[0], cfg.Topology.Radix[1], samples)
-}
-
-func parseRadix(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	r := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad radix %q: %v", s, err)
-		}
-		r[i] = v
-	}
-	return r, nil
 }
 
 // runCompare runs the same workload under every protocol on fresh networks.

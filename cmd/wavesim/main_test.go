@@ -10,20 +10,6 @@ import (
 	"testing"
 )
 
-func TestParseRadix(t *testing.T) {
-	r, err := parseRadix("8x8")
-	if err != nil || len(r) != 2 || r[0] != 8 || r[1] != 8 {
-		t.Fatalf("parseRadix: %v %v", r, err)
-	}
-	r, err = parseRadix("4x4x4")
-	if err != nil || len(r) != 3 {
-		t.Fatalf("parseRadix 3d: %v %v", r, err)
-	}
-	if _, err := parseRadix("8xq"); err == nil {
-		t.Fatal("bad radix accepted")
-	}
-}
-
 func TestRunHumanOutput(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-radix", "4x4", "-warmup", "200", "-measure", "1500",

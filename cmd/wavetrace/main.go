@@ -14,11 +14,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/wave"
 )
 
 func main() {
@@ -41,19 +40,15 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	parts := strings.Split(*radix, "x")
-	r := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return fmt.Errorf("bad radix %q: %v", *radix, err)
-		}
-		r[i] = v
-	}
-	topo, err := topology.NewCube(r, true)
+	tc, err := wave.ParseTopology("torus", *radix, 0)
 	if err != nil {
 		return err
 	}
+	built, err := tc.Build()
+	if err != nil {
+		return err
+	}
+	topo := built.(topology.Geometry) // a torus has coordinates
 
 	var prog trace.Program
 	switch *kernel {

@@ -151,7 +151,11 @@ const (
 // wormhole cycle.
 func (p Params) CircuitRate() float64 { return p.WaveClockMult / float64(p.NumSwitches) }
 
-// Hooks are the fabric's upcalls to the protocol/statistics layer.
+// Hooks are the fabric's upcalls to the protocol/statistics layer, all
+// registered once at construction. They are handlers, not per-call closures,
+// so that pending work stays data and survives a snapshot: a probe carries
+// its tag, an event its (Kind, Args) descriptor, and a restored fabric
+// re-enters the same code through the same registration.
 type Hooks struct {
 	// DeliveredWormhole fires when a wormhole message's tail is consumed.
 	DeliveredWormhole func(m flit.Message, now int64)
@@ -161,6 +165,14 @@ type Hooks struct {
 	// fully torn down and its cache entry removed. The NI uses it to re-issue
 	// messages that were queued on the dead circuit.
 	CircuitFreed func(src, dst topology.Node, id circuit.ID)
+	// ProbeDone receives the outcome of every probe started with
+	// LaunchProbeTagged, with the probe's identity and caller tag.
+	ProbeDone func(src, dst topology.Node, sw int, force bool, tag int64, res pcs.SetupResult)
+	// Retry executes an evRetry timer scheduled through ScheduleRetry.
+	Retry func(src, dst topology.Node, now int64)
+	// CircuitIdle runs when a window acknowledgment clears a circuit's
+	// In-use bit.
+	CircuitIdle func(src, dst topology.Node)
 	// Progress feeds the watchdog.
 	Progress func()
 }
@@ -180,13 +192,6 @@ type Fabric struct {
 	hooks  Hooks
 	caches []*circuit.Cache
 	rng    *sim.RNG
-
-	// Registered protocol-layer handlers for descriptor events: onRetry
-	// executes evRetry timers, onCircuitIdle runs when a window ack clears a
-	// circuit's In-use bit. Handlers replace per-event closures so pending
-	// events serialise (see the ev* kinds above).
-	onRetry       func(src, dst topology.Node, now int64)
-	onCircuitIdle func(src, dst topology.Node)
 
 	// events holds scheduled fabric actions (circuit deliveries, window
 	// acks, fault injections, retry timers).
@@ -259,9 +264,9 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Teardown completions report through this registered handler (the
-	// snapshot-safe path; teardownNow uses TeardownNotify): drop the cache
-	// entry and let the NI re-issue whatever was queued on the dead circuit.
+	// Teardown completions drop the cache entry and let the NI re-issue
+	// whatever was queued on the dead circuit.
+	f.PCS.SetProbeDone(hooks.ProbeDone)
 	f.PCS.SetCircuitFreed(func(src, dst topology.Node, id circuit.ID) {
 		f.caches[src].Remove(dst)
 		if f.hooks.CircuitFreed != nil {
@@ -326,8 +331,8 @@ func (f *Fabric) execEvent(kind uint8, args [engine.NumEventArgs]int64, now int6
 		if entry, ok := f.caches[src].Peek(dst); ok && entry.ID == circuit.ID(args[2]) {
 			entry.InUse = false
 		}
-		if f.onCircuitIdle != nil {
-			f.onCircuitIdle(src, dst)
+		if f.hooks.CircuitIdle != nil {
+			f.hooks.CircuitIdle(src, dst)
 		}
 	case evFaultInject:
 		ch := pcs.Channel{Link: topology.LinkID(args[0]), Switch: int(args[1])}
@@ -339,24 +344,16 @@ func (f *Fabric) execEvent(kind uint8, args [engine.NumEventArgs]int64, now int6
 	case evFaultRepair:
 		f.PCS.RepairFault(pcs.Channel{Link: topology.LinkID(args[0]), Switch: int(args[1])})
 	case evRetry:
-		if f.onRetry != nil {
-			f.onRetry(topology.Node(args[0]), topology.Node(args[1]), now)
+		if f.hooks.Retry != nil {
+			f.hooks.Retry(topology.Node(args[0]), topology.Node(args[1]), now)
 		}
 	default:
 		panic(fmt.Sprintf("core: unknown event kind %d", kind))
 	}
 }
 
-// SetRetryHandler registers the protocol layer's executor for evRetry
-// timers scheduled through ScheduleRetry.
-func (f *Fabric) SetRetryHandler(fn func(src, dst topology.Node, now int64)) { f.onRetry = fn }
-
-// SetCircuitIdleHandler registers the protocol layer's executor run when a
-// window acknowledgment clears a circuit's In-use bit.
-func (f *Fabric) SetCircuitIdleHandler(fn func(src, dst topology.Node)) { f.onCircuitIdle = fn }
-
 // ScheduleRetry queues a probe-retry timer for the (src, dst) pair at cycle
-// `at` (strictly in the future); the registered retry handler executes it.
+// `at` (strictly in the future); Hooks.Retry executes it.
 func (f *Fabric) ScheduleRetry(src, dst topology.Node, at int64) {
 	if at <= f.now {
 		panic(fmt.Sprintf("core: ScheduleRetry(%d) is not in the future (now %d)", at, f.now))
@@ -391,27 +388,16 @@ func (f *Fabric) ScheduleFault(at int64, ch pcs.Channel, repair int64) error {
 // InjectWormhole sends a message through switch S0.
 func (f *Fabric) InjectWormhole(m flit.Message) { f.WH.Inject(m) }
 
-// LaunchProbe starts a circuit-setup attempt (see pcs.Engine.LaunchProbe).
-func (f *Fabric) LaunchProbe(src, dst topology.Node, sw int, force bool, done func(pcs.SetupResult)) {
-	f.PCS.LaunchProbe(src, dst, sw, force, done)
-}
-
-// LaunchProbeTagged starts a circuit-setup attempt whose completion reports
-// through the handler registered with SetProbeDone, carrying tag — the
-// snapshot-safe launch path (see pcs.Engine.LaunchProbeTagged).
+// LaunchProbeTagged starts a circuit-setup attempt whose outcome reports
+// through Hooks.ProbeDone, carrying tag (see pcs.Engine.LaunchProbeTagged).
 func (f *Fabric) LaunchProbeTagged(src, dst topology.Node, sw int, force bool, tag int64) {
 	f.PCS.LaunchProbeTagged(src, dst, sw, force, tag)
-}
-
-// SetProbeDone registers the completion handler for tagged probes.
-func (f *Fabric) SetProbeDone(fn func(src, dst topology.Node, sw int, force bool, tag int64, res pcs.SetupResult)) {
-	f.PCS.SetProbeDone(fn)
 }
 
 // SendOnCircuit streams message m over the established circuit recorded in
 // entry, which must be Established, not InUse, and registered in the
 // Circuit Cache of node m.Src. When the end-to-end acknowledgment returns, the In-use bit
-// clears and the registered circuit-idle handler runs (the NI then sends the
+// clears and Hooks.CircuitIdle runs (the NI then sends the
 // next queued message or honours a pending release).
 //
 // When the endpoint-buffer model is enabled (InitialBufFlits > 0), a message
@@ -466,7 +452,7 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message) {
 	f.events.ScheduleKind(0, deliverAt, evCircuitDeliver,
 		[engine.NumEventArgs]int64{int64(m.ID), int64(m.Src), int64(m.Dst), int64(m.Len), m.InjectTime})
 	// The ack event clears the In-use bit (guarded by the circuit ID, in case
-	// the entry was replaced meanwhile) and fires the circuit-idle handler.
+	// the entry was replaced meanwhile) and fires Hooks.CircuitIdle.
 	f.events.ScheduleKind(0, ackAt, evCircuitAck,
 		[engine.NumEventArgs]int64{int64(m.Src), int64(entry.Dest), int64(entry.ID)})
 }
@@ -499,8 +485,7 @@ func (f *Fabric) RequestTeardown(src topology.Node, entry *circuit.Entry) {
 
 // teardownNow starts the teardown control flit for an idle established
 // entry. Completion reports through the CircuitFreed handler registered at
-// construction (removing the cache entry and notifying the NI), so a
-// teardown in flight survives a snapshot.
+// construction, which removes the cache entry and notifies the NI.
 func (f *Fabric) teardownNow(src topology.Node, entry *circuit.Entry) {
 	if entry.State == circuit.Releasing {
 		return

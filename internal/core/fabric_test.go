@@ -9,16 +9,38 @@ import (
 	"repro/internal/topology"
 )
 
-func newFabric(t *testing.T, topo topology.Topology, prm Params, hooks Hooks) *Fabric {
+// testFabric is a fabric whose probe outcomes Hooks.ProbeDone collects by
+// probe ID.
+type testFabric struct {
+	*Fabric
+	probes map[flit.ProbeID]*pcs.SetupResult
+}
+
+// newFabric builds a fabric with hooks; hooks.ProbeDone must be nil.
+func newFabric(t *testing.T, topo topology.Topology, prm Params, hooks Hooks) *testFabric {
 	t.Helper()
+	tf := &testFabric{probes: map[flit.ProbeID]*pcs.SetupResult{}}
+	hooks.ProbeDone = func(_, _ topology.Node, _ int, _ bool, _ int64, r pcs.SetupResult) { tf.probes[r.Probe] = &r }
 	f, err := New(topo, prm, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	tf.Fabric = f
+	return tf
 }
 
-func run(f *Fabric, from *int64, cycles int64) {
+// probe launches a probe and cycles the fabric until it resolves (at most
+// 500 cycles), returning its outcome or nil.
+func (f *testFabric) probe(now *int64, src, dst topology.Node, sw int, force bool) *pcs.SetupResult {
+	id := f.PCS.LaunchProbeTagged(src, dst, sw, force, 0)
+	for i := 0; i < 500 && f.probes[id] == nil; i++ {
+		f.Cycle(*now)
+		*now++
+	}
+	return f.probes[id]
+}
+
+func run(f *testFabric, from *int64, cycles int64) {
 	for i := int64(0); i < cycles; i++ {
 		f.Cycle(*from)
 		*from++
@@ -27,18 +49,13 @@ func run(f *Fabric, from *int64, cycles int64) {
 
 // establish sets up a circuit src->dst on switch sw and registers the cache
 // entry the way the protocol layer does.
-func establish(t *testing.T, f *Fabric, now *int64, src, dst topology.Node, sw int) *circuit.Entry {
+func establish(t *testing.T, f *testFabric, now *int64, src, dst topology.Node, sw int) *circuit.Entry {
 	t.Helper()
 	entry := &circuit.Entry{Dest: dst, Switch: sw, InitialSwitch: sw, State: circuit.Setting}
 	if err := f.Cache(src).Insert(entry); err != nil {
 		t.Fatal(err)
 	}
-	var res *pcs.SetupResult
-	f.LaunchProbe(src, dst, sw, false, func(r pcs.SetupResult) { res = &r })
-	for i := 0; i < 200 && res == nil; i++ {
-		f.Cycle(*now)
-		*now++
-	}
+	res := f.probe(now, src, dst, sw, false)
 	if res == nil || !res.OK {
 		t.Fatalf("setup failed: %+v", res)
 	}
@@ -127,14 +144,15 @@ func TestCircuitTransferTiming(t *testing.T) {
 	// transfer = ceil(6/4 + 128/2) = ceil(65.5) = 66 cycles; ack 6 more.
 	topo := topology.MustCube([]int{4, 4}, false)
 	var deliveredAt int64 = -1
-	f := newFabric(t, topo, DefaultParams(), Hooks{
+	idleAt := int64(-1)
+	var f *testFabric
+	f = newFabric(t, topo, DefaultParams(), Hooks{
 		DeliveredCircuit: func(m flit.Message, now int64) { deliveredAt = now },
+		CircuitIdle:      func(src, dst topology.Node) { idleAt = f.Now() },
 	})
 	now := int64(0)
 	entry := establish(t, f, &now, 0, 15, 0)
 
-	idleAt := int64(-1)
-	f.SetCircuitIdleHandler(func(src, dst topology.Node) { idleAt = f.Now() })
 	start := f.Now() // SendOnCircuit timestamps from the last executed cycle
 	f.SendOnCircuit(entry, flit.Message{ID: 2, Src: 0, Dst: 15, Len: 128, InjectTime: start})
 	if !entry.InUse {
@@ -307,15 +325,15 @@ func TestRequestTeardownIdleCircuit(t *testing.T) {
 func TestRequestTeardownDefersWhileInUse(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	freed := 0
-	f := newFabric(t, topo, DefaultParams(), Hooks{
+	var f *testFabric
+	var entry *circuit.Entry
+	f = newFabric(t, topo, DefaultParams(), Hooks{
 		CircuitFreed: func(src, dst topology.Node, id circuit.ID) { freed++ },
+		// NI idle handler: honour any deferred release.
+		CircuitIdle: func(src, dst topology.Node) { f.MaybeHonourRelease(0, entry) },
 	})
 	now := int64(0)
-	entry := establish(t, f, &now, 0, 15, 0)
-	f.SetCircuitIdleHandler(func(src, dst topology.Node) {
-		// NI idle handler: honour any deferred release.
-		f.MaybeHonourRelease(0, entry)
-	})
+	entry = establish(t, f, &now, 0, 15, 0)
 	f.SendOnCircuit(entry, flit.Message{ID: 1, Src: 0, Dst: 15, Len: 64, InjectTime: now})
 	f.RequestTeardown(0, entry) // must defer: message in transit
 	if entry.State != circuit.Established {
@@ -348,12 +366,7 @@ func TestRemoteReleaseViaForceProbe(t *testing.T) {
 	now := int64(0)
 	establish(t, f, &now, 1, 3, 0)
 
-	var res *pcs.SetupResult
-	f.LaunchProbe(0, 3, 0, true, func(r pcs.SetupResult) { res = &r })
-	for i := 0; i < 500 && res == nil; i++ {
-		f.Cycle(now)
-		now++
-	}
+	res := f.probe(&now, 0, 3, 0, true)
 	if res == nil || !res.OK {
 		t.Fatalf("force probe did not succeed: %+v", res)
 	}
@@ -379,12 +392,7 @@ func TestLocalReleaseViaForceProbe(t *testing.T) {
 	e4 := establish(t, f, &now, 0, topo.NodeAt([]int{0, 1}), 0)
 	_ = e4
 
-	var res *pcs.SetupResult
-	f.LaunchProbe(0, 2, 0, true, func(r pcs.SetupResult) { res = &r })
-	for i := 0; i < 500 && res == nil; i++ {
-		f.Cycle(now)
-		now++
-	}
+	res := f.probe(&now, 0, 2, 0, true)
 	if res == nil || !res.OK {
 		t.Fatalf("force probe failed: %+v", res)
 	}

@@ -13,10 +13,9 @@ import (
 )
 
 // State encodes or decodes the complete fabric state. Encoding must happen
-// between cycles, and errors when a pending PCS probe or teardown carries a
-// completion closure (the LaunchProbe/Teardown done callbacks); every
-// scheduled fabric event is a descriptor and always encodes. Decoding
-// requires a fabric built with the same topology and Params.
+// between cycles; every pending event, probe and teardown is data, so it
+// always succeeds. Decoding requires a fabric built with the same topology
+// and Params.
 func (f *Fabric) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &f.now)
 	st := f.rng.State()

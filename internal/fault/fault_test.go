@@ -98,7 +98,8 @@ func TestNodeIsolating(t *testing.T) {
 	}
 	plan.Apply(e)
 	var res *pcs.SetupResult
-	e.LaunchProbe(5, 10, 0, false, func(r pcs.SetupResult) { res = &r })
+	e.SetProbeDone(func(_, _ topology.Node, _ int, _ bool, _ int64, r pcs.SetupResult) { res = &r })
+	e.LaunchProbeTagged(5, 10, 0, false, 0)
 	for c := 0; c < 200 && res == nil; c++ {
 		e.Cycle(int64(c))
 	}

@@ -111,11 +111,6 @@ type Circuit struct {
 	ackPending bool
 	// teardownDeferred queues a teardown request that arrived mid-ack.
 	teardownDeferred bool
-	deferredDone     func()
-	// deferredNotify queues a TeardownNotify request that arrived mid-ack:
-	// the registered CircuitFreed handler fires instead of a closure, which
-	// is what lets a deferred teardown survive a snapshot.
-	deferredNotify bool
 }
 
 // Counters aggregates the engine's protocol statistics.
@@ -199,8 +194,8 @@ type probe struct {
 	sw     int
 	force  bool
 	maxMis int
-	// tag is caller context carried by a handler-dispatched probe (the
-	// protocol layer stores the attempt number); unused by closure probes.
+	// tag is caller context handed back to the SetProbeDone handler (the
+	// protocol layer stores the attempt number).
 	tag int64
 
 	at        topology.Node
@@ -238,7 +233,6 @@ type probe struct {
 	opts   []outOption
 
 	launched int64
-	done     func(SetupResult)
 }
 
 // ack travels back from the destination along the reserved path, flipping
@@ -255,10 +249,6 @@ type ack struct {
 type teardown struct {
 	circ *Circuit
 	next int // index into circ.Path
-	done func()
-	// notify routes completion through the registered CircuitFreed handler
-	// instead of a closure (TeardownNotify); snapshot-safe.
-	notify bool
 }
 
 // release travels backward from the requesting node toward the circuit's
@@ -325,15 +315,13 @@ type Engine struct {
 
 	Ctr Counters
 
-	// setupWaiting counts probes in existence (for oldest-age accounting by
-	// callers if needed).
+	// now is the cycle last passed to Cycle: a launch stamps it and a
+	// completion reports its latency from it.
 	now int64
 
-	// Registered completion handlers: the snapshot-safe alternative to the
-	// per-call closures. A probe launched via LaunchProbeTagged (done == nil)
-	// reports through onDone; a TeardownNotify completion reports through
-	// onFreed. Closures, when present, always win — tests rely on them — but
-	// a pending closure blocks snapshot encoding.
+	// Registered completion handlers, the only way a completion is reported:
+	// every probe reports through onDone, every teardown through onFreed.
+	// Pending work then holds no code, only data, so it always snapshots.
 	onDone  func(src, dst topology.Node, sw int, force bool, tag int64, res SetupResult)
 	onFreed func(src, dst topology.Node, id circuit.ID)
 }
@@ -497,8 +485,8 @@ func (e *Engine) InjectFault(c Channel) {
 //   - Reserved: the owning probe — or, if the probe already reached its
 //     destination, the in-flight acknowledgment and its registered circuit —
 //     is killed: every channel the setup holds is released, the history
-//     store cleared, and the done callback fires with OK=false so the sender
-//     can retry or fall back to wormhole.
+//     store cleared, and the SetProbeDone handler reports OK=false so the
+//     sender can retry or fall back to wormhole.
 //   - Established mid-ack: same wholesale kill; a stale ack must never flip
 //     a faulty channel back to Established.
 //   - Established: the circuit's source NI is notified exactly as if a
@@ -587,7 +575,7 @@ func (e *Engine) freeHopOwned(k int32, probeOwner, circOwner int64) {
 
 // killProbeByID removes an in-flight probe hit by a dynamic fault: its
 // reserved hops are freed (ownership-guarded), its history store cleared,
-// and its done callback fires with OK=false — the same observable outcome as
+// and its completion reports OK=false — the same observable outcome as
 // a backtrack all the way home, just immediate. Returns false when no such
 // probe is searching (it may have handed off to an ack already).
 func (e *Engine) killProbeByID(id flit.ProbeID) bool {
@@ -650,36 +638,22 @@ func (e *Engine) killAck(circ *Circuit) {
 	e.putCircuit(circ)
 }
 
-// SetProbeDone registers the engine-wide completion handler for probes
-// launched without a closure (LaunchProbeTagged). The handler receives the
-// probe's identity fields and caller tag, so it can reconstruct exactly the
-// context a closure would have captured — which is what makes probe
-// completions snapshot-safe.
+// SetProbeDone registers the engine-wide probe completion handler. The
+// handler receives the probe's identity fields and caller tag, so the probe's
+// wire state plus the tag fully describe a pending completion.
 func (e *Engine) SetProbeDone(fn func(src, dst topology.Node, sw int, force bool, tag int64, res SetupResult)) {
 	e.onDone = fn
 }
 
-// SetCircuitFreed registers the engine-wide completion handler for
-// TeardownNotify teardowns.
+// SetCircuitFreed registers the engine-wide teardown completion handler.
 func (e *Engine) SetCircuitFreed(fn func(src, dst topology.Node, id circuit.ID)) {
 	e.onFreed = fn
 }
 
-// LaunchProbe starts one circuit-setup attempt from src to dst across wave
-// switch sw (0-based). done fires exactly once with the outcome.
-func (e *Engine) LaunchProbe(src, dst topology.Node, sw int, force bool, done func(SetupResult)) flit.ProbeID {
-	return e.launch(src, dst, sw, force, 0, done)
-}
-
-// LaunchProbeTagged starts a probe whose completion reports through the
-// registered SetProbeDone handler, carrying tag. Unlike a closure probe it
-// survives a snapshot: the probe's wire state plus the tag fully describe
-// the pending completion.
+// LaunchProbeTagged starts one circuit-setup attempt from src to dst across
+// wave switch sw (0-based). The SetProbeDone handler fires exactly once with
+// the outcome, carrying tag.
 func (e *Engine) LaunchProbeTagged(src, dst topology.Node, sw int, force bool, tag int64) flit.ProbeID {
-	return e.launch(src, dst, sw, force, tag, nil)
-}
-
-func (e *Engine) launch(src, dst topology.Node, sw int, force bool, tag int64, done func(SetupResult)) flit.ProbeID {
 	if src == dst {
 		panic("pcs: probe to self")
 	}
@@ -697,19 +671,13 @@ func (e *Engine) launch(src, dst topology.Node, sw int, force bool, tag int64, d
 	p.at = src
 	p.launched = e.now
 	p.tag = tag
-	p.done = done
 	e.probes = append(e.probes, p)
 	e.Ctr.ProbesLaunched++
 	return p.id
 }
 
-// fireDone reports a probe's outcome: through its closure when it has one,
-// otherwise through the registered handler.
+// fireDone reports a probe's outcome through the registered handler.
 func (e *Engine) fireDone(p *probe, res SetupResult) {
-	if p.done != nil {
-		p.done(res)
-		return
-	}
 	if e.onDone != nil {
 		e.onDone(p.src, p.dst, p.sw, p.force, p.tag, res)
 	}
@@ -740,9 +708,8 @@ func (e *Engine) getProbe() *probe {
 }
 
 // putProbe recycles a finished probe. Callers must have run cleanupHistory
-// and fired the done callback already.
+// and reported the outcome already.
 func (e *Engine) putProbe(p *probe) {
-	p.done = nil
 	e.probePool = append(e.probePool, p)
 }
 
@@ -762,8 +729,6 @@ func (e *Engine) getCircuit() *Circuit {
 	c.tearingDown = false
 	c.ackPending = false
 	c.teardownDeferred = false
-	c.deferredDone = nil
-	c.deferredNotify = false
 	return c
 }
 
@@ -773,17 +738,11 @@ func (e *Engine) putCircuit(c *Circuit) {
 	e.circPool = append(e.circPool, c)
 }
 
-// Teardown starts releasing circuit id from its source. done fires when the
-// teardown flit has freed the last channel. It panics if the circuit does not
-// exist; callers own the in-use discipline.
-func (e *Engine) Teardown(id circuit.ID, done func()) { e.teardownStart(id, done, false) }
-
-// TeardownNotify starts releasing circuit id; completion fires the
-// registered SetCircuitFreed handler instead of a closure, which is what
-// makes an in-flight teardown snapshot-safe.
-func (e *Engine) TeardownNotify(id circuit.ID) { e.teardownStart(id, nil, true) }
-
-func (e *Engine) teardownStart(id circuit.ID, done func(), notify bool) {
+// TeardownNotify starts releasing circuit id from its source. The
+// SetCircuitFreed handler fires when the teardown flit has freed the last
+// channel. It panics if the circuit does not exist; callers own the in-use
+// discipline.
+func (e *Engine) TeardownNotify(id circuit.ID) {
 	c, ok := e.circuits[id]
 	if !ok {
 		panic(fmt.Sprintf("pcs: teardown of unknown circuit %d", id))
@@ -795,13 +754,23 @@ func (e *Engine) teardownStart(id circuit.ID, done func(), notify bool) {
 		// The setup acknowledgment is still in flight; starting the teardown
 		// now would cross it. Defer until the ack lands.
 		c.teardownDeferred = true
-		c.deferredDone = done
-		c.deferredNotify = notify
 		return
 	}
 	c.tearingDown = true
-	e.teardowns = append(e.teardowns, teardown{circ: c, next: 0, done: done, notify: notify})
+	e.teardowns = append(e.teardowns, teardown{circ: c})
 	e.Ctr.Teardowns++
+}
+
+// Teardown is the former name of TeardownNotify.
+//
+// Deprecated: use TeardownNotify. A completion is reported only through the
+// SetCircuitFreed handler, so Teardown panics on a non-nil closure and
+// otherwise behaves as TeardownNotify.
+func (e *Engine) Teardown(id circuit.ID, closure func()) {
+	if closure != nil {
+		panic("pcs: Teardown takes no completion closure; register SetCircuitFreed and call TeardownNotify")
+	}
+	e.TeardownNotify(id)
 }
 
 // Cycle advances every control flit and probe by one hop of work.
@@ -828,11 +797,11 @@ func (e *Engine) stepTeardowns() {
 	if len(e.teardowns) == 0 {
 		return
 	}
-	// Snapshot-and-reset: done callbacks may start new teardowns (e.g. a
-	// CircuitFreed handler evicting another victim); those must not be lost
-	// to in-place compaction, nor run this same cycle. The swap with the
-	// spill buffer keeps both backing arrays alive across cycles, so the
-	// steady state allocates nothing.
+	// Snapshot-and-reset: the CircuitFreed handler may start new teardowns
+	// (e.g. evicting another victim); those must not be lost to in-place
+	// compaction, nor run this same cycle. The swap with the spill buffer
+	// keeps both backing arrays alive across cycles, so the steady state
+	// allocates nothing.
 	work := e.teardowns
 	e.teardowns = e.tdSpill[:0]
 	n := 0
@@ -856,9 +825,7 @@ func (e *Engine) stepTeardowns() {
 		td.next++
 		if td.next >= len(td.circ.Path) {
 			delete(e.circuits, td.circ.ID)
-			if td.done != nil {
-				td.done()
-			} else if td.notify && e.onFreed != nil {
+			if e.onFreed != nil {
 				e.onFreed(td.circ.Src, td.circ.Dst, td.circ.ID)
 			}
 			e.putCircuit(td.circ)
@@ -964,11 +931,7 @@ func (e *Engine) stepAcks() {
 			})
 			if a.circ.teardownDeferred {
 				a.circ.teardownDeferred = false
-				done := a.circ.deferredDone
-				notify := a.circ.deferredNotify
-				a.circ.deferredDone = nil
-				a.circ.deferredNotify = false
-				e.teardownStart(a.circ.ID, done, notify)
+				e.TeardownNotify(a.circ.ID)
 			}
 			e.putProbe(p)
 			continue
@@ -991,7 +954,7 @@ func (e *Engine) stepProbes() {
 	if len(e.probes) == 0 {
 		return
 	}
-	// Snapshot-and-reset: a failure callback typically launches the next
+	// Snapshot-and-reset: a failure handler typically launches the next
 	// attempt (next wave switch) immediately; the fresh probe must survive
 	// this compaction and start on the next cycle.
 	work := e.probes

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/flit"
 	"repro/internal/topology"
 )
 
@@ -36,6 +37,26 @@ func newEngine(t *testing.T, topo topology.Topology, prm Params, host Host) *Eng
 		t.Fatal(err)
 	}
 	return e
+}
+
+// probeResults holds every probe outcome an engine reported, keyed by
+// SetupResult.Probe.
+type probeResults map[flit.ProbeID]*SetupResult
+
+// watchProbes registers e's SetProbeDone handler and returns the results it
+// fills.
+func watchProbes(e *Engine) probeResults {
+	res := probeResults{}
+	e.SetProbeDone(func(_, _ topology.Node, _ int, _ bool, _ int64, r SetupResult) { res[r.Probe] = &r })
+	return res
+}
+
+// setup launches a probe and cycles e until it resolves, within maxCycles.
+func (res probeResults) setup(t *testing.T, e *Engine, src, dst topology.Node, sw int, force bool, maxCycles int) *SetupResult {
+	t.Helper()
+	id := e.LaunchProbeTagged(src, dst, sw, force, 0)
+	runUntil(t, e, maxCycles, func() bool { return res[id] != nil })
+	return res[id]
 }
 
 // runUntil cycles the engine until pred is true or maxCycles pass.
@@ -73,9 +94,7 @@ func TestProbeEstablishesMinimalCircuit(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, &fakeHost{})
 	src, dst := topology.Node(0), topology.Node(15)
-	var res *SetupResult
-	e.LaunchProbe(src, dst, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, src, dst, 0, false, 100)
 	if !res.OK {
 		t.Fatal("setup failed on an empty network")
 	}
@@ -105,9 +124,7 @@ func TestFig3StatusRegisters(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
 	src, dst := topology.Node(0), topology.Node(3) // straight line in dim 0
-	var res *SetupResult
-	e.LaunchProbe(src, dst, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, src, dst, 0, false, 100)
 	if !res.OK {
 		t.Fatal("setup failed")
 	}
@@ -159,14 +176,14 @@ func mustLink(t *testing.T, topo topology.Geometry, n topology.Node, dim int, di
 func TestHistoryStoreCleanedUp(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 2}, &fakeHost{})
-	var res *SetupResult
-	id := e.LaunchProbe(0, 15, 0, false, func(r SetupResult) { res = &r })
+	res := watchProbes(e)
+	id := e.LaunchProbeTagged(0, 15, 0, false, 0)
 	// Mid-flight the history store must record searched outputs at the source.
 	e.Cycle(0)
 	if e.History(0, id) == 0 {
 		t.Fatal("history store empty after first hop")
 	}
-	runUntil(t, e, 100, func() bool { return res != nil })
+	runUntil(t, e, 100, func() bool { return res[id] != nil })
 	if e.History(0, id) != 0 {
 		t.Fatal("history store leaked entries after the probe finished")
 	}
@@ -180,15 +197,11 @@ func TestSecondProbeMisroutesAroundReservation(t *testing.T) {
 
 	run := func(m int) (ok bool, ctr Counters) {
 		e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: m}, &fakeHost{})
-		var resA, resB *SetupResult
-		e.LaunchProbe(src, dst, 0, false, func(r SetupResult) { resA = &r })
-		runUntil(t, e, 100, func() bool { return resA != nil })
-		if !resA.OK {
+		res := watchProbes(e)
+		if !res.setup(t, e, src, dst, 0, false, 100).OK {
 			t.Fatal("probe A failed on empty network")
 		}
-		e.LaunchProbe(src, dst, 0, false, func(r SetupResult) { resB = &r })
-		runUntil(t, e, 200, func() bool { return resB != nil })
-		return resB.OK, e.Ctr
+		return res.setup(t, e, src, dst, 0, false, 200).OK, e.Ctr
 	}
 
 	if ok, ctr := run(2); !ok {
@@ -217,9 +230,7 @@ func TestBacktrackRestoresChannels(t *testing.T) {
 			e.InjectFault(Channel{Link: l, Switch: 0})
 		}
 	}
-	var res *SetupResult
-	e.LaunchProbe(0, dst, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 5000, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, 0, dst, 0, false, 5000)
 	if res.OK {
 		t.Fatal("probe succeeded through faulted channels")
 	}
@@ -251,14 +262,13 @@ func TestBacktrackRestoresChannels(t *testing.T) {
 func TestTeardownFreesEverything(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, &fakeHost{})
-	var res *SetupResult
-	e.LaunchProbe(0, 15, 1, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, 0, 15, 1, false, 100)
 	c, _ := e.CircuitByID(res.Circuit)
 	path := append([]Channel(nil), c.Path...)
 
 	done := false
-	e.Teardown(res.Circuit, func() { done = true })
+	e.SetCircuitFreed(func(_, _ topology.Node, id circuit.ID) { done = id == res.Circuit })
+	e.TeardownNotify(res.Circuit)
 	// Teardown takes one cycle per hop.
 	cycles := 0
 	for !done {
@@ -291,18 +301,42 @@ func TestTeardownUnknownCircuitPanics(t *testing.T) {
 			t.Fatal("no panic for unknown circuit")
 		}
 	}()
-	e.Teardown(42, nil)
+	e.TeardownNotify(42)
+}
+
+// TestDeprecatedTeardown: the former Teardown name refuses a completion
+// closure and, given nil, tears the circuit down as TeardownNotify does.
+func TestDeprecatedTeardown(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, false)
+	e := newEngine(t, topo, DefaultParams(), &fakeHost{})
+	res := watchProbes(e).setup(t, e, 0, 15, 0, false, 100)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Teardown accepted a completion closure")
+			}
+		}()
+		e.Teardown(res.Circuit, func() {})
+	}()
+	if c, ok := e.CircuitByID(res.Circuit); !ok || c.tearingDown {
+		t.Fatal("refused Teardown started the teardown")
+	}
+	var freed []circuit.ID
+	e.SetCircuitFreed(func(_, _ topology.Node, id circuit.ID) { freed = append(freed, id) })
+	e.Teardown(res.Circuit, nil)
+	runUntil(t, e, 100, func() bool { return e.NumCircuits() == 0 })
+	if len(freed) != 1 || freed[0] != res.Circuit {
+		t.Fatalf("CircuitFreed calls %v, want [%d]", freed, res.Circuit)
+	}
 }
 
 func TestSwitchesAreIndependentResources(t *testing.T) {
 	// Circuits on different wave switches can share the same physical links.
 	topo := topology.MustCube([]int{4, 2}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 0}, &fakeHost{})
-	var r0, r1 *SetupResult
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { r0 = &r })
-	runUntil(t, e, 100, func() bool { return r0 != nil })
-	e.LaunchProbe(0, 3, 1, false, func(r SetupResult) { r1 = &r })
-	runUntil(t, e, 100, func() bool { return r1 != nil })
+	res := watchProbes(e)
+	r0 := res.setup(t, e, 0, 3, 0, false, 100)
+	r1 := res.setup(t, e, 0, 3, 1, false, 100)
 	if !r0.OK || !r1.OK {
 		t.Fatalf("switch independence violated: %v %v", r0.OK, r1.OK)
 	}
@@ -320,9 +354,8 @@ func TestForceProbeReleasesRemoteCircuit(t *testing.T) {
 	host := &fakeHost{}
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, host)
 
-	var rBlock *SetupResult
-	e.LaunchProbe(1, 3, 0, false, func(r SetupResult) { rBlock = &r })
-	runUntil(t, e, 100, func() bool { return rBlock != nil })
+	res := watchProbes(e)
+	rBlock := res.setup(t, e, 1, 3, 0, false, 100)
 	if !rBlock.OK {
 		t.Fatal("blocking circuit failed")
 	}
@@ -334,12 +367,10 @@ func TestForceProbeReleasesRemoteCircuit(t *testing.T) {
 		if id != rBlock.Circuit {
 			t.Fatalf("release for wrong circuit %d", id)
 		}
-		e.Teardown(id, nil)
+		e.TeardownNotify(id)
 	}
 
-	var rForce *SetupResult
-	e.LaunchProbe(0, 3, 0, true, func(r SetupResult) { rForce = &r })
-	runUntil(t, e, 500, func() bool { return rForce != nil })
+	rForce := res.setup(t, e, 0, 3, 0, true, 500)
 	if !rForce.OK {
 		t.Fatal("force probe failed")
 	}
@@ -361,9 +392,8 @@ func TestForceProbePrefersLocalCircuit(t *testing.T) {
 	host := &fakeHost{}
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, host)
 
-	var rBlock *SetupResult
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { rBlock = &r })
-	runUntil(t, e, 100, func() bool { return rBlock != nil })
+	res := watchProbes(e)
+	rBlock := res.setup(t, e, 0, 3, 0, false, 100)
 
 	localAsked := 0
 	host.local = func(n topology.Node, wanted func(Channel) bool) (Channel, bool) {
@@ -376,13 +406,11 @@ func TestForceProbePrefersLocalCircuit(t *testing.T) {
 			t.Fatal("blocking circuit's first channel not wanted")
 		}
 		// Behave like the NI: tear it down (it is idle).
-		e.Teardown(rBlock.Circuit, nil)
+		e.TeardownNotify(rBlock.Circuit)
 		return first, true
 	}
 
-	var rForce *SetupResult
-	e.LaunchProbe(0, 3, 0, true, func(r SetupResult) { rForce = &r })
-	runUntil(t, e, 500, func() bool { return rForce != nil })
+	rForce := res.setup(t, e, 0, 3, 0, true, 500)
 	if !rForce.OK {
 		t.Fatal("force probe failed")
 	}
@@ -412,9 +440,7 @@ func TestForceBacktracksWhenAllChannelsInSetup(t *testing.T) {
 		e.status[k] = Reserved
 		e.owner[k] = 999 // some other probe
 	}
-	var res *SetupResult
-	e.LaunchProbe(0, 3, 0, true, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, 0, 3, 0, true, 100)
 	if res.OK {
 		t.Fatal("force probe succeeded through reserved channels")
 	}
@@ -429,9 +455,7 @@ func TestReleaseDeduplication(t *testing.T) {
 	topo := topology.MustCube([]int{4, 2}, false)
 	host := &fakeHost{}
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, host)
-	var res *SetupResult
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, 0, 3, 0, false, 100)
 	c, _ := e.CircuitByID(res.Circuit)
 
 	remote := 0
@@ -454,9 +478,7 @@ func TestReleaseDiscardedWhenCircuitTornDown(t *testing.T) {
 	topo := topology.MustCube([]int{8, 2}, false)
 	host := &fakeHost{}
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, host)
-	var res *SetupResult
-	e.LaunchProbe(0, 7, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, 0, 7, 0, false, 100)
 	c, _ := e.CircuitByID(res.Circuit)
 
 	remote := 0
@@ -464,7 +486,7 @@ func TestReleaseDiscardedWhenCircuitTornDown(t *testing.T) {
 
 	// Launch a release from far down the path, then immediately tear down.
 	e.sendRelease(c.Path[len(c.Path)-1])
-	e.Teardown(res.Circuit, nil)
+	e.TeardownNotify(res.Circuit)
 	for cyc := 0; cyc < 50; cyc++ {
 		e.Cycle(int64(cyc))
 	}
@@ -488,9 +510,7 @@ func TestSendReleaseOnFreeChannelDiscarded(t *testing.T) {
 func TestInjectFaultOnlyMarksFreeChannels(t *testing.T) {
 	topo := topology.MustCube([]int{4, 2}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
-	var res *SetupResult
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	res := watchProbes(e).setup(t, e, 0, 3, 0, false, 100)
 	c, _ := e.CircuitByID(res.Circuit)
 	e.InjectFault(c.Path[0])
 	if e.ChannelStatus(c.Path[0]) != Established {
@@ -506,7 +526,7 @@ func TestProbeToSelfPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	e.LaunchProbe(3, 3, 0, false, nil)
+	e.LaunchProbeTagged(3, 3, 0, false, 0)
 }
 
 func TestStatusString(t *testing.T) {
@@ -527,12 +547,11 @@ func TestTheoremProbeStorm(t *testing.T) {
 	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, host)
 	host.remote = func(id circuit.ID) {
 		if _, ok := e.CircuitByID(id); ok {
-			e.Teardown(id, nil)
+			e.TeardownNotify(id)
 		}
 	}
-	finished := 0
+	res := watchProbes(e)
 	launched := 0
-	onDone := func(SetupResult) { finished++ }
 	// Launch a dense wave of probes across many pairs, then let it drain.
 	for n := 0; n < topo.Nodes(); n++ {
 		for _, dd := range []int{1, 5, 7} {
@@ -540,19 +559,19 @@ func TestTheoremProbeStorm(t *testing.T) {
 			if dst == n {
 				continue
 			}
-			e.LaunchProbe(topology.Node(n), topology.Node(dst), n%2, n%3 == 0, onDone)
+			e.LaunchProbeTagged(topology.Node(n), topology.Node(dst), n%2, n%3 == 0, 0)
 			launched++
 		}
 	}
-	for cyc := 0; finished < launched; cyc++ {
+	for cyc := 0; len(res) < launched; cyc++ {
 		e.Cycle(int64(cyc))
 		if cyc > 200000 {
 			t.Fatalf("probe storm did not terminate: %d probes alive, finished %d/%d",
-				e.ActiveProbes(), finished, launched)
+				e.ActiveProbes(), len(res), launched)
 		}
 	}
-	if finished != launched {
-		t.Fatalf("finished %d of %d probes", finished, launched)
+	if len(res) != launched {
+		t.Fatalf("finished %d of %d probes", len(res), launched)
 	}
 	for _, p := range e.probes {
 		if len(p.histNodes) != 0 {

@@ -50,8 +50,8 @@ func TestDynamicFaultKillsSearchingProbe(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
 
-	var res *SetupResult
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { res = &r })
+	res := watchProbes(e)
+	id := e.LaunchProbeTagged(0, 3, 0, false, 0)
 	e.Cycle(0)
 	e.Cycle(1) // probe now holds 0->1 and 1->2
 	first := outChannel(t, topo, 0, 0, topology.Plus, 0)
@@ -61,8 +61,8 @@ func TestDynamicFaultKillsSearchingProbe(t *testing.T) {
 	}
 
 	e.InjectDynamicFault(second)
-	if res == nil || res.OK {
-		t.Fatalf("killed probe did not fail back to its sender: %+v", res)
+	if r := res[id]; r == nil || r.OK {
+		t.Fatalf("killed probe did not fail back to its sender: %+v", r)
 	}
 	if e.ChannelStatus(second) != Faulty {
 		t.Fatalf("faulted channel = %v, want faulty", e.ChannelStatus(second))
@@ -89,12 +89,12 @@ func TestDynamicFaultKillsAckInFlight(t *testing.T) {
 	for _, hit := range []int{0, 2} {
 		topo := topology.MustCube([]int{4, 4}, false)
 		e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
-		var res *SetupResult
-		e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { res = &r })
+		res := watchProbes(e)
+		id := e.LaunchProbeTagged(0, 3, 0, false, 0)
 		for c := int64(0); c <= 4; c++ {
 			e.Cycle(c)
 		}
-		if res != nil {
+		if res[id] != nil {
 			t.Fatal("setup finished before the fault could hit the ack")
 		}
 		if e.NumCircuits() != 1 {
@@ -106,8 +106,8 @@ func TestDynamicFaultKillsAckInFlight(t *testing.T) {
 			outChannel(t, topo, 2, 0, topology.Plus, 0),
 		}
 		e.InjectDynamicFault(path[hit])
-		if res == nil || res.OK {
-			t.Fatalf("hit=%d: killed setup did not fail back: %+v", hit, res)
+		if r := res[id]; r == nil || r.OK {
+			t.Fatalf("hit=%d: killed setup did not fail back: %+v", hit, r)
 		}
 		if e.NumCircuits() != 0 {
 			t.Fatalf("hit=%d: circuit survived the kill", hit)
@@ -136,12 +136,11 @@ func TestDynamicFaultTearsEstablishedCircuit(t *testing.T) {
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, host)
 	// The fabric's response to a remote release is a teardown; script it.
 	torn := false
-	host.remote = func(id circuit.ID) { e.Teardown(id, func() { torn = true }) }
+	host.remote = e.TeardownNotify
+	e.SetCircuitFreed(func(topology.Node, topology.Node, circuit.ID) { torn = true })
 
-	var res *SetupResult
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
-	if !res.OK {
+	res := watchProbes(e)
+	if !res.setup(t, e, 0, 3, 0, false, 100).OK {
 		t.Fatal("setup failed on an empty network")
 	}
 	path := []Channel{
@@ -173,10 +172,7 @@ func TestDynamicFaultTearsEstablishedCircuit(t *testing.T) {
 	// Transient model: repair brings the channel back and a new setup over
 	// the same line succeeds.
 	e.RepairFault(path[1])
-	res = nil
-	e.LaunchProbe(0, 3, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
-	if !res.OK {
+	if !res.setup(t, e, 0, 3, 0, false, 100).OK {
 		t.Fatal("setup after repair failed")
 	}
 }

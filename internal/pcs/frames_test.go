@@ -74,7 +74,7 @@ func TestFramesMatchFreshOutputs(t *testing.T) {
 			for walk := 0; walk < 40; walk++ {
 				src := topology.Node(rng.Intn(hosts))
 				dst := topology.Node((int(src) + 1 + rng.Intn(hosts-1)) % hosts)
-				e.LaunchProbe(src, dst, walk%2, false, func(SetupResult) {})
+				e.LaunchProbeTagged(src, dst, walk%2, false, 0)
 				p := e.probes[len(e.probes)-1]
 				for step := 0; step < 200; step++ {
 					opts := e.frameOpts(p)

@@ -8,6 +8,8 @@ package pcs
 // anything but Free or Faulty.
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -96,36 +98,51 @@ func checkRegisters(t *testing.T, e *Engine, topo topology.Topology) {
 	}
 }
 
+// checkRoundTrip encodes e, decodes the bytes into a fresh engine and
+// re-encodes that: every reachable state must survive the trip unchanged.
+func checkRoundTrip(t *testing.T, e *Engine) {
+	t.Helper()
+	b := encode(t, e)
+	r, err := decode(t, e, b)
+	if err != nil {
+		t.Fatalf("cycle %d: %v", e.now, err)
+	}
+	if !bytes.Equal(encode(t, r), b) {
+		t.Fatalf("cycle %d: re-encoded snapshot differs", e.now)
+	}
+}
+
 // TestRegisterConsistencyThroughChurn validates Figure 3 register invariants
-// at every 50th cycle of a probe/teardown churn workload.
+// and the snapshot round trip at every 50th cycle of a probe/teardown churn
+// workload.
 func TestRegisterConsistencyThroughChurn(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)
 	host := &fakeHost{}
 	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, host)
 	host.remote = func(id circuit.ID) {
 		if _, ok := e.CircuitByID(id); ok {
-			e.Teardown(id, nil)
+			e.TeardownNotify(id)
 		}
 	}
 	rng := sim.NewRNG(31)
 	live := map[circuit.ID]bool{}
-	done := func(r SetupResult) {
+	e.SetProbeDone(func(_, _ topology.Node, _ int, _ bool, _ int64, r SetupResult) {
 		if r.OK {
 			live[r.Circuit] = true
 		}
-	}
+	})
 	for cyc := int64(0); cyc < 4000; cyc++ {
 		if cyc%7 == 0 {
 			src := topology.Node(rng.Intn(16))
 			dst := topology.Node(rng.Intn(16))
 			if src != dst {
-				e.LaunchProbe(src, dst, rng.Intn(2), rng.Intn(2) == 0, done)
+				e.LaunchProbeTagged(src, dst, rng.Intn(2), rng.Intn(2) == 0, 0)
 			}
 		}
 		if cyc%13 == 0 {
 			for id := range live {
 				if c, ok := e.CircuitByID(id); ok && !c.tearingDown {
-					e.Teardown(id, nil)
+					e.TeardownNotify(id)
 				}
 				delete(live, id)
 				break
@@ -134,6 +151,7 @@ func TestRegisterConsistencyThroughChurn(t *testing.T) {
 		e.Cycle(cyc)
 		if cyc%50 == 0 {
 			checkRegisters(t, e, topo)
+			checkRoundTrip(t, e)
 		}
 	}
 }
@@ -145,34 +163,36 @@ func TestProbePathWithinMisrouteBudget(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)
 	for _, m := range []int{0, 1, 2, 4} {
 		e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: m}, &fakeHost{})
+		res := watchProbes(e)
 		rng := sim.NewRNG(uint64(m) + 7)
 		type attempt struct {
 			src, dst topology.Node
-			res      *SetupResult
+			id       flit.ProbeID
 		}
-		var atts []*attempt
+		var atts []attempt
 		for i := 0; i < 40; i++ {
-			a := &attempt{src: topology.Node(rng.Intn(16)), dst: topology.Node(rng.Intn(16))}
+			a := attempt{src: topology.Node(rng.Intn(16)), dst: topology.Node(rng.Intn(16))}
 			if a.src == a.dst {
 				continue
 			}
+			a.id = e.LaunchProbeTagged(a.src, a.dst, 0, false, 0)
 			atts = append(atts, a)
-			e.LaunchProbe(a.src, a.dst, 0, false, func(r SetupResult) { a.res = &r })
 		}
 		for cyc := int64(0); cyc < 20_000; cyc++ {
 			e.Cycle(cyc)
 		}
 		for _, a := range atts {
-			if a.res == nil {
+			r := res[a.id]
+			if r == nil {
 				t.Fatalf("m=%d: attempt %d->%d never finished", m, a.src, a.dst)
 			}
-			if !a.res.OK {
+			if !r.OK {
 				continue
 			}
 			maxLen := topo.Distance(a.src, a.dst) + 2*m
-			if a.res.PathLen > maxLen {
+			if r.PathLen > maxLen {
 				t.Fatalf("m=%d: circuit %d->%d has %d hops > distance+2m = %d",
-					m, a.src, a.dst, a.res.PathLen, maxLen)
+					m, a.src, a.dst, r.PathLen, maxLen)
 			}
 		}
 	}
@@ -180,30 +200,53 @@ func TestProbePathWithinMisrouteBudget(t *testing.T) {
 
 // TestTeardownDuringAck: tearing down immediately after the probe reaches the
 // destination (while the ack is still travelling) must not corrupt state.
-// The Teardown API requires an established registry entry, which exists as
-// soon as the probe arrives; the teardown flit then chases the ack.
+// TeardownNotify requires a registry entry, which exists as soon as the probe
+// arrives; the teardown is deferred until the ack lands and then chases it.
+// A snapshot taken while the teardown is deferred restores into an engine
+// that steps to idle exactly as the original does.
 func TestTeardownDuringAck(t *testing.T) {
 	topo := topology.MustCube([]int{8, 2}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
-	var res *SetupResult
-	e.LaunchProbe(0, 7, 0, false, func(r SetupResult) { res = &r })
+	res := watchProbes(e)
+	pid := e.LaunchProbeTagged(0, 7, 0, false, 0)
 	// Step until the circuit registers (probe at destination), then tear
 	// down while the ack is mid-flight.
 	var id circuit.ID
-	for cyc := int64(0); cyc < 100; cyc++ {
+	cyc := int64(0)
+	for ; id == 0 && cyc < 100; cyc++ {
 		e.Cycle(cyc)
-		if e.NumCircuits() == 1 && id == 0 {
-			for cid := range e.circuits {
-				id = cid
-			}
-			e.Teardown(id, nil)
-		}
-		if res != nil {
-			break
+		for cid := range e.circuits {
+			id = cid
+			e.TeardownNotify(id)
 		}
 	}
-	for cyc := int64(100); cyc < 200; cyc++ {
+	if c, ok := e.CircuitByID(id); !ok || !c.ackPending || !c.teardownDeferred {
+		t.Fatalf("circuit %d: teardown not deferred behind its ack", id)
+	}
+
+	r, err := decode(t, e, encode(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rres := watchProbes(r)
+	var freed, rfreed []circuit.ID
+	e.SetCircuitFreed(func(_, _ topology.Node, id circuit.ID) { freed = append(freed, id) })
+	r.SetCircuitFreed(func(_, _ topology.Node, id circuit.ID) { rfreed = append(rfreed, id) })
+	for ; !e.Idle() && cyc < 200; cyc++ {
 		e.Cycle(cyc)
+		r.Cycle(cyc)
+	}
+	if !e.Idle() || !r.Idle() {
+		t.Fatal("engines not idle after the deferred teardown")
+	}
+	if !bytes.Equal(encode(t, e), encode(t, r)) {
+		t.Fatal("restored engine stepped to a different state")
+	}
+	if len(freed) != 1 || freed[0] != id || !slices.Equal(freed, rfreed) {
+		t.Fatalf("CircuitFreed calls: original %v, restored %v, want [%d]", freed, rfreed, id)
+	}
+	if p := res[pid]; p == nil || !p.OK || rres[pid] == nil || *rres[pid] != *p {
+		t.Fatalf("probe outcome: original %+v, restored %+v", p, rres[pid])
 	}
 	if e.NumCircuits() != 0 {
 		t.Fatal("circuit survived teardown-during-ack")
@@ -229,7 +272,7 @@ func TestLaunchProbeInvalidSwitchPanics(t *testing.T) {
 			t.Fatal("no panic for out-of-range switch")
 		}
 	}()
-	e.LaunchProbe(0, 5, 2, false, nil)
+	e.LaunchProbeTagged(0, 5, 2, false, 0)
 }
 
 // TestControlHopsAccounting: every control-flit movement is counted, so the
@@ -237,9 +280,7 @@ func TestLaunchProbeInvalidSwitchPanics(t *testing.T) {
 func TestControlHopsAccounting(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 1}, &fakeHost{})
-	var res *SetupResult
-	e.LaunchProbe(0, 15, 0, false, func(r SetupResult) { res = &r })
-	runUntil(t, e, 100, func() bool { return res != nil })
+	watchProbes(e).setup(t, e, 0, 15, 0, false, 100)
 	d := int64(topo.Distance(0, 15))
 	// Probe out (d hops) + ack back (d hops) minimum.
 	if e.Ctr.ControlHops < 2*d {
@@ -254,11 +295,11 @@ func TestControlHopsAccounting(t *testing.T) {
 func TestWireFieldsRoundTrip(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 2}, &fakeHost{})
-	var res *SetupResult
-	id := e.LaunchProbe(0, 10, 0, true, func(r SetupResult) { res = &r })
+	res := watchProbes(e)
+	id := e.LaunchProbeTagged(0, 10, 0, true, 0)
 	buf := make([]byte, 16)
 	steps := 0
-	for cyc := int64(0); res == nil && cyc < 200; cyc++ {
+	for cyc := int64(0); res[id] == nil && cyc < 200; cyc++ {
 		if pf, ok := e.WireFields(id); ok {
 			steps++
 			if !pf.Header || !pf.Force {
@@ -283,8 +324,8 @@ func TestWireFieldsRoundTrip(t *testing.T) {
 		}
 		e.Cycle(cyc)
 	}
-	if res == nil || !res.OK {
-		t.Fatalf("probe did not finish: %+v", res)
+	if r := res[id]; r == nil || !r.OK {
+		t.Fatalf("probe did not finish: %+v", r)
 	}
 	if steps == 0 {
 		t.Fatal("probe never observed in flight")

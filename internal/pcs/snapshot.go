@@ -12,11 +12,13 @@ package pcs
 // its path and History Store, and a restored probe rebuilds them on its
 // next step.
 //
-// Closure-carrying work (a probe with a done callback, a teardown with a
-// done closure, a circuit with a deferred closure) cannot be serialised;
-// encoding reports an error instead of writing a lossy snapshot. The
-// production path uses LaunchProbeTagged/TeardownNotify, which carry no
-// closures by construction.
+// Pending work is pure data — every completion reports through a handler
+// registered once (SetProbeDone, SetCircuitFreed) — so encoding cannot fail.
+// Two bool bytes remain from when a deferred or travelling teardown could
+// instead carry a completion closure: a circuit writes teardownDeferred a
+// second time and a teardown flit a constant true. They keep the byte format
+// (and every pinned snapshot digest) unchanged; the decoder refuses a byte
+// that disagrees.
 
 import (
 	"repro/internal/circuit"
@@ -35,10 +37,6 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 		*pp = &probe{}
 	}
 	p := *pp
-	if p.done != nil {
-		c.Failf("pcs: probe %d carries a done closure and cannot be snapshotted (use LaunchProbeTagged)", p.id)
-		return
-	}
 	snapshot.I64(c, &p.id)
 	snapshot.I64(c, &p.src)
 	snapshot.I64(c, &p.dst)
@@ -112,6 +110,15 @@ func (e *Engine) checkPath(c *snapshot.Codec, p *probe) {
 	}
 }
 
+// legacyBool walks a bool byte the format keeps although the engine stores
+// no such field: the encoder writes want, and the result reports whether the
+// byte walked equals want.
+func legacyBool(c *snapshot.Codec, want bool) bool {
+	v := want
+	c.Bool(&v)
+	return v == want
+}
+
 // circuitRef walks a reference to a registered circuit as the circuit's
 // ID; the decoder re-links it to the circuit the registry decoded.
 func (e *Engine) circuitRef(c *snapshot.Codec, circ **Circuit, what string) {
@@ -127,9 +134,8 @@ func (e *Engine) circuitRef(c *snapshot.Codec, circ **Circuit, what string) {
 	}
 }
 
-// State encodes or decodes the engine's mutable state. Encoding errors if
-// any pending work carries a closure (test-only code paths); decoding
-// requires an engine built with the same topology and Params.
+// State encodes or decodes the engine's mutable state. Decoding requires an
+// engine built with the same topology and Params.
 func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &e.now)
 
@@ -155,10 +161,6 @@ func (e *Engine) State(c *snapshot.Codec) error {
 			*cp = &Circuit{}
 		}
 		ci := *cp
-		if ci.deferredDone != nil {
-			c.Failf("pcs: circuit %d carries a deferred teardown closure and cannot be snapshotted (use TeardownNotify)", ci.ID)
-			return
-		}
 		snapshot.I64(c, &ci.ID)
 		snapshot.I64(c, &ci.Src)
 		snapshot.I64(c, &ci.Dst)
@@ -168,7 +170,9 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		c.Bool(&ci.tearingDown)
 		c.Bool(&ci.ackPending)
 		c.Bool(&ci.teardownDeferred)
-		c.Bool(&ci.deferredNotify)
+		if !legacyBool(c, ci.teardownDeferred) {
+			c.Failf("pcs: snapshot circuit %d has a deferred-notify byte that disagrees with its deferred teardown", ci.ID)
+		}
 		*id = ci.ID
 	})
 
@@ -184,13 +188,11 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	})
 
 	snapshot.Slice(c, &e.teardowns, func(td *teardown) {
-		if td.done != nil {
-			c.Failf("pcs: teardown of circuit %d carries a closure and cannot be snapshotted (use TeardownNotify)", td.circ.ID)
-			return
-		}
 		e.circuitRef(c, &td.circ, "teardown")
 		snapshot.I64(c, &td.next)
-		c.Bool(&td.notify)
+		if !legacyBool(c, true) {
+			c.Failf("pcs: snapshot teardown of circuit %d has a false notify byte", td.circ.ID)
+		}
 	})
 
 	snapshot.Slice(c, &e.releases, func(r *release) {

@@ -44,8 +44,8 @@ func encode(t *testing.T, src *Engine) []byte {
 }
 
 // decode restores b into a fresh engine of src's configuration and returns
-// the decode error.
-func decode(t *testing.T, src *Engine, b []byte) error {
+// it with the decode error.
+func decode(t *testing.T, src *Engine, b []byte) (*Engine, error) {
 	t.Helper()
 	dst := newEngine(t, src.topo, src.prm, &fakeHost{})
 	dec, err := snapshot.Open(b)
@@ -53,9 +53,9 @@ func decode(t *testing.T, src *Engine, b []byte) error {
 		t.Fatal(err)
 	}
 	if err := dst.State(dec); err != nil {
-		return err
+		return dst, err
 	}
-	return dec.Close()
+	return dst, dec.Close()
 }
 
 // TestRestoreRefusesInconsistentPath: a probe's path hops are written as
@@ -65,7 +65,7 @@ func decode(t *testing.T, src *Engine, b []byte) error {
 // hop ends at, must be refused rather than rebuilt into a wrong search.
 func TestRestoreRefusesInconsistentPath(t *testing.T) {
 	e, p := searchingEngine(t)
-	if err := decode(t, e, encode(t, e)); err != nil {
+	if _, err := decode(t, e, encode(t, e)); err != nil {
 		t.Fatalf("clean payload refused: %v", err)
 	}
 
@@ -88,7 +88,7 @@ func TestRestoreRefusesInconsistentPath(t *testing.T) {
 		binary.LittleEndian.PutUint64(payload[i+17+8:], 0)
 		sum := sha256.Sum256(payload)
 		copy(b[len(b)-sha256.Size:], sum[:])
-		err := decode(t, e, b)
+		_, err := decode(t, e, b)
 		if err == nil || !strings.Contains(err.Error(), "path hop on switch 0") {
 			t.Fatalf("err = %v, want a path hop on the wrong switch", err)
 		}
@@ -99,7 +99,7 @@ func TestRestoreRefusesInconsistentPath(t *testing.T) {
 		// Replace hop 1 with another output of the source node.
 		first := p.path[0].link
 		p.path[1].link = first ^ 1
-		err := decode(t, e, encode(t, e))
+		_, err := decode(t, e, encode(t, e))
 		if err == nil || !strings.Contains(err.Error(), "path hop 1 leaves node 0") {
 			t.Fatalf("err = %v, want a broken path chain", err)
 		}
@@ -108,11 +108,68 @@ func TestRestoreRefusesInconsistentPath(t *testing.T) {
 	t.Run("probe off its path", func(t *testing.T) {
 		e, p := searchingEngine(t)
 		p.at = p.src
-		err := decode(t, e, encode(t, e))
+		_, err := decode(t, e, encode(t, e))
 		if err == nil || !strings.Contains(err.Error(), "its path ends at") {
 			t.Fatalf("err = %v, want a probe away from its path's end", err)
 		}
 	})
+}
+
+// TestRestoreRefusesLegacyBytes: two bool bytes stay in the format although
+// the engine no longer stores them — a circuit's deferred-teardown flag,
+// written twice, and a teardown flit's notify flag, always true. A payload
+// whose byte disagrees is refused.
+func TestRestoreRefusesLegacyBytes(t *testing.T) {
+	// A straight 7-hop circuit 0 -> 7 on one switch, torn down as soon as it
+	// registers: the teardown waits behind the ack, then chases it.
+	topo := topology.MustCube([]int{8, 2}, false)
+	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
+	e.LaunchProbeTagged(0, 7, 0, false, 0)
+	cyc := int64(0)
+	for ; e.NumCircuits() == 0; cyc++ {
+		e.Cycle(cyc)
+	}
+	c := e.circuits[1]
+	e.TeardownNotify(c.ID)
+
+	// The circuit entry ends with its last path channel and the bools
+	// releasePending, tearingDown, ackPending, teardownDeferred and the
+	// legacy copy of teardownDeferred.
+	last := c.Path[len(c.Path)-1]
+	deferred := binary.LittleEndian.AppendUint64(nil, uint64(last.Link))
+	deferred = binary.LittleEndian.AppendUint64(deferred, uint64(last.Switch))
+	deferred = append(deferred, 0, 0, 1, 1, 1)
+	refuseFlipped(t, e, deferred, "disagrees with its deferred teardown")
+
+	for ; len(e.teardowns) == 0; cyc++ {
+		e.Cycle(cyc)
+	}
+	// No acks, then one teardown: circuit, next hop and the notify byte.
+	td := e.teardowns[0]
+	flight := []byte{0, 0, 0, 0, 1, 0, 0, 0}
+	flight = binary.LittleEndian.AppendUint64(flight, uint64(td.circ.ID))
+	flight = binary.LittleEndian.AppendUint64(flight, uint64(td.next))
+	refuseFlipped(t, e, append(flight, 1), "false notify byte")
+}
+
+// refuseFlipped encodes e, finds pat exactly once in the payload, clears
+// its last byte, re-stamps the digest and checks that decoding fails with
+// an error containing want.
+func refuseFlipped(t *testing.T, e *Engine, pat []byte, want string) {
+	t.Helper()
+	b := encode(t, e)
+	head := len(snapshot.Magic) + 4
+	payload := b[head : len(b)-sha256.Size]
+	i := bytes.Index(payload, pat)
+	if i < 0 || bytes.Index(payload[i+1:], pat) >= 0 {
+		t.Fatalf("pattern %x not found exactly once", pat)
+	}
+	payload[i+len(pat)-1] = 0
+	sum := sha256.Sum256(payload)
+	copy(b[len(b)-sha256.Size:], sum[:])
+	if _, err := decode(t, e, b); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
 }
 
 func boolByte(b bool) byte {

@@ -13,6 +13,9 @@ import (
 // circuit pools, the dense history stores, the ack/teardown/release value
 // slices (and their spill buffers), and the circuits map are all at steady
 // capacity, so a round touches every protocol phase without heap allocation.
+// Completions report through the registered handlers, the path the protocol
+// layer runs: LaunchProbeTagged + SetProbeDone and TeardownNotify +
+// SetCircuitFreed.
 type zeroAllocHarness struct {
 	e       *Engine
 	nodes   int
@@ -20,9 +23,16 @@ type zeroAllocHarness struct {
 	results [16]SetupResult
 	nres    int
 	torn    int
-	done    func(SetupResult)
-	tdDone  func()
 }
+
+// probeDone is the harness's SetProbeDone handler.
+func (h *zeroAllocHarness) probeDone(_, _ topology.Node, _ int, _ bool, _ int64, r SetupResult) {
+	h.results[h.nres] = r
+	h.nres++
+}
+
+// circuitFreed is the harness's SetCircuitFreed handler.
+func (h *zeroAllocHarness) circuitFreed(topology.Node, topology.Node, circuit.ID) { h.torn++ }
 
 func newZeroAllocHarness(tb testing.TB, k int) *zeroAllocHarness {
 	tb.Helper()
@@ -32,23 +42,18 @@ func newZeroAllocHarness(tb testing.TB, k int) *zeroAllocHarness {
 		tb.Fatal(err)
 	}
 	h := &zeroAllocHarness{e: e, nodes: k * k}
-	// The callbacks are allocated once here and shared by every launch and
-	// teardown; per-call closures would themselves be heap allocations.
-	h.done = func(r SetupResult) {
-		h.results[h.nres] = r
-		h.nres++
-	}
-	h.tdDone = func() { h.torn++ }
+	e.SetProbeDone(h.probeDone)
+	e.SetCircuitFreed(h.circuitFreed)
 	return h
 }
 
 func (h *zeroAllocHarness) round(tb testing.TB) {
-	h.nres = 0
+	h.nres, h.torn = 0, 0
 	step := h.nodes / len(h.results)
 	for i := 0; i < len(h.results); i++ {
 		src := topology.Node(i * step)
 		dst := topology.Node((i*step + h.nodes*27/64) % h.nodes)
-		h.e.LaunchProbe(src, dst, i%2, false, h.done)
+		h.e.LaunchProbeTagged(src, dst, i%2, false, 0)
 	}
 	for c := 0; c < 10000 && h.nres < len(h.results); c++ {
 		h.e.Cycle(h.now)
@@ -57,17 +62,19 @@ func (h *zeroAllocHarness) round(tb testing.TB) {
 	if h.nres < len(h.results) {
 		tb.Fatal("probes did not resolve")
 	}
+	established := 0
 	for i := 0; i < h.nres; i++ {
 		if h.results[i].OK {
-			h.e.Teardown(h.results[i].Circuit, h.tdDone)
+			h.e.TeardownNotify(h.results[i].Circuit)
+			established++
 		}
 	}
 	for c := 0; c < 10000 && h.e.NumCircuits() > 0; c++ {
 		h.e.Cycle(h.now)
 		h.now++
 	}
-	if h.e.NumCircuits() > 0 {
-		tb.Fatal("circuits did not tear down")
+	if h.e.NumCircuits() > 0 || h.torn != established {
+		tb.Fatalf("circuits did not tear down: %d left, %d of %d freed", h.e.NumCircuits(), h.torn, established)
 	}
 }
 
@@ -105,16 +112,16 @@ func TestZeroAllocForceWait(t *testing.T) {
 	var now int64
 	var res SetupResult
 	resolved, asked := false, 0
-	done := func(r SetupResult) { res, resolved = r, true }
+	e.SetProbeDone(func(_, _ topology.Node, _ int, _ bool, _ int64, r SetupResult) { res, resolved = r, true })
 	host.local = func(_ topology.Node, wanted func(Channel) bool) (Channel, bool) {
 		asked++
 		wanted(res.First)
 		return Channel{}, false // no local victim: the release travels
 	}
-	host.remote = func(id circuit.ID) { e.Teardown(id, nil) }
+	host.remote = e.TeardownNotify
 	setup := func(src, dst topology.Node, force bool) {
 		resolved = false
-		e.LaunchProbe(src, dst, 0, force, done)
+		e.LaunchProbeTagged(src, dst, 0, force, 0)
 		for c := 0; c < 500 && !resolved; c++ {
 			e.Cycle(now)
 			now++
@@ -126,7 +133,7 @@ func TestZeroAllocForceWait(t *testing.T) {
 	round := func() {
 		setup(1, 3, false) // blocks the line 0 -> 3
 		setup(0, 3, true)  // waits for its release
-		e.Teardown(res.Circuit, nil)
+		e.TeardownNotify(res.Circuit)
 		for c := 0; c < 500 && e.NumCircuits() > 0; c++ {
 			e.Cycle(now)
 			now++
@@ -154,7 +161,12 @@ type searchHarness struct {
 	now     int64
 	results [15]SetupResult
 	nres    int
-	done    func(SetupResult)
+}
+
+// probeDone is the harness's SetProbeDone handler.
+func (h *searchHarness) probeDone(_, _ topology.Node, _ int, _ bool, _ int64, r SetupResult) {
+	h.results[h.nres] = r
+	h.nres++
 }
 
 // warmSearchRounds is how many searchHarness rounds it takes the probe
@@ -170,11 +182,8 @@ func newSearchHarness(tb testing.TB) *searchHarness {
 		tb.Fatal(err)
 	}
 	h := &searchHarness{e: e}
-	h.done = func(r SetupResult) {
-		h.results[h.nres] = r
-		h.nres++
-	}
-	host.remote = func(id circuit.ID) { e.Teardown(id, nil) }
+	e.SetProbeDone(h.probeDone)
+	host.remote = e.TeardownNotify
 	return h
 }
 
@@ -185,7 +194,7 @@ func (h *searchHarness) round(tb testing.TB) {
 		if src >= 10 {
 			src++
 		}
-		h.e.LaunchProbe(src, 10, 0, i%2 == 1, h.done)
+		h.e.LaunchProbeTagged(src, 10, 0, i%2 == 1, 0)
 	}
 	for c := 0; c < 10000 && h.nres < len(h.results); c++ {
 		h.e.Cycle(h.now)
@@ -196,7 +205,7 @@ func (h *searchHarness) round(tb testing.TB) {
 	}
 	for i := 0; i < h.nres; i++ {
 		if _, live := h.e.CircuitByID(h.results[i].Circuit); h.results[i].OK && live {
-			h.e.Teardown(h.results[i].Circuit, nil)
+			h.e.TeardownNotify(h.results[i].Circuit)
 		}
 	}
 	for c := 0; c < 10000 && h.e.NumCircuits() > 0; c++ {

@@ -198,19 +198,15 @@ func New(topo topology.Topology, prm core.Params, kind Kind, opt Options, hooks 
 		DeliveredWormhole: func(msg flit.Message, now int64) { m.delivered(msg, now, false) },
 		DeliveredCircuit:  func(msg flit.Message, now int64) { m.delivered(msg, now, true) },
 		CircuitFreed:      m.circuitFreed,
+		ProbeDone:         m.probeDone,
+		Retry:             m.retryFire,
+		CircuitIdle:       m.circuitIdle,
 		Progress:          hooks.Progress,
 	})
 	if err != nil {
 		return nil, err
 	}
 	m.Fab = fab
-	// The setup FSM runs through registered handlers rather than captured
-	// closures so that in-flight probes, retries and circuit acks survive a
-	// snapshot: the fabric records which handler to fire, and a restored run
-	// re-enters the same code through the same registration.
-	fab.SetProbeDone(m.probeDone)
-	fab.SetRetryHandler(m.retryFire)
-	fab.SetCircuitIdleHandler(m.circuitIdle)
 	return m, nil
 }
 

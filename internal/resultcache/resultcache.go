@@ -84,9 +84,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		c.l.MoveToFront(e)
+		val := e.Value.(*entry).val // read under the lock: Put may replace it
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return e.Value.(*entry).val, true
+		return val, true
 	}
 	c.mu.Unlock()
 	if b, ok := c.readDisk(key); ok {
@@ -100,12 +101,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // Put stores val under key in the memory tier and, when the disk tier is
-// configured, writes it through atomically (temp file + rename). Disk
-// write failures are ignored: the disk tier is an accelerator, not a
-// system of record, and the memory tier stays authoritative.
+// configured, writes it through atomically (temp file + rename) first, so an
+// entry visible in memory is already on disk. Disk write failures are
+// ignored: the disk tier is an accelerator, not a system of record, and the
+// memory tier stays authoritative.
 func (c *Cache) Put(key string, val []byte) {
-	c.putMemory(key, val)
 	c.writeDisk(key, val)
+	c.putMemory(key, val)
 }
 
 func (c *Cache) putMemory(key string, val []byte) {

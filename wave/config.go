@@ -21,6 +21,8 @@ package wave
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/protocol"
@@ -61,6 +63,32 @@ func (tc TopologyConfig) Build() (topology.Topology, error) {
 	default:
 		return nil, fmt.Errorf("wave: unknown topology kind %q (want mesh, torus, hypercube, fattree or fullmesh)", tc.Kind)
 	}
+}
+
+// ParseTopology builds the TopologyConfig that the command-line flags
+// -topology (kind), -radix and a dims flag name. radix is "AxBx…" for every
+// kind that has one: a fat tree's arity and a full mesh's node count are
+// one-element radices, whose length Build checks. dims is the hypercube
+// dimension or the fat-tree level count; a field the kind does not read stays
+// zero. The kind itself, like every size, is checked by Build.
+func ParseTopology(kind, radix string, dims int) (TopologyConfig, error) {
+	tc := TopologyConfig{Kind: kind}
+	if kind == "hypercube" || kind == "fattree" {
+		tc.Dims = dims
+	}
+	if kind == "hypercube" {
+		return tc, nil
+	}
+	parts := strings.Split(radix, "x")
+	tc.Radix = make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			return tc, fmt.Errorf("bad radix %q: %v", radix, err)
+		}
+		tc.Radix[i] = v
+	}
+	return tc, nil
 }
 
 // Config is the complete simulator configuration. Zero values are invalid;

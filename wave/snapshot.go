@@ -11,10 +11,9 @@ package wave
 // uninterrupted run's Stats exactly.
 //
 // Snapshot must be taken between cycles (never from inside a callback).
-// Every scheduled fabric event is a serialisable descriptor; only a pending
-// PCS probe or teardown carrying a completion closure (the test-only
-// LaunchProbe/Teardown done callbacks) makes a snapshot fail with a
-// descriptive error.
+// Every scheduled fabric event is a serialisable descriptor and every
+// pending completion reports through a handler registered at construction,
+// so any state taken between cycles encodes.
 // The structured protocol event log (EnableEventLog) is diagnostic output
 // and is not captured; a restored simulator starts with an empty log.
 

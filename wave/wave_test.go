@@ -2,6 +2,7 @@ package wave
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,43 @@ func TestDefaultConfigValid(t *testing.T) {
 	}
 	if s.Nodes() != 64 {
 		t.Fatalf("nodes = %d", s.Nodes())
+	}
+}
+
+// TestParseTopology: -radix parses the same way for every kind that has
+// one, a dims flag lands only where the kind reads it, and Build is what
+// checks the sizes.
+func TestParseTopology(t *testing.T) {
+	for _, c := range []struct {
+		kind, radix string
+		dims        int
+		want        TopologyConfig
+	}{
+		{"torus", "8x8", 6, TopologyConfig{Kind: "torus", Radix: []int{8, 8}}},
+		{"mesh", "4x4x4", 6, TopologyConfig{Kind: "mesh", Radix: []int{4, 4, 4}}},
+		{"hypercube", "8x8", 5, TopologyConfig{Kind: "hypercube", Dims: 5}},
+		{"fattree", "4", 2, TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}},
+		{"fullmesh", "16", 2, TopologyConfig{Kind: "fullmesh", Radix: []int{16}}},
+	} {
+		tc, err := ParseTopology(c.kind, c.radix, c.dims)
+		if err != nil || !reflect.DeepEqual(tc, c.want) {
+			t.Fatalf("ParseTopology(%q, %q, %d) = %+v, %v; want %+v", c.kind, c.radix, c.dims, tc, err, c.want)
+		}
+		if _, err := tc.Build(); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+	}
+	if _, err := ParseTopology("torus", "8xq", 0); err == nil {
+		t.Fatal("bad radix accepted")
+	}
+	for _, bad := range [][2]string{{"fattree", "4x4"}, {"fullmesh", "4x4"}, {"ring", "8"}} {
+		tc, err := ParseTopology(bad[0], bad[1], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.Build(); err == nil {
+			t.Fatalf("%+v built", tc)
+		}
 	}
 }
 
