@@ -139,6 +139,11 @@ func New(cfg Config) *Server {
 // occupies a queue slot and runs a simulation — sound because results are
 // a pure function of the spec.
 func (s *Server) Submit(spec Spec) (*Job, error) {
+	// A draining server takes nothing new, so it spends no time validating
+	// or proving a spec it would refuse anyway.
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
 	if err := s.normalize(&spec); err != nil {
 		return nil, err
 	}
@@ -147,9 +152,6 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	// the counterexample attached.
 	if err := s.certifySpec(&spec); err != nil {
 		return nil, err
-	}
-	if s.draining.Load() {
-		return nil, ErrDraining
 	}
 	key, err := spec.cacheKey()
 	if err != nil {

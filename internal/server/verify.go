@@ -1,13 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/pcs"
 	"repro/internal/protocol"
-	"repro/internal/resultcache"
 	"repro/internal/verify"
 	"repro/wave"
 )
@@ -27,11 +25,13 @@ func (e *UncertifiableError) Error() string {
 
 // verdictCacheMax bounds the certificate cache; on overflow the whole map is
 // dropped (the routing.BuildCDGCached pattern: re-proving is cheap, the
-// cache exists so per-submit certification of the handful of configurations
-// a client actually cycles through costs one map lookup).
+// cache exists so per-submit certification of the handful of prover inputs
+// a client actually cycles through costs one map lookup). Entries are keyed
+// by verify.Spec.Key, so jobs that differ only in seed, load or window share
+// one entry.
 const verdictCacheMax = 64
 
-// verdictCache memoizes certificates by canonical effective configuration.
+// verdictCache memoizes certificates by verify.Spec.Key.
 type verdictCache struct {
 	mu sync.Mutex
 	m  map[string]*verify.Certificate
@@ -39,35 +39,18 @@ type verdictCache struct {
 
 // certifyConfig proves the effective simulator configuration (plus
 // staticFaults pre-run random channel faults, mirroring runSim's
-// InjectFaults seed) and caches the verdict. An error means the
-// configuration is malformed (bad topology, unknown routing, VCs below the
-// function's minimum); an uncertified configuration comes back as a
-// certificate with Certified == false.
+// InjectFaults seed) and caches the verdict on the prover's inputs. An
+// error means the configuration is malformed (bad topology, unknown
+// routing, VCs below the function's minimum); an uncertified configuration
+// comes back as a certificate with Certified == false.
 func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certificate, error) {
-	// Same canonical addressing as the result cache (resultcache.Key):
-	// struct-order-stable JSON hashed to a fixed-width digest, so any two
-	// spellings of the same effective configuration share one verdict.
-	key, err := resultcache.Key(struct {
-		Cfg    wave.Config
-		Faults int
-	}{cfg, staticFaults})
-	if err != nil {
-		return nil, fmt.Errorf("canonicalize config: %w", err)
-	}
-	s.verdicts.mu.Lock()
-	if cert, ok := s.verdicts.m[key]; ok {
-		s.verdicts.mu.Unlock()
-		s.metrics.verifyCacheHits.Add(1)
-		return cert, nil
-	}
-	s.verdicts.mu.Unlock()
-
 	topo, err := cfg.Topology.Build()
 	if err != nil {
 		return nil, err
 	}
 	// The fault set the run will actually see: the static plan drawn with
-	// runSim's seed (cfg.Seed+99) plus the schedule's permanent events.
+	// runSim's seed (cfg.Seed+99) plus the schedule's permanent events. This
+	// is the only way the seed reaches the verdict.
 	var faults []pcs.Channel
 	if staticFaults > 0 {
 		plan, err := fault.RandomChannels(topo, cfg.NumSwitches, staticFaults, cfg.Seed+99)
@@ -82,7 +65,7 @@ func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certi
 	}
 	faults = append(faults, perm...)
 
-	cert, err := verify.Certify(verify.Spec{
+	sp := verify.Spec{
 		Topo:            topo,
 		Routing:         cfg.Routing,
 		NumVCs:          cfg.NumVCs,
@@ -92,7 +75,17 @@ func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certi
 		ProbeRetryLimit: cfg.ProbeRetryLimit,
 		RecoveryTimeout: cfg.RecoveryTimeout,
 		Faults:          faults,
-	})
+	}
+	key := sp.Key()
+	s.verdicts.mu.Lock()
+	if cert, ok := s.verdicts.m[key]; ok {
+		s.verdicts.mu.Unlock()
+		s.metrics.verifyCacheHits.Add(1)
+		return cert, nil
+	}
+	s.verdicts.mu.Unlock()
+
+	cert, err := verify.Certify(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -102,10 +95,7 @@ func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certi
 		s.metrics.verifyRejected.Add(1)
 	}
 	s.verdicts.mu.Lock()
-	if s.verdicts.m == nil {
-		s.verdicts.m = make(map[string]*verify.Certificate)
-	}
-	if len(s.verdicts.m) >= verdictCacheMax {
+	if s.verdicts.m == nil || len(s.verdicts.m) >= verdictCacheMax {
 		s.verdicts.m = make(map[string]*verify.Certificate)
 	}
 	s.verdicts.m[key] = cert

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
@@ -101,41 +103,124 @@ func TestSubmitGatedOnCertification(t *testing.T) {
 	}
 }
 
-// TestVerdictCache: repeat certification of the same effective configuration
-// is answered from the cache; different fault counts are different keys.
+// TestVerdictCache: verdicts are keyed on the prover's inputs. Repeat
+// certification of the same configuration, or of one that differs only in
+// what the prover never reads, is answered from the cache; a change to any
+// prover input is a fresh proof.
 func TestVerdictCache(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 
-	cfg := wave.DefaultConfig()
-	a, err := s.certifyConfig(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
+	base := func() Spec {
+		cfg := SimConfig(wave.DefaultConfig())
+		return Spec{
+			Kind: KindLoad, Config: &cfg,
+			Load:   &wave.Workload{Pattern: "uniform", Load: 0.1, FixedLength: 64},
+			Warmup: 100, Measure: 1000,
+		}
 	}
-	if hits := s.metrics.verifyCacheHits.Load(); hits != 0 {
-		t.Fatalf("cold certification hit the cache (%d)", hits)
+	// certify proves sp and reports whether the verdict came from the cache.
+	certify := func(sp Spec) (*verify.Certificate, bool) {
+		t.Helper()
+		hits := s.metrics.verifyCacheHits.Load()
+		proofs := s.metrics.verifyCertified.Load() + s.metrics.verifyRejected.Load()
+		cert, err := s.certifyConfig(sp.simConfig(), sp.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := s.metrics.verifyCacheHits.Load() == hits+1
+		proved := s.metrics.verifyCertified.Load()+s.metrics.verifyRejected.Load() == proofs+1
+		if hit == proved {
+			t.Fatalf("certification both hit and proved (or neither): hit=%v proved=%v", hit, proved)
+		}
+		return cert, hit
 	}
-	b, err := s.certifyConfig(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
+
+	a, hit := certify(base())
+	if hit {
+		t.Fatal("cold certification hit the cache")
 	}
-	if a != b {
-		t.Fatal("cache did not return the same certificate")
+	b, hit := certify(base())
+	if !hit || a != b {
+		t.Fatalf("repeat certification: hit=%v, same certificate=%v", hit, a == b)
 	}
-	if hits := s.metrics.verifyCacheHits.Load(); hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
+
+	hits := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"seed", func(sp *Spec) { sp.Config.Seed += 7 }},
+		{"load", func(sp *Spec) { sp.Load.Load = 0.3 }},
+		{"window", func(sp *Spec) { sp.Warmup, sp.Measure = 500, 5000 }},
+		{"cache capacity", func(sp *Spec) { sp.Config.CacheCapacity++ }},
+		{"message length", func(sp *Spec) { sp.Load.FixedLength = 16 }},
 	}
-	c, err := s.certifyConfig(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range hits {
+		sp := base()
+		c.mutate(&sp)
+		if cert, hit := certify(sp); !hit || cert != a {
+			t.Errorf("%s: changed a non-prover input but missed the cache", c.name)
+		}
 	}
-	if c == a {
-		t.Fatal("faulted config shared the unfaulted verdict")
+
+	misses := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"radix", func(sp *Spec) { sp.Config.Topology.Radix = []int{6, 6} }},
+		{"routing", func(sp *Spec) { sp.Config.Routing = "dor" }},
+		{"vcs", func(sp *Spec) { sp.Config.NumVCs++ }},
+		{"protocol", func(sp *Spec) { sp.Config.Protocol = "carp" }},
+		{"switches", func(sp *Spec) { sp.Config.NumSwitches++ }},
+		{"misroutes", func(sp *Spec) { sp.Config.MaxMisroutes++ }},
+		{"retry limit", func(sp *Spec) { sp.Config.ProbeRetryLimit++ }},
+		{"recovery timeout", func(sp *Spec) { sp.Config.RecoveryTimeout = 64 }},
+		{"static faults", func(sp *Spec) { sp.Faults = 4 }},
+		{"permanent fault schedule", func(sp *Spec) {
+			sp.Config.FaultSchedule = wave.FaultScheduleConfig{Count: 3, Start: 100, Spacing: 50}
+		}},
+		// With static faults configured the seed redraws the plan.
+		{"static faults, new seed", func(sp *Spec) { sp.Faults, sp.Config.Seed = 4, sp.Config.Seed+1 }},
+	}
+	for _, c := range misses {
+		sp := base()
+		c.mutate(&sp)
+		if _, hit := certify(sp); hit {
+			t.Errorf("%s: changed a prover input but hit the cache", c.name)
+		}
+	}
+
+	faulted := base()
+	faulted.Faults = 4
+	c, hit := certify(faulted)
+	if !hit {
+		t.Fatal("repeat faulted certification missed the cache")
 	}
 	if c.Residual == nil || !c.Certified {
 		t.Fatalf("faulted default config: %+v", c)
 	}
-	if got := s.metrics.verifyCertified.Load(); got != 2 {
-		t.Fatalf("certified counter = %d, want 2", got)
+}
+
+// TestDrainingSubmitSkipsCertification: a draining server refuses a
+// submission before validating or proving it.
+func TestDrainingSubmitSkipsCertification(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := SimConfig(wave.DefaultConfig())
+	cfg.Topology.Radix = []int{32, 32}
+	_, err := s.Submit(Spec{
+		Kind: KindLoad, Config: &cfg,
+		Load:   &wave.Workload{Pattern: "uniform", Load: 0.1, FixedLength: 64},
+		Warmup: 100, Measure: 1000,
+	})
+	if !errors.Is(err, ErrDraining) {
+		t.Fatalf("Submit on a draining server: %v, want ErrDraining", err)
+	}
+	// The three sources of the waved_verify_* counters.
+	if n := s.metrics.verifyCertified.Load() + s.metrics.verifyRejected.Load() +
+		s.metrics.verifyCacheHits.Load(); n != 0 {
+		t.Fatalf("draining submit touched the prover (%d verify events)", n)
 	}
 }
 

@@ -40,14 +40,8 @@ type deliveryProof struct {
 // infinite candidate walks, so the last flit leaves in finite time.
 func proveDelivery(topo topology.Topology, fn routing.Func) deliveryProof {
 	numVCs := fn.NumVCs()
-	nodes := topo.Nodes()
-	verts := topo.NumLinkSlots() * numVCs
-
-	// Dense reachability over (channel vertex, destination); -1 = unseen.
-	// stateEdges holds the per-destination successor lists for the acyclic
-	// fallback; filled only once a non-minimal hop is observed, to keep the
-	// common monotone case allocation-light.
-	seen := make([]bool, verts*nodes)
+	// Dense reachability over (channel vertex, destination).
+	seen := routing.NewStateSet(topo.NumLinkSlots()*numVCs, topo.Nodes())
 	type st struct {
 		v   int32
 		dst topology.Node
@@ -68,9 +62,7 @@ func proveDelivery(topo topology.Topology, fn routing.Func) deliveryProof {
 	}
 
 	push := func(v int32, dst topology.Node) {
-		idx := int(v)*nodes + int(dst)
-		if !seen[idx] {
-			seen[idx] = true
+		if seen.Add(v, dst) {
 			stack = append(stack, st{v: v, dst: dst})
 		}
 	}

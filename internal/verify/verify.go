@@ -40,6 +40,8 @@
 package verify
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"repro/internal/flit"
@@ -72,6 +74,27 @@ type Spec struct {
 	// non-repairing events of a fault.Schedule); the residual configuration
 	// is re-proven with them removed.
 	Faults []pcs.Channel
+}
+
+// Key identifies the verdict Certify(sp) returns: a digest of exactly the
+// fields Certify reads. The topology enters as Name() and Nodes(), the
+// routing.BuildCDGCached pattern (identically shaped topologies share one
+// node and link numbering), and Faults in the order given. Specs with equal
+// keys get equal certificates, so a caller may keep one verdict per key.
+func (sp Spec) Key() string {
+	h := sha256.New()
+	var topoName string
+	var nodes int
+	if sp.Topo != nil {
+		topoName, nodes = sp.Topo.Name(), sp.Topo.Nodes()
+	}
+	fmt.Fprintf(h, "%q %d %q %d %q %d %d %d %d faults",
+		topoName, nodes, sp.Routing, sp.NumVCs, sp.Protocol, sp.NumSwitches,
+		sp.MaxMisroutes, sp.ProbeRetryLimit, sp.RecoveryTimeout)
+	for _, ch := range sp.Faults {
+		fmt.Fprintf(h, " %d:%d", ch.Link, ch.Switch)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Proof is one verdict with its method and, on failure, a counterexample.

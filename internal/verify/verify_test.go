@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -386,6 +388,64 @@ func TestHypercubeCertification(t *testing.T) {
 		cert := mustCertify(t, baseSpec(hc, c.routing, c.vcs, protocol.CLRP))
 		if !cert.Certified {
 			t.Errorf("hypercube %s w=%d: %s", c.routing, c.vcs, cert.Failure())
+		}
+	}
+}
+
+// TestSpecKeyCoversEveryField: perturbing any one exported Spec field
+// changes Key, and Key is stable otherwise. A field added to Spec without
+// being keyed fails here, and so does a field of a kind this test cannot
+// perturb yet.
+func TestSpecKeyCoversEveryField(t *testing.T) {
+	base := baseSpec(topology.MustCube([]int{4, 4}, true), "duato", 3, protocol.CLRP)
+	base.Faults = []pcs.Channel{{Link: 3, Switch: 1}, {Link: 5, Switch: 0}}
+	key := base.Key()
+	if again := base.Key(); again != key {
+		t.Fatalf("Key not stable: %s vs %s", key, again)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		sp := base
+		sp.Faults = slices.Clone(base.Faults)
+		v := reflect.ValueOf(&sp).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Interface:
+			v.Set(reflect.ValueOf(topology.MustCube([]int{4, 6}, true)))
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		default:
+			t.Fatalf("Spec.%s: no perturbation for kind %s; key the field and extend this test", f.Name, v.Kind())
+		}
+		if sp.Key() == key {
+			t.Errorf("Spec.%s changed but Key did not", f.Name)
+		}
+	}
+
+	// Faults are keyed in the order given.
+	swapped := base
+	swapped.Faults = []pcs.Channel{base.Faults[1], base.Faults[0]}
+	if swapped.Key() == key {
+		t.Error("reordered faults share a key")
+	}
+}
+
+// BenchmarkCertify times one certification of the default 8x8 torus under
+// CLRP (the CDGs come from routing's build cache after the first
+// iteration).
+func BenchmarkCertify(b *testing.B) {
+	sp := baseSpec(topology.MustCube([]int{8, 8}, true), "duato", 3, protocol.CLRP)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Certify(sp); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
