@@ -95,13 +95,16 @@ func (m Message) FlitAt(i int) Flit {
 }
 
 // KindAt returns the kind of flit i of the message.
-func (m Message) KindAt(i int) Kind {
+func (m Message) KindAt(i int) Kind { return KindOf(i, m.Len) }
+
+// KindOf returns the kind of flit i of an n-flit message.
+func KindOf(i, n int) Kind {
 	switch {
-	case m.Len == 1:
+	case n == 1:
 		return HeadTail
 	case i == 0:
 		return Head
-	case i == m.Len-1:
+	case i == n-1:
 		return Tail
 	}
 	return Body

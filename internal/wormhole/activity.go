@@ -1,8 +1,8 @@
 package wormhole
 
 // This file implements the activity-driven cycle engine: per-cycle work
-// proportional to the number of ports that can possibly act, not to the size
-// of the network.
+// proportional to the ports that can possibly act, plus one bitmap load per
+// 64 ports per pass — not to the size of the network's port state.
 //
 // Two membership bitmaps cover the global input-port space (link VCs
 // followed by injection ports, the index space both passes walk), one per
@@ -27,11 +27,11 @@ package wormhole
 // writes the phase and both bitmaps together; it is O(1) and
 // allocation-free (the bitmaps are sized once at construction).
 //
-// The switch-allocation busy flags get the same treatment: instead of
-// clearing every outLinkBusy/inPortBusy entry each cycle — O(links+nodes) —
-// the mark helpers record which entries were set and the next cycle clears
-// only those. The flags are written and read only inside one traversal pass,
-// so deferred clearing is invisible to the engine's decisions.
+// The switch-allocation busy flags cost nothing to reset: outLinkBusy and
+// inPortBusy hold the stamp of the traversal pass that last claimed each
+// entry, and an entry is busy only while its stamp equals the current pass.
+// Each traversal pass takes the next stamp, so every flag falls free at once
+// without a clearing sweep; both modes share this path.
 
 // setPhase moves port from phase *ph to phase to, keeping routingSet,
 // activeSet and activeCount in step (the bitmaps stay empty when activity
@@ -66,43 +66,28 @@ func (e *Engine) setPhase(port int, ph *vcPhase, to vcPhase) {
 // when activity tracking is disabled; NumPorts is the total.
 func (e *Engine) ActivePorts() int { return e.activeCount }
 
-// markOutBusy claims output physical link l for this cycle's traversal pass.
-func (e *Engine) markOutBusy(l int) {
-	e.outLinkBusy[l] = true
-	if e.trackActivity {
-		e.dirtyOutLinks = append(e.dirtyOutLinks, int32(l))
+// nextPass starts a traversal pass: no arrivals, and a fresh stamp so every
+// busy flag of the last pass reads free. The stamp is taken before first
+// use, so the zero entries of a fresh or restored engine never match; when
+// the counter wraps, the arrays are cleared once.
+func (e *Engine) nextPass() {
+	e.arrivals = e.arrivals[:0]
+	e.pass++
+	if e.pass == 0 {
+		clear(e.outLinkBusy)
+		clear(e.inPortBusy)
+		e.pass = 1
 	}
 }
 
-// markInBusy claims physical input port idx for this cycle's traversal pass.
-func (e *Engine) markInBusy(idx int) {
-	e.inPortBusy[idx] = true
-	if e.trackActivity {
-		e.dirtyInPorts = append(e.dirtyInPorts, int32(idx))
+// segWord returns bitmap word w of set restricted to the ports [from, to).
+func segWord(set []uint64, w, from, to int) uint64 {
+	word := set[w]
+	if w == from>>6 {
+		word &= ^uint64(0) << uint(from&63)
 	}
-}
-
-// clearBusy resets the switch-allocation flags at the start of a traversal
-// pass: only the entries dirtied last cycle when tracking, the full arrays
-// in oracle mode. Both helpers above set a flag only after observing it
-// false, so the dirty lists carry no duplicates and stay bounded by the
-// flits moved per cycle.
-func (e *Engine) clearBusy() {
-	if !e.trackActivity {
-		for i := range e.outLinkBusy {
-			e.outLinkBusy[i] = false
-		}
-		for i := range e.inPortBusy {
-			e.inPortBusy[i] = false
-		}
-		return
+	if w == (to-1)>>6 && to&63 != 0 {
+		word &= 1<<uint(to&63) - 1
 	}
-	for _, l := range e.dirtyOutLinks {
-		e.outLinkBusy[l] = false
-	}
-	e.dirtyOutLinks = e.dirtyOutLinks[:0]
-	for _, p := range e.dirtyInPorts {
-		e.inPortBusy[p] = false
-	}
-	e.dirtyInPorts = e.dirtyInPorts[:0]
+	return word
 }

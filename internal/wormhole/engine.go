@@ -14,8 +14,8 @@
 // The steady-state cycle allocates nothing: in-flight messages live in a
 // dense slot arena recycled through a free-list in delivery order (never a
 // map — recycling order must be canonical for runs to repeat bit for bit),
-// injection queues and the credit pipe are head-indexed rings that reset
-// when drained, and per-cycle scratch slices are length-reset.
+// injection queues and the credit pipe are head-indexed queues compacted in
+// place, and per-cycle scratch slices are length-reset.
 //
 // Simplifications relative to hardware, documented per DESIGN.md: credits
 // return instantaneously (zero-cycle credit path), and injection queues are
@@ -160,13 +160,16 @@ type arrival struct {
 // messages plus the progress of the message currently being injected. It
 // behaves as one more input port of the router with NumVCs virtual queues
 // collapsed into one (one flit per cycle may be injected per node). The
-// queue holds arena slot indices, not messages, and is a head-indexed ring:
-// popping advances head, and the backing array is reused once drained, so
-// steady-state injection churn reuses one allocation forever.
+// queue holds arena slot indices, not messages, and is head-indexed: popping
+// advances head, and compact keeps the backing array proportional to the
+// queued messages, so steady-state injection churn reuses one allocation.
 type injPort struct {
-	queue          []int32
-	head           int
-	sent           int // flits of the front message already injected
+	queue []int32
+	head  int
+	sent  int // flits of the front message already injected
+	// frontLen is the front message's length while the port is active, so
+	// traversal loads no slot per flit (derived; State recomputes it).
+	frontLen       int
 	phase          vcPhase
 	outLink, outCh int32
 	rcWait         int
@@ -177,11 +180,19 @@ func (p *injPort) front() int32 { return p.queue[p.head] }
 func (p *injPort) push(s int32) { p.queue = append(p.queue, s) }
 
 func (p *injPort) popFront() {
-	p.head++
-	if p.head == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.head = 0
+	p.queue, p.head = compact(p.queue, p.head+1)
+}
+
+// compact returns queue q with its head at head, dropping the consumed
+// prefix once it outweighs the rest, so a queue that never drains (credits
+// under CreditDelay ≥ 2, a backlogged source) stays proportional to what it
+// holds. A compaction copies fewer entries than were popped since the last.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head > len(q)-head {
+		n := copy(q, q[head:])
+		return q[:n], 0
 	}
+	return q, head
 }
 
 // msgSlot is one entry of the in-flight message arena. Recovery bookkeeping
@@ -240,8 +251,8 @@ type Engine struct {
 
 	// creditQueue holds credits in flight back to their upstream routers
 	// (only used when CreditDelay > 0); entries are appended in firing-time
-	// order, so draining advances creditHead over a prefix and the backing
-	// array resets once empty.
+	// order, so draining advances creditHead over a prefix, and compact
+	// bounds the backing array by the credits in flight.
 	creditQueue []pendingCredit
 	creditHead  int
 
@@ -251,20 +262,19 @@ type Engine struct {
 	now int64
 
 	// Active-set state (see activity.go): membership bitmaps over the global
-	// input-port space for the routing and the streaming ports, the count of
-	// non-idle ports, and the dirty lists that replace the full busy-flag
-	// clears. trackActivity caches !prm.DisableActivityTracking.
+	// input-port space for the routing and the streaming ports, and the count
+	// of non-idle ports. trackActivity caches !prm.DisableActivityTracking.
 	trackActivity bool
 	routingSet    []uint64
 	activeSet     []uint64
 	activeCount   int
-	dirtyOutLinks []int32
-	dirtyInPorts  []int32
 
-	// Scratch reused across cycles.
+	// Scratch reused across cycles; the busy flags are pass stamps (see
+	// activity.go).
 	cands       []routing.Candidate
-	outLinkBusy []bool
-	inPortBusy  []bool
+	pass        uint32
+	outLinkBusy []uint32
+	inPortBusy  []uint32
 	arrivals    []arrival
 }
 
@@ -290,8 +300,8 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 		nvc:         int32(prm.NumVCs),
 		inj:         make([]injPort, topo.Nodes()),
 		numLinks:    topo.NumLinkSlots(),
-		outLinkBusy: make([]bool, topo.NumLinkSlots()),
-		inPortBusy:  make([]bool, topo.NumLinkSlots()+topo.Nodes()),
+		outLinkBusy: make([]uint32, topo.NumLinkSlots()),
+		inPortBusy:  make([]uint32, topo.NumLinkSlots()+topo.Nodes()),
 		LinkFlits:   make([]int64, topo.NumLinkSlots()),
 	}
 	e.trackActivity = !prm.DisableActivityTracking
@@ -414,10 +424,9 @@ func (e *Engine) Cycle(now int64) {
 	moved := e.FlitsMoved
 	e.stepRecovery(now)
 	e.drainCredits(now)
-	e.scan(e.routingSet, false, now)
-	e.clearBusy()
-	e.arrivals = e.arrivals[:0]
-	e.scan(e.activeSet, true, now)
+	e.allocatePass()
+	e.nextPass()
+	e.traversePass(now)
 	e.commitArrivals()
 	e.rr++
 	if e.FlitsMoved != moved && e.hooks.Progress != nil {
@@ -441,68 +450,73 @@ func (e *Engine) drainCredits(now int64) {
 	for ; i < len(e.creditQueue) && e.creditQueue[i].at <= now; i++ {
 		e.out[e.creditQueue[i].ch].credits++
 	}
-	e.creditHead = i
-	if e.creditHead == len(e.creditQueue) {
-		e.creditQueue = e.creditQueue[:0]
-		e.creditHead = 0
-	}
+	e.creditQueue, e.creditHead = compact(e.creditQueue, i)
 }
 
-// scan runs one pass — allocation, or traversal when traverse is set — over
-// the ports in rotating order starting at rr. Allocation is greedy and
-// sequential, which is deterministic and fair over time. With activity
-// tracking the pass iterates only `set`: the same rotating order with every
-// port skipped whose phase would make the full scan dismiss it without side
-// effects (see activity.go). The scan copies each bitmap word before
-// peeling its bits, and a visit moves only the visited port in or out of
-// the set being walked (a delivery hook that injects wakes an injection
-// port into routingSet, which traversal does not walk), so the sets may
-// change under the iteration.
-func (e *Engine) scan(set []uint64, traverse bool, now int64) {
-	total := e.NumPorts()
+// allocatePass runs route computation and VC allocation over the ports in
+// rotating order from rr: greedy and sequential, so deterministic and fair
+// over time. With activity tracking it walks only routingSet, [start, total)
+// then [0, start), in the full scan's order (see activity.go). A word is
+// copied before its bits are peeled, and a visit moves only the visited
+// port in or out of the set, so the set may change under the walk.
+func (e *Engine) allocatePass() {
+	nl, total := e.numLinkInputs(), e.NumPorts()
 	if !e.trackActivity {
 		for i := 0; i < total; i++ {
-			e.visit((i+e.rr)%total, traverse, now)
+			if port := (i + e.rr) % total; port < nl {
+				e.allocateLinkVC(int32(port))
+			} else {
+				e.allocateInjection(topology.Node(port - nl))
+			}
 		}
 		return
 	}
-	// Segment [start, total) then [0, start), peeling set bits with
-	// TrailingZeros64.
 	start := e.rr % total
-	from, to := start, total
-	for seg := 0; seg < 2; seg++ {
-		if from < to {
-			firstW, lastW := from>>6, (to-1)>>6
-			for w := firstW; w <= lastW; w++ {
-				word := set[w]
-				if w == firstW {
-					word &= ^uint64(0) << uint(from&63)
-				}
-				if w == lastW && to&63 != 0 {
-					word &= 1<<uint(to&63) - 1
-				}
-				for word != 0 {
-					e.visit(w<<6+mathbits.TrailingZeros64(word), traverse, now)
-					word &= word - 1
+	for from, to := start, total; ; from, to = 0, start {
+		for w := from >> 6; w <= (to-1)>>6; w++ {
+			for word := segWord(e.routingSet, w, from, to); word != 0; word &= word - 1 {
+				if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
+					e.allocateLinkVC(int32(port))
+				} else {
+					e.allocateInjection(topology.Node(port - nl))
 				}
 			}
 		}
-		from, to = 0, start
+		if from == 0 {
+			return
+		}
 	}
 }
 
-// visit dispatches one port of a pass.
-func (e *Engine) visit(port int, traverse bool, now int64) {
-	nl := e.numLinkInputs()
-	switch {
-	case port >= nl && traverse:
-		e.traverseInjection(topology.Node(port-nl), now)
-	case port >= nl:
-		e.allocateInjection(topology.Node(port - nl))
-	case traverse:
-		e.traverseLinkVC(int32(port), now)
-	default:
-		e.allocateLinkVC(int32(port))
+// traversePass runs switch allocation and link traversal in the same order,
+// walking only activeSet when tracking (a delivery hook that injects wakes
+// an injection port into routingSet, which this pass does not walk).
+func (e *Engine) traversePass(now int64) {
+	nl, total := e.numLinkInputs(), e.NumPorts()
+	if !e.trackActivity {
+		for i := 0; i < total; i++ {
+			if port := (i + e.rr) % total; port < nl {
+				e.traverseLinkVC(int32(port), now)
+			} else {
+				e.traverseInjection(topology.Node(port-nl), now)
+			}
+		}
+		return
+	}
+	start := e.rr % total
+	for from, to := start, total; ; from, to = 0, start {
+		for w := from >> 6; w <= (to-1)>>6; w++ {
+			for word := segWord(e.activeSet, w, from, to); word != 0; word &= word - 1 {
+				if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
+					e.traverseLinkVC(int32(port), now)
+				} else {
+					e.traverseInjection(topology.Node(port-nl), now)
+				}
+			}
+		}
+		if from == 0 {
+			return
+		}
 	}
 }
 
@@ -563,6 +577,7 @@ func (e *Engine) allocateInjection(n topology.Node) {
 	}
 	m := &e.slots[p.front()].msg
 	port := e.injInput(n)
+	p.frontLen = m.Len
 	if m.Dst == int(n) {
 		e.setPhase(int(port), &p.phase, vcActive)
 		p.outLink, p.outCh = int32(topology.Invalid), -1 // self-send delivers locally
@@ -578,7 +593,7 @@ func (e *Engine) allocateInjection(n topology.Node) {
 // channel outCh of link outLink; it returns false if the physical link,
 // input port or credits forbid it.
 func (e *Engine) sendFlit(inPort int, ref flitRef, outLink, outCh int32) bool {
-	if e.inPortBusy[inPort] || e.outLinkBusy[outLink] {
+	if e.inPortBusy[inPort] == e.pass || e.outLinkBusy[outLink] == e.pass {
 		return false
 	}
 	o := &e.out[outCh]
@@ -586,8 +601,8 @@ func (e *Engine) sendFlit(inPort int, ref flitRef, outLink, outCh int32) bool {
 		return false
 	}
 	o.credits--
-	e.markOutBusy(int(outLink))
-	e.markInBusy(inPort)
+	e.outLinkBusy[outLink] = e.pass
+	e.inPortBusy[inPort] = e.pass
 	e.arrivals = append(e.arrivals, arrival{ch: outCh, ref: ref})
 	e.FlitsMoved++
 	e.LinkFlits[outLink]++
@@ -597,7 +612,7 @@ func (e *Engine) sendFlit(inPort int, ref flitRef, outLink, outCh int32) bool {
 
 func (e *Engine) traverseLinkVC(port int32, now int64) {
 	v := &e.in[port]
-	if v.phase != vcActive || v.count == 0 || e.inPortBusy[v.inLink] {
+	if v.phase != vcActive || v.count == 0 || e.inPortBusy[v.inLink] == e.pass {
 		return
 	}
 	ref := e.ring[port*e.depth+v.head]
@@ -609,7 +624,7 @@ func (e *Engine) traverseLinkVC(port int32, now int64) {
 	e.returnCredit(port, now)
 	if local {
 		// Local delivery consumes one flit per input port per cycle.
-		e.markInBusy(int(v.inLink))
+		e.inPortBusy[v.inLink] = e.pass
 		e.deliverFlit(ref, now)
 	}
 	if ref.kind.IsTail() {
@@ -639,15 +654,14 @@ func (e *Engine) traverseInjection(n topology.Node, now int64) {
 	if p.phase != vcActive || p.qlen() == 0 {
 		return
 	}
-	slot := p.front()
 	inPort := e.numLinks + int(n)
-	ref := flitRef{slot: slot, seq: int32(p.sent), kind: e.slots[slot].msg.KindAt(p.sent)}
+	ref := flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
 	if p.outCh < 0 {
 		// Self-send: deliver directly.
-		if e.inPortBusy[inPort] {
+		if e.inPortBusy[inPort] == e.pass {
 			return
 		}
-		e.markInBusy(inPort)
+		e.inPortBusy[inPort] = e.pass
 		p.sent++
 		e.deliverFlit(ref, now)
 		e.FlitsMoved++
@@ -656,9 +670,15 @@ func (e *Engine) traverseInjection(n topology.Node, now int64) {
 	} else {
 		return
 	}
-	if !ref.kind.IsTail() {
-		return
+	if ref.kind.IsTail() {
+		e.retireFront(n, p)
 	}
+}
+
+// retireFront ends the front message of node n's injection port once its
+// tail has left (or recovery aborted it): the output channel is released
+// and the port routes the next queued message, or goes idle.
+func (e *Engine) retireFront(n topology.Node, p *injPort) {
 	if p.outCh >= 0 {
 		e.out[p.outCh].owner = -1
 	}

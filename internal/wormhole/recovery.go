@@ -161,23 +161,10 @@ func (e *Engine) abort(s int32, now int64) {
 		if p.queue[qi] != s {
 			continue
 		}
-		atFront := qi == p.head
-		if atFront {
-			if p.outCh >= 0 {
-				e.out[p.outCh].owner = -1
-			}
-			p.outLink, p.outCh = int32(topology.Invalid), -1
-			p.sent = 0
-		}
-		p.queue = append(p.queue[:qi], p.queue[qi+1:]...)
-		port := int(e.injInput(topology.Node(m.Src)))
-		if p.qlen() == 0 {
-			p.queue = p.queue[:0]
-			p.head = 0
-			e.setPhase(port, &p.phase, vcIdle)
-		} else if atFront {
-			e.setPhase(port, &p.phase, vcRouting)
-			p.rcWait = e.prm.RouteDelay
+		if qi == p.head {
+			e.retireFront(topology.Node(m.Src), p)
+		} else {
+			p.queue = append(p.queue[:qi], p.queue[qi+1:]...)
 		}
 		break
 	}

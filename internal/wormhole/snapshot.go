@@ -4,10 +4,10 @@ package wormhole
 // slot arena with its LIFO free-list order, per-VC buffers, injection
 // queues, credit counters and the in-flight credit pipe, output ownership,
 // the active set, recovery bookkeeping and all counters. Per-cycle scratch
-// (busy flags, dirty lists, arrivals) is excluded: snapshots are taken
-// between cycles, when it is logically empty. Restoring into an engine
-// built from the identical Params and topology reproduces the original bit
-// for bit.
+// (the busy-flag stamps and their pass counter, arrivals) is excluded:
+// snapshots are taken between cycles, when no flag of a later pass can read
+// busy. Restoring into an engine built from the identical Params and
+// topology reproduces the original bit for bit.
 //
 // Three parts of the byte format are not engine fields but derived from
 // them: buffered flits are written in full, each VC writes the queue of
@@ -119,6 +119,13 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		e.walkPhase(c, &p.phase)
 		e.walkOut(c, &p.outLink, &p.outCh)
 		snapshot.I64(c, &p.rcWait)
+		if c.Decoding() && c.Err() == nil && p.phase == vcActive && p.qlen() > 0 {
+			if s := p.front(); s < 0 || int(s) >= len(e.slots) || !e.slots[s].live {
+				c.Failf("wormhole: snapshot injection port %d fronts slot %d of no live message", i, s)
+			} else {
+				p.frontLen = e.slots[s].msg.Len
+			}
+		}
 	})
 
 	// Credit pipe (only populated when CreditDelay > 0).

@@ -76,8 +76,8 @@ func queuedHeadEngine(t *testing.T) (*harness, int32) {
 }
 
 // restoreInto encodes src's state and decodes it into a fresh engine of the
-// same configuration, returning the decode error.
-func restoreInto(t *testing.T, src *Engine) error {
+// same configuration, returning that engine and the decode error.
+func restoreInto(t *testing.T, src *Engine) (*Engine, error) {
 	t.Helper()
 	var buf bytes.Buffer
 	enc, err := snapshot.NewEncoder(&buf)
@@ -98,7 +98,7 @@ func restoreInto(t *testing.T, src *Engine) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dst.State(dec)
+	return dst, dst.State(dec)
 }
 
 // TestRestoreRefusesInconsistentPayload: the byte format carries the
@@ -108,7 +108,7 @@ func restoreInto(t *testing.T, src *Engine) error {
 // must be refused rather than silently re-derived.
 func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 	h, port := queuedHeadEngine(t)
-	if err := restoreInto(t, h.eng); err != nil {
+	if _, err := restoreInto(t, h.eng); err != nil {
 		t.Fatalf("clean payload refused: %v", err)
 	}
 
@@ -123,7 +123,7 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 				break
 			}
 		}
-		err := restoreInto(t, h.eng)
+		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "head-slot queue") {
 			t.Fatalf("err = %v, want a head-slot queue mismatch", err)
 		}
@@ -132,9 +132,49 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 	t.Run("flit of no live message", func(t *testing.T) {
 		v := &h.eng.in[port]
 		h.eng.slots[h.eng.ring[h.eng.ringAt(port, v.count-1)].slot].live = false
-		err := restoreInto(t, h.eng)
+		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "no live message") {
 			t.Fatalf("err = %v, want a flit of no live message", err)
 		}
 	})
+}
+
+// TestRestoreRecomputesInjectionFrontLen: an active injection port's
+// front-message length is derived state, not in the byte format. Decoding
+// must recompute it, so a restored engine injects the same flits as the
+// original, and must refuse a port whose front is no live message.
+func TestRestoreRecomputesInjectionFrontLen(t *testing.T) {
+	h := newHarness(t, topology.MustCube([]int{4, 4}, true), "dor", Params{NumVCs: 2, BufDepth: 4})
+	h.eng.Inject(flit.Message{ID: 1, Src: 0, Dst: 5, Len: 6})
+	h.eng.Inject(flit.Message{ID: 2, Src: 3, Dst: 3, Len: 8}) // self-send: no flit enters a VC
+	h.eng.Inject(flit.Message{ID: 3, Src: 7, Dst: 2, Len: 1})
+	h.eng.Inject(flit.Message{ID: 4, Src: 7, Dst: 1, Len: 5})
+	for cyc := int64(0); cyc < 3; cyc++ {
+		h.eng.Cycle(cyc)
+	}
+	dst, err := restoreInto(t, h.eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range h.eng.inj {
+		if p, q := &h.eng.inj[n], &dst.inj[n]; p.phase == vcActive && q.frontLen != p.frontLen {
+			t.Fatalf("node %d: restored frontLen %d, want %d", n, q.frontLen, p.frontLen)
+		}
+	}
+	for cyc := int64(3); cyc < 100; cyc++ {
+		h.eng.Cycle(cyc)
+		dst.Cycle(cyc)
+	}
+	if dst.FlitsDelivered != h.eng.FlitsDelivered || dst.MsgsDelivered != 4 || h.eng.MsgsDelivered != 4 {
+		t.Fatalf("restored engine delivered %d flits / %d messages, original %d / %d",
+			dst.FlitsDelivered, dst.MsgsDelivered, h.eng.FlitsDelivered, h.eng.MsgsDelivered)
+	}
+
+	h = newHarness(t, topology.MustCube([]int{4, 4}, true), "dor", Params{NumVCs: 2, BufDepth: 4})
+	h.eng.Inject(flit.Message{ID: 1, Src: 3, Dst: 3, Len: 8})
+	h.eng.Cycle(0)
+	h.eng.slots[h.eng.inj[3].front()].live = false
+	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "fronts slot") {
+		t.Fatalf("err = %v, want an injection port fronting no live message", err)
+	}
 }

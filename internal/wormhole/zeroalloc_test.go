@@ -115,42 +115,64 @@ func TestActiveSetTracksPhases(t *testing.T) {
 }
 
 // BenchmarkWormholeCycle measures the steady-state cost of one engine cycle
-// under sustained load on an 8x8 torus; allocs/op must report 0, even at
-// -benchtime 1x (one drained warm-up round grows every buffer first).
+// under sustained load; allocs/op must report 0, even at -benchtime 1x.
+// The 8x8 case replays a fixed 4-flit pattern (one drained warm-up round
+// grows every buffer first). The 16x16 case is the wh_uniform_16x16
+// benchmark workload's shape — duato over 3 VCs of depth 4, uniform traffic
+// of 32-flit messages at 0.15 flits/node/cycle — warmed up for 5000 cycles;
+// its per-cycle cost includes the source's 256 Bernoulli draws.
 func BenchmarkWormholeCycle(b *testing.B) {
-	eng, _ := zeroAllocEngine(b, DefaultParams())
-	var now int64
-	var nextID flit.MsgID
-	pumpDrain(b, eng, &now, &nextID)
-	const nodes = 64
-	inject := func() {
-		for n := 0; n < nodes; n++ {
-			dst := (n*17 + 5) % nodes
-			if dst == n {
-				dst = (dst + 1) % nodes
+	b.Run("8x8", func(b *testing.B) {
+		eng, _ := zeroAllocEngine(b, DefaultParams())
+		var now int64
+		var nextID flit.MsgID
+		pumpDrain(b, eng, &now, &nextID)
+		const nodes = 64
+		inject := func() {
+			for n := 0; n < nodes; n++ {
+				dst := (n*17 + 5) % nodes
+				if dst == n {
+					dst = (dst + 1) % nodes
+				}
+				nextID++
+				eng.Inject(flit.Message{ID: nextID, Src: n, Dst: dst, Len: 4, InjectTime: now})
 			}
-			nextID++
-			eng.Inject(flit.Message{ID: nextID, Src: n, Dst: dst, Len: 4, InjectTime: now})
 		}
-	}
-	inject()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if eng.Quiesce() {
-			b.StopTimer()
-			inject()
-			b.StartTimer()
+		inject()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if eng.Quiesce() {
+				b.StopTimer()
+				inject()
+				b.StartTimer()
+			}
+			eng.Cycle(now)
+			now++
 		}
-		eng.Cycle(now)
-		now++
-	}
+	})
+	b.Run("16x16_uniform", func(b *testing.B) {
+		eng := torusEngine(b, 16, "duato", Params{NumVCs: 3, BufDepth: 4}, nil)
+		src := newUniformSource(1, 256, 32, 0.15)
+		var now int64
+		for ; now < 5000; now++ {
+			src.tick(eng, now)
+			eng.Cycle(now)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src.tick(eng, now)
+			eng.Cycle(now)
+			now++
+		}
+	})
 }
 
-// BenchmarkWormholeIdleCycle measures one cycle of a completely idle engine —
-// the cost model the activity-driven design targets: active-set iteration
-// makes it O(1) regardless of network size, where the full-scan oracle
-// (the /fullScan variant) pays O(ports) every cycle.
+// BenchmarkWormholeIdleCycle measures one cycle of a completely idle engine.
+// The active-set walks load one bitmap word per 64 ports per pass and visit
+// no port (9 words per bitmap on this 8x8 torus's 576 ports), where the
+// full-scan oracle (the /fullScan variant) visits every port every cycle.
 func BenchmarkWormholeIdleCycle(b *testing.B) {
 	for _, tc := range []struct {
 		name string
