@@ -63,7 +63,6 @@ func run(args []string, out io.Writer) error {
 		policy    = fs.String("replace", def.ReplacePolicy, "replacement policy: lru, lfu, random")
 		recovery  = fs.Int64("recovery", def.RecoveryTimeout, "abort-and-retry deadlock recovery timeout in cycles (0 = off)")
 		seed      = fs.Uint64("seed", def.Seed, "RNG seed (identical seeds => identical runs)")
-		fullScan  = fs.Bool("fullscan", false, "disable activity tracking: scan every wormhole port every cycle (oracle mode; results are identical)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -155,7 +154,6 @@ func run(args []string, out io.Writer) error {
 	cfg.MinCircuitFlits = *minCirc
 	cfg.RecoveryTimeout = *recovery
 	cfg.Seed = *seed
-	cfg.DisableActivityTracking = *fullScan
 	cfg.FaultSchedule = wave.FaultScheduleConfig{
 		Count: *faultCount, Start: *faultStart, Spacing: *faultSpacing,
 		Repair: *faultRepair, Seed: *faultSeed,

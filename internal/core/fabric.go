@@ -173,8 +173,6 @@ type Hooks struct {
 	// CircuitIdle runs when a window acknowledgment clears a circuit's
 	// In-use bit.
 	CircuitIdle func(src, dst topology.Node)
-	// Progress feeds the watchdog.
-	Progress func()
 }
 
 // Fabric is the whole-network wave-switching substrate.
@@ -197,11 +195,6 @@ type Fabric struct {
 	// acks, fault injections, retry timers).
 	events *engine.Events
 	now    int64
-
-	// transfersInFlight counts circuit messages between send and delivery.
-	transfersInFlight int
-	// oldestTransfer tracks ages for the watchdog.
-	transferInject map[flit.MsgID]int64
 
 	// Counters.
 	CircuitFlitsDelivered int64
@@ -233,14 +226,13 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 		fn, tableInfo = routing.Select(fn, topo)
 	}
 	f := &Fabric{
-		Topo:           topo,
-		Prm:            prm,
-		hooks:          hooks,
-		rng:            sim.NewRNG(prm.Seed),
-		events:         engine.NewShardedEvents(0),
-		transferInject: make(map[flit.MsgID]int64),
-		WaveLinkFlits:  make([]int64, topo.NumLinkSlots()),
-		RoutingTable:   tableInfo,
+		Topo:          topo,
+		Prm:           prm,
+		hooks:         hooks,
+		rng:           sim.NewRNG(prm.Seed),
+		events:        engine.NewShardedEvents(0),
+		WaveLinkFlits: make([]int64, topo.NumLinkSlots()),
+		RoutingTable:  tableInfo,
 	}
 	f.WH, err = wormhole.New(topo, fn, wormhole.Params{NumVCs: prm.NumVCs, BufDepth: prm.BufDepth, CreditDelay: prm.CreditDelay, RouteDelay: prm.RouteDelay, DisableActivityTracking: prm.DisableActivityTracking}, wormhole.Hooks{
 		Delivered: func(m flit.Message, now int64) {
@@ -248,7 +240,6 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 				hooks.DeliveredWormhole(m, now)
 			}
 		},
-		Progress: f.progress,
 	})
 	if err != nil {
 		return nil, err
@@ -284,12 +275,6 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 	return f, nil
 }
 
-func (f *Fabric) progress() {
-	if f.hooks.Progress != nil {
-		f.hooks.Progress()
-	}
-}
-
 // Cache returns node n's Circuit Cache registers.
 func (f *Fabric) Cache(n topology.Node) *circuit.Cache { return f.caches[n] }
 
@@ -297,15 +282,17 @@ func (f *Fabric) Cache(n topology.Node) *circuit.Cache { return f.caches[n] }
 func (f *Fabric) Now() int64 { return f.now }
 
 // Cycle advances everything by one wormhole clock: due events in (at, seq)
-// order, then the wormhole engine, then the PCS engine.
-func (f *Fabric) Cycle(now int64) {
+// order, then the wormhole engine, then the PCS engine. It reports whether
+// work moved: an event fired, or either engine moved something.
+func (f *Fabric) Cycle(now int64) bool {
 	f.now = now
-	for _, ev := range f.events.PopDue(now) {
+	due := f.events.PopDue(now)
+	for _, ev := range due {
 		f.execEvent(ev.Kind, ev.Args, now)
-		f.progress()
 	}
-	f.WH.Cycle(now)
-	f.PCS.Cycle(now)
+	whMoved := f.WH.Cycle(now)
+	pcsMoved := f.PCS.Cycle(now)
+	return len(due) > 0 || whMoved || pcsMoved
 }
 
 // execEvent dispatches one descriptor event (see the ev* kind constants).
@@ -319,8 +306,6 @@ func (f *Fabric) execEvent(kind uint8, args [engine.NumEventArgs]int64, now int6
 			Len:        int(args[3]),
 			InjectTime: args[4],
 		}
-		f.transfersInFlight--
-		delete(f.transferInject, m.ID)
 		f.CircuitMsgsDelivered++
 		f.CircuitFlitsDelivered += int64(m.Len)
 		if f.hooks.DeliveredCircuit != nil {
@@ -443,8 +428,6 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message) {
 
 	entry.InUse = true
 	entry.Touch(f.now)
-	f.transfersInFlight++
-	f.transferInject[m.ID] = m.InjectTime
 	for _, ch := range c.Path {
 		f.WaveLinkFlits[ch.Link] += int64(m.Len)
 	}
@@ -455,21 +438,6 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message) {
 	// the entry was replaced meanwhile) and fires Hooks.CircuitIdle.
 	f.events.ScheduleKind(0, ackAt, evCircuitAck,
 		[engine.NumEventArgs]int64{int64(m.Src), int64(entry.Dest), int64(entry.ID)})
-}
-
-// TransfersInFlight returns circuit messages between send and delivery.
-func (f *Fabric) TransfersInFlight() int { return f.transfersInFlight }
-
-// OldestAge returns the age of the oldest undelivered message in either
-// substrate (the NI layer adds queue ages on top).
-func (f *Fabric) OldestAge(now int64) int64 {
-	oldest := f.WH.OldestAge(now)
-	for _, t := range f.transferInject {
-		if age := now - t; age > oldest {
-			oldest = age
-		}
-	}
-	return oldest
 }
 
 // RequestTeardown initiates release of the circuit behind a cache entry at
@@ -541,6 +509,3 @@ func (h *fabricHost) RequestRemoteRelease(id circuit.ID) {
 	}
 	f.RequestTeardown(c.Src, entry)
 }
-
-// Progress implements pcs.Host.
-func (h *fabricHost) Progress() { (*Fabric)(h).progress() }

@@ -1,16 +1,13 @@
 package core
 
 // Snapshot support. The fabric serialises its own mutable state — the RNG,
-// the pending event queue (descriptor events only), circuit-transfer
-// bookkeeping and counters — and delegates to the wormhole engine, the PCS
-// engine and every per-node Circuit Cache. Restoring into a fabric built
-// from the identical Params and topology reproduces the original bit for
-// bit; subsequent cycles are indistinguishable from an uninterrupted run.
+// the pending event queue (descriptor events only) and counters — and
+// delegates to the wormhole engine, the PCS engine and every per-node
+// Circuit Cache. Restoring into a fabric built from the identical Params and
+// topology reproduces the original bit for bit; subsequent cycles are
+// indistinguishable from an uninterrupted run.
 
-import (
-	"repro/internal/flit"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // State encodes or decodes the complete fabric state. Encoding must happen
 // between cycles; every pending event, probe and teardown is data, so it
@@ -21,12 +18,6 @@ func (f *Fabric) State(c *snapshot.Codec) error {
 	st := f.rng.State()
 	c.U64(&st)
 	f.rng.Seed(st)
-
-	snapshot.I64(c, &f.transfersInFlight)
-	snapshot.SortedMap(c, &f.transferInject, func(id *flit.MsgID, at *int64) {
-		snapshot.I64(c, id)
-		snapshot.I64(c, at)
-	})
 
 	snapshot.I64(c, &f.CircuitFlitsDelivered)
 	snapshot.I64(c, &f.CircuitMsgsDelivered)

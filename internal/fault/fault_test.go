@@ -14,7 +14,6 @@ func (nullHost) RequestLocalRelease(topology.Node, func(pcs.Channel) bool) (pcs.
 	return pcs.Channel{}, false
 }
 func (nullHost) RequestRemoteRelease(circuit.ID) {}
-func (nullHost) Progress()                       {}
 
 func TestRandomChannelsDistinctAndValid(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)

@@ -75,8 +75,6 @@ type Host interface {
 	// node requests its release. It fires when a release control flit reaches
 	// the circuit's source.
 	RequestRemoteRelease(id circuit.ID)
-	// Progress feeds the watchdog.
-	Progress()
 }
 
 // SetupResult reports the outcome of one probe attempt.
@@ -318,6 +316,9 @@ type Engine struct {
 	// now is the cycle last passed to Cycle: a launch stamps it and a
 	// completion reports its latency from it.
 	now int64
+	// moved records that a probe or control flit moved during the current
+	// Cycle, which returns it.
+	moved bool
 
 	// Registered completion handlers, the only way a completion is reported:
 	// every probe reports through onDone, every teardown through onFreed.
@@ -773,13 +774,17 @@ func (e *Engine) Teardown(id circuit.ID, closure func()) {
 	e.TeardownNotify(id)
 }
 
-// Cycle advances every control flit and probe by one hop of work.
-func (e *Engine) Cycle(now int64) {
+// Cycle advances every control flit and probe by one hop of work. It
+// reports whether any of them moved: a hop forward or back, or a probe
+// reaching its destination.
+func (e *Engine) Cycle(now int64) bool {
 	e.now = now
+	e.moved = false
 	e.stepTeardowns()
 	e.stepReleases()
 	e.stepAcks()
 	e.stepProbes()
+	return e.moved
 }
 
 // Idle reports whether the engine holds no in-flight work at all: no probes
@@ -821,7 +826,7 @@ func (e *Engine) stepTeardowns() {
 			e.directMap[k] = -1
 		}
 		e.Ctr.ControlHops++
-		e.host.Progress()
+		e.moved = true
 		td.next++
 		if td.next >= len(td.circ.Path) {
 			delete(e.circuits, td.circ.ID)
@@ -881,7 +886,7 @@ func (e *Engine) stepReleases() {
 		}
 		prev := e.reverseMap[k]
 		e.Ctr.ControlHops++
-		e.host.Progress()
+		e.moved = true
 		if prev < 0 {
 			// r.at is the circuit's first channel: we are at the source.
 			e.host.RequestRemoteRelease(r.circID)
@@ -913,7 +918,7 @@ func (e *Engine) stepAcks() {
 		e.owner[k] = int64(a.circ.ID)
 		e.ackRet[k] = true
 		e.Ctr.ControlHops++
-		e.host.Progress()
+		e.moved = true
 		a.pos--
 		if a.pos < 0 {
 			// Reached the source: setup complete.
@@ -991,7 +996,7 @@ func (e *Engine) stepProbe(p *probe) bool {
 		c.ackPending = true
 		e.circuits[c.ID] = c
 		e.acks = append(e.acks, ack{circ: c, pos: len(c.Path) - 1, probe: p})
-		e.host.Progress()
+		e.moved = true
 		return false
 	}
 
@@ -1153,7 +1158,7 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 	p.phase = probeAdvancing
 	p.requestedRelease = false
 	e.Ctr.ControlHops++
-	e.host.Progress()
+	e.moved = true
 }
 
 // markHistory records in the History Store that p searched output bit at
@@ -1366,6 +1371,6 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	p.requestedRelease = false
 	e.Ctr.Backtracks++
 	e.Ctr.ControlHops++
-	e.host.Progress()
+	e.moved = true
 	return true
 }

@@ -10,9 +10,8 @@ import (
 
 // fakeHost is a scriptable Host for engine-level tests.
 type fakeHost struct {
-	local    func(n topology.Node, wanted func(Channel) bool) (Channel, bool)
-	remote   func(id circuit.ID)
-	progress int
+	local  func(n topology.Node, wanted func(Channel) bool) (Channel, bool)
+	remote func(id circuit.ID)
 }
 
 func (h *fakeHost) RequestLocalRelease(n topology.Node, wanted func(Channel) bool) (Channel, bool) {
@@ -27,8 +26,6 @@ func (h *fakeHost) RequestRemoteRelease(id circuit.ID) {
 		h.remote(id)
 	}
 }
-
-func (h *fakeHost) Progress() { h.progress++ }
 
 func newEngine(t *testing.T, topo topology.Topology, prm Params, host Host) *Engine {
 	t.Helper()
@@ -116,6 +113,37 @@ func TestProbeEstablishesMinimalCircuit(t *testing.T) {
 	if c.Src != src || c.Dst != dst || len(c.Path) != want {
 		t.Fatalf("circuit registry wrong: %+v", c)
 	}
+}
+
+// TestCycleReportsMovement pins Cycle's result, the watchdog's progress
+// signal: on an empty network every cycle of a setup (probe hops, the
+// registration at the destination, ack hops) and of a teardown moves
+// something, and an idle cycle moves nothing.
+func TestCycleReportsMovement(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, false)
+	e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, &fakeHost{})
+	res := watchProbes(e)
+	now := int64(0)
+	step := func(want bool) {
+		t.Helper()
+		if got := e.Cycle(now); got != want {
+			t.Fatalf("cycle %d: Cycle reported %v, want %v", now, got, want)
+		}
+		now++
+	}
+	step(false)
+	id := e.LaunchProbeTagged(0, 15, 0, false, 0)
+	for res[id] == nil {
+		step(true)
+	}
+	step(false)
+	freed := false
+	e.SetCircuitFreed(func(_, _ topology.Node, _ circuit.ID) { freed = true })
+	e.TeardownNotify(res[id].Circuit)
+	for !freed {
+		step(true)
+	}
+	step(false)
 }
 
 // TestFig3StatusRegisters is the structural reproduction of Figure 3: after

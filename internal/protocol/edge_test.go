@@ -427,3 +427,67 @@ func TestWestFirstThroughProtocolStack(t *testing.T) {
 		t.Fatalf("delivered %d of 200", len(h.delivered))
 	}
 }
+
+// open issues a CARP open for src->dst and cycles until it is established.
+func (h *harness) open(t *testing.T, now *int64, src, dst topology.Node) {
+	t.Helper()
+	h.m.OpenCircuit(src, dst)
+	for end := *now + 1000; *now < end; *now++ {
+		if e, ok := h.m.Fab.Cache(src).Peek(dst); ok && e.State == circuit.Established {
+			return
+		}
+		h.m.Cycle(*now)
+	}
+	t.Fatalf("circuit %d->%d not established", src, dst)
+}
+
+// TestDestQueueStaysProportional feeds a CARP circuit held open faster than
+// it streams, so the destination queue never drains for 10k messages. Its
+// backing array must stay proportional to what it holds, not grow with
+// every message that ever passed through it.
+func TestDestQueueStaysProportional(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, true)
+	h := newHarness(t, topo, prm44(), CARP, Options{})
+	now := int64(0)
+	h.open(t, &now, 0, 10)
+	const backlog, slack = 8, 8
+	ds := h.m.dest(0, 10)
+	for sent := 0; sent < 10_000; now++ {
+		for len(ds.pending()) < backlog {
+			h.m.Send(0, 10, 4, now, true)
+			sent++
+		}
+		h.m.Cycle(now)
+		live := len(ds.pending())
+		if live == 0 {
+			t.Fatalf("cycle %d: the queue drained", now)
+		}
+		if c := cap(ds.queue); c > 2*backlog+slack {
+			t.Fatalf("cycle %d, %d sent: queue array holds %d for %d live messages", now, sent, c, live)
+		}
+	}
+	h.drain(t, &now, 1_000_000)
+	if got := h.m.Ctr.DeliveredCircuit; got != h.m.Ctr.Sent {
+		t.Fatalf("%d of %d messages went by circuit", got, h.m.Ctr.Sent)
+	}
+}
+
+// TestOldestAgeTracksTransfers: a message streaming over a circuit has left
+// the wormhole engine, and the watchdog still sees its age.
+func TestOldestAgeTracksTransfers(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, true)
+	h := newHarness(t, topo, prm44(), CARP, Options{})
+	now := int64(0)
+	h.open(t, &now, 0, 10)
+	sentAt := now
+	h.m.Send(0, 10, 500, now, true)
+	for end := now + 20; now < end; now++ {
+		h.m.Cycle(now)
+	}
+	if h.m.InFlight() != 1 || h.m.Fab.WH.InFlight() != 0 {
+		t.Fatalf("%d in flight, %d of them in the wormhole engine; want 1 on the circuit", h.m.InFlight(), h.m.Fab.WH.InFlight())
+	}
+	if got, want := h.m.OldestAge(now), now-sentAt; got != want {
+		t.Fatalf("OldestAge = %d, want %d", got, want)
+	}
+}

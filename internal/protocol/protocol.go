@@ -26,6 +26,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/flit"
 	"repro/internal/pcs"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -121,8 +122,6 @@ type Counters struct {
 type Hooks struct {
 	// Delivered fires for every message, with the substrate that carried it.
 	Delivered func(m flit.Message, now int64, viaCircuit bool)
-	// Progress feeds the watchdog.
-	Progress func()
 }
 
 // destState is one node's per-destination protocol state.
@@ -130,7 +129,8 @@ type destState struct {
 	// queue[head:] waits for circuit setup or circuit idle, oldest first.
 	// An empty queue holds no array: the manager lends one (enqueue) and
 	// takes it back when the queue drains, so arrays circulate among the
-	// destinations with messages waiting.
+	// destinations with messages waiting. A queue that never drains is
+	// compacted in place as it is popped (sim.Compact).
 	queue    []flit.Message
 	head     int
 	opening  bool // setup FSM active
@@ -154,14 +154,11 @@ type Manager struct {
 
 	inFlight map[flit.MsgID]int64 // message -> inject time
 	nextMsg  flit.MsgID
-
-	// ageQueue records (id, inject time) in Send order; both are monotone, so
-	// the first entry still in flight is the oldest message. ageHead is the
-	// lazily-advanced front — delivered messages are skipped when OldestAge
-	// next walks past them, making the per-cycle watchdog probe O(1)
-	// amortised instead of a scan over every in-flight message.
-	ageQueue []agedMsg
-	ageHead  int
+	// oldest is OldestAge's cursor: no message below it is in flight. Send
+	// issues IDs in order, so the smallest live ID is the oldest message,
+	// and the cursor only moves forward, past delivered IDs: the per-cycle
+	// watchdog probe is O(1) amortised. Derived; State recomputes it.
+	oldest flit.MsgID
 
 	// slotWaiters[n] lists, in ascending order, the destinations of node n
 	// whose state waits for a cache slot (destState.wantSlot), so a freed
@@ -201,7 +198,6 @@ func New(topo topology.Topology, prm core.Params, kind Kind, opt Options, hooks 
 		ProbeDone:         m.probeDone,
 		Retry:             m.retryFire,
 		CircuitIdle:       m.circuitIdle,
-		Progress:          hooks.Progress,
 	})
 	if err != nil {
 		return nil, err
@@ -210,39 +206,23 @@ func New(topo topology.Topology, prm core.Params, kind Kind, opt Options, hooks 
 	return m, nil
 }
 
-// Cycle advances the underlying fabric.
-func (m *Manager) Cycle(now int64) { m.Fab.Cycle(now) }
+// Cycle advances the underlying fabric and reports whether work moved.
+func (m *Manager) Cycle(now int64) bool { return m.Fab.Cycle(now) }
 
 // InFlight returns messages accepted by Send but not yet delivered.
 func (m *Manager) InFlight() int { return len(m.inFlight) }
 
-// agedMsg is one ageQueue entry.
-type agedMsg struct {
-	id flit.MsgID
-	t  int64
-}
-
 // OldestAge returns the age of the oldest undelivered message.
 func (m *Manager) OldestAge(now int64) int64 {
-	for m.ageHead < len(m.ageQueue) {
-		e := m.ageQueue[m.ageHead]
-		if _, ok := m.inFlight[e.id]; ok {
-			m.compactAgeQueue()
-			return now - e.t
-		}
-		m.ageHead++
+	if len(m.inFlight) == 0 {
+		m.oldest = m.nextMsg + 1
+		return 0
 	}
-	m.ageQueue = m.ageQueue[:0]
-	m.ageHead = 0
-	return 0
-}
-
-// compactAgeQueue keeps the queue's memory proportional to the live suffix.
-func (m *Manager) compactAgeQueue() {
-	if m.ageHead > 1024 && m.ageHead > len(m.ageQueue)/2 {
-		n := copy(m.ageQueue, m.ageQueue[m.ageHead:])
-		m.ageQueue = m.ageQueue[:n]
-		m.ageHead = 0
+	for {
+		if t, ok := m.inFlight[m.oldest]; ok {
+			return now - t
+		}
+		m.oldest++
 	}
 }
 
@@ -293,9 +273,10 @@ func (m *Manager) enqueue(ds *destState, msg flit.Message) {
 // once the queue drains.
 func (m *Manager) pop(ds *destState) flit.Message {
 	msg := ds.queue[ds.head]
-	ds.head++
-	if ds.head == len(ds.queue) {
+	if ds.head+1 == len(ds.queue) {
 		m.releaseQueue(ds)
+	} else {
+		ds.queue, ds.head = sim.Compact(ds.queue, ds.head+1)
 	}
 	return msg
 }
@@ -372,7 +353,6 @@ func (m *Manager) Send(src, dst topology.Node, length int, now int64, wantCircui
 	msg := flit.Message{ID: m.nextMsg, Src: int(src), Dst: int(dst), Len: length, InjectTime: now}
 	m.Ctr.Sent++
 	m.inFlight[msg.ID] = now
-	m.ageQueue = append(m.ageQueue, agedMsg{id: msg.ID, t: now})
 	m.ev(events.Send, msg.Src, msg.Dst, int64(msg.ID))
 	m.route(msg, wantCircuit)
 	return msg.ID

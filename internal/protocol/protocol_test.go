@@ -29,7 +29,6 @@ func newHarness(t *testing.T, topo topology.Topology, prm core.Params, kind Kind
 			h.delivered[msg.ID] = now
 			h.viaCirc[msg.ID] = viaCircuit
 		},
-		Progress: h.wd.Progress,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +43,8 @@ func (h *harness) drain(t *testing.T, now *int64, maxCycles int64) {
 	t.Helper()
 	deadline := *now + maxCycles
 	for h.m.InFlight() > 0 {
-		h.m.Cycle(*now)
-		if err := h.wd.Check(*now, h.m.OldestAge(*now), h.m.InFlight()); err != nil {
+		moved := h.m.Cycle(*now)
+		if err := h.wd.Check(*now, moved, h.m.OldestAge(*now), h.m.InFlight()); err != nil {
 			t.Fatal(err)
 		}
 		*now++

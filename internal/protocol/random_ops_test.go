@@ -57,12 +57,13 @@ func randomOps(t *testing.T, h *harness, topo topology.Topology, kind Kind, seed
 				now++
 			}
 		}
-		h.m.Cycle(now)
+		moved := h.m.Cycle(now)
 		now++
-		if err := h.wd.Check(now, h.m.OldestAge(now), h.m.InFlight()); err != nil {
+		if err := h.wd.Check(now, moved, h.m.OldestAge(now), h.m.InFlight()); err != nil {
 			t.Fatal(err)
 		}
 		checkSlotWaiters(t, h.m)
+		checkOldestAge(t, h.m, now)
 	}
 	h.drain(t, &now, 2_000_000)
 	// Settle trailing acks/teardowns, then check state.
@@ -88,6 +89,19 @@ func checkSlotWaiters(t *testing.T, m *Manager) {
 		if got := m.slotWaiters[n]; !slices.Equal(got, want) {
 			t.Fatalf("node %d: slot-waiter index %v, wantSlot flags set for %v", n, got, want)
 		}
+	}
+}
+
+// checkOldestAge fails unless OldestAge, which follows a cursor over
+// message IDs, equals the largest age in the in-flight table.
+func checkOldestAge(t *testing.T, m *Manager, now int64) {
+	t.Helper()
+	var want int64
+	for _, at := range m.inFlight {
+		want = max(want, now-at)
+	}
+	if got := m.OldestAge(now); got != want {
+		t.Fatalf("cycle %d: OldestAge %d, oldest in-flight message is %d cycles old", now, got, want)
 	}
 }
 

@@ -2,10 +2,9 @@ package protocol
 
 // Snapshot support for the protocol manager: per-node per-destination FSM
 // state (queued messages, opening/close/slot-wait flags, retry budgets),
-// the in-flight message table, the watchdog age queue and the counters.
-// Maps serialise in sorted key order; the age queue serialises from its
-// lazily-advanced head. The optional Events log is diagnostic output, not
-// simulation state, and is not snapshotted.
+// the in-flight message table and the counters. Maps serialise in sorted
+// key order. The optional Events log is diagnostic output, not simulation
+// state, and is not snapshotted.
 
 import (
 	"slices"
@@ -21,14 +20,20 @@ import (
 func (m *Manager) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &m.nextMsg)
 
+	if c.Decoding() {
+		m.oldest = m.nextMsg + 1
+	}
 	snapshot.SortedMap(c, &m.inFlight, func(id *flit.MsgID, at *int64) {
 		snapshot.I64(c, id)
 		snapshot.I64(c, at)
-	})
-
-	snapshot.Queue(c, &m.ageQueue, &m.ageHead, func(a *agedMsg) {
-		snapshot.I64(c, &a.id)
-		snapshot.I64(c, &a.t)
+		if c.Decoding() {
+			if *id < 1 || *id > m.nextMsg {
+				c.Failf("protocol: in-flight message %d outside the issued IDs 1..%d", *id, m.nextMsg)
+			}
+			// On a well-formed stream this is the first key: keys decode in
+			// ascending order, and the smallest is the oldest message.
+			m.oldest = min(m.oldest, *id)
+		}
 	})
 
 	for n := range m.dests {

@@ -38,8 +38,8 @@ func stress(t *testing.T, kind Kind, prm core.Params, topo topology.Topology, ms
 			h.m.Send(src, dst, 1+rng.Intn(maxLen), now, true)
 			sent++
 		}
-		h.m.Cycle(now)
-		if err := h.wd.Check(now, h.m.OldestAge(now), h.m.InFlight()); err != nil {
+		moved := h.m.Cycle(now)
+		if err := h.wd.Check(now, moved, h.m.OldestAge(now), h.m.InFlight()); err != nil {
 			t.Fatal(err)
 		}
 		now++

@@ -189,10 +189,9 @@ func TestBatchMixedSpecs(t *testing.T) {
 	}
 }
 
-// TestEngineSettingsShareOneSimulation: Workers and the two oracle toggles
-// cannot change a result byte (the determinism contract), so specs differing
-// only in them share one content address, one simulation and one set of
-// result bytes.
+// TestEngineSettingsShareOneSimulation: the ignored Workers setting cannot
+// change a result byte, so specs differing only in it share one content
+// address, one simulation and one set of result bytes.
 func TestEngineSettingsShareOneSimulation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	spec := func(engine string) string {
@@ -203,7 +202,7 @@ func TestEngineSettingsShareOneSimulation(t *testing.T) {
 			"warmup": 100, "measure": 3000
 		}`, engine)
 	}
-	variants := []string{"", `, "workers": 2`, `, "disableactivitytracking": true`, `, "disableroutingtable": true`}
+	variants := []string{"", `, "workers": 2`}
 	keys := map[string]bool{}
 	specs := make([]string, len(variants))
 	for i, v := range variants {

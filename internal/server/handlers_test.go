@@ -109,6 +109,14 @@ func TestHandlers(t *testing.T) {
 		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment"}`, 400, "unknown job kind"},
 		{"config unknown field", "POST", "/v1/jobs", typoConfigSpec, 400, `unknown field \"protocl\"`},
 		{"verify config unknown field", "POST", "/v1/verify", `{"config":{"protocl":"clrp"}}`, 400, `unknown field \"protocl\"`},
+		// The full-scan and algorithmic-routing oracles are test-only, not
+		// configuration: a spec naming either is a misspelt key.
+		{"full-scan oracle refused", "POST", "/v1/jobs",
+			`{"kind":"load","config":{"disableactivitytracking":true},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
+			400, `unknown field \"disableactivitytracking\"`},
+		{"algorithmic-routing oracle refused", "POST", "/v1/jobs",
+			`{"kind":"load","config":{"disableroutingtable":true},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
+			400, `unknown field \"disableroutingtable\"`},
 		{"negative workers", "POST", "/v1/jobs",
 			`{"kind":"load","config":{"workers":-3},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
 			400, "config.workers must be"},

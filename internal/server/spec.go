@@ -86,18 +86,16 @@ func (sp *Spec) simConfig() wave.Config {
 // effective spec. "Effective" means post-normalize with every default
 // materialised — the simulator config merged over DefaultConfig — and with
 // the fields that cannot affect the result bytes zeroed out: timeout_sec,
-// the progress interval, the ignored Workers field and the two oracle
-// toggles the determinism contract makes invisible in the output. Two
-// submissions that would run the same simulation hash identically
-// regardless of JSON field order or which defaults the client spelled out;
-// that address is what the result cache and the single-flight table dedupe
-// on.
+// the progress interval and the ignored Workers field. Two submissions that
+// would run the same simulation hash identically regardless of JSON field
+// order or which defaults the client spelled out; that address is what the
+// result cache and the single-flight table dedupe on.
 func (sp *Spec) cacheKey() (string, error) {
 	cp := *sp
 	cp.TimeoutSec = 0
 	cp.IntervalCycles = 0
 	ec := SimConfig(sp.simConfig())
-	ec.Workers, ec.DisableActivityTracking, ec.DisableRoutingTable = 0, false, false
+	ec.Workers = 0
 	cp.Config = &ec
 	return resultcache.Key(&cp)
 }

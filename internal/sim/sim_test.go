@@ -158,7 +158,7 @@ func TestClock(t *testing.T) {
 func TestWatchdogQuietWhenIdle(t *testing.T) {
 	w := &Watchdog{MaxAge: 10, StallWindow: 3}
 	for cyc := int64(0); cyc < 100; cyc++ {
-		if err := w.Check(cyc, 0, 0); err != nil {
+		if err := w.Check(cyc, false, 0, 0); err != nil {
 			t.Fatalf("watchdog fired with no work in flight: %v", err)
 		}
 	}
@@ -166,8 +166,7 @@ func TestWatchdogQuietWhenIdle(t *testing.T) {
 
 func TestWatchdogStarvation(t *testing.T) {
 	w := &Watchdog{MaxAge: 10}
-	w.Progress() // progress does not mask starvation
-	err := w.Check(50, 11, 1)
+	err := w.Check(50, true, 11, 1) // progress does not mask starvation
 	if err == nil {
 		t.Fatal("starvation not detected")
 	}
@@ -179,29 +178,28 @@ func TestWatchdogStarvation(t *testing.T) {
 func TestWatchdogStall(t *testing.T) {
 	w := &Watchdog{StallWindow: 3}
 	for i := 0; i < 2; i++ {
-		if err := w.Check(int64(i), 1, 1); err != nil {
+		if err := w.Check(int64(i), false, 1, 1); err != nil {
 			t.Fatalf("stall fired early at %d: %v", i, err)
 		}
 	}
-	if err := w.Check(2, 1, 1); err == nil {
+	if err := w.Check(2, false, 1, 1); err == nil {
 		t.Fatal("stall not detected after window")
 	}
 }
 
 func TestWatchdogProgressResetsStall(t *testing.T) {
 	w := &Watchdog{StallWindow: 2}
-	if err := w.Check(0, 1, 1); err != nil {
+	if err := w.Check(0, false, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	w.Progress()
-	if err := w.Check(1, 2, 1); err != nil {
+	if err := w.Check(1, true, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Run of stalls restarts from zero after the progress cycle.
-	if err := w.Check(2, 3, 1); err != nil {
+	if err := w.Check(2, false, 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Check(3, 4, 1); err == nil {
+	if err := w.Check(3, false, 4, 1); err == nil {
 		t.Fatal("stall not detected after progress reset")
 	}
 }
@@ -209,7 +207,7 @@ func TestWatchdogProgressResetsStall(t *testing.T) {
 func TestWatchdogDisabled(t *testing.T) {
 	w := &Watchdog{} // both checks disabled
 	for cyc := int64(0); cyc < 1000; cyc++ {
-		if err := w.Check(cyc, cyc+1, 5); err != nil {
+		if err := w.Check(cyc, false, cyc+1, 5); err != nil {
 			t.Fatalf("disabled watchdog fired: %v", err)
 		}
 	}

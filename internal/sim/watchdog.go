@@ -13,13 +13,13 @@ import "fmt"
 //     probes can wander, it equally flags livelock (a probe circling forever
 //     keeps its message undelivered).
 //
-//   - Stall: the network holds in-flight work but no component reported any
-//     progress (flit movement, probe hop, circuit event) for StallWindow
-//     consecutive cycles. This catches whole-network deadlock quickly,
-//     without waiting for MaxAge.
+//   - Stall: the network holds in-flight work but no component moved any
+//     work (flit movement, recovery abort, probe or control-flit hop, circuit
+//     event) for StallWindow consecutive cycles. This catches whole-network
+//     deadlock quickly, without waiting for MaxAge.
 //
-// Components call Progress whenever anything moves. The simulation loop calls
-// Check once per cycle.
+// The simulation loop calls Check once per cycle with what that cycle's
+// Cycle call returned: whether any work moved.
 type Watchdog struct {
 	// MaxAge is the per-message delivery bound in cycles. Zero disables the
 	// starvation check.
@@ -28,13 +28,8 @@ type Watchdog struct {
 	// while work is in flight. Zero disables the stall check.
 	StallWindow int64
 
-	progressed bool
-	stallRun   int64
+	stallRun int64
 }
-
-// Progress records that some component moved at least one unit of work this
-// cycle.
-func (w *Watchdog) Progress() { w.progressed = true }
 
 // ErrStuck describes a watchdog violation. It is returned by Check and
 // carries enough context to debug the offending run.
@@ -50,14 +45,12 @@ func (e *ErrStuck) Error() string {
 		e.Cycle, e.Reason, e.OldestAge, e.InFlight)
 }
 
-// Check evaluates the oracle at the end of a cycle. oldestAge is the age in
-// cycles of the oldest undelivered message (zero when none is in flight) and
-// inFlight is the number of undelivered messages. It returns a non-nil
-// *ErrStuck if either condition fires, and resets the per-cycle progress
-// flag either way.
-func (w *Watchdog) Check(now int64, oldestAge int64, inFlight int) error {
-	defer func() { w.progressed = false }()
-
+// Check evaluates the oracle at the end of a cycle. progressed reports
+// whether any work moved during the cycle, oldestAge is the age in cycles of
+// the oldest undelivered message (zero when none is in flight) and inFlight
+// is the number of undelivered messages. It returns a non-nil *ErrStuck if
+// either condition fires.
+func (w *Watchdog) Check(now int64, progressed bool, oldestAge int64, inFlight int) error {
 	if inFlight == 0 {
 		w.stallRun = 0
 		return nil
@@ -66,7 +59,7 @@ func (w *Watchdog) Check(now int64, oldestAge int64, inFlight int) error {
 		return &ErrStuck{Cycle: now, Reason: "message exceeded delivery bound (possible deadlock or livelock)",
 			OldestAge: oldestAge, InFlight: inFlight}
 	}
-	if w.progressed {
+	if progressed {
 		w.stallRun = 0
 		return nil
 	}
@@ -78,13 +71,9 @@ func (w *Watchdog) Check(now int64, oldestAge int64, inFlight int) error {
 	return nil
 }
 
-// SaveState returns the watchdog's mutable state (pending progress flag,
-// current stall run) for checkpointing.
-func (w *Watchdog) SaveState() (progressed bool, stallRun int64) {
-	return w.progressed, w.stallRun
-}
+// SaveState returns the watchdog's mutable state, the current stall run,
+// for checkpointing.
+func (w *Watchdog) SaveState() (stallRun int64) { return w.stallRun }
 
 // RestoreState reinstates state captured by SaveState.
-func (w *Watchdog) RestoreState(progressed bool, stallRun int64) {
-	w.progressed, w.stallRun = progressed, stallRun
-}
+func (w *Watchdog) RestoreState(stallRun int64) { w.stallRun = stallRun }

@@ -42,8 +42,11 @@ const Magic = "WAVESNAP"
 // Version is the current snapshot format version. Readers refuse other
 // versions: state layout changes must bump it. Version 2 dropped the
 // auto-tuner fields and the engine worker count from the fabric state and
-// the per-event shard index from the event queue.
-const Version = 2
+// the per-event shard index from the event queue. Version 3 dropped the
+// watchdog's pending-progress flag, the fabric's circuit-transfer ages, the
+// protocol manager's age queue and the two oracle toggles from the embedded
+// configuration.
+const Version = 3
 
 // ErrDigest is returned by Open when the trailing digest does not match the
 // payload.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -162,10 +163,12 @@ func TestLargeFieldsCrossChunks(t *testing.T) {
 func TestHeaderRefused(t *testing.T) {
 	b := encode(t, fullSample().walk)
 
-	v1 := append([]byte(nil), b...)
-	binary.LittleEndian.PutUint32(v1[len(Magic):], 1)
-	if _, err := Open(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Errorf("version-1 header: err = %v, want an unsupported-version error", err)
+	for _, v := range []uint32{1, 2} {
+		old := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(old[len(Magic):], v)
+		if _, err := Open(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Errorf("version-%d header: err = %v, want an unsupported-version error", v, err)
+		}
 	}
 
 	bad := append([]byte(nil), b...)

@@ -17,8 +17,9 @@
 // injection queues and the credit pipe are head-indexed queues compacted in
 // place, and per-cycle scratch slices are length-reset.
 //
-// Simplifications relative to hardware, documented per DESIGN.md: credits
-// return instantaneously (zero-cycle credit path), and injection queues are
+// Simplifications relative to hardware, documented per DESIGN.md: by
+// default credits return instantaneously (a zero-cycle credit path;
+// Params.CreditDelay models a slower one), and injection queues are
 // unbounded source queues (latency is measured from injection time, so
 // source queueing is visible in the numbers, not hidden).
 package wormhole
@@ -29,6 +30,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -86,9 +88,6 @@ type Hooks struct {
 	// Delivered fires when a message's tail flit is consumed at its
 	// destination.
 	Delivered func(m flit.Message, now int64)
-	// Progress fires once at the end of every cycle in which at least one
-	// flit moved, and once per recovery abort; the watchdog consumes it.
-	Progress func()
 }
 
 // pendingCredit is one credit travelling back upstream.
@@ -161,7 +160,7 @@ type arrival struct {
 // behaves as one more input port of the router with NumVCs virtual queues
 // collapsed into one (one flit per cycle may be injected per node). The
 // queue holds arena slot indices, not messages, and is head-indexed: popping
-// advances head, and compact keeps the backing array proportional to the
+// advances head, and sim.Compact keeps the backing array proportional to the
 // queued messages, so steady-state injection churn reuses one allocation.
 type injPort struct {
 	queue []int32
@@ -180,19 +179,7 @@ func (p *injPort) front() int32 { return p.queue[p.head] }
 func (p *injPort) push(s int32) { p.queue = append(p.queue, s) }
 
 func (p *injPort) popFront() {
-	p.queue, p.head = compact(p.queue, p.head+1)
-}
-
-// compact returns queue q with its head at head, dropping the consumed
-// prefix once it outweighs the rest, so a queue that never drains (credits
-// under CreditDelay ≥ 2, a backlogged source) stays proportional to what it
-// holds. A compaction copies fewer entries than were popped since the last.
-func compact[T any](q []T, head int) ([]T, int) {
-	if head > len(q)-head {
-		n := copy(q, q[head:])
-		return q[:n], 0
-	}
-	return q, head
+	p.queue, p.head = sim.Compact(p.queue, p.head+1)
 }
 
 // msgSlot is one entry of the in-flight message arena. Recovery bookkeeping
@@ -251,7 +238,7 @@ type Engine struct {
 
 	// creditQueue holds credits in flight back to their upstream routers
 	// (only used when CreditDelay > 0); entries are appended in firing-time
-	// order, so draining advances creditHead over a prefix, and compact
+	// order, so draining advances creditHead over a prefix, and sim.Compact
 	// bounds the backing array by the credits in flight.
 	creditQueue []pendingCredit
 	creditHead  int
@@ -398,20 +385,6 @@ func (e *Engine) queueAtSource(s int32) {
 // InFlight returns the number of messages injected but not yet delivered.
 func (e *Engine) InFlight() int { return e.liveSlots }
 
-// OldestAge returns the age of the oldest in-flight message.
-func (e *Engine) OldestAge(now int64) int64 {
-	var oldest int64
-	for i := range e.slots {
-		if !e.slots[i].live {
-			continue
-		}
-		if age := now - e.slots[i].msg.InjectTime; age > oldest {
-			oldest = age
-		}
-	}
-	return oldest
-}
-
 // QueueLen returns the source-queue length at node n (including the message
 // currently being injected).
 func (e *Engine) QueueLen(n topology.Node) int { return e.inj[n].qlen() }
@@ -419,19 +392,19 @@ func (e *Engine) QueueLen(n topology.Node) int { return e.inj[n].qlen() }
 // Cycle advances the whole wormhole network by one clock. Route computation
 // and VC allocation visit only the ports holding a header that waits for an
 // output; switch allocation and traversal visit only the streaming ports.
-func (e *Engine) Cycle(now int64) {
+// It reports whether work moved: a flit, or a recovery abort, which frees
+// the channels a deadlock held.
+func (e *Engine) Cycle(now int64) bool {
 	e.now = now
 	moved := e.FlitsMoved
-	e.stepRecovery(now)
+	aborted := e.stepRecovery(now)
 	e.drainCredits(now)
 	e.allocatePass()
 	e.nextPass()
 	e.traversePass(now)
 	e.commitArrivals()
 	e.rr++
-	if e.FlitsMoved != moved && e.hooks.Progress != nil {
-		e.hooks.Progress()
-	}
+	return aborted || e.FlitsMoved != moved
 }
 
 // returnCredit gives one buffer slot back to the channel's upstream router,
@@ -450,7 +423,7 @@ func (e *Engine) drainCredits(now int64) {
 	for ; i < len(e.creditQueue) && e.creditQueue[i].at <= now; i++ {
 		e.out[e.creditQueue[i].ch].credits++
 	}
-	e.creditQueue, e.creditHead = compact(e.creditQueue, i)
+	e.creditQueue, e.creditHead = sim.Compact(e.creditQueue, i)
 }
 
 // allocatePass runs route computation and VC allocation over the ports in

@@ -176,13 +176,22 @@ func TestInOrderDeliveryDeterministicRouting(t *testing.T) {
 	}
 }
 
+// oldestAge returns the age of the oldest message in e's arena, the
+// watchdog's starvation input when the engine runs on its own.
+func oldestAge(e *Engine, now int64) int64 {
+	var oldest int64
+	for _, sl := range e.slots {
+		if sl.live {
+			oldest = max(oldest, now-sl.msg.InjectTime)
+		}
+	}
+	return oldest
+}
+
 func testRandomTrafficDrains(t *testing.T, topo topology.Topology, fnName string, prm Params, msgs int) {
 	h := newHarness(t, topo, fnName, prm)
 	rng := sim.NewRNG(12345)
 	wd := &sim.Watchdog{MaxAge: 200000, StallWindow: 5000}
-	progress := h.eng.hooks.Progress
-	_ = progress
-	h.eng.hooks.Progress = wd.Progress
 	for i := 0; i < msgs; i++ {
 		src := rng.Intn(topo.Nodes())
 		dst := rng.Intn(topo.Nodes())
@@ -190,8 +199,8 @@ func testRandomTrafficDrains(t *testing.T, topo topology.Topology, fnName string
 		h.eng.Inject(flit.Message{ID: flit.MsgID(i), Src: src, Dst: dst, Len: ln, InjectTime: 0})
 	}
 	for cyc := int64(0); !h.eng.Quiesce(); cyc++ {
-		h.eng.Cycle(cyc)
-		if err := wd.Check(cyc, h.eng.OldestAge(cyc), h.eng.InFlight()); err != nil {
+		moved := h.eng.Cycle(cyc)
+		if err := wd.Check(cyc, moved, oldestAge(h.eng, cyc), h.eng.InFlight()); err != nil {
 			t.Fatal(err)
 		}
 		if cyc > 1_000_000 {
@@ -292,38 +301,18 @@ func TestQueueLenAndInFlight(t *testing.T) {
 	}
 }
 
-func TestOldestAge(t *testing.T) {
-	topo := topology.MustCube([]int{4, 4}, false)
-	h := newHarness(t, topo, "dor", Params{NumVCs: 1, BufDepth: 4})
-	if h.eng.OldestAge(100) != 0 {
-		t.Fatal("idle network has nonzero oldest age")
-	}
-	h.eng.Inject(flit.Message{ID: 1, Src: 0, Dst: 15, Len: 2, InjectTime: 10})
-	if got := h.eng.OldestAge(25); got != 15 {
-		t.Fatalf("OldestAge = %d, want 15", got)
-	}
-}
-
 // newHarnessP builds a harness with explicit params (helper shared with
 // invariants_test.go).
 func newHarnessP(t *testing.T, topo topology.Topology, fnName string, prm Params) *harness {
 	return newHarness(t, topo, fnName, prm)
 }
 
-// countProgress wires a counting Progress hook into the harness.
-func countProgress(h *harness) *int {
-	calls := new(int)
-	h.eng.hooks.Progress = func() { *calls++ }
-	return calls
-}
-
-// TestProgressOncePerMovingCycle pins the Progress contract: exactly one
-// call at the end of every cycle in which a flit moved (self-sends
-// included), and none in a cycle where nothing moved.
+// TestProgressOncePerMovingCycle pins the progress contract: Cycle reports
+// true for every cycle in which a flit moved (self-sends included), and
+// false for a cycle where nothing moved.
 func TestProgressOncePerMovingCycle(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)
 	h := newHarness(t, topo, "dor", Params{NumVCs: 2, BufDepth: 2})
-	calls := countProgress(h)
 	rng := sim.NewRNG(3)
 	for i := 0; i < 200; i++ {
 		src := rng.Intn(16)
@@ -335,17 +324,16 @@ func TestProgressOncePerMovingCycle(t *testing.T) {
 	}
 	moving, idle := 0, 0
 	for cyc := int64(0); cyc < 100_000; cyc++ {
-		before, moved := *calls, h.eng.FlitsMoved
-		h.eng.Cycle(cyc)
-		want := 0
-		if h.eng.FlitsMoved != moved {
-			want = 1
+		moved := h.eng.FlitsMoved
+		got := h.eng.Cycle(cyc)
+		want := h.eng.FlitsMoved != moved
+		if want {
 			moving++
 		} else {
 			idle++
 		}
-		if got := *calls - before; got != want {
-			t.Fatalf("cycle %d: %d Progress calls, want %d (flits moved %d)", cyc, got, want, h.eng.FlitsMoved-moved)
+		if got != want {
+			t.Fatalf("cycle %d: Cycle reported %v, want %v (flits moved %d)", cyc, got, want, h.eng.FlitsMoved-moved)
 		}
 		if h.eng.Quiesce() && idle > 10 {
 			break
@@ -357,30 +345,27 @@ func TestProgressOncePerMovingCycle(t *testing.T) {
 }
 
 // TestProgressOnRecoveryAbort: an abort is progress for the watchdog even
-// in a cycle where no flit moves, so each abort adds its own call.
+// in a cycle where no flit moves, so Cycle reports it.
 func TestProgressOnRecoveryAbort(t *testing.T) {
 	topo := topology.MustCube([]int{8, 2}, true)
 	h := newHarness(t, topo, "dor-nodateline", Params{NumVCs: 1, BufDepth: 2})
 	if err := h.eng.EnableRecovery(RecoveryParams{Timeout: 64}); err != nil {
 		t.Fatal(err)
 	}
-	calls := countProgress(h)
 	ringDeadlockLoad(h, topo)
 	stillAborts := 0
 	for cyc := int64(0); !h.eng.Quiesce(); cyc++ {
 		if cyc > 2_000_000 {
 			t.Fatal("recovery did not drain the deadlock")
 		}
-		before, moved, aborts := *calls, h.eng.FlitsMoved, h.eng.RecoveryAborts()
-		h.eng.Cycle(cyc)
-		want := int(h.eng.RecoveryAborts() - aborts)
-		if h.eng.FlitsMoved != moved {
-			want++
-		} else if want > 0 {
+		moved, aborts := h.eng.FlitsMoved, h.eng.RecoveryAborts()
+		got := h.eng.Cycle(cyc)
+		aborted := h.eng.RecoveryAborts() != aborts
+		if h.eng.FlitsMoved == moved && aborted {
 			stillAborts++
 		}
-		if got := *calls - before; got != want {
-			t.Fatalf("cycle %d: %d Progress calls, want %d", cyc, got, want)
+		if want := aborted || h.eng.FlitsMoved != moved; got != want {
+			t.Fatalf("cycle %d: Cycle reported %v, want %v", cyc, got, want)
 		}
 	}
 	if stillAborts == 0 {

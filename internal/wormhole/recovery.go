@@ -77,11 +77,12 @@ func (e *Engine) noteProgress(slot int32, now int64) {
 }
 
 // stepRecovery runs at the start of each cycle: re-inject parked messages
-// whose backoff elapsed and abort messages that timed out.
-func (e *Engine) stepRecovery(now int64) {
+// whose backoff elapsed and abort messages that timed out. It reports
+// whether it aborted any.
+func (e *Engine) stepRecovery(now int64) (aborted bool) {
 	r := e.recovery
 	if r == nil {
-		return
+		return false
 	}
 	// Reinjection.
 	kept := r.parked[:0]
@@ -119,7 +120,9 @@ func (e *Engine) stepRecovery(now int64) {
 			continue
 		}
 		e.abort(int32(s), now)
+		aborted = true
 	}
+	return aborted
 }
 
 // holdsNetworkResources reports whether any flit of the message in slot s
@@ -180,9 +183,6 @@ func (e *Engine) abort(s int32, now int64) {
 	r.parked = append(r.parked, parkedSlot{slot: s, readyAt: now + backoff})
 	sl.parked = true
 	sl.hasProgress = false
-	if e.hooks.Progress != nil {
-		e.hooks.Progress() // an abort is forward progress for the watchdog
-	}
 }
 
 // scrubVC deletes every buffered flit of the message in slot s from VC

@@ -166,20 +166,6 @@ type Config struct {
 	// fires r*RetryBackoffCycles cycles after the failure (minimum 1).
 	RetryBackoffCycles int64
 
-	// DisableRoutingTable routes headers through the algorithmic routing
-	// implementation instead of the compressed per-dimension candidate table
-	// built at simulator construction on k-ary n-cubes. Results are
-	// bit-identical either way; the flag exists for oracle cross-checks.
-	DisableRoutingTable bool
-
-	// DisableActivityTracking runs the wormhole engine's passes as full scans
-	// over all ports instead of only the active ones, making per-cycle cost
-	// O(network) regardless of offered load. Results are bit-identical either
-	// way; the full scan is the cross-check oracle for the active-set port
-	// iteration (see internal/wormhole/activity.go and
-	// TestActiveSetMatchesFullScan).
-	DisableActivityTracking bool
-
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed uint64
 
@@ -195,6 +181,20 @@ type Config struct {
 	// the empirical deadlock/livelock oracle of the Theorem tests.
 	WatchdogMaxAge int64
 	WatchdogStall  int64
+
+	// The two oracles, reachable only from this package's tests. Results
+	// are bit-identical either way, so neither is a setting: they are not
+	// exported, not in the JSON form (nor in snapshots), and a restored
+	// simulator runs without them.
+	//
+	// disableRoutingTable routes headers through the algorithmic routing
+	// implementation instead of the compressed per-dimension candidate table
+	// built on k-ary n-cubes. disableActivityTracking runs the wormhole
+	// engine's passes as full scans over all ports instead of only the
+	// active ones (see internal/wormhole/activity.go and
+	// TestActiveSetMatchesFullScan).
+	disableRoutingTable     bool
+	disableActivityTracking bool
 }
 
 // DefaultConfig is the experiments' baseline: an 8x8 torus, CLRP, Duato
@@ -236,8 +236,8 @@ func (c Config) coreParams() core.Params {
 		WindowFlits:             c.WindowFlits,
 		InitialBufFlits:         c.InitialBufFlits,
 		ReallocPenalty:          c.ReallocPenalty,
-		DisableRoutingTable:     c.DisableRoutingTable,
-		DisableActivityTracking: c.DisableActivityTracking,
+		DisableRoutingTable:     c.disableRoutingTable,
+		DisableActivityTracking: c.disableActivityTracking,
 		Seed:                    c.Seed,
 	}
 }

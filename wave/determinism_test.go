@@ -22,7 +22,7 @@ func runForStats(t *testing.T, cfg Config, w Workload, warmup, measure int64) (S
 // TestActiveSetMatchesFullScan is the correctness contract of the
 // activity-driven engine: for every protocol, across topologies, the
 // active-set port iteration must produce Stats and Results bit-identical to
-// the full-scan oracle (DisableActivityTracking) under the same seed.
+// the full-scan oracle (disableActivityTracking) under the same seed.
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	torus := TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
 	hcube := TopologyConfig{Kind: "hypercube", Dims: 5}
@@ -68,7 +68,7 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 					tc.tweak(&cfg)
 				}
 				oracle := cfg
-				oracle.DisableActivityTracking = true
+				oracle.disableActivityTracking = true
 				wantStats, wantRes := runForStats(t, oracle, w, 500, 2000)
 				gotStats, gotRes := runForStats(t, cfg, w, 500, 2000)
 				if gotStats != wantStats {

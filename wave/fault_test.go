@@ -47,7 +47,7 @@ func TestDynamicFaultDeterminism(t *testing.T) {
 
 	serStats, serRes := runForStats(t, cfg, w, 500, 2500)
 	oracle := cfg
-	oracle.DisableActivityTracking = true
+	oracle.disableActivityTracking = true
 	oraStats, oraRes := runForStats(t, oracle, w, 500, 2500)
 
 	if serStats != oraStats {
@@ -165,7 +165,7 @@ func TestDynamicFaultDuringTransferDrain(t *testing.T) {
 		cfg.Topology = TopologyConfig{Kind: "mesh", Radix: []int{4, 4}}
 		cfg.Protocol = "clrp"
 		cfg.Seed = 5
-		cfg.DisableActivityTracking = fullscan
+		cfg.disableActivityTracking = fullscan
 		cfg.FaultSchedule.Events = []FaultEvent{{Cycle: 200, Link: int(link), Switch: 1, Repair: 100}}
 		s, err := New(cfg)
 		if err != nil {

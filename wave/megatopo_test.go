@@ -42,15 +42,15 @@ func TestMegaTopoCompressedTableSelected(t *testing.T) {
 		t.Errorf("compressed table costs %d bytes/node, want <= 64", perNode)
 	}
 
-	// DisableRoutingTable is the algorithmic oracle mode and must say so.
+	// disableRoutingTable is the algorithmic oracle mode and must say so.
 	cfg := megaTopoConfig()
-	cfg.DisableRoutingTable = true
+	cfg.disableRoutingTable = true
 	o, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt := o.RoutingTableInfo(); rt.Mode != "algorithmic" {
-		t.Fatalf("DisableRoutingTable selected %+v, want algorithmic", rt)
+		t.Fatalf("disableRoutingTable selected %+v, want algorithmic", rt)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestRoutingTableSelection(t *testing.T) {
 
 // TestMegaTopoWorkersAndOracleIdentity proves the mega-topology routing
 // contract in one short run: the compressed table and the algorithmic-routing
-// oracle (DisableRoutingTable) deliver bit-identical Stats at 64x64. Stats is
+// oracle (disableRoutingTable) deliver bit-identical Stats at 64x64. Stats is
 // comparable with ==, including per-link flit checksums, so equality means
 // every flit moved identically. (The name predates the removal of the
 // worker dimension it also covered.)
@@ -112,7 +112,7 @@ func TestMegaTopoWorkersAndOracleIdentity(t *testing.T) {
 	run := func(disableTable bool) Stats {
 		t.Helper()
 		cfg := megaTopoConfig()
-		cfg.DisableRoutingTable = disableTable
+		cfg.disableRoutingTable = disableTable
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

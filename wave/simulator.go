@@ -91,7 +91,6 @@ func newSimulator(cfg Config, installFaults bool) (*Simulator, error) {
 				})
 			}
 		},
-		Progress: s.wd.Progress,
 	})
 	if err != nil {
 		return nil, err
@@ -162,8 +161,8 @@ func (s *Simulator) CloseCircuit(src, dst int) {
 
 // Step advances one cycle and runs the deadlock/livelock watchdog.
 func (s *Simulator) Step() error {
-	s.mgr.Cycle(s.now)
-	err := s.wd.Check(s.now, s.mgr.OldestAge(s.now), s.mgr.InFlight())
+	moved := s.mgr.Cycle(s.now)
+	err := s.wd.Check(s.now, moved, s.mgr.OldestAge(s.now), s.mgr.InFlight())
 	s.now++
 	return err
 }
@@ -238,7 +237,7 @@ func (s *Simulator) DrainContext(ctx context.Context, maxCycles int64) error {
 
 // EnginePorts returns the wormhole engine's (active, total) input-port
 // counts: the instrumentation behind the bench harness's idle-port-fraction
-// metric. Active is 0 when DisableActivityTracking is set.
+// metric. Active is 0 on a full-scan oracle run.
 func (s *Simulator) EnginePorts() (active, total int) {
 	return s.mgr.Fab.WH.ActivePorts(), s.mgr.Fab.WH.NumPorts()
 }
@@ -253,15 +252,15 @@ func (s *Simulator) EngineWorkers() int { return 1 }
 // run's Candidates lookups.
 type RoutingTableInfo struct {
 	// Mode is "compressed" (k-ary n-cubes) or "algorithmic" (other
-	// families, or DisableRoutingTable).
+	// families, or the algorithmic oracle run of the package tests).
 	Mode string
 	// Bytes is the compressed table footprint; 0 when algorithmic.
 	Bytes int
 }
 
 // RoutingTableInfo returns the routing-table selection outcome. It is
-// deliberately not part of Stats: a table-backed run and a
-// DisableRoutingTable oracle run must produce identical Stats.
+// deliberately not part of Stats: a table-backed run and an algorithmic
+// oracle run must produce identical Stats.
 func (s *Simulator) RoutingTableInfo() RoutingTableInfo {
 	info := s.mgr.Fab.RoutingTable
 	return RoutingTableInfo{Mode: info.Mode.String(), Bytes: info.Bytes}

@@ -86,10 +86,9 @@ func Restore(rd io.Reader) (*Simulator, error) {
 // watchdog, an in-progress RunLoad and the protocol/fabric state.
 func (s *Simulator) state(c *snapshot.Codec) error {
 	snapshot.I64(c, &s.now)
-	progressed, stallRun := s.wd.SaveState()
-	c.Bool(&progressed)
+	stallRun := s.wd.SaveState()
 	snapshot.I64(c, &stallRun)
-	s.wd.RestoreState(progressed, stallRun)
+	s.wd.RestoreState(stallRun)
 
 	inLoad := s.load != nil
 	c.Bool(&inLoad)

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/pcs"
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
@@ -49,35 +51,35 @@ var (
 
 var snapshotMatrix = []matrixRow{
 	{"clrp-torus", matrixTorus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil,
-		"f6a62cba2f444960a83f7d4d64ffc7484b205e979c2f7c0e223a1b04f6b076ee"},
+		"357e0bef58c3785d0b05b828e96bb6129588337af27d2e7bfd3ccc3ddec66d78"},
 	{"carp-torus", matrixTorus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil,
-		"3af14ab4eea6ffba99a359cc0f0bab5ce5068513319d3f14394e58d74b6deecf"},
+		"ec9beb9b188c323bc5afba4fecfcfce7bac348119dd8045f67e8b982365e18ee"},
 	{"wormhole-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil,
-		"81896231df040d99a053745cf46b1af0d63275098eff641a39782025cdd3f72d"},
+		"a470a9d41683d409738887251ef8e1aaca912fef76d04570d4b3bc6cbc1b5d5d"},
 	{"pcs-torus", matrixTorus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil,
-		"415366031fd288b5a3379c8527c2ab80a329f7382c7557c00a9573c2cd0b56df"},
+		"524d934b0801aac1172f1eb2d05923cc1cf591ab397e5ca894bda1e1e7b1cd4b"},
 	{"clrp-hypercube", matrixCube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48,
 		WorkingSet: 4, Reuse: 0.7, RedrawPeriod: 50}, nil,
-		"965702d03e83aabc395434a61c013b60b80044ff6ecd47a8721848b7cd8a509c"},
+		"fb03f67ce5197e28a406a9b5d33b2ed5e54920735344283d71d0bb0c76d828b5"},
 	{"carp-hypercube", matrixCube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil,
-		"41212898fec4776a04e36d86b353431554518ad0b17d9769c9fd3bcefb2008a3"},
+		"bec94743c407ae613c2da0ab4cf4b16cf2f69ad8006dbc20078865573715da0d"},
 	{"wormhole-hypercube", matrixCube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil,
-		"f5a4c1e08a4fea1b6063c56e53ec7b88acd250a381e958df18a4f856ac7da6d3"},
+		"ca821ebde5eea69270dafd010ac5237dea477a2850e1faa1ada18fcb59d9ca3d"},
 	{"pcs-hypercube", matrixCube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil,
-		"fa810c3771bab012c661867c0d96d368fbbc6ba191e123ca4d1e96159a6912e1"},
+		"8edd04be9d82b0127ccfe875b3689be74c774e9541d3a606cffbf30cf68a2f0a"},
 	{"wormhole-recovery-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 16},
 		func(c *Config) {
 			c.Routing = "dor-nodateline"
 			c.NumVCs = 1
 			c.RecoveryTimeout = 32
 			c.CreditDelay = 2
-		}, "8d11db755f83d70bb9d6ae95b2d0a43a92dd63f88327370887e732e7af122785"},
+		}, "7682698a3ef30bc63487f21c75e9c5baa8bffe965b2870ba384f54988cab6a9c"},
 	{"wormhole-multimsg-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3,
 		BimodalShort: 2, BimodalLong: 3, BimodalPLong: 0.5},
-		func(c *Config) { c.BufDepth = 8 }, "668a66f6cdddd38d2d507b3a3afcbbc16a370eb22aa8ea72a591bd63929df6d7"},
+		func(c *Config) { c.BufDepth = 8 }, "384c5cf485f0cedd06069542ba490785023d8b9d428e98e2c71109c70b962eb7"},
 	{"clrp-churn-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
-		func(c *Config) { c.CacheCapacity = 2 }, "084906e077304022c18d3c1bfe7207247cb426f8e512be2b14681e5c054311cc"},
+		func(c *Config) { c.CacheCapacity = 2 }, "49f88bce30bde1cd21e0ad70aa047a891e84a6f4b85c51528924c02979f2d9e9"},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -256,7 +258,7 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	if err := sB.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	checkDigest(t, buf.Bytes(), "848bdce4145b2b4dcf785cd9878297ea8db1c8fb7fa41b845f6e7e50c69a7a20")
+	checkDigest(t, buf.Bytes(), "ca2a77f821db82d81dbb990f44631aa401f62c2768d13c3b2fd7b157315c2de8")
 	sC, err := Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
@@ -269,6 +271,61 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	drive(sC, 300)
 	if a, c := sA.Stats(), sC.Stats(); a != c {
 		t.Errorf("restored run diverged after further traffic:\n A: %+v\n C: %+v", a, c)
+	}
+}
+
+// TestWatchdogTripSurvivesResume checkpoints a run in the middle of a
+// stall: two long messages stream over one circuit, so nothing moves for
+// cycles while both are in flight, and a small WatchdogStall trips. The
+// resumed run must trip at the same cycle with the same ErrStuck as the
+// uninterrupted one, so the stall run and the oldest in-flight message
+// both survive the snapshot.
+func TestWatchdogTripSurvivesResume(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WatchdogStall = 200
+	start := func() *Simulator {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Send(0, 3, 4096, false)
+		if err := s.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		s.Send(0, 3, 4096, false)
+		return s
+	}
+	trip := func(s *Simulator) *sim.ErrStuck {
+		t.Helper()
+		err := s.Run(10_000)
+		var stuck *sim.ErrStuck
+		if !errors.As(err, &stuck) {
+			t.Fatalf("run ended with %v, want a watchdog trip", err)
+		}
+		return stuck
+	}
+	want := trip(start())
+	if want.InFlight != 2 || want.OldestAge <= cfg.WatchdogStall {
+		t.Fatalf("trip %+v: want both messages in flight, the oldest past the stall window", want)
+	}
+
+	s := start()
+	if err := s.Run(want.Cycle - cfg.WatchdogStall/2 - s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if run := s.wd.SaveState(); run < cfg.WatchdogStall/4 {
+		t.Fatalf("checkpoint %d cycles into the stall, want it midway", run)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trip(r); *got != *want {
+		t.Fatalf("resumed run tripped with %+v, uninterrupted with %+v", got, want)
 	}
 }
 

@@ -624,5 +624,5 @@ func TestCircuitsSnapshot(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkDigest(t, buf.Bytes(), "17ef22f1139b29e283ebede26e8e8bee46f7458a624827c9bdf978b90a0ec873")
+	checkDigest(t, buf.Bytes(), "a1ad7919a1a2883ef595f22e6031e519f5be8796775239fd270f448660bd8de1")
 }
