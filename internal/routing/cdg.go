@@ -19,7 +19,28 @@ type CDG struct {
 	slots  int
 	// adj[v] lists the vertices v depends on (may wait for).
 	adj [][]int32
+	// delivery holds what the walk that built adj learnt about arrival.
+	delivery Delivery
 }
+
+// Delivery is what BuildCDG's reachable-state walk records for the delivery
+// proof of internal/verify (Theorems 3-4), so that proof walks nothing of
+// its own.
+type Delivery struct {
+	// Stuck renders the first reachable undelivered state, in walk order,
+	// that offers no candidates; "" when every such state offers one.
+	Stuck string
+	// Missing renders the first candidate, in walk order, on a link slot the
+	// topology does not have (a mesh border): the node offering it, the
+	// destination and the slot. "" when every candidate names a link.
+	Missing string
+	// Monotone reports that every reachable candidate hop strictly decreases
+	// Distance to the destination.
+	Monotone bool
+}
+
+// Delivery returns the facts the walk recorded.
+func (g *CDG) Delivery() Delivery { return g.delivery }
 
 // vertexID packs (link, vc).
 func (g *CDG) vertexID(link topology.LinkID, vc int) int32 {
@@ -64,24 +85,23 @@ func (g *CDG) VertexName(v int32, topo topology.Topology) string {
 	return fmt.Sprintf("link#%d vc%d", link, vc)
 }
 
-// StateSet is a dense set of routing states (occupied channel vertex,
+// stateSet is a dense set of routing states (occupied channel vertex,
 // destination): one bit per state, indexed v*nodes+dst. It is the visited
-// set of every reachable-state walk over a routing function (BuildCDG here,
-// the delivery proof of internal/verify), 1.5 MB for a 32x32 torus at three
+// set of BuildCDG's reachable-state walk, 1.5 MB for a 32x32 torus at three
 // VCs where a map of the same states costs most of the walk.
-type StateSet struct {
+type stateSet struct {
 	nodes int
 	bits  []uint64
 }
 
-// NewStateSet returns an empty set over verts channel vertices and nodes
+// newStateSet returns an empty set over verts channel vertices and nodes
 // destinations.
-func NewStateSet(verts, nodes int) *StateSet {
-	return &StateSet{nodes: nodes, bits: make([]uint64, (verts*nodes+63)/64)}
+func newStateSet(verts, nodes int) *stateSet {
+	return &stateSet{nodes: nodes, bits: make([]uint64, (verts*nodes+63)/64)}
 }
 
 // Add inserts (v, dst) and reports whether it was absent.
-func (s *StateSet) Add(v int32, dst topology.Node) bool {
+func (s *stateSet) Add(v int32, dst topology.Node) bool {
 	i := int(v)*s.nodes + int(dst)
 	w, b := i>>6, uint64(1)<<(i&63)
 	if s.bits[w]&b != 0 {
@@ -98,18 +118,59 @@ func (s *StateSet) Add(v int32, dst topology.Node) bool {
 // forward traversal from every injection point. Enumerating unreachable
 // states (e.g. a header sitting one hop past its own destination) would
 // manufacture dependencies no execution exhibits.
+//
+// The same walk records the graph's Delivery facts. A candidate on a
+// missing link is recorded there and followed no further: it is neither an
+// edge nor a state, since no message can occupy a channel that is not there.
 func BuildCDG(topo topology.Topology, fn Func) *CDG {
 	g := &CDG{numVCs: fn.NumVCs(), slots: topo.NumLinkSlots()}
 	g.adj = make([][]int32, g.slots*g.numVCs)
+	g.delivery.Monotone = true
+	links := topo.Links()
 
 	// state = (occupied channel vertex, destination).
 	type state struct {
 		v   int32
 		dst topology.Node
 	}
-	seen := NewStateSet(len(g.adj), topo.Nodes())
+	seen := newStateSet(len(g.adj), topo.Nodes())
 	var stack []state
 	var cands []Candidate
+
+	// follow takes the candidates a message bound for dst is offered at
+	// node here while holding vertex from (-1 at injection): each is a
+	// dependency edge of from, a hop checked for progress, and a state that
+	// may be newly reachable. An edge is appended on first sight; adj[from]
+	// holds only output channels of one node, so the duplicate check is a
+	// short scan.
+	follow := func(from int32, here, dst topology.Node) {
+		dHere := -1
+		for _, c := range cands {
+			to := g.vertexID(c.Link, c.VC)
+			if !links.Exists(c.Link) {
+				if g.delivery.Missing == "" {
+					g.delivery.Missing = fmt.Sprintf("node %d toward %d offers %s",
+						here, dst, g.VertexName(to, topo))
+				}
+				continue
+			}
+			next := topology.Node(links.To[c.Link])
+			if g.delivery.Monotone {
+				if dHere < 0 {
+					dHere = topo.Distance(here, dst)
+				}
+				if topo.Distance(next, dst) >= dHere {
+					g.delivery.Monotone = false
+				}
+			}
+			if from >= 0 && !g.HasEdge(from, to) {
+				g.adj[from] = append(g.adj[from], to)
+			}
+			if seen.Add(to, dst) {
+				stack = append(stack, state{v: to, dst: dst})
+			}
+		}
+	}
 
 	// Seed: every injected (src, dst) pair reaches its first-hop channels.
 	// Messages originate and terminate at hosts (on cubes every node is a
@@ -121,41 +182,28 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 				continue
 			}
 			cands = fn.Candidates(src, dst, topology.Invalid, 0, cands[:0])
-			for _, c := range cands {
-				v := g.vertexID(c.Link, c.VC)
-				if seen.Add(v, dst) {
-					stack = append(stack, state{v: v, dst: dst})
-				}
+			if len(cands) == 0 && g.delivery.Stuck == "" {
+				g.delivery.Stuck = fmt.Sprintf("no candidates injecting at node %d toward %d", src, dst)
 			}
+			follow(-1, src, dst)
 		}
 	}
 	// Propagate: a message on channel (link, vc) bound for dst requests the
-	// candidates at the link's sink; each is both a dependency edge and a
-	// newly reachable state. An edge is appended on first sight; adj[s.v]
-	// holds only output channels of the link's sink, so the duplicate check
-	// is a short scan.
+	// candidates at the link's sink.
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		link := topology.LinkID(int(s.v) / g.numVCs)
-		vc := int(s.v) % g.numVCs
-		l, ok := topo.LinkByID(link)
-		if !ok {
-			continue
-		}
-		if l.To == s.dst {
+		at := topology.Node(links.To[link])
+		if at == s.dst {
 			continue // delivered; no further dependencies
 		}
-		cands = fn.Candidates(l.To, s.dst, link, vc, cands[:0])
-		for _, c := range cands {
-			to := g.vertexID(c.Link, c.VC)
-			if !g.HasEdge(s.v, to) {
-				g.adj[s.v] = append(g.adj[s.v], to)
-			}
-			if seen.Add(to, s.dst) {
-				stack = append(stack, state{v: to, dst: s.dst})
-			}
+		cands = fn.Candidates(at, s.dst, link, int(s.v)%g.numVCs, cands[:0])
+		if len(cands) == 0 && g.delivery.Stuck == "" {
+			g.delivery.Stuck = fmt.Sprintf("stuck at node %d toward %d holding %s",
+				at, s.dst, g.VertexName(s.v, topo))
 		}
+		follow(s.v, at, s.dst)
 	}
 	return g
 }
@@ -214,54 +262,76 @@ func BuildCDGCached(topo topology.Topology, fn Func) *CDG {
 // FindCycle returns a dependency cycle as a vertex sequence (first == last),
 // or nil when the graph is acyclic.
 func (g *CDG) FindCycle() []int32 {
+	return FindCycle(len(g.adj), nil, g.Out)
+}
+
+// FindCycle is the one cycle finder of the prover: an iterative three-colour
+// DFS over vertices [0, n) from each root in turn (nil roots: every vertex,
+// ascending), where succ(v) lists v's successors. It returns the first cycle
+// found as a vertex sequence (first == last) in edge order, or nil when no
+// cycle is reachable from the roots. succ is called once per visited vertex
+// and may build its result lazily; the DFS keeps the returned slice while v
+// is on the stack. The explicit stack survives graphs of any depth.
+func FindCycle(n int, roots []int32, succ func(v int32) []int32) []int32 {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]byte, len(g.adj))
-	parent := make([]int32, len(g.adj))
-	for i := range parent {
-		parent[i] = -1
-	}
-	// Iterative DFS with an explicit stack to survive large graphs.
+	color := make([]byte, n)
+	parent := make([]int32, n)
 	type frame struct {
 		v    int32
-		next int
+		next []int32
 	}
-	for start := range g.adj {
-		if color[start] != white {
-			continue
+	var stack []frame
+	visit := func(root int32) []int32 {
+		if color[root] != white {
+			return nil
 		}
-		stack := []frame{{v: int32(start)}}
-		color[start] = gray
+		color[root] = gray
+		stack = append(stack[:0], frame{v: root, next: succ(root)})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.next]
-				f.next++
-				switch color[w] {
-				case white:
-					color[w] = gray
-					parent[w] = f.v
-					stack = append(stack, frame{v: w})
-				case gray:
-					// Found a cycle: walk parents from f.v back to w.
-					cycle := []int32{w}
-					for v := f.v; v != w; v = parent[v] {
-						cycle = append(cycle, v)
-					}
-					cycle = append(cycle, w)
-					// Reverse into forward order.
-					for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-						cycle[i], cycle[j] = cycle[j], cycle[i]
-					}
-					return cycle
-				}
-			} else {
+			if len(f.next) == 0 {
 				color[f.v] = black
 				stack = stack[:len(stack)-1]
+				continue
 			}
+			w := f.next[0]
+			f.next = f.next[1:]
+			switch color[w] {
+			case white:
+				color[w] = gray
+				parent[w] = f.v
+				stack = append(stack, frame{v: w, next: succ(w)})
+			case gray:
+				// Walk parents from f.v back to w, then reverse the
+				// interior into edge order.
+				cycle := []int32{w}
+				for v := f.v; v != w; v = parent[v] {
+					cycle = append(cycle, v)
+				}
+				cycle = append(cycle, w)
+				for i, j := 1, len(cycle)-2; i < j; i, j = i+1, j-1 {
+					cycle[i], cycle[j] = cycle[j], cycle[i]
+				}
+				return cycle
+			}
+		}
+		return nil
+	}
+	if roots == nil {
+		for v := 0; v < n; v++ {
+			if cyc := visit(int32(v)); cyc != nil {
+				return cyc
+			}
+		}
+		return nil
+	}
+	for _, root := range roots {
+		if cyc := visit(root); cyc != nil {
+			return cyc
 		}
 	}
 	return nil

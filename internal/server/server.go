@@ -208,6 +208,12 @@ func (s *Server) completeFlight(j *Job) {
 	if j.cacheKey == "" {
 		return
 	}
+	// Publish before retiring the flight: a twin submitted in between then
+	// finds the result in the cache instead of starting a second run.
+	_, st, result, errMsg, _ := j.since(0)
+	if st == StateDone && result != nil {
+		s.cache.Put(j.cacheKey, result)
+	}
 	s.flights.mu.Lock()
 	f := s.flights.m[j.cacheKey]
 	if f == nil || f.leader != j {
@@ -217,10 +223,6 @@ func (s *Server) completeFlight(j *Job) {
 	delete(s.flights.m, j.cacheKey)
 	s.flights.mu.Unlock()
 
-	_, st, result, errMsg, _ := j.since(0)
-	if st == StateDone && result != nil {
-		s.cache.Put(j.cacheKey, result)
-	}
 	now := time.Now()
 	for _, fj := range f.followers {
 		// A follower individually cancelled while waiting stays cancelled;

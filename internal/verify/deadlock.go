@@ -49,19 +49,16 @@ func proveDeadlock(sp Spec, fn routing.Func) deadlockProof {
 
 	esc := fn.Escape()
 	escG := routing.BuildCDGCached(sp.Topo, esc)
-	if escG.FindCycle() == nil {
-		if d := proveDelivery(sp.Topo, esc); d.ok {
-			v, e, _ := escG.Stats()
-			return deadlockProof{
-				Proof: Proof{OK: true, Method: "escape",
-					Detail: fmt.Sprintf("escape subfunction %s connected with acyclic dependency graph (Duato): %d channels, %d dependencies", esc.Name(), v, e)},
-				graph: escG, fn: esc,
-			}
+	if escG.FindCycle() == nil && proveDelivery(sp.Topo, esc, escG).ok {
+		v, e, _ := escG.Stats()
+		return deadlockProof{
+			Proof: Proof{OK: true, Method: "escape",
+				Detail: fmt.Sprintf("escape subfunction %s connected with acyclic dependency graph (Duato): %d channels, %d dependencies", esc.Name(), v, e)},
+			graph: escG, fn: esc,
 		}
 	}
 
-	if sub, mask := searchSubrelation(sp.Topo, fn); sub != nil {
-		subG := routing.BuildCDG(sp.Topo, sub)
+	if sub, mask, subG := searchSubrelation(sp.Topo, fn); sub != nil {
 		return deadlockProof{
 			Proof: Proof{OK: true, Method: "subrelation",
 				Detail: fmt.Sprintf("declared escape fails but the restriction to VCs %s is connected with an acyclic dependency graph (valid subrelation, Duato)", vcSetString(mask))},
@@ -91,8 +88,9 @@ const maxSubrelationVCs = 8
 
 // searchSubrelation looks for a connected VC-restricted subfunction with an
 // acyclic CDG. Subsets are tried smallest-first so the reported subrelation
-// is minimal. Returns the restricted function and its mask, or nil.
-func searchSubrelation(topo topology.Topology, fn routing.Func) (routing.Func, uint32) {
+// is minimal. Each subset is walked once; returns the restricted function,
+// its mask and its graph, or nil.
+func searchSubrelation(topo topology.Topology, fn routing.Func) (routing.Func, uint32, *routing.CDG) {
 	numVCs := fn.NumVCs()
 	var masks []uint32
 	if numVCs <= maxSubrelationVCs {
@@ -117,14 +115,12 @@ func searchSubrelation(topo topology.Topology, fn routing.Func) (routing.Func, u
 	for _, m := range masks {
 		sub := &vcSubset{inner: fn, mask: m,
 			name: fmt.Sprintf("%s|vc%s", fn.Name(), vcSetString(m))}
-		if !proveDelivery(topo, sub).ok {
-			continue
-		}
-		if routing.BuildCDG(topo, sub).FindCycle() == nil {
-			return sub, m
+		g := routing.BuildCDG(topo, sub)
+		if proveDelivery(topo, sub, g).ok && g.FindCycle() == nil {
+			return sub, m, g
 		}
 	}
-	return nil, 0
+	return nil, 0, nil
 }
 
 func less(a, b uint32) bool {

@@ -18,6 +18,42 @@ import (
 // the configuration, so a future routing or protocol change that silently
 // breaks a theorem is caught in CI before any experiment reproduces garbage.
 func TestExperimentMatrix(t *testing.T) {
+	specs := experimentMatrix(t)
+	for _, c := range specs {
+		name := fmt.Sprintf("%s: %s/%s w=%d %s k=%d m=%d retry=%d faults=%d",
+			c.exp, c.sp.Topo.Name(), c.sp.Routing, c.sp.NumVCs, c.sp.Protocol,
+			c.sp.NumSwitches, c.sp.MaxMisroutes, c.sp.ProbeRetryLimit, len(c.sp.Faults))
+		cert, err := Certify(c.sp)
+		if err != nil {
+			t.Errorf("%s: spec rejected: %v", name, err)
+			continue
+		}
+		if !cert.Certified {
+			t.Errorf("%s: NOT certified: %s", name, cert.Failure())
+		}
+		// Recovery configs must say so; everything else must rest on a
+		// static graph proof.
+		if c.sp.RecoveryTimeout > 0 && cert.Deadlock.Method != "recovery" {
+			t.Errorf("%s: expected recovery certification, got %q", name, cert.Deadlock.Method)
+		}
+		if c.sp.RecoveryTimeout == 0 && cert.Deadlock.Method == "recovery" {
+			t.Errorf("%s: static config certified only via recovery", name)
+		}
+	}
+	t.Logf("certified %d experiment configurations", len(specs))
+}
+
+// matrixSpec is one experiment-matrix configuration, labelled with the
+// experiment that runs it.
+type matrixSpec struct {
+	exp string
+	sp  Spec
+}
+
+// experimentMatrix lists every configuration TestExperimentMatrix
+// certifies, E8's fault-plan residuals last.
+func experimentMatrix(t *testing.T) []matrixSpec {
+	t.Helper()
 	torus88 := topology.MustCube([]int{8, 8}, true)
 	torus44 := topology.MustCube([]int{4, 4}, true) // quick-mode radix
 	mesh88 := topology.MustCube([]int{8, 8}, false)
@@ -118,33 +154,16 @@ func TestExperimentMatrix(t *testing.T) {
 		combo{"fullmesh-recovery", fullmesh, "vcfree-nolabel", 1, protocol.Wormhole, 2, 2, 3, 256},
 	)
 
-	certify := func(c combo, faults []pcs.Channel) {
-		t.Helper()
-		name := fmt.Sprintf("%s: %s/%s w=%d %s k=%d m=%d retry=%d faults=%d",
-			c.exp, c.topo.Name(), c.routing, c.vcs, c.kind, c.switches, c.m, c.retry, len(faults))
-		cert, err := Certify(Spec{
+	var out []matrixSpec
+	add := func(c combo, faults []pcs.Channel) {
+		out = append(out, matrixSpec{c.exp, Spec{
 			Topo: c.topo, Routing: c.routing, NumVCs: c.vcs, Protocol: c.kind,
 			NumSwitches: c.switches, MaxMisroutes: c.m, ProbeRetryLimit: c.retry,
 			RecoveryTimeout: c.recovery, Faults: faults,
-		})
-		if err != nil {
-			t.Errorf("%s: spec rejected: %v", name, err)
-			return
-		}
-		if !cert.Certified {
-			t.Errorf("%s: NOT certified: %s", name, cert.Failure())
-		}
-		// Recovery configs must say so; everything else must rest on a
-		// static graph proof.
-		if c.recovery > 0 && cert.Deadlock.Method != "recovery" {
-			t.Errorf("%s: expected recovery certification, got %q", name, cert.Deadlock.Method)
-		}
-		if c.recovery == 0 && cert.Deadlock.Method == "recovery" {
-			t.Errorf("%s: static config certified only via recovery", name)
-		}
+		}})
 	}
 	for _, c := range matrix {
-		certify(c, nil)
+		add(c, nil)
 	}
 	// E8's static rows remove wave channels before the run: re-prove the
 	// residual configuration under the plans E8 draws (row i of its sweep
@@ -154,7 +173,7 @@ func TestExperimentMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		certify(e8Static, plan.Channels)
+		add(e8Static, plan.Channels)
 	}
-	t.Logf("certified %d experiment configurations", len(matrix)+5)
+	return out
 }

@@ -15,12 +15,21 @@
 //     Failed proofs carry a minimal counterexample cycle.
 //
 //   - Livelock freedom (Theorems 3-4) is a per-routing-function delivery
-//     proof: either every reachable candidate hop strictly decreases the
-//     distance to the destination (monotone progress — all shipped
-//     functions), or the per-destination routing-state graph is acyclic
-//     (bounded-path). Probe misroutes are bounded by MB-m, setup retries by
-//     ProbeRetryLimit, and the terminal fallback is the wormhole substrate
-//     whose delivery the same proof covers.
+//     proof: every reachable state offers a candidate, every candidate names
+//     a link that exists, and either every reachable candidate hop strictly
+//     decreases the distance to the destination (monotone progress — all
+//     shipped functions), or the per-destination routing-state graph is
+//     acyclic (bounded-path). Probe misroutes are bounded by MB-m, setup
+//     retries by ProbeRetryLimit, and the terminal fallback is the wormhole
+//     substrate whose delivery the same proof covers.
+//
+//   - Each routing function's reachable (channel, destination) state space
+//     is walked once per certification: routing.BuildCDG builds the
+//     dependency graph and records the delivery facts on it (routing.CDG's
+//     Delivery), and the livelock proof and the escape and subrelation
+//     rungs read them from that graph. Only a non-monotone function pays a
+//     second search, for state cycles. Every cycle check — the CDG, the
+//     extended wait-for graph, the state graph — runs routing.FindCycle.
 //
 //   - The protocol layer (what the plain CDG cannot see) is an extended
 //     wait-for graph: circuit-cache occupancy (messages blocked on a
@@ -291,15 +300,4 @@ func obligations(sp Spec, kind protocol.Kind) []Obligation {
 		},
 	}
 	return obs
-}
-
-// chanName renders a packed (link, vc) wormhole channel vertex without
-// needing a CDG instance.
-func chanName(topo topology.Topology, numVCs int, v int32) string {
-	link := topology.LinkID(int(v) / numVCs)
-	vc := int(v) % numVCs
-	if l, ok := topo.LinkByID(link); ok {
-		return fmt.Sprintf("link %d->%d dim%d%v vc%d", l.From, l.To, l.Dim, l.Dir, vc)
-	}
-	return fmt.Sprintf("link#%d vc%d", link, vc)
 }

@@ -1,9 +1,12 @@
 package verify
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -234,12 +237,12 @@ func (f *pingpong) Candidates(here, dst topology.Node, _ topology.LinkID, _ int,
 func TestLivelockCounterexample(t *testing.T) {
 	ring := topology.MustCube([]int{4}, true)
 	fn := &pingpong{topo: ring}
-	d := proveDelivery(ring, fn)
+	d := proveDelivery(ring, fn, routing.BuildCDG(ring, fn))
 	if d.ok {
 		t.Fatal("pingpong accepted")
 	}
-	if d.stuck != "" {
-		t.Fatalf("rejected as stuck (%s), want state cycle", d.stuck)
+	if d.Stuck != "" {
+		t.Fatalf("rejected as stuck (%s), want state cycle", d.Stuck)
 	}
 	if len(d.cycle) < 3 {
 		t.Fatalf("no usable state cycle: %v", d.cycle)
@@ -273,8 +276,8 @@ func TestMonotoneShippedFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := proveDelivery(c.topo, fn)
-		if !d.ok || !d.monotone {
+		d := proveDelivery(c.topo, fn, routing.BuildCDG(c.topo, fn))
+		if !d.ok || !d.Monotone {
 			t.Errorf("%s on %s: delivery = %+v, want monotone", c.name, c.topo.Name(), d)
 		}
 		if d.bound != c.topo.Diameter() {
@@ -434,6 +437,48 @@ func TestSpecKeyCoversEveryField(t *testing.T) {
 	swapped.Faults = []pcs.Channel{base.Faults[1], base.Faults[0]}
 	if swapped.Key() == key {
 		t.Error("reordered faults share a key")
+	}
+}
+
+// TestCertifyConcurrent: concurrent certifications, the way concurrent waved
+// submissions run them, share the process-wide CDG cache and the delivery
+// facts its graphs hold, and agree byte for byte. CI runs it under -race;
+// the shapes are used by no other test, so the graphs are built while the
+// workers race for them.
+func TestCertifyConcurrent(t *testing.T) {
+	specs := []Spec{
+		baseSpec(topology.MustCube([]int{6, 5}, true), "duato", 3, protocol.CLRP),
+		baseSpec(topology.MustCube([]int{5, 6}, false), "westfirst", 1, protocol.Wormhole),
+		baseSpec(topology.MustCube([]int{5, 6}, false), "duato", 2, protocol.PCS),
+	}
+	got := make([][][]byte, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range specs {
+				cert, err := Certify(specs[(i+w)%len(specs)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b, err := json.Marshal(cert)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], b)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i, b := range got[w] {
+			if want := got[0][(i+w)%len(specs)]; !bytes.Equal(b, want) {
+				t.Errorf("worker %d spec %d: certificate %s, worker 0 %s", w, (i+w)%len(specs), b, want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pcs"
 	"repro/internal/protocol"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -170,54 +171,6 @@ func (g *waitForGraph) vertexName(v int32) string {
 	}
 }
 
-// findCycle runs the same iterative three-color DFS as routing.CDG over the
-// extended adjacency.
-func (g *waitForGraph) findCycle() []int32 {
-	color := make([]byte, len(g.adj))
-	parent := make([]int32, len(g.adj))
-	for i := range parent {
-		parent[i] = -1
-	}
-	type frame struct {
-		v    int32
-		next int
-	}
-	for start := range g.adj {
-		if color[start] != 0 {
-			continue
-		}
-		stack := []frame{{v: int32(start)}}
-		color[start] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.next]
-				f.next++
-				switch color[w] {
-				case 0:
-					color[w] = 1
-					parent[w] = f.v
-					stack = append(stack, frame{v: w})
-				case 1:
-					cyc := []int32{w}
-					for v := f.v; v != w; v = parent[v] {
-						cyc = append(cyc, v)
-					}
-					cyc = append(cyc, w)
-					for i, j := 1, len(cyc)-2; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-			} else {
-				color[f.v] = 2
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
-
 // proveWaitFor checks the extended wait-for graph for cycles. faulted is
 // nil for the unfaulted proof; proveResidual passes the permanent faults.
 func proveWaitFor(sp Spec, kind protocol.Kind, dl deadlockProof, faulted []pcs.Channel) Proof {
@@ -232,7 +185,7 @@ func proveWaitFor(sp Spec, kind protocol.Kind, dl deadlockProof, faulted []pcs.C
 			Detail: "substrate certified by abort-and-retry recovery; protocol waits degrade to the recovered wormhole network"}
 	}
 	g := buildWaitFor(sp, kind, &dl, faulted)
-	if cyc := g.findCycle(); cyc != nil {
+	if cyc := routing.FindCycle(len(g.adj), nil, func(v int32) []int32 { return g.adj[v] }); cyc != nil {
 		names := make([]string, len(cyc))
 		for i, v := range cyc {
 			names[i] = g.vertexName(v)
