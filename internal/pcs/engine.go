@@ -16,7 +16,6 @@ package pcs
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/flit"
@@ -173,14 +172,16 @@ func (h pathHop) channel(sw int) Channel {
 	return Channel{Link: topology.LinkID(h.link), Switch: sw}
 }
 
-// frame is one depth of a probe's depth-first search. start is where the
-// output list enumerated when the probe reached this depth begins in the
-// probe's opts stack (it ends where the next frame's begins); hist is the
-// index of the node's History Store entry, -1 until the probe first takes an
-// output there.
+// frame is one depth of a probe's depth-first search: the masks the MB-m
+// step reads at that depth's router, next to the router's Channel Status
+// word. Ports are local output ports (bit p is link first+p). 24 bytes.
 type frame struct {
-	start int32
-	hist  int32
+	hist  int32  // the node's History Store entry, -1 until the probe first takes an output there
+	first int32  // the node's first link slot
+	cs    int32  // index of the node's Channel Status word on the probe's switch
+	top   int32  // first profitable port in probe order, -1 when none is profitable
+	back  uint32 // bit of the port back along the arrival link, 0 at the source
+	prof  uint32 // profitable ports, the back port excluded
 }
 
 // probe is the in-flight representation of a Figure 4 routing probe plus the
@@ -220,15 +221,13 @@ type probe struct {
 	histMasks []uint32
 
 	// frames[d] is the search state at depth d of path (frames[0] is the
-	// source) and opts the output lists of all frames, stacked in depth
-	// order. outputs depends only on the node, destination, arrival link and
-	// switch, and the arrival link is the path hop below, so a frame stays
-	// valid until the probe backtracks out of it: advancing pushes a frame,
-	// backtracking pops one, and the parent's list is reused as it stands.
-	// Frames are derived from path and the History Store; a fresh or
-	// restored probe has none and builds them on its next step (frameOpts).
+	// source). A frame's masks depend only on the node, destination, arrival
+	// link and switch, and the arrival link is the path hop below, so a frame
+	// stays valid until the probe backtracks out of it: advancing pushes a
+	// frame, backtracking pops one, and the parent's frame is reused as it
+	// stands. Frames are derived from path and the History Store; a fresh or
+	// restored probe has none and builds them on its next step (curFrame).
 	frames []frame
-	opts   []outOption
 
 	launched int64
 }
@@ -261,16 +260,26 @@ type Engine struct {
 	topo topology.Topology
 	// tab is topo's link table: every per-hop question (where does this link
 	// lead, which slot runs back, what are the coordinates here) is a load
-	// from it. On cubes (tab.Dims > 0) the outputs enumeration ranks ports by
+	// from it. On cubes (tab.Dims > 0) a frame ranks profitable ports by
 	// coordinate offset; other families fall back to a Distance-based scan.
 	tab  *topology.LinkTable
 	prm  Params
 	host Host
 
 	// Figure 3 registers, dense per wave channel (index = link*k + switch).
+	// Every status write goes through setStatus.
 	status []Status
 	owner  []int64 // probe ID (while Reserved) or circuit ID (while Established)
 	ackRet []bool
+
+	// free is the Channel Status register read a router at a time: bit p of
+	// free[node*k+sw] is set while output port p's wave channel on switch sw
+	// exists and is Free. It is derived from status (setStatus keeps the two
+	// equal, rebuildFree recomputes it), so it is not part of a snapshot.
+	free []uint32
+	// slot0[n] is node n's first link slot (SlotBase): a link's port is its
+	// slot minus slot0 of its source.
+	slot0 []int32
 
 	// Direct/Reverse Channel Mappings: input channel key -> output channel
 	// key and inverse, dense per wave channel (-1 = no entry). Source and
@@ -352,6 +361,8 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 		ackRet:     make([]bool, n),
 		directMap:  make([]int32, n),
 		reverseMap: make([]int32, n),
+		free:       make([]uint32, topo.Nodes()*prm.NumSwitches),
+		slot0:      make([]int32, topo.Nodes()),
 		circuits:   make(map[circuit.ID]*Circuit),
 	}
 	e.wantedFn = e.wanted
@@ -359,7 +370,45 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 		e.directMap[i] = -1
 		e.reverseMap[i] = -1
 	}
+	for i := range e.slot0 {
+		e.slot0[i] = int32(topo.SlotBase(topology.Node(i)))
+	}
+	e.rebuildFree()
 	return e, nil
+}
+
+// setStatus writes the Channel Status register of the wave channel on link
+// and switch sw, and the matching bit of its router's free word.
+func (e *Engine) setStatus(link int32, sw int, s Status) {
+	k := e.prm.NumSwitches
+	e.status[int(link)*k+sw] = s
+	from := e.tab.From[link]
+	if from < 0 {
+		return // a phantom slot has no port to offer
+	}
+	w := &e.free[int(from)*k+sw]
+	if bit := uint32(1) << uint(link-e.slot0[from]); s == Free {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
+// rebuildFree recomputes every free word from status.
+func (e *Engine) rebuildFree() {
+	clear(e.free)
+	k := e.prm.NumSwitches
+	for link, from := range e.tab.From {
+		if from < 0 {
+			continue
+		}
+		bit := uint32(1) << uint(int32(link)-e.slot0[from])
+		for sw := 0; sw < k; sw++ {
+			if e.status[link*k+sw] == Free {
+				e.free[int(from)*k+sw] |= bit
+			}
+		}
+	}
 }
 
 // key converts a Channel to its dense index.
@@ -472,9 +521,8 @@ func (e *Engine) Searches(dst []ProbeSearch) []ProbeSearch {
 // are unaffected (static faults present before circuit setup, as in the E8
 // experiments).
 func (e *Engine) InjectFault(c Channel) {
-	k := e.key(c)
-	if e.status[k] == Free {
-		e.status[k] = Faulty
+	if e.status[e.key(c)] == Free {
+		e.setStatus(int32(c.Link), c.Switch, Faulty)
 	}
 }
 
@@ -505,19 +553,19 @@ func (e *Engine) InjectDynamicFault(c Channel) {
 	case Faulty:
 		return // already down
 	case Free:
-		e.status[k] = Faulty
+		e.setStatus(int32(c.Link), c.Switch, Faulty)
 	case Reserved:
 		// While Reserved the owner register holds a probe ID — both during
 		// the search and, after circuit registration, until the returning
 		// ack flips the channel to Established.
 		id := flit.ProbeID(e.owner[k])
-		e.faultChannel(k)
+		e.faultChannel(c)
 		if !e.killProbeByID(id) {
 			e.killAckByProbe(id)
 		}
 	case Established:
 		id := circuit.ID(e.owner[k])
-		e.faultChannel(k)
+		e.faultChannel(c)
 		circ, ok := e.circuits[id]
 		if !ok {
 			break
@@ -542,15 +590,16 @@ func (e *Engine) RepairFault(c Channel) {
 	if e.status[k] != Faulty {
 		return
 	}
-	e.status[k] = Free
+	e.setStatus(int32(c.Link), c.Switch, Free)
 	e.owner[k] = 0
 	e.ackRet[k] = false
 	e.Ctr.FaultRepairs++
 }
 
-// faultChannel wipes channel k's registers and marks it Faulty.
-func (e *Engine) faultChannel(k int32) {
-	e.status[k] = Faulty
+// faultChannel wipes channel c's registers and marks it Faulty.
+func (e *Engine) faultChannel(c Channel) {
+	k := e.key(c)
+	e.setStatus(int32(c.Link), c.Switch, Faulty)
 	e.owner[k] = 0
 	e.ackRet[k] = false
 	e.directMap[k] = -1
@@ -560,14 +609,15 @@ func (e *Engine) faultChannel(k int32) {
 // freeHopOwned releases one path hop of a killed setup, but only while the
 // hop still belongs to that setup: the faulted hop itself is already Faulty,
 // and the guard keeps a kill from clobbering channels that changed hands.
-func (e *Engine) freeHopOwned(k int32, probeOwner, circOwner int64) {
+func (e *Engine) freeHopOwned(c Channel, probeOwner, circOwner int64) {
+	k := e.key(c)
 	switch {
 	case e.status[k] == Reserved && e.owner[k] == probeOwner:
 	case e.status[k] == Established && e.owner[k] == circOwner:
 	default:
 		return
 	}
-	e.status[k] = Free
+	e.setStatus(int32(c.Link), c.Switch, Free)
 	e.owner[k] = 0
 	e.ackRet[k] = false
 	e.directMap[k] = -1
@@ -586,7 +636,7 @@ func (e *Engine) killProbeByID(id flit.ProbeID) bool {
 		}
 		e.probes = append(e.probes[:i], e.probes[i+1:]...)
 		for j := len(p.path) - 1; j >= 0; j-- {
-			e.freeHopOwned(p.path[j].key, int64(p.id), 0)
+			e.freeHopOwned(p.path[j].channel(p.sw), int64(p.id), 0)
 		}
 		e.cleanupHistory(p)
 		e.Ctr.ProbesFailed++
@@ -627,7 +677,7 @@ func (e *Engine) killAck(circ *Circuit) {
 	p := e.acks[idx].probe
 	e.acks = append(e.acks[:idx], e.acks[idx+1:]...)
 	for j := len(circ.Path) - 1; j >= 0; j-- {
-		e.freeHopOwned(e.key(circ.Path[j]), int64(p.id), int64(circ.ID))
+		e.freeHopOwned(circ.Path[j], int64(p.id), int64(circ.ID))
 	}
 	delete(e.circuits, circ.ID)
 	e.cleanupHistory(p)
@@ -699,7 +749,6 @@ func (e *Engine) getProbe() *probe {
 	p.misroutes = 0
 	p.path = p.path[:0]
 	p.frames = p.frames[:0]
-	p.opts = p.opts[:0]
 	p.phase = probeAdvancing
 	p.requestedRelease = false
 	p.waitingFor = Channel{}
@@ -819,7 +868,7 @@ func (e *Engine) stepTeardowns() {
 		// be resurrected. The control flit itself travels on the healthy
 		// control network regardless.
 		if e.status[k] == Established && circuit.ID(e.owner[k]) == td.circ.ID {
-			e.status[k] = Free
+			e.setStatus(int32(ch.Link), ch.Switch, Free)
 			e.ackRet[k] = false
 			e.owner[k] = 0
 			e.reverseMap[k] = -1
@@ -914,7 +963,7 @@ func (e *Engine) stepAcks() {
 	for _, a := range work {
 		ch := a.circ.Path[a.pos]
 		k := e.key(ch)
-		e.status[k] = Established
+		e.setStatus(int32(ch.Link), ch.Switch, Established)
 		e.owner[k] = int64(a.circ.ID)
 		e.ackRet[k] = true
 		e.Ctr.ControlHops++
@@ -1000,26 +1049,148 @@ func (e *Engine) stepProbe(p *probe) bool {
 		return false
 	}
 
-	opts := e.frameOpts(p)
+	f := e.curFrame(p)
 	switch p.phase {
 	case probeAdvancing:
-		return e.probeAdvance(p, opts)
+		return e.probeAdvance(p, f)
 	case probeWaiting:
-		return e.probeWait(p, opts)
+		return e.probeWait(p, f)
 	default:
 		panic("pcs: unknown probe phase")
 	}
 }
 
-// outOption is one candidate output of a probe step: the link slot, its dense
-// channel key on the probe's switch, the History Store bit of its port, and
-// for profitable outputs the remaining offset they reduce. 16 bytes, so a
-// node's whole enumeration sits in one cache line.
+// curFrame returns p's frame at its current depth. A frame is built once,
+// when the probe first reaches the depth; a backtrack returns to the
+// parent's frame and a Force probe waiting in place re-reads its own. A
+// fresh or restored probe has no frames yet, so the loop builds every
+// missing depth from the path.
+func (e *Engine) curFrame(p *probe) *frame {
+	for d := len(p.frames); d <= len(p.path); d++ {
+		at, back := p.src, int32(-1)
+		if d > 0 {
+			l := p.path[d-1].link
+			at, back = topology.Node(e.tab.To[l]), e.tab.Reverse[l]
+		}
+		e.pushFrame(p, at, back)
+	}
+	return &p.frames[len(p.path)]
+}
+
+// pushFrame pushes the frame of node at, reached through the slot back
+// leads back along (-1 at the source): the node's slots and Channel Status
+// word, the back port, the profitable mask and its top port, and the node's
+// History Store entry.
+func (e *Engine) pushFrame(p *probe, at topology.Node, back int32) {
+	hist := int32(-1)
+	for i, n := range p.histNodes {
+		if n == at {
+			hist = int32(i)
+			break
+		}
+	}
+	first := e.slot0[at]
+	var backBit uint32
+	if back >= 0 {
+		backBit = 1 << uint(back-first)
+	}
+	prof, top := e.profitable(at, p.dst, first, backBit)
+	// Written in place: a frame built on the stack field by field and then
+	// copied stalls on store forwarding.
+	p.frames = append(p.frames, frame{})
+	f := &p.frames[len(p.frames)-1]
+	f.hist, f.first, f.cs, f.top, f.back, f.prof = hist, first, int32(int(at)*e.prm.NumSwitches+p.sw), top, backBit, prof
+}
+
+// profitable returns the profitable ports of node at (first link slot
+// first) towards dst and the top one, -1 when there is none. The probe's
+// order puts profitable outputs first: on cubes the largest remaining
+// offset first, ties in dimension order; elsewhere in port order. A cube's
+// profitable port along a dimension is the one the offset's sign names;
+// elsewhere a port is profitable when it strictly reduces Distance. The
+// back port and phantom slots are never profitable.
+func (e *Engine) profitable(at, dst topology.Node, first int32, back uint32) (prof uint32, top int32) {
+	t := e.tab
+	top = -1
+	if dims := t.Dims; dims > 0 {
+		to := t.To[first : first+int32(2*dims)]
+		best := 0
+		for dim := 0; dim < dims; dim++ {
+			// Branch-free sign split: a probe's offsets are as good as
+			// random, so a branch on them mispredicts half the time.
+			off := t.Offset(at, dst, dim)
+			neg := off >> 63 // -1 when the offset runs Minus
+			mag, port := (off^neg)-neg, 2*dim-neg
+			bit := uint32(1) << uint(port) & uint32(-mag>>63) // 0 when off == 0
+			if bit == 0 || bit == back || to[port] < 0 {
+				continue
+			}
+			prof |= bit
+			if mag > best {
+				best, top = mag, int32(port)
+			}
+		}
+		return prof, top
+	}
+	atDist := e.topo.Distance(at, dst)
+	for port, deg := 0, e.topo.OutDegree(at); port < deg; port++ {
+		bit, to := uint32(1)<<uint(port), t.To[first+int32(port)]
+		if to < 0 || bit == back || e.topo.Distance(topology.Node(to), dst) >= atDist {
+			continue
+		}
+		prof |= bit
+		if top < 0 {
+			top = int32(port)
+		}
+	}
+	return prof, top
+}
+
+// firstProfitable returns the port of profitable mask c that comes first in
+// the probe's order (see profitable).
+func (e *Engine) firstProfitable(c uint32, at, dst topology.Node) int {
+	if e.tab.Dims == 0 {
+		return bits.TrailingZeros32(c)
+	}
+	best, bestMag := -1, 0
+	for ; c != 0; c &= c - 1 {
+		port := bits.TrailingZeros32(c)
+		mag := e.tab.Offset(at, dst, port>>1)
+		if mag < 0 {
+			mag = -mag
+		}
+		if mag > bestMag {
+			best, bestMag = port, mag
+		}
+	}
+	return best
+}
+
+// pick is the MB-m first choice at p's current router: the first free,
+// unsearched output in the probe's order (profitable outputs before
+// misroutes, the back port never), a misroute only within the budget. It
+// returns the port, or -1 when there is none.
+func (e *Engine) pick(p *probe, f *frame) int {
+	cand := e.free[f.cs] &^ p.histOf(f) &^ f.back
+	if c := cand & f.prof; c != 0 {
+		if c&(1<<uint(f.top)) != 0 {
+			return int(f.top)
+		}
+		return e.firstProfitable(c, p.at, p.dst)
+	}
+	if cand != 0 && p.misroutes < p.maxMis {
+		return bits.TrailingZeros32(cand)
+	}
+	return -1
+}
+
+// outOption is one requested output of a blocked Force probe: the link
+// slot, its dense channel key on the probe's switch, the History Store bit
+// of its port, and whether it is profitable.
 type outOption struct {
 	link       int32
 	key        int32
 	bit        uint32
-	mag        uint16
 	profitable bool
 }
 
@@ -1028,118 +1199,13 @@ func (o outOption) channel(sw int) Channel {
 	return Channel{Link: topology.LinkID(o.link), Switch: sw}
 }
 
-// frameOpts returns the output list at p's current depth. The list is
-// enumerated once, when the probe first reaches the depth; a backtrack
-// returns to the parent's list and a Force probe waiting in place re-reads
-// its own. A fresh or restored probe has no frames yet, so the loop builds
-// every missing depth from the path.
-func (e *Engine) frameOpts(p *probe) []outOption {
-	for len(p.frames) <= len(p.path) {
-		e.pushFrame(p)
-	}
-	return p.opts[p.frames[len(p.path)].start:]
-}
-
-// pushFrame enumerates the outputs at depth len(p.frames) of p's path and
-// finds that node's History Store entry.
-func (e *Engine) pushFrame(p *probe) {
-	d := len(p.frames)
-	at, back := p.src, int32(-1)
-	if d > 0 {
-		l := p.path[d-1].link
-		at, back = topology.Node(e.tab.To[l]), e.tab.Reverse[l]
-	}
-	f := frame{start: int32(len(p.opts)), hist: -1}
-	for i, n := range p.histNodes {
-		if n == at {
-			f.hist = int32(i)
-			break
-		}
-	}
-	p.frames = append(p.frames, f)
-	p.opts = e.outputs(at, p.dst, back, p.sw, p.opts)
-}
-
-// outputs appends to opts the existing wave-channel outputs of node at
-// towards dst on switch sw, in deterministic order: profitable outputs first
-// (on cubes largest remaining offset first, ties in dimension order;
-// elsewhere in port order), then the misroutes in port order. back is the
-// slot leading back through the link the probe arrived on (-1 at the
-// source); it is excluded, because going back is what Backtrack is for.
-//
-// outputs reads only the link table. On cubes the whole enumeration is table
-// loads — no interface call, no division, no Link copy; other families rank
-// ports by Distance. Options are written field by field into slots reserved
-// up front, not built on the stack and copied.
-func (e *Engine) outputs(at, dst topology.Node, back int32, sw int, opts []outOption) []outOption {
-	t := e.tab
-	k, sw32 := int32(e.prm.NumSwitches), int32(sw)
-	var first int32
-	var deg int
-	if t.Dims > 0 {
-		first, deg = int32(int(at)*2*t.Dims), 2*t.Dims
-	} else {
-		first, deg = int32(e.topo.SlotBase(at)), e.topo.OutDegree(at)
-	}
-	base := len(opts)
-	opts = slices.Grow(opts, deg)[:base+deg]
-	n := base
-	var prof uint32 // ports emitted as profitable
-	if t.Dims > 0 {
-		for dim := 0; dim < t.Dims; dim++ {
-			off := t.Offset(at, dst, dim)
-			if off == 0 {
-				continue
-			}
-			port, mag := 2*dim, uint16(off)
-			if off < 0 {
-				port, mag = port+1, uint16(-off)
-			}
-			link := first + int32(port)
-			if t.To[link] < 0 || link == back {
-				continue
-			}
-			prof |= 1 << uint(port)
-			j := n
-			for ; j > base && opts[j-1].mag < mag; j-- {
-				opts[j] = opts[j-1]
-			}
-			o := &opts[j]
-			o.link, o.key, o.bit, o.mag, o.profitable = link, link*k+sw32, 1<<uint(port), mag, true
-			n++
-		}
-	} else {
-		// A port is profitable when it strictly reduces the distance to the
-		// destination (by exactly 1 on the shipped families, so there is no
-		// magnitude to rank by).
-		atDist := e.topo.Distance(at, dst)
-		for port := 0; port < deg; port++ {
-			link := first + int32(port)
-			if t.To[link] < 0 || link == back || e.topo.Distance(topology.Node(t.To[link]), dst) >= atDist {
-				continue
-			}
-			prof |= 1 << uint(port)
-			o := &opts[n]
-			o.link, o.key, o.bit, o.mag, o.profitable = link, link*k+sw32, 1<<uint(port), 0, true
-			n++
-		}
-	}
-	for port := 0; port < deg; port++ {
-		link := first + int32(port)
-		if prof&(1<<uint(port)) != 0 || t.To[link] < 0 || link == back {
-			continue
-		}
-		o := &opts[n]
-		o.link, o.key, o.bit, o.mag, o.profitable = link, link*k+sw32, 1<<uint(port), 0, false
-		n++
-	}
-	return opts[:n]
-}
-
-// takeChannel reserves ch for p and moves the probe across it.
-func (e *Engine) takeChannel(p *probe, o outOption) {
-	k := o.key
-	e.status[k] = Reserved
+// takeChannel reserves output port of p's current frame f and moves the
+// probe across it.
+func (e *Engine) takeChannel(p *probe, f *frame, port int) {
+	link, bit := f.first+int32(port), uint32(1)<<uint(port)
+	k := link*int32(e.prm.NumSwitches) + int32(p.sw)
+	profitable := f.prof&bit != 0
+	e.setStatus(link, p.sw, Reserved)
 	e.owner[k] = int64(p.id)
 	// Record the mapping registers at the current node: the previous hop's
 	// channel maps to this one.
@@ -1148,13 +1214,17 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 		e.directMap[in] = k
 		e.reverseMap[k] = in
 	}
-	e.markHistory(p, o.bit)
-	p.path = append(p.path, pathHop{link: o.link, key: k, misroute: !o.profitable})
-	if !o.profitable {
+	e.markHistory(p, f, bit)
+	p.path = append(p.path, pathHop{link: link, key: k, misroute: !profitable})
+	if !profitable {
 		p.misroutes++
 		e.Ctr.Misroutes++
 	}
-	p.at = topology.Node(e.tab.To[o.link])
+	p.at = topology.Node(e.tab.To[link])
+	if p.at != p.dst && len(p.frames) == len(p.path) {
+		// Build the next depth's frame now, while the link is at hand.
+		e.pushFrame(p, p.at, e.tab.Reverse[link])
+	}
 	p.phase = probeAdvancing
 	p.requestedRelease = false
 	e.Ctr.ControlHops++
@@ -1162,9 +1232,8 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 }
 
 // markHistory records in the History Store that p searched output bit at
-// its current node, creating the node's entry on its first mark.
-func (e *Engine) markHistory(p *probe, bit uint32) {
-	f := &p.frames[len(p.path)]
+// its current node (frame f), creating the node's entry on its first mark.
+func (e *Engine) markHistory(p *probe, f *frame, bit uint32) {
 	if f.hist < 0 {
 		f.hist = int32(len(p.histNodes))
 		p.histNodes = append(p.histNodes, p.at)
@@ -1180,11 +1249,11 @@ func (e *Engine) cleanupHistory(p *probe) {
 	p.histMasks = p.histMasks[:0]
 }
 
-// frameHist reads the History Store mask of p's current node through its
-// frame: one load instead of a scan.
-func (p *probe) frameHist() uint32 {
-	if h := p.frames[len(p.path)].hist; h >= 0 {
-		return p.histMasks[h]
+// histOf reads the History Store mask of frame f's node: one load instead
+// of a scan.
+func (p *probe) histOf(f *frame) uint32 {
+	if f.hist >= 0 {
+		return p.histMasks[f.hist]
 	}
 	return 0
 }
@@ -1201,30 +1270,17 @@ func (p *probe) histAt(n topology.Node) uint32 {
 
 // probeAdvance implements one MB-m step: take a free valid channel if any,
 // otherwise misroute within budget, otherwise Force-wait or backtrack.
-func (e *Engine) probeAdvance(p *probe, opts []outOption) bool {
-	hist := p.frameHist()
-
-	// First choice: a free, unsearched, profitable channel; then free
-	// unsearched misroutes within budget.
-	for _, o := range opts {
-		if hist&o.bit != 0 {
-			continue
-		}
-		if !o.profitable && p.misroutes >= p.maxMis {
-			continue
-		}
-		if e.status[o.key] == Free {
-			e.takeChannel(p, o)
-			return true
-		}
+func (e *Engine) probeAdvance(p *probe, f *frame) bool {
+	if port := e.pick(p, f); port >= 0 {
+		e.takeChannel(p, f, port)
+		return true
 	}
-
 	if p.force {
 		// CLRP phase two: the probe does not backtrack while any requested
 		// channel belongs to an *established* circuit; it waits for (and
 		// requests) its release. Only when every requested channel belongs to
 		// circuits still being established does it backtrack.
-		if e.forceSelectVictim(p, opts, hist) {
+		if e.forceSelectVictim(p, f) {
 			p.phase = probeWaiting
 			e.Ctr.ForceWaits++
 			return true
@@ -1233,33 +1289,48 @@ func (e *Engine) probeAdvance(p *probe, opts []outOption) bool {
 	return e.probeBacktrack(p)
 }
 
-// requestedChannels filters the probe's current candidate outputs the Force
-// logic considers "requested": existing, unsearched, within misroute budget,
-// not faulty. The result aliases the engine's req buffer.
-func (e *Engine) requestedChannels(p *probe, opts []outOption, hist uint32) []outOption {
+// requestedChannels lists the outputs of p's current frame that the Force
+// logic considers "requested" — existing, unsearched, within misroute
+// budget, not faulty — in the probe's order. The result aliases the
+// engine's req buffer.
+func (e *Engine) requestedChannels(p *probe, f *frame) []outOption {
 	req := e.req[:0]
-	for _, o := range opts {
-		if hist&o.bit != 0 {
-			continue
+	open := ^p.histOf(f) &^ f.back
+	for c := f.prof & open; c != 0; {
+		port := e.firstProfitable(c, p.at, p.dst)
+		c &^= 1 << uint(port)
+		req = e.appendRequested(req, p, f, port)
+	}
+	if p.misroutes < p.maxMis {
+		deg := 2 * e.tab.Dims
+		if deg == 0 {
+			deg = e.topo.OutDegree(p.at)
 		}
-		if !o.profitable && p.misroutes >= p.maxMis {
-			continue
+		for c := open &^ f.prof & (1<<uint(deg) - 1); c != 0; c &= c - 1 {
+			req = e.appendRequested(req, p, f, bits.TrailingZeros32(c))
 		}
-		if e.status[o.key] == Faulty {
-			continue
-		}
-		req = append(req, o)
 	}
 	e.req = req[:0]
 	return req
+}
+
+// appendRequested appends port of frame f to req unless its channel is
+// missing (a phantom slot) or Faulty.
+func (e *Engine) appendRequested(req []outOption, p *probe, f *frame, port int) []outOption {
+	link := f.first + int32(port)
+	k := link*int32(e.prm.NumSwitches) + int32(p.sw)
+	if e.tab.To[link] < 0 || e.status[k] == Faulty {
+		return req
+	}
+	return append(req, outOption{link: link, key: k, bit: 1 << uint(port), profitable: f.prof&(1<<uint(port)) != 0})
 }
 
 // forceSelectVictim picks a victim circuit for a blocked Force probe. It
 // returns true when the probe should wait (a release is underway), false when
 // it must backtrack (all requested channels belong to circuits being
 // established, or nothing is requestable).
-func (e *Engine) forceSelectVictim(p *probe, opts []outOption, hist uint32) bool {
-	req := e.requestedChannels(p, opts, hist)
+func (e *Engine) forceSelectVictim(p *probe, f *frame) bool {
+	req := e.requestedChannels(p, f)
 	if len(req) == 0 {
 		return false
 	}
@@ -1315,25 +1386,27 @@ func (e *Engine) wanted(c Channel) bool {
 }
 
 // probeWait re-evaluates a waiting Force probe each cycle.
-func (e *Engine) probeWait(p *probe, opts []outOption) bool {
-	hist := p.frameHist()
-
-	// Grab any requested channel that has come free.
-	req := e.requestedChannels(p, opts, hist)
-	for _, o := range req {
-		if e.status[o.key] == Free {
-			e.takeChannel(p, o)
-			return true
-		}
+func (e *Engine) probeWait(p *probe, f *frame) bool {
+	// Grab any requested channel that has come free: the first free one in
+	// the requested list is the first choice.
+	if port := e.pick(p, f); port >= 0 {
+		e.takeChannel(p, f, port)
+		return true
 	}
 	// Still blocked. If our awaited channel was stolen, or its circuit
 	// vanished (even if a different circuit now holds the same channel),
 	// re-select a victim (or backtrack if only in-setup circuits remain).
+	// While it stays Established under the awaited circuit, it is itself a
+	// requested Established channel (the host frees only a channel wanted
+	// returns true for, and the probe has not moved since), so
+	// forceSelectVictim would keep waiting: skip building the list.
 	wk := e.key(p.waitingFor)
 	if e.status[wk] != Established || e.owner[wk] != p.waitingOwner {
 		p.requestedRelease = false
+	} else if p.requestedRelease {
+		return true
 	}
-	if e.forceSelectVictim(p, opts, hist) {
+	if e.forceSelectVictim(p, f) {
 		return true
 	}
 	p.phase = probeAdvancing
@@ -1341,8 +1414,8 @@ func (e *Engine) probeWait(p *probe, opts []outOption) bool {
 }
 
 // probeBacktrack undoes the last hop, popping its frame so the parent's
-// output list and History Store entry are current again, or fails the
-// attempt at the source.
+// frame and History Store entry are current again, or fails the attempt at
+// the source.
 func (e *Engine) probeBacktrack(p *probe) bool {
 	if len(p.path) == 0 {
 		// Exhausted the search from the source: the attempt fails.
@@ -1355,10 +1428,9 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	d := len(p.path)
 	hop := p.path[d-1]
 	p.path = p.path[:d-1]
-	p.opts = p.opts[:p.frames[d].start]
 	p.frames = p.frames[:d]
 	k := hop.key
-	e.status[k] = Free
+	e.setStatus(hop.link, p.sw, Free)
 	e.owner[k] = 0
 	if d > 1 {
 		e.directMap[p.path[d-2].key] = -1

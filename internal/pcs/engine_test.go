@@ -457,17 +457,16 @@ func TestForceBacktracksWhenAllChannelsInSetup(t *testing.T) {
 	topo := topology.MustCube([]int{4, 2}, false)
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
 
-	// Freeze a probe mid-flight by faulting its destination approach so it
-	// holds reservations... simpler: reserve channels directly as a probe
-	// would, marking them Reserved (in setup), then launch the Force probe.
+	// Reserve the channels as another probe would, through the status
+	// setter, marking them Reserved (in setup); then launch the Force probe.
 	for _, ch := range []Channel{
 		{Link: mustLink(t, topo, 0, 0, topology.Plus), Switch: 0},
 		{Link: mustLink(t, topo, 0, 1, topology.Plus), Switch: 0},
 	} {
-		k := e.key(ch)
-		e.status[k] = Reserved
-		e.owner[k] = 999 // some other probe
+		e.setStatus(int32(ch.Link), ch.Switch, Reserved)
+		e.owner[e.key(ch)] = 999 // some other probe
 	}
+	checkFree(t, e)
 	res := watchProbes(e).setup(t, e, 0, 3, 0, true, 100)
 	if res.OK {
 		t.Fatal("force probe succeeded through reserved channels")
@@ -613,4 +612,5 @@ func TestTheoremProbeStorm(t *testing.T) {
 			t.Fatalf("channel %d still reserved after storm", k)
 		}
 	}
+	checkFree(t, e)
 }

@@ -21,10 +21,33 @@ import (
 // flitDecode aliases flit.Decode for readability in the wire tests.
 func flitDecode(buf []byte, dims int) (flit.ProbeFields, error) { return flit.Decode(buf, dims) }
 
+// checkFree checks the derived Channel Status vector against a scan of the
+// status registers: bit p of a router's word on switch sw is set exactly
+// when output port p's wave channel on sw exists and is Free.
+func checkFree(t *testing.T, e *Engine) {
+	t.Helper()
+	k := e.prm.NumSwitches
+	for n := topology.Node(0); int(n) < e.topo.Nodes(); n++ {
+		for sw := 0; sw < k; sw++ {
+			var want uint32
+			for port := 0; port < e.topo.OutDegree(n); port++ {
+				link, ok := e.topo.OutSlot(n, port)
+				if ok && e.ChannelStatus(Channel{Link: link, Switch: sw}) == Free {
+					want |= 1 << uint(port)
+				}
+			}
+			if got := e.free[int(n)*k+sw]; got != want {
+				t.Fatalf("node %d switch %d: free word %#x, status scan %#x", n, sw, got, want)
+			}
+		}
+	}
+}
+
 // checkRegisters validates global register consistency. Probes may hold
 // Reserved channels; established/tearing circuits own Established ones.
 func checkRegisters(t *testing.T, e *Engine, topo topology.Topology) {
 	t.Helper()
+	checkFree(t, e)
 	owned := map[int32]int64{} // channel key -> owner circuit
 	for id, c := range e.circuits {
 		if c.tearingDown {

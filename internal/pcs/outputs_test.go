@@ -1,6 +1,8 @@
 package pcs
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"repro/internal/topology"
@@ -15,8 +17,9 @@ type refOption struct {
 // referenceOutputs is the output enumeration spelled with the Topology and
 // Geometry interface calls the engine made per hop before it read the link
 // table: LinkByID + ReverseLink for the U-turn, Offsets + OutLink on cubes,
-// OutSlot + Distance elsewhere. It is the oracle outputs must match option
-// for option.
+// OutSlot + Distance elsewhere. It lists a router's candidate outputs in the
+// probe's order, and it is the oracle the probe's output selection (pick,
+// requestedChannels) and every frame's masks must match.
 func referenceOutputs(topo topology.Topology, at, dst topology.Node, arrival topology.LinkID, sw int) []refOption {
 	back := topology.Invalid
 	if l, ok := topo.LinkByID(arrival); ok {
@@ -69,49 +72,117 @@ func referenceOutputs(topo topology.Topology, at, dst topology.Node, arrival top
 	return append(prof, mis...)
 }
 
-// TestOutputsMatchInterfaceReference checks the table-driven enumeration
-// against the reference for every (at, dst, arrival link) — including "just
-// launched", no arrival — on both cube kinds and the two non-cube families.
-func TestOutputsMatchInterfaceReference(t *testing.T) {
-	topos := []topology.Topology{
-		topology.MustCube([]int{8, 8}, true),
-		topology.MustCube([]int{8, 8}, false),
-		topology.MustFatTree(4, 2),
-		topology.MustFullMesh(16),
+// outputTopologies are the topologies the output-selection oracles cover:
+// both cube kinds, a hypercube, and the two non-cube families.
+func outputTopologies(t *testing.T) []topology.Topology {
+	t.Helper()
+	cube, err := topology.NewHypercube(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const sw = 1
-	for _, topo := range topos {
-		e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: 2}, &fakeHost{})
-		arrivals := make([][]topology.LinkID, topo.Nodes())
-		for n := range arrivals {
-			arrivals[n] = []topology.LinkID{topology.Invalid}
-		}
-		for _, l := range topology.AllLinks(topo) {
-			arrivals[l.To] = append(arrivals[l.To], l.ID)
-		}
-		var got []outOption
+	return []topology.Topology{
+		topology.MustCube([]int{4, 4}, true),
+		topology.MustCube([]int{4, 4}, false),
+		cube,
+		topology.MustFatTree(4, 2),
+		topology.MustFullMesh(8),
+	}
+}
+
+// arrivalLinks lists, per node, the links a probe can arrive on, led by
+// topology.Invalid for a probe that has just launched there.
+func arrivalLinks(topo topology.Topology) [][]topology.LinkID {
+	arrivals := make([][]topology.LinkID, topo.Nodes())
+	for n := range arrivals {
+		arrivals[n] = []topology.LinkID{topology.Invalid}
+	}
+	for _, l := range topology.AllLinks(topo) {
+		arrivals[l.To] = append(arrivals[l.To], l.ID)
+	}
+	return arrivals
+}
+
+// TestOutputsMatchInterfaceReference checks the probe's output selection
+// against the reference list for every (at, dst, arrival link, switch) —
+// including "just launched", no arrival — under random Channel Status
+// registers, History Store masks and misroute budgets. The first choice
+// must be the reference list's first free, unsearched, in-budget option,
+// and the Force request list the reference list filtered to unsearched,
+// in-budget, non-Faulty channels, in the same order.
+func TestOutputsMatchInterfaceReference(t *testing.T) {
+	const maxMis = 2
+	for _, topo := range outputTopologies(t) {
+		e := newEngine(t, topo, Params{NumSwitches: 2, MaxMisroutes: maxMis}, &fakeHost{})
+		rng := rand.New(rand.NewSource(1))
+		arrivals := arrivalLinks(topo)
+		picks, waits := 0, 0
 		for at := topology.Node(0); int(at) < topo.Nodes(); at++ {
 			for dst := topology.Node(0); int(dst) < topo.Hosts(); dst++ {
 				if at == dst {
 					continue
 				}
 				for _, arrival := range arrivals[at] {
-					back := int32(-1)
-					if arrival != topology.Invalid {
-						back = e.tab.Reverse[arrival]
-					}
-					got = e.outputs(at, dst, back, sw, got[:0])
-					want := referenceOutputs(topo, at, dst, arrival, sw)
-					if len(got) != len(want) {
-						t.Fatalf("%s at %d dst %d via %d: %d options, reference %d", topo.Name(), at, dst, arrival, len(got), len(want))
-					}
-					for i, o := range got {
-						if o.channel(sw) != want[i].ch || o.bit != want[i].bit || o.profitable != want[i].profitable || o.key != e.key(want[i].ch) {
-							t.Fatalf("%s at %d dst %d via %d: option %d = %+v, reference %+v", topo.Name(), at, dst, arrival, i, o, want[i])
+					for sw := 0; sw < 2; sw++ {
+						want := referenceOutputs(topo, at, dst, arrival, sw)
+						for trial := 0; trial < 4; trial++ {
+							for port := 0; port < topo.OutDegree(at); port++ {
+								if link, ok := topo.OutSlot(at, port); ok {
+									e.setStatus(int32(link), sw, [...]Status{Free, Free, Free, Reserved, Established, Faulty}[rng.Intn(6)])
+								}
+							}
+							p := &probe{dst: dst, sw: sw, at: at, src: at, maxMis: rng.Intn(maxMis + 1)}
+							p.misroutes = rng.Intn(p.maxMis + 1)
+							if arrival != topology.Invalid {
+								l, _ := topo.LinkByID(arrival)
+								p.src = l.From
+								p.path = []pathHop{{link: int32(arrival), key: e.key(Channel{Link: arrival, Switch: sw})}}
+							}
+							hist := rng.Uint32() & rng.Uint32()
+							p.histNodes, p.histMasks = []topology.Node{at}, []uint32{hist}
+							f := e.curFrame(p)
+
+							wantPort := -1
+							var wantReq []refOption
+							for _, o := range want {
+								if hist&o.bit != 0 || (!o.profitable && p.misroutes >= p.maxMis) {
+									continue
+								}
+								switch e.ChannelStatus(o.ch) {
+								case Free:
+									if wantPort < 0 {
+										wantPort = bits.TrailingZeros32(o.bit)
+									}
+								case Faulty:
+									continue
+								}
+								wantReq = append(wantReq, o)
+							}
+							if got := e.pick(p, f); got != wantPort {
+								t.Fatalf("%s at %d dst %d via %d sw %d hist %#x misroutes %d/%d: pick %d, reference %d",
+									topo.Name(), at, dst, arrival, sw, hist, p.misroutes, p.maxMis, got, wantPort)
+							}
+							req := e.requestedChannels(p, f)
+							if len(req) != len(wantReq) {
+								t.Fatalf("%s at %d dst %d via %d sw %d: %d requested, reference %d", topo.Name(), at, dst, arrival, sw, len(req), len(wantReq))
+							}
+							for i, o := range req {
+								if w := wantReq[i]; o.channel(sw) != w.ch || o.bit != w.bit || o.profitable != w.profitable || o.key != e.key(w.ch) {
+									t.Fatalf("%s at %d dst %d via %d sw %d: requested %d = %+v, reference %+v", topo.Name(), at, dst, arrival, sw, i, o, w)
+								}
+							}
+							if wantPort >= 0 {
+								picks++
+							} else if len(wantReq) > 0 {
+								waits++
+							}
 						}
 					}
 				}
 			}
+		}
+		checkFree(t, e)
+		if picks < 100 || waits < 100 {
+			t.Fatalf("%s: too few cases exercised: %d with a first choice, %d blocked with requests", topo.Name(), picks, waits)
 		}
 	}
 }

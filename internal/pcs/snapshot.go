@@ -7,10 +7,11 @@ package pcs
 // probes, teardown and release flits, the ID counters and all statistics.
 // Spill buffers and the object pools are excluded — snapshots are taken
 // between cycles, when they are logically empty, and restored
-// probes/circuits come from fresh objects. So are a probe's search frames
-// (per-depth output lists and History Store indices): they are derived from
-// its path and History Store, and a restored probe rebuilds them on its
-// next step.
+// probes/circuits come from fresh objects. Derived state is excluded too and
+// rebuilt on restore: the per-router free words are recomputed from the
+// decoded status registers, and a probe's search frames (per-depth
+// profitable masks and History Store indices) are derived from its path and
+// History Store, so a restored probe rebuilds them on its next step.
 //
 // Pending work is pure data — every completion reports through a handler
 // registered once (SetProbeDone, SetCircuitFreed) — so encoding cannot fail.
@@ -148,6 +149,7 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	})
 
 	if c.Decoding() {
+		e.rebuildFree()
 		e.probeSpill = e.probeSpill[:0]
 		e.ackSpill = e.ackSpill[:0]
 		e.tdSpill = e.tdSpill[:0]

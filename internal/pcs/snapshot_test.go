@@ -55,7 +55,11 @@ func decode(t *testing.T, src *Engine, b []byte) (*Engine, error) {
 	if err := dst.State(dec); err != nil {
 		return dst, err
 	}
-	return dst, dec.Close()
+	if err := dec.Close(); err != nil {
+		return dst, err
+	}
+	checkFree(t, dst)
+	return dst, nil
 }
 
 // TestRestoreRefusesInconsistentPath: a probe's path hops are written as

@@ -161,6 +161,9 @@ type searchHarness struct {
 	now     int64
 	results [15]SetupResult
 	nres    int
+	// steps counts probe steps: the probes in flight summed before each
+	// Cycle.
+	steps int64
 }
 
 // probeDone is the harness's SetProbeDone handler.
@@ -197,6 +200,7 @@ func (h *searchHarness) round(tb testing.TB) {
 		h.e.LaunchProbeTagged(src, 10, 0, i%2 == 1, 0)
 	}
 	for c := 0; c < 10000 && h.nres < len(h.results); c++ {
+		h.steps += int64(h.e.ActiveProbes())
 		h.e.Cycle(h.now)
 		h.now++
 	}
@@ -239,17 +243,20 @@ func TestZeroAllocProbeSearch(t *testing.T) {
 
 // BenchmarkProbeSearch measures one contended round of searchHarness:
 // fifteen probes with backtracks and Force waits, then teardown.
-// allocs/op must report 0.
+// allocs/op must report 0; ns/probe-step is the round's time over its probe
+// steps (hops, misroutes, backtracks and waits alike).
 func BenchmarkProbeSearch(b *testing.B) {
 	h := newSearchHarness(b)
 	for i := 0; i < warmSearchRounds; i++ {
 		h.round(b)
 	}
+	h.steps = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.round(b)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(h.steps), "ns/probe-step")
 }
 
 // BenchmarkProbeStep measures one full launch/resolve/teardown round of 16
