@@ -152,13 +152,17 @@ type Manager struct {
 	// dests[node][dst] is allocated lazily.
 	dests []map[topology.Node]*destState
 
-	inFlight map[flit.MsgID]int64 // message -> inject time
-	nextMsg  flit.MsgID
-	// oldest is OldestAge's cursor: no message below it is in flight. Send
-	// issues IDs in order, so the smallest live ID is the oldest message,
-	// and the cursor only moves forward, past delivered IDs: the per-cycle
-	// watchdog probe is O(1) amortised. Derived; State recomputes it.
-	oldest flit.MsgID
+	nextMsg flit.MsgID
+	// sent[head:] is the in-flight window: the inject times of messages
+	// nextMsg-len(sent[head:])+1 .. nextMsg in ID order, -1 once delivered,
+	// and live counts the entries still in flight. Send issues IDs in
+	// order, so the first undelivered entry is the oldest message.
+	// OldestAge moves head past delivered entries and compacts, so the
+	// per-cycle watchdog probe is O(1) amortised and the array stays
+	// proportional to the window.
+	sent []int64
+	head int
+	live int
 
 	// slotWaiters[n] lists, in ascending order, the destinations of node n
 	// whose state waits for a cache slot (destState.wantSlot), so a freed
@@ -184,7 +188,6 @@ func New(topo topology.Topology, prm core.Params, kind Kind, opt Options, hooks 
 		hooks:       hooks,
 		dests:       make([]map[topology.Node]*destState, topo.Nodes()),
 		slotWaiters: make([][]topology.Node, topo.Nodes()),
-		inFlight:    make(map[flit.MsgID]int64),
 	}
 	switch kind {
 	case Wormhole, CLRP, CARP, PCS:
@@ -210,24 +213,31 @@ func New(topo topology.Topology, prm core.Params, kind Kind, opt Options, hooks 
 func (m *Manager) Cycle(now int64) bool { return m.Fab.Cycle(now) }
 
 // InFlight returns messages accepted by Send but not yet delivered.
-func (m *Manager) InFlight() int { return len(m.inFlight) }
+func (m *Manager) InFlight() int { return m.live }
 
 // OldestAge returns the age of the oldest undelivered message.
 func (m *Manager) OldestAge(now int64) int64 {
-	if len(m.inFlight) == 0 {
-		m.oldest = m.nextMsg + 1
+	i := m.head
+	for i < len(m.sent) && m.sent[i] < 0 {
+		i++
+	}
+	m.sent, m.head = sim.Compact(m.sent, i)
+	if m.live == 0 {
 		return 0
 	}
-	for {
-		if t, ok := m.inFlight[m.oldest]; ok {
-			return now - t
-		}
-		m.oldest++
-	}
+	return now - m.sent[m.head]
 }
 
+// windowIndex returns the index in sent of message id.
+func (m *Manager) windowIndex(id flit.MsgID) int { return len(m.sent) - 1 - int(m.nextMsg-id) }
+
 func (m *Manager) delivered(msg flit.Message, now int64, viaCircuit bool) {
-	delete(m.inFlight, msg.ID)
+	// Only a forged snapshot can deliver a message the window does not
+	// hold as in flight; that changes no window entry.
+	if i := m.windowIndex(msg.ID); i >= m.head && i < len(m.sent) && m.sent[i] >= 0 {
+		m.sent[i] = -1
+		m.live--
+	}
 	if viaCircuit {
 		m.Ctr.DeliveredCircuit++
 		m.ev(events.DeliverCircuit, msg.Src, msg.Dst, int64(msg.ID))
@@ -352,7 +362,8 @@ func (m *Manager) Send(src, dst topology.Node, length int, now int64, wantCircui
 	m.nextMsg++
 	msg := flit.Message{ID: m.nextMsg, Src: int(src), Dst: int(dst), Len: length, InjectTime: now}
 	m.Ctr.Sent++
-	m.inFlight[msg.ID] = now
+	m.sent = append(m.sent, now)
+	m.live++
 	m.ev(events.Send, msg.Src, msg.Dst, int64(msg.ID))
 	m.route(msg, wantCircuit)
 	return msg.ID

@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/flit"
 	"repro/internal/pcs"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -92,16 +94,24 @@ func checkSlotWaiters(t *testing.T, m *Manager) {
 	}
 }
 
-// checkOldestAge fails unless OldestAge, which follows a cursor over
-// message IDs, equals the largest age in the in-flight table.
+// checkOldestAge fails unless OldestAge, which follows a cursor over the
+// in-flight window, equals the largest age of an undelivered entry, and
+// InFlight counts those entries.
 func checkOldestAge(t *testing.T, m *Manager, now int64) {
 	t.Helper()
 	var want int64
-	for _, at := range m.inFlight {
-		want = max(want, now-at)
+	live := 0
+	for _, at := range m.sent[m.head:] {
+		if at >= 0 {
+			want = max(want, now-at)
+			live++
+		}
 	}
 	if got := m.OldestAge(now); got != want {
 		t.Fatalf("cycle %d: OldestAge %d, oldest in-flight message is %d cycles old", now, got, want)
+	}
+	if m.InFlight() != live {
+		t.Fatalf("cycle %d: InFlight %d, window holds %d undelivered messages", now, m.InFlight(), live)
 	}
 }
 
@@ -227,5 +237,97 @@ func TestSnapshotRebuildsSlotWaiters(t *testing.T) {
 	r.drain(t, &now, 2_000_000)
 	if got := len(r.delivered) + len(h.delivered); got != sent {
 		t.Fatalf("delivered %d of %d after restore", got, sent)
+	}
+}
+
+// TestInFlightWindowStaysProportional: the in-flight window holds one entry
+// per message from the oldest in flight to the newest sent, so its array
+// must track that span, not the messages ever sent. A thousand short
+// messages deliver one by one, then a long message stays in flight while
+// thousands of short ones stream past it between other nodes; the array's
+// capacity stays within twice the window (plus slack for append's first
+// growth steps) throughout, and the window empties once the long message
+// delivers.
+func TestInFlightWindowStaysProportional(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, true)
+	h := newHarness(t, topo, core.DefaultParams(), Wormhole, Options{})
+	check := func(now int64, oldest flit.MsgID) {
+		t.Helper()
+		window := 0
+		if h.m.InFlight() > 0 {
+			window = int(h.m.nextMsg-oldest) + 1
+		}
+		if c := cap(h.m.sent); c > 2*window+16 {
+			t.Fatalf("cycle %d: window of %d messages holds an array of capacity %d", now, window, c)
+		}
+	}
+	now := int64(0)
+	for i := 0; i < 1000; i++ {
+		id := h.m.Send(topology.Node(8+i%8), topology.Node(8+(i+3)%8), 4, now, false)
+		h.drain(t, &now, 1000)
+		check(now, id+1)
+	}
+	// Rows 2 and 3 (nodes 8..15) talk among themselves on minimal paths
+	// that never touch row 0, where the long message streams.
+	long := h.m.Send(0, 2, 5000, now, false)
+	for i := 0; i < 3000; i++ {
+		h.m.Send(topology.Node(8+i%8), topology.Node(8+(i+5)%8), 4, now, false)
+		h.m.Cycle(now)
+		checkOldestAge(t, h.m, now)
+		check(now, long)
+		now++
+	}
+	if _, ok := h.delivered[long]; ok || h.m.Ctr.DeliveredWormhole < 3000 {
+		t.Fatalf("long message delivered %v, %d messages delivered; want it still in flight after 3000 short ones", ok, h.m.Ctr.DeliveredWormhole)
+	}
+	h.drain(t, &now, 100_000)
+	h.m.OldestAge(now)
+	if w := len(h.m.sent) - h.m.head; w != 0 || h.m.InFlight() != 0 {
+		t.Fatalf("drained manager: window of %d entries, %d in flight", w, h.m.InFlight())
+	}
+}
+
+// TestRestoreRefusesMalformedInFlightWindow: the in-flight messages decode
+// as ascending (ID, inject time) pairs within the issued IDs, and the
+// window is rebuilt from them; a payload whose IDs repeat, go backwards,
+// fall outside 1..nextMsg or carry a negative inject time is refused.
+func TestRestoreRefusesMalformedInFlightWindow(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, true)
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]int64
+		want  string
+	}{
+		{"out of order", [][2]int64{{2, 5}, {1, 3}}, "go backwards"},
+		{"repeated", [][2]int64{{1, 3}, {1, 3}}, "repeat"},
+		{"zero", [][2]int64{{0, 3}}, "outside the issued IDs"},
+		{"past nextMsg", [][2]int64{{1, 3}, {4, 3}}, "outside the issued IDs"},
+		{"negative time", [][2]int64{{2, -1}}, "injected at cycle -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			enc, err := snapshot.NewEncoder(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nextMsg, n := int64(3), len(tc.pairs)
+			snapshot.I64(enc, &nextMsg)
+			enc.Count(&n)
+			for _, p := range tc.pairs {
+				snapshot.I64(enc, &p[0])
+				snapshot.I64(enc, &p[1])
+			}
+			if err := enc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := snapshot.Open(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHarness(t, topo, core.DefaultParams(), CLRP, Options{})
+			if err := h.m.State(dec); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

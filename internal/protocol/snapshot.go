@@ -2,8 +2,12 @@ package protocol
 
 // Snapshot support for the protocol manager: per-node per-destination FSM
 // state (queued messages, opening/close/slot-wait flags, retry budgets),
-// the in-flight message table and the counters. Maps serialise in sorted
-// key order. The optional Events log is diagnostic output, not simulation
+// the in-flight messages and the counters. Maps serialise in sorted key
+// order. The in-flight window serialises as its undelivered entries only:
+// a count, then (ID, inject time) pairs in ascending ID order. Decoding
+// rebuilds the window from them (delivered IDs between them read as
+// delivered) and refuses IDs that repeat, go backwards or fall outside
+// 1..nextMsg. The optional Events log is diagnostic output, not simulation
 // state, and is not snapshotted.
 
 import (
@@ -19,22 +23,7 @@ import (
 // and Options.
 func (m *Manager) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &m.nextMsg)
-
-	if c.Decoding() {
-		m.oldest = m.nextMsg + 1
-	}
-	snapshot.SortedMap(c, &m.inFlight, func(id *flit.MsgID, at *int64) {
-		snapshot.I64(c, id)
-		snapshot.I64(c, at)
-		if c.Decoding() {
-			if *id < 1 || *id > m.nextMsg {
-				c.Failf("protocol: in-flight message %d outside the issued IDs 1..%d", *id, m.nextMsg)
-			}
-			// On a well-formed stream this is the first key: keys decode in
-			// ascending order, and the smallest is the oldest message.
-			m.oldest = min(m.oldest, *id)
-		}
-	})
+	m.windowState(c)
 
 	for n := range m.dests {
 		if c.Decoding() {
@@ -76,4 +65,57 @@ func (m *Manager) State(c *snapshot.Codec) error {
 		return err
 	}
 	return m.Fab.State(c)
+}
+
+// maxWindow bounds the in-flight window a snapshot may carry: the messages
+// from the oldest in flight to the newest sent, 32 MiB of inject times. A
+// decoder that sized the window from two forged IDs alone could allocate
+// without limit; an encoder refuses a wider window rather than write a
+// checkpoint that cannot be restored.
+const maxWindow = 1 << 22
+
+// windowState walks the in-flight window: the count of undelivered
+// messages, then their IDs and inject times in ascending ID order.
+func (m *Manager) windowState(c *snapshot.Codec) {
+	n := m.live
+	c.Count(&n)
+	if c.Decoding() {
+		m.sent, m.head, m.live = m.sent[:0], 0, 0
+	}
+	var last flit.MsgID
+	i := m.head
+	for k := 0; k < n && c.Err() == nil; k++ {
+		var id flit.MsgID
+		var at int64
+		if !c.Decoding() {
+			for m.sent[i] < 0 {
+				i++
+			}
+			id, at = m.nextMsg-flit.MsgID(len(m.sent)-1-i), m.sent[i]
+			i++
+		}
+		snapshot.I64(c, &id)
+		snapshot.I64(c, &at)
+		switch {
+		case id < 1 || id > m.nextMsg:
+			c.Failf("protocol: in-flight message %d outside the issued IDs 1..%d", id, m.nextMsg)
+		case id <= last:
+			c.Failf("protocol: in-flight message %d follows %d: IDs repeat or go backwards", id, last)
+		case at < 0:
+			c.Failf("protocol: in-flight message %d injected at cycle %d", id, at)
+		case k == 0 && m.nextMsg-id >= maxWindow:
+			c.Failf("protocol: %d messages sent since in-flight message %d, window limit %d", m.nextMsg-id, id, maxWindow)
+		}
+		if c.Decoding() && c.Err() == nil {
+			if k == 0 {
+				m.sent = make([]int64, m.nextMsg-id+1)
+				for j := range m.sent {
+					m.sent[j] = -1
+				}
+			}
+			m.sent[m.windowIndex(id)] = at
+			m.live++
+		}
+		last = id
+	}
 }

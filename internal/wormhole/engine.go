@@ -224,7 +224,8 @@ type Engine struct {
 	freeSlots []int32
 	liveSlots int
 
-	rr int // rotating arbitration offset
+	rr    int // rotating arbitration offset
+	start int // rr modulo NumPorts, where the passes begin (derived)
 
 	// Counters for stats.
 	FlitsMoved     int64
@@ -248,13 +249,11 @@ type Engine struct {
 	// now mirrors the cycle passed to Cycle, for recovery bookkeeping.
 	now int64
 
-	// Active-set state (see activity.go): membership bitmaps over the global
-	// input-port space for the routing and the streaming ports, and the count
-	// of non-idle ports. trackActivity caches !prm.DisableActivityTracking.
-	trackActivity bool
-	routingSet    []uint64
-	activeSet     []uint64
-	activeCount   int
+	// Active-set state (see activity.go): two-level membership sets over
+	// the global input-port space for the routing and the streaming ports.
+	// trackActivity caches !prm.DisableActivityTracking.
+	trackActivity   bool
+	routing, active portSet
 
 	// Scratch reused across cycles; the busy flags are pass stamps (see
 	// activity.go).
@@ -292,8 +291,8 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 		LinkFlits:   make([]int64, topo.NumLinkSlots()),
 	}
 	e.trackActivity = !prm.DisableActivityTracking
-	e.routingSet = make([]uint64, (e.NumPorts()+63)/64)
-	e.activeSet = make([]uint64, len(e.routingSet))
+	e.routing = newPortSet(e.NumPorts())
+	e.active = newPortSet(e.NumPorts())
 	for i := range e.in {
 		e.in[i] = linkVC{inLink: int32(i) / e.nvc, outLink: int32(topology.Invalid), outCh: -1, curSlot: noSlot}
 		e.out[i] = outChan{owner: -1, credits: e.depth}
@@ -403,7 +402,7 @@ func (e *Engine) Cycle(now int64) bool {
 	e.nextPass()
 	e.traversePass(now)
 	e.commitArrivals()
-	e.rr++
+	e.advanceRotation()
 	return aborted || e.FlitsMoved != moved
 }
 
@@ -428,10 +427,12 @@ func (e *Engine) drainCredits(now int64) {
 
 // allocatePass runs route computation and VC allocation over the ports in
 // rotating order from rr: greedy and sequential, so deterministic and fair
-// over time. With activity tracking it walks only routingSet, [start, total)
-// then [0, start), in the full scan's order (see activity.go). A word is
-// copied before its bits are peeled, and a visit moves only the visited
-// port in or out of the set, so the set may change under the walk.
+// over time. With activity tracking it walks only the routing set,
+// [start, total) then [0, start), in the full scan's order (see
+// activity.go), and returns at once when the set is empty. A summary word
+// and a port word are each copied before their bits are peeled, and a
+// visit moves only the visited port, and only out of the set, so the set
+// may change under the walk.
 func (e *Engine) allocatePass() {
 	nl, total := e.numLinkInputs(), e.NumPorts()
 	if !e.trackActivity {
@@ -444,14 +445,21 @@ func (e *Engine) allocatePass() {
 		}
 		return
 	}
-	start := e.rr % total
-	for from, to := start, total; ; from, to = 0, start {
-		for w := from >> 6; w <= (to-1)>>6; w++ {
-			for word := segWord(e.routingSet, w, from, to); word != 0; word &= word - 1 {
-				if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
-					e.allocateLinkVC(int32(port))
-				} else {
-					e.allocateInjection(topology.Node(port - nl))
+	s := &e.routing
+	if s.n == 0 {
+		return
+	}
+	for from, to := e.start, total; ; from, to = 0, e.start {
+		wFrom, wTo := from>>6, (to-1)>>6+1
+		for sw := wFrom >> 6; sw <= (wTo-1)>>6; sw++ {
+			for sum := segWord(s.sum, sw, wFrom, wTo); sum != 0; sum &= sum - 1 {
+				w := sw<<6 + mathbits.TrailingZeros64(sum)
+				for word := segWord(s.words, w, from, to); word != 0; word &= word - 1 {
+					if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
+						e.allocateLinkVC(int32(port))
+					} else {
+						e.allocateInjection(topology.Node(port - nl))
+					}
 				}
 			}
 		}
@@ -462,8 +470,9 @@ func (e *Engine) allocatePass() {
 }
 
 // traversePass runs switch allocation and link traversal in the same order,
-// walking only activeSet when tracking (a delivery hook that injects wakes
-// an injection port into routingSet, which this pass does not walk).
+// walking only the active set when tracking (a visit moves its port out of
+// the set or into the routing set, and a delivery hook that injects wakes
+// an injection port into the routing set, which this pass does not walk).
 func (e *Engine) traversePass(now int64) {
 	nl, total := e.numLinkInputs(), e.NumPorts()
 	if !e.trackActivity {
@@ -476,14 +485,21 @@ func (e *Engine) traversePass(now int64) {
 		}
 		return
 	}
-	start := e.rr % total
-	for from, to := start, total; ; from, to = 0, start {
-		for w := from >> 6; w <= (to-1)>>6; w++ {
-			for word := segWord(e.activeSet, w, from, to); word != 0; word &= word - 1 {
-				if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
-					e.traverseLinkVC(int32(port), now)
-				} else {
-					e.traverseInjection(topology.Node(port-nl), now)
+	s := &e.active
+	if s.n == 0 {
+		return
+	}
+	for from, to := e.start, total; ; from, to = 0, e.start {
+		wFrom, wTo := from>>6, (to-1)>>6+1
+		for sw := wFrom >> 6; sw <= (wTo-1)>>6; sw++ {
+			for sum := segWord(s.sum, sw, wFrom, wTo); sum != 0; sum &= sum - 1 {
+				w := sw<<6 + mathbits.TrailingZeros64(sum)
+				for word := segWord(s.words, w, from, to); word != 0; word &= word - 1 {
+					if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
+						e.traverseLinkVC(int32(port), now)
+					} else {
+						e.traverseInjection(topology.Node(port-nl), now)
+					}
 				}
 			}
 		}

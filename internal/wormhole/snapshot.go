@@ -12,10 +12,11 @@ package wormhole
 // Three parts of the byte format are not engine fields but derived from
 // them: buffered flits are written in full, each VC writes the queue of
 // its buffered headers still to be routed, and the active set is one
-// bitmap (routingSet | activeSet). Decoding checks them: a flit must
+// bitmap (routing | active words). Decoding checks them: a flit must
 // belong to a live message, the header queue must list the buffered heads
 // other than the current message's, and the bitmap must equal the port
-// phases.
+// phases. The sets' summaries and counts and the rotation start are not in
+// the format; decoding recomputes them, and refuses a negative rr.
 
 import (
 	"slices"
@@ -31,6 +32,12 @@ import (
 func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &e.now)
 	snapshot.I64(c, &e.rr)
+	if c.Decoding() && c.Err() == nil {
+		if e.rr < 0 {
+			return c.Failf("wormhole: snapshot rotation offset rr = %d is negative", e.rr)
+		}
+		e.start = e.rr % e.NumPorts()
+	}
 
 	// Slot arena: every slot (live or free) in index order, then the
 	// free-list in its exact LIFO order — slot assignment is canonical and
@@ -46,9 +53,12 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.Slice(c, &e.freeSlots, func(s *int32) { snapshot.U32(c, s) })
 	snapshot.I64(c, &e.liveSlots)
 
+	// The message index grows with the arena's live slots; the count
+	// written beside them sizes nothing and is checked once the ports are
+	// decoded.
 	var slotOf map[flit.MsgID]int32 // decoding: live message -> slot
 	if c.Decoding() && c.Err() == nil {
-		slotOf = make(map[flit.MsgID]int32, e.liveSlots)
+		slotOf = make(map[flit.MsgID]int32)
 		for s := range e.slots {
 			if id := e.slots[s].msg.ID; e.slots[s].live {
 				if _, dup := slotOf[id]; dup {
@@ -128,6 +138,10 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		}
 	})
 
+	if c.Decoding() && c.Err() == nil && len(slotOf) != e.liveSlots {
+		return c.Failf("wormhole: snapshot counts %d live slots, the arena holds %d", e.liveSlots, len(slotOf))
+	}
+
 	// Credit pipe (only populated when CreditDelay > 0).
 	snapshot.Queue(c, &e.creditQueue, &e.creditHead, func(pc *pendingCredit) {
 		snapshot.U32(c, &pc.ch)
@@ -148,18 +162,18 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		})
 	}
 
-	// Active set: one word per 64 ports, routingSet | activeSet, rebuilt
-	// from the port phases on decode.
+	// Active set: the non-idle port count, then one word per 64 ports,
+	// routing | active, rebuilt from the port phases on decode.
 	if c.Decoding() && c.Err() == nil {
 		e.rebuildSets()
 	}
-	count := e.activeCount
+	count := e.ActivePorts()
 	snapshot.I64(c, &count)
-	if c.Err() == nil && count != e.activeCount {
-		return c.Failf("wormhole: snapshot counts %d active ports, port phases give %d", count, e.activeCount)
+	if c.Err() == nil && count != e.ActivePorts() {
+		return c.Failf("wormhole: snapshot counts %d active ports, port phases give %d", count, e.ActivePorts())
 	}
-	c.Fixed(len(e.routingSet), "wormhole active-bitmap words", func(i int) {
-		want := e.routingSet[i] | e.activeSet[i]
+	c.Fixed(len(e.routing.words), "wormhole active-bitmap words", func(i int) {
+		want := e.routing.words[i] | e.active.words[i]
 		w := want
 		c.U64(&w)
 		if c.Err() == nil && w != want {
@@ -175,12 +189,11 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	return c.Err()
 }
 
-// rebuildSets recomputes routingSet, activeSet and activeCount from the
-// port phases.
+// rebuildSets recomputes the routing and active sets, summaries and
+// counts included, from the port phases.
 func (e *Engine) rebuildSets() {
-	clear(e.routingSet)
-	clear(e.activeSet)
-	e.activeCount = 0
+	e.routing.reset()
+	e.active.reset()
 	for i := range e.in {
 		ph := vcIdle
 		e.setPhase(i, &ph, e.in[i].phase)

@@ -98,7 +98,37 @@ func restoreInto(t *testing.T, src *Engine) (*Engine, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dst, dst.State(dec)
+	if err := dst.State(dec); err != nil {
+		return dst, err
+	}
+	checkSets(t, dst)
+	return dst, nil
+}
+
+// TestRestoreRefusesWrongLiveSlotCount: the live-slot count is written
+// beside the arena it counts. Decoding sized its message index from the
+// count before checking it, so a forged count could demand gigabytes; the
+// count must equal the arena's live slots, and is checked first.
+func TestRestoreRefusesWrongLiveSlotCount(t *testing.T) {
+	h, _ := queuedHeadEngine(t)
+	h.eng.liveSlots++
+	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "live slots") {
+		t.Fatalf("err = %v, want a live-slot count mismatch refused", err)
+	}
+}
+
+// TestRestoreRefusesNegativeRotation: the rotation offset rr is the one
+// word the passes derive their start from, and a negative one would index
+// the active-set walk out of range on the first cycle after restore. A
+// digest-valid payload carrying rr = -3 must be refused by name.
+func TestRestoreRefusesNegativeRotation(t *testing.T) {
+	h := newHarness(t, topology.MustCube([]int{4, 4}, true), "dor", Params{NumVCs: 2, BufDepth: 4})
+	h.eng.Inject(flit.Message{ID: 1, Src: 0, Dst: 5, Len: 6})
+	h.eng.Cycle(0)
+	h.eng.rr = -3
+	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "rr = -3") {
+		t.Fatalf("err = %v, want a negative rotation offset refused", err)
+	}
 }
 
 // TestRestoreRefusesInconsistentPayload: the byte format carries the

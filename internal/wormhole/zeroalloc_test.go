@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	mathbits "math/bits"
 	"testing"
 
 	"repro/internal/flit"
@@ -29,13 +30,9 @@ func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 	return eng, &delivered
 }
 
-// pumpDrain injects one 4-flit message per node (a static permutation-ish
-// pattern with no self-sends) and cycles until the network drains. All state
-// the run grows — slot arena, injection rings, credit pipe, arrival
-// scratch — reaches steady capacity after the first call, so later
-// calls exercise the full inject/route/traverse/deliver path without
-// allocating.
-func pumpDrain(tb testing.TB, e *Engine, now *int64, nextID *flit.MsgID) {
+// pumpRound injects one 4-flit message per node of the 8x8 engine, a
+// static permutation-ish pattern with no self-sends.
+func pumpRound(e *Engine, now int64, nextID *flit.MsgID) {
 	const nodes = 64
 	for n := 0; n < nodes; n++ {
 		dst := (n*17 + 5) % nodes
@@ -43,8 +40,17 @@ func pumpDrain(tb testing.TB, e *Engine, now *int64, nextID *flit.MsgID) {
 			dst = (dst + 1) % nodes
 		}
 		*nextID++
-		e.Inject(flit.Message{ID: *nextID, Src: n, Dst: dst, Len: 4, InjectTime: *now})
+		e.Inject(flit.Message{ID: *nextID, Src: n, Dst: dst, Len: 4, InjectTime: now})
 	}
+}
+
+// pumpDrain injects one pumpRound and cycles until the network drains. All
+// state the run grows — slot arena, injection rings, credit pipe, arrival
+// scratch — reaches steady capacity after the first call, so later
+// calls exercise the full inject/route/traverse/deliver path without
+// allocating.
+func pumpDrain(tb testing.TB, e *Engine, now *int64, nextID *flit.MsgID) {
+	pumpRound(e, *now, nextID)
 	for i := 0; i < 10000; i++ {
 		if e.Quiesce() {
 			return
@@ -91,10 +97,59 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 	}
 }
 
+// checkSets fails unless the engine's derived activity state agrees with
+// the port phases: each set's bits are exactly the ports in its phase
+// (none when tracking is off), each summary bit is set exactly while its
+// word is non-zero, each count is its words' popcount, and the rotation
+// start is rr modulo NumPorts.
+func checkSets(tb testing.TB, e *Engine) {
+	tb.Helper()
+	nl := e.numLinkInputs()
+	for _, set := range []struct {
+		name  string
+		s     *portSet
+		phase vcPhase
+	}{{"routing", &e.routing, vcRouting}, {"active", &e.active, vcActive}} {
+		s, count := set.s, 0
+		for port := 0; port < e.NumPorts(); port++ {
+			var ph vcPhase
+			if port < nl {
+				ph = e.in[port].phase
+			} else {
+				ph = e.inj[port-nl].phase
+			}
+			in := s.words[port>>6]&(1<<uint(port&63)) != 0
+			if want := e.trackActivity && ph == set.phase; in != want {
+				tb.Fatalf("%s set: port %d (phase %d) member %v, want %v", set.name, port, ph, in, want)
+			}
+		}
+		for w := range s.sum {
+			for b := 0; b < 64; b++ {
+				word := w<<6 + b
+				got := s.sum[w]&(1<<uint(b)) != 0
+				if want := word < len(s.words) && s.words[word] != 0; got != want {
+					tb.Fatalf("%s set: summary bit for word %d is %v, want %v", set.name, word, got, want)
+				}
+			}
+		}
+		for _, word := range s.words {
+			count += mathbits.OnesCount64(word)
+		}
+		if s.n != count {
+			tb.Fatalf("%s set: count %d, popcount %d", set.name, s.n, count)
+		}
+	}
+	if want := e.rr % e.NumPorts(); e.start != want {
+		tb.Fatalf("rotation start %d, rr %d modulo %d ports is %d", e.start, e.rr, e.NumPorts(), want)
+	}
+}
+
 // TestActiveSetTracksPhases checks the active-set invariant directly: the
 // set is empty at rest, non-empty while messages are in flight, and empty
 // again once the network drains — across repeated rounds, so stale
 // memberships (which would silently degrade the speedup) cannot survive.
+// checkSets holds the derived state against the port phases after every
+// cycle.
 func TestActiveSetTracksPhases(t *testing.T) {
 	eng, _ := zeroAllocEngine(t, DefaultParams())
 	var now int64
@@ -102,8 +157,18 @@ func TestActiveSetTracksPhases(t *testing.T) {
 	if got := eng.ActivePorts(); got != 0 {
 		t.Fatalf("fresh engine has %d active ports, want 0", got)
 	}
+	checkSets(t, eng)
 	for round := 0; round < 3; round++ {
-		pumpDrain(t, eng, &now, &nextID)
+		pumpRound(eng, now, &nextID)
+		checkSets(t, eng)
+		for i := 0; !eng.Quiesce(); i++ {
+			if i == 10000 {
+				t.Fatal("network did not drain")
+			}
+			eng.Cycle(now)
+			now++
+			checkSets(t, eng)
+		}
 		if got := eng.ActivePorts(); got != 0 {
 			t.Fatalf("round %d: drained engine has %d active ports, want 0", round, got)
 		}
@@ -112,6 +177,7 @@ func TestActiveSetTracksPhases(t *testing.T) {
 	if got := eng.ActivePorts(); got != 1 {
 		t.Fatalf("after one injection: %d active ports, want 1", got)
 	}
+	checkSets(t, eng)
 }
 
 // BenchmarkWormholeCycle measures the steady-state cost of one engine cycle
@@ -170,9 +236,10 @@ func BenchmarkWormholeCycle(b *testing.B) {
 }
 
 // BenchmarkWormholeIdleCycle measures one cycle of a completely idle engine.
-// The active-set walks load one bitmap word per 64 ports per pass and visit
-// no port (9 words per bitmap on this 8x8 torus's 576 ports), where the
-// full-scan oracle (the /fullScan variant) visits every port every cycle.
+// Both active-set passes find their set empty and return without loading a
+// bitmap word, so the /activeSet cost is the same on the 8x8 torus (576
+// ports) and the /32x32 torus (13,312 ports), where the full-scan oracle
+// (the /fullScan variant, 8x8) visits every port every cycle.
 func BenchmarkWormholeIdleCycle(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -196,4 +263,24 @@ func BenchmarkWormholeIdleCycle(b *testing.B) {
 			}
 		})
 	}
+	b.Run("32x32", func(b *testing.B) {
+		// The wh_uniform shape (duato over 3 VCs) at 32x32, idle after a
+		// drained burst of uniform traffic.
+		eng := torusEngine(b, 32, "duato", Params{NumVCs: 3, BufDepth: 4}, nil)
+		src := newUniformSource(1, 1024, 32, 0.05)
+		var now int64
+		for ; now < 200; now++ {
+			src.tick(eng, now)
+			eng.Cycle(now)
+		}
+		for ; !eng.Quiesce(); now++ {
+			eng.Cycle(now)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Cycle(now)
+			now++
+		}
+	})
 }

@@ -183,10 +183,13 @@ func (s *Simulator) OnInterval(every int64, fn func(now int64)) {
 // stepCtx advances one cycle after checking for cancellation, then fires
 // the interval hook. Every run loop advances through here, so a cancelled
 // run stops on an inter-cycle boundary with the simulator state consistent
-// (and inspectable) rather than mid-cycle.
+// (and inspectable) rather than mid-cycle. The check is a non-blocking
+// receive on ctx.Done(), which takes no lock (ctx.Err() does).
 func (s *Simulator) stepCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
 	}
 	if err := s.Step(); err != nil {
 		return err

@@ -86,6 +86,11 @@ func Restore(rd io.Reader) (*Simulator, error) {
 // watchdog, an in-progress RunLoad and the protocol/fabric state.
 func (s *Simulator) state(c *snapshot.Codec) error {
 	snapshot.I64(c, &s.now)
+	if c.Decoding() && s.now < 0 {
+		// Messages sent after the resume would carry negative inject
+		// times, which the protocol's in-flight window reads as delivered.
+		return c.Failf("wave: snapshot clock %d is negative", s.now)
+	}
 	stallRun := s.wd.SaveState()
 	snapshot.I64(c, &stallRun)
 	s.wd.RestoreState(stallRun)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/pcs"
@@ -354,6 +355,32 @@ func TestSnapshotDigestRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesNegativeClock: the clock follows the embedded
+// configuration. Messages sent after resuming at a negative cycle would
+// carry negative inject times, which the protocol's in-flight window reads
+// as delivered, so a digest-valid payload with clock -5 is refused.
+func TestRestoreRefusesNegativeClock(t *testing.T) {
+	s, err := New(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Send(1, 14, 16, false)
+	if err := s.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := slices.Clone(buf.Bytes()[len(snapshot.Magic)+4 : buf.Len()-sha256.Size])
+	cfg, _ := splitConfig(payload)
+	clock := int64(-5)
+	binary.LittleEndian.PutUint64(payload[4+len(cfg):], uint64(clock))
+	if _, err := Restore(bytes.NewReader(stampPayload(payload))); err == nil || !strings.Contains(err.Error(), "clock -5") {
+		t.Fatalf("err = %v, want a negative clock refused", err)
+	}
+}
+
 // fuzzAllocBound caps what one Restore of a fuzzed payload may allocate.
 // A seed restores an 8x8 torus or 32-node hypercube simulator in a few MB;
 // a decoder that sized anything from an unchecked count would blow far past
@@ -363,7 +390,10 @@ const fuzzAllocBound = 64 << 20
 // FuzzRestore treats its input as a snapshot payload, wraps it in a valid
 // header and digest (without them the fuzzer would only ever exercise the
 // digest check) and restores it. Restore must return an error or a
-// simulator, never panic, and stay under fuzzAllocBound.
+// simulator, never panic, and stay under fuzzAllocBound. A restored
+// simulator then steps up to 4 cycles: an error there is fine, a panic is
+// not, since a decoder that accepts state the engine cannot run is as
+// broken as one that crashes.
 //
 // The payload embeds the configuration the simulator is built from, and a
 // valid configuration legitimately sizes the simulator (as a waved spec
@@ -391,6 +421,9 @@ func FuzzRestore(f *testing.F) {
 		cfg, _ := splitConfig(payload)
 		configs = append(configs, cfg)
 		f.Add(payload)
+		if r.name == "clrp-torus" {
+			f.Add(negativeRotationPayload(f, payload))
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if cfg, ok := splitConfig(payload); ok && json.Valid(cfg) &&
@@ -399,14 +432,39 @@ func FuzzRestore(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if s, err := Restore(bytes.NewReader(stampPayload(payload))); err == nil && s == nil {
+		s, err := Restore(bytes.NewReader(stampPayload(payload)))
+		if err == nil && s == nil {
 			t.Fatal("Restore returned neither a simulator nor an error")
 		}
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > fuzzAllocBound {
 			t.Fatalf("Restore allocated %d bytes (bound %d)", grew, fuzzAllocBound)
 		}
+		for i := 0; err == nil && i < 4; i++ {
+			err = s.Step()
+		}
 	})
+}
+
+// negativeRotationPayload returns a copy of a checkpoint payload taken at
+// cycle matrixCheckpointAt with the wormhole engine's rotation offset set to
+// -3, and checks that Restore refuses it by name. The engine writes its
+// last cycle and then rr, the number of cycles it has run, so the pair
+// locates the field.
+func negativeRotationPayload(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	field := binary.LittleEndian.AppendUint64(nil, matrixCheckpointAt-1)
+	field = binary.LittleEndian.AppendUint64(field, matrixCheckpointAt)
+	if n := bytes.Count(payload, field); n != 1 {
+		tb.Fatalf("payload holds the engine's (now, rr) pair %d times, want once", n)
+	}
+	forged := slices.Clone(payload)
+	rr := int64(-3)
+	binary.LittleEndian.PutUint64(forged[bytes.Index(payload, field)+8:], uint64(rr))
+	if _, err := Restore(bytes.NewReader(stampPayload(forged))); err == nil || !strings.Contains(err.Error(), "rr = -3") {
+		tb.Fatalf("forged rr: err = %v, want a negative rotation offset refused", err)
+	}
+	return forged
 }
 
 // splitConfig returns the configuration JSON a payload starts with.
