@@ -221,3 +221,19 @@ func TestTimeoutFlagGenerous(t *testing.T) {
 		t.Fatalf("output truncated:\n%s", out.String())
 	}
 }
+
+// TestRunRefusesNonFiniteLoad: a NaN load used to inject nothing and print
+// a normal-looking report, and an infinite one fired every host every
+// cycle until the drain gave up. Both must fail, naming the value.
+func TestRunRefusesNonFiniteLoad(t *testing.T) {
+	for _, load := range []string{"NaN", "Inf", "-Inf"} {
+		var out bytes.Buffer
+		err := run([]string{"-radix", "4x4", "-load", load, "-warmup", "10", "-measure", "100"}, &out)
+		if err == nil {
+			t.Fatalf("-load %s accepted:\n%s", load, out.String())
+		}
+		if !strings.Contains(err.Error(), strings.TrimPrefix(load, "-")) {
+			t.Fatalf("-load %s: error %q does not name the value", load, err)
+		}
+	}
+}

@@ -42,12 +42,20 @@ func (r *RNG) Uint64() uint64 {
 	return v
 }
 
+// gamma is splitmix64's state increment: every draw adds it to the state.
+const gamma = 0x9e3779b97f4a7c15
+
+// Skip advances the stream by k draws without computing them. The state is
+// a counter that each draw moves by gamma, so k draws add k·gamma (mod
+// 2^64): Skip(k) leaves the generator where k Uint64 calls would.
+func (r *RNG) Skip(k uint64) { r.state += k * gamma }
+
 // Step is one splitmix64 draw on a bare state: it returns the advanced state
 // and the value Uint64 would return from a generator holding state. A loop
 // that draws once per iteration can keep the state in a local, handing it
 // back to the generator (Seed) before anything else draws from it.
 func Step(state uint64) (next, v uint64) {
-	next = state + 0x9e3779b97f4a7c15
+	next = state + gamma
 	z := next
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -227,6 +227,32 @@ func TestStepMatchesUint64(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesDraws checks that Skip(k) lands where k draws do, for k
+// from 0 up, across the wrap of the state, and for a count large enough that
+// k·gamma wraps many times.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 77, ^uint64(0) - 5} {
+		r, s := NewRNG(seed), NewRNG(seed)
+		for k := uint64(0); k < 300; k++ {
+			s.Skip(k)
+			for i := uint64(0); i < k; i++ {
+				r.Uint64()
+			}
+			if r.State() != s.State() {
+				t.Fatalf("seed %#x: Skip(%d) state %#x, %d draws %#x", seed, k, s.State(), k, r.State())
+			}
+		}
+	}
+	r, s := NewRNG(3), NewRNG(3)
+	const big = 1_000_003
+	for i := 0; i < big; i++ {
+		r.Uint64()
+	}
+	if s.Skip(big); r.State() != s.State() {
+		t.Fatalf("Skip(%d) state %#x, draws %#x", big, s.State(), r.State())
+	}
+}
+
 // TestBoolCutMatchesFloat64 checks the integer threshold against Bool's
 // float comparison at and around the threshold itself, at the ends of the
 // draw range and on random draws, for rates on the 2^-53 grid, off it, tiny

@@ -8,6 +8,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -38,7 +39,7 @@ func NewPattern(name string, topo topology.Topology) (Pattern, error) {
 		if !ok || g.Dims() != 2 || g.Radix(0) != g.Radix(1) {
 			return nil, fmt.Errorf("traffic: transpose needs a square 2-D network")
 		}
-		return Transpose{Topo: g}, nil
+		return Transpose{to: coordPermutation(g, func(c []int) { c[0], c[1] = c[1], c[0] })}, nil
 	case "bitreverse":
 		if hosts&(hosts-1) != 0 {
 			return nil, fmt.Errorf("traffic: bit-reversal needs a power-of-two host count")
@@ -54,7 +55,12 @@ func NewPattern(name string, topo topology.Topology) (Pattern, error) {
 		if !ok {
 			return nil, fmt.Errorf("traffic: tornado is a torus-coordinate pattern; %s has no cube geometry", topo.Name())
 		}
-		return Tornado{Topo: g}, nil
+		return Tornado{to: coordPermutation(g, func(c []int) {
+			for d := range c {
+				k := g.Radix(d)
+				c[d] = (c[d] + (k/2 - 1 + k%2)) % k
+			}
+		})}, nil
 	case "neighbor":
 		return Neighbor{Topo: topo}, nil
 	case "hotspot":
@@ -158,17 +164,26 @@ func (u Uniform) Pick(src topology.Node, rng *sim.RNG) topology.Node {
 
 // Transpose sends (x, y) to (y, x) — a classic adversarial permutation for
 // dimension-order routing.
-type Transpose struct{ Topo topology.Geometry }
+type Transpose struct{ to []topology.Node }
 
 // Name implements Pattern.
 func (Transpose) Name() string { return "transpose" }
 
 // Pick implements Pattern.
-func (t Transpose) Pick(src topology.Node, _ *sim.RNG) topology.Node {
-	c := make([]int, 2)
-	t.Topo.Coord(src, c)
-	c[0], c[1] = c[1], c[0]
-	return t.Topo.NodeAt(c)
+func (t Transpose) Pick(src topology.Node, _ *sim.RNG) topology.Node { return t.to[src] }
+
+// coordPermutation tabulates a coordinate permutation once, at
+// construction: entry n is the node at move(coordinates of n). Pick then
+// reads one entry and allocates nothing.
+func coordPermutation(g topology.Geometry, move func(c []int)) []topology.Node {
+	to := make([]topology.Node, g.Nodes())
+	c := make([]int, g.Dims())
+	for n := range to {
+		g.Coord(topology.Node(n), c)
+		move(c)
+		to[n] = g.NodeAt(c)
+	}
+	return to
 }
 
 // BitReverse sends node b_{n-1}..b_0 to node b_0..b_{n-1}.
@@ -196,21 +211,13 @@ func (b BitComplement) Pick(src topology.Node, _ *sim.RNG) topology.Node {
 
 // Tornado sends half way around each dimension — the worst case for minimal
 // routing on tori.
-type Tornado struct{ Topo topology.Geometry }
+type Tornado struct{ to []topology.Node }
 
 // Name implements Pattern.
 func (Tornado) Name() string { return "tornado" }
 
 // Pick implements Pattern.
-func (t Tornado) Pick(src topology.Node, _ *sim.RNG) topology.Node {
-	c := make([]int, t.Topo.Dims())
-	t.Topo.Coord(src, c)
-	for d := range c {
-		k := t.Topo.Radix(d)
-		c[d] = (c[d] + (k/2 - 1 + k%2)) % k
-	}
-	return t.Topo.NodeAt(c)
-}
+func (t Tornado) Pick(src topology.Node, _ *sim.RNG) topology.Node { return t.to[src] }
 
 // Neighbor sends to the +1 neighbour in dimension 0 (maximal locality) on
 // cube geometries, and to the next host in numbering order elsewhere.
@@ -273,7 +280,7 @@ func NewLocality(base Pattern, nodes, setSize int, reuse float64, period int) (*
 	if setSize < 1 {
 		return nil, fmt.Errorf("traffic: working-set size must be >= 1, got %d", setSize)
 	}
-	if reuse < 0 || reuse > 1 {
+	if !(reuse >= 0 && reuse <= 1) { // NaN fails both
 		return nil, fmt.Errorf("traffic: reuse probability %g out of [0,1]", reuse)
 	}
 	return &Locality{
@@ -407,8 +414,8 @@ type Generator struct {
 
 // NewGenerator builds a generator for `nodes` nodes with its own RNG stream.
 func NewGenerator(p Pattern, l LengthDist, load float64, nodes int, seed uint64) (*Generator, error) {
-	if load < 0 {
-		return nil, fmt.Errorf("traffic: negative load %g", load)
+	if load < 0 || math.IsNaN(load) || math.IsInf(load, 0) {
+		return nil, fmt.Errorf("traffic: load %g flits/node/cycle is not a finite non-negative number", load)
 	}
 	if l.Mean() <= 0 {
 		return nil, fmt.Errorf("traffic: non-positive mean length")

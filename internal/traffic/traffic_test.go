@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -286,6 +288,15 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 	if _, err := NewGenerator(Uniform{N: 4}, Fixed{L: 0}, 0.1, 4, 1); err == nil {
 		t.Fatal("zero mean length accepted")
+	}
+	for _, load := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewGenerator(Uniform{N: 4}, Fixed{L: 8}, load, 4, 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(load)) {
+			t.Fatalf("load %g: err = %v, want a refusal naming the value", load, err)
+		}
+	}
+	if _, err := NewLocality(Uniform{N: 4}, 4, 2, math.NaN(), 0); err == nil {
+		t.Fatal("NaN reuse probability accepted")
 	}
 }
 

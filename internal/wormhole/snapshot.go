@@ -129,12 +129,22 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		e.walkPhase(c, &p.phase)
 		e.walkOut(c, &p.outLink, &p.outCh)
 		snapshot.I64(c, &p.rcWait)
-		if c.Decoding() && c.Err() == nil && p.phase == vcActive && p.qlen() > 0 {
-			if s := p.front(); s < 0 || int(s) >= len(e.slots) || !e.slots[s].live {
-				c.Failf("wormhole: snapshot injection port %d fronts slot %d of no live message", i, s)
-			} else {
-				p.frontLen = e.slots[s].msg.Len
+		if !c.Decoding() || c.Err() != nil {
+			return
+		}
+		// Every queued slot becomes the front, which routing reads.
+		for j, s := range p.queue[p.head:] {
+			if s < 0 || int(s) >= len(e.slots) || !e.slots[s].live {
+				what := "queues"
+				if j == 0 {
+					what = "fronts"
+				}
+				c.Failf("wormhole: snapshot injection port %d %s slot %d of no live message", i, what, s)
+				return
 			}
+		}
+		if p.phase == vcActive && p.qlen() > 0 {
+			p.frontLen = e.slots[p.front()].msg.Len
 		}
 	})
 
@@ -146,6 +156,9 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.Queue(c, &e.creditQueue, &e.creditHead, func(pc *pendingCredit) {
 		snapshot.U32(c, &pc.ch)
 		snapshot.I64(c, &pc.at)
+		if c.Decoding() && c.Err() == nil && (pc.ch < 0 || int(pc.ch) >= len(e.out)) {
+			c.Failf("wormhole: snapshot credit in flight for channel %d of %d", pc.ch, len(e.out))
+		}
 	})
 
 	// Recovery bookkeeping.

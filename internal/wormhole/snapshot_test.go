@@ -169,6 +169,30 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 	})
 }
 
+// TestRestoreRefusesCreditForNoChannel: a credit in flight names the output
+// channel it returns to, and the first cycle after restore indexes the
+// channels with it. A payload whose credit names no channel must be refused
+// (FuzzRestore found one that panicked in drainCredits).
+func TestRestoreRefusesCreditForNoChannel(t *testing.T) {
+	h := newHarness(t, topology.MustCube([]int{4, 4}, true), "dor", Params{NumVCs: 2, BufDepth: 4, CreditDelay: 2})
+	h.eng.Inject(flit.Message{ID: 1, Src: 0, Dst: 5, Len: 6})
+	for cyc := int64(0); len(h.eng.creditQueue) == h.eng.creditHead; cyc++ {
+		if cyc == 100 {
+			t.Fatal("no credit ever in flight")
+		}
+		h.eng.Cycle(cyc)
+	}
+	if _, err := restoreInto(t, h.eng); err != nil {
+		t.Fatalf("clean payload refused: %v", err)
+	}
+	for _, ch := range []int32{int32(len(h.eng.out)), -1} {
+		h.eng.creditQueue[h.eng.creditHead].ch = ch
+		if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "credit in flight") {
+			t.Fatalf("credit for channel %d: err = %v, want it refused", ch, err)
+		}
+	}
+}
+
 // TestRestoreRecomputesInjectionFrontLen: an active injection port's
 // front-message length is derived state, not in the byte format. Decoding
 // must recompute it, so a restored engine injects the same flits as the
@@ -206,5 +230,25 @@ func TestRestoreRecomputesInjectionFrontLen(t *testing.T) {
 	h.eng.slots[h.eng.inj[3].front()].live = false
 	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "fronts slot") {
 		t.Fatalf("err = %v, want an injection port fronting no live message", err)
+	}
+
+	// A queued message behind the front becomes the front later, and a
+	// routing port reads its slot too (FuzzRestore found a payload whose
+	// routing port's front indexed past the arena).
+	h = newHarness(t, topology.MustCube([]int{4, 4}, true), "dor", Params{NumVCs: 2, BufDepth: 4})
+	h.eng.Inject(flit.Message{ID: 1, Src: 3, Dst: 6, Len: 8})
+	h.eng.Inject(flit.Message{ID: 2, Src: 3, Dst: 9, Len: 8})
+	h.eng.Cycle(0)
+	p := &h.eng.inj[3]
+	if p.qlen() != 2 {
+		t.Fatalf("injection port queues %d messages, want 2", p.qlen())
+	}
+	h.eng.slots[p.queue[p.head+1]].live = false
+	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "queues slot") {
+		t.Fatalf("err = %v, want an injection port queueing no live message", err)
+	}
+	p.queue[p.head+1] = int32(len(h.eng.slots))
+	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "queues slot") {
+		t.Fatalf("err = %v, want an injection port queueing a slot past the arena", err)
 	}
 }

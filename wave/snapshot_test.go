@@ -425,6 +425,10 @@ func FuzzRestore(f *testing.F) {
 			f.Add(negativeRotationPayload(f, payload))
 		}
 	}
+	small := smallFuzzSeed(f)
+	cfg, _ := splitConfig(small)
+	configs = append(configs, cfg)
+	f.Add(small)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if cfg, ok := splitConfig(payload); ok && json.Valid(cfg) &&
 			!slices.ContainsFunc(configs, func(c []byte) bool { return bytes.Equal(c, cfg) }) {
@@ -444,6 +448,51 @@ func FuzzRestore(f *testing.F) {
 			err = s.Step()
 		}
 	})
+}
+
+// smallFuzzSeed returns the payload of a 4x4-torus CLRP checkpoint taken
+// mid-RunLoad, at the first cycle from 200 on with a probe in flight, once
+// locality working sets are drawn. It is about 15 KB where the matrix seeds
+// are 57-80 KB, and it still reaches the generator's working-set decoder
+// and the PCS probe decoder.
+func smallFuzzSeed(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{4, 4}}
+	cfg.Protocol = "clrp"
+	cfg.Seed = 99
+	// The fewest per-link and per-node registers a CLRP torus runs with:
+	// they, not the traffic, set the size of a small fabric's checkpoint.
+	cfg.NumSwitches, cfg.NumVCs, cfg.Routing, cfg.BufDepth, cfg.CacheCapacity = 1, 2, "dor", 2, 2
+	w := Workload{Pattern: "uniform", Load: 0.2, FixedLength: 24, WorkingSet: 2, Reuse: 0.8, RedrawPeriod: 6}
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	s.OnInterval(1, func(now int64) {
+		if buf.Len() > 0 || now < 200 || s.mgr.Fab.PCS.ActiveProbes() == 0 {
+			return
+		}
+		if err := s.Snapshot(&buf); err != nil {
+			tb.Error(err)
+		}
+	})
+	if _, err := s.RunLoad(w, 100, 400); err != nil {
+		tb.Fatal(err)
+	}
+	snap := buf.Bytes()
+	if len(snap) == 0 || len(snap) > 16<<10 {
+		tb.Fatalf("small seed checkpoint is %d bytes, want 1..16 KB", len(snap))
+	}
+	r, err := Restore(bytes.NewReader(snap))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if r.mgr.Fab.PCS.ActiveProbes() == 0 || !r.InLoadRun() {
+		tb.Fatal("small seed has no probe in flight or no load run")
+	}
+	return snap[len(snapshot.Magic)+4 : len(snap)-sha256.Size]
 }
 
 // negativeRotationPayload returns a copy of a checkpoint payload taken at

@@ -9,7 +9,7 @@ import (
 // TestWorkersIgnored pins the compatibility contract of the deprecated
 // Config.Workers: every non-negative value runs the one single-threaded
 // engine — equal Stats and Result, EngineWorkers() == 1, and no goroutine
-// started by New or RunLoad.
+// outlives New or RunLoad.
 func TestWorkersIgnored(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{16, 16}}

@@ -209,13 +209,8 @@ func (s *Simulator) ResumeLoadContext(ctx context.Context) (*Result, error) {
 // load state stays armed so the run can be checkpointed and resumed.
 func (s *Simulator) finishLoad(ctx context.Context) (*Result, error) {
 	ld := s.load
-	for s.now < ld.end {
-		ld.gen.Tick(func(src, dst topology.Node, length int) {
-			s.mgr.Send(src, dst, length, s.now, ld.w.WantCircuit)
-		})
-		if err := s.stepCtx(ctx); err != nil {
-			return nil, err
-		}
+	if err := s.inject(ctx, ld); err != nil {
+		return nil, err
 	}
 	if err := s.DrainContext(ctx, ld.drainDeadline-s.now); err != nil {
 		return nil, err
@@ -253,6 +248,29 @@ func (s *Simulator) finishLoad(ctx context.Context) (*Result, error) {
 	}
 	s.load = nil
 	return res, nil
+}
+
+// inject runs the injection window from the current cycle to ld.end. The
+// traffic is drawn ahead by a traffic.Ahead producer goroutine; it is
+// stopped and joined on every return, and the generator it replays onto
+// is exact at every cycle boundary, so a checkpoint taken from the
+// interval hook or after an error sees what a serial Tick would leave.
+func (s *Simulator) inject(ctx context.Context, ld *loadRun) error {
+	if s.now >= ld.end {
+		return nil
+	}
+	ahead := ld.gen.RunAhead(s.now, ld.end-s.now)
+	defer ahead.Stop()
+	send := func(src, dst topology.Node, length int) {
+		s.mgr.Send(src, dst, length, s.now, ld.w.WantCircuit)
+	}
+	for s.now < ld.end {
+		ahead.Tick(send)
+		if err := s.stepCtx(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // OpenAll issues CARP OpenCircuit for every (src, dst) pair a locality
