@@ -282,12 +282,6 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "topology        %s %s, protocol %s (routing %s, w=%d, k=%d, MB-%d, %gx clock)\n",
 		*topoKind, *radix, res.Protocol, *routing, *vcs, *switches, *misroutes, *mult)
-	rt := sim.RoutingTableInfo()
-	table := rt.Mode
-	if rt.Bytes > 0 {
-		table = fmt.Sprintf("%s (%s)", rt.Mode, fmtBytes(rt.Bytes))
-	}
-	fmt.Fprintf(out, "engine          routing table %s\n", table)
 	fmt.Fprintf(out, "workload        %s, load %.3f flits/node/cycle, %d-flit messages", *pattern, *load, *msgLen)
 	if *wset > 0 {
 		fmt.Fprintf(out, ", working set %d @ %.0f%% reuse", *wset, *reuse*100)
@@ -379,19 +373,6 @@ func writeSnapshot(sim *wave.Simulator, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// fmtBytes renders a byte count with a binary-unit suffix for the engine
-// report line.
-func fmtBytes(n int) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }
 
 // printStatsDigest prints the SHA-256 of the final Stats JSON — the

@@ -222,6 +222,21 @@ func TestTimeoutFlagGenerous(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNonFiniteClockMult: NaN passed the fabric's "<= 0" test
+// and infinity is no clock rate; all three must fail, naming the field.
+func TestRunRefusesNonFiniteClockMult(t *testing.T) {
+	for _, mult := range []string{"NaN", "Inf", "-Inf"} {
+		var out bytes.Buffer
+		err := run([]string{"-radix", "4x4", "-clockmult", mult, "-warmup", "10", "-measure", "100"}, &out)
+		if err == nil {
+			t.Fatalf("-clockmult %s accepted:\n%s", mult, out.String())
+		}
+		if !strings.Contains(err.Error(), "WaveClockMult") {
+			t.Fatalf("-clockmult %s: error %q does not name the field", mult, err)
+		}
+	}
+}
+
 // TestRunRefusesNonFiniteLoad: a NaN load used to inject nothing and print
 // a normal-looking report, and an infinite one fired every host every
 // cycle until the drain gave up. Both must fail, naming the value.

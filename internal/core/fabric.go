@@ -80,11 +80,6 @@ type Params struct {
 	// requires deep delivery buffers"). Zero means buffers deep enough that
 	// the window never throttles — the paper's design point.
 	WindowFlits int
-	// DisableRoutingTable turns off the compressed per-dimension routing
-	// table (internal/routing.Select) and routes every header through the
-	// algorithmic implementation. Candidate sequences are identical either
-	// way; the flag exists for oracle cross-checks.
-	DisableRoutingTable bool
 	// DisableActivityTracking runs the wormhole engine's passes as full scans
 	// over every port, making each cycle cost O(network) regardless of load.
 	// Results are bit-identical either way; the full scan is the cross-check
@@ -113,8 +108,8 @@ func DefaultParams() Params {
 }
 
 func (p Params) validate() error {
-	if p.WaveClockMult <= 0 {
-		return fmt.Errorf("core: WaveClockMult must be positive, got %g", p.WaveClockMult)
+	if m := p.WaveClockMult; !(m > 0) || math.IsInf(m, 0) {
+		return fmt.Errorf("core: WaveClockMult must be positive and finite, got %g", m)
 	}
 	if p.CacheCapacity < 1 {
 		return fmt.Errorf("core: CacheCapacity must be >= 1, got %d", p.CacheCapacity)
@@ -182,11 +177,6 @@ type Fabric struct {
 	WH   *wormhole.Engine
 	PCS  *pcs.Engine
 
-	// RoutingTable records the routing-table selection outcome (compressed
-	// or algorithmic). Deliberately not part of Stats: a table-backed run and
-	// an algorithmic oracle run must stay stats-identical.
-	RoutingTable routing.TableInfo
-
 	hooks  Hooks
 	caches []*circuit.Cache
 	rng    *sim.RNG
@@ -215,16 +205,6 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	tableInfo := routing.TableInfo{Mode: routing.TableAlgorithmic}
-	if !prm.DisableRoutingTable {
-		// On a k-ary n-cube the per-cycle hot path becomes the compressed
-		// per-dimension table, built for this fabric; the algorithmic
-		// implementation above remains its generator and oracle. Other
-		// families keep their closed-form function. The returned TableInfo
-		// records which representation serves lookups, for the engine
-		// report line.
-		fn, tableInfo = routing.Select(fn, topo)
-	}
 	f := &Fabric{
 		Topo:          topo,
 		Prm:           prm,
@@ -232,7 +212,6 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 		rng:           sim.NewRNG(prm.Seed),
 		events:        engine.NewShardedEvents(0),
 		WaveLinkFlits: make([]int64, topo.NumLinkSlots()),
-		RoutingTable:  tableInfo,
 	}
 	f.WH, err = wormhole.New(topo, fn, wormhole.Params{NumVCs: prm.NumVCs, BufDepth: prm.BufDepth, CreditDelay: prm.CreditDelay, RouteDelay: prm.RouteDelay, DisableActivityTracking: prm.DisableActivityTracking}, wormhole.Hooks{
 		Delivered: func(m flit.Message, now int64) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -67,6 +69,26 @@ func establish(t *testing.T, f *testFabric, now *int64, src, dst topology.Node, 
 	return entry
 }
 
+// TestWaveClockMultMustBeFinite: NaN compares false with everything, so a
+// plain "<= 0" test let it through; NaN and both infinities are refused and
+// the error names the field.
+func TestWaveClockMultMustBeFinite(t *testing.T) {
+	topo := topology.MustCube([]int{4, 4}, false)
+	for _, m := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		p := DefaultParams()
+		p.WaveClockMult = m
+		_, err := New(topo, p, Hooks{})
+		if err == nil || !strings.Contains(err.Error(), "WaveClockMult") {
+			t.Errorf("WaveClockMult %g: err = %v, want a WaveClockMult error", m, err)
+		}
+	}
+	p := DefaultParams()
+	p.WaveClockMult = 0.5
+	if _, err := New(topo, p, Hooks{}); err != nil {
+		t.Errorf("WaveClockMult 0.5 refused: %v", err)
+	}
+}
+
 func TestParamsValidation(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	p := DefaultParams()
@@ -112,7 +134,7 @@ func TestFig2RouterStructure(t *testing.T) {
 		t.Fatal("no PCS routing control unit")
 	}
 	// k wave switches: a channel exists for every (link, switch) pair.
-	link, _ := topo.OutLink(0, 0, topology.Plus)
+	link, _ := topo.OutSlot(0, int(topology.Plus))
 	for sw := 0; sw < prm.NumSwitches; sw++ {
 		if f.PCS.ChannelStatus(pcs.Channel{Link: link, Switch: sw}) != pcs.Free {
 			t.Fatalf("wave channel (link %d, S%d) not present/free", link, sw+1)

@@ -194,7 +194,7 @@ func TestFig3StatusRegisters(t *testing.T) {
 
 func mustLink(t *testing.T, topo topology.Geometry, n topology.Node, dim int, dir topology.Dir) topology.LinkID {
 	t.Helper()
-	l, ok := topo.OutLink(n, dim, dir)
+	l, ok := topo.OutSlot(n, 2*dim+int(dir))
 	if !ok {
 		t.Fatalf("no link at node %d dim %d", n, dim)
 	}
@@ -254,7 +254,7 @@ func TestBacktrackRestoresChannels(t *testing.T) {
 			if !ok {
 				continue
 			}
-			l, _ := topo.OutLink(nb, dim, dir.Opposite())
+			l, _ := topo.OutSlot(nb, 2*dim+int(dir.Opposite()))
 			e.InjectFault(Channel{Link: l, Switch: 0})
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // dir) on switch sw.
 func outChannel(t *testing.T, topo topology.Geometry, n topology.Node, dim int, dir topology.Dir, sw int) Channel {
 	t.Helper()
-	link, ok := topo.OutLink(n, dim, dir)
+	link, ok := topo.OutSlot(n, 2*dim+int(dir))
 	if !ok {
 		t.Fatalf("node %d has no out-link along dim %d dir %v", n, dim, dir)
 	}

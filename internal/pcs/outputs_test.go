@@ -16,7 +16,7 @@ type refOption struct {
 
 // referenceOutputs is the output enumeration spelled with the Topology and
 // Geometry interface calls the engine made per hop before it read the link
-// table: LinkByID + ReverseLink for the U-turn, Offsets + OutLink on cubes,
+// table: LinkByID + ReverseLink for the U-turn, Offsets + OutSlot on cubes,
 // OutSlot + Distance elsewhere. It lists a router's candidate outputs in the
 // probe's order, and it is the oracle the probe's output selection (pick,
 // requestedChannels) and every frame's masks must match.
@@ -31,7 +31,7 @@ func referenceOutputs(topo topology.Topology, at, dst topology.Node, arrival top
 		var mags []int
 		for dim := 0; dim < g.Dims(); dim++ {
 			for dir := topology.Plus; dir <= topology.Minus; dir++ {
-				link, ok := g.OutLink(at, dim, dir)
+				link, ok := g.OutSlot(at, 2*dim+int(dir))
 				if !ok || link == back {
 					continue
 				}

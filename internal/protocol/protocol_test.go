@@ -247,7 +247,7 @@ func TestCLRPPhase3WormholeFallback(t *testing.T) {
 	h := newHarness(t, topo, prm, CLRP, Options{})
 	for dim := 0; dim < topo.Dims(); dim++ {
 		for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
-			if link, ok := topo.OutLink(0, dim, dir); ok {
+			if link, ok := topo.OutSlot(0, 2*dim+int(dir)); ok {
 				for sw := 0; sw < prm.NumSwitches; sw++ {
 					h.m.Fab.PCS.InjectFault(pcs.Channel{Link: link, Switch: sw})
 				}

@@ -226,9 +226,9 @@ func TestFamilyMismatchErrors(t *testing.T) {
 }
 
 // TestInLinkDependentStaysAlgorithmic: freezing vcfree into a (here, dst)
-// table would erase the transit restriction, so Select must hand both
-// full-mesh functions back unchanged. updown is closed-form and stays
-// algorithmic too; only k-ary n-cubes get a table.
+// table would erase the transit restriction, so the deprecated selector the
+// benchmark module still routes through must hand both full-mesh functions
+// back unchanged, and updown with them.
 func TestInLinkDependentStaysAlgorithmic(t *testing.T) {
 	m := topology.MustFullMesh(8)
 	ft := topology.MustFatTree(2, 2)
@@ -240,9 +240,8 @@ func TestInLinkDependentStaysAlgorithmic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, info := Select(fn, c.topo)
-		if got != fn || info != (TableInfo{Mode: TableAlgorithmic}) {
-			t.Errorf("%s: Select = %T, %+v; want the function itself, algorithmic", c.name, got, info)
+		if got, info := SelectTableCached(fn, c.topo, DefaultTableMaxNodes); got != fn || info != (TableInfo{}) {
+			t.Errorf("%s: SelectTableCached = %T, %+v; want the function itself", c.name, got, info)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // any number of virtual channels, like WestFirst but adaptive in both
 // phases and not limited to two dimensions.
 type NegativeFirst struct {
-	topo   topology.Geometry
+	tab    *topology.LinkTable
 	numVCs int
 }
 
@@ -23,14 +23,14 @@ func NewNegativeFirst(topo topology.Topology, numVCs int) (*NegativeFirst, error
 	if numVCs < 1 {
 		return nil, fmt.Errorf("routing: negative-first needs at least 1 VC, got %d", numVCs)
 	}
-	g, err := geometryOf(topo, "negativefirst")
+	tab, err := cubeTable(topo, "negativefirst")
 	if err != nil {
 		return nil, err
 	}
-	if g.Wrap() {
+	if tab.Wrap {
 		return nil, fmt.Errorf("routing: negative-first requires a mesh (turn model does not cover wraparound)")
 	}
-	return &NegativeFirst{topo: g, numVCs: numVCs}, nil
+	return &NegativeFirst{tab: tab, numVCs: numVCs}, nil
 }
 
 // Name implements Func.
@@ -44,32 +44,20 @@ func (r *NegativeFirst) Escape() Func { return r }
 
 // Candidates implements Func.
 func (r *NegativeFirst) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
-	dims := r.topo.Dims()
-	appendDir := func(dim int, dir topology.Dir) {
-		link, ok := r.topo.OutLink(here, dim, dir)
-		if !ok {
-			panic(fmt.Sprintf("routing: negative-first missing link at node %d dim %d", here, dim))
-		}
-		for vc := 0; vc < r.numVCs; vc++ {
-			out = append(out, Candidate{Link: link, VC: vc})
-		}
-	}
-
 	// Phase one: any remaining negative hop, adaptively.
-	negAny := false
-	for d := 0; d < dims; d++ {
-		if r.topo.OffsetAlong(here, dst, d) < 0 {
-			appendDir(d, topology.Minus)
-			negAny = true
+	n := len(out)
+	for d := 0; d < r.tab.Dims; d++ {
+		if r.tab.Cell(here, dst, d).Off < 0 {
+			out = appendVCs(out, r.tab.Slot(here, d, topology.Minus), 0, 1, r.numVCs)
 		}
 	}
-	if negAny {
+	if len(out) > n {
 		return out
 	}
 	// Phase two: positive hops, adaptively.
-	for d := 0; d < dims; d++ {
-		if r.topo.OffsetAlong(here, dst, d) > 0 {
-			appendDir(d, topology.Plus)
+	for d := 0; d < r.tab.Dims; d++ {
+		if r.tab.Cell(here, dst, d).Off > 0 {
+			out = appendVCs(out, r.tab.Slot(here, d, topology.Plus), 0, 1, r.numVCs)
 		}
 	}
 	return out

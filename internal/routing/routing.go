@@ -29,9 +29,11 @@
 //   - "vcfree-nolabel": the same without the label restriction — cyclic CDG,
 //     recovery-only, the full-mesh counterpart of dor-nodateline.
 //
-// The five cube functions require the topology to implement
-// topology.Geometry (coordinates, offsets); their constructors reject other
-// families with a clear error instead of assuming cube shape.
+// The five cube functions decide each hop from the per-dimension ring cells
+// of the topology's link table (topology.RingCell: the probe's Xi-offset
+// field and the dateline class), so they require a k-ary n-cube; their
+// constructors reject other families with a clear error instead of assuming
+// cube shape.
 package routing
 
 import (
@@ -40,15 +42,34 @@ import (
 	"repro/internal/topology"
 )
 
-// geometryOf asserts the cube-coordinate extension a cube-only routing
-// function needs, turning a wrong-family configuration into a construction
-// error instead of a latent shape assumption.
-func geometryOf(topo topology.Topology, fnName string) (topology.Geometry, error) {
-	g, ok := topo.(topology.Geometry)
-	if !ok {
+// cubeTable returns the link table of a cube, whose ring cells a cube-only
+// routing function decides from, turning a wrong-family configuration into
+// a construction error instead of a latent shape assumption.
+func cubeTable(topo topology.Topology, fnName string) (*topology.LinkTable, error) {
+	if _, ok := topo.(topology.Geometry); !ok {
 		return nil, fmt.Errorf("routing: %s needs cube coordinate geometry, but %s does not provide it (use updown on fat trees, vcfree on full meshes)", fnName, topo.Name())
 	}
-	return g, nil
+	return topo.Links(), nil
+}
+
+// firstHop returns the dimension-order hop from here toward dst: the link
+// along the lowest dimension whose coordinate differs, and that
+// dimension's ring cell. ok is false when here == dst.
+func firstHop(tab *topology.LinkTable, here, dst topology.Node) (link topology.LinkID, c topology.RingCell, ok bool) {
+	for d := 0; d < tab.Dims; d++ {
+		if c = tab.Cell(here, dst, d); c.Off != 0 {
+			return tab.Slot(here, d, c.Dir()), c, true
+		}
+	}
+	return topology.Invalid, c, false
+}
+
+// appendVCs appends link on every virtual channel lo, lo+step, ... below n.
+func appendVCs(out []Candidate, link topology.LinkID, lo, step, n int) []Candidate {
+	for vc := lo; vc < n; vc += step {
+		out = append(out, Candidate{Link: link, VC: vc})
+	}
+	return out
 }
 
 // Candidate is one (output link, virtual channel) pair a header flit may be
@@ -118,17 +139,17 @@ func New(name string, topo topology.Topology, numVCs int) (Func, error) {
 // deadlocks the routing function permits, and for proving the CDG checker
 // non-vacuous. Never use it without recovery enabled.
 type DORNoDateline struct {
-	topo   topology.Geometry
+	tab    *topology.LinkTable
 	numVCs int
 }
 
 // NewDORNoDateline constructs the unrestricted function.
 func NewDORNoDateline(topo topology.Topology, numVCs int) (*DORNoDateline, error) {
-	g, err := geometryOf(topo, "dor-nodateline")
+	tab, err := cubeTable(topo, "dor-nodateline")
 	if err != nil {
 		return nil, err
 	}
-	return &DORNoDateline{topo: g, numVCs: numVCs}, nil
+	return &DORNoDateline{tab: tab, numVCs: numVCs}, nil
 }
 
 // Name implements Func.
@@ -142,23 +163,8 @@ func (r *DORNoDateline) Escape() Func { return r }
 
 // Candidates implements Func.
 func (r *DORNoDateline) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
-	for d := 0; d < r.topo.Dims(); d++ {
-		o := r.topo.OffsetAlong(here, dst, d)
-		if o == 0 {
-			continue
-		}
-		dir := topology.Plus
-		if o < 0 {
-			dir = topology.Minus
-		}
-		link, ok := r.topo.OutLink(here, d, dir)
-		if !ok {
-			panic(fmt.Sprintf("routing: dor-nodateline missing link at node %d dim %d", here, d))
-		}
-		for vc := 0; vc < r.numVCs; vc++ {
-			out = append(out, Candidate{Link: link, VC: vc})
-		}
-		return out
+	if link, _, ok := firstHop(r.tab, here, dst); ok {
+		return appendVCs(out, link, 0, 1, r.numVCs)
 	}
 	return out
 }
@@ -169,26 +175,38 @@ func (r *DORNoDateline) Candidates(here, dst topology.Node, _ topology.LinkID, _
 // DOR is deterministic dimension-order (e-cube) routing: correct dimension 0
 // fully, then dimension 1, and so on. On meshes any virtual channel may be
 // used (the link-level order is already acyclic). On tori the dateline scheme
-// splits VCs into two classes per direction ring; see datelineClass for the
-// memoryless class rule.
+// splits VCs into two classes per direction ring, read from the ring cell
+// (topology.RingCell.Class):
+//
+//	class 0 — the wraparound hop of this (dimension, direction) ring still
+//	          lies strictly ahead on the remaining path;
+//	class 1 — this hop is the wraparound, the wraparound is behind, or the
+//	          path never crosses it.
+//
+// The class is a pure function of position and destination (memoryless, so
+// adaptive detours cannot corrupt it). With every hop minimal, a ring's
+// wraparound is crossed at most once per message, so class-0 dependencies
+// form the acyclic pre-dateline path, class-1 dependencies the acyclic
+// wrap-then-prefix path, and dependencies only flow class 0 -> class 1. The
+// channel dependency graph is acyclic (verified by TestTheoremCDGAcyclic).
 type DOR struct {
-	topo   topology.Geometry
+	tab    *topology.LinkTable
 	numVCs int
 }
 
 // NewDOR constructs dimension-order routing. Tori require numVCs >= 2.
 func NewDOR(topo topology.Topology, numVCs int) (*DOR, error) {
-	g, err := geometryOf(topo, "dor")
+	tab, err := cubeTable(topo, "dor")
 	if err != nil {
 		return nil, err
 	}
 	if numVCs < 1 {
 		return nil, fmt.Errorf("routing: dor needs at least 1 VC, got %d", numVCs)
 	}
-	if g.Wrap() && numVCs < 2 {
+	if tab.Wrap && numVCs < 2 {
 		return nil, fmt.Errorf("routing: dor on a torus needs >= 2 VCs for the dateline scheme, got %d", numVCs)
 	}
-	return &DOR{topo: g, numVCs: numVCs}, nil
+	return &DOR{tab: tab, numVCs: numVCs}, nil
 }
 
 // Name implements Func.
@@ -201,68 +219,15 @@ func (r *DOR) NumVCs() int { return r.numVCs }
 func (r *DOR) Escape() Func { return r }
 
 // Candidates implements Func.
-func (r *DOR) Candidates(here, dst topology.Node, inLink topology.LinkID, inVC int, out []Candidate) []Candidate {
-	dim, off := -1, 0
-	for d := 0; d < r.topo.Dims(); d++ {
-		if o := r.topo.OffsetAlong(here, dst, d); o != 0 {
-			dim, off = d, o
-			break
-		}
-	}
-	if dim < 0 {
+func (r *DOR) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
+	link, c, ok := firstHop(r.tab, here, dst)
+	if !ok {
 		return out // at destination; engine delivers
 	}
-	dir := topology.Plus
-	if off < 0 {
-		dir = topology.Minus
+	if !r.tab.Wrap {
+		return appendVCs(out, link, 0, 1, r.numVCs)
 	}
-	link, ok := r.topo.OutLink(here, dim, dir)
-	if !ok {
-		// Minimal offsets on a mesh never point off the edge; this would be a
-		// topology bug, surfaced loudly.
-		panic(fmt.Sprintf("routing: dor has no link from node %d dim %d dir %v", here, dim, dir))
-	}
-	if !r.topo.Wrap() {
-		for vc := 0; vc < r.numVCs; vc++ {
-			out = append(out, Candidate{Link: link, VC: vc})
-		}
-		return out
-	}
-	class := datelineClass(r.topo, here, dim, dir, off)
-	for vc := class; vc < r.numVCs; vc += 2 {
-		out = append(out, Candidate{Link: link, VC: vc})
-	}
-	return out
-}
-
-// datelineClass computes the Dally-Seitz virtual channel class for the next
-// hop of a torus-minimal path, as a pure function of position and remaining
-// offset (memoryless, so adaptive detours cannot corrupt it):
-//
-//	class 0 — the wraparound hop of this (dimension, direction) ring still
-//	          lies strictly ahead on the remaining path;
-//	class 1 — this hop is the wraparound, the wraparound is behind, or the
-//	          path never crosses it.
-//
-// With every hop minimal, a ring's wraparound is crossed at most once per
-// message, so class-0 dependencies form the acyclic pre-dateline path, class-1
-// dependencies the acyclic wrap-then-prefix path, and dependencies only flow
-// class 0 -> class 1. The channel dependency graph is acyclic (verified by
-// TestTheoremCDGAcyclic). It reads the single coordinate it needs through
-// CoordAlong, so it allocates nothing.
-func datelineClass(topo topology.Geometry, here topology.Node, dim int, dir topology.Dir, off int) int {
-	x := topo.CoordAlong(here, dim)
-	k := topo.Radix(dim)
-	if dir == topology.Plus {
-		if x+off >= k && x != k-1 {
-			return 0 // wrap still ahead
-		}
-		return 1
-	}
-	if x+off < 0 && x != 0 {
-		return 0 // wrap still ahead (minus ring)
-	}
-	return 1
+	return appendVCs(out, link, int(c.Class), 2, r.numVCs)
 }
 
 // ---------------------------------------------------------------------------
@@ -274,32 +239,32 @@ func datelineClass(topo topology.Geometry, here topology.Node, dim int, dir topo
 // destination strictly decreases each hop and no routing loop can form. The
 // escape subfunction is dimension-order routing: on meshes it owns virtual
 // channel 0; on tori it owns channels 0 and 1, operated as the Dally-Seitz
-// dateline classes (class 1 from the wraparound hop onward). The remaining
-// VCs are fully adaptive across every minimal direction.
+// dateline classes (class 1 from the wraparound hop onward; see DOR). The
+// remaining VCs are fully adaptive across every minimal direction.
 type Duato struct {
-	topo    topology.Geometry
+	tab     *topology.LinkTable
 	numVCs  int
-	escape  Func
+	escape  *escapeDOR
 	adaptLo int // first adaptive VC index
 }
 
 // NewDuato constructs the adaptive function. Meshes need >= 2 VCs (1 escape +
 // adaptive); tori need >= 3 (2 dateline escape classes + adaptive).
 func NewDuato(topo topology.Topology, numVCs int) (*Duato, error) {
-	g, err := geometryOf(topo, "duato")
+	tab, err := cubeTable(topo, "duato")
 	if err != nil {
 		return nil, err
 	}
-	if g.Wrap() {
+	adaptLo := 1
+	if tab.Wrap {
 		if numVCs < 3 {
 			return nil, fmt.Errorf("routing: duato on a torus needs >= 3 VCs (2 dateline escape + adaptive), got %d", numVCs)
 		}
-		return &Duato{topo: g, numVCs: numVCs, escape: &torusEscape{topo: g, numVCs: numVCs}, adaptLo: 2}, nil
-	}
-	if numVCs < 2 {
+		adaptLo = 2
+	} else if numVCs < 2 {
 		return nil, fmt.Errorf("routing: duato needs >= 2 VCs (escape + adaptive), got %d", numVCs)
 	}
-	return &Duato{topo: g, numVCs: numVCs, escape: &meshEscape{topo: g, numVCs: numVCs}, adaptLo: 1}, nil
+	return &Duato{tab: tab, numVCs: numVCs, escape: &escapeDOR{tab: tab, numVCs: numVCs}, adaptLo: adaptLo}, nil
 }
 
 // Name implements Func.
@@ -311,43 +276,35 @@ func (r *Duato) NumVCs() int { return r.numVCs }
 // Escape implements Func.
 func (r *Duato) Escape() Func { return r.escape }
 
-// move is one profitable direction of a Duato adaptive enumeration.
+// move is one profitable direction of a Duato adaptive enumeration, kept to
+// 8 bytes because the stack buffer holding them is zeroed on every call
+// (link slots fit in 32 bits under topology.NewCube's slot gate).
 type move struct {
-	dim int
-	mag int
-	dir topology.Dir
+	link int32
+	mag  int16
 }
 
-// maxStackDims bounds the stack-resident move buffer of the adaptive
-// enumeration. A k-ary n-cube with more dimensions than this would have at
-// least 2^33 nodes, far beyond anything the simulator instantiates.
+// maxStackDims sizes the stack-resident move buffer of the adaptive
+// enumeration; the 2^31 link-slot gate of topology.NewCube keeps every cube
+// below it.
 const maxStackDims = 32
 
 // Candidates implements Func. Adaptive channels come first (preferring the
 // dimension with the largest remaining offset, which tends to preserve
-// future adaptivity), the escape channel last.
+// future adaptivity; ties keep dimension order), the escape channel last.
 func (r *Duato) Candidates(here, dst topology.Node, inLink topology.LinkID, inVC int, out []Candidate) []Candidate {
-	// Adaptive minimal candidates, largest offset first. The move buffer
-	// lives on the stack (never escapes), keeping the enumeration
-	// allocation-free.
 	var movesBuf [maxStackDims]move
 	moves := movesBuf[:0]
-	dims := r.topo.Dims()
-	if dims > maxStackDims {
-		moves = make([]move, 0, dims)
-	}
-	for d := 0; d < dims; d++ {
-		o := r.topo.OffsetAlong(here, dst, d)
-		if o == 0 {
+	for d := 0; d < r.tab.Dims; d++ {
+		c := r.tab.Cell(here, dst, d)
+		if c.Off == 0 {
 			continue
 		}
-		dir := topology.Plus
-		mag := o
-		if o < 0 {
-			dir = topology.Minus
-			mag = -o
+		mag := c.Off
+		if mag < 0 {
+			mag = -mag
 		}
-		moves = append(moves, move{dim: d, mag: mag, dir: dir})
+		moves = append(moves, move{link: int32(r.tab.Slot(here, d, c.Dir())), mag: mag})
 	}
 	for i := 1; i < len(moves); i++ {
 		for j := i; j > 0 && moves[j].mag > moves[j-1].mag; j-- {
@@ -355,90 +312,46 @@ func (r *Duato) Candidates(here, dst topology.Node, inLink topology.LinkID, inVC
 		}
 	}
 	for _, m := range moves {
-		link, ok := r.topo.OutLink(here, m.dim, m.dir)
-		if !ok {
-			continue
-		}
-		for vc := r.adaptLo; vc < r.numVCs; vc++ {
-			out = append(out, Candidate{Link: link, VC: vc})
-		}
+		out = appendVCs(out, topology.LinkID(m.link), r.adaptLo, 1, r.numVCs)
 	}
 	// Escape candidate last.
 	return r.escape.Candidates(here, dst, inLink, inVC, out)
 }
 
-// meshEscape is the mesh escape subfunction: dimension-order routing
-// restricted to VC 0. Its dependency graph is acyclic, satisfying Duato's
-// condition with a single escape VC.
-type meshEscape struct {
-	topo   topology.Geometry
+// escapeDOR is Duato's escape subfunction: dimension-order routing on the
+// escape channels only. On meshes that is VC 0 alone, and its dependency
+// graph is acyclic with a single escape VC. On tori it is the two dateline
+// classes, class 0 on VC 0 and class 1 on VC 1; because the class is a pure
+// function of position and destination, a message re-entering the escape
+// network from an adaptive excursion lands in exactly the class it would
+// have had anyway.
+type escapeDOR struct {
+	tab    *topology.LinkTable
 	numVCs int
 }
 
 // Name implements Func.
-func (r *meshEscape) Name() string { return "duato-escape" }
+func (r *escapeDOR) Name() string {
+	if r.tab.Wrap {
+		return "duato-escape-dateline"
+	}
+	return "duato-escape"
+}
 
 // NumVCs implements Func.
-func (r *meshEscape) NumVCs() int { return r.numVCs }
+func (r *escapeDOR) NumVCs() int { return r.numVCs }
 
 // Escape implements Func.
-func (r *meshEscape) Escape() Func { return r }
+func (r *escapeDOR) Escape() Func { return r }
 
 // Candidates implements Func.
-func (r *meshEscape) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
-	for d := 0; d < r.topo.Dims(); d++ {
-		o := r.topo.OffsetAlong(here, dst, d)
-		if o == 0 {
-			continue
-		}
-		dir := topology.Plus
-		if o < 0 {
-			dir = topology.Minus
-		}
-		link, ok := r.topo.OutLink(here, d, dir)
-		if !ok {
-			panic(fmt.Sprintf("routing: escape has no link from node %d dim %d dir %v", here, d, dir))
-		}
+func (r *escapeDOR) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
+	link, c, ok := firstHop(r.tab, here, dst)
+	if !ok {
+		return out
+	}
+	if !r.tab.Wrap {
 		return append(out, Candidate{Link: link, VC: 0})
 	}
-	return out
-}
-
-// torusEscape is the torus escape subfunction: dimension-order routing over
-// two dateline virtual channel classes (see datelineClass), class 0 on VC 0
-// and class 1 on VC 1. Because the class is a pure function of position and
-// destination, a message re-entering the escape network from an adaptive
-// excursion lands in exactly the class it would have had anyway.
-type torusEscape struct {
-	topo   topology.Geometry
-	numVCs int
-}
-
-// Name implements Func.
-func (r *torusEscape) Name() string { return "duato-escape-dateline" }
-
-// NumVCs implements Func.
-func (r *torusEscape) NumVCs() int { return r.numVCs }
-
-// Escape implements Func.
-func (r *torusEscape) Escape() Func { return r }
-
-// Candidates implements Func.
-func (r *torusEscape) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
-	for d := 0; d < r.topo.Dims(); d++ {
-		o := r.topo.OffsetAlong(here, dst, d)
-		if o == 0 {
-			continue
-		}
-		dir := topology.Plus
-		if o < 0 {
-			dir = topology.Minus
-		}
-		link, ok := r.topo.OutLink(here, d, dir)
-		if !ok {
-			panic(fmt.Sprintf("routing: torus escape missing link at node %d dim %d", here, d))
-		}
-		return append(out, Candidate{Link: link, VC: datelineClass(r.topo, here, d, dir, o)})
-	}
-	return out
+	return append(out, Candidate{Link: link, VC: int(c.Class)})
 }

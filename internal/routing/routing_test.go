@@ -140,7 +140,7 @@ func TestDORTorusDatelineClasses(t *testing.T) {
 		}
 	}
 	// After the wrap, continuing in the same dimension stays in class 1.
-	wrapLink, _ := topo.OutLink(src, 0, topology.Plus)
+	wrapLink, _ := topo.OutSlot(src, int(topology.Plus))
 	at0 := topo.NodeAt([]int{0, 1})
 	cands = fn.Candidates(at0, dst, wrapLink, 1, cands[:0])
 	for _, c := range cands {
@@ -303,7 +303,7 @@ func (r *brokenTorusDOR) Candidates(here, dst topology.Node, _ topology.LinkID, 
 		if o < 0 {
 			dir = topology.Minus
 		}
-		link, _ := r.topo.OutLink(here, d, dir)
+		link, _ := r.topo.OutSlot(here, 2*d+int(dir))
 		return append(out, Candidate{Link: link, VC: 0})
 	}
 	return out
@@ -336,7 +336,7 @@ func TestVertexName(t *testing.T) {
 	topo := mesh44()
 	fn, _ := NewDOR(topo, 2)
 	g := BuildCDG(topo, fn)
-	link, _ := topo.OutLink(0, 0, topology.Plus)
+	link, _ := topo.OutSlot(0, int(topology.Plus))
 	name := g.VertexName(g.vertexID(link, 1), topo)
 	if name == "" {
 		t.Fatal("empty vertex name")

@@ -18,8 +18,7 @@ import (
 //
 // Because the transit restriction reads the input link, VCFree must never be
 // frozen into a table evaluated with inLink = Invalid: that would erase the
-// restriction and reopen the cycles the labels close. Select leaves it
-// algorithmic, since BuildCompressed accepts only k-ary n-cubes.
+// restriction and reopen the cycles the labels close.
 type VCFree struct {
 	topo   *topology.FullMesh
 	numVCs int

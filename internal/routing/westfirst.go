@@ -15,7 +15,7 @@ import (
 // escape split — a partially adaptive contrast to DOR (none) and Duato
 // (fully adaptive) in the evaluation matrix.
 type WestFirst struct {
-	topo   topology.Geometry
+	tab    *topology.LinkTable
 	numVCs int
 }
 
@@ -25,17 +25,17 @@ func NewWestFirst(topo topology.Topology, numVCs int) (*WestFirst, error) {
 	if numVCs < 1 {
 		return nil, fmt.Errorf("routing: west-first needs at least 1 VC, got %d", numVCs)
 	}
-	g, err := geometryOf(topo, "westfirst")
+	tab, err := cubeTable(topo, "westfirst")
 	if err != nil {
 		return nil, err
 	}
-	if g.Wrap() {
+	if tab.Wrap {
 		return nil, fmt.Errorf("routing: west-first requires a mesh (turn model does not cover wraparound)")
 	}
-	if g.Dims() != 2 {
-		return nil, fmt.Errorf("routing: west-first is defined for 2-D meshes, got %d dimensions", g.Dims())
+	if tab.Dims != 2 {
+		return nil, fmt.Errorf("routing: west-first is defined for 2-D meshes, got %d dimensions", tab.Dims)
 	}
-	return &WestFirst{topo: g, numVCs: numVCs}, nil
+	return &WestFirst{tab: tab, numVCs: numVCs}, nil
 }
 
 // Name implements Func.
@@ -50,38 +50,18 @@ func (r *WestFirst) Escape() Func { return r }
 
 // Candidates implements Func.
 func (r *WestFirst) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []Candidate) []Candidate {
-	dx := r.topo.OffsetAlong(here, dst, 0)
-	dy := r.topo.OffsetAlong(here, dst, 1)
-
-	if dx < 0 {
+	x, y := r.tab.Cell(here, dst, 0), r.tab.Cell(here, dst, 1)
+	if x.Off < 0 {
 		// West first, exclusively: no other direction may be taken while any
 		// westward hops remain.
-		link, ok := r.topo.OutLink(here, 0, topology.Minus)
-		if !ok {
-			panic(fmt.Sprintf("routing: west-first missing west link at node %d", here))
-		}
-		for vc := 0; vc < r.numVCs; vc++ {
-			out = append(out, Candidate{Link: link, VC: vc})
-		}
-		return out
+		return appendVCs(out, r.tab.Slot(here, 0, topology.Minus), 0, 1, r.numVCs)
 	}
 	// Fully adaptive among east and vertical moves.
-	appendDir := func(dim int, dir topology.Dir) {
-		link, ok := r.topo.OutLink(here, dim, dir)
-		if !ok {
-			panic(fmt.Sprintf("routing: west-first missing link at node %d dim %d", here, dim))
-		}
-		for vc := 0; vc < r.numVCs; vc++ {
-			out = append(out, Candidate{Link: link, VC: vc})
-		}
+	if x.Off > 0 {
+		out = appendVCs(out, r.tab.Slot(here, 0, topology.Plus), 0, 1, r.numVCs)
 	}
-	if dx > 0 {
-		appendDir(0, topology.Plus)
-	}
-	if dy > 0 {
-		appendDir(1, topology.Plus)
-	} else if dy < 0 {
-		appendDir(1, topology.Minus)
+	if y.Off != 0 {
+		out = appendVCs(out, r.tab.Slot(here, 1, y.Dir()), 0, 1, r.numVCs)
 	}
 	return out
 }

@@ -65,6 +65,28 @@ func TestServingDeterminism(t *testing.T) {
 	}
 }
 
+// TestBadWorkloadRefusedDaemonServes: a load spec whose length mix cannot
+// be drawn from — a zero-flit short message panicked on the worker
+// goroutine, taking the whole daemon down — is answered 400 naming the
+// field, and the daemon goes on serving the next job.
+func TestBadWorkloadRefusedDaemonServes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	bad := `{"kind":"load","config":{"topology":{"kind":"torus","radix":[4,4]}},` +
+		`"load":{"Pattern":"uniform","Load":0.1,"BimodalShort":0,"BimodalLong":8,"BimodalPLong":0.5},` +
+		`"warmup":10,"measure":100}`
+	resp, body := doReq(t, ts, "POST", "/v1/jobs", bad)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "BimodalShort") {
+		t.Fatalf("bad workload: status %d body %s, want 400 naming BimodalShort", resp.StatusCode, body)
+	}
+	v := submit(t, ts, quickSpec(5, 500))
+	if final := waitState(t, ts, v.ID, State.Terminal); final.State != StateDone {
+		t.Fatalf("job after the refusal finished %s (%s)", final.State, final.Error)
+	}
+	if resp, body := doReq(t, ts, "GET", "/healthz", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusal: status %d body %s", resp.StatusCode, body)
+	}
+}
+
 // TestStreamNDJSON: every stream line is valid JSON; snapshots precede the
 // final done line, which carries the terminal state and the result.
 func TestStreamNDJSON(t *testing.T) {

@@ -109,8 +109,9 @@ func TestHandlers(t *testing.T) {
 		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment"}`, 400, "unknown job kind"},
 		{"config unknown field", "POST", "/v1/jobs", typoConfigSpec, 400, `unknown field \"protocl\"`},
 		{"verify config unknown field", "POST", "/v1/verify", `{"config":{"protocl":"clrp"}}`, 400, `unknown field \"protocl\"`},
-		// The full-scan and algorithmic-routing oracles are test-only, not
-		// configuration: a spec naming either is a misspelt key.
+		// The full-scan oracle is test-only, not configuration, and the
+		// algorithmic-routing oracle is gone: a spec naming either is a
+		// misspelt key.
 		{"full-scan oracle refused", "POST", "/v1/jobs",
 			`{"kind":"load","config":{"disableactivitytracking":true},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
 			400, `unknown field \"disableactivitytracking\"`},
@@ -120,6 +121,18 @@ func TestHandlers(t *testing.T) {
 		{"negative workers", "POST", "/v1/jobs",
 			`{"kind":"load","config":{"workers":-3},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
 			400, "config.workers must be"},
+		{"zero clock multiplier", "POST", "/v1/jobs",
+			`{"kind":"load","config":{"waveclockmult":0},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
+			400, "config.waveclockmult must be positive and finite"},
+		{"negative clock multiplier", "POST", "/v1/jobs",
+			`{"kind":"load","config":{"waveclockmult":-2},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
+			400, "config.waveclockmult must be positive and finite"},
+		{"zero-flit bimodal short", "POST", "/v1/jobs",
+			`{"kind":"load","load":{"pattern":"uniform","load":0.1,"bimodalshort":0,"bimodallong":8,"bimodalplong":0.5}}`,
+			400, "BimodalShort"},
+		{"bimodal probability above one", "POST", "/v1/jobs",
+			`{"kind":"load","load":{"pattern":"uniform","load":0.1,"bimodalshort":4,"bimodallong":8,"bimodalplong":1.5}}`,
+			400, "BimodalPLong"},
 		{"get unknown job", "GET", "/v1/jobs/zzz", "", 404, "no such job"},
 		{"result unknown job", "GET", "/v1/jobs/zzz/result", "", 404, "no such job"},
 		{"stream unknown job", "GET", "/v1/jobs/zzz/stream", "", 404, "no such job"},

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/resultcache"
 	"repro/wave"
@@ -108,15 +109,24 @@ func (s *Server) normalize(sp *Spec) error {
 	if sp.IntervalCycles == 0 {
 		sp.IntervalCycles = s.cfg.DefaultInterval
 	}
-	if cfg := sp.simConfig(); cfg.Workers < 0 {
+	cfg := sp.simConfig()
+	if cfg.Workers < 0 {
 		// Reject at submit time, not as a late job failure (wave.New refuses
 		// a negative value; every other value is ignored).
 		return fmt.Errorf("config.workers must be >= 0 (the value is otherwise ignored), got %d", cfg.Workers)
+	}
+	if m := cfg.WaveClockMult; !(m > 0) || math.IsInf(m, 0) {
+		// JSON carries no NaN or infinity, but zero and negative values must
+		// not wait for wave.New to fail them inside the job either.
+		return fmt.Errorf("config.waveclockmult must be positive and finite, got %g", m)
 	}
 	switch sp.Kind {
 	case KindLoad:
 		if sp.Load == nil {
 			return errors.New(`a "load" job needs a "load" workload object`)
+		}
+		if err := sp.Load.Validate(); err != nil {
+			return err
 		}
 		if sp.Warmup < 0 || sp.Measure < 0 {
 			return errors.New("warmup and measure must be >= 0")

@@ -57,6 +57,17 @@ func (o cubeOracle) offset(a, b, d int) int {
 	return diff
 }
 
+// class is the Dally-Seitz class of the hop from a toward b along d: 0 while
+// the ring's wraparound hop (leaving k-1 in Plus, 0 in Minus) lies strictly
+// ahead on the minimal path, 1 otherwise.
+func (o cubeOracle) class(a, b, d int) uint8 {
+	x, off, k := o.coord(a, d), o.offset(a, b, d), o.radix[d]
+	if off > 0 && x+off >= k && x != k-1 || off < 0 && x+off < 0 && x != 0 {
+		return 0
+	}
+	return 1
+}
+
 // fullMeshSlot: node a's port p targets p (p < a) or p+1.
 func fullMeshSlot(n int) func(id int) (to, from, rev int) {
 	return func(id int) (to, from, rev int) {
@@ -188,8 +199,8 @@ func TestLinkTableMatchesOracle(t *testing.T) {
 			per := 2 * c.Dims()
 			n, dim, dir := Node(id/per), id%per/2, Dir(id%2)
 			to, _, _ := o.slot(id)
-			if got, ok := c.OutLink(n, dim, dir); int(got) != id || ok != (to >= 0) {
-				t.Fatalf("%s: OutLink(%d,%d,%v) = (%d,%v), oracle (%d,%v)", topo.Name(), n, dim, dir, got, ok, id, to >= 0)
+			if got, ok := c.OutSlot(n, 2*dim+int(dir)); int(got) != id || ok != (to >= 0) {
+				t.Fatalf("%s: OutSlot(%d,%d) = (%d,%v), oracle (%d,%v)", topo.Name(), n, 2*dim+int(dir), got, ok, id, to >= 0)
 			}
 			if nb, ok := c.Neighbor(n, dim, dir); ok != (to >= 0) || (ok && int(nb) != to) {
 				t.Fatalf("%s: Neighbor(%d,%d,%v) = (%d,%v), oracle %d", topo.Name(), n, dim, dir, nb, ok, to)
@@ -197,13 +208,16 @@ func TestLinkTableMatchesOracle(t *testing.T) {
 		}
 		for a := 0; a < c.Nodes(); a++ {
 			for d := 0; d < c.Dims(); d++ {
-				if got, want := c.CoordAlong(Node(a), d), o.coord(a, d); got != want || int(tab.Coords[a*tab.Dims+d]) != want {
+				if got, want := c.Coord(Node(a), make([]int, c.Dims()))[d], o.coord(a, d); got != want || int(tab.Coords[a*tab.Dims+d]) != want {
 					t.Fatalf("%s: coordinate of %d along %d = %d (table %d), oracle %d",
 						topo.Name(), a, d, got, tab.Coords[a*tab.Dims+d], want)
 				}
 				for b := 0; b < c.Nodes(); b++ {
-					if got, want := c.OffsetAlong(Node(a), Node(b), d), o.offset(a, b, d); got != want {
+					if got, want := tab.Offset(Node(a), Node(b), d), o.offset(a, b, d); got != want {
 						t.Fatalf("%s: offset %d->%d along %d = %d, oracle %d", topo.Name(), a, b, d, got, want)
+					}
+					if got, want := tab.Cell(Node(a), Node(b), d).Class, o.class(a, b, d); got != want {
+						t.Fatalf("%s: dateline class %d->%d along %d = %d, oracle %d", topo.Name(), a, b, d, got, want)
 					}
 				}
 			}
@@ -211,11 +225,17 @@ func TestLinkTableMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCubeSizeGates: coordinates are 16-bit and link slots 32-bit in the
-// table, so NewCube refuses shapes that would overflow either.
+// TestCubeSizeGates: link slots are 32-bit in the table and each dimension
+// carries k*k ring cells, so NewCube refuses shapes past either bound.
 func TestCubeSizeGates(t *testing.T) {
 	if _, err := NewCube([]int{1<<16 + 1}, false); err == nil {
 		t.Error("radix 65537 accepted")
+	}
+	if _, err := NewCube([]int{MaxRadix + 1}, true); err == nil {
+		t.Errorf("radix %d accepted: its ring-cell table would hold %d cells", MaxRadix+1, (MaxRadix+1)*(MaxRadix+1))
+	}
+	if _, err := NewCube([]int{MaxRadix}, true); err != nil {
+		t.Errorf("radix %d refused: %v", MaxRadix, err)
 	}
 	if _, err := NewHypercube(40); err == nil {
 		t.Error("2^40-node hypercube accepted")
@@ -236,13 +256,13 @@ func BenchmarkCubeLinkByID(b *testing.B) {
 	}
 }
 
-// BenchmarkCubeCoordAlong reads both coordinates of every node of a 16x16
-// torus in turn.
-func BenchmarkCubeCoordAlong(b *testing.B) {
-	c := MustCube([]int{16, 16}, true)
+// BenchmarkRingCell reads the ring cell of every node pair of a 16x16 torus
+// in turn, alternating dimensions.
+func BenchmarkRingCell(b *testing.B) {
+	tab := MustCube([]int{16, 16}, true).Links()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += c.CoordAlong(Node(i&255), i>>8&1)
+		benchSink += int(tab.Cell(Node(i&255), Node(i>>8&255), i>>16&1).Off)
 	}
 }

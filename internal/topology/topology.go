@@ -132,26 +132,16 @@ type Geometry interface {
 	Wrap() bool
 	// Coord writes the coordinates of n into out (len >= Dims) and returns it.
 	Coord(n Node, out []int) []int
-	// CoordAlong returns the coordinate of n in dimension d without touching
-	// any caller-provided scratch — the zero-allocation accessor hot paths
-	// (dateline classes, routing tables) use instead of Coord.
-	CoordAlong(n Node, d int) int
 	// NodeAt returns the node at the given coordinates.
 	NodeAt(coord []int) Node
 	// Neighbor returns the node reached from n along (dim, dir), and whether
 	// such a link exists (always true on a torus, false at mesh boundaries).
 	Neighbor(n Node, dim int, dir Dir) (Node, bool)
-	// OutLink returns the outgoing link slot of n along (dim, dir). The ID is
-	// always well-formed; ok reports whether the physical link exists.
-	OutLink(n Node, dim int, dir Dir) (id LinkID, ok bool)
 	// Offsets writes the per-dimension signed minimal offsets from `from` to
 	// `to` into out (len >= Dims) and returns it. These are the probe's
 	// Xi-offset fields: moving one hop in Plus decreases a positive offset by
 	// one (modulo wrap bookkeeping). On tori, ties at distance k/2 take Plus.
 	Offsets(from, to Node, out []int) []int
-	// OffsetAlong returns the single-dimension entry of Offsets without a
-	// scratch slice, for allocation-free routing decisions.
-	OffsetAlong(from, to Node, d int) int
 }
 
 // Cube is a k-ary n-cube: radixes per dimension, with or without wraparound.
@@ -166,6 +156,10 @@ type Cube struct {
 	tab   *LinkTable
 }
 
+// MaxRadix bounds the nodes per cube dimension: the link table holds k*k
+// ring cells per dimension (64 MiB at 4096).
+const MaxRadix = 1 << 12
+
 // NewCube constructs a k-ary n-cube. radix lists the nodes per dimension
 // (all >= 2); wrap selects torus (true) or mesh (false).
 func NewCube(radix []int, wrap bool) (*Cube, error) {
@@ -174,8 +168,8 @@ func NewCube(radix []int, wrap bool) (*Cube, error) {
 	}
 	nodes := 1
 	for d, k := range radix {
-		if k < 2 || k > 1<<16 {
-			return nil, fmt.Errorf("topology: dimension %d has radix %d, need 2..65536", d, k)
+		if k < 2 || k > MaxRadix {
+			return nil, fmt.Errorf("topology: dimension %d has radix %d, need 2..%d", d, k, MaxRadix)
 		}
 		if nodes *= k; nodes*2*len(radix) > math.MaxInt32 {
 			return nil, fmt.Errorf("topology: cube exceeds the 2^31 link-slot gate at dimension %d", d)
@@ -245,7 +239,7 @@ func (c *Cube) MaxOutDegree() int { return 2 * len(c.radix) }
 // SlotBase implements Topology.
 func (c *Cube) SlotBase(n Node) int { return int(n) * 2 * len(c.radix) }
 
-// OutSlot implements Topology: port 2*dim+dir, matching OutLink.
+// OutSlot implements Topology: port 2*dim+dir.
 func (c *Cube) OutSlot(n Node, port int) (LinkID, bool) {
 	if port < 0 || port >= 2*len(c.radix) {
 		return Invalid, false
@@ -285,10 +279,11 @@ func (c *Cube) Links() *LinkTable { return c.tab }
 
 // Coord implements Geometry.
 func (c *Cube) Coord(n Node, out []int) []int {
+	dims := len(c.radix)
 	for d := range c.radix {
-		out[d] = c.CoordAlong(n, d)
+		out[d] = int(c.tab.Coords[int(n)*dims+d])
 	}
-	return out[:len(c.radix)]
+	return out[:dims]
 }
 
 // NodeAt implements Geometry.
@@ -300,11 +295,6 @@ func (c *Cube) NodeAt(coord []int) Node {
 	return Node(v)
 }
 
-// CoordAlong implements Geometry without allocating.
-func (c *Cube) CoordAlong(n Node, d int) int {
-	return int(c.tab.Coords[int(n)*len(c.radix)+d])
-}
-
 // Neighbor implements Geometry.
 func (c *Cube) Neighbor(n Node, dim int, dir Dir) (Node, bool) {
 	to := c.tab.To[int(n)*2*len(c.radix)+2*dim+int(dir)]
@@ -312,12 +302,6 @@ func (c *Cube) Neighbor(n Node, dim int, dir Dir) (Node, bool) {
 		return 0, false
 	}
 	return Node(to), true
-}
-
-// OutLink implements Geometry.
-func (c *Cube) OutLink(n Node, dim int, dir Dir) (LinkID, bool) {
-	id := int(n)*2*len(c.radix) + 2*dim + int(dir)
-	return LinkID(id), c.tab.To[id] >= 0
 }
 
 // NumLinkSlots implements Topology.
@@ -331,7 +315,7 @@ func (c *Cube) LinkByID(id LinkID) (Link, bool) {
 	from, to := int(c.tab.From[id]), int(c.tab.To[id])
 	port := int(id) - from*2*len(c.radix)
 	dim, dir := port>>1, Dir(port&1)
-	x := c.CoordAlong(Node(from), dim)
+	x := int(c.tab.Coords[from*len(c.radix)+dim])
 	wrapLink := c.wrap && ((dir == Plus && x == c.radix[dim]-1) || (dir == Minus && x == 0))
 	return Link{ID: id, From: Node(from), To: Node(to), Dim: dim, Dir: dir, Wrap: wrapLink}, true
 }
@@ -344,9 +328,6 @@ func (c *Cube) Distance(a, b Node) int {
 	}
 	return d
 }
-
-// OffsetAlong implements Geometry.
-func (c *Cube) OffsetAlong(from, to Node, d int) int { return c.tab.Offset(from, to, d) }
 
 // Offsets implements Geometry.
 func (c *Cube) Offsets(from, to Node, out []int) []int {

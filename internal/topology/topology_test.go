@@ -117,9 +117,9 @@ func TestLinkByIDConsistency(t *testing.T) {
 			if l.ID != LinkID(id) {
 				t.Fatalf("link ID mismatch: %d vs %d", l.ID, id)
 			}
-			gotID, gotOK := c.OutLink(l.From, l.Dim, l.Dir)
+			gotID, gotOK := c.OutSlot(l.From, 2*l.Dim+int(l.Dir))
 			if !gotOK || gotID != l.ID {
-				t.Fatalf("OutLink disagrees with LinkByID for %+v", l)
+				t.Fatalf("OutSlot disagrees with LinkByID for %+v", l)
 			}
 			nb, _ := c.Neighbor(l.From, l.Dim, l.Dir)
 			if nb != l.To {

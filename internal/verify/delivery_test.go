@@ -100,7 +100,7 @@ func (f *eastBorder) Name() string         { return "eastborder-test" }
 func (f *eastBorder) Escape() routing.Func { return f }
 func (f *eastBorder) Candidates(here, dst topology.Node, inLink topology.LinkID, inVC int, out []routing.Candidate) []routing.Candidate {
 	out = f.Func.Candidates(here, dst, inLink, inVC, out)
-	if slot, ok := f.topo.OutLink(here, 0, topology.Plus); !ok {
+	if slot, ok := f.topo.OutSlot(here, int(topology.Plus)); !ok {
 		out = append(out, routing.Candidate{Link: slot, VC: 0})
 	}
 	return out
@@ -191,7 +191,7 @@ func TestMissingLinkRefused(t *testing.T) {
 	}
 	// The first east-border state in walk order: node 2 (x=2, y=0)
 	// injecting toward node 0, offered its own east slot.
-	slot, _ := mesh.OutLink(2, 0, topology.Plus)
+	slot, _ := mesh.OutSlot(2, int(topology.Plus))
 	want := fmt.Sprintf("node 2 toward 0 offers link#%d vc0", slot)
 	if len(p.Counterexample) != 1 || p.Counterexample[0] != want {
 		t.Fatalf("counterexample %q, want [%q]", p.Counterexample, want)

@@ -178,7 +178,7 @@ func (f *xyyx) dimOrder(vc int) [2]int {
 func (f *xyyx) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []routing.Candidate) []routing.Candidate {
 	for vc := 0; vc < 2; vc++ {
 		for _, d := range f.dimOrder(vc) {
-			o := f.topo.OffsetAlong(here, dst, d)
+			o := f.topo.Links().Offset(here, dst, d)
 			if o == 0 {
 				continue
 			}
@@ -186,7 +186,7 @@ func (f *xyyx) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out
 			if o < 0 {
 				dir = topology.Minus
 			}
-			if link, ok := f.topo.OutLink(here, d, dir); ok {
+			if link, ok := f.topo.OutSlot(here, 2*d+int(dir)); ok {
 				out = append(out, routing.Candidate{Link: link, VC: vc})
 			}
 			break
@@ -225,7 +225,7 @@ func (f *pingpong) Escape() routing.Func { return f }
 
 func (f *pingpong) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []routing.Candidate) []routing.Candidate {
 	for _, dir := range []topology.Dir{topology.Plus, topology.Minus} {
-		if link, ok := f.topo.OutLink(here, 0, dir); ok {
+		if link, ok := f.topo.OutSlot(here, int(dir)); ok {
 			out = append(out, routing.Candidate{Link: link, VC: 0})
 		}
 	}
@@ -313,7 +313,7 @@ func TestFaultResidual(t *testing.T) {
 	// A fault naming a missing mesh-boundary link is a spec error.
 	mesh := topology.MustCube([]int{4, 4}, false)
 	bad := baseSpec(mesh, "duato", 2, protocol.CLRP)
-	edge, _ := mesh.OutLink(0, 0, topology.Minus) // boundary slot: no link
+	edge, _ := mesh.OutSlot(0, int(topology.Minus)) // boundary slot: no link
 	bad.Faults = []pcs.Channel{{Link: edge, Switch: 0}}
 	if _, err := Certify(bad); err == nil {
 		t.Fatal("missing-link fault accepted")

@@ -41,9 +41,9 @@ func (u *uniformSource) tick(e *Engine, now int64) {
 	}
 }
 
-// torusEngine builds an engine on a radix×radix torus over the production
-// routing path (the table routing.Select picks); delivered, when non-nil,
-// is the delivery hook.
+// torusEngine builds an engine on a radix×radix torus over the routing
+// function core.New installs; delivered, when non-nil, is the delivery
+// hook.
 func torusEngine(tb testing.TB, radix int, fnName string, prm Params, delivered func(flit.Message, int64)) *Engine {
 	tb.Helper()
 	topo := topology.MustCube([]int{radix, radix}, true)
@@ -51,7 +51,6 @@ func torusEngine(tb testing.TB, radix int, fnName string, prm Params, delivered 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fn, _ = routing.Select(fn, topo)
 	eng, err := New(topo, fn, prm, Hooks{Delivered: delivered})
 	if err != nil {
 		tb.Fatal(err)

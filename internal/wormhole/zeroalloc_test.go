@@ -9,9 +9,9 @@ import (
 	"repro/internal/topology"
 )
 
-// zeroAllocEngine builds an 8x8 torus engine on the production routing path
-// (the table routing.Select picks, as core.New does) with a non-allocating
-// delivery hook, mirroring how core.Fabric wires the engine.
+// zeroAllocEngine builds an 8x8 torus engine on the routing function core.New
+// installs, with a non-allocating delivery hook, mirroring how core.Fabric
+// wires the engine.
 func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 	tb.Helper()
 	topo := topology.MustCube([]int{8, 8}, true)
@@ -19,7 +19,6 @@ func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fn, _ = routing.Select(fn, topo)
 	delivered := 0
 	eng, err := New(topo, fn, prm, Hooks{
 		Delivered: func(m flit.Message, now int64) { delivered++ },

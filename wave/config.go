@@ -182,18 +182,13 @@ type Config struct {
 	WatchdogMaxAge int64
 	WatchdogStall  int64
 
-	// The two oracles, reachable only from this package's tests. Results
-	// are bit-identical either way, so neither is a setting: they are not
-	// exported, not in the JSON form (nor in snapshots), and a restored
-	// simulator runs without them.
-	//
-	// disableRoutingTable routes headers through the algorithmic routing
-	// implementation instead of the compressed per-dimension candidate table
-	// built on k-ary n-cubes. disableActivityTracking runs the wormhole
-	// engine's passes as full scans over all ports instead of only the
-	// active ones (see internal/wormhole/activity.go and
-	// TestActiveSetMatchesFullScan).
-	disableRoutingTable     bool
+	// disableActivityTracking is an oracle reachable only from this
+	// package's tests: it runs the wormhole engine's passes as full scans
+	// over all ports instead of only the active ones (see
+	// internal/wormhole/activity.go and TestActiveSetMatchesFullScan).
+	// Results are bit-identical either way, so it is not a setting: it is
+	// not exported, not in the JSON form (nor in snapshots), and a restored
+	// simulator runs without it.
 	disableActivityTracking bool
 }
 
@@ -236,7 +231,6 @@ func (c Config) coreParams() core.Params {
 		WindowFlits:             c.WindowFlits,
 		InitialBufFlits:         c.InitialBufFlits,
 		ReallocPenalty:          c.ReallocPenalty,
-		DisableRoutingTable:     c.disableRoutingTable,
 		DisableActivityTracking: c.disableActivityTracking,
 		Seed:                    c.Seed,
 	}

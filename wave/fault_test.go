@@ -156,7 +156,7 @@ func TestDynamicFaultPermanentFallback(t *testing.T) {
 func TestDynamicFaultDuringTransferDrain(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	// A channel far from the 0->3 circuit's straight-line path.
-	link, ok := topo.OutLink(15, 0, topology.Minus)
+	link, ok := topo.OutSlot(15, int(topology.Minus))
 	if !ok {
 		t.Fatal("no out-link from node 15")
 	}

@@ -2,15 +2,17 @@ package wave
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 )
 
 // megaTopoConfig is the 64x64 torus the mega-topology contract is pinned
-// at: 4096 nodes exercises the compressed per-dimension routing table, the
-// event queue and the wormhole slot arena at a size no (here, dst) table
-// could reach. Loads are kept light — mega runs are about scale, not
-// saturation.
+// at: 4096 nodes exercises the link table's ring cells, the event queue and
+// the wormhole slot arena at a size no (here, dst) routing table could
+// reach. Loads are kept light — mega runs are about scale, not saturation.
 func megaTopoConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{64, 64}}
@@ -21,45 +23,12 @@ func megaTopoConfig() Config {
 	return cfg
 }
 
-// TestMegaTopoCompressedTableSelected is the no-fallback acceptance gate:
-// a 64x64 torus must run table-backed via the compressed representation and
-// report its footprint.
-func TestMegaTopoCompressedTableSelected(t *testing.T) {
-	s, err := New(megaTopoConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := s.RoutingTableInfo()
-	if rt.Mode != "compressed" {
-		t.Fatalf("64x64 torus selected routing table %+v, want compressed", rt)
-	}
-	if rt.Bytes <= 0 {
-		t.Fatalf("compressed table reports %d bytes", rt.Bytes)
-	}
-	// Bytes per node must be tiny — a (here, dst) table costs >= 4*Nodes
-	// bytes per node in index alone (16 KiB/node at this size).
-	if perNode := rt.Bytes / s.Nodes(); perNode > 64 {
-		t.Errorf("compressed table costs %d bytes/node, want <= 64", perNode)
-	}
-
-	// disableRoutingTable is the algorithmic oracle mode and must say so.
-	cfg := megaTopoConfig()
-	cfg.disableRoutingTable = true
-	o, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt := o.RoutingTableInfo(); rt.Mode != "algorithmic" {
-		t.Fatalf("disableRoutingTable selected %+v, want algorithmic", rt)
-	}
-}
-
-// TestRoutingTableSelection pins which representation serves each family
-// and what building it costs. The benchmark's hybrid_32x32 configuration
-// (32x32 torus, MinCircuitFlits 32) must come up on the compressed table
-// without allocating anything quadratic in the node count: a (here, dst)
-// table at this size is tens of megabytes. The non-cube families run their
-// closed-form functions.
+// TestRoutingTableSelection: the benchmark's hybrid_32x32 configuration
+// (32x32 torus, MinCircuitFlits 32) must come up without allocating
+// anything quadratic in the node count — a (here, dst) routing table at this
+// size is tens of megabytes, while the ring cells the routing functions
+// read take 2*32*32 cells. (The name predates the removal of the
+// routing-table selection it also covered.)
 func TestRoutingTableSelection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology.Radix = []int{32, 32}
@@ -67,7 +36,7 @@ func TestRoutingTableSelection(t *testing.T) {
 	cfg.Seed = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := New(cfg)
+	_, err := New(cfg)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -76,55 +45,29 @@ func TestRoutingTableSelection(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= allocBound {
 		t.Errorf("New(32x32 torus) allocated %d bytes, want < %d", grew, allocBound)
 	}
-	if rt := s.RoutingTableInfo(); rt.Mode != "compressed" {
-		t.Errorf("32x32 torus selected %+v, want compressed", rt)
-	}
-
-	for _, c := range []struct {
-		topo    TopologyConfig
-		routing string
-	}{
-		{TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}, "updown"},
-		{TopologyConfig{Kind: "fullmesh", Radix: []int{16}}, "vcfree"},
-	} {
-		cfg := DefaultConfig()
-		cfg.Topology = c.topo
-		cfg.Routing = c.routing
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt := s.RoutingTableInfo(); rt != (RoutingTableInfo{Mode: "algorithmic"}) {
-			t.Errorf("%s on %s selected %+v, want algorithmic", c.routing, c.topo.Kind, rt)
-		}
-	}
 }
 
-// TestMegaTopoWorkersAndOracleIdentity proves the mega-topology routing
-// contract in one short run: the compressed table and the algorithmic-routing
-// oracle (disableRoutingTable) deliver bit-identical Stats at 64x64. Stats is
-// comparable with ==, including per-link flit checksums, so equality means
-// every flit moved identically. (The name predates the removal of the
-// worker dimension it also covered.)
+// TestMegaTopoWorkersAndOracleIdentity pins the Stats of one short 64x64
+// run to the digest that the retired compressed routing table and its
+// algorithmic oracle both produced, so a routing change that moves a single
+// flit at mega scale fails here. (The name predates the removal of the
+// worker dimension and of the oracle run it also covered.)
 func TestMegaTopoWorkersAndOracleIdentity(t *testing.T) {
 	w := Workload{Pattern: "uniform", Load: 0.02, FixedLength: 16}
-	const warmup, measure = 100, 300
-	run := func(disableTable bool) Stats {
-		t.Helper()
-		cfg := megaTopoConfig()
-		cfg.disableRoutingTable = disableTable
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.RunLoad(w, warmup, measure); err != nil {
-			t.Fatal(err)
-		}
-		return s.Stats()
+	s, err := New(megaTopoConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	table := run(false)
-	if oracle := run(true); oracle != table {
-		t.Errorf("compressed table diverged from algorithmic oracle at 64x64:\n table  %+v\n oracle %+v", table, oracle)
+	if _, err := s.RunLoad(w, 100, 300); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(s.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "3d0a4c9985d0277d16cacabc82251f0c267cfd1fb179fdd427c49385c229525c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Errorf("64x64 Stats digest %s, pinned %s", got, want)
 	}
 }
 
@@ -174,9 +117,6 @@ func TestMegaTopoSnapshotResume(t *testing.T) {
 	sC, err := Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
-	}
-	if rt := sC.RoutingTableInfo(); rt.Mode != "compressed" {
-		t.Errorf("restored 64x64 simulator selected %q routing table, want compressed", rt.Mode)
 	}
 	if _, err := sC.ResumeLoad(); err != nil {
 		t.Fatalf("ResumeLoad: %v", err)

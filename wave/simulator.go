@@ -251,24 +251,6 @@ func (s *Simulator) EnginePorts() (active, total int) {
 // compiles.
 func (s *Simulator) EngineWorkers() int { return 1 }
 
-// RoutingTableInfo describes which routing-table representation serves the
-// run's Candidates lookups.
-type RoutingTableInfo struct {
-	// Mode is "compressed" (k-ary n-cubes) or "algorithmic" (other
-	// families, or the algorithmic oracle run of the package tests).
-	Mode string
-	// Bytes is the compressed table footprint; 0 when algorithmic.
-	Bytes int
-}
-
-// RoutingTableInfo returns the routing-table selection outcome. It is
-// deliberately not part of Stats: a table-backed run and an algorithmic
-// oracle run must produce identical Stats.
-func (s *Simulator) RoutingTableInfo() RoutingTableInfo {
-	info := s.mgr.Fab.RoutingTable
-	return RoutingTableInfo{Mode: info.Mode.String(), Bytes: info.Bytes}
-}
-
 // Counters returns a snapshot of the protocol counters.
 func (s *Simulator) Counters() protocol.Counters { return s.mgr.Ctr }
 

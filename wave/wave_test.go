@@ -2,6 +2,7 @@ package wave
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,6 +156,73 @@ func TestRunLoadValidation(t *testing.T) {
 	}
 	if _, err := s.RunLoad(Workload{Pattern: "uniform", Load: 0.1, FixedLength: 8, WorkingSet: 2, Reuse: 2}, 10, 10); err == nil {
 		t.Fatal("bad reuse accepted")
+	}
+}
+
+// TestWorkloadValidate: a length mix no message can be drawn from used to
+// reach the engines — a zero-flit short message panicked in the protocol
+// layer, a NaN BimodalPLong diverged the run-ahead replay, and a
+// BimodalPLong of 1.5 ran as if it were 1. RunLoad must refuse each with an
+// error naming the field, before any cycle runs.
+func TestWorkloadValidate(t *testing.T) {
+	bimodal := Workload{Pattern: "uniform", Load: 0.1, BimodalShort: 4, BimodalLong: 8, BimodalPLong: 0.5}
+	for _, c := range []struct {
+		field  string
+		mutate func(*Workload)
+	}{
+		{"BimodalShort", func(w *Workload) { w.BimodalShort = 0 }},
+		{"BimodalLong", func(w *Workload) { w.BimodalLong = -8 }},
+		{"BimodalPLong", func(w *Workload) { w.BimodalPLong = math.NaN() }},
+		{"BimodalPLong", func(w *Workload) { w.BimodalPLong = 1.5 }},
+		{"BimodalPLong", func(w *Workload) { w.BimodalPLong = -0.1 }},
+		{"FixedLength", func(w *Workload) { w.FixedLength = -1 }},
+	} {
+		w := bimodal
+		c.mutate(&w)
+		if err := w.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", w, err, c.field)
+		}
+		s, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunLoad(w, 10, 10); err == nil || s.Now() != 0 {
+			t.Errorf("%+v: RunLoad = %v after %d cycles, want a refusal at cycle 0", w, err, s.Now())
+		}
+	}
+	// Fields a fixed length overrides are not checked.
+	if err := (Workload{Pattern: "uniform", Load: 0.1, FixedLength: 8, BimodalPLong: 7}).Validate(); err != nil {
+		t.Errorf("fixed-length workload refused: %v", err)
+	}
+	if err := bimodal.Validate(); err != nil {
+		t.Errorf("valid bimodal workload refused: %v", err)
+	}
+}
+
+// TestRestoreRefusesInvalidWorkload: a load run restored from a snapshot
+// resumes a workload that never went through RunLoad, so Restore validates
+// it too instead of handing ResumeLoad a mix that panics mid-run.
+func TestRestoreRefusesInvalidWorkload(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{4, 4}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	s.OnInterval(50, func(int64) {
+		if buf.Len() == 0 {
+			s.load.w.BimodalShort = 0 // what a hand-edited snapshot could carry
+			if err := s.Snapshot(&buf); err != nil {
+				t.Errorf("Snapshot: %v", err)
+			}
+		}
+	})
+	if _, err := s.RunLoad(Workload{Pattern: "uniform", Load: 0.05, BimodalShort: 4, BimodalLong: 16, BimodalPLong: 0.5}, 20, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(&buf); err == nil || !strings.Contains(err.Error(), "BimodalShort") {
+		t.Fatalf("Restore = %v, want an error naming BimodalShort", err)
 	}
 }
 

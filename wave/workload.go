@@ -46,15 +46,34 @@ type Workload struct {
 	Seed uint64
 }
 
-func (w Workload) lengthDist() (traffic.LengthDist, error) {
+// Validate refuses a length mix no message can be drawn from: a negative
+// FixedLength, and, when FixedLength is zero, a bimodal mix with a length
+// below one flit or a BimodalPLong that is not a probability. The pattern,
+// load and locality fields are checked where they are built
+// (traffic.NewPattern, NewGenerator, NewLocality). Every open-loop run
+// passes through it: RunLoad, and Restore of a load run that ResumeLoad
+// continues.
+func (w Workload) Validate() error {
 	switch {
+	case w.FixedLength < 0:
+		return fmt.Errorf("wave: FixedLength must be >= 0, got %d", w.FixedLength)
 	case w.FixedLength > 0:
-		return traffic.Fixed{L: w.FixedLength}, nil
-	case w.BimodalLong > 0:
-		return traffic.Bimodal{Short: w.BimodalShort, Long: w.BimodalLong, PLong: w.BimodalPLong}, nil
-	default:
-		return nil, fmt.Errorf("wave: workload needs FixedLength or Bimodal* lengths")
+		return nil
+	case w.BimodalLong == 0 && w.BimodalShort == 0:
+		return fmt.Errorf("wave: workload needs FixedLength or Bimodal* lengths")
+	case w.BimodalShort < 1 || w.BimodalLong < 1:
+		return fmt.Errorf("wave: BimodalShort and BimodalLong must be >= 1 flit, got %d and %d", w.BimodalShort, w.BimodalLong)
+	case !(w.BimodalPLong >= 0 && w.BimodalPLong <= 1): // NaN fails both
+		return fmt.Errorf("wave: BimodalPLong must be a probability in [0, 1], got %g", w.BimodalPLong)
 	}
+	return nil
+}
+
+func (w Workload) lengthDist() traffic.LengthDist {
+	if w.FixedLength > 0 {
+		return traffic.Fixed{L: w.FixedLength}
+	}
+	return traffic.Bimodal{Short: w.BimodalShort, Long: w.BimodalLong, PLong: w.BimodalPLong}
 }
 
 // Result summarises a measured run.
@@ -128,6 +147,9 @@ type loadRun struct {
 // buildGenerator constructs the workload's traffic generator (pattern,
 // optional locality wrapper, length distribution, seeded RNG stream).
 func (s *Simulator) buildGenerator(w Workload) (*traffic.Generator, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
 	pat, err := traffic.NewPattern(w.Pattern, s.topo)
 	if err != nil {
 		return nil, err
@@ -138,15 +160,11 @@ func (s *Simulator) buildGenerator(w Workload) (*traffic.Generator, error) {
 			return nil, err
 		}
 	}
-	dist, err := w.lengthDist()
-	if err != nil {
-		return nil, err
-	}
 	seed := w.Seed
 	if seed == 0 {
 		seed = s.cfg.Seed + 1
 	}
-	return traffic.NewGenerator(pat, dist, w.Load, s.topo.Hosts(), seed)
+	return traffic.NewGenerator(pat, w.lengthDist(), w.Load, s.topo.Hosts(), seed)
 }
 
 // RunLoad drives the simulator with open-loop traffic: `warmup` cycles to
