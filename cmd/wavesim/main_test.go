@@ -252,3 +252,25 @@ func TestRunRefusesNonFiniteLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesNegativeLocality: a negative -wset or -redraw would read as
+// "no locality" or "never redraw" and run plain traffic; both exit with an
+// error naming the field, in load, compare and closed-loop mode.
+func TestRunRefusesNegativeLocality(t *testing.T) {
+	base := []string{"-radix", "4x4", "-load", "0.05", "-warmup", "10", "-measure", "100"}
+	for _, c := range []struct {
+		flags []string
+		field string
+	}{
+		{[]string{"-wset", "-3"}, "WorkingSet"},
+		{[]string{"-wset", "4", "-redraw", "-1"}, "RedrawPeriod"},
+		{[]string{"-wset", "-3", "-compare"}, "WorkingSet"},
+		{[]string{"-wset", "4", "-redraw", "-1", "-closed", "-requests", "2"}, "RedrawPeriod"},
+	} {
+		var out bytes.Buffer
+		err := run(append(append([]string(nil), base...), c.flags...), &out)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%v: err = %v, want a refusal naming %s\n%s", c.flags, err, c.field, out.String())
+		}
+	}
+}

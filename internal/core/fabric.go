@@ -80,11 +80,6 @@ type Params struct {
 	// requires deep delivery buffers"). Zero means buffers deep enough that
 	// the window never throttles — the paper's design point.
 	WindowFlits int
-	// DisableActivityTracking runs the wormhole engine's passes as full scans
-	// over every port, making each cycle cost O(network) regardless of load.
-	// Results are bit-identical either way; the full scan is the cross-check
-	// oracle for the active-set port iteration (see wormhole/activity.go).
-	DisableActivityTracking bool
 	// Seed drives every random decision in the fabric.
 	Seed uint64
 }
@@ -194,6 +189,12 @@ type Fabric struct {
 	// WaveLinkFlits counts circuit-carried flits per physical link slot
 	// (summed over the k wave channels of the link), for utilization maps.
 	WaveLinkFlits []int64
+
+	// flitsIn counts the flits handed to the fabric by InjectWormhole and
+	// SendOnCircuit, which Check balances against where they went. It is
+	// not snapshotted: decoding sets it to the balance of the restored
+	// state.
+	flitsIn int64
 }
 
 // New builds the fabric.
@@ -213,7 +214,7 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 		events:        engine.NewShardedEvents(0),
 		WaveLinkFlits: make([]int64, topo.NumLinkSlots()),
 	}
-	f.WH, err = wormhole.New(topo, fn, wormhole.Params{NumVCs: prm.NumVCs, BufDepth: prm.BufDepth, CreditDelay: prm.CreditDelay, RouteDelay: prm.RouteDelay, DisableActivityTracking: prm.DisableActivityTracking}, wormhole.Hooks{
+	f.WH, err = wormhole.New(topo, fn, wormhole.Params{NumVCs: prm.NumVCs, BufDepth: prm.BufDepth, CreditDelay: prm.CreditDelay, RouteDelay: prm.RouteDelay}, wormhole.Hooks{
 		Delivered: func(m flit.Message, now int64) {
 			if hooks.DeliveredWormhole != nil {
 				hooks.DeliveredWormhole(m, now)
@@ -350,7 +351,10 @@ func (f *Fabric) ScheduleFault(at int64, ch pcs.Channel, repair int64) error {
 }
 
 // InjectWormhole sends a message through switch S0.
-func (f *Fabric) InjectWormhole(m flit.Message) { f.WH.Inject(m) }
+func (f *Fabric) InjectWormhole(m flit.Message) {
+	f.flitsIn += int64(m.Len)
+	f.WH.Inject(m)
+}
 
 // LaunchProbeTagged starts a circuit-setup attempt whose outcome reports
 // through Hooks.ProbeDone, carrying tag (see pcs.Engine.LaunchProbeTagged).
@@ -405,6 +409,7 @@ func (f *Fabric) SendOnCircuit(entry *circuit.Entry, m flit.Message) {
 	deliverAt := f.now + setupDelay + transfer
 	ackAt := deliverAt + int64(hops) // window ack over control channels
 
+	f.flitsIn += int64(m.Len)
 	entry.InUse = true
 	entry.Touch(f.now)
 	for _, ch := range c.Path {

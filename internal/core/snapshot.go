@@ -5,7 +5,9 @@ package core
 // delegates to the wormhole engine, the PCS engine and every per-node
 // Circuit Cache. Restoring into a fabric built from the identical Params and
 // topology reproduces the original bit for bit; subsequent cycles are
-// indistinguishable from an uninterrupted run.
+// indistinguishable from an uninterrupted run. The count of flits injected
+// that Check balances is not in the format: decoding derives it from the
+// restored state, so the balance holds from there on.
 
 import "repro/internal/snapshot"
 
@@ -32,6 +34,10 @@ func (f *Fabric) State(c *snapshot.Codec) error {
 		if err := walk(c); err != nil {
 			return err
 		}
+	}
+	if c.Decoding() {
+		in, out := f.flitBalance()
+		f.flitsIn += out - in
 	}
 	return c.Err()
 }

@@ -99,6 +99,10 @@ func NewShardedEvents(_ int) *Events { return &Events{} }
 // Len returns the number of pending events.
 func (s *Events) Len() int { return len(s.heap) }
 
+// Pending returns the pending events in no particular order. Callers must
+// neither retain nor modify them.
+func (s *Events) Pending() []*Event { return s.heap }
+
 // ScheduleKind queues an event at cycle `at`; the owner executes it by
 // dispatching on (Kind, Args), and kind must be nonzero. The caller
 // guarantees at is strictly in the future, so handlers may schedule freely

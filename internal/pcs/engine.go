@@ -395,8 +395,12 @@ func (e *Engine) setStatus(link int32, sw int, s Status) {
 }
 
 // rebuildFree recomputes every free word from status.
-func (e *Engine) rebuildFree() {
-	clear(e.free)
+func (e *Engine) rebuildFree() { e.freeWords(e.free) }
+
+// freeWords writes into free, one word per (node, switch), the free word
+// the status registers give.
+func (e *Engine) freeWords(free []uint32) {
+	clear(free)
 	k := e.prm.NumSwitches
 	for link, from := range e.tab.From {
 		if from < 0 {
@@ -405,7 +409,7 @@ func (e *Engine) rebuildFree() {
 		bit := uint32(1) << uint(int32(link)-e.slot0[from])
 		for sw := 0; sw < k; sw++ {
 			if e.status[link*k+sw] == Free {
-				e.free[int(from)*k+sw] |= bit
+				free[int(from)*k+sw] |= bit
 			}
 		}
 	}

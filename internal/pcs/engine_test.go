@@ -466,7 +466,11 @@ func TestForceBacktracksWhenAllChannelsInSetup(t *testing.T) {
 		e.setStatus(int32(ch.Link), ch.Switch, Reserved)
 		e.owner[e.key(ch)] = 999 // some other probe
 	}
-	checkFree(t, e)
+	// No probe holds the forged reservations, so only the free-vector
+	// clause of Check applies.
+	if err := e.checkFree(); err != nil {
+		t.Fatal(err)
+	}
 	res := watchProbes(e).setup(t, e, 0, 3, 0, true, 100)
 	if res.OK {
 		t.Fatal("force probe succeeded through reserved channels")
@@ -612,5 +616,5 @@ func TestTheoremProbeStorm(t *testing.T) {
 			t.Fatalf("channel %d still reserved after storm", k)
 		}
 	}
-	checkFree(t, e)
+	mustCheck(t, e)
 }

@@ -24,18 +24,18 @@ func TestDynamicFaultOnFreeChannelAndRepair(t *testing.T) {
 	ch := outChannel(t, topo, 0, 0, topology.Plus, 1)
 
 	e.InjectDynamicFault(ch)
-	checkFree(t, e)
+	mustCheck(t, e)
 	if got := e.ChannelStatus(ch); got != Faulty {
 		t.Fatalf("status after fault = %v, want faulty", got)
 	}
 	e.InjectDynamicFault(ch) // double injection is a no-op
-	checkFree(t, e)
+	mustCheck(t, e)
 	if e.Ctr.FaultsInjected != 1 {
 		t.Fatalf("FaultsInjected = %d, want 1", e.Ctr.FaultsInjected)
 	}
 
 	e.RepairFault(ch)
-	checkFree(t, e)
+	mustCheck(t, e)
 	if got := e.ChannelStatus(ch); got != Free {
 		t.Fatalf("status after repair = %v, want free", got)
 	}
@@ -44,7 +44,7 @@ func TestDynamicFaultOnFreeChannelAndRepair(t *testing.T) {
 	}
 	// Repairing a healthy channel changes nothing.
 	e.RepairFault(ch)
-	checkFree(t, e)
+	mustCheck(t, e)
 	if e.Ctr.FaultRepairs != 1 {
 		t.Fatalf("repair of healthy channel counted: %d", e.Ctr.FaultRepairs)
 	}
@@ -65,7 +65,7 @@ func TestDynamicFaultKillsSearchingProbe(t *testing.T) {
 	}
 
 	e.InjectDynamicFault(second)
-	checkFree(t, e)
+	mustCheck(t, e)
 	if r := res[id]; r == nil || r.OK {
 		t.Fatalf("killed probe did not fail back to its sender: %+v", r)
 	}
@@ -111,7 +111,7 @@ func TestDynamicFaultKillsAckInFlight(t *testing.T) {
 			outChannel(t, topo, 2, 0, topology.Plus, 0),
 		}
 		e.InjectDynamicFault(path[hit])
-		checkFree(t, e)
+		mustCheck(t, e)
 		if r := res[id]; r == nil || r.OK {
 			t.Fatalf("hit=%d: killed setup did not fail back: %+v", hit, r)
 		}
@@ -156,7 +156,7 @@ func TestDynamicFaultTearsEstablishedCircuit(t *testing.T) {
 	}
 
 	e.InjectDynamicFault(path[1])
-	checkFree(t, e)
+	mustCheck(t, e)
 	if e.Ctr.FaultCircuitsTorn != 1 {
 		t.Fatalf("FaultCircuitsTorn = %d, want 1", e.Ctr.FaultCircuitsTorn)
 	}
@@ -179,7 +179,7 @@ func TestDynamicFaultTearsEstablishedCircuit(t *testing.T) {
 	// Transient model: repair brings the channel back and a new setup over
 	// the same line succeeds.
 	e.RepairFault(path[1])
-	checkFree(t, e)
+	mustCheck(t, e)
 	if !res.setup(t, e, 0, 3, 0, false, 100).OK {
 		t.Fatal("setup after repair failed")
 	}
@@ -190,9 +190,9 @@ func TestDynamicFaultOnStaticallyFaultedChannel(t *testing.T) {
 	e := newEngine(t, topo, Params{NumSwitches: 1, MaxMisroutes: 0}, &fakeHost{})
 	ch := outChannel(t, topo, 0, 0, topology.Plus, 0)
 	e.InjectFault(ch)
-	checkFree(t, e)
+	mustCheck(t, e)
 	e.InjectDynamicFault(ch)
-	checkFree(t, e)
+	mustCheck(t, e)
 	if e.Ctr.FaultsInjected != 0 {
 		t.Fatalf("dynamic fault on an already-faulty channel counted: %+v", e.Ctr)
 	}

@@ -87,7 +87,7 @@ func TestFramesMatchFreshOutputs(t *testing.T) {
 				for step := 0; step < 200; step++ {
 					f := e.curFrame(p)
 					checkFrames(t, e, p, step)
-					checkFree(t, e)
+					mustCheck(t, e)
 					var free []int
 					for c := e.free[f.cs] &^ p.histOf(f) &^ f.back; c != 0; c &= c - 1 {
 						free = append(free, bits.TrailingZeros32(c))

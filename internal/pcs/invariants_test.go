@@ -1,11 +1,11 @@
 package pcs
 
 // Register-consistency invariants and additional race coverage for the PCS
-// control unit. checkRegisters is the executable version of what Figure 3's
-// registers must always satisfy: every established circuit is a chain of
-// Established channels linked by the Direct/Reverse mappings with the Ack
-// Returned bit set, and no channel outside some circuit or probe path is
-// anything but Free or Faulty.
+// control unit. Engine.Check is the executable version of what Figure 3's
+// registers must always satisfy: every held channel belongs to exactly one
+// probe, acknowledgment or circuit path, the Direct/Reverse mappings chain
+// each path, Ack Returned marks exactly the Established channels, and no
+// channel outside some path is anything but Free or Faulty.
 
 import (
 	"bytes"
@@ -21,103 +21,11 @@ import (
 // flitDecode aliases flit.Decode for readability in the wire tests.
 func flitDecode(buf []byte, dims int) (flit.ProbeFields, error) { return flit.Decode(buf, dims) }
 
-// checkFree checks the derived Channel Status vector against a scan of the
-// status registers: bit p of a router's word on switch sw is set exactly
-// when output port p's wave channel on sw exists and is Free.
-func checkFree(t *testing.T, e *Engine) {
+// mustCheck fails the test at the engine's first broken invariant.
+func mustCheck(t *testing.T, e *Engine) {
 	t.Helper()
-	k := e.prm.NumSwitches
-	for n := topology.Node(0); int(n) < e.topo.Nodes(); n++ {
-		for sw := 0; sw < k; sw++ {
-			var want uint32
-			for port := 0; port < e.topo.OutDegree(n); port++ {
-				link, ok := e.topo.OutSlot(n, port)
-				if ok && e.ChannelStatus(Channel{Link: link, Switch: sw}) == Free {
-					want |= 1 << uint(port)
-				}
-			}
-			if got := e.free[int(n)*k+sw]; got != want {
-				t.Fatalf("node %d switch %d: free word %#x, status scan %#x", n, sw, got, want)
-			}
-		}
-	}
-}
-
-// checkRegisters validates global register consistency. Probes may hold
-// Reserved channels; established/tearing circuits own Established ones.
-func checkRegisters(t *testing.T, e *Engine, topo topology.Topology) {
-	t.Helper()
-	checkFree(t, e)
-	owned := map[int32]int64{} // channel key -> owner circuit
-	for id, c := range e.circuits {
-		if c.tearingDown {
-			continue // partially freed by the travelling teardown flit
-		}
-		established := true
-		for _, ch := range c.Path {
-			if e.status[e.key(ch)] != Established {
-				established = false
-				break
-			}
-		}
-		if !established {
-			continue // ack still travelling
-		}
-		for i, ch := range c.Path {
-			k := e.key(ch)
-			owned[k] = int64(id)
-			if !e.ackRet[k] {
-				t.Fatalf("circuit %d hop %d missing Ack Returned", id, i)
-			}
-			if circuit.ID(e.owner[k]) != id {
-				t.Fatalf("circuit %d hop %d owned by %d", id, i, e.owner[k])
-			}
-			if i+1 < len(c.Path) {
-				next, ok := e.DirectMapping(ch)
-				if !ok || next != c.Path[i+1] {
-					t.Fatalf("circuit %d direct mapping broken at hop %d", id, i)
-				}
-				prev, ok := e.ReverseMapping(c.Path[i+1])
-				if !ok || prev != ch {
-					t.Fatalf("circuit %d reverse mapping broken at hop %d", id, i)
-				}
-			}
-		}
-		// Path endpoints: verify the chain terminates.
-		if _, ok := e.ReverseMapping(c.Path[0]); ok {
-			t.Fatalf("circuit %d first hop has reverse mapping", id)
-		}
-		if _, ok := e.DirectMapping(c.Path[len(c.Path)-1]); ok {
-			t.Fatalf("circuit %d last hop has direct mapping", id)
-		}
-	}
-	// Reserved channels must belong to an active probe's path.
-	probeHeld := map[int32]bool{}
-	for _, p := range e.probes {
-		for _, h := range p.path {
-			probeHeld[h.key] = true
-		}
-	}
-	for _, a := range e.acks {
-		for _, ch := range a.circ.Path {
-			probeHeld[e.key(ch)] = true // ack mid-flight: mixed reserved/established
-		}
-	}
-	for k, s := range e.status {
-		switch s {
-		case Reserved:
-			if !probeHeld[int32(k)] {
-				t.Fatalf("channel %d Reserved but held by no probe/ack", k)
-			}
-		case Established:
-			if _, ok := owned[int32(k)]; !ok && !probeHeld[int32(k)] {
-				// May belong to a tearing-down or mid-ack circuit.
-				id := circuit.ID(e.owner[k])
-				if _, live := e.circuits[id]; !live {
-					t.Fatalf("channel %d Established but its circuit %d is gone", k, id)
-				}
-			}
-		}
+	if err := e.Check(); err != nil {
+		t.Fatalf("cycle %d: %v", e.now, err)
 	}
 }
 
@@ -173,7 +81,7 @@ func TestRegisterConsistencyThroughChurn(t *testing.T) {
 		}
 		e.Cycle(cyc)
 		if cyc%50 == 0 {
-			checkRegisters(t, e, topo)
+			mustCheck(t, e)
 			checkRoundTrip(t, e)
 		}
 	}

@@ -12,6 +12,11 @@ package pcs
 // decoded status registers, and a probe's search frames (per-depth
 // profitable masks and History Store indices) are derived from its path and
 // History Store, so a restored probe rebuilds them on its next step.
+// Decoding refuses only what it cannot represent or resolve (a hop off the
+// probe's switch, a link or switch out of range, an unknown circuit, a
+// legacy byte that disagrees) and then runs Check, which judges the
+// registers against the paths: path chains, one holder per channel, the
+// mappings and the History Store.
 //
 // Pending work is pure data — every completion reports through a handler
 // registered once (SetProbeDone, SetCircuitFreed) — so encoding cannot fail.
@@ -24,7 +29,6 @@ package pcs
 import (
 	"repro/internal/circuit"
 	"repro/internal/snapshot"
-	"repro/internal/topology"
 )
 
 func walkChannel(c *snapshot.Codec, ch *Channel) {
@@ -69,9 +73,6 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 			h.key = e.key(ch)
 		}
 	})
-	if c.Decoding() && c.Err() == nil {
-		e.checkPath(c, p)
-	}
 	snapshot.U8(c, &p.phase)
 	c.Bool(&p.requestedRelease)
 	walkChannel(c, &p.waitingFor)
@@ -88,26 +89,6 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 		}
 		snapshot.I64(c, &p.histNodes[i])
 		snapshot.U32(c, &p.histMasks[i])
-		if node := p.histNodes[i]; c.Decoding() && (node < 0 || int(node) >= e.topo.Nodes()) {
-			c.Failf("pcs: snapshot history node %d out of range", node)
-		}
-	}
-}
-
-// checkPath refuses a decoded probe whose path is not a chain of existing
-// links from its source to its current node: the search frames the probe
-// rebuilds on its next step are derived from that chain.
-func (e *Engine) checkPath(c *snapshot.Codec, p *probe) {
-	at := p.src
-	for i, h := range p.path {
-		if from := topology.Node(e.tab.From[h.link]); from != at || e.tab.To[h.link] < 0 {
-			c.Failf("pcs: snapshot probe %d path hop %d leaves node %d, previous hop ends at %d", p.id, i, from, at)
-			return
-		}
-		at = topology.Node(e.tab.To[h.link])
-	}
-	if at != p.at {
-		c.Failf("pcs: snapshot probe %d is at node %d, its path ends at %d", p.id, p.at, at)
 	}
 }
 
@@ -213,6 +194,11 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		&ctr.FaultCircuitsTorn, &ctr.FaultProbesKilled,
 	} {
 		snapshot.I64(c, v)
+	}
+	if c.Decoding() && c.Err() == nil {
+		if err := e.Check(); err != nil {
+			return c.Failf("snapshot: %w", err)
+		}
 	}
 	return c.Err()
 }

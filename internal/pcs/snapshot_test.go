@@ -58,7 +58,7 @@ func decode(t *testing.T, src *Engine, b []byte) (*Engine, error) {
 	if err := dec.Close(); err != nil {
 		return dst, err
 	}
-	checkFree(t, dst)
+	mustCheck(t, dst)
 	return dst, nil
 }
 

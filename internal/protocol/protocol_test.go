@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -38,7 +39,8 @@ func newHarness(t *testing.T, topo topology.Topology, prm core.Params, kind Kind
 }
 
 // drain runs cycles (starting at *now) until all in-flight work completes,
-// with the watchdog as deadlock/livelock oracle.
+// with the watchdog as deadlock/livelock oracle and every layer's Check
+// every 64 cycles.
 func (h *harness) drain(t *testing.T, now *int64, maxCycles int64) {
 	t.Helper()
 	deadline := *now + maxCycles
@@ -46,6 +48,12 @@ func (h *harness) drain(t *testing.T, now *int64, maxCycles int64) {
 		moved := h.m.Cycle(*now)
 		if err := h.wd.Check(*now, moved, h.m.OldestAge(*now), h.m.InFlight()); err != nil {
 			t.Fatal(err)
+		}
+		if *now%64 == 0 {
+			f := h.m.Fab
+			if err := errors.Join(f.WH.Check(), f.PCS.Check(), f.Check(), h.m.Check()); err != nil {
+				t.Fatalf("cycle %d: %v", *now, err)
+			}
 		}
 		*now++
 		if *now > deadline {

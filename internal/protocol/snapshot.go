@@ -7,8 +7,9 @@ package protocol
 // a count, then (ID, inject time) pairs in ascending ID order. Decoding
 // rebuilds the window from them (delivered IDs between them read as
 // delivered) and refuses IDs that repeat, go backwards or fall outside
-// 1..nextMsg. The optional Events log is diagnostic output, not simulation
-// state, and is not snapshotted.
+// 1..nextMsg; once the fabric is decoded, Check holds the window to the
+// messages the layers hold. The optional Events log is diagnostic output,
+// not simulation state, and is not snapshotted.
 
 import (
 	"slices"
@@ -64,7 +65,13 @@ func (m *Manager) State(c *snapshot.Codec) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	return m.Fab.State(c)
+	if err := m.Fab.State(c); err != nil || !c.Decoding() {
+		return err
+	}
+	if err := m.Check(); err != nil {
+		return c.Failf("snapshot: %w", err)
+	}
+	return nil
 }
 
 // maxWindow bounds the in-flight window a snapshot may carry: the messages

@@ -87,6 +87,23 @@ func TestBadWorkloadRefusedDaemonServes(t *testing.T) {
 	}
 }
 
+// TestBadClosedWorkloadRefusedDaemonServes: a closed job that cannot run
+// is a 400 at submit, not a queued job that fails, and the daemon serves
+// the next job.
+func TestBadClosedWorkloadRefusedDaemonServes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	bad := `{"kind":"closed","config":{"topology":{"kind":"torus","radix":[4,4]}},` +
+		`"closed":{"reqflits":0,"replyflits":8,"outstanding":1,"requests":2}}`
+	resp, body := doReq(t, ts, "POST", "/v1/jobs", bad)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "request/reply sizes") {
+		t.Fatalf("bad closed workload: status %d body %s, want 400 naming the sizes", resp.StatusCode, body)
+	}
+	v := submit(t, ts, quickSpec(5, 500))
+	if final := waitState(t, ts, v.ID, State.Terminal); final.State != StateDone {
+		t.Fatalf("job after the refusal finished %s (%s)", final.State, final.Error)
+	}
+}
+
 // TestStreamNDJSON: every stream line is valid JSON; snapshots precede the
 // final done line, which carries the terminal state and the result.
 func TestStreamNDJSON(t *testing.T) {

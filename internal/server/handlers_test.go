@@ -109,9 +109,8 @@ func TestHandlers(t *testing.T) {
 		{"unknown experiment", "POST", "/v1/jobs", `{"kind":"experiment"}`, 400, "unknown job kind"},
 		{"config unknown field", "POST", "/v1/jobs", typoConfigSpec, 400, `unknown field \"protocl\"`},
 		{"verify config unknown field", "POST", "/v1/verify", `{"config":{"protocl":"clrp"}}`, 400, `unknown field \"protocl\"`},
-		// The full-scan oracle is test-only, not configuration, and the
-		// algorithmic-routing oracle is gone: a spec naming either is a
-		// misspelt key.
+		// The full-scan and algorithmic-routing oracles are gone and were
+		// never configuration: a spec naming either is a misspelt key.
 		{"full-scan oracle refused", "POST", "/v1/jobs",
 			`{"kind":"load","config":{"disableactivitytracking":true},"load":{"pattern":"uniform","load":0.05,"fixedlength":16}}`,
 			400, `unknown field \"disableactivitytracking\"`},
@@ -133,6 +132,15 @@ func TestHandlers(t *testing.T) {
 		{"bimodal probability above one", "POST", "/v1/jobs",
 			`{"kind":"load","load":{"pattern":"uniform","load":0.1,"bimodalshort":4,"bimodallong":8,"bimodalplong":1.5}}`,
 			400, "BimodalPLong"},
+		{"zero-flit closed request", "POST", "/v1/jobs",
+			`{"kind":"closed","closed":{"reqflits":0,"replyflits":8,"outstanding":1,"requests":2}}`,
+			400, "request/reply sizes"},
+		{"negative working set", "POST", "/v1/jobs",
+			`{"kind":"load","load":{"pattern":"uniform","load":0.1,"fixedlength":8,"WorkingSet":-3}}`,
+			400, "WorkingSet"},
+		{"negative closed redraw period", "POST", "/v1/jobs",
+			`{"kind":"closed","closed":{"reqflits":4,"replyflits":8,"outstanding":1,"requests":2,"workingset":4,"redrawperiod":-1}}`,
+			400, "RedrawPeriod"},
 		{"get unknown job", "GET", "/v1/jobs/zzz", "", 404, "no such job"},
 		{"result unknown job", "GET", "/v1/jobs/zzz/result", "", 404, "no such job"},
 		{"stream unknown job", "GET", "/v1/jobs/zzz/stream", "", 404, "no such job"},

@@ -138,6 +138,9 @@ func (s *Server) normalize(sp *Spec) error {
 		if sp.Closed == nil {
 			return errors.New(`a "closed" job needs a "closed" workload object`)
 		}
+		if err := sp.Closed.Validate(); err != nil {
+			return err
+		}
 		if sp.MaxCycles < 0 {
 			return errors.New("max_cycles must be >= 0")
 		}

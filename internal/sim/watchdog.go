@@ -38,11 +38,19 @@ type ErrStuck struct {
 	Reason    string
 	OldestAge int64
 	InFlight  int
+	// Invariant is the broken state invariant the simulator's checker
+	// found when the watchdog tripped, nil when every invariant held (a
+	// deadlock or livelock of consistent state).
+	Invariant error
 }
 
 func (e *ErrStuck) Error() string {
+	reason := e.Reason
+	if e.Invariant != nil {
+		reason = fmt.Sprintf("broken invariant: %v; %s", e.Invariant, reason)
+	}
 	return fmt.Sprintf("sim: watchdog tripped at cycle %d: %s (oldest message age %d, %d in flight)",
-		e.Cycle, e.Reason, e.OldestAge, e.InFlight)
+		e.Cycle, reason, e.OldestAge, e.InFlight)
 }
 
 // Check evaluates the oracle at the end of a cycle. progressed reports

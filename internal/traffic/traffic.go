@@ -283,6 +283,9 @@ func NewLocality(base Pattern, nodes, setSize int, reuse float64, period int) (*
 	if !(reuse >= 0 && reuse <= 1) { // NaN fails both
 		return nil, fmt.Errorf("traffic: reuse probability %g out of [0,1]", reuse)
 	}
+	if period < 0 {
+		return nil, fmt.Errorf("traffic: redraw period must be >= 0 (0 = never), got %d", period)
+	}
 	return &Locality{
 		Base:    base,
 		SetSize: setSize,

@@ -156,6 +156,18 @@ func TestLocalityValidation(t *testing.T) {
 	}
 }
 
+// TestLocalityRefusesNegativePeriod: Pick redraws only while Period > 0,
+// so a negative period would silently mean "never"; it is refused by name.
+func TestLocalityRefusesNegativePeriod(t *testing.T) {
+	_, err := NewLocality(Uniform{N: 8}, 8, 2, 0.5, -1)
+	if err == nil || !strings.Contains(err.Error(), "redraw period") {
+		t.Fatalf("period -1: err = %v, want a refusal naming the redraw period", err)
+	}
+	if _, err := NewLocality(Uniform{N: 8}, 8, 2, 0.5, 0); err != nil {
+		t.Fatalf("period 0 (never redraw) refused: %v", err)
+	}
+}
+
 func TestLocalityReuseConcentration(t *testing.T) {
 	rng := sim.NewRNG(7)
 	l, err := NewLocality(Uniform{N: 64}, 64, 4, 0.9, 0)

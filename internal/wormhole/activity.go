@@ -14,15 +14,14 @@ package wormhole
 //
 // Each set is two-level: one bit per port in words, one bit per non-zero
 // word in sum, and a member count. The allocation pass walks routing and
-// the traversal pass walks active, each in the same rotating order as the
-// full scan: it peels summary bits, then word bits, over [start, total)
-// and then [0, start). Every port a pass skips is one whose guard would
-// have failed without side effects — allocation acts only on vcRouting
-// ports, traversal only on vcActive ports, and idle ports on neither — so
-// each pass visits exactly the subsequence of ports where the full scan
-// does something, in the same order. That makes the active-set engine
-// bit-identical to the full scan, which is kept behind
-// Params.DisableActivityTracking as the cross-check oracle.
+// the traversal pass walks active, each in rotating port order from rr: it
+// peels summary bits, then word bits, over [start, total) and then
+// [0, start). Every port a pass skips is one whose guard would have failed
+// without side effects — allocation acts only on vcRouting ports,
+// traversal only on vcActive ports, and idle ports on neither — so each
+// pass visits exactly the subsequence of ports where a scan of every port
+// would do something, in the same order. Check's port-set clause holds the
+// sets, summaries, counts and start against the port phases.
 //
 // Membership changes only at phase transitions, which happen on a handful of
 // events: injection into an empty source queue, a flit arriving at an idle
@@ -37,7 +36,9 @@ package wormhole
 // inPortBusy hold the stamp of the traversal pass that last claimed each
 // entry, and an entry is busy only while its stamp equals the current pass.
 // Each traversal pass takes the next stamp, so every flag falls free at once
-// without a clearing sweep; both modes share this path.
+// without a clearing sweep.
+
+import mathbits "math/bits"
 
 // portSet is a two-level membership bitmap over the global input-port
 // space: bit p of words is port p, bit w of sum is set while words[w] is
@@ -67,19 +68,24 @@ func (s *portSet) remove(port int) {
 	s.n--
 }
 
-func (s *portSet) reset() {
-	clear(s.words)
+// rebuild recomputes the summary and the count from the words.
+func (s *portSet) rebuild() {
 	clear(s.sum)
 	s.n = 0
+	for w, word := range s.words {
+		if word != 0 {
+			s.sum[w>>6] |= 1 << uint(w&63)
+			s.n += mathbits.OnesCount64(word)
+		}
+	}
 }
 
 // setPhase moves port from phase *ph to phase to, keeping the routing and
-// active sets in step (they stay empty when activity tracking is
-// disabled).
+// active sets in step.
 func (e *Engine) setPhase(port int, ph *vcPhase, to vcPhase) {
 	from := *ph
 	*ph = to
-	if !e.trackActivity || from == to {
+	if from == to {
 		return
 	}
 	switch from {
@@ -97,8 +103,8 @@ func (e *Engine) setPhase(port int, ph *vcPhase, to vcPhase) {
 }
 
 // ActivePorts returns the number of input ports (link VCs plus injection
-// ports) that are not idle — the size of routing ∪ active. It is 0 when
-// activity tracking is disabled; NumPorts is the total.
+// ports) that are not idle — the size of routing ∪ active; NumPorts is the
+// total.
 func (e *Engine) ActivePorts() int { return e.routing.n + e.active.n }
 
 // advanceRotation moves the arbitration offset one step; start follows rr

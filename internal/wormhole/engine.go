@@ -56,11 +56,6 @@ type Params struct {
 	// E15 uses RouteDelay to weigh routing sophistication against per-hop
 	// latency.
 	RouteDelay int
-	// DisableActivityTracking runs the allocation and traversal passes as
-	// full scans over every input port instead of iterating the active set
-	// (see activity.go). Results are bit-identical either way; the full scan
-	// is the cross-check oracle for the active-set bookkeeping.
-	DisableActivityTracking bool
 }
 
 // DefaultParams returns the configuration used throughout the paper-shaped
@@ -251,8 +246,6 @@ type Engine struct {
 
 	// Active-set state (see activity.go): two-level membership sets over
 	// the global input-port space for the routing and the streaming ports.
-	// trackActivity caches !prm.DisableActivityTracking.
-	trackActivity   bool
 	routing, active portSet
 
 	// Scratch reused across cycles; the busy flags are pass stamps (see
@@ -290,7 +283,6 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 		inPortBusy:  make([]uint32, topo.NumLinkSlots()+topo.Nodes()),
 		LinkFlits:   make([]int64, topo.NumLinkSlots()),
 	}
-	e.trackActivity = !prm.DisableActivityTracking
 	e.routing = newPortSet(e.NumPorts())
 	e.active = newPortSet(e.NumPorts())
 	for i := range e.in {
@@ -427,24 +419,13 @@ func (e *Engine) drainCredits(now int64) {
 
 // allocatePass runs route computation and VC allocation over the ports in
 // rotating order from rr: greedy and sequential, so deterministic and fair
-// over time. With activity tracking it walks only the routing set,
-// [start, total) then [0, start), in the full scan's order (see
-// activity.go), and returns at once when the set is empty. A summary word
-// and a port word are each copied before their bits are peeled, and a
-// visit moves only the visited port, and only out of the set, so the set
-// may change under the walk.
+// over time. It walks only the routing set, [start, total) then
+// [0, start), in rotating port order (see activity.go), and returns at
+// once when the set is empty. A summary word and a port word are each
+// copied before their bits are peeled, and a visit moves only the visited
+// port, and only out of the set, so the set may change under the walk.
 func (e *Engine) allocatePass() {
 	nl, total := e.numLinkInputs(), e.NumPorts()
-	if !e.trackActivity {
-		for i := 0; i < total; i++ {
-			if port := (i + e.rr) % total; port < nl {
-				e.allocateLinkVC(int32(port))
-			} else {
-				e.allocateInjection(topology.Node(port - nl))
-			}
-		}
-		return
-	}
 	s := &e.routing
 	if s.n == 0 {
 		return
@@ -470,21 +451,11 @@ func (e *Engine) allocatePass() {
 }
 
 // traversePass runs switch allocation and link traversal in the same order,
-// walking only the active set when tracking (a visit moves its port out of
-// the set or into the routing set, and a delivery hook that injects wakes
-// an injection port into the routing set, which this pass does not walk).
+// walking only the active set (a visit moves its port out of the set or
+// into the routing set, and a delivery hook that injects wakes an injection
+// port into the routing set, which this pass does not walk).
 func (e *Engine) traversePass(now int64) {
 	nl, total := e.numLinkInputs(), e.NumPorts()
-	if !e.trackActivity {
-		for i := 0; i < total; i++ {
-			if port := (i + e.rr) % total; port < nl {
-				e.traverseLinkVC(int32(port), now)
-			} else {
-				e.traverseInjection(topology.Node(port-nl), now)
-			}
-		}
-		return
-	}
 	s := &e.active
 	if s.n == 0 {
 		return

@@ -45,7 +45,7 @@ func (h *harness) run(t *testing.T, maxCycles int) int {
 			return cyc
 		}
 		h.eng.Cycle(int64(cyc))
-		checkSets(t, h.eng)
+		mustCheck(t, h.eng)
 	}
 	if !h.eng.Quiesce() {
 		t.Fatalf("network did not drain within %d cycles; %d in flight", maxCycles, h.eng.InFlight())
@@ -201,7 +201,7 @@ func testRandomTrafficDrains(t *testing.T, topo topology.Topology, fnName string
 	}
 	for cyc := int64(0); !h.eng.Quiesce(); cyc++ {
 		moved := h.eng.Cycle(cyc)
-		checkSets(t, h.eng)
+		mustCheck(t, h.eng)
 		if err := wd.Check(cyc, moved, oldestAge(h.eng, cyc), h.eng.InFlight()); err != nil {
 			t.Fatal(err)
 		}

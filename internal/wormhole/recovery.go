@@ -39,6 +39,10 @@ type recoveryState struct {
 
 	// Aborts counts recovery events.
 	Aborts int64
+	// Retaken counts the flits aborts took back after their delivery; the
+	// retry delivers them again. It is not snapshotted: it feeds only the
+	// fabric's flit balance, whose baseline a restore resets.
+	Retaken int64
 }
 
 type parkedSlot struct {
@@ -149,9 +153,13 @@ func (e *Engine) abort(s int32, now int64) {
 
 	// 1. Scrub link VC buffers. A VC carrying m (its current message)
 	// releases its output allocation and recycles for whatever is behind.
+	// held counts the flits of m still in the engine; the rest were
+	// delivered and will be delivered again.
+	held := 0
 	for ch := range e.in {
 		if removed := e.scrubVC(int32(ch), s); removed > 0 {
 			e.out[ch].credits += removed
+			held += int(removed)
 		}
 		if v := &e.in[ch]; v.curSlot == s {
 			e.retireVC(int32(ch), v)
@@ -165,12 +173,15 @@ func (e *Engine) abort(s int32, now int64) {
 			continue
 		}
 		if qi == p.head {
+			held += m.Len - p.sent
 			e.retireFront(topology.Node(m.Src), p)
 		} else {
+			held += m.Len
 			p.queue = append(p.queue[:qi], p.queue[qi+1:]...)
 		}
 		break
 	}
+	r.Retaken += int64(m.Len - held)
 
 	// 3. Park with deterministic, message-staggered backoff (identical
 	// simultaneous retries would re-collide forever).

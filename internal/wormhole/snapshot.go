@@ -9,14 +9,17 @@ package wormhole
 // busy. Restoring into an engine built from the identical Params and
 // topology reproduces the original bit for bit.
 //
-// Three parts of the byte format are not engine fields but derived from
-// them: buffered flits are written in full, each VC writes the queue of
-// its buffered headers still to be routed, and the active set is one
-// bitmap (routing | active words). Decoding checks them: a flit must
-// belong to a live message, the header queue must list the buffered heads
-// other than the current message's, and the bitmap must equal the port
-// phases. The sets' summaries and counts and the rotation start are not in
-// the format; decoding recomputes them, and refuses a negative rr.
+// Two parts of the byte format are not engine fields but derived from
+// them: buffered flits are written in full, and each VC writes the queue
+// of its buffered headers still to be routed. Decoding refuses bytes that
+// disagree: a flit must be the named flit of a live message, and the
+// header queue must list the buffered heads other than the current
+// message's. The active set is written as its member count and one bitmap
+// (routing | active words); decoding splits each word between the two
+// sets by port phase and rebuilds the summaries. Everything else the
+// decoder would have to cross-check (one slot per live message, the live
+// count, credits, ownership, the sets against the phases, rr >= 0) is a
+// clause of Check, which decoding runs last.
 
 import (
 	"slices"
@@ -32,12 +35,7 @@ import (
 func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &e.now)
 	snapshot.I64(c, &e.rr)
-	if c.Decoding() && c.Err() == nil {
-		if e.rr < 0 {
-			return c.Failf("wormhole: snapshot rotation offset rr = %d is negative", e.rr)
-		}
-		e.start = e.rr % e.NumPorts()
-	}
+	e.start = e.rr % e.NumPorts()
 
 	// Slot arena: every slot (live or free) in index order, then the
 	// free-list in its exact LIFO order — slot assignment is canonical and
@@ -54,17 +52,13 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &e.liveSlots)
 
 	// The message index grows with the arena's live slots; the count
-	// written beside them sizes nothing and is checked once the ports are
-	// decoded.
+	// written beside them sizes nothing.
 	var slotOf map[flit.MsgID]int32 // decoding: live message -> slot
 	if c.Decoding() && c.Err() == nil {
 		slotOf = make(map[flit.MsgID]int32)
 		for s := range e.slots {
-			if id := e.slots[s].msg.ID; e.slots[s].live {
-				if _, dup := slotOf[id]; dup {
-					return c.Failf("wormhole: snapshot has message %d live in two slots", id)
-				}
-				slotOf[id] = int32(s)
+			if e.slots[s].live {
+				slotOf[e.slots[s].msg.ID] = int32(s)
 			}
 		}
 	}
@@ -129,36 +123,15 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		e.walkPhase(c, &p.phase)
 		e.walkOut(c, &p.outLink, &p.outCh)
 		snapshot.I64(c, &p.rcWait)
-		if !c.Decoding() || c.Err() != nil {
-			return
-		}
-		// Every queued slot becomes the front, which routing reads.
-		for j, s := range p.queue[p.head:] {
-			if s < 0 || int(s) >= len(e.slots) || !e.slots[s].live {
-				what := "queues"
-				if j == 0 {
-					what = "fronts"
-				}
-				c.Failf("wormhole: snapshot injection port %d %s slot %d of no live message", i, what, s)
-				return
-			}
-		}
-		if p.phase == vcActive && p.qlen() > 0 {
+		if c.Decoding() && p.phase == vcActive && p.qlen() > 0 && e.liveSlot(p.front()) {
 			p.frontLen = e.slots[p.front()].msg.Len
 		}
 	})
-
-	if c.Decoding() && c.Err() == nil && len(slotOf) != e.liveSlots {
-		return c.Failf("wormhole: snapshot counts %d live slots, the arena holds %d", e.liveSlots, len(slotOf))
-	}
 
 	// Credit pipe (only populated when CreditDelay > 0).
 	snapshot.Queue(c, &e.creditQueue, &e.creditHead, func(pc *pendingCredit) {
 		snapshot.U32(c, &pc.ch)
 		snapshot.I64(c, &pc.at)
-		if c.Decoding() && c.Err() == nil && (pc.ch < 0 || int(pc.ch) >= len(e.out)) {
-			c.Failf("wormhole: snapshot credit in flight for channel %d of %d", pc.ch, len(e.out))
-		}
 	})
 
 	// Recovery bookkeeping.
@@ -176,45 +149,41 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	}
 
 	// Active set: the non-idle port count, then one word per 64 ports,
-	// routing | active, rebuilt from the port phases on decode.
-	if c.Decoding() && c.Err() == nil {
-		e.rebuildSets()
-	}
+	// routing | active. Decoding puts a member in the active set if its
+	// port streams and in the routing set otherwise; Check holds both
+	// sets to the phases.
 	count := e.ActivePorts()
 	snapshot.I64(c, &count)
-	if c.Err() == nil && count != e.ActivePorts() {
-		return c.Failf("wormhole: snapshot counts %d active ports, port phases give %d", count, e.ActivePorts())
-	}
 	c.Fixed(len(e.routing.words), "wormhole active-bitmap words", func(i int) {
-		want := e.routing.words[i] | e.active.words[i]
-		w := want
+		w := e.routing.words[i] | e.active.words[i]
 		c.U64(&w)
-		if c.Err() == nil && w != want {
-			c.Failf("wormhole: snapshot active word %d = %#x, port phases give %#x", i, w, want)
+		if c.Decoding() {
+			var streaming uint64
+			for b := 0; b < 64 && i<<6+b < e.NumPorts(); b++ {
+				if ph, _ := e.portOut(i<<6 + b); ph == vcActive {
+					streaming |= 1 << uint(b)
+				}
+			}
+			e.routing.words[i], e.active.words[i] = w&^streaming, w&streaming
 		}
 	})
+	if c.Decoding() {
+		e.active.rebuild()
+		e.routing.rebuild()
+		e.routing.n = count - e.active.n
+	}
 
 	// Counters.
 	snapshot.I64(c, &e.FlitsMoved)
 	snapshot.I64(c, &e.FlitsDelivered)
 	snapshot.I64(c, &e.MsgsDelivered)
 	c.Fixed(len(e.LinkFlits), "wormhole link slots", func(i int) { snapshot.I64(c, &e.LinkFlits[i]) })
+	if c.Decoding() && c.Err() == nil {
+		if err := e.Check(); err != nil {
+			return c.Failf("snapshot: %w", err)
+		}
+	}
 	return c.Err()
-}
-
-// rebuildSets recomputes the routing and active sets, summaries and
-// counts included, from the port phases.
-func (e *Engine) rebuildSets() {
-	e.routing.reset()
-	e.active.reset()
-	for i := range e.in {
-		ph := vcIdle
-		e.setPhase(i, &ph, e.in[i].phase)
-	}
-	for n := range e.inj {
-		ph := vcIdle
-		e.setPhase(int(e.injInput(topology.Node(n))), &ph, e.inj[n].phase)
-	}
 }
 
 // walkPhase walks a port phase, refusing an unknown value.

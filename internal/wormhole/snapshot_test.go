@@ -101,7 +101,7 @@ func restoreInto(t *testing.T, src *Engine) (*Engine, error) {
 	if err := dst.State(dec); err != nil {
 		return dst, err
 	}
-	checkSets(t, dst)
+	mustCheck(t, dst)
 	return dst, nil
 }
 

@@ -1,7 +1,6 @@
 package wormhole
 
 import (
-	mathbits "math/bits"
 	"testing"
 
 	"repro/internal/flit"
@@ -75,7 +74,6 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 		{"default", DefaultParams()},
 		{"creditDelay", Params{NumVCs: 2, BufDepth: 4, CreditDelay: 2}},
 		{"routeDelay", Params{NumVCs: 2, BufDepth: 4, RouteDelay: 1}},
-		{"fullScanOracle", Params{NumVCs: 2, BufDepth: 4, DisableActivityTracking: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, delivered := zeroAllocEngine(t, tc.prm)
@@ -96,58 +94,11 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 	}
 }
 
-// checkSets fails unless the engine's derived activity state agrees with
-// the port phases: each set's bits are exactly the ports in its phase
-// (none when tracking is off), each summary bit is set exactly while its
-// word is non-zero, each count is its words' popcount, and the rotation
-// start is rr modulo NumPorts.
-func checkSets(tb testing.TB, e *Engine) {
-	tb.Helper()
-	nl := e.numLinkInputs()
-	for _, set := range []struct {
-		name  string
-		s     *portSet
-		phase vcPhase
-	}{{"routing", &e.routing, vcRouting}, {"active", &e.active, vcActive}} {
-		s, count := set.s, 0
-		for port := 0; port < e.NumPorts(); port++ {
-			var ph vcPhase
-			if port < nl {
-				ph = e.in[port].phase
-			} else {
-				ph = e.inj[port-nl].phase
-			}
-			in := s.words[port>>6]&(1<<uint(port&63)) != 0
-			if want := e.trackActivity && ph == set.phase; in != want {
-				tb.Fatalf("%s set: port %d (phase %d) member %v, want %v", set.name, port, ph, in, want)
-			}
-		}
-		for w := range s.sum {
-			for b := 0; b < 64; b++ {
-				word := w<<6 + b
-				got := s.sum[w]&(1<<uint(b)) != 0
-				if want := word < len(s.words) && s.words[word] != 0; got != want {
-					tb.Fatalf("%s set: summary bit for word %d is %v, want %v", set.name, word, got, want)
-				}
-			}
-		}
-		for _, word := range s.words {
-			count += mathbits.OnesCount64(word)
-		}
-		if s.n != count {
-			tb.Fatalf("%s set: count %d, popcount %d", set.name, s.n, count)
-		}
-	}
-	if want := e.rr % e.NumPorts(); e.start != want {
-		tb.Fatalf("rotation start %d, rr %d modulo %d ports is %d", e.start, e.rr, e.NumPorts(), want)
-	}
-}
-
 // TestActiveSetTracksPhases checks the active-set invariant directly: the
 // set is empty at rest, non-empty while messages are in flight, and empty
 // again once the network drains — across repeated rounds, so stale
 // memberships (which would silently degrade the speedup) cannot survive.
-// checkSets holds the derived state against the port phases after every
+// Check holds the derived state against the port phases after every
 // cycle.
 func TestActiveSetTracksPhases(t *testing.T) {
 	eng, _ := zeroAllocEngine(t, DefaultParams())
@@ -156,17 +107,17 @@ func TestActiveSetTracksPhases(t *testing.T) {
 	if got := eng.ActivePorts(); got != 0 {
 		t.Fatalf("fresh engine has %d active ports, want 0", got)
 	}
-	checkSets(t, eng)
+	mustCheck(t, eng)
 	for round := 0; round < 3; round++ {
 		pumpRound(eng, now, &nextID)
-		checkSets(t, eng)
+		mustCheck(t, eng)
 		for i := 0; !eng.Quiesce(); i++ {
 			if i == 10000 {
 				t.Fatal("network did not drain")
 			}
 			eng.Cycle(now)
 			now++
-			checkSets(t, eng)
+			mustCheck(t, eng)
 		}
 		if got := eng.ActivePorts(); got != 0 {
 			t.Fatalf("round %d: drained engine has %d active ports, want 0", round, got)
@@ -176,7 +127,7 @@ func TestActiveSetTracksPhases(t *testing.T) {
 	if got := eng.ActivePorts(); got != 1 {
 		t.Fatalf("after one injection: %d active ports, want 1", got)
 	}
-	checkSets(t, eng)
+	mustCheck(t, eng)
 }
 
 // BenchmarkWormholeCycle measures the steady-state cost of one engine cycle
@@ -237,31 +188,22 @@ func BenchmarkWormholeCycle(b *testing.B) {
 // BenchmarkWormholeIdleCycle measures one cycle of a completely idle engine.
 // Both active-set passes find their set empty and return without loading a
 // bitmap word, so the /activeSet cost is the same on the 8x8 torus (576
-// ports) and the /32x32 torus (13,312 ports), where the full-scan oracle
-// (the /fullScan variant, 8x8) visits every port every cycle.
+// ports) and the /32x32 torus (13,312 ports).
 func BenchmarkWormholeIdleCycle(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		prm  Params
-	}{
-		{"activeSet", DefaultParams()},
-		{"fullScan", Params{NumVCs: 2, BufDepth: 4, DisableActivityTracking: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			eng, _ := zeroAllocEngine(b, tc.prm)
-			var now int64
-			var nextID flit.MsgID
-			// One drained round leaves every ring at steady capacity and the
-			// active set empty.
-			pumpDrain(b, eng, &now, &nextID)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Cycle(now)
-				now++
-			}
-		})
-	}
+	b.Run("activeSet", func(b *testing.B) {
+		eng, _ := zeroAllocEngine(b, DefaultParams())
+		var now int64
+		var nextID flit.MsgID
+		// One drained round leaves every ring at steady capacity and the
+		// active set empty.
+		pumpDrain(b, eng, &now, &nextID)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Cycle(now)
+			now++
+		}
+	})
 	b.Run("32x32", func(b *testing.B) {
 		// The wh_uniform shape (duato over 3 VCs) at 32x32, idle after a
 		// drained burst of uniform traffic.

@@ -40,7 +40,14 @@ type ClosedWorkload struct {
 	Seed uint64
 }
 
-func (w ClosedWorkload) validate() error {
+// Validate refuses a closed workload that cannot run: message sizes below
+// one flit, no outstanding slot, no request, a negative think time or a
+// negative locality field. RunClosedLoop and waved's job submission both
+// run it.
+func (w ClosedWorkload) Validate() error {
+	if err := validateLocality(w.WorkingSet, w.RedrawPeriod); err != nil {
+		return err
+	}
 	if w.ReqFlits < 1 || w.ReplyFlits < 1 {
 		return fmt.Errorf("wave: closed workload needs positive request/reply sizes")
 	}
@@ -103,7 +110,7 @@ func (s *Simulator) RunClosedLoop(w ClosedWorkload, maxCycles int64) (*ClosedRes
 // delivery (requests and replies included) before the round-trip matching
 // consumes it.
 func (s *Simulator) RunClosedLoopContext(ctx context.Context, w ClosedWorkload, maxCycles int64) (*ClosedResult, error) {
-	if err := w.validate(); err != nil {
+	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	pat, err := traffic.NewPattern(w.Pattern, s.topo)

@@ -181,15 +181,6 @@ type Config struct {
 	// the empirical deadlock/livelock oracle of the Theorem tests.
 	WatchdogMaxAge int64
 	WatchdogStall  int64
-
-	// disableActivityTracking is an oracle reachable only from this
-	// package's tests: it runs the wormhole engine's passes as full scans
-	// over all ports instead of only the active ones (see
-	// internal/wormhole/activity.go and TestActiveSetMatchesFullScan).
-	// Results are bit-identical either way, so it is not a setting: it is
-	// not exported, not in the JSON form (nor in snapshots), and a restored
-	// simulator runs without it.
-	disableActivityTracking bool
 }
 
 // DefaultConfig is the experiments' baseline: an 8x8 torus, CLRP, Duato
@@ -217,21 +208,20 @@ func DefaultConfig() Config {
 // coreParams lowers the public config to the fabric parameters.
 func (c Config) coreParams() core.Params {
 	return core.Params{
-		NumVCs:                  c.NumVCs,
-		BufDepth:                c.BufDepth,
-		CreditDelay:             c.CreditDelay,
-		RouteDelay:              c.RouteDelay,
-		RecoveryTimeout:         c.RecoveryTimeout,
-		Routing:                 c.Routing,
-		NumSwitches:             c.NumSwitches,
-		MaxMisroutes:            c.MaxMisroutes,
-		WaveClockMult:           c.WaveClockMult,
-		CacheCapacity:           c.CacheCapacity,
-		ReplacePolicy:           c.ReplacePolicy,
-		WindowFlits:             c.WindowFlits,
-		InitialBufFlits:         c.InitialBufFlits,
-		ReallocPenalty:          c.ReallocPenalty,
-		DisableActivityTracking: c.disableActivityTracking,
-		Seed:                    c.Seed,
+		NumVCs:          c.NumVCs,
+		BufDepth:        c.BufDepth,
+		CreditDelay:     c.CreditDelay,
+		RouteDelay:      c.RouteDelay,
+		RecoveryTimeout: c.RecoveryTimeout,
+		Routing:         c.Routing,
+		NumSwitches:     c.NumSwitches,
+		MaxMisroutes:    c.MaxMisroutes,
+		WaveClockMult:   c.WaveClockMult,
+		CacheCapacity:   c.CacheCapacity,
+		ReplacePolicy:   c.ReplacePolicy,
+		WindowFlits:     c.WindowFlits,
+		InitialBufFlits: c.InitialBufFlits,
+		ReallocPenalty:  c.ReallocPenalty,
+		Seed:            c.Seed,
 	}
 }

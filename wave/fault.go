@@ -22,8 +22,8 @@ type FaultEvent struct {
 // FaultScheduleConfig arms deterministic mid-run wave-channel faults. The
 // random part draws Count distinct channels (seeded) and injects the i-th at
 // Start+i*Spacing; Events adds explicit faults on top. All injections ride
-// the fabric's event queue, so a faulted run is bit-identical across the
-// active-set and full-scan engines and survives a snapshot.
+// the fabric's event queue, so a faulted run repeats bit for bit and
+// survives a snapshot.
 type FaultScheduleConfig struct {
 	// Count is the number of random distinct faulty channels (0 = none).
 	Count int

@@ -2,6 +2,7 @@ package wave
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -159,12 +160,31 @@ func (s *Simulator) CloseCircuit(src, dst int) {
 	s.mgr.CloseCircuit(topology.Node(src), topology.Node(dst))
 }
 
-// Step advances one cycle and runs the deadlock/livelock watchdog.
+// Step advances one cycle and runs the deadlock/livelock watchdog. When
+// the watchdog trips, Step runs Check as well, so the error names a broken
+// invariant before it reports a deadlock.
 func (s *Simulator) Step() error {
 	moved := s.mgr.Cycle(s.now)
 	err := s.wd.Check(s.now, moved, s.mgr.OldestAge(s.now), s.mgr.InFlight())
+	if err != nil {
+		var stuck *sim.ErrStuck
+		if errors.As(err, &stuck) {
+			stuck.Invariant = s.Check()
+		}
+	}
 	s.now++
 	return err
+}
+
+// Check verifies the simulator's live state against the invariants the
+// deadlock proofs rest on, layer by layer: the wormhole engine's credits,
+// flit and channel ownership and port sets, the PCS registers against the
+// probes and circuits that hold them, the fabric's flit balance and the
+// protocol's in-flight window. It returns every broken clause joined, or
+// nil. It reads the whole state: call it between cycles, not per cycle.
+func (s *Simulator) Check() error {
+	f := s.mgr.Fab
+	return errors.Join(f.WH.Check(), f.PCS.Check(), f.Check(), s.mgr.Check())
 }
 
 // OnInterval registers fn to be called whenever now%every == 0 during the
@@ -240,7 +260,7 @@ func (s *Simulator) DrainContext(ctx context.Context, maxCycles int64) error {
 
 // EnginePorts returns the wormhole engine's (active, total) input-port
 // counts: the instrumentation behind the bench harness's idle-port-fraction
-// metric. Active is 0 on a full-scan oracle run.
+// metric.
 func (s *Simulator) EnginePorts() (active, total int) {
 	return s.mgr.Fab.WH.ActivePorts(), s.mgr.Fab.WH.NumPorts()
 }

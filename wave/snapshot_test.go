@@ -164,6 +164,7 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkEvery(t, sA, 500)
 			resA, err := sA.RunLoad(tc.w, matrixWarmup, matrixMeasure)
 			if err != nil {
 				t.Fatal(err)
@@ -189,6 +190,7 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if !sC.InLoadRun() {
 				t.Fatal("restored simulator lost its in-progress load run")
 			}
+			checkEvery(t, sC, 500)
 			resC, err := sC.ResumeLoad()
 			if err != nil {
 				t.Fatalf("ResumeLoad: %v", err)

@@ -176,6 +176,8 @@ func TestWorkloadValidate(t *testing.T) {
 		{"BimodalPLong", func(w *Workload) { w.BimodalPLong = 1.5 }},
 		{"BimodalPLong", func(w *Workload) { w.BimodalPLong = -0.1 }},
 		{"FixedLength", func(w *Workload) { w.FixedLength = -1 }},
+		{"WorkingSet", func(w *Workload) { w.WorkingSet = -3 }},
+		{"RedrawPeriod", func(w *Workload) { w.WorkingSet, w.RedrawPeriod = 4, -1 }},
 	} {
 		w := bimodal
 		c.mutate(&w)
@@ -196,6 +198,40 @@ func TestWorkloadValidate(t *testing.T) {
 	}
 	if err := bimodal.Validate(); err != nil {
 		t.Errorf("valid bimodal workload refused: %v", err)
+	}
+}
+
+// TestClosedWorkloadValidate: every field a closed loop cannot run with is
+// refused by name, before the first cycle.
+func TestClosedWorkloadValidate(t *testing.T) {
+	ok := ClosedWorkload{Pattern: "uniform", ReqFlits: 4, ReplyFlits: 8, Outstanding: 1, Requests: 2}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid closed workload refused: %v", err)
+	}
+	for _, c := range []struct {
+		field  string
+		mutate func(*ClosedWorkload)
+	}{
+		{"request/reply sizes", func(w *ClosedWorkload) { w.ReqFlits = 0 }},
+		{"request/reply sizes", func(w *ClosedWorkload) { w.ReplyFlits = -1 }},
+		{"Outstanding", func(w *ClosedWorkload) { w.Outstanding = 0 }},
+		{"Requests", func(w *ClosedWorkload) { w.Requests = 0 }},
+		{"ThinkCycles", func(w *ClosedWorkload) { w.ThinkCycles = -1 }},
+		{"WorkingSet", func(w *ClosedWorkload) { w.WorkingSet = -3 }},
+		{"RedrawPeriod", func(w *ClosedWorkload) { w.WorkingSet, w.RedrawPeriod = 4, -1 }},
+	} {
+		w := ok
+		c.mutate(&w)
+		if err := w.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", w, err, c.field)
+		}
+		s, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunClosedLoop(w, 1000); err == nil || s.Now() != 0 {
+			t.Errorf("%+v: RunClosedLoop = %v after %d cycles, want a refusal at cycle 0", w, err, s.Now())
+		}
 	}
 }
 

@@ -46,14 +46,18 @@ type Workload struct {
 	Seed uint64
 }
 
-// Validate refuses a length mix no message can be drawn from: a negative
-// FixedLength, and, when FixedLength is zero, a bimodal mix with a length
-// below one flit or a BimodalPLong that is not a probability. The pattern,
-// load and locality fields are checked where they are built
-// (traffic.NewPattern, NewGenerator, NewLocality). Every open-loop run
-// passes through it: RunLoad, and Restore of a load run that ResumeLoad
-// continues.
+// Validate refuses a negative WorkingSet or RedrawPeriod, which would
+// otherwise read as "no locality" and "never redraw", and a length mix no
+// message can be drawn from: a negative FixedLength, and, when FixedLength
+// is zero, a bimodal mix with a length below one flit or a BimodalPLong
+// that is not a probability. The pattern, load and the remaining locality
+// fields are checked where they are built (traffic.NewPattern,
+// NewGenerator, NewLocality). Every open-loop run passes through it:
+// RunLoad, and Restore of a load run that ResumeLoad continues.
 func (w Workload) Validate() error {
+	if err := validateLocality(w.WorkingSet, w.RedrawPeriod); err != nil {
+		return err
+	}
 	switch {
 	case w.FixedLength < 0:
 		return fmt.Errorf("wave: FixedLength must be >= 0, got %d", w.FixedLength)
@@ -65,6 +69,19 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("wave: BimodalShort and BimodalLong must be >= 1 flit, got %d and %d", w.BimodalShort, w.BimodalLong)
 	case !(w.BimodalPLong >= 0 && w.BimodalPLong <= 1): // NaN fails both
 		return fmt.Errorf("wave: BimodalPLong must be a probability in [0, 1], got %g", w.BimodalPLong)
+	}
+	return nil
+}
+
+// validateLocality refuses the negative locality fields that the
+// workloads' WorkingSet > 0 and traffic.Locality's Period > 0 tests would
+// silently read as off.
+func validateLocality(workingSet, redrawPeriod int) error {
+	switch {
+	case workingSet < 0:
+		return fmt.Errorf("wave: WorkingSet must be >= 0, got %d", workingSet)
+	case redrawPeriod < 0:
+		return fmt.Errorf("wave: RedrawPeriod must be >= 0, got %d", redrawPeriod)
 	}
 	return nil
 }
