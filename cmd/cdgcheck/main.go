@@ -1,14 +1,16 @@
 // Command cdgcheck statically certifies a full wave-switching configuration
 // before it runs: the wormhole substrate's channel dependency graph (Dally &
-// Seitz; Duato's escape and valid-subrelation conditions), the delivery /
-// livelock proof, the protocol-level extended wait-for graph, and — when
-// faults are given — the residual re-proof. It is a thin CLI over
+// Seitz, or Duato's condition on the declared escape, checked at every
+// state the routing function reaches; the ladder is acyclic-cdg, escape,
+// recovery, reject), the delivery / livelock proof, the protocol-level
+// extended wait-for graph, and — when faults are given — the residual
+// re-proof. It is a thin CLI over
 // internal/verify; waved's POST /v1/verify endpoint runs the same prover.
 //
 // Exit codes: 0 the configuration is certified, 1 a proof failed (the
 // counterexample is printed), 2 the invocation itself is malformed (unknown
 // flag, bad radix, unknown routing function, VC count below the function's
-// minimum).
+// minimum, a -faults pair that is not link:switch or names a channel twice).
 //
 // Examples:
 //
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -154,18 +157,26 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// parseFaults parses "link:switch,link:switch,..." into wave channels.
+// parseFaults parses "link:switch,link:switch,..." into wave channels. Each
+// pair must be exactly two decimal integers, and no channel may be named
+// twice.
 func parseFaults(s string) ([]pcs.Channel, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []pcs.Channel
 	for _, part := range strings.Split(s, ",") {
-		var link, sw int
-		if _, err := fmt.Sscanf(part, "%d:%d", &link, &sw); err != nil {
-			return nil, fmt.Errorf("bad fault %q (want link:switch): %v", part, err)
+		ls, ws, ok := strings.Cut(part, ":")
+		link, err1 := strconv.Atoi(ls)
+		sw, err2 := strconv.Atoi(ws)
+		if !ok || err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("bad fault %q (want link:switch)", part)
 		}
-		out = append(out, pcs.Channel{Link: topology.LinkID(link), Switch: sw})
+		ch := pcs.Channel{Link: topology.LinkID(link), Switch: sw}
+		if slices.Contains(out, ch) {
+			return nil, fmt.Errorf("fault %q named twice", part)
+		}
+		out = append(out, ch)
 	}
 	return out, nil
 }

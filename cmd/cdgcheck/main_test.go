@@ -43,6 +43,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-radix", "1x4"},
 		{"-topology", "ring"},
 		{"-faults", "12;0"},
+		{"-faults", "3:0junk,5:1;"}, // trailing text after a pair
+		{"-faults", "3:0:7"},        // three fields
+		{"-faults", "3:0,"},         // empty pair
+		{"-faults", "3:0,5:1,3:0"},  // channel named twice
 		{"-protocol", "telepathy"},
 	}
 	for _, args := range cases {
@@ -55,6 +59,17 @@ func TestUsageErrors(t *testing.T) {
 		if errNotCertified(err) {
 			t.Fatalf("%v: usage error classified as proof failure: %v", args, err)
 		}
+	}
+}
+
+// TestFaultsCounted: well-formed fault pairs all reach the certificate.
+func TestFaultsCounted(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-faults", "3:0,5:1,3:1"}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), ", 3 permanent faults") {
+		t.Fatalf("fault count not printed:\n%s", out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,14 +14,16 @@ import (
 // message holding A may request B at the router joining them (Dally & Seitz).
 // A routing function with an acyclic CDG is deadlock-free for wormhole
 // switching; for adaptive functions the condition applies to the escape
-// subfunction's graph (Duato).
+// subfunction's graph (Duato), which the same walk builds at the states the
+// whole function reaches (Escape).
 type CDG struct {
 	numVCs int
-	slots  int
 	// adj[v] lists the vertices v depends on (may wait for).
 	adj [][]int32
 	// delivery holds what the walk that built adj learnt about arrival.
 	delivery Delivery
+	// escape holds what the same walk learnt about the escape subfunction.
+	escape Escape
 }
 
 // Delivery is what BuildCDG's reachable-state walk records for the delivery
@@ -42,16 +45,32 @@ type Delivery struct {
 // Delivery returns the facts the walk recorded.
 func (g *CDG) Delivery() Delivery { return g.delivery }
 
-// vertexID packs (link, vc).
-func (g *CDG) vertexID(link topology.LinkID, vc int) int32 {
-	return int32(int(link)*g.numVCs + vc)
+// Escape is what BuildCDG's walk records about the escape subfunction
+// R1 = fn.Escape() at every (channel, destination) state fn itself reaches:
+// the hypotheses of Duato's condition over R's reachable states, as
+// Verbeek and Schmaltz state it, for internal/verify's deadlock proof.
+type Escape struct {
+	// Graph holds R1's direct dependencies: an edge from each escape
+	// channel (one R1 offers at some state) to every channel R1 offers at a
+	// state holding it. It is fn's own graph when fn is its own escape.
+	Graph *CDG
+	// Stuck renders the first undelivered state, in walk order, where R1
+	// offers nothing; "" when there is none.
+	Stuck string
+	// Extra renders the first R1 candidate, in walk order, that fn does not
+	// offer at the same state (R1 is then no subfunction of fn); "" when
+	// there is none.
+	Extra string
 }
 
-// VertexID exposes the (link, vc) -> vertex packing so higher layers (the
+// Escape returns the facts the walk recorded about fn.Escape().
+func (g *CDG) Escape() Escape { return g.escape }
+
+// VertexID packs (link, vc) into a vertex, so higher layers (the
 // internal/verify wait-for graph) can splice protocol-level dependencies
 // into the channel vertices of this graph.
 func (g *CDG) VertexID(link topology.LinkID, vc int) int32 {
-	return g.vertexID(link, vc)
+	return int32(int(link)*g.numVCs + vc)
 }
 
 // NumVertices returns the dense vertex-space size (link slots x VCs).
@@ -122,11 +141,23 @@ func (s *stateSet) Add(v int32, dst topology.Node) bool {
 // The same walk records the graph's Delivery facts. A candidate on a
 // missing link is recorded there and followed no further: it is neither an
 // edge nor a state, since no message can occupy a channel that is not there.
+// When fn is not its own escape, the walk also asks the escape for its
+// candidates at every state and records the Escape facts; the escape's
+// candidates are never followed, so its states are exactly fn's.
 func BuildCDG(topo topology.Topology, fn Func) *CDG {
-	g := &CDG{numVCs: fn.NumVCs(), slots: topo.NumLinkSlots()}
-	g.adj = make([][]int32, g.slots*g.numVCs)
+	g := &CDG{numVCs: fn.NumVCs()}
+	g.adj = make([][]int32, topo.NumLinkSlots()*g.numVCs)
 	g.delivery.Monotone = true
 	links := topo.Links()
+	esc := fn.Escape()
+	self := esc == fn
+	var escOf []bool // the escape channels: those the escape offers somewhere
+	if self {
+		g.escape.Graph = g
+	} else {
+		g.escape.Graph = &CDG{numVCs: g.numVCs, adj: make([][]int32, len(g.adj))}
+		escOf = make([]bool, len(g.adj))
+	}
 
 	// state = (occupied channel vertex, destination).
 	type state struct {
@@ -135,18 +166,35 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 	}
 	seen := newStateSet(len(g.adj), topo.Nodes())
 	var stack []state
-	var cands []Candidate
+	var cands, escCands []Candidate
 
-	// follow takes the candidates a message bound for dst is offered at
-	// node here while holding vertex from (-1 at injection): each is a
-	// dependency edge of from, a hop checked for progress, and a state that
-	// may be newly reachable. An edge is appended on first sight; adj[from]
-	// holds only output channels of one node, so the duplicate check is a
-	// short scan.
-	follow := func(from int32, here, dst topology.Node) {
+	where := func(held int32, here, dst topology.Node) string {
+		if held < 0 {
+			return fmt.Sprintf("injecting at node %d toward %d", here, dst)
+		}
+		return fmt.Sprintf("at node %d toward %d holding %s", here, dst, g.VertexName(held, topo))
+	}
+
+	// expand takes the candidates a message bound for dst is offered at node
+	// here while holding vertex held (-1 at injection, when inLink is
+	// Invalid): each is a dependency edge of held, a hop checked for
+	// progress, and a state that may be newly reachable. An edge is appended
+	// on first sight; adj[held] holds only output channels of one node, so
+	// the duplicate check is a short scan. Then the escape is asked at the
+	// same state; its edges are recorded out of every held channel and kept,
+	// once the walk is over, only out of escape channels.
+	expand := func(held int32, here, dst topology.Node, inLink topology.LinkID, inVC int) {
+		cands = fn.Candidates(here, dst, inLink, inVC, cands[:0])
+		if len(cands) == 0 && g.delivery.Stuck == "" {
+			prefix := "stuck "
+			if held < 0 {
+				prefix = "no candidates "
+			}
+			g.delivery.Stuck = prefix + where(held, here, dst)
+		}
 		dHere := -1
 		for _, c := range cands {
-			to := g.vertexID(c.Link, c.VC)
+			to := g.VertexID(c.Link, c.VC)
 			if !links.Exists(c.Link) {
 				if g.delivery.Missing == "" {
 					g.delivery.Missing = fmt.Sprintf("node %d toward %d offers %s",
@@ -163,11 +211,32 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 					g.delivery.Monotone = false
 				}
 			}
-			if from >= 0 && !g.HasEdge(from, to) {
-				g.adj[from] = append(g.adj[from], to)
+			if held >= 0 && !g.HasEdge(held, to) {
+				g.adj[held] = append(g.adj[held], to)
 			}
 			if seen.Add(to, dst) {
 				stack = append(stack, state{v: to, dst: dst})
+			}
+		}
+		if self {
+			return
+		}
+		escCands = esc.Candidates(here, dst, inLink, inVC, escCands[:0])
+		if len(escCands) == 0 && g.escape.Stuck == "" {
+			g.escape.Stuck = "escape offers nothing " + where(held, here, dst)
+		}
+		for _, c := range escCands {
+			to := g.VertexID(c.Link, c.VC)
+			if g.escape.Extra == "" && !slices.Contains(cands, c) {
+				g.escape.Extra = fmt.Sprintf("escape offers %s %s; %s does not",
+					g.VertexName(to, topo), where(held, here, dst), fn.Name())
+			}
+			if !links.Exists(c.Link) {
+				continue
+			}
+			escOf[to] = true
+			if eg := g.escape.Graph; held >= 0 && !eg.HasEdge(held, to) {
+				eg.adj[held] = append(eg.adj[held], to)
 			}
 		}
 	}
@@ -178,14 +247,9 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 	// host pairs.
 	for src := topology.Node(0); int(src) < topo.Hosts(); src++ {
 		for dst := topology.Node(0); int(dst) < topo.Hosts(); dst++ {
-			if src == dst {
-				continue
+			if src != dst {
+				expand(-1, src, dst, topology.Invalid, 0)
 			}
-			cands = fn.Candidates(src, dst, topology.Invalid, 0, cands[:0])
-			if len(cands) == 0 && g.delivery.Stuck == "" {
-				g.delivery.Stuck = fmt.Sprintf("no candidates injecting at node %d toward %d", src, dst)
-			}
-			follow(-1, src, dst)
 		}
 	}
 	// Propagate: a message on channel (link, vc) bound for dst requests the
@@ -194,16 +258,18 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		link := topology.LinkID(int(s.v) / g.numVCs)
-		at := topology.Node(links.To[link])
-		if at == s.dst {
-			continue // delivered; no further dependencies
+		if at := topology.Node(links.To[link]); at != s.dst { // else delivered
+			expand(s.v, at, s.dst, link, int(s.v)%g.numVCs)
 		}
-		cands = fn.Candidates(at, s.dst, link, int(s.v)%g.numVCs, cands[:0])
-		if len(cands) == 0 && g.delivery.Stuck == "" {
-			g.delivery.Stuck = fmt.Sprintf("stuck at node %d toward %d holding %s",
-				at, s.dst, g.VertexName(s.v, topo))
+	}
+
+	if self {
+		g.escape.Stuck = g.delivery.Stuck
+	}
+	for v, isEsc := range escOf {
+		if !isEsc {
+			g.escape.Graph.adj[v] = nil
 		}
-		follow(s.v, at, s.dst)
 	}
 	return g
 }
@@ -394,65 +460,6 @@ func (g *CDG) ShortestCycle() []int32 {
 		}
 	}
 	return best
-}
-
-// NumEdges returns the number of distinct dependencies.
-func (g *CDG) NumEdges() int {
-	n := 0
-	for _, a := range g.adj {
-		n += len(a)
-	}
-	return n
-}
-
-// Verify builds the escape-restricted dependency graph for fn on topo and
-// returns an error describing a cycle if one exists: the quick Dally–Seitz
-// check the routing and theorem tests use. cmd/cdgcheck runs the full proof
-// ladder of verify.Certify instead.
-func Verify(topo topology.Topology, fn Func) error {
-	g := BuildCDG(topo, fn.Escape())
-	if cyc := g.FindCycle(); cyc != nil {
-		names := make([]string, len(cyc))
-		for i, v := range cyc {
-			names[i] = g.VertexName(v, topo)
-		}
-		return fmt.Errorf("routing: %s has a channel dependency cycle on %s: %v", fn.Name(), topo.Name(), names)
-	}
-	return nil
-}
-
-// Reachability checks that the escape subfunction can route from every host
-// to every destination host (connectedness, the other half of Duato's
-// condition). Switch-to-switch pairs are excluded: on a fat tree two root
-// switches have no up*/down* path, and no message ever needs one.
-func Reachability(topo topology.Topology, fn Func) error {
-	esc := fn.Escape()
-	var cands []Candidate
-	for src := topology.Node(0); int(src) < topo.Hosts(); src++ {
-		for dst := topology.Node(0); int(dst) < topo.Hosts(); dst++ {
-			if src == dst {
-				continue
-			}
-			here := src
-			inLink := topology.Invalid
-			inVC := 0
-			for hops := 0; here != dst; hops++ {
-				if hops > topo.Nodes() {
-					return fmt.Errorf("routing: escape of %s loops from %d to %d", fn.Name(), src, dst)
-				}
-				cands = esc.Candidates(here, dst, inLink, inVC, cands[:0])
-				if len(cands) == 0 {
-					return fmt.Errorf("routing: escape of %s is stuck at node %d heading to %d", fn.Name(), here, dst)
-				}
-				l, ok := topo.LinkByID(cands[0].Link)
-				if !ok {
-					return fmt.Errorf("routing: escape of %s chose a missing link at node %d", fn.Name(), here)
-				}
-				inLink, inVC, here = cands[0].Link, cands[0].VC, l.To
-			}
-		}
-	}
-	return nil
 }
 
 // Stats summarises a CDG for reporting.

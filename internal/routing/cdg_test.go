@@ -108,8 +108,49 @@ func TestBuildCDGMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEscapeGraphMatchesOwnWalk: for Duato's function the escape graph its
+// walk records at every state the whole function reaches equals, edge for
+// edge, the graph of the escape's own walk — adaptive excursions lead the
+// escape nowhere its own states do not — and the escape is connected and a
+// subfunction there.
+func TestEscapeGraphMatchesOwnWalk(t *testing.T) {
+	hc, err := topology.NewHypercube(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		topo  topology.Topology
+		vcs   int
+		edges int
+	}{
+		{topology.MustCube([]int{8, 8}, true), 3, 640},
+		{topology.MustCube([]int{4, 6}, true), 3, 196},
+		{topology.MustCube([]int{4, 4, 4}, true), 3, 1056},
+		{topology.MustCube([]int{6, 6}, false), 2, 196},
+		{hc, 2, 96},
+	} {
+		fn, err := NewDuato(c.topo, c.vcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := BuildCDG(c.topo, fn).Escape()
+		if e.Stuck != "" || e.Extra != "" {
+			t.Errorf("%s: escape facts %q %q", c.topo.Name(), e.Stuck, e.Extra)
+		}
+		got, want := e.Graph.SortedAdjacency(), BuildCDG(c.topo, fn.Escape()).SortedAdjacency()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: escape graph on the function's states has %d edges, on its own %d",
+				c.topo.Name(), len(got), len(want))
+		}
+		if len(got) != c.edges {
+			t.Errorf("%s: %d escape dependencies, want %d", c.topo.Name(), len(got), c.edges)
+		}
+	}
+}
+
 // BenchmarkBuildCDG times one uncached build on a 16x16 torus, for Duato's
-// full function and its escape subfunction.
+// full function (whose walk also asks the escape at every state) and its
+// escape subfunction alone.
 func BenchmarkBuildCDG(b *testing.B) {
 	topo := topology.MustCube([]int{16, 16}, true)
 	fn, err := NewDuato(topo, 3)

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/topology"
@@ -8,6 +9,29 @@ import (
 
 func mesh44() topology.Geometry  { return topology.MustCube([]int{4, 4}, false) }
 func torus44() topology.Geometry { return topology.MustCube([]int{4, 4}, true) }
+
+// escapeHolds reads Duato's condition off fn's one walk on topo: every
+// candidate names a link, fn's escape offers only channels fn offers and a
+// candidate at every undelivered state fn reaches, and the escape's
+// dependency graph there is acyclic. A connected escape with an acyclic
+// graph delivers from every state, since no escape path repeats a channel.
+func escapeHolds(topo topology.Topology, fn Func) error {
+	g := BuildCDG(topo, fn)
+	e := g.Escape()
+	for _, fact := range []string{g.Delivery().Missing, e.Stuck, e.Extra} {
+		if fact != "" {
+			return fmt.Errorf("%s on %s: %s", fn.Name(), topo.Name(), fact)
+		}
+	}
+	if cyc := e.Graph.FindCycle(); cyc != nil {
+		names := make([]string, len(cyc))
+		for i, v := range cyc {
+			names[i] = e.Graph.VertexName(v, topo)
+		}
+		return fmt.Errorf("%s has a channel dependency cycle on %s: %v", fn.Name(), topo.Name(), names)
+	}
+	return nil
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New("bogus", mesh44(), 2); err == nil {
@@ -227,15 +251,15 @@ func TestDuatoEscapeReachesEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Reachability(topo, fn); err != nil {
-			t.Errorf("%s: %v", topo.Name(), err)
+		if err := escapeHolds(topo, fn); err != nil {
+			t.Error(err)
 		}
 	}
 	fn, err := NewDuato(torus44(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Reachability(torus44(), fn); err != nil {
+	if err := escapeHolds(torus44(), fn); err != nil {
 		t.Error(err)
 	}
 }
@@ -264,7 +288,7 @@ func TestTheoremCDGAcyclic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := Verify(c.topo, fn); err != nil {
+		if err := escapeHolds(c.topo, fn); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
 	}
@@ -280,8 +304,8 @@ func TestCDGDetectsKnownCycle(t *testing.T) {
 	if g.FindCycle() == nil {
 		t.Fatal("checker missed the classic torus ring cycle")
 	}
-	if err := Verify(topo, fn); err == nil {
-		t.Fatal("Verify accepted a cyclic function")
+	if err := escapeHolds(topo, fn); err == nil {
+		t.Fatal("escapeHolds accepted a cyclic function")
 	}
 }
 
@@ -317,9 +341,6 @@ func TestCDGStatsAndAdjacency(t *testing.T) {
 	if v == 0 || e == 0 || maxOut == 0 {
 		t.Fatalf("degenerate CDG: v=%d e=%d max=%d", v, e, maxOut)
 	}
-	if e != g.NumEdges() {
-		t.Fatalf("edge count mismatch: %d vs %d", e, g.NumEdges())
-	}
 	adj := g.SortedAdjacency()
 	if len(adj) != e {
 		t.Fatalf("adjacency length %d != edges %d", len(adj), e)
@@ -337,7 +358,7 @@ func TestVertexName(t *testing.T) {
 	fn, _ := NewDOR(topo, 2)
 	g := BuildCDG(topo, fn)
 	link, _ := topo.OutSlot(0, int(topology.Plus))
-	name := g.VertexName(g.vertexID(link, 1), topo)
+	name := g.VertexName(g.VertexID(link, 1), topo)
 	if name == "" {
 		t.Fatal("empty vertex name")
 	}

@@ -74,7 +74,7 @@ func TestWestFirstMinimalAndComplete(t *testing.T) {
 			}
 		}
 	}
-	if err := Reachability(topo, fn); err != nil {
+	if err := escapeHolds(topo, fn); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,7 +89,7 @@ func TestWestFirstCDGAcyclic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(topo, fn); err != nil {
+			if err := escapeHolds(topo, fn); err != nil {
 				t.Errorf("vcs=%d %s: %v", vcs, topo.Name(), err)
 			}
 		}
@@ -155,7 +155,7 @@ func TestNegativeFirstMinimalEverywhere(t *testing.T) {
 				}
 			}
 		}
-		if err := Reachability(topo, fn); err != nil {
+		if err := escapeHolds(topo, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestNegativeFirstCDGAcyclic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(topo, fn); err != nil {
+			if err := escapeHolds(topo, fn); err != nil {
 				t.Errorf("%s vcs=%d: %v", topo.Name(), vcs, err)
 			}
 		}

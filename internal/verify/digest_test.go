@@ -78,7 +78,7 @@ func TestCertificateBytesPinned(t *testing.T) {
 		want  string
 	}{
 		{"experiment matrix", matrix, "cb2bed8ba2f22c7a76214c1abc6447f1e1f06eac3c3e4e2a9e8629d2bbf50992"},
-		{"routing all", sweep, "ef066c06e48dded2ffa4bdedd9244e7c3cd0ed9b0bac92381a3ce9df4162d5b7"},
+		{"routing all", sweep, "8be2715e8360aa06499bd0db032d0530e33abdb5ad81ce2434528fd1d5bee13c"},
 	} {
 		if got := certDigest(t, c.specs); got != c.want {
 			t.Errorf("%s (%d certificates): digest %s, want %s", c.name, len(c.specs), got, c.want)

@@ -10,8 +10,10 @@ import (
 
 // deliveryProof is the result of the bounded-delivery analysis of one
 // routing function: the mechanical content of Theorems 3-4 for the
-// wormhole substrate, and the connectivity half of Duato's condition for
-// the deadlock subrelation search.
+// wormhole substrate. The escape subfunction needs no delivery proof of
+// its own: the deadlock proof reads off fn's walk that the escape offers a
+// candidate at every state fn reaches, and its acyclic graph then bounds
+// every escape path.
 type deliveryProof struct {
 	// Delivery holds the walk's facts: the first stuck state, the first
 	// candidate on a missing link, and whether every hop makes progress
@@ -101,11 +103,11 @@ func stateCycle(topo topology.Topology, fn routing.Func, g *routing.CDG) []strin
 	return nil
 }
 
-// proveLivelock assembles the Theorem 3-4 argument: bounded wormhole paths
-// for the substrate, bounded misroutes and retries for the wave layer, and
-// the fallback chain terminating in the substrate.
-func proveLivelock(sp Spec, kind protocol.Kind, fn routing.Func) Proof {
-	d := proveDelivery(sp.Topo, fn, routing.BuildCDGCached(sp.Topo, fn))
+// proveLivelock assembles the Theorem 3-4 argument from g, fn's graph:
+// bounded wormhole paths for the substrate, bounded misroutes and retries
+// for the wave layer, and the fallback chain terminating in the substrate.
+func proveLivelock(sp Spec, kind protocol.Kind, fn routing.Func, g *routing.CDG) Proof {
+	d := proveDelivery(sp.Topo, fn, g)
 	if !d.ok {
 		p := Proof{OK: false, Method: "delivery"}
 		switch {

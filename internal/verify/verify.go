@@ -6,13 +6,14 @@
 // The proof structure follows the paper's own arguments, made executable:
 //
 //   - Deadlock freedom of the wormhole substrate (the skeleton of Theorems
-//     1-2) is proven over the channel dependency graph of
-//     internal/routing: directly when the full function's CDG is acyclic
-//     (Dally & Seitz), through the declared escape subfunction when it is
-//     connected with an acyclic CDG (Duato's condition), or — when the
-//     declared escape fails — by searching for a valid subrelation over
-//     virtual-channel subsets in the style of constellation's verify.py.
-//     Failed proofs carry a minimal counterexample cycle.
+//     1-2) is one theorem over the channel dependency graph of
+//     internal/routing: a subfunction that is offered at every state the
+//     function reaches, offers a candidate there, and has acyclic
+//     dependencies there. It holds directly when the full function's CDG
+//     is acyclic (Dally & Seitz), or through the declared escape
+//     subfunction (Duato's condition, checked at the function's reachable
+//     states as Verbeek and Schmaltz state it). Failed proofs carry a
+//     minimal counterexample cycle or the state where the escape fails.
 //
 //   - Livelock freedom (Theorems 3-4) is a per-routing-function delivery
 //     proof: every reachable state offers a candidate, every candidate names
@@ -23,13 +24,15 @@
 //     retries by ProbeRetryLimit, and the terminal fallback is the wormhole
 //     substrate whose delivery the same proof covers.
 //
-//   - Each routing function's reachable (channel, destination) state space
+//   - The routing function's reachable (channel, destination) state space
 //     is walked once per certification: routing.BuildCDG builds the
-//     dependency graph and records the delivery facts on it (routing.CDG's
-//     Delivery), and the livelock proof and the escape and subrelation
-//     rungs read them from that graph. Only a non-monotone function pays a
-//     second search, for state cycles. Every cycle check — the CDG, the
-//     extended wait-for graph, the state graph — runs routing.FindCycle.
+//     dependency graph and records on it the delivery facts (routing.CDG's
+//     Delivery) and the escape's candidates at every state (its Escape),
+//     and Certify hands that one graph to the deadlock and livelock
+//     proofs. The escape's own state space is never walked. Only a
+//     non-monotone function pays a second search, for state cycles. Every
+//     cycle check — the CDG, the extended wait-for graph, the state graph —
+//     runs routing.FindCycle.
 //
 //   - The protocol layer (what the plain CDG cannot see) is an extended
 //     wait-for graph: circuit-cache occupancy (messages blocked on a
@@ -217,9 +220,10 @@ func Certify(sp Spec) (*Certificate, error) {
 	}
 
 	cert.Obligations = obligations(sp, kind)
-	dl := proveDeadlock(sp, fn)
+	g := routing.BuildCDGCached(sp.Topo, fn)
+	dl := proveDeadlock(sp, fn, g)
 	cert.Deadlock = dl.Proof
-	cert.Livelock = proveLivelock(sp, kind, fn)
+	cert.Livelock = proveLivelock(sp, kind, fn, g)
 	cert.WaitFor = proveWaitFor(sp, kind, dl, nil)
 	if len(sp.Faults) > 0 {
 		res := proveResidual(sp, kind, dl)

@@ -3,6 +3,7 @@ package verify
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -92,7 +93,7 @@ func TestNegativeProofCycleIsReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := routing.BuildCDGCached(torus, fn.Escape())
+	g := routing.BuildCDGCached(torus, fn).Escape().Graph
 	cyc := g.ShortestCycle()
 	if cyc == nil {
 		t.Fatal("ShortestCycle found nothing on a cyclic graph")
@@ -159,59 +160,127 @@ func TestRecoveryCertification(t *testing.T) {
 	}
 }
 
-// xyyx is a test function with a deliberately BROKEN escape declaration:
-// VC 0 routes dimension-order 0-then-1, VC 1 routes 1-then-0, and Escape
-// returns the whole thing — whose union dependency graph has turn cycles.
-// The prover must find the valid subrelation (VC 0 alone) on its own.
-type xyyx struct{ topo topology.Geometry }
-
-func (f *xyyx) Name() string         { return "xyyx-test" }
-func (f *xyyx) NumVCs() int          { return 2 }
-func (f *xyyx) Escape() routing.Func { return f }
-func (f *xyyx) dimOrder(vc int) [2]int {
-	if vc == 0 {
-		return [2]int{0, 1}
+// meshHop appends the hop along dimension d of a 2-D mesh toward dst, on
+// VC vc, or nothing when dst is level with here along d.
+func meshHop(topo topology.Geometry, here, dst topology.Node, d, vc int, out []routing.Candidate) []routing.Candidate {
+	o := topo.Links().Offset(here, dst, d)
+	if o == 0 {
+		return out
 	}
-	return [2]int{1, 0}
+	dir := topology.Plus
+	if o < 0 {
+		dir = topology.Minus
+	}
+	link, _ := topo.OutSlot(here, 2*d+int(dir))
+	return append(out, routing.Candidate{Link: link, VC: vc})
 }
 
-func (f *xyyx) Candidates(here, dst topology.Node, _ topology.LinkID, _ int, out []routing.Candidate) []routing.Candidate {
-	for vc := 0; vc < 2; vc++ {
-		for _, d := range f.dimOrder(vc) {
-			o := f.topo.Links().Offset(here, dst, d)
-			if o == 0 {
-				continue
-			}
-			dir := topology.Plus
-			if o < 0 {
-				dir = topology.Minus
-			}
-			if link, ok := f.topo.OutSlot(here, 2*d+int(dir)); ok {
-				out = append(out, routing.Candidate{Link: link, VC: vc})
-			}
-			break
-		}
-	}
-	return out
+// xyEscape is XY routing on VC 0 of a 2-D mesh. With blind set it reads
+// its input link and offers nothing to a header that arrived on a Y link
+// while an X offset remains — a state XY itself never leads to.
+type xyEscape struct {
+	topo  topology.Geometry
+	blind bool
 }
 
-// TestSubrelationSearch: with the declared escape cyclic, the prover finds
-// the connected acyclic VC-0 restriction (XY routing) by itself.
-func TestSubrelationSearch(t *testing.T) {
+func (f *xyEscape) Name() string         { return fmt.Sprintf("xy-escape-test-%v", f.blind) }
+func (f *xyEscape) NumVCs() int          { return 2 }
+func (f *xyEscape) Escape() routing.Func { return f }
+func (f *xyEscape) Candidates(here, dst topology.Node, inLink topology.LinkID, _ int, out []routing.Candidate) []routing.Candidate {
+	if l, ok := f.topo.LinkByID(inLink); f.blind && ok && l.Dim == 1 && f.topo.Links().Offset(here, dst, 0) != 0 {
+		return out
+	}
+	if f.topo.Links().Offset(here, dst, 0) != 0 {
+		return meshHop(f.topo, here, dst, 0, 0, out)
+	}
+	return meshHop(f.topo, here, dst, 1, 0, out)
+}
+
+// adaptiveXY is minimal adaptive routing on VC 1 of a 2-D mesh (every
+// profitable direction) with esc's candidates after them. With noReturn
+// set it offers esc only to headers not holding VC 1, so a header that
+// took an adaptive hop never gets back to the escape.
+type adaptiveXY struct {
+	topo     topology.Geometry
+	esc      *xyEscape
+	noReturn bool
+}
+
+func (f *adaptiveXY) Name() string {
+	return fmt.Sprintf("adaptive-xy-test-%v-%v", f.esc.blind, f.noReturn)
+}
+func (f *adaptiveXY) NumVCs() int          { return 2 }
+func (f *adaptiveXY) Escape() routing.Func { return f.esc }
+func (f *adaptiveXY) Candidates(here, dst topology.Node, inLink topology.LinkID, inVC int, out []routing.Candidate) []routing.Candidate {
+	out = meshHop(f.topo, here, dst, 0, 1, out)
+	out = meshHop(f.topo, here, dst, 1, 1, out)
+	if f.noReturn && inLink != topology.Invalid && inVC == 1 {
+		return out
+	}
+	return f.esc.Candidates(here, dst, inLink, inVC, out)
+}
+
+// escapeRejection proves fn on mesh and returns the deadlock proof after
+// checking what every escape rejection shares: the full graph is cyclic,
+// the escape's own graph is acyclic, and the verdict is a failed escape
+// with a single counterexample state.
+func escapeRejection(t *testing.T, mesh topology.Topology, fn routing.Func) deadlockProof {
+	t.Helper()
+	g := routing.BuildCDG(mesh, fn)
+	if g.FindCycle() == nil {
+		t.Fatal("test premise broken: the adaptive graph should be cyclic")
+	}
+	if routing.BuildCDG(mesh, fn.Escape()).FindCycle() != nil {
+		t.Fatal("test premise broken: XY on its own states should be acyclic")
+	}
+	dl := proveDeadlock(Spec{Topo: mesh, NumVCs: 2}, fn, g)
+	if dl.OK || dl.Method != "escape" || len(dl.Counterexample) != 1 {
+		t.Fatalf("proof = %+v, want a failed escape with one counterexample state", dl.Proof)
+	}
+	return dl
+}
+
+// TestEscapeStuckAtAdaptiveState: an escape that is connected on its own
+// states but offers nothing at a state only the adaptive channels lead to
+// (a header on a Y link with X offset left) is refused, and the
+// counterexample names that state.
+func TestEscapeStuckAtAdaptiveState(t *testing.T) {
 	mesh := topology.MustCube([]int{4, 4}, false)
-	fn := &xyyx{topo: mesh}
-	if routing.BuildCDG(mesh, fn).FindCycle() == nil {
-		t.Fatal("test premise broken: xyyx union graph should be cyclic")
+	fn := &adaptiveXY{topo: mesh, esc: &xyEscape{topo: mesh, blind: true}}
+	dl := escapeRejection(t, mesh, fn)
+	if !strings.Contains(dl.Detail, "not connected") {
+		t.Fatalf("detail %q", dl.Detail)
 	}
-	dl := proveDeadlock(Spec{Topo: mesh, NumVCs: 2}, fn)
-	if !dl.OK || dl.Method != "subrelation" {
-		t.Fatalf("proof = %+v, want subrelation success", dl.Proof)
+	var here, dst, from, to int
+	var dir string
+	if _, err := fmt.Sscanf(dl.Counterexample[0], "escape offers nothing at node %d toward %d holding link %d->%d dim1%s vc1",
+		&here, &dst, &from, &to, &dir); err != nil {
+		t.Fatalf("counterexample %q does not name a VC-1 Y-link state: %v", dl.Counterexample[0], err)
 	}
-	if !strings.Contains(dl.Detail, "{0}") {
-		t.Fatalf("expected minimal subrelation {0}, got detail %q", dl.Detail)
+	if to != here || mesh.Links().Offset(topology.Node(here), topology.Node(dst), 0) == 0 {
+		t.Fatalf("counterexample %q: no X offset left at node %d toward %d", dl.Counterexample[0], here, dst)
 	}
-	if dl.graph == nil || dl.graph.FindCycle() != nil {
-		t.Fatal("subrelation proof graph missing or cyclic")
+}
+
+// TestEscapeNotSubfunction: an escape that offers a channel the function
+// itself does not offer at some reachable state is no subfunction, and is
+// refused with that state as the counterexample.
+func TestEscapeNotSubfunction(t *testing.T) {
+	mesh := topology.MustCube([]int{4, 4}, false)
+	fn := &adaptiveXY{topo: mesh, esc: &xyEscape{topo: mesh}, noReturn: true}
+	dl := escapeRejection(t, mesh, fn)
+	if !strings.Contains(dl.Detail, "not a subfunction of "+fn.Name()) {
+		t.Fatalf("detail %q", dl.Detail)
+	}
+	var from, to, here, dst, heldFrom, heldTo, d, heldD int
+	var dir, heldDir string
+	ce := dl.Counterexample[0]
+	if _, err := fmt.Sscanf(ce, "escape offers link %d->%d dim%d%s vc0 at node %d toward %d holding link %d->%d dim%d%s vc1; "+fn.Name()+" does not",
+		&from, &to, &d, &dir, &here, &dst, &heldFrom, &heldTo, &heldD, &heldDir); err != nil {
+		t.Fatalf("counterexample %q does not name the VC-0 escape offered to a header holding VC 1: %v", ce, err)
+	}
+	if from != here || heldTo != here {
+		t.Fatalf("counterexample %q: channels do not meet at node %d", ce, here)
 	}
 }
 
@@ -237,7 +306,8 @@ func (f *pingpong) Candidates(here, dst topology.Node, _ topology.LinkID, _ int,
 func TestLivelockCounterexample(t *testing.T) {
 	ring := topology.MustCube([]int{4}, true)
 	fn := &pingpong{topo: ring}
-	d := proveDelivery(ring, fn, routing.BuildCDG(ring, fn))
+	g := routing.BuildCDG(ring, fn)
+	d := proveDelivery(ring, fn, g)
 	if d.ok {
 		t.Fatal("pingpong accepted")
 	}
@@ -247,7 +317,7 @@ func TestLivelockCounterexample(t *testing.T) {
 	if len(d.cycle) < 3 {
 		t.Fatalf("no usable state cycle: %v", d.cycle)
 	}
-	p := proveLivelock(Spec{Topo: ring, NumVCs: 1}, protocol.Wormhole, fn)
+	p := proveLivelock(Spec{Topo: ring, NumVCs: 1}, protocol.Wormhole, fn, g)
 	if p.OK {
 		t.Fatal("livelock proof passed for pingpong")
 	}

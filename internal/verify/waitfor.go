@@ -111,7 +111,7 @@ func buildWaitFor(sp Spec, kind protocol.Kind, base *deadlockProof, faulted []pc
 	// Protocol strata per host node. The vertex space is laid out per node
 	// for indexing simplicity, but only hosts source messages: switch nodes
 	// on indirect families keep empty cache/setup/fallback vertices.
-	var cands []Candidate
+	var cands []routing.Candidate
 	seen := make([]bool, w)
 	for n := 0; n < topo.Hosts(); n++ {
 		cache := g.cache0 + int32(n)

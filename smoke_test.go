@@ -9,8 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/routing"
+	"repro/internal/protocol"
 	"repro/internal/topology"
+	"repro/internal/verify"
 	"repro/wave"
 )
 
@@ -89,21 +90,23 @@ func TestSmoke(t *testing.T) {
 
 	t.Run("static-deadlock-check", func(t *testing.T) {
 		topo := topology.MustCube([]int{4, 4}, true)
-		fn, err := routing.New("duato", topo, 3)
+		cert, err := verify.Certify(verify.Spec{Topo: topo, Routing: "duato", NumVCs: 3,
+			Protocol: protocol.Wormhole})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := routing.Verify(topo, fn); err != nil {
-			t.Fatal(err)
+		if !cert.Certified || cert.Deadlock.Method != "escape" {
+			t.Fatalf("duato: %s (deadlock method %q)", cert.Failure(), cert.Deadlock.Method)
 		}
-		bad, err := routing.New("dor-nodateline", topo, 1)
+		bad, err := verify.Certify(verify.Spec{Topo: topo, Routing: "dor-nodateline", NumVCs: 1,
+			Protocol: protocol.Wormhole})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := routing.Verify(topo, bad); err == nil {
+		if bad.Certified {
 			t.Fatal("cyclic function passed verification")
-		} else if !strings.Contains(err.Error(), "cycle") {
-			t.Fatalf("unexpected error: %v", err)
+		} else if !strings.Contains(bad.Failure(), "cycle") {
+			t.Fatalf("unexpected failure: %s", bad.Failure())
 		}
 	})
 }
