@@ -81,6 +81,12 @@ var snapshotMatrix = []matrixRow{
 	{"clrp-churn-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
 		func(c *Config) { c.CacheCapacity = 2 }, "49f88bce30bde1cd21e0ad70aa047a891e84a6f4b85c51528924c02979f2d9e9"},
+	{"clrp-random-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
+		WorkingSet: 4, Reuse: 0.7},
+		func(c *Config) {
+			c.CacheCapacity = 2
+			c.ReplacePolicy = "random"
+		}, "b7ece0d678674a3937246fffc14b61877475a62d04c792036e63803631a287ab"},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -156,7 +162,10 @@ func (r matrixRow) checkpointed(tb testing.TB) (Stats, Result, []byte) {
 // hold the tail of the message they are streaming with the next message's
 // head queued behind it. The clrp-churn-torus row (2-entry caches under
 // hotspot traffic) checkpoints with probes part-way through an MB-m search
-// after a backtrack (TestSnapshotMatrixHoldsBacktrackedSearch).
+// after a backtrack (TestSnapshotMatrixHoldsBacktrackedSearch); the
+// clrp-random-torus row runs the same shape under the random replacement
+// policy, so the snapshot carries per-node victim generators that have
+// drawn.
 func TestSnapshotResumeMatrix(t *testing.T) {
 	for _, tc := range snapshotMatrix {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,6 +210,48 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if *resC != *resA {
 				t.Errorf("restored run's Result diverged:\n A: %+v\n C: %+v", *resA, *resC)
 			}
+		})
+	}
+}
+
+// TestFreshSnapshotPinned pins the snapshot bytes of simulators that have
+// never stepped: every register in its reset state, including the fabric
+// RNG after it derived the per-node replacement generators and, under the
+// random policy, each node's generator state.
+func TestFreshSnapshotPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tweak  func(*Config)
+		digest string
+	}{
+		{"clrp-random-torus8x8", func(c *Config) {
+			c.Topology = matrixTorus
+			c.Protocol = "clrp"
+			c.ReplacePolicy = "random"
+		}, "09b7776319b506602449e3ca6c1e8a6540d459236ccec249b6f31d960bc67f8b"},
+		{"wormhole-torus8x8", func(c *Config) {
+			c.Topology = matrixTorus
+			c.Protocol = "wormhole"
+		}, "1f8da917f334423452eb9db37934339bdd7d68f223eabefb83e8174a6c85750f"},
+		{"clrp-fattree4x2", func(c *Config) {
+			c.Topology = TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}
+			c.Routing = "updown"
+			c.Protocol = "clrp"
+		}, "c051cdcff910e4f97c863b4d8e6bd877db62949d174ebf79ca8ae2956a620645"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Seed = 12345
+			tc.tweak(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, buf.Bytes(), tc.digest)
 		})
 	}
 }
