@@ -2,9 +2,17 @@
 // per-node table, kept in the network interface, that records every physical
 // circuit starting at the node, plus the replacement algorithms the CLRP
 // protocol uses to pick a victim circuit when channels run out.
+//
+// A cache's entries are a slice sorted by destination, so lookups are a
+// binary search, victim candidates are gathered in destination order
+// without sorting, and a snapshot writes them as they stand. A Cache is a
+// plain value whose zero value is empty: a fabric keeps one slice of them
+// and configures each on first use (Reset), so building a fabric allocates
+// nothing per node.
 package circuit
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -170,15 +178,20 @@ func (*Random) Name() string { return "random" }
 func (r *Random) Victim(cands []*Entry) int { return r.RNG.Intn(len(cands)) }
 
 // Cache is one node's Circuit Cache: at most Capacity circuits keyed by
-// destination (the paper stores one circuit per destination pair).
+// destination (the paper stores one circuit per destination pair), held in
+// a slice sorted by destination and found by binary search. The zero value
+// is an unconfigured, empty cache; Reset (or NewCache) sets its capacity
+// and policy.
 type Cache struct {
 	capacity int
-	policy   Policy
-	byDest   map[topology.Node]*Entry
+	// policy picks victims; nil means the random policy over rng, the
+	// generator a cache held by value owns in place (Reset).
+	policy  Policy
+	rng     sim.RNG
+	entries []*Entry // ascending Dest
 
-	// Reusable buffers of VictimUsingChannel: victim selection runs once per
+	// Reusable buffer of VictimUsingChannel: victim selection runs once per
 	// blocked Force probe and must not allocate.
-	dsts  []topology.Node
 	cands []*Entry
 
 	// Counters for the E4 experiments.
@@ -192,24 +205,50 @@ func NewCache(capacity int, policy Policy) *Cache {
 	if capacity < 1 {
 		panic(fmt.Sprintf("circuit: invalid cache capacity %d", capacity))
 	}
-	return &Cache{capacity: capacity, policy: policy, byDest: make(map[topology.Node]*Entry)}
+	return &Cache{capacity: capacity, policy: policy}
 }
 
-// Capacity returns the maximum entry count.
+// Reset makes c an empty cache of capacity entries under the named
+// replacement policy (see NewPolicy), with zeroed counters. A "random"
+// policy draws from a generator the cache holds in place, seeded with
+// seed; the other policies ignore seed. A cache held by value, such as
+// one of a fabric's per-node slice, is configured this way and so costs
+// no allocation.
+func (c *Cache) Reset(capacity int, policy string, seed uint64) error {
+	if capacity < 1 {
+		return fmt.Errorf("circuit: invalid cache capacity %d", capacity)
+	}
+	*c = Cache{capacity: capacity}
+	if policy == "random" {
+		c.rng.Seed(seed)
+		return nil
+	}
+	var err error
+	c.policy, err = NewPolicy(policy, nil)
+	return err
+}
+
+// Capacity returns the maximum entry count (0 for an unconfigured cache).
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the current entry count.
-func (c *Cache) Len() int { return len(c.byDest) }
+func (c *Cache) Len() int { return len(c.entries) }
 
 // Full reports whether the cache is at capacity.
-func (c *Cache) Full() bool { return len(c.byDest) >= c.capacity }
+func (c *Cache) Full() bool { return len(c.entries) >= c.capacity }
+
+// find returns the index of dst's entry, or where it would be inserted,
+// and whether it is present.
+func (c *Cache) find(dst topology.Node) (int, bool) {
+	return slices.BinarySearchFunc(c.entries, dst, func(e *Entry, d topology.Node) int { return cmp.Compare(e.Dest, d) })
+}
 
 // Lookup returns the entry for dst, if any, counting hit/miss statistics
 // only when count is true (internal bookkeeping lookups pass false). Entries
 // with a pending release request are treated as misses: the circuit is
 // already promised to someone else.
 func (c *Cache) Lookup(dst topology.Node, count bool) (*Entry, bool) {
-	e, ok := c.byDest[dst]
+	e, ok := c.Peek(dst)
 	if ok && e.ReleaseRequested {
 		ok = false
 	}
@@ -228,63 +267,57 @@ func (c *Cache) Lookup(dst topology.Node, count bool) (*Entry, bool) {
 
 // Peek returns the raw entry for dst even if release-requested.
 func (c *Cache) Peek(dst topology.Node) (*Entry, bool) {
-	e, ok := c.byDest[dst]
-	return e, ok
+	if i, ok := c.find(dst); ok {
+		return c.entries[i], true
+	}
+	return nil, false
 }
 
 // Insert adds a new entry. It fails if an entry for the destination already
 // exists or the cache is full — callers must evict first.
 func (c *Cache) Insert(e *Entry) error {
-	if _, dup := c.byDest[e.Dest]; dup {
+	i, dup := c.find(e.Dest)
+	if dup {
 		return fmt.Errorf("circuit: duplicate cache entry for destination %d", e.Dest)
 	}
 	if c.Full() {
 		return fmt.Errorf("circuit: cache full (%d entries)", c.capacity)
 	}
-	c.byDest[e.Dest] = e
+	c.entries = slices.Insert(c.entries, i, e)
 	return nil
 }
 
 // Remove deletes the entry for dst.
 func (c *Cache) Remove(dst topology.Node) {
-	delete(c.byDest, dst)
+	if i, ok := c.find(dst); ok {
+		c.entries = slices.Delete(c.entries, i, i+1)
+	}
 }
 
-// Entries returns all entries in unspecified order; callers must not retain
-// the slice across mutations.
-func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, len(c.byDest))
-	for _, e := range c.byDest {
-		out = append(out, e)
-	}
-	return out
-}
+// Entries returns all entries in destination order. The slice is the
+// cache's own: callers must not modify it or retain it across a mutation.
+func (c *Cache) Entries() []*Entry { return c.entries }
 
 // VictimUsingChannel picks, via the replacement policy, an evictable circuit
 // whose source output channel (link + wave switch) satisfies wanted — the
 // CLRP Force-phase selection ("a circuit ... such that it uses one of the
 // requested channels"). Returns nil if none qualifies. Candidates are
-// gathered in deterministic (destination) order so identical runs pick
-// identical victims.
+// gathered in destination order so identical runs pick identical victims.
 func (c *Cache) VictimUsingChannel(wanted func(link topology.LinkID, sw int) bool) *Entry {
-	// Deterministic iteration: scan destinations in increasing order so that
-	// identical runs pick identical victims.
-	dsts := c.dsts[:0]
-	for d := range c.byDest {
-		dsts = append(dsts, d)
-	}
-	slices.Sort(dsts)
 	cands := c.cands[:0]
-	for _, d := range dsts {
-		if e := c.byDest[d]; e.Evictable() && wanted(e.Channel, e.Switch) {
+	for _, e := range c.entries {
+		if e.Evictable() && wanted(e.Channel, e.Switch) {
 			cands = append(cands, e)
 		}
 	}
-	c.dsts, c.cands = dsts, cands
+	c.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
 	c.Evictions++
+	if c.policy == nil {
+		return cands[c.rng.Intn(len(cands))]
+	}
 	return cands[c.policy.Victim(cands)]
 }
 

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -252,6 +254,108 @@ func TestEntries(t *testing.T) {
 	}
 	if got := len(c.Entries()); got != 3 {
 		t.Fatalf("Entries len = %d", got)
+	}
+}
+
+// TestEntriesInDestinationOrder: whatever order entries arrive and leave
+// in, Entries lists them by ascending destination, which is the order
+// victims are gathered and snapshots written in.
+func TestEntriesInDestinationOrder(t *testing.T) {
+	c := NewCache(6, LRU{})
+	for i, d := range []topology.Node{9, 2, 14, 5, 0, 11} {
+		if err := c.Insert(established(ID(i), d, topology.LinkID(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Remove(5)
+	c.Remove(7) // absent: a no-op
+	var got []topology.Node
+	for _, e := range c.Entries() {
+		got = append(got, e.Dest)
+	}
+	if want := []topology.Node{0, 2, 9, 11, 14}; !slices.Equal(got, want) {
+		t.Fatalf("Entries destinations %v, want %v", got, want)
+	}
+	for _, d := range got {
+		if e, ok := c.Peek(d); !ok || e.Dest != d {
+			t.Fatalf("Peek(%d) = %+v, %v", d, e, ok)
+		}
+	}
+}
+
+// TestResetConfiguresAValue: a zero Cache is empty and unconfigured; Reset
+// gives it a capacity and a policy and zeroes it, and a random policy draws
+// from the generator Reset seeded, exactly as NewPolicy's Random over a
+// generator seeded alike.
+func TestResetConfiguresAValue(t *testing.T) {
+	var c Cache
+	if c.Capacity() != 0 || c.Len() != 0 || c.PolicyRNG() == nil {
+		t.Fatalf("zero cache: capacity %d, len %d", c.Capacity(), c.Len())
+	}
+	if err := c.Reset(0, "lru", 0); err == nil {
+		t.Fatal("capacity 0 accepted")
+	}
+	if err := c.Reset(2, "fifo", 0); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	if err := c.Reset(2, "lfu", 0); err != nil || c.Capacity() != 2 || c.PolicyRNG() != nil {
+		t.Fatalf("lfu Reset: err %v, capacity %d, RNG %v", err, c.Capacity(), c.PolicyRNG())
+	}
+	ref := NewCache(3, &Random{RNG: sim.NewRNG(41)})
+	if err := c.Reset(3, "random", 41); err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range []*Cache{&c, ref} {
+		for i := 0; i < 3; i++ {
+			if err := cc.Insert(established(ID(i), topology.Node(i+1), topology.LinkID(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if a, b := c.AnyVictim(), ref.AnyVictim(); a.ID != b.ID {
+			t.Fatalf("draw %d: Reset's random policy picked %d, NewCache's %d", i, a.ID, b.ID)
+		}
+	}
+	c.Hits = 5
+	if err := c.Reset(1, "lru", 0); err != nil || c.Len() != 0 || c.Hits != 0 || c.Evictions != 0 {
+		t.Fatalf("Reset kept state: err %v, len %d, hits %d", err, c.Len(), c.Hits)
+	}
+}
+
+// TestCacheCheck holds the cache invariants: at most Capacity entries, in
+// strictly ascending destination order, each a host other than the node.
+func TestCacheCheck(t *testing.T) {
+	build := func() *Cache {
+		c := NewCache(3, LRU{})
+		for i, d := range []topology.Node{1, 4, 6} {
+			if err := c.Insert(established(ID(i), d, topology.LinkID(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	if err := build().Check(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(c *Cache)
+	}{
+		{"over capacity", "capacity 3", func(c *Cache) { c.entries = append(c.entries, established(9, 7, 9)) }},
+		{"repeated destination", "after", func(c *Cache) { c.entries[1].Dest = 1 }},
+		{"descending destination", "after", func(c *Cache) { c.entries[2].Dest = 3 }},
+		{"destination out of range", "hosts 0..7", func(c *Cache) { c.entries[2].Dest = 8 }},
+		{"negative destination", "hosts 0..7", func(c *Cache) { c.entries[0].Dest = -1 }},
+		{"destination is the node", "itself", func(c *Cache) { c.entries[0].Dest = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := build()
+			tc.corrupt(c)
+			if err := c.Check(0, 8); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Check = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -109,7 +109,8 @@ func (p Params) validate() error {
 	if p.CacheCapacity < 1 {
 		return fmt.Errorf("core: CacheCapacity must be >= 1, got %d", p.CacheCapacity)
 	}
-	return nil
+	var probe circuit.Cache
+	return probe.Reset(p.CacheCapacity, p.ReplacePolicy, 0)
 }
 
 // BufUnlimited marks a circuit whose endpoint buffers are pre-sized for the
@@ -172,9 +173,15 @@ type Fabric struct {
 	WH   *wormhole.Engine
 	PCS  *pcs.Engine
 
-	hooks  Hooks
-	caches []*circuit.Cache
-	rng    *sim.RNG
+	hooks Hooks
+	rng   *sim.RNG
+	// caches holds every node's Circuit Cache by value, each in its zero
+	// (unconfigured, empty) state until Cache first returns it. splits is
+	// the fabric RNG as construction found it: node n's random-policy
+	// generator is its n-th split (sim.RNG.SplitState), and rng has
+	// skipped over all of them.
+	caches []circuit.Cache
+	splits sim.RNG
 
 	// events holds scheduled fabric actions (circuit deliveries, window
 	// acks, fault injections, retry timers).
@@ -239,24 +246,29 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 	// whatever was queued on the dead circuit.
 	f.PCS.SetProbeDone(hooks.ProbeDone)
 	f.PCS.SetCircuitFreed(func(src, dst topology.Node, id circuit.ID) {
-		f.caches[src].Remove(dst)
+		f.Cache(src).Remove(dst)
 		if f.hooks.CircuitFreed != nil {
 			f.hooks.CircuitFreed(src, dst, id)
 		}
 	})
-	f.caches = make([]*circuit.Cache, topo.Nodes())
-	for i := range f.caches {
-		pol, perr := circuit.NewPolicy(prm.ReplacePolicy, f.rng.Split())
-		if perr != nil {
-			return nil, perr
-		}
-		f.caches[i] = circuit.NewCache(prm.CacheCapacity, pol)
-	}
+	f.caches = make([]circuit.Cache, topo.Nodes())
+	f.splits = *f.rng
+	f.rng.Skip(uint64(topo.Nodes()))
 	return f, nil
 }
 
-// Cache returns node n's Circuit Cache registers.
-func (f *Fabric) Cache(n topology.Node) *circuit.Cache { return f.caches[n] }
+// Cache returns node n's Circuit Cache registers. A cache is configured on
+// first use: its capacity and policy come from Params, and a random
+// policy's generator is the fabric RNG's n-th split, as if every node had
+// split one off at construction.
+func (f *Fabric) Cache(n topology.Node) *circuit.Cache {
+	c := &f.caches[n]
+	if c.Capacity() == 0 {
+		// Params.validate ran the same Reset, so it cannot fail here.
+		_ = c.Reset(f.Prm.CacheCapacity, f.Prm.ReplacePolicy, f.splits.SplitState(uint64(n)))
+	}
+	return c
+}
 
 // Now returns the fabric's view of the current cycle.
 func (f *Fabric) Now() int64 { return f.now }
@@ -293,7 +305,7 @@ func (f *Fabric) execEvent(kind uint8, args [engine.NumEventArgs]int64, now int6
 		}
 	case evCircuitAck:
 		src, dst := topology.Node(args[0]), topology.Node(args[1])
-		if entry, ok := f.caches[src].Peek(dst); ok && entry.ID == circuit.ID(args[2]) {
+		if entry, ok := f.Cache(src).Peek(dst); ok && entry.ID == circuit.ID(args[2]) {
 			entry.InUse = false
 		}
 		if f.hooks.CircuitIdle != nil {
@@ -467,8 +479,7 @@ type fabricHost Fabric
 // victims among circuits starting at the blocked node.
 func (h *fabricHost) RequestLocalRelease(n topology.Node, wanted func(pcs.Channel) bool) (pcs.Channel, bool) {
 	f := (*Fabric)(h)
-	cache := f.caches[n]
-	victim := cache.VictimUsingChannel(func(link topology.LinkID, sw int) bool {
+	victim := f.Cache(n).VictimUsingChannel(func(link topology.LinkID, sw int) bool {
 		return wanted(pcs.Channel{Link: link, Switch: sw})
 	})
 	if victim == nil {
@@ -487,7 +498,7 @@ func (h *fabricHost) RequestRemoteRelease(id circuit.ID) {
 	if !ok {
 		return // torn down while the flit was in flight
 	}
-	entry, ok := f.caches[c.Src].Peek(c.Dst)
+	entry, ok := f.Cache(c.Src).Peek(c.Dst)
 	if !ok || entry.ID != id {
 		return // cache entry already replaced
 	}

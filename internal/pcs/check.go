@@ -198,7 +198,7 @@ func (e *Engine) checkHolders() error {
 		if e.ackRet[k] != (s == Established) {
 			return fmt.Errorf("holders: channel %d is %v with Ack Returned %v", k, s, e.ackRet[k])
 		}
-		if d, r := e.directMap[k], e.reverseMap[k]; d < -1 || int(d) >= len(e.status) || r < -1 || int(r) >= len(e.status) ||
+		if d, r := e.direct(int32(k)), e.reverse(int32(k)); d < -1 || int(d) >= len(e.status) || r < -1 || int(r) >= len(e.status) ||
 			(s == Free || s == Faulty) && (d >= 0 || r >= 0) {
 			return fmt.Errorf("mappings: %v channel %d maps to %d and from %d", s, k, d, r)
 		}
@@ -208,15 +208,15 @@ func (e *Engine) checkHolders() error {
 			if !p.held[i] {
 				continue
 			}
-			if i == 0 && e.reverseMap[k] != -1 {
-				return fmt.Errorf("mappings: %s first hop %d maps back from %d", p.what, k, e.reverseMap[k])
+			if i == 0 && e.reverse(k) != -1 {
+				return fmt.Errorf("mappings: %s first hop %d maps back from %d", p.what, k, e.reverse(k))
 			}
-			if i == len(p.keys)-1 && e.directMap[k] != -1 {
-				return fmt.Errorf("mappings: %s last hop %d maps on to %d", p.what, k, e.directMap[k])
+			if i == len(p.keys)-1 && e.direct(k) != -1 {
+				return fmt.Errorf("mappings: %s last hop %d maps on to %d", p.what, k, e.direct(k))
 			}
-			if i > 0 && p.held[i-1] && (e.directMap[p.keys[i-1]] != k || e.reverseMap[k] != p.keys[i-1]) {
+			if i > 0 && p.held[i-1] && (e.direct(p.keys[i-1]) != k || e.reverse(k) != p.keys[i-1]) {
 				return fmt.Errorf("mappings: %s hops %d -> %d map %d -> %d and back %d", p.what, p.keys[i-1], k,
-					p.keys[i-1], e.directMap[p.keys[i-1]], e.reverseMap[k])
+					p.keys[i-1], e.direct(p.keys[i-1]), e.reverse(k))
 			}
 		}
 	}

@@ -58,15 +58,15 @@ func TestCheckNamesEachClause(t *testing.T) {
 			e.owner[e.key(circ.Path[1])] = int64(circ.ID) + 100
 		}},
 		{"reverse mapping dropped", "mappings:", func(e *Engine, p *probe, _ *Circuit) {
-			e.reverseMap[p.path[1].key] = -1
+			e.reverseMap1[p.path[1].key] = 0
 		}},
 		{"direct mapping past a circuit's end", "mappings:", func(e *Engine, _ *probe, circ *Circuit) {
-			e.directMap[e.key(circ.Path[len(circ.Path)-1])] = e.key(circ.Path[0])
+			e.directMap1[e.key(circ.Path[len(circ.Path)-1])] = e.key(circ.Path[0]) + 1
 		}},
 		{"mapping on a Free channel", "mappings:", func(e *Engine, _ *probe, _ *Circuit) {
 			for k, s := range e.status {
 				if s == Free {
-					e.directMap[k] = 0
+					e.directMap1[k] = 1
 					return
 				}
 			}

@@ -282,10 +282,12 @@ type Engine struct {
 	slot0 []int32
 
 	// Direct/Reverse Channel Mappings: input channel key -> output channel
-	// key and inverse, dense per wave channel (-1 = no entry). Source and
-	// destination hops have no entry.
-	directMap  []int32
-	reverseMap []int32
+	// key and inverse, dense per wave channel, each stored as key+1 so that
+	// the zero value, like every Figure 3 register's here, is the reset
+	// state (no entry) and New writes none of them. Source and destination
+	// hops have no entry.
+	directMap1  []int32
+	reverseMap1 []int32
 
 	// req is requestedChannels' reusable result buffer.
 	req []outOption
@@ -352,24 +354,20 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 	}
 	n := topo.NumLinkSlots() * prm.NumSwitches
 	e := &Engine{
-		topo:       topo,
-		tab:        topo.Links(),
-		prm:        prm,
-		host:       host,
-		status:     make([]Status, n),
-		owner:      make([]int64, n),
-		ackRet:     make([]bool, n),
-		directMap:  make([]int32, n),
-		reverseMap: make([]int32, n),
-		free:       make([]uint32, topo.Nodes()*prm.NumSwitches),
-		slot0:      make([]int32, topo.Nodes()),
-		circuits:   make(map[circuit.ID]*Circuit),
+		topo:        topo,
+		tab:         topo.Links(),
+		prm:         prm,
+		host:        host,
+		status:      make([]Status, n),
+		owner:       make([]int64, n),
+		ackRet:      make([]bool, n),
+		directMap1:  make([]int32, n),
+		reverseMap1: make([]int32, n),
+		free:        make([]uint32, topo.Nodes()*prm.NumSwitches),
+		slot0:       make([]int32, topo.Nodes()),
+		circuits:    make(map[circuit.ID]*Circuit),
 	}
 	e.wantedFn = e.wanted
-	for i := range e.directMap {
-		e.directMap[i] = -1
-		e.reverseMap[i] = -1
-	}
 	for i := range e.slot0 {
 		e.slot0[i] = int32(topo.SlotBase(topology.Node(i)))
 	}
@@ -415,6 +413,12 @@ func (e *Engine) freeWords(free []uint32) {
 	}
 }
 
+// direct returns the Direct Channel Mapping of channel key k, -1 for none.
+func (e *Engine) direct(k int32) int32 { return e.directMap1[k] - 1 }
+
+// reverse returns the Reverse Channel Mapping of channel key k, -1 for none.
+func (e *Engine) reverse(k int32) int32 { return e.reverseMap1[k] - 1 }
+
 // key converts a Channel to its dense index.
 func (e *Engine) key(c Channel) int32 { return int32(int(c.Link)*e.prm.NumSwitches + c.Switch) }
 
@@ -432,7 +436,7 @@ func (e *Engine) AckReturned(c Channel) bool { return e.ackRet[e.key(c)] }
 // DirectMapping exposes the Figure 3 Direct Channel Mappings register: the
 // output channel that input channel `in` maps to at its sink router.
 func (e *Engine) DirectMapping(in Channel) (Channel, bool) {
-	k := e.directMap[e.key(in)]
+	k := e.direct(e.key(in))
 	if k < 0 {
 		return Channel{}, false
 	}
@@ -441,7 +445,7 @@ func (e *Engine) DirectMapping(in Channel) (Channel, bool) {
 
 // ReverseMapping exposes the Figure 3 Reverse Channel Mappings register.
 func (e *Engine) ReverseMapping(out Channel) (Channel, bool) {
-	k := e.reverseMap[e.key(out)]
+	k := e.reverse(e.key(out))
 	if k < 0 {
 		return Channel{}, false
 	}
@@ -606,8 +610,8 @@ func (e *Engine) faultChannel(c Channel) {
 	e.setStatus(int32(c.Link), c.Switch, Faulty)
 	e.owner[k] = 0
 	e.ackRet[k] = false
-	e.directMap[k] = -1
-	e.reverseMap[k] = -1
+	e.directMap1[k] = 0
+	e.reverseMap1[k] = 0
 }
 
 // freeHopOwned releases one path hop of a killed setup, but only while the
@@ -624,8 +628,8 @@ func (e *Engine) freeHopOwned(c Channel, probeOwner, circOwner int64) {
 	e.setStatus(int32(c.Link), c.Switch, Free)
 	e.owner[k] = 0
 	e.ackRet[k] = false
-	e.directMap[k] = -1
-	e.reverseMap[k] = -1
+	e.directMap1[k] = 0
+	e.reverseMap1[k] = 0
 }
 
 // killProbeByID removes an in-flight probe hit by a dynamic fault: its
@@ -875,8 +879,8 @@ func (e *Engine) stepTeardowns() {
 			e.setStatus(int32(ch.Link), ch.Switch, Free)
 			e.ackRet[k] = false
 			e.owner[k] = 0
-			e.reverseMap[k] = -1
-			e.directMap[k] = -1
+			e.reverseMap1[k] = 0
+			e.directMap1[k] = 0
 		}
 		e.Ctr.ControlHops++
 		e.moved = true
@@ -937,7 +941,7 @@ func (e *Engine) stepReleases() {
 			e.Ctr.ReleasesDiscarded++
 			continue
 		}
-		prev := e.reverseMap[k]
+		prev := e.reverse(k)
 		e.Ctr.ControlHops++
 		e.moved = true
 		if prev < 0 {
@@ -1215,8 +1219,8 @@ func (e *Engine) takeChannel(p *probe, f *frame, port int) {
 	// channel maps to this one.
 	if n := len(p.path); n > 0 {
 		in := p.path[n-1].key
-		e.directMap[in] = k
-		e.reverseMap[k] = in
+		e.directMap1[in] = k + 1
+		e.reverseMap1[k] = in + 1
 	}
 	e.markHistory(p, f, bit)
 	p.path = append(p.path, pathHop{link: link, key: k, misroute: !profitable})
@@ -1437,9 +1441,9 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	e.setStatus(hop.link, p.sw, Free)
 	e.owner[k] = 0
 	if d > 1 {
-		e.directMap[p.path[d-2].key] = -1
+		e.directMap1[p.path[d-2].key] = 0
 	}
-	e.reverseMap[k] = -1
+	e.reverseMap1[k] = 0
 	if hop.misroute {
 		p.misroutes--
 	}

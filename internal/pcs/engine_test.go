@@ -275,8 +275,8 @@ func TestBacktrackRestoresChannels(t *testing.T) {
 			t.Fatalf("leaked reservation on %+v: %v", ch, s)
 		}
 	}
-	for k := range e.directMap {
-		if e.directMap[k] >= 0 || e.reverseMap[k] >= 0 {
+	for k := range e.directMap1 {
+		if e.direct(int32(k)) >= 0 || e.reverse(int32(k)) >= 0 {
 			t.Fatal("mapping registers leaked")
 		}
 	}
@@ -314,8 +314,8 @@ func TestTeardownFreesEverything(t *testing.T) {
 	if _, ok := e.CircuitByID(res.Circuit); ok {
 		t.Fatal("circuit survived teardown")
 	}
-	for k := range e.directMap {
-		if e.directMap[k] >= 0 || e.reverseMap[k] >= 0 {
+	for k := range e.directMap1 {
+		if e.direct(int32(k)) >= 0 || e.reverse(int32(k)) >= 0 {
 			t.Fatal("mappings survived teardown")
 		}
 	}

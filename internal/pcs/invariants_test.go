@@ -187,8 +187,8 @@ func TestTeardownDuringAck(t *testing.T) {
 			t.Fatalf("channel %d stuck in %v", k, s)
 		}
 	}
-	for k := range e.directMap {
-		if e.directMap[k] >= 0 || e.reverseMap[k] >= 0 {
+	for k := range e.directMap1 {
+		if e.direct(int32(k)) >= 0 || e.reverse(int32(k)) >= 0 {
 			t.Fatal("mappings leaked")
 		}
 	}

@@ -2,7 +2,8 @@ package pcs
 
 // Snapshot support. The engine's complete control-plane state serialises:
 // the Figure 3 register file (status, owner, ack-returned, both mapping
-// registers), the circuit registry in ID order, the in-flight probes in
+// registers, written as the channel key mapped to or -1 for none, though
+// the engine stores key+1), the circuit registry in ID order, the in-flight probes in
 // slice order (step order is state), acknowledgments with their carried
 // probes, teardown and release flits, the ID counters and all statistics.
 // Spill buffers and the object pools are excluded — snapshots are taken
@@ -125,8 +126,10 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		snapshot.U8(c, &e.status[i])
 		snapshot.I64(c, &e.owner[i])
 		c.Bool(&e.ackRet[i])
-		snapshot.U32(c, &e.directMap[i])
-		snapshot.U32(c, &e.reverseMap[i])
+		d, r := e.direct(int32(i)), e.reverse(int32(i))
+		snapshot.U32(c, &d)
+		snapshot.U32(c, &r)
+		e.directMap1[i], e.reverseMap1[i] = d+1, r+1
 	})
 
 	if c.Decoding() {

@@ -120,8 +120,21 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
+// splitMix decorrelates a child's seed from the parent draw it comes from.
+const splitMix = 0xd1b54a32d192ed03
+
 // Split derives an independent child generator. The child stream does not
 // overlap the parent's for any practical simulation length.
 func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() ^ 0xd1b54a32d192ed03}
+	return &RNG{state: r.Uint64() ^ splitMix}
+}
+
+// SplitState returns the state of the child that the (i+1)-th of a run of
+// Split calls on r would derive, without drawing: a child is seeded from
+// one draw, and the i-th draw is a function of state + i·gamma. A caller
+// that needs n children only on demand can take SplitState(i) for child i
+// and Skip(n) over the draws.
+func (r *RNG) SplitState(i uint64) uint64 {
+	_, v := Step(r.state + i*gamma)
+	return v ^ splitMix
 }

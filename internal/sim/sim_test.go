@@ -125,6 +125,23 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestSplitStateMatchesSplit: SplitState(i) is the state of the child the
+// (i+1)-th Split call derives, and Skip(n) leaves the parent where n Split
+// calls do.
+func TestSplitStateMatchesSplit(t *testing.T) {
+	base := NewRNG(77)
+	r := NewRNG(77)
+	for i := uint64(0); i < 50; i++ {
+		if got, want := base.SplitState(i), r.Split().State(); got != want {
+			t.Fatalf("SplitState(%d) = %#x, Split gives %#x", i, got, want)
+		}
+	}
+	base.Skip(50)
+	if base.State() != r.State() {
+		t.Fatalf("Skip(50) leaves %#x, 50 splits leave %#x", base.State(), r.State())
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(21)
 	child := parent.Split()

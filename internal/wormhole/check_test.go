@@ -37,9 +37,9 @@ func streamingPorts(t *testing.T, e *Engine) (a, b int) {
 // setOut points port's output allocation at channel ch.
 func setOut(e *Engine, port int, ch int32) {
 	if nl := e.numLinkInputs(); port >= nl {
-		e.inj[port-nl].outCh = ch
+		e.inj[port-nl].outCh1 = ch + 1
 	} else {
-		e.in[port].outCh = ch
+		e.in[port].outCh1 = ch + 1
 	}
 }
 
@@ -50,7 +50,7 @@ func TestCheckNamesEachClause(t *testing.T) {
 		name, clause string
 		corrupt      func(t *testing.T, e *Engine)
 	}{
-		{"credit bumped", "credits:", func(t *testing.T, e *Engine) { e.out[3].credits++ }},
+		{"credit bumped", "credits:", func(t *testing.T, e *Engine) { e.out[3].spent-- }},
 		{"channel with a second owner", "ownership:", func(t *testing.T, e *Engine) {
 			a, b := streamingPorts(t, e)
 			_, ch := e.portOut(a)
@@ -61,7 +61,7 @@ func TestCheckNamesEachClause(t *testing.T) {
 			_, ch := e.portOut(a)
 			for port := 0; port < e.NumPorts(); port++ {
 				if ph, _ := e.portOut(port); ph == vcIdle {
-					e.out[ch].owner = int32(port)
+					e.out[ch].owner1 = int32(port) + 1
 					return
 				}
 			}

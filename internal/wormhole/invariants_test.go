@@ -190,8 +190,8 @@ func TestCreditInvariantUnderLoad(t *testing.T) {
 		h.eng.Inject(flit.Message{ID: flit.MsgID(i), Src: rng.Intn(16), Dst: rng.Intn(16), Len: 1 + rng.Intn(20), InjectTime: 0})
 	}
 	h.run(t, 1_000_000)
-	for ch, o := range h.eng.out {
-		if c := int(o.credits); c != h.eng.prm.BufDepth {
+	for ch := range h.eng.out {
+		if c := int(h.eng.credits(ch)); c != h.eng.prm.BufDepth {
 			t.Fatalf("channel %d credits = %d, want %d", ch, c, h.eng.prm.BufDepth)
 		}
 	}
@@ -204,7 +204,7 @@ func TestCreditInvariantUnderLoad(t *testing.T) {
 		}
 	}
 	for ch, o := range h.eng.out {
-		if owner := o.owner; owner != -1 {
+		if owner := o.owner(); owner != -1 {
 			t.Fatalf("output VC %d still owned by %d", ch, owner)
 		}
 	}
@@ -252,8 +252,8 @@ func TestCreditDelayStillDrains(t *testing.T) {
 	for cyc := int64(0); cyc < 10; cyc++ {
 		h.eng.Cycle(1_000_000 + cyc)
 	}
-	for ch, o := range h.eng.out {
-		if c := o.credits; c != 2 {
+	for ch := range h.eng.out {
+		if c := h.eng.credits(ch); c != 2 {
 			t.Fatalf("channel %d credits = %d after drain", ch, c)
 		}
 	}

@@ -158,10 +158,10 @@ func (e *Engine) abort(s int32, now int64) {
 	held := 0
 	for ch := range e.in {
 		if removed := e.scrubVC(int32(ch), s); removed > 0 {
-			e.out[ch].credits += removed
+			e.out[ch].spent -= removed
 			held += int(removed)
 		}
-		if v := &e.in[ch]; v.curSlot == s {
+		if v := &e.in[ch]; v.curSlot1 == s+1 {
 			e.retireVC(int32(ch), v)
 		}
 	}

@@ -86,13 +86,13 @@ func TestRecoveryRandomTraffic(t *testing.T) {
 		t.Fatalf("delivered %d of %d", len(h.delivered), msgs)
 	}
 	// Post-drain invariants: credits restored, no stale allocations.
-	for ch, o := range h.eng.out {
-		if c := o.credits; c != 2 {
+	for ch := range h.eng.out {
+		if c := h.eng.credits(ch); c != 2 {
 			t.Fatalf("channel %d credits = %d", ch, c)
 		}
 	}
 	for ch, o := range h.eng.out {
-		if owner := o.owner; owner != -1 {
+		if owner := o.owner(); owner != -1 {
 			t.Fatalf("channel %d still allocated to %d", ch, owner)
 		}
 	}

@@ -9,6 +9,14 @@ package wormhole
 // busy. Restoring into an engine built from the identical Params and
 // topology reproduces the original bit for bit.
 //
+// The format carries every register's logical value, not its stored form
+// (the engine stores some offset, so that their zero value is the reset
+// state): an output allocation is a link and a VC, Invalid and 0 for none
+// or local delivery; a VC's current message slot and an output channel's
+// owner port are indexes, -1 for none; and an output channel carries its
+// credits, the free buffer space downstream, rather than the credits it
+// has spent.
+//
 // Two parts of the byte format are not engine fields but derived from
 // them: buffered flits are written in full, and each VC writes the queue
 // of its buffered headers still to be routed. Decoding refuses bytes that
@@ -74,6 +82,7 @@ func (e *Engine) State(c *snapshot.Codec) error {
 				return
 			}
 			v.head, v.count = 0, int32(n)
+			v.inLink = port / e.nvc
 		}
 		for j := int32(0); j < int32(n) && c.Err() == nil; j++ {
 			r := &e.ring[e.ringAt(port, j)]
@@ -92,14 +101,16 @@ func (e *Engine) State(c *snapshot.Codec) error {
 			}
 		}
 		e.walkPhase(c, &v.phase)
-		e.walkOut(c, &v.outLink, &v.outCh)
+		e.walkOut(c, &v.outLink, &v.outCh1)
 		walkI32(c, &v.rcWait, int64(e.prm.RouteDelay))
-		snapshot.U32(c, &v.curSlot)
+		cur := v.curSlot1 - 1
+		snapshot.U32(c, &cur)
+		v.curSlot1 = cur + 1
 		// The headers still to be routed: every buffered head but the
 		// current message's.
 		heads = heads[:0]
 		for j := int32(0); j < v.count; j++ {
-			if r := e.ring[e.ringAt(port, j)]; r.kind.IsHead() && r.slot != v.curSlot {
+			if r := e.ring[e.ringAt(port, j)]; r.kind.IsHead() && r.slot != cur {
 				heads = append(heads, r.slot)
 			}
 		}
@@ -110,10 +121,14 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		}
 	})
 	for i := range e.out {
-		walkI32(c, &e.out[i].credits, int64(e.depth))
+		credits := e.credits(i)
+		walkI32(c, &credits, int64(e.depth))
+		e.out[i].spent = e.depth - credits
 	}
 	for i := range e.out {
-		snapshot.U32(c, &e.out[i].owner)
+		owner := e.out[i].owner()
+		snapshot.U32(c, &owner)
+		e.out[i].owner1 = owner + 1
 	}
 
 	c.Fixed(len(e.inj), "wormhole injection ports", func(i int) {
@@ -121,7 +136,7 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		snapshot.Queue(c, &p.queue, &p.head, func(s *int32) { snapshot.U32(c, s) })
 		snapshot.I64(c, &p.sent)
 		e.walkPhase(c, &p.phase)
-		e.walkOut(c, &p.outLink, &p.outCh)
+		e.walkOut(c, &p.outLink, &p.outCh1)
 		snapshot.I64(c, &p.rcWait)
 		if c.Decoding() && p.phase == vcActive && p.qlen() > 0 && e.liveSlot(p.front()) {
 			p.frontLen = e.slots[p.front()].msg.Len
@@ -195,11 +210,12 @@ func (e *Engine) walkPhase(c *snapshot.Codec, ph *vcPhase) {
 }
 
 // walkOut walks an output allocation as int64 link and VC (Invalid and 0
-// for local delivery) while the engine keeps the link and channel index.
-func (e *Engine) walkOut(c *snapshot.Codec, link, ch *int32) {
-	l, vc := int64(*link), int64(0)
-	if *ch >= 0 {
-		vc = int64(*ch - *link*e.nvc)
+// for none or local delivery) while the engine keeps the link and the
+// channel index plus one.
+func (e *Engine) walkOut(c *snapshot.Codec, link, ch1 *int32) {
+	l, vc := int64(topology.Invalid), int64(0)
+	if *ch1 != 0 {
+		l, vc = int64(*link), int64(*ch1-1-*link*e.nvc)
 	}
 	snapshot.I64(c, &l)
 	snapshot.I64(c, &vc)
@@ -208,9 +224,9 @@ func (e *Engine) walkOut(c *snapshot.Codec, link, ch *int32) {
 	}
 	switch {
 	case l == int64(topology.Invalid) && vc == 0:
-		*link, *ch = int32(topology.Invalid), -1
+		*link, *ch1 = 0, 0
 	case l >= 0 && l < int64(e.numLinks) && vc >= 0 && vc < int64(e.nvc):
-		*link, *ch = int32(l), int32(l)*e.nvc+int32(vc)
+		*link, *ch1 = int32(l), int32(l)*e.nvc+int32(vc)+1
 	default:
 		c.Failf("wormhole: snapshot output (%d, %d) out of range", l, vc)
 	}

@@ -65,7 +65,7 @@ func queuedHeadEngine(t *testing.T) (*harness, int32) {
 		for port := range h.eng.in {
 			v := &h.eng.in[port]
 			for j := int32(0); j < v.count; j++ {
-				if r := h.eng.ring[h.eng.ringAt(int32(port), j)]; v.curSlot != noSlot && r.kind.IsHead() && r.slot != v.curSlot {
+				if r := h.eng.ring[h.eng.ringAt(int32(port), j)]; v.curSlot1 != 0 && r.kind.IsHead() && r.slot != v.curSlot1-1 {
 					return h, int32(port)
 				}
 			}
@@ -148,7 +148,7 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 		// the flit itself is still written as a head.
 		v := &h.eng.in[port]
 		for j := int32(0); j < v.count; j++ {
-			if r := &h.eng.ring[h.eng.ringAt(port, j)]; r.kind.IsHead() && r.slot != v.curSlot {
+			if r := &h.eng.ring[h.eng.ringAt(port, j)]; r.kind.IsHead() && r.slot != v.curSlot1-1 {
 				r.kind = flit.Body
 				break
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/events"
 	"repro/internal/flit"
@@ -350,9 +349,7 @@ type CircuitInfo struct {
 func (s *Simulator) Circuits() []CircuitInfo {
 	var out []CircuitInfo
 	for n := 0; n < s.topo.Nodes(); n++ {
-		entries := s.mgr.Fab.Cache(topology.Node(n)).Entries()
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Dest < entries[j].Dest })
-		for _, e := range entries {
+		for _, e := range s.mgr.Fab.Cache(topology.Node(n)).Entries() {
 			if !e.AckReturned() {
 				continue
 			}
