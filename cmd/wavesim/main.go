@@ -280,8 +280,8 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	fmt.Fprintf(out, "topology        %s %s, protocol %s (routing %s, w=%d, k=%d, MB-%d, %gx clock)\n",
-		*topoKind, *radix, res.Protocol, *routing, *vcs, *switches, *misroutes, *mult)
+	fmt.Fprintf(out, "topology        %s, protocol %s (routing %s, w=%d, k=%d, MB-%d, %gx clock)\n",
+		sim.Topology().Name(), res.Protocol, *routing, *vcs, *switches, *misroutes, *mult)
 	fmt.Fprintf(out, "workload        %s, load %.3f flits/node/cycle, %d-flit messages", *pattern, *load, *msgLen)
 	if *wset > 0 {
 		fmt.Fprintf(out, ", working set %d @ %.0f%% reuse", *wset, *reuse*100)

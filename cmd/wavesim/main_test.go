@@ -25,6 +25,30 @@ func TestRunHumanOutput(t *testing.T) {
 	}
 }
 
+// TestRunHeaderNamesTopology: the header line names the topology that was
+// built, not the raw -radix flag (which a hypercube ignores and a fat tree
+// reads as its arity).
+func TestRunHeaderNamesTopology(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-radix", "4x4"}, "topology        4-ary 2-cube (torus), "},
+		{[]string{"-radix", "8x4"}, "topology        8x4 torus, "},
+		{[]string{"-topology", "hypercube", "-hyperdims", "3"}, "topology        3-dimensional hypercube, "},
+		{[]string{"-topology", "fattree", "-radix", "4", "-levels", "2", "-routing", "updown", "-vcs", "1"},
+			"topology        4-ary 2-tree (fat tree), "},
+	} {
+		var out bytes.Buffer
+		if err := run(append(c.args, "-load", "0.05", "-len", "16", "-warmup", "50", "-measure", "200"), &out); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Fatalf("%v: header does not contain %q:\n%s", c.args, c.want, out.String())
+		}
+	}
+}
+
 func TestRunCSVOutput(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-radix", "4x4", "-warmup", "200", "-measure", "1500", "-csv"}, &out)

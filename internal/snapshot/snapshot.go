@@ -45,8 +45,9 @@ const Magic = "WAVESNAP"
 // the per-event shard index from the event queue. Version 3 dropped the
 // watchdog's pending-progress flag, the fabric's circuit-transfer ages, the
 // protocol manager's age queue and the two oracle toggles from the embedded
-// configuration.
-const Version = 3
+// configuration. Version 4 added the open-loop traffic generator's
+// calendar of next message starts.
+const Version = 4
 
 // ErrDigest is returned by Open when the trailing digest does not match the
 // payload.

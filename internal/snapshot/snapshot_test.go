@@ -163,7 +163,7 @@ func TestLargeFieldsCrossChunks(t *testing.T) {
 func TestHeaderRefused(t *testing.T) {
 	b := encode(t, fullSample().walk)
 
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		old := append([]byte(nil), b...)
 		binary.LittleEndian.PutUint32(old[len(Magic):], v)
 		if _, err := Open(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {

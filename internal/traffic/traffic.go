@@ -402,10 +402,14 @@ func (u UniformLen) Mean() float64 { return float64(u.Min+u.Max) / 2 }
 // ---------------------------------------------------------------------------
 // Generator.
 
-// Generator produces Bernoulli open-loop traffic: each cycle each node
+// Generator produces Bernoulli open-loop traffic: each cycle each host
 // independently starts a message with probability Load/Mean(length), giving
-// an applied load of Load flits per node per cycle.
+// an applied load of Load flits per host per cycle. The gaps between one
+// host's starts are then geometric, so each host holds the tick of its next
+// start in a calendar (calendar.go), and a Tick costs O(messages started),
+// not O(hosts).
 type Generator struct {
+	// Pattern, Length and Load are fixed at construction.
 	Pattern Pattern
 	Length  LengthDist
 	// Load is the applied load in flits/node/cycle.
@@ -413,6 +417,8 @@ type Generator struct {
 
 	rng   *sim.RNG
 	nodes int
+	gaps  *gapSampler // nil if no host ever starts a message (rate 0)
+	cal   calendar
 }
 
 // NewGenerator builds a generator for `nodes` nodes with its own RNG stream.
@@ -423,45 +429,42 @@ func NewGenerator(p Pattern, l LengthDist, load float64, nodes int, seed uint64)
 	if l.Mean() <= 0 {
 		return nil, fmt.Errorf("traffic: non-positive mean length")
 	}
-	return &Generator{Pattern: p, Length: l, Load: load, rng: sim.NewRNG(seed), nodes: nodes}, nil
+	g := &Generator{Pattern: p, Length: l, Load: load, rng: sim.NewRNG(seed), nodes: nodes}
+	if rate := g.MsgRate(); rate > 0 { // a NaN rate starts nothing, as Bool(NaN) is false
+		cut := uint64(1 << 53) // a rate >= 1 starts every host on every tick
+		if rate < 1 {
+			cut = sim.BoolCut(rate)
+		}
+		g.gaps = newGapSampler(cut)
+		// The wheel spans 4 to 8 mean gaps (2^55/cut is 4/q), capped.
+		g.cal.mask = 1<<min(bits.Len64(1<<55/cut), wheelMaxBits) - 1
+	}
+	return g, nil
 }
 
 // MsgRate returns the per-node message start probability per cycle.
 func (g *Generator) MsgRate() float64 { return g.Load / g.Length.Mean() }
 
-// Tick emits this cycle's new messages by calling send for each. It draws
-// exactly what a g.rng.Bool(MsgRate()) test per node followed by Pick and
-// Draw for each firing node would, in the same order: the per-node test is
-// Bool's integer form (sim.BoolCut) on a state held in a local, which is
-// written back to g.rng before Pick and Draw and reloaded after them.
+// Tick emits this cycle's new messages by calling send for each, in
+// ascending host order: Pick and Draw for each starting host, which then
+// draws the gap to its next start. The first Tick draws every host's first
+// start, in host order, before it emits. A rate of 0 draws nothing.
 func (g *Generator) Tick(send func(src, dst topology.Node, length int)) {
-	rate := g.MsgRate()
-	switch {
-	case rate <= 0:
-		return // Bool(rate) is false without a draw
-	case rate >= 1:
-		for n := 0; n < g.nodes; n++ {
-			g.emit(topology.Node(n), send) // Bool(rate) is true without a draw
-		}
+	if g.gaps == nil {
 		return
 	}
-	cut := sim.BoolCut(rate)
-	state := g.rng.State()
-	for n := 0; n < g.nodes; n++ {
-		var v uint64
-		state, v = sim.Step(state)
-		if v>>11 >= cut {
-			continue
+	c := &g.cal
+	if c.due == nil {
+		c.init(g.nodes)
+		for h := range int32(g.nodes) {
+			c.put(h, g.gaps.draw(g.rng)-1)
 		}
-		g.rng.Seed(state)
-		g.emit(topology.Node(n), send)
-		state = g.rng.State()
 	}
-	g.rng.Seed(state)
-}
-
-// emit picks a destination and a length for a message from src and sends it.
-func (g *Generator) emit(src topology.Node, send func(src, dst topology.Node, length int)) {
-	dst := g.Pattern.Pick(src, g.rng)
-	send(src, dst, g.Length.Draw(g.rng))
+	now := c.now
+	for _, h := range c.take() {
+		src := topology.Node(h)
+		dst := g.Pattern.Pick(src, g.rng)
+		send(src, dst, g.Length.Draw(g.rng))
+		c.put(h, now+g.gaps.draw(g.rng))
+	}
 }

@@ -1,13 +1,16 @@
 package traffic
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
@@ -334,65 +337,283 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-// TestTickMatchesBoolLoop checks Tick against the loop it replaces: a
-// rng.Bool(MsgRate()) test per node, then Pick and Draw for each firing
-// node. The emitted (src, dst, len) sequence and the final RNG state must
-// be equal. Mean length 2 makes each rate exact: rates on the 2^-53 grid,
-// tiny rates, rates just below 1, and the no-draw rates 0, 1 and above 1.
-// The patterns and lengths that draw from the same stream (hotspot,
-// locality, bimodal, uniform lengths) interleave with the per-node draws.
-func TestTickMatchesBoolLoop(t *testing.T) {
-	const nodes = 64
-	rates := []float64{
-		0, 1.0 / (1 << 53), 3.0 / (1 << 53), 1e-300, math.SmallestNonzeroFloat64,
-		0.013, 0.25, 0x0F5C28F5C28F5C / (1 << 53), math.Nextafter(1, 0), 1, 1.5,
-	}
-	patterns := map[string]func() Pattern{
-		"uniform": func() Pattern { return Uniform{N: nodes} },
-		"hotspot": func() Pattern { return Hotspot{N: nodes, Spot: 5, Fraction: 0.2} },
-		"locality": func() Pattern {
-			l, err := NewLocality(Uniform{N: nodes}, nodes, 3, 0.6, 7)
-			if err != nil {
-				t.Fatal(err)
+// TestGapThresholdsExact: each gap threshold ⌊(1-q)^k·2^53⌋ equals the
+// exact big-integer value r^k / 2^(53(k-1)), r = (1-q)·2^53, for the
+// clrp_reuse rate 0.0016, a rate with a long table and a dyadic one.
+func TestGapThresholdsExact(t *testing.T) {
+	for _, p := range []float64{0.0016, 0.02, 0.5} {
+		cut := sim.BoolCut(p)
+		s := newGapSampler(cut)
+		r := new(big.Int).SetUint64(1<<53 - cut)
+		pow := new(big.Int).Set(r) // r^k
+		for k := 1; k <= len(s.t); k++ {
+			want := new(big.Int).Rsh(pow, uint(53*(k-1)))
+			if !want.IsUint64() || want.Uint64() != s.t[k-1] {
+				t.Fatalf("p %g: t[%d] = %d, exact %s", p, k-1, s.t[k-1], want)
 			}
-			return l
-		},
+			pow.Mul(pow, r)
+		}
+		if last := s.t[len(s.t)-1]; last >= 1<<53>>6 && len(s.t) < gapTableMax {
+			t.Fatalf("p %g: the table ends at P(gap > %d) = %g, not below 1/64", p, len(s.t), float64(last)/(1<<53))
+		}
 	}
-	lengths := []LengthDist{Bimodal{Short: 1, Long: 3, PLong: 0.5}, UniformLen{Min: 1, Max: 3}}
-	type msg struct {
-		src, dst topology.Node
-		length   int
-	}
-	for name, pattern := range patterns {
-		for _, length := range lengths {
-			for _, rate := range rates {
-				g, err := NewGenerator(pattern(), length, 2*rate, nodes, 9)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g.MsgRate() != rate {
-					t.Fatalf("MsgRate %g, want %g", g.MsgRate(), rate)
-				}
-				refPattern, ref := pattern(), sim.NewRNG(9)
-				var got, want []msg
-				for c := 0; c < 50; c++ {
-					g.Tick(func(src, dst topology.Node, l int) { got = append(got, msg{src, dst, l}) })
-					for n := 0; n < nodes; n++ {
-						if !ref.Bool(rate) {
-							continue
-						}
-						src := topology.Node(n)
-						dst := refPattern.Pick(src, ref)
-						want = append(want, msg{src, dst, length.Draw(ref)})
-					}
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s/%s rate %g: Tick emitted %d messages, the Bool loop %d (or they differ)", name, length.Name(), rate, len(got), len(want))
-				}
-				if g.rng.State() != ref.State() {
-					t.Fatalf("%s/%s rate %g: final RNG state %#x, Bool loop %#x", name, length.Name(), rate, g.rng.State(), ref.State())
-				}
+}
+
+// TestGapStatistics: a million gaps at a fixed seed have the geometric
+// mean (1/q), variance ((1-q)/q^2) and share of gaps equal to 1 (q), each
+// within 4 standard errors. Rate 0.02 redraws past its table, and 1e-5
+// draws its tail from a second sampler.
+func TestGapStatistics(t *testing.T) {
+	for _, c := range []struct {
+		p    float64
+		gaps int
+	}{{0.02, 1_000_000}, {0.5, 1_000_000}, {1e-5, 200_000}} {
+		s, rng := newGapSampler(sim.BoolCut(c.p)), sim.NewRNG(17)
+		if (s.tail != nil) != (c.p == 1e-5) {
+			t.Fatalf("p %g: tail sampler %v", c.p, s.tail != nil)
+		}
+		var sum, sumSq, ones float64
+		for range c.gaps {
+			g := float64(s.draw(rng))
+			sum += g
+			sumSq += g * g
+			if g == 1 {
+				ones++
+			}
+		}
+		n, q := float64(c.gaps), c.p
+		mean := sum / n
+		variance := sumSq/n - mean*mean
+		wantVar := (1 - q) / (q * q)
+		// The fourth central moment of the geometric is wantVar^2·(9 + q^2/(1-q)).
+		for _, m := range []struct {
+			name           string
+			got, want, err float64
+		}{
+			{"mean", mean, 1 / q, math.Sqrt(wantVar / n)},
+			{"variance", variance, wantVar, wantVar * math.Sqrt((8+q*q/(1-q))/n)},
+			{"share of 1", ones / n, q, math.Sqrt(q * (1 - q) / n)},
+		} {
+			if math.Abs(m.got-m.want) > 4*m.err {
+				t.Errorf("p %g: %s %g, want %g ± 4·%g", c.p, m.name, m.got, m.want, m.err)
 			}
 		}
 	}
+}
+
+type genMsg struct {
+	tick     int
+	src, dst topology.Node
+	length   int
+}
+
+// tickAll runs ticks Ticks of g and returns what they emit, numbering the
+// ticks from first.
+func tickAll(g *Generator, first, ticks int) []genMsg {
+	var out []genMsg
+	for c := first; c < first+ticks; c++ {
+		g.Tick(func(src, dst topology.Node, l int) { out = append(out, genMsg{c, src, dst, l}) })
+	}
+	return out
+}
+
+// TestTickHostOrder: within one tick the starting hosts come in ascending
+// order, at a rate where most ticks start several.
+func TestTickHostOrder(t *testing.T) {
+	g, err := NewGenerator(Uniform{N: 64}, Fixed{L: 4}, 1, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := tickAll(g, 0, 500)
+	if len(msgs) < 500*64/8 {
+		t.Fatalf("%d messages in 500 ticks at rate 1/4 on 64 hosts", len(msgs))
+	}
+	for i := 1; i < len(msgs); i++ {
+		if a, b := msgs[i-1], msgs[i]; a.tick == b.tick && a.src >= b.src {
+			t.Fatalf("tick %d emits host %d after host %d", b.tick, b.src, a.src)
+		}
+	}
+}
+
+// TestTickAllocs: after the first Tick, which draws the calendar, Tick
+// allocates nothing.
+func TestTickAllocs(t *testing.T) {
+	g, err := NewGenerator(Uniform{N: 256}, Fixed{L: 16}, 0.5, 256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(_, _ topology.Node, _ int) {}
+	g.Tick(noop)
+	if n := testing.AllocsPerRun(1000, func() { g.Tick(noop) }); n != 0 {
+		t.Fatalf("Tick allocates %.2f times per call", n)
+	}
+}
+
+// TestTickRateEdges: rate 0 emits and draws nothing; a rate of 1 or more
+// starts every host on every tick, in host order, drawing only Pick and
+// Draw; a rate of one start in 2^53 ticks, or below, builds and draws its
+// calendar at once and starts nothing.
+func TestTickRateEdges(t *testing.T) {
+	const nodes = 16
+	for _, load := range []float64{0, 2, 3} { // mean length 2: rates 0, 1, 1.5
+		g, err := NewGenerator(Uniform{N: nodes}, UniformLen{Min: 1, Max: 3}, load, nodes, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := sim.NewRNG(9)
+		var want []genMsg
+		for c := 0; c < 50 && load > 0; c++ {
+			for n := range topology.Node(nodes) {
+				dst := g.Pattern.Pick(n, ref)
+				want = append(want, genMsg{c, n, dst, g.Length.Draw(ref)})
+			}
+		}
+		if got := tickAll(g, 0, 50); !slices.Equal(got, want) {
+			t.Fatalf("load %g: Tick emitted %d messages, want %d (or they differ)", load, len(got), len(want))
+		}
+		if g.rng.State() != ref.State() {
+			t.Fatalf("load %g: final RNG state %#x, want %#x", load, g.rng.State(), ref.State())
+		}
+	}
+	for _, rate := range []float64{1.0 / (1 << 53), 1e-300} {
+		g, err := NewGenerator(Uniform{N: nodes}, Fixed{L: 2}, 2*rate, nodes, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tickAll(g, 0, 1000); len(got) != 0 {
+			t.Fatalf("rate %g: %d messages in 1000 ticks", rate, len(got))
+		}
+	}
+}
+
+// stateBytes is the generator's snapshot encoding.
+func stateBytes(t testing.TB, g *Generator) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c, err := snapshot.NewEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.State(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeState decodes a stateBytes encoding into g.
+func decodeState(g *Generator, data []byte) error {
+	c, err := snapshot.Open(data)
+	if err != nil {
+		return err
+	}
+	if err := g.State(c); err != nil {
+		return err
+	}
+	return c.Close()
+}
+
+// TestGeneratorStateRoundTrip: a generator decoded from another's state in
+// the middle of a window emits what the original emits from there on and
+// ends in the same state, for every rate regime, a locality pattern with
+// redraws, and a generator never ticked (its calendar not yet drawn).
+func TestGeneratorStateRoundTrip(t *testing.T) {
+	const nodes = 64
+	build := func(load float64) *Generator {
+		l, err := NewLocality(Hotspot{N: nodes, Spot: 5, Fraction: 0.2}, nodes, 3, 0.6, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewGenerator(l, Bimodal{Short: 1, Long: 3, PLong: 0.5}, load, nodes, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, load := range []float64{0, 1e-4, 0.1, 1.5, 2, 4} {
+		for _, at := range []int{0, 1, 137} {
+			g := build(load)
+			tickAll(g, 0, at)
+			r := build(load)
+			if err := decodeState(r, stateBytes(t, g)); err != nil {
+				t.Fatalf("load %g at tick %d: %v", load, at, err)
+			}
+			want, got := tickAll(g, at, 300), tickAll(r, at, 300)
+			if !slices.Equal(got, want) {
+				t.Fatalf("load %g at tick %d: the decoded generator emits %d messages, the original %d (or they differ)", load, at, len(got), len(want))
+			}
+			if !bytes.Equal(stateBytes(t, r), stateBytes(t, g)) {
+				t.Fatalf("load %g at tick %d: states differ after the window", load, at)
+			}
+		}
+	}
+
+	// A start in the past, and a calendar for load 0, are refused by name.
+	g := build(0.1)
+	tickAll(g, 0, 3)
+	data := stateBytes(t, g)
+	g.cal.due[7] = g.cal.now - 2
+	if err := decodeState(build(0.1), stateBytes(t, g)); err == nil || !strings.Contains(err.Error(), "host 7 starts 2 ticks ago") {
+		t.Fatalf("a start in the past: err = %v", err)
+	}
+	if err := decodeState(build(0), data); err == nil || !strings.Contains(err.Error(), "start calendar") {
+		t.Fatalf("load 0: err = %v, want a refused calendar", err)
+	}
+}
+
+// TestZeroAllocPick: no pattern allocates per message, bare or wrapped in a
+// Locality whose working sets are drawn (a redraw builds a new set, so the
+// wrapper is checked with redraws off).
+func TestZeroAllocPick(t *testing.T) {
+	torus := topology.MustCube([]int{8, 8}, true)
+	rng := sim.NewRNG(5)
+	for _, name := range []string{"uniform", "transpose", "bitreverse", "bitcomplement", "tornado", "neighbor", "hotspot", "near"} {
+		base, err := NewPattern(name, torus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := NewLocality(base, torus.Hosts(), 4, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Pattern{base, local} {
+			pickAll := func() {
+				for src := topology.Node(0); int(src) < torus.Hosts(); src++ {
+					p.Pick(src, rng)
+				}
+			}
+			pickAll() // draws the working sets
+			if n := testing.AllocsPerRun(50, pickAll); n != 0 {
+				t.Errorf("%s: %.1f allocations per %d Picks, want 0", p.Name(), n, torus.Hosts())
+			}
+		}
+	}
+}
+
+// BenchmarkGeneratorTick: one op is one cycle of Tick on the open-loop
+// source of a clrp_reuse-shaped run (16x16 hosts, load 0.2, 128-flit
+// messages, locality working sets drawn up front so that no timed Pick
+// allocates one); ns/host-cycle divides by the hosts.
+func BenchmarkGeneratorTick(b *testing.B) {
+	l, err := NewLocality(Uniform{N: 256}, 256, 4, 0.8, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for src := range topology.Node(256) {
+		l.Pick(src, sim.NewRNG(uint64(src)))
+	}
+	g, err := NewGenerator(l, Fixed{L: 128}, 0.2, 256, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	noop := func(_, _ topology.Node, _ int) {}
+	g.Tick(noop) // draws the calendar
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		g.Tick(noop)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.nodes), "ns/host-cycle")
 }

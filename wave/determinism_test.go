@@ -61,37 +61,37 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 		pins     [2]string // loaded workload, light workload
 	}{
 		{"clrp-torus", torus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil,
-			[2]string{"11d4d3a9cc03e587614dac22a81b637e6da140fd9aad91dc3e730a4dbaf2ca0c", "562adcb32b9896f57bd5a05294ec8a7c4b215c0f024882effd6a35ae6e3d5e37"}},
+			[2]string{"31720932445be7f743bddd23dc21d817f3d9b308b22578cf1c79cd11fc729198", "51bbd7b6e0c13f4ecb179a72d687c0a7984caf9aef2d830cf6adcad532267809"}},
 		{"carp-torus", torus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil,
-			[2]string{"684cf8571fac01a27791cdc0b859ef127d9d8e1e03f282c68a2cbc5545d3dff1", "e2fcbc6add77dcab128161042a6db190a869e36be6d4d1ae2e71c67c4dc06c1e"}},
+			[2]string{"4be74c9b784bf0f9fd505d55cd70aa12dc20b2e545b2ca593c2a566dd6288dc0", "b493156986c3cb3ba284c21854525f8035287a02a8abf64197783939d10977ca"}},
 		{"wormhole-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil,
-			[2]string{"88a87a1ca24f0d8771e36c2b59717195f8652549725bb8fb2306308195476f38", "e95d6236fcfc87654e211602b321c156d0cdf0aa7bf2b56e0526ea9723f2bf73"}},
+			[2]string{"ec3d52afff409cab7485b8de648a1c57461bb6d3ea171b8803832f5640f12b17", "87977663191187f6e64d9b99859947bbe7d6990803e6392a9091de30abdfe4d4"}},
 		{"pcs-torus", torus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil,
-			[2]string{"11207825dcd90e07032f073870e38779139dbb753338791e5ab1bd07e217e68e", "27019f5bc4c2d05ca0ebda8a369ec895ff63c918a1648725052d626805a15958"}},
+			[2]string{"1c2b4d4df112ef4d994e76b9d82de5e03c92f5166bb86ce978d11b89ecad9871", "6ba602324e21767de3e307d7ff789b569207eba1acf2c1ba2df61d253b52b1bb"}},
 		{"clrp-hypercube", hcube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48}, nil,
-			[2]string{"cae80d0044ba31d4f9063e4003bb6f22cbe4b794aa4f9c1c469790e1769c1c33", "97ef0c1e695882bad87cf31fb72dc70da2d1f9a0a021a6a9c76a62fb03ec3de3"}},
+			[2]string{"c58fb32bc93a0f4f814104866776cf11c3198f7bf0ab053b5c20065b148d19f5", "2c5dce482fdfc7b914bd01b692ebd03b55ea2491f660f209d6fd5b611c9a8326"}},
 		{"carp-hypercube", hcube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil,
-			[2]string{"758bbbaba67ff4e49f1f923fa115ce6aba070e56e912a3f3d3c2c681eebc8b10", "f9eb923fbd0e80855e7637082bcd331079583d997d67d95c345d0a6e027e5ffd"}},
+			[2]string{"edeb4f9354ac997ee3e108fbfdc20f00dd3f016fc2a5cdfd2e29e916b39d1e9c", "7aa3e7abc6f1905316719da39e6ac2e6cc814bc50f4875a2e8d02b9bb9d9aa00"}},
 		{"wormhole-hypercube", hcube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil,
-			[2]string{"24c28f4bcd8cde3c9a1874645efa7b1961a9247380e4774bf60d0d4c421c0e4f", "10a0d211a8f5237f6205a90d45c5ead8d947f93284fe7c20398a85103aa4a98c"}},
+			[2]string{"66473b76508297f05a9eb9cd834d7c07aa1792472ac7288dc9b254ade8635af9", "e9503e1ddf673fb638df281f504e59f19e746f4e4fabfe84580c04091e97fcea"}},
 		{"pcs-hypercube", hcube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil,
-			[2]string{"16c6cbc7c4367b6dca40668abaa2ed30adf094e6dfcc66d41f3cf17a105f9844", "4ae9dc7e12e5feb934206fa83aa7491588bcb8be79a8ac95da14922888db94aa"}},
+			[2]string{"34ac59b6e1a107ae743e5377ee7f40a25c98494167936031b2d0c6591832888a", "a067aa508be560cd78f036aca44193abb2bda5231425664582bb0c1beb537e4c"}},
 		// The wormhole phase transitions off the common path: a header
 		// waiting out route computation, credits arriving through the
 		// delayed pipe, recovery aborting a message mid-worm, and a tail
 		// leaving a VC onto the next message's queued head.
 		{"wormhole-routedelay-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16},
 			func(c *Config) { c.RouteDelay = 2 },
-			[2]string{"c0531c14dc90eb78add3d6225c276ea4c4741d5ef585bdb2820a42cec97ab191", "804a038c3b8d3e07aeff9045461b5898c55c38bd9842a5a79c49d5da9c71d8b7"}},
+			[2]string{"b5cc008f5e41f7dbcd1b15ad122aba3ff2e7feaee7d4c7cd0990cfef88327b92", "a3e27f201a4a0d4fc00687eb678593b2aa95a3bf38a02e64b6ba16540edf890d"}},
 		{"wormhole-creditdelay-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16},
 			func(c *Config) { c.CreditDelay, c.BufDepth = 2, 2 },
-			[2]string{"dfbefc31e68ad349c12e3c9fb51fb6124c37d842323e122770b544c5f37bf25c", "e44d770dccd936959479dad671218ab8fa14880be1daad4ea71ddb2a7f53a47d"}},
+			[2]string{"f2de06b0133a4bac42bf310b335dc40bfae0a83808e31afcd0f8c2a012c13b65", "598f9fbd9c6d67158956d3a4788b79520371a8212f1163c20d8d1394c021773e"}},
 		{"wormhole-recovery-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 16},
 			func(c *Config) { c.Routing, c.NumVCs, c.RecoveryTimeout = "dor-nodateline", 1, 200 },
-			[2]string{"d390274fcf441e7f25324e3b21b6ad86b5733594f931eff3cf2f87c52d843713", "0e1483806318429e9f05d627ceed2913c599519d61401c68bd884408851f8237"}},
+			[2]string{"32007653f35acf9e7ac6df113d300b52ede803177e5ed27b67d2e81c1aeb09c1", "c25316c32324f1f7236787a0a88c089578db959db648d60cc6ceb4a6ddf3d7d1"}},
 		{"wormhole-multimsg-torus", torus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 2},
 			func(c *Config) { c.BufDepth = 8 },
-			[2]string{"4385a3766ac4f76f455ded32bed164e6a0fbae16ecf2c96076b141ee892fc1e0", "e95d6236fcfc87654e211602b321c156d0cdf0aa7bf2b56e0526ea9723f2bf73"}},
+			[2]string{"cd4c02cf57fba8d44773e1c40f9ba1328163d981b9815fbd32319dbde72109ea", "87977663191187f6e64d9b99859947bbe7d6990803e6392a9091de30abdfe4d4"}},
 	}
 	// A light second workload exercises the near-empty sets: most cycles
 	// have no active port between sparse injections and drains.

@@ -46,7 +46,7 @@ func TestDynamicFaultDeterminism(t *testing.T) {
 	w := Workload{Pattern: "uniform", Load: 0.05, FixedLength: 48}
 
 	serStats, serRes := runForStats(t, cfg, w, 500, 2500)
-	if got, want := digestOf(t, []any{serStats, serRes}), "a84913b523122d7aa0b5473653474e5f6d63c1725cedc1826606b12fec995a8b"; got != want {
+	if got, want := digestOf(t, []any{serStats, serRes}), "39ab45f70d8c0f892a6e22a4adf54bbbac88c466af9cf89548942b9e5cc78890"; got != want {
 		t.Errorf("faulted run digest %s, pinned %s", got, want)
 	}
 	if serStats.Probes.FaultsInjected != 24 || serStats.Probes.FaultRepairs != 24 {

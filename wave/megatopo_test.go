@@ -65,7 +65,7 @@ func TestMegaTopoWorkersAndOracleIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "3d0a4c9985d0277d16cacabc82251f0c267cfd1fb179fdd427c49385c229525c"
+	const want = "b4f152f68dbbd66596af6d6f7bf0cc6e364a65a37387e3f22787e9901c5e339e"
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
 		t.Errorf("64x64 Stats digest %s, pinned %s", got, want)
 	}

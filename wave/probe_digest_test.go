@@ -37,16 +37,16 @@ func TestCLRPDigestsPinnedAcrossFamilies(t *testing.T) {
 		{"locality", 8, Workload{Pattern: "uniform", Load: 0.15, FixedLength: 128, WorkingSet: 4, Reuse: 0.8, WantCircuit: true}},
 	}
 	want := map[string]string{
-		"torus16x16/hotspot":  "d7fc8521dbb1c998fd4ae66f2254b7781d03e4e3edf91c479648612d4ba68ffd",
-		"torus16x16/locality": "91cf06917b0f78b8f132a63d87d5de9ecf2bc86ef1b4136e1e4ec9a4e8575545",
-		"mesh8x8/hotspot":     "041ddcab145a2a5115422fb7799a81d5df58c77c449388ceb66c161eb2f96bf1",
-		"mesh8x8/locality":    "41b8adb44b516a324ff986fee2f80d038b8a36a3bf61abb604aff7b1c06e6d80",
-		"hypercube6/hotspot":  "cf1909b1e43bc4a7b951d0bd22bec40a847645f305a93e93f873a042326e6c29",
-		"hypercube6/locality": "25ec5166cdc7712073094b45666b07e20ed6829ba2bdb8b41fe59907076b9b34",
-		"fattree4x2/hotspot":  "f1425e866551656d4139d64d041e4994641265c789876fb58266dcae311427a1",
-		"fattree4x2/locality": "1e7f5e61ed7cc3a65740606fa5a73124196157f51c2a16810b9ce6a08da2007b",
-		"fullmesh16/hotspot":  "d4b44363c2a1667015355eefd0b66c47d07fe9020ec1ff8429ed04d484839b3e",
-		"fullmesh16/locality": "0d239f080f723e69e0a7d692f4b6f86b90160008b116d8ef4a3c6729054feef5",
+		"torus16x16/hotspot":  "757629974dd007094ef98389583d719b9113be1e3a1e5d47bb82064f6e97d6aa",
+		"torus16x16/locality": "5c6c8df07a568a7a8d4df75398d9b11375ee93cf7d60e3162e373970a605249b",
+		"mesh8x8/hotspot":     "3abd726cd7bea1b694d3bb23c80f6dfd4cd256a5339bedf5fce1c9ed4a34e0a6",
+		"mesh8x8/locality":    "523b6dcbcaea38f9903fdb0af9ff7d9320fc73492df0ea3098cc8f7fa2739e40",
+		"hypercube6/hotspot":  "74013a51567462787b17811a929f24707ed4d7bf27d65bcdbe925d03900b4d32",
+		"hypercube6/locality": "1fb1248198e49df40ab72b65704b7784885b372bfc2d63e360f6e415928ac696",
+		"fattree4x2/hotspot":  "eebdc38d83e7dd8f1a8217ab6191e1e6fd0cf82413bcf8bd7b3a3c2c4807b6b5",
+		"fattree4x2/locality": "21b30c3841b39650959b18c763ce5ed117226d9b45117de91b409e90799558cc",
+		"fullmesh16/hotspot":  "968e9ae443c571823514c016c1bb287f180fbdc8f09d41d2936d2b3f9c2f5d18",
+		"fullmesh16/locality": "568f12c9fb0d2991711a0470a409596fd6d5d4465668fcfffc4414bb61dd2903",
 	}
 	for _, f := range families {
 		for _, sh := range shapes {

@@ -200,16 +200,22 @@ func (s *Simulator) OnInterval(every int64, fn func(now int64)) {
 }
 
 // stepCtx advances one cycle after checking for cancellation, then fires
-// the interval hook. Every run loop advances through here, so a cancelled
-// run stops on an inter-cycle boundary with the simulator state consistent
-// (and inspectable) rather than mid-cycle. The check is a non-blocking
-// receive on ctx.Done(), which takes no lock (ctx.Err() does).
+// the interval hook. Every run loop advances through here (or checks and
+// calls step itself), so a cancelled run stops on an inter-cycle boundary
+// with the simulator state consistent (and inspectable) rather than
+// mid-cycle. The check is a non-blocking receive on ctx.Done(), which takes
+// no lock (ctx.Err() does).
 func (s *Simulator) stepCtx(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
 	default:
 	}
+	return s.step()
+}
+
+// step advances one cycle, then fires the interval hook.
+func (s *Simulator) step() error {
 	if err := s.Step(); err != nil {
 		return err
 	}

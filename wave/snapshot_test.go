@@ -2,6 +2,7 @@ package wave
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -52,41 +53,41 @@ var (
 
 var snapshotMatrix = []matrixRow{
 	{"clrp-torus", matrixTorus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil,
-		"357e0bef58c3785d0b05b828e96bb6129588337af27d2e7bfd3ccc3ddec66d78"},
+		"03bfd5abfa3e30f1a35e9d5466c4a06316a3963e74dec192a858d33360d7e391"},
 	{"carp-torus", matrixTorus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil,
-		"ec9beb9b188c323bc5afba4fecfcfce7bac348119dd8045f67e8b982365e18ee"},
+		"28b1d0322db98eb488537ed890b35fe983d7cf5f74b6e2ebb8b63ab791ca21d7"},
 	{"wormhole-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil,
-		"a470a9d41683d409738887251ef8e1aaca912fef76d04570d4b3bc6cbc1b5d5d"},
+		"fe2f610e4517a7bfb041356fa419212f76fefa49705672b5d6d317d3dfe9b69f"},
 	{"pcs-torus", matrixTorus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil,
-		"524d934b0801aac1172f1eb2d05923cc1cf591ab397e5ca894bda1e1e7b1cd4b"},
+		"d2857df2fdfae0c6dd9e1683808be7cbaf41a38093b4157f02b5a6d7a4a613f3"},
 	{"clrp-hypercube", matrixCube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48,
 		WorkingSet: 4, Reuse: 0.7, RedrawPeriod: 50}, nil,
-		"fb03f67ce5197e28a406a9b5d33b2ed5e54920735344283d71d0bb0c76d828b5"},
+		"deab688c4e46243b242a9376026db658bf9441403b0097eb12d9656a5e5b3c87"},
 	{"carp-hypercube", matrixCube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil,
-		"bec94743c407ae613c2da0ab4cf4b16cf2f69ad8006dbc20078865573715da0d"},
+		"9412bc426b433ae0ccd808dceca5761532e1ee7da2aae812f0d1e3a4701644f4"},
 	{"wormhole-hypercube", matrixCube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil,
-		"ca821ebde5eea69270dafd010ac5237dea477a2850e1faa1ada18fcb59d9ca3d"},
+		"6ab4a320d03b8e2ae876511f642ebbac50a6a32510b78561f706c5b079a56b3d"},
 	{"pcs-hypercube", matrixCube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil,
-		"8edd04be9d82b0127ccfe875b3689be74c774e9541d3a606cffbf30cf68a2f0a"},
+		"1f268477d67489ea64c18d147e502ba03bea56393f64b97f132cfeb70671f292"},
 	{"wormhole-recovery-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 16},
 		func(c *Config) {
 			c.Routing = "dor-nodateline"
 			c.NumVCs = 1
 			c.RecoveryTimeout = 32
 			c.CreditDelay = 2
-		}, "7682698a3ef30bc63487f21c75e9c5baa8bffe965b2870ba384f54988cab6a9c"},
+		}, "490a1c05b4d97bd574e0ded6eb0035f22b4932bce87a540e79b582c220e746d4"},
 	{"wormhole-multimsg-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3,
 		BimodalShort: 2, BimodalLong: 3, BimodalPLong: 0.5},
-		func(c *Config) { c.BufDepth = 8 }, "384c5cf485f0cedd06069542ba490785023d8b9d428e98e2c71109c70b962eb7"},
+		func(c *Config) { c.BufDepth = 8 }, "c6d37d42d63306540de26f864c5d619ffc78498503e893330fe9dcbf20b79ff0"},
 	{"clrp-churn-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
-		func(c *Config) { c.CacheCapacity = 2 }, "49f88bce30bde1cd21e0ad70aa047a891e84a6f4b85c51528924c02979f2d9e9"},
+		func(c *Config) { c.CacheCapacity = 2 }, "7020140b64c67dae45f07132cb6b6a61f55398f11b5cb56bc3c3d62840abc395"},
 	{"clrp-random-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
 		func(c *Config) {
 			c.CacheCapacity = 2
 			c.ReplacePolicy = "random"
-		}, "b7ece0d678674a3937246fffc14b61877475a62d04c792036e63803631a287ab"},
+		}, "1d42058997ea4056d165ddb99a297561a48ef6a4ac82fecb349908bebef24e12"},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -140,6 +141,36 @@ func (r matrixRow) checkpointed(tb testing.TB) (Stats, Result, []byte) {
 	return s.Stats(), *res, buf.Bytes()
 }
 
+// cancelledResumed runs the row's load under a context that the hook
+// cancels at the checkpoint cycle, snapshots the stopped simulator, and
+// returns the Stats and Result of the snapshot restored and resumed.
+func (r matrixRow) cancelledResumed(tb testing.TB) (Stats, Result) {
+	tb.Helper()
+	s, err := New(r.config())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.OnInterval(matrixCheckpointAt, func(int64) { cancel() })
+	if _, err := s.RunLoadContext(ctx, r.w, matrixWarmup, matrixMeasure); !errors.Is(err, context.Canceled) {
+		tb.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	rs, err := Restore(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := rs.ResumeLoad()
+	if err != nil {
+		tb.Fatalf("ResumeLoad after cancellation: %v", err)
+	}
+	return rs.Stats(), *res
+}
+
 // TestSnapshotResumeMatrix is the checkpoint/resume contract: for every
 // protocol on torus and hypercube, with a dynamic fault schedule straddling
 // the checkpoint (one repair and one injection still pending as events) and
@@ -148,7 +179,9 @@ func (r matrixRow) checkpointed(tb testing.TB) (Stats, Result, []byte) {
 //	A — uninterrupted,
 //	B — same run with a mid-measurement Snapshot taken (checkpointing must
 //	    be a pure observation),
-//	C — a fresh process restoring B's snapshot and resuming.
+//	C — a fresh process restoring B's snapshot and resuming,
+//	D — the run cancelled at the checkpoint cycle, snapshotted once
+//	    stopped, restored and resumed.
 //
 // Stats is comparable with ==, including the per-link flit checksums, so
 // equality here means every flit travelled identically. The digest column
@@ -210,6 +243,9 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if *resC != *resA {
 				t.Errorf("restored run's Result diverged:\n A: %+v\n C: %+v", *resA, *resC)
 			}
+			if statsD, resD := tc.cancelledResumed(t); statsD != statsA || resD != *resA {
+				t.Errorf("cancelled, restored and resumed run diverged:\n A: %+v\n D: %+v", statsA, statsD)
+			}
 		})
 	}
 }
@@ -228,16 +264,16 @@ func TestFreshSnapshotPinned(t *testing.T) {
 			c.Topology = matrixTorus
 			c.Protocol = "clrp"
 			c.ReplacePolicy = "random"
-		}, "09b7776319b506602449e3ca6c1e8a6540d459236ccec249b6f31d960bc67f8b"},
+		}, "e2b08aee489045fef5bd3730a8e50a031e5be2ef90e4db3ae91da445f783b333"},
 		{"wormhole-torus8x8", func(c *Config) {
 			c.Topology = matrixTorus
 			c.Protocol = "wormhole"
-		}, "1f8da917f334423452eb9db37934339bdd7d68f223eabefb83e8174a6c85750f"},
+		}, "6df348078e45197305c7d5498d0dd582951bfc61c9396e9dd9ffe4e4696a7885"},
 		{"clrp-fattree4x2", func(c *Config) {
 			c.Topology = TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}
 			c.Routing = "updown"
 			c.Protocol = "clrp"
-		}, "c051cdcff910e4f97c863b4d8e6bd877db62949d174ebf79ca8ae2956a620645"},
+		}, "b4ea2e5987f6ba1403a797f09671c4cf6303170dd786b5856054d1b9b9f31e1a"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -312,7 +348,7 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	if err := sB.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	checkDigest(t, buf.Bytes(), "ca2a77f821db82d81dbb990f44631aa401f62c2768d13c3b2fd7b157315c2de8")
+	checkDigest(t, buf.Bytes(), "23fad7373b6be704b3091149bfd5e99c9374e78e026647c7fed8dfc619854169")
 	sC, err := Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
@@ -333,7 +369,8 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 // cycles while both are in flight, and a small WatchdogStall trips. The
 // resumed run must trip at the same cycle with the same ErrStuck as the
 // uninterrupted one, so the stall run and the oldest in-flight message
-// both survive the snapshot.
+// both survive the snapshot. A load run whose WatchdogMaxAge trips in the
+// injection window must do the same through ResumeLoad.
 func TestWatchdogTripSurvivesResume(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WatchdogStall = 200
@@ -380,6 +417,59 @@ func TestWatchdogTripSurvivesResume(t *testing.T) {
 	}
 	if got := trip(r); *got != *want {
 		t.Fatalf("resumed run tripped with %+v, uninterrupted with %+v", got, want)
+	}
+
+	// A trip inside a load run's injection window: RunLoad returns it
+	// before the window ends, and a run checkpointed halfway to the trip,
+	// restored and resumed trips with the same ErrStuck.
+	load := DefaultConfig()
+	load.Topology = matrixTorus
+	load.Protocol = "clrp"
+	load.Seed = 21
+	load.WatchdogMaxAge = 40
+	w := Workload{Pattern: "uniform", Load: 0.15, FixedLength: 32, WorkingSet: 3, Reuse: 0.7, RedrawPeriod: 20}
+	const window = 1_000_000_000
+	runLoad := func(s *Simulator, resume bool) *sim.ErrStuck {
+		t.Helper()
+		var err error
+		if resume {
+			_, err = s.ResumeLoad()
+		} else {
+			_, err = s.RunLoad(w, 300, window)
+		}
+		var stuck *sim.ErrStuck
+		if !errors.As(err, &stuck) {
+			t.Fatalf("load run ended with %v, want a watchdog trip", err)
+		}
+		return stuck
+	}
+	s, err = New(load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = runLoad(s, false)
+	if want.Cycle >= 300+window || want.Cycle < 4 {
+		t.Fatalf("load run tripped at cycle %d, want early in the injection window", want.Cycle)
+	}
+	if s, err = New(load); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	s.OnInterval(want.Cycle/2, func(now int64) {
+		if buf.Len() == 0 {
+			if err := s.Snapshot(&buf); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if got := runLoad(s, false); *got != *want {
+		t.Fatalf("checkpointed load run tripped with %+v, uninterrupted with %+v", got, want)
+	}
+	if r, err = Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := runLoad(r, true); *got != *want {
+		t.Fatalf("resumed load run tripped with %+v, uninterrupted with %+v", got, want)
 	}
 }
 

@@ -161,7 +161,7 @@ func TestRunLoadValidation(t *testing.T) {
 
 // TestWorkloadValidate: a length mix no message can be drawn from used to
 // reach the engines — a zero-flit short message panicked in the protocol
-// layer, a NaN BimodalPLong diverged the run-ahead replay, and a
+// layer, a NaN BimodalPLong made the message rate NaN, and a
 // BimodalPLong of 1.5 ran as if it were 1. RunLoad must refuse each with an
 // error naming the field, before any cycle runs.
 func TestWorkloadValidate(t *testing.T) {
@@ -728,5 +728,5 @@ func TestCircuitsSnapshot(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkDigest(t, buf.Bytes(), "a1ad7919a1a2883ef595f22e6031e519f5be8796775239fd270f448660bd8de1")
+	checkDigest(t, buf.Bytes(), "ce041494537bb671a0935ac995d24828feb6f30494f0ba683709e247b44f9513")
 }

@@ -285,23 +285,21 @@ func (s *Simulator) finishLoad(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// inject runs the injection window from the current cycle to ld.end. The
-// traffic is drawn ahead by a traffic.Ahead producer goroutine; it is
-// stopped and joined on every return, and the generator it replays onto
-// is exact at every cycle boundary, so a checkpoint taken from the
-// interval hook or after an error sees what a serial Tick would leave.
+// inject runs the injection window from the current cycle to ld.end.
 func (s *Simulator) inject(ctx context.Context, ld *loadRun) error {
-	if s.now >= ld.end {
-		return nil
-	}
-	ahead := ld.gen.RunAhead(s.now, ld.end-s.now)
-	defer ahead.Stop()
 	send := func(src, dst topology.Node, length int) {
 		s.mgr.Send(src, dst, length, s.now, ld.w.WantCircuit)
 	}
 	for s.now < ld.end {
-		ahead.Tick(send)
-		if err := s.stepCtx(ctx); err != nil {
+		// Cancellation is checked before the cycle's traffic is drawn, never
+		// between Tick and Step: a resumed run would draw that cycle twice.
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		ld.gen.Tick(send)
+		if err := s.step(); err != nil {
 			return err
 		}
 	}
