@@ -51,6 +51,7 @@ func digestOf(t *testing.T, v any) string {
 // every 500 cycles. The full scan itself is gone (DESIGN.md, Invariants).
 func TestActiveSetMatchesFullScan(t *testing.T) {
 	torus := TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
+	torus16 := TopologyConfig{Kind: "torus", Radix: []int{16, 16}}
 	hcube := TopologyConfig{Kind: "hypercube", Dims: 5}
 	cases := []struct {
 		name     string
@@ -76,6 +77,10 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			[2]string{"66473b76508297f05a9eb9cd834d7c07aa1792472ac7288dc9b254ade8635af9", "e9503e1ddf673fb638df281f504e59f19e746f4e4fabfe84580c04091e97fcea"}},
 		{"pcs-hypercube", hcube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil,
 			[2]string{"34ac59b6e1a107ae743e5377ee7f40a25c98494167936031b2d0c6591832888a", "a067aa508be560cd78f036aca44193abb2bda5231425664582bb0c1beb537e4c"}},
+		// The benchmark's wormhole shape (wh_uniform_16x16): the default
+		// duato routing over 3 VCs at the size the traversal walk is timed.
+		{"wormhole-torus16", torus16, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 32}, nil,
+			[2]string{"ce26f06b8fb5eef8ad8a809ce8cde8a3e173ea9c06ab6caf143bed2b35dd5044", "ff83cca0a85eb786ed20e7ac1180d525960ff586f5f8d487d37202f819e94303"}},
 		// The wormhole phase transitions off the common path: a header
 		// waiting out route computation, credits arriving through the
 		// delayed pipe, recovery aborting a message mid-worm, and a tail
