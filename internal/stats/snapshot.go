@@ -11,7 +11,7 @@ import "repro/internal/snapshot"
 func (s *Series) walk(c *snapshot.Codec) {
 	snapshot.Slice(c, &s.samples, c.F64)
 	if c.Decoding() {
-		s.sorted = false
+		s.nsorted = 0
 	}
 	c.F64(&s.sum)
 }

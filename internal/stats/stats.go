@@ -13,14 +13,17 @@ import (
 // Series accumulates scalar samples and answers distribution queries.
 type Series struct {
 	samples []float64
-	sorted  bool
+	// nsorted counts the leading samples already in ascending order; the
+	// samples added after them are in arrival order.
+	nsorted int
 	sum     float64
+	// merge is scratch for the samples merged into the sorted prefix.
+	merge []float64
 }
 
 // Add appends a sample.
 func (s *Series) Add(v float64) {
 	s.samples = append(s.samples, v)
-	s.sorted = false
 	s.sum += v
 }
 
@@ -60,12 +63,38 @@ func (s *Series) CI95() float64 {
 	return 1.96 * s.Std() / math.Sqrt(float64(n))
 }
 
+// ensureSorted sorts the samples added since the last call and merges them
+// into the sorted prefix, so a caller that asks for percentiles as a series
+// grows pays for the new samples and one merge, not a full sort. The result
+// is the order sort.Float64s gives the whole series (NaNs first).
 func (s *Series) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
+	n := len(s.samples)
+	if s.nsorted == n {
+		return
 	}
+	tail := s.samples[s.nsorted:]
+	sort.Float64s(tail)
+	if s.nsorted > 0 && less(tail[0], s.samples[s.nsorted-1]) {
+		// Merge from the back through a copy of the tail: every write
+		// lands above the prefix samples still to be read, and a tie
+		// keeps the prefix's sample first.
+		s.merge = append(s.merge[:0], tail...)
+		i, j := s.nsorted-1, len(s.merge)-1
+		for k := n - 1; j >= 0; k-- {
+			if i >= 0 && less(s.merge[j], s.samples[i]) {
+				s.samples[k] = s.samples[i]
+				i--
+			} else {
+				s.samples[k] = s.merge[j]
+				j--
+			}
+		}
+	}
+	s.nsorted = n
 }
+
+// less is sort.Float64s's order: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || a != a && b == b }
 
 // Percentile returns the p-th percentile (p in [0,100]) by nearest-rank.
 // An empty series answers 0 — never an index panic — so callers that

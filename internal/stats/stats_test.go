@@ -1,6 +1,10 @@
 package stats
 
 import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +61,48 @@ func TestPercentileAfterAdd(t *testing.T) {
 	s.Add(1)
 	if got := s.Percentile(0); got != 1 {
 		t.Fatalf("min after re-add = %g", got)
+	}
+}
+
+// TestPercentileIncrementalSortMatchesFreshSort interleaves Adds with
+// percentile queries, as a progress hook snapshotting a growing series
+// does, and holds the merged order to a fresh sort of every sample after
+// each query: the same bits at every rank, NaNs and repeats included.
+func TestPercentileIncrementalSortMatchesFreshSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	var s Series
+	var all []float64
+	for round := 0; round < 300; round++ {
+		for n := rng.IntN(40); n > 0; n-- {
+			var v float64
+			switch r := rng.IntN(50); {
+			case r == 0:
+				v = math.NaN()
+			case r == 1:
+				v = math.Inf(1 - 2*rng.IntN(2))
+			case r < 25:
+				v = float64(rng.IntN(60)) // repeats, as cycle latencies have
+			default:
+				v = rng.NormFloat64() * 1e3
+			}
+			s.Add(v)
+			all = append(all, v)
+		}
+		p := rng.Float64() * 100
+		got := s.Percentile(p)
+		want := slices.Clone(all)
+		sort.Float64s(want)
+		for i := range want {
+			if math.Float64bits(s.samples[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d: rank %d holds %v, a fresh sort %v", round, i, s.samples[i], want[i])
+			}
+		}
+		if len(all) > 0 {
+			rank := max(int(math.Ceil(p/100*float64(len(all))))-1, 0)
+			if math.Float64bits(got) != math.Float64bits(want[rank]) {
+				t.Fatalf("round %d: P%g = %v, want %v", round, p, got, want[rank])
+			}
+		}
 	}
 }
 

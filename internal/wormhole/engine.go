@@ -320,22 +320,6 @@ func (e *Engine) ringAt(port int32, i int32) int {
 	return int(port*e.depth + j)
 }
 
-// ringPush appends ref behind the flits buffered in VC port; the caller has
-// checked that the region has room.
-func (e *Engine) ringPush(port int32, ref flitRef) {
-	e.ring[e.ringAt(port, e.in[port].count)] = ref
-	e.in[port].count++
-}
-
-// ringPop drops the front flit of VC v.
-func (e *Engine) ringPop(v *linkVC) {
-	v.head++
-	if v.head == e.depth {
-		v.head = 0
-	}
-	v.count--
-}
-
 // allocSlot places m in the arena and returns its slot.
 func (e *Engine) allocSlot(m flit.Message) int32 {
 	var s int32
@@ -404,16 +388,6 @@ func (e *Engine) Cycle(now int64) bool {
 	return aborted || e.FlitsMoved != moved
 }
 
-// returnCredit gives one buffer slot back to the channel's upstream router,
-// either immediately or after the configured credit-path delay.
-func (e *Engine) returnCredit(ch int32, now int64) {
-	if e.prm.CreditDelay == 0 {
-		e.out[ch].spent--
-		return
-	}
-	e.creditQueue = append(e.creditQueue, pendingCredit{ch: ch, at: now + int64(e.prm.CreditDelay)})
-}
-
 // drainCredits applies every credit whose travel time has elapsed.
 func (e *Engine) drainCredits(now int64) {
 	i := e.creditHead
@@ -460,22 +434,91 @@ func (e *Engine) allocatePass() {
 // walking only the active set (a visit moves its port out of the set or
 // into the routing set, and a delivery hook that injects wakes an injection
 // port into the routing set, which this pass does not walk).
+//
+// Each visit is one send block for both port kinds, over locals loaded once
+// per pass: read the port's front flit and held output, then claim the
+// physical input port, the output link and one credit, queue the arrival,
+// and advance the port — a link VC pops its ring and returns the credit
+// for the slot it freed, an injection port counts the flit sent. A port
+// with no output held delivers locally instead, which claims only the
+// input port. The walk re-tests no phase: Check's port-set clause holds
+// active membership to vcActive, and an active injection port to a
+// non-empty queue.
 func (e *Engine) traversePass(now int64) {
 	nl, total := e.numLinkInputs(), e.NumPorts()
 	s := &e.active
 	if s.n == 0 {
 		return
 	}
+	in, inj, ring, out := e.in, e.inj, e.ring, e.out
+	outLinkBusy, inPortBusy := e.outLinkBusy, e.inPortBusy
+	depth, pass, nl32, numLinks := e.depth, e.pass, int32(nl), int32(e.numLinks)
+	creditDelay := int64(e.prm.CreditDelay)
 	for from, to := e.start, total; ; from, to = 0, e.start {
 		wFrom, wTo := from>>6, (to-1)>>6+1
 		for sw := wFrom >> 6; sw <= (wTo-1)>>6; sw++ {
 			for sum := segWord(s.sum, sw, wFrom, wTo); sum != 0; sum &= sum - 1 {
 				w := sw<<6 + mathbits.TrailingZeros64(sum)
 				for word := segWord(s.words, w, from, to); word != 0; word &= word - 1 {
-					if port := w<<6 + mathbits.TrailingZeros64(word); port < nl {
-						e.traverseLinkVC(int32(port), now)
+					port := int32(w<<6 + mathbits.TrailingZeros64(word))
+					var v *linkVC
+					var p *injPort
+					var inPort, outLink, outCh1 int32
+					var ref flitRef
+					if port < nl32 {
+						v = &in[port]
+						if v.count == 0 {
+							continue
+						}
+						inPort, outLink, outCh1 = v.inLink, v.outLink, v.outCh1
+						ref = ring[port*depth+v.head]
 					} else {
-						e.traverseInjection(topology.Node(port-nl), now)
+						p = &inj[port-nl32]
+						inPort, outLink, outCh1 = numLinks+port-nl32, p.outLink, p.outCh1
+						ref = flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
+					}
+					if inPortBusy[inPort] == pass {
+						continue
+					}
+					if outCh1 != 0 {
+						o := &out[outCh1-1]
+						if outLinkBusy[outLink] == pass || o.spent == depth {
+							continue
+						}
+						o.spent++
+						outLinkBusy[outLink] = pass
+						e.arrivals = append(e.arrivals, arrival{ch: outCh1 - 1, ref: ref})
+						e.FlitsMoved++
+						e.LinkFlits[outLink]++
+						e.noteProgress(ref.slot, now)
+					}
+					// Local delivery too consumes one flit per input port per cycle.
+					inPortBusy[inPort] = pass
+					if v != nil {
+						if v.head++; v.head == depth {
+							v.head = 0
+						}
+						v.count--
+						if creditDelay == 0 {
+							out[port].spent--
+						} else {
+							e.creditQueue = append(e.creditQueue, pendingCredit{ch: port, at: now + creditDelay})
+						}
+						if outCh1 == 0 {
+							e.deliverFlit(ref, now)
+						}
+						if ref.kind.IsTail() {
+							e.retireVC(port, v)
+						}
+						continue
+					}
+					p.sent++
+					if outCh1 == 0 {
+						e.deliverFlit(ref, now)
+						e.FlitsMoved++ // a self-send counts as moved; a link VC's local delivery does not
+					}
+					if ref.kind.IsTail() {
+						e.retireFront(topology.Node(port-nl32), p)
 					}
 				}
 			}
@@ -553,49 +596,6 @@ func (e *Engine) allocateInjection(n topology.Node) {
 	}
 }
 
-// sendFlit tries to move ref from physical input port inPort onto output
-// channel outCh of link outLink; it returns false if the physical link,
-// input port or credits forbid it.
-func (e *Engine) sendFlit(inPort int, ref flitRef, outLink, outCh int32) bool {
-	if e.inPortBusy[inPort] == e.pass || e.outLinkBusy[outLink] == e.pass {
-		return false
-	}
-	o := &e.out[outCh]
-	if o.spent == e.depth {
-		return false
-	}
-	o.spent++
-	e.outLinkBusy[outLink] = e.pass
-	e.inPortBusy[inPort] = e.pass
-	e.arrivals = append(e.arrivals, arrival{ch: outCh, ref: ref})
-	e.FlitsMoved++
-	e.LinkFlits[outLink]++
-	e.noteProgress(ref.slot, e.now)
-	return true
-}
-
-func (e *Engine) traverseLinkVC(port int32, now int64) {
-	v := &e.in[port]
-	if v.phase != vcActive || v.count == 0 || e.inPortBusy[v.inLink] == e.pass {
-		return
-	}
-	ref := e.ring[port*e.depth+v.head]
-	local := v.outCh1 == 0
-	if !local && !e.sendFlit(int(v.inLink), ref, v.outLink, v.outCh1-1) {
-		return
-	}
-	e.ringPop(v)
-	e.returnCredit(port, now)
-	if local {
-		// Local delivery consumes one flit per input port per cycle.
-		e.inPortBusy[v.inLink] = e.pass
-		e.deliverFlit(ref, now)
-	}
-	if ref.kind.IsTail() {
-		e.retireVC(port, v)
-	}
-}
-
 // retireVC ends the message VC port was carrying once its tail has left (or
 // recovery aborted it): the output channel is released and the VC routes
 // the next buffered header, or goes idle.
@@ -609,32 +609,6 @@ func (e *Engine) retireVC(port int32, v *linkVC) {
 	} else {
 		e.setPhase(int(port), &v.phase, vcRouting) // next message's header is already queued
 		v.rcWait = int32(e.prm.RouteDelay)
-	}
-}
-
-func (e *Engine) traverseInjection(n topology.Node, now int64) {
-	p := &e.inj[n]
-	if p.phase != vcActive || p.qlen() == 0 {
-		return
-	}
-	inPort := e.numLinks + int(n)
-	ref := flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
-	if p.outCh1 == 0 {
-		// Self-send: deliver directly.
-		if e.inPortBusy[inPort] == e.pass {
-			return
-		}
-		e.inPortBusy[inPort] = e.pass
-		p.sent++
-		e.deliverFlit(ref, now)
-		e.FlitsMoved++
-	} else if e.sendFlit(inPort, ref, p.outLink, p.outCh1-1) {
-		p.sent++
-	} else {
-		return
-	}
-	if ref.kind.IsTail() {
-		e.retireFront(n, p)
 	}
 }
 
@@ -681,16 +655,22 @@ func (e *Engine) deliverFlit(ref flitRef, now int64) {
 // buffers; doing it after all movement decisions models the one-cycle link
 // delay (a flit cannot cross two links in one cycle).
 func (e *Engine) commitArrivals() {
+	in, ring, depth, nvc := e.in, e.ring, e.depth, e.nvc
 	for _, a := range e.arrivals {
-		v := &e.in[a.ch]
-		if v.count == e.depth {
+		v := &in[a.ch]
+		if v.count == depth {
 			panic("wormhole: buffer overflow despite credit check")
 		}
-		e.ringPush(a.ch, a.ref)
+		j := v.head + v.count
+		if j >= depth {
+			j -= depth
+		}
+		ring[a.ch*depth+j] = a.ref
+		v.count++
 		if v.phase == vcIdle {
 			e.setPhase(int(a.ch), &v.phase, vcRouting)
 			v.rcWait = int32(e.prm.RouteDelay)
-			v.inLink = a.ch / e.nvc
+			v.inLink = a.ch / nvc
 		}
 	}
 }

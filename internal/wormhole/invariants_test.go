@@ -324,15 +324,45 @@ func TestNegativeFirstWormholeDrains(t *testing.T) {
 		Params{NumVCs: 2, BufDepth: 2}, 400)
 }
 
+// ringHarness returns an engine with VC port of a 4x4 mesh held active with
+// no output, so that ringPush and ringPop move its ring through the
+// engine's own passes.
+func ringHarness(t *testing.T, depth int, port int32) *Engine {
+	t.Helper()
+	e := newHarness(t, topology.MustCube([]int{4, 4}, false), "dor", Params{NumVCs: 1, BufDepth: depth}).eng
+	v := &e.in[port]
+	e.setPhase(int(port), &v.phase, vcActive)
+	v.inLink = port / e.nvc
+	return e
+}
+
+// ringPush appends ref behind the flits buffered in VC port, committing it
+// as the one arrival of a cycle.
+func ringPush(e *Engine, port int32, ref flitRef) {
+	e.arrivals = append(e.arrivals[:0], arrival{ch: port, ref: ref})
+	e.commitArrivals()
+}
+
+// ringPop drops the front flit of VC port: the traversal walk delivers it
+// locally, one flit per pass.
+func ringPop(t *testing.T, e *Engine, port int32) {
+	t.Helper()
+	before := e.in[port].count
+	e.nextPass()
+	e.traversePass(0)
+	if got := e.in[port].count; got != before-1 {
+		t.Fatalf("pop left %d of %d flits buffered", got, before)
+	}
+}
+
 // TestFlitRingMatchesModel drives one VC's ring region through random
 // pushes, pops and recovery scrubs — wrapping its head around the region
 // many times — and checks it against a plain slice after every step: FIFO
 // order, length, and order-preserving removal of one message's flits.
 func TestFlitRingMatchesModel(t *testing.T) {
 	const depth = 5
-	h := newHarness(t, topology.MustCube([]int{4, 4}, false), "dor", Params{NumVCs: 1, BufDepth: depth})
-	e := h.eng
 	const port = int32(3)
+	e := ringHarness(t, depth, port)
 	v := &e.in[port]
 	var model []flitRef
 	rng := sim.NewRNG(21)
@@ -340,13 +370,13 @@ func TestFlitRingMatchesModel(t *testing.T) {
 		switch r := rng.Intn(10); {
 		case r < 5 && len(model) < depth:
 			ref := flitRef{slot: int32(rng.Intn(4)), seq: int32(step), kind: flit.Body}
-			e.ringPush(port, ref)
+			ringPush(e, port, ref)
 			model = append(model, ref)
 		case r < 9 && len(model) > 0:
 			if got := e.ring[e.ringAt(port, 0)]; got != model[0] {
 				t.Fatalf("step %d: front %+v, want %+v", step, got, model[0])
 			}
-			e.ringPop(v)
+			ringPop(t, e, port)
 			model = model[1:]
 		case r == 9:
 			s := int32(rng.Intn(4))
@@ -377,15 +407,14 @@ func TestFlitRingMatchesModel(t *testing.T) {
 // and a full drain leaves the head back at the start of the region.
 func TestFlitRingBasics(t *testing.T) {
 	const depth = 3
-	h := newHarness(t, topology.MustCube([]int{4, 4}, false), "dor", Params{NumVCs: 1, BufDepth: depth})
-	e := h.eng
 	const port = int32(2)
+	e := ringHarness(t, depth, port)
 	v := &e.in[port]
 	if v.count != 0 || v.head != 0 {
 		t.Fatalf("fresh ring: head %d count %d", v.head, v.count)
 	}
 	for i := int32(0); i < depth; i++ {
-		e.ringPush(port, flitRef{slot: 1, seq: i, kind: flit.Body})
+		ringPush(e, port, flitRef{slot: 1, seq: i, kind: flit.Body})
 		if v.count != i+1 {
 			t.Fatalf("push %d: count %d", i, v.count)
 		}
@@ -397,7 +426,7 @@ func TestFlitRingBasics(t *testing.T) {
 		if got := e.ring[e.ringAt(port, 0)]; got.seq != i {
 			t.Fatalf("pop %d: front seq %d", i, got.seq)
 		}
-		e.ringPop(v)
+		ringPop(t, e, port)
 		if v.count != depth-i-1 {
 			t.Fatalf("pop %d: count %d", i, v.count)
 		}
@@ -416,16 +445,15 @@ func TestFlitRingBasics(t *testing.T) {
 // region, so the head crosses the end of the region every other round,
 // and checks each pop returns the flit just pushed.
 func TestFlitRingWrapAround(t *testing.T) {
-	h := newHarness(t, topology.MustCube([]int{4, 4}, false), "dor", Params{NumVCs: 1, BufDepth: 2})
-	e := h.eng
 	const port = int32(1)
+	e := ringHarness(t, 2, port)
 	v := &e.in[port]
 	for round := int32(0); round < 10; round++ {
-		e.ringPush(port, flitRef{slot: 0, seq: round, kind: flit.Body})
+		ringPush(e, port, flitRef{slot: 0, seq: round, kind: flit.Body})
 		if got := e.ring[e.ringAt(port, 0)]; got.seq != round {
 			t.Fatalf("round %d: front seq %d", round, got.seq)
 		}
-		e.ringPop(v)
+		ringPop(t, e, port)
 		if v.count != 0 || v.head != (round+1)%2 {
 			t.Fatalf("round %d: head %d count %d", round, v.head, v.count)
 		}

@@ -149,3 +149,82 @@ func TestQueuesStayBoundedUnderSustainedTraffic(t *testing.T) {
 		t.Errorf("backlogged source queue capacity %d, at most %d messages queued", c, maxQueued)
 	}
 }
+
+// TestOneFlitPerLinkPerCycle holds the traversal pass to the switch
+// allocation rule on a loaded 8x8 torus under duato over 3 VCs, so several
+// VCs share every link: after each cycle, no link carried more than one
+// flit, no physical input link let more than one flit leave over all its
+// VCs, and no injection port sent more than one flit.
+func TestOneFlitPerLinkPerCycle(t *testing.T) {
+	const radix, nvc, cycles = 8, 3, 3000
+	e := torusEngine(t, radix, "duato", Params{NumVCs: nvc, BufDepth: 2}, nil)
+	nodes, links := radix*radix, e.numLinks
+	// A burst of 16 messages per node loads the network; a light load
+	// keeps injection ports waking after it drains.
+	burst := newUniformSource(17, nodes, 12, 12)
+	for i := 0; i < 16; i++ {
+		burst.tick(e, 0)
+	}
+	light := newUniformSource(18, nodes, 8, 0.05)
+	light.next = burst.next
+
+	// buffered counts the flits held by each physical input link's VCs,
+	// unsent the flits still to leave each injection port.
+	buffered := func() []int32 {
+		b := make([]int32, links)
+		for ch := range e.in {
+			b[ch/nvc] += e.in[ch].count
+		}
+		return b
+	}
+	unsent := func() []int {
+		u := make([]int, nodes)
+		for n := range e.inj {
+			p := &e.inj[n]
+			u[n] = -p.sent
+			for _, s := range p.queue[p.head:] {
+				u[n] += e.slots[s].msg.Len
+			}
+		}
+		return u
+	}
+	shared := 0 // cycles that began with two VCs of one link holding flits
+	for cyc := int64(1); cyc <= cycles; cyc++ {
+		light.tick(e, cyc)
+	scan:
+		for l := 0; l < links; l++ {
+			held := 0
+			for _, v := range e.in[l*nvc:][:nvc] {
+				if v.count > 0 {
+					if held++; held == 2 {
+						shared++
+						break scan
+					}
+				}
+			}
+		}
+		linkFlits, left, unsentBefore := slices.Clone(e.LinkFlits), buffered(), unsent()
+		e.Cycle(cyc)
+		for _, a := range e.arrivals {
+			left[a.ch/nvc]++
+		}
+		after, unsentAfter := buffered(), unsent()
+		for l := 0; l < links; l++ {
+			if d := e.LinkFlits[l] - linkFlits[l]; d > 1 {
+				t.Fatalf("cycle %d: link %d carried %d flits", cyc, l, d)
+			}
+			if d := left[l] - after[l]; d > 1 {
+				t.Fatalf("cycle %d: %d flits left input link %d", cyc, d, l)
+			}
+		}
+		for n := range unsentAfter {
+			if d := unsentBefore[n] - unsentAfter[n]; d > 1 {
+				t.Fatalf("cycle %d: injection port %d sent %d flits", cyc, n, d)
+			}
+		}
+	}
+	mustCheck(t, e)
+	if shared < cycles/10 {
+		t.Fatalf("only %d of %d cycles began with VCs sharing a link", shared, cycles)
+	}
+}
