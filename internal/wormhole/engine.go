@@ -373,11 +373,11 @@ func (e *Engine) QueueLen(n topology.Node) int { return e.inj[n].qlen() }
 // Cycle advances the whole wormhole network by one clock. Route computation
 // and VC allocation visit only the ports holding a header that waits for an
 // output; switch allocation and traversal visit only the streaming ports.
-// It reports whether work moved: a flit, or a recovery abort, which frees
-// the channels a deadlock held.
+// It reports whether work moved: a flit crossed a link or was delivered,
+// or a recovery abort freed the channels a deadlock held.
 func (e *Engine) Cycle(now int64) bool {
 	e.now = now
-	moved := e.FlitsMoved
+	moved, delivered := e.FlitsMoved, e.FlitsDelivered
 	aborted := e.stepRecovery(now)
 	e.drainCredits(now)
 	e.allocatePass()
@@ -385,7 +385,7 @@ func (e *Engine) Cycle(now int64) bool {
 	e.traversePass(now)
 	e.commitArrivals()
 	e.advanceRotation()
-	return aborted || e.FlitsMoved != moved
+	return aborted || e.FlitsMoved != moved || e.FlitsDelivered != delivered
 }
 
 // drainCredits applies every credit whose travel time has elapsed.

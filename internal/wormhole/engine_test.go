@@ -310,8 +310,8 @@ func newHarnessP(t *testing.T, topo topology.Topology, fnName string, prm Params
 }
 
 // TestProgressOncePerMovingCycle pins the progress contract: Cycle reports
-// true for every cycle in which a flit moved (self-sends included), and
-// false for a cycle where nothing moved.
+// true for every cycle in which a flit moved or was delivered (self-sends
+// included), and false for a cycle where nothing moved.
 func TestProgressOncePerMovingCycle(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, true)
 	h := newHarness(t, topo, "dor", Params{NumVCs: 2, BufDepth: 2})
@@ -326,9 +326,9 @@ func TestProgressOncePerMovingCycle(t *testing.T) {
 	}
 	moving, idle := 0, 0
 	for cyc := int64(0); cyc < 100_000; cyc++ {
-		moved := h.eng.FlitsMoved
+		moved, delivered := h.eng.FlitsMoved, h.eng.FlitsDelivered
 		got := h.eng.Cycle(cyc)
-		want := h.eng.FlitsMoved != moved
+		want := h.eng.FlitsMoved != moved || h.eng.FlitsDelivered != delivered
 		if want {
 			moving++
 		} else {
@@ -346,8 +346,31 @@ func TestProgressOncePerMovingCycle(t *testing.T) {
 	}
 }
 
+// TestProgressOnEjectionOnlyCycle: a link VC's local delivery moves no flit
+// across a link, yet it is progress, so the watchdog must not count a cycle
+// whose only work is ejecting flits as a stall. One 4-flit message 0 -> 1 on
+// a 4x4 mesh ejects its tail on a cycle where nothing else moves.
+func TestProgressOnEjectionOnlyCycle(t *testing.T) {
+	h := newHarness(t, topology.MustCube([]int{4, 4}, false), "dor", Params{NumVCs: 2, BufDepth: 4})
+	h.eng.Inject(flit.Message{ID: 1, Src: 0, Dst: 1, Len: 4})
+	for cyc := int64(0); cyc < 100; cyc++ {
+		moved := h.eng.FlitsMoved
+		progress := h.eng.Cycle(cyc)
+		if h.eng.MsgsDelivered == 1 {
+			if h.eng.FlitsMoved != moved {
+				t.Fatalf("cycle %d moved %d flits besides the tail's ejection", cyc, h.eng.FlitsMoved-moved)
+			}
+			if !progress {
+				t.Fatalf("cycle %d delivered the tail, but Cycle reported no progress", cyc)
+			}
+			return
+		}
+	}
+	t.Fatal("message not delivered within 100 cycles")
+}
+
 // TestProgressOnRecoveryAbort: an abort is progress for the watchdog even
-// in a cycle where no flit moves, so Cycle reports it.
+// in a cycle where no flit moves or is delivered, so Cycle reports it.
 func TestProgressOnRecoveryAbort(t *testing.T) {
 	topo := topology.MustCube([]int{8, 2}, true)
 	h := newHarness(t, topo, "dor-nodateline", Params{NumVCs: 1, BufDepth: 2})
@@ -360,13 +383,14 @@ func TestProgressOnRecoveryAbort(t *testing.T) {
 		if cyc > 2_000_000 {
 			t.Fatal("recovery did not drain the deadlock")
 		}
-		moved, aborts := h.eng.FlitsMoved, h.eng.RecoveryAborts()
+		moved, delivered, aborts := h.eng.FlitsMoved, h.eng.FlitsDelivered, h.eng.RecoveryAborts()
 		got := h.eng.Cycle(cyc)
 		aborted := h.eng.RecoveryAborts() != aborts
-		if h.eng.FlitsMoved == moved && aborted {
+		flits := h.eng.FlitsMoved != moved || h.eng.FlitsDelivered != delivered
+		if !flits && aborted {
 			stillAborts++
 		}
-		if want := aborted || h.eng.FlitsMoved != moved; got != want {
+		if want := aborted || flits; got != want {
 			t.Fatalf("cycle %d: Cycle reported %v, want %v", cyc, got, want)
 		}
 	}
