@@ -106,87 +106,26 @@ func (e *Entry) Touch(now int64) {
 	e.UseCount++
 }
 
-// Policy selects a victim among candidate entries. Implementations must be
-// deterministic given their own state (Random owns a seeded RNG).
-type Policy interface {
-	// Name identifies the policy ("lru", "lfu", "random").
-	Name() string
-	// Victim returns the index of the entry to evict; cands is non-empty.
-	Victim(cands []*Entry) int
-}
+// policy is a replacement algorithm, named in Reset: the victim among the
+// candidates is a random one (the zero value, drawing from the cache's own
+// generator), the least recently used, or the least frequently used with
+// ties broken by LRU.
+type policy uint8
 
-// NewPolicy builds a replacement policy by name. rng is required by "random"
-// and ignored otherwise.
-func NewPolicy(name string, rng *sim.RNG) (Policy, error) {
-	switch name {
-	case "lru":
-		return LRU{}, nil
-	case "lfu":
-		return LFU{}, nil
-	case "random":
-		if rng == nil {
-			return nil, fmt.Errorf("circuit: random policy needs an RNG")
-		}
-		return &Random{RNG: rng}, nil
-	default:
-		return nil, fmt.Errorf("circuit: unknown replacement policy %q (want lru, lfu or random)", name)
-	}
-}
-
-// LRU evicts the least recently used circuit.
-type LRU struct{}
-
-// Name implements Policy.
-func (LRU) Name() string { return "lru" }
-
-// Victim implements Policy.
-func (LRU) Victim(cands []*Entry) int {
-	best := 0
-	for i, e := range cands[1:] {
-		if e.LastUse < cands[best].LastUse {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// LFU evicts the least frequently used circuit, breaking ties by LRU.
-type LFU struct{}
-
-// Name implements Policy.
-func (LFU) Name() string { return "lfu" }
-
-// Victim implements Policy.
-func (LFU) Victim(cands []*Entry) int {
-	best := 0
-	for i, e := range cands[1:] {
-		b := cands[best]
-		if e.UseCount < b.UseCount || (e.UseCount == b.UseCount && e.LastUse < b.LastUse) {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// Random evicts a uniformly random candidate.
-type Random struct{ RNG *sim.RNG }
-
-// Name implements Policy.
-func (*Random) Name() string { return "random" }
-
-// Victim implements Policy.
-func (r *Random) Victim(cands []*Entry) int { return r.RNG.Intn(len(cands)) }
+const (
+	random policy = iota
+	lru
+	lfu
+)
 
 // Cache is one node's Circuit Cache: at most Capacity circuits keyed by
 // destination (the paper stores one circuit per destination pair), held in
 // a slice sorted by destination and found by binary search. The zero value
-// is an unconfigured, empty cache; Reset (or NewCache) sets its capacity
-// and policy.
+// is an unconfigured, empty cache; Reset sets its capacity and policy.
 type Cache struct {
 	capacity int
-	// policy picks victims; nil means the random policy over rng, the
-	// generator a cache held by value owns in place (Reset).
-	policy  Policy
+	policy   policy
+	// rng is the random policy's generator, held in place (Reset seeds it).
 	rng     sim.RNG
 	entries []*Entry // ascending Dest
 
@@ -200,32 +139,31 @@ type Cache struct {
 	Evictions int64
 }
 
-// NewCache returns a cache holding up to capacity circuits.
-func NewCache(capacity int, policy Policy) *Cache {
-	if capacity < 1 {
-		panic(fmt.Sprintf("circuit: invalid cache capacity %d", capacity))
-	}
-	return &Cache{capacity: capacity, policy: policy}
-}
-
 // Reset makes c an empty cache of capacity entries under the named
-// replacement policy (see NewPolicy), with zeroed counters. A "random"
-// policy draws from a generator the cache holds in place, seeded with
-// seed; the other policies ignore seed. A cache held by value, such as
-// one of a fabric's per-node slice, is configured this way and so costs
-// no allocation.
-func (c *Cache) Reset(capacity int, policy string, seed uint64) error {
+// replacement policy ("lru", "lfu" or "random"), with zeroed counters. A
+// "random" policy draws from a generator the cache holds in place, seeded
+// with seed; the other policies ignore seed. A cache held by value, such as
+// one of a fabric's per-node slice, is configured this way and so costs no
+// allocation.
+func (c *Cache) Reset(capacity int, name string, seed uint64) error {
 	if capacity < 1 {
 		return fmt.Errorf("circuit: invalid cache capacity %d", capacity)
 	}
-	*c = Cache{capacity: capacity}
-	if policy == "random" {
-		c.rng.Seed(seed)
-		return nil
+	var p policy
+	switch name {
+	case "random":
+	case "lru":
+		p = lru
+	case "lfu":
+		p = lfu
+	default:
+		return fmt.Errorf("circuit: unknown replacement policy %q (want lru, lfu or random)", name)
 	}
-	var err error
-	c.policy, err = NewPolicy(policy, nil)
-	return err
+	*c = Cache{capacity: capacity, policy: p}
+	if p == random {
+		c.rng.Seed(seed)
+	}
+	return nil
 }
 
 // Capacity returns the maximum entry count (0 for an unconfigured cache).
@@ -315,10 +253,25 @@ func (c *Cache) VictimUsingChannel(wanted func(link topology.LinkID, sw int) boo
 		return nil
 	}
 	c.Evictions++
-	if c.policy == nil {
-		return cands[c.rng.Intn(len(cands))]
+	best := 0
+	switch c.policy {
+	case random:
+		best = c.rng.Intn(len(cands))
+	case lru:
+		for i, e := range cands[1:] {
+			if e.LastUse < cands[best].LastUse {
+				best = i + 1
+			}
+		}
+	case lfu:
+		for i, e := range cands[1:] {
+			b := cands[best]
+			if e.UseCount < b.UseCount || (e.UseCount == b.UseCount && e.LastUse < b.LastUse) {
+				best = i + 1
+			}
+		}
 	}
-	return cands[c.policy.Victim(cands)]
+	return cands[best]
 }
 
 // AnyVictim picks an evictable circuit regardless of channel (used when the

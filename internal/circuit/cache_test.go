@@ -13,6 +13,28 @@ func established(id ID, dst topology.Node, ch topology.LinkID) *Entry {
 	return &Entry{ID: id, Dest: dst, Channel: ch, State: Established}
 }
 
+// newCache returns a cache configured by Reset.
+func newCache(t *testing.T, capacity int, policy string, seed uint64) *Cache {
+	t.Helper()
+	c := new(Cache)
+	if err := c.Reset(capacity, policy, seed); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// filled returns a cache under policy holding es.
+func filled(t *testing.T, policy string, seed uint64, es ...*Entry) *Cache {
+	t.Helper()
+	c := newCache(t, len(es), policy, seed)
+	for _, e := range es {
+		if err := c.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 // TestFig5CircuitCache is the structural reproduction of Figure 5: every
 // register field exists with the documented semantics.
 func TestFig5CircuitCache(t *testing.T) {
@@ -62,29 +84,11 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestNewPolicy(t *testing.T) {
-	if _, err := NewPolicy("lru", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPolicy("lfu", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPolicy("random", sim.NewRNG(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPolicy("random", nil); err == nil {
-		t.Fatal("random without RNG accepted")
-	}
-	if _, err := NewPolicy("fifo", nil); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestLRUVictim(t *testing.T) {
 	a, b, c := established(1, 1, 1), established(2, 2, 2), established(3, 3, 3)
 	a.LastUse, b.LastUse, c.LastUse = 30, 10, 20
-	if got := (LRU{}).Victim([]*Entry{a, b, c}); got != 1 {
-		t.Fatalf("LRU victim index = %d, want 1", got)
+	if got := filled(t, "lru", 0, a, b, c).AnyVictim(); got != b {
+		t.Fatalf("LRU victim = %+v, want entry 2", got)
 	}
 }
 
@@ -93,19 +97,19 @@ func TestLFUVictimWithTie(t *testing.T) {
 	a.UseCount, b.UseCount, c.UseCount = 5, 2, 2
 	b.LastUse, c.LastUse = 50, 10
 	// b and c tie on count; c is older.
-	if got := (LFU{}).Victim([]*Entry{a, b, c}); got != 2 {
-		t.Fatalf("LFU victim index = %d, want 2", got)
+	if got := filled(t, "lfu", 0, a, b, c).AnyVictim(); got != c {
+		t.Fatalf("LFU victim = %+v, want entry 3", got)
 	}
 }
 
 func TestRandomVictimInRange(t *testing.T) {
-	r := &Random{RNG: sim.NewRNG(5)}
 	cands := []*Entry{established(1, 1, 1), established(2, 2, 2), established(3, 3, 3)}
-	seen := map[int]bool{}
+	c := filled(t, "random", 5, cands...)
+	seen := map[*Entry]bool{}
 	for i := 0; i < 100; i++ {
-		v := r.Victim(cands)
-		if v < 0 || v >= len(cands) {
-			t.Fatalf("random victim out of range: %d", v)
+		v := c.AnyVictim()
+		if !slices.Contains(cands, v) {
+			t.Fatalf("random victim %+v is no candidate", v)
 		}
 		seen[v] = true
 	}
@@ -115,7 +119,7 @@ func TestRandomVictimInRange(t *testing.T) {
 }
 
 func TestCacheInsertLookupRemove(t *testing.T) {
-	c := NewCache(2, LRU{})
+	c := newCache(t, 2, "lru", 0)
 	if c.Capacity() != 2 || c.Len() != 0 || c.Full() {
 		t.Fatal("fresh cache state wrong")
 	}
@@ -154,7 +158,7 @@ func TestCacheInsertLookupRemove(t *testing.T) {
 }
 
 func TestLookupSkipsReleaseRequested(t *testing.T) {
-	c := NewCache(2, LRU{})
+	c := newCache(t, 2, "lru", 0)
 	e := established(1, 5, 10)
 	e.ReleaseRequested = true
 	if err := c.Insert(e); err != nil {
@@ -169,7 +173,7 @@ func TestLookupSkipsReleaseRequested(t *testing.T) {
 }
 
 func TestLookupDoesNotCountSettingAsHit(t *testing.T) {
-	c := NewCache(2, LRU{})
+	c := newCache(t, 2, "lru", 0)
 	e := &Entry{ID: 1, Dest: 5, State: Setting}
 	if err := c.Insert(e); err != nil {
 		t.Fatal(err)
@@ -183,7 +187,7 @@ func TestLookupDoesNotCountSettingAsHit(t *testing.T) {
 }
 
 func TestVictimUsingChannel(t *testing.T) {
-	c := NewCache(4, LRU{})
+	c := newCache(t, 4, "lru", 0)
 	a := established(1, 1, 100)
 	b := established(2, 2, 200)
 	d := established(3, 3, 300)
@@ -211,7 +215,7 @@ func TestVictimUsingChannel(t *testing.T) {
 }
 
 func TestAnyVictim(t *testing.T) {
-	c := NewCache(4, LFU{})
+	c := newCache(t, 4, "lfu", 0)
 	a := established(1, 1, 100)
 	b := established(2, 2, 200)
 	a.UseCount, b.UseCount = 9, 1
@@ -228,7 +232,7 @@ func TestAnyVictim(t *testing.T) {
 
 func TestVictimDeterminism(t *testing.T) {
 	build := func() *Cache {
-		c := NewCache(8, LRU{})
+		c := newCache(t, 8, "lru", 0)
 		for i := 0; i < 6; i++ {
 			e := established(ID(i), topology.Node(i*3%7), topology.LinkID(i))
 			e.LastUse = int64(i % 2)
@@ -246,7 +250,7 @@ func TestVictimDeterminism(t *testing.T) {
 }
 
 func TestEntries(t *testing.T) {
-	c := NewCache(4, LRU{})
+	c := newCache(t, 4, "lru", 0)
 	for i := 0; i < 3; i++ {
 		if err := c.Insert(established(ID(i), topology.Node(i), topology.LinkID(i))); err != nil {
 			t.Fatal(err)
@@ -261,7 +265,7 @@ func TestEntries(t *testing.T) {
 // in, Entries lists them by ascending destination, which is the order
 // victims are gathered and snapshots written in.
 func TestEntriesInDestinationOrder(t *testing.T) {
-	c := NewCache(6, LRU{})
+	c := newCache(t, 6, "lru", 0)
 	for i, d := range []topology.Node{9, 2, 14, 5, 0, 11} {
 		if err := c.Insert(established(ID(i), d, topology.LinkID(i))); err != nil {
 			t.Fatal(err)
@@ -285,8 +289,7 @@ func TestEntriesInDestinationOrder(t *testing.T) {
 
 // TestResetConfiguresAValue: a zero Cache is empty and unconfigured; Reset
 // gives it a capacity and a policy and zeroes it, and a random policy draws
-// from the generator Reset seeded, exactly as NewPolicy's Random over a
-// generator seeded alike.
+// from the generator Reset seeded, exactly as a generator seeded alike.
 func TestResetConfiguresAValue(t *testing.T) {
 	var c Cache
 	if c.Capacity() != 0 || c.Len() != 0 || c.PolicyRNG() == nil {
@@ -301,20 +304,18 @@ func TestResetConfiguresAValue(t *testing.T) {
 	if err := c.Reset(2, "lfu", 0); err != nil || c.Capacity() != 2 || c.PolicyRNG() != nil {
 		t.Fatalf("lfu Reset: err %v, capacity %d, RNG %v", err, c.Capacity(), c.PolicyRNG())
 	}
-	ref := NewCache(3, &Random{RNG: sim.NewRNG(41)})
 	if err := c.Reset(3, "random", 41); err != nil {
 		t.Fatal(err)
 	}
-	for _, cc := range []*Cache{&c, ref} {
-		for i := 0; i < 3; i++ {
-			if err := cc.Insert(established(ID(i), topology.Node(i+1), topology.LinkID(i))); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < 3; i++ {
+		if err := c.Insert(established(ID(i), topology.Node(i+1), topology.LinkID(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
+	ref := sim.NewRNG(41)
 	for i := 0; i < 20; i++ {
-		if a, b := c.AnyVictim(), ref.AnyVictim(); a.ID != b.ID {
-			t.Fatalf("draw %d: Reset's random policy picked %d, NewCache's %d", i, a.ID, b.ID)
+		if got, want := c.AnyVictim(), c.Entries()[ref.Intn(3)]; got != want {
+			t.Fatalf("draw %d: Reset's random policy picked %d, a generator seeded alike %d", i, got.ID, want.ID)
 		}
 	}
 	c.Hits = 5
@@ -327,7 +328,7 @@ func TestResetConfiguresAValue(t *testing.T) {
 // strictly ascending destination order, each a host other than the node.
 func TestCacheCheck(t *testing.T) {
 	build := func() *Cache {
-		c := NewCache(3, LRU{})
+		c := newCache(t, 3, "lru", 0)
 		for i, d := range []topology.Node{1, 4, 6} {
 			if err := c.Insert(established(ID(i), d, topology.LinkID(i))); err != nil {
 				t.Fatal(err)
@@ -359,15 +360,6 @@ func TestCacheCheck(t *testing.T) {
 	}
 }
 
-func TestInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewCache(0) did not panic")
-		}
-	}()
-	NewCache(0, LRU{})
-}
-
 // TestForceVictimNeverInEstablishment is the Force-phase safety contract:
 // whatever mix of lifecycle states a cache holds, VictimUsingChannel must
 // never hand a forced probe an entry that is still Setting, mid-release,
@@ -390,14 +382,14 @@ func TestForceVictimNeverInEstablishment(t *testing.T) {
 		}
 	}
 
-	policies := []Policy{LRU{}, LFU{}, &Random{RNG: sim.NewRNG(7)}}
+	policies := []string{"lru", "lfu", "random"}
 	const n = 3 // entries per cache: 12^3 = 1728 state combinations
 	for _, pol := range policies {
 		combos := 0
 		for a := range shapes {
 			for b := range shapes {
 				for c := range shapes {
-					cache := NewCache(n, pol)
+					cache := newCache(t, n, pol, uint64(combos))
 					idx := []int{a, b, c}
 					evictable := 0
 					for i, si := range idx {
@@ -420,20 +412,20 @@ func TestForceVictimNeverInEstablishment(t *testing.T) {
 					v := cache.VictimUsingChannel(func(topology.LinkID, int) bool { return true })
 					if v == nil {
 						if evictable != 0 {
-							t.Fatalf("policy %s: no victim despite %d evictable entries", pol.Name(), evictable)
+							t.Fatalf("policy %s: no victim despite %d evictable entries", pol, evictable)
 						}
 						continue
 					}
 					if !v.Evictable() {
 						t.Fatalf("policy %s: victim %+v is not evictable (state=%v inUse=%v release=%v)",
-							pol.Name(), v, v.State, v.InUse, v.ReleaseRequested)
+							pol, v, v.State, v.InUse, v.ReleaseRequested)
 					}
 					combos++
 				}
 			}
 		}
 		if combos == 0 {
-			t.Fatalf("policy %s: exhaustive sweep never produced a victim", pol.Name())
+			t.Fatalf("policy %s: exhaustive sweep never produced a victim", pol)
 		}
 	}
 }

@@ -10,23 +10,18 @@ package circuit
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
-// PolicyRNG returns the RNG owned by a "random" replacement policy, or nil
+// PolicyRNG returns the generator of a "random" replacement policy, or nil
 // for the stateless policies.
-func (c *Cache) PolicyRNG() interface {
-	State() uint64
-	Seed(uint64)
-} {
-	if c.policy == nil {
-		return &c.rng
+func (c *Cache) PolicyRNG() *sim.RNG {
+	if c.policy != random {
+		return nil
 	}
-	if r, ok := c.policy.(*Random); ok {
-		return r.RNG
-	}
-	return nil
+	return &c.rng
 }
 
 // State encodes or decodes the cache's entries and counters. Decoding

@@ -3,29 +3,24 @@ package pcs
 // Snapshot support. The engine's complete control-plane state serialises:
 // the Figure 3 register file (status, owner, ack-returned, both mapping
 // registers, written as the channel key mapped to or -1 for none, though
-// the engine stores key+1), the circuit registry in ID order, the in-flight probes in
-// slice order (step order is state), acknowledgments with their carried
-// probes, teardown and release flits, the ID counters and all statistics.
-// Spill buffers and the object pools are excluded — snapshots are taken
-// between cycles, when they are logically empty, and restored
-// probes/circuits come from fresh objects. Derived state is excluded too and
-// rebuilt on restore: the per-router free words are recomputed from the
-// decoded status registers, and a probe's search frames (per-depth
-// profitable masks and History Store indices) are derived from its path and
-// History Store, so a restored probe rebuilds them on its next step.
-// Decoding refuses only what it cannot represent or resolve (a hop off the
-// probe's switch, a link or switch out of range, an unknown circuit, a
-// legacy byte that disagrees) and then runs Check, which judges the
-// registers against the paths: path chains, one holder per channel, the
-// mappings and the History Store.
+// the engine stores key+1), the circuit registry in ID order, the in-flight
+// probes in slice order (step order is state), acknowledgments with their
+// carried probes, teardown and release flits, the ID counters and all
+// statistics. Spill buffers and the object pools are excluded — snapshots
+// are taken between cycles, when they are logically empty, and restored
+// probes/circuits come from fresh objects. Derived state is excluded too
+// and rebuilt on restore: the per-router free words are recomputed from the
+// decoded status registers; a probe's path hop is written as its link
+// alone, since it always lies on the probe's own switch; and a probe's
+// search frames (per-depth profitable masks and History Store indices) are
+// derived from its path and History Store, so a restored probe rebuilds
+// them on its next step. Decoding refuses only what it cannot represent or
+// resolve (a link or switch out of range, an unknown circuit) and then runs
+// Check, which judges the registers against the paths: path chains, one
+// holder per channel, the mappings and the History Store.
 //
 // Pending work is pure data — every completion reports through a handler
 // registered once (SetProbeDone, SetCircuitFreed) — so encoding cannot fail.
-// Two bool bytes remain from when a deferred or travelling teardown could
-// instead carry a completion closure: a circuit writes teardownDeferred a
-// second time and a teardown flit a constant true. They keep the byte format
-// (and every pinned snapshot digest) unchanged; the decoder refuses a byte
-// that disagrees.
 
 import (
 	"repro/internal/circuit"
@@ -55,23 +50,18 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 	snapshot.I64(c, &p.tag)
 	snapshot.I64(c, &p.at)
 	snapshot.I64(c, &p.misroutes)
-	// A hop is written as a full Channel, although it always lies on the
-	// probe's own switch; the decoder refuses one that does not.
+	// A hop is written as its link: it always lies on the probe's switch.
 	snapshot.Slice(c, &p.path, func(h *pathHop) {
-		ch := h.channel(p.sw)
-		walkChannel(c, &ch)
+		link := int64(h.link)
+		snapshot.I64(c, &link)
 		c.Bool(&h.misroute)
 		if c.Decoding() && c.Err() == nil {
-			if ch.Switch != p.sw {
-				c.Failf("pcs: snapshot probe %d has a path hop on switch %d, probe on switch %d", p.id, ch.Switch, p.sw)
+			if link < 0 || link >= int64(len(e.tab.To)) {
+				c.Failf("pcs: snapshot probe %d path link %d out of range", p.id, link)
 				return
 			}
-			if ch.Link < 0 || int(ch.Link) >= len(e.tab.To) {
-				c.Failf("pcs: snapshot probe %d path link %d out of range", p.id, ch.Link)
-				return
-			}
-			h.link = int32(ch.Link)
-			h.key = e.key(ch)
+			h.link = int32(link)
+			h.key = e.key(h.channel(p.sw))
 		}
 	})
 	snapshot.U8(c, &p.phase)
@@ -91,15 +81,6 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 		snapshot.I64(c, &p.histNodes[i])
 		snapshot.U32(c, &p.histMasks[i])
 	}
-}
-
-// legacyBool walks a bool byte the format keeps although the engine stores
-// no such field: the encoder writes want, and the result reports whether the
-// byte walked equals want.
-func legacyBool(c *snapshot.Codec, want bool) bool {
-	v := want
-	c.Bool(&v)
-	return v == want
 }
 
 // circuitRef walks a reference to a registered circuit as the circuit's
@@ -156,9 +137,6 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		c.Bool(&ci.tearingDown)
 		c.Bool(&ci.ackPending)
 		c.Bool(&ci.teardownDeferred)
-		if !legacyBool(c, ci.teardownDeferred) {
-			c.Failf("pcs: snapshot circuit %d has a deferred-notify byte that disagrees with its deferred teardown", ci.ID)
-		}
 		*id = ci.ID
 	})
 
@@ -176,9 +154,6 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	snapshot.Slice(c, &e.teardowns, func(td *teardown) {
 		e.circuitRef(c, &td.circ, "teardown")
 		snapshot.I64(c, &td.next)
-		if !legacyBool(c, true) {
-			c.Failf("pcs: snapshot teardown of circuit %d has a false notify byte", td.circ.ID)
-		}
 	})
 
 	snapshot.Slice(c, &e.releases, func(r *release) {

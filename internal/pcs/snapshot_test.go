@@ -2,8 +2,7 @@ package pcs
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -63,38 +62,24 @@ func decode(t *testing.T, src *Engine, b []byte) (*Engine, error) {
 }
 
 // TestRestoreRefusesInconsistentPath: a probe's path hops are written as
-// full channels, but the engine keeps only their links (the switch is the
-// probe's own) and rebuilds the search frames from the chain of links. A
-// hop on another switch, or one that does not leave the node the previous
-// hop ends at, must be refused rather than rebuilt into a wrong search.
+// their links (the switch is the probe's own), and the engine rebuilds the
+// search frames from the chain of links. A link out of range, or a hop that
+// does not leave the node the previous hop ends at, must be refused rather
+// than rebuilt into a wrong search.
 func TestRestoreRefusesInconsistentPath(t *testing.T) {
-	e, p := searchingEngine(t)
+	e, _ := searchingEngine(t)
 	if _, err := decode(t, e, encode(t, e)); err != nil {
 		t.Fatalf("clean payload refused: %v", err)
 	}
 
-	t.Run("hop on another switch", func(t *testing.T) {
-		b := encode(t, e)
-		// The path is (link, switch, misroute) per hop: find hop 1 and move
-		// it to switch 0, then re-stamp the digest.
-		var hops []byte
-		for _, h := range p.path {
-			hops = binary.LittleEndian.AppendUint64(hops, uint64(h.link))
-			hops = binary.LittleEndian.AppendUint64(hops, uint64(p.sw))
-			hops = append(hops, boolByte(h.misroute))
-		}
-		head := len(snapshot.Magic) + 4
-		payload := b[head : len(b)-sha256.Size]
-		i := bytes.Index(payload, hops)
-		if i < 0 || bytes.Index(payload[i+1:], hops) >= 0 {
-			t.Fatal("path bytes not found exactly once")
-		}
-		binary.LittleEndian.PutUint64(payload[i+17+8:], 0)
-		sum := sha256.Sum256(payload)
-		copy(b[len(b)-sha256.Size:], sum[:])
-		_, err := decode(t, e, b)
-		if err == nil || !strings.Contains(err.Error(), "path hop on switch 0") {
-			t.Fatalf("err = %v, want a path hop on the wrong switch", err)
+	t.Run("hop link out of range", func(t *testing.T) {
+		for _, link := range []int32{int32(len(e.tab.To)), -1} {
+			e, p := searchingEngine(t)
+			p.path[1].link = link
+			_, err := decode(t, e, encode(t, e))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("path link %d out of range", link)) {
+				t.Fatalf("link %d: err = %v, want a path link out of range", link, err)
+			}
 		}
 	})
 
@@ -119,11 +104,11 @@ func TestRestoreRefusesInconsistentPath(t *testing.T) {
 	})
 }
 
-// TestRestoreRefusesLegacyBytes: two bool bytes stay in the format although
-// the engine no longer stores them — a circuit's deferred-teardown flag,
-// written twice, and a teardown flit's notify flag, always true. A payload
-// whose byte disagrees is refused.
-func TestRestoreRefusesLegacyBytes(t *testing.T) {
+// TestRestoreRefusesTeardownOfUnknownCircuit: a teardown flit in flight is
+// written as its circuit's ID and the hop it reaches next, and decoding
+// re-links it to the circuit the registry decoded. A teardown whose ID names
+// no registered circuit must be refused.
+func TestRestoreRefusesTeardownOfUnknownCircuit(t *testing.T) {
 	// A straight 7-hop circuit 0 -> 7 on one switch, torn down as soon as it
 	// registers: the teardown waits behind the ack, then chases it.
 	topo := topology.MustCube([]int{8, 2}, false)
@@ -133,52 +118,15 @@ func TestRestoreRefusesLegacyBytes(t *testing.T) {
 	for ; e.NumCircuits() == 0; cyc++ {
 		e.Cycle(cyc)
 	}
-	c := e.circuits[1]
-	e.TeardownNotify(c.ID)
-
-	// The circuit entry ends with its last path channel and the bools
-	// releasePending, tearingDown, ackPending, teardownDeferred and the
-	// legacy copy of teardownDeferred.
-	last := c.Path[len(c.Path)-1]
-	deferred := binary.LittleEndian.AppendUint64(nil, uint64(last.Link))
-	deferred = binary.LittleEndian.AppendUint64(deferred, uint64(last.Switch))
-	deferred = append(deferred, 0, 0, 1, 1, 1)
-	refuseFlipped(t, e, deferred, "disagrees with its deferred teardown")
-
+	e.TeardownNotify(e.circuits[1].ID)
 	for ; len(e.teardowns) == 0; cyc++ {
 		e.Cycle(cyc)
 	}
-	// No acks, then one teardown: circuit, next hop and the notify byte.
-	td := e.teardowns[0]
-	flight := []byte{0, 0, 0, 0, 1, 0, 0, 0}
-	flight = binary.LittleEndian.AppendUint64(flight, uint64(td.circ.ID))
-	flight = binary.LittleEndian.AppendUint64(flight, uint64(td.next))
-	refuseFlipped(t, e, append(flight, 1), "false notify byte")
-}
-
-// refuseFlipped encodes e, finds pat exactly once in the payload, clears
-// its last byte, re-stamps the digest and checks that decoding fails with
-// an error containing want.
-func refuseFlipped(t *testing.T, e *Engine, pat []byte, want string) {
-	t.Helper()
-	b := encode(t, e)
-	head := len(snapshot.Magic) + 4
-	payload := b[head : len(b)-sha256.Size]
-	i := bytes.Index(payload, pat)
-	if i < 0 || bytes.Index(payload[i+1:], pat) >= 0 {
-		t.Fatalf("pattern %x not found exactly once", pat)
+	if _, err := decode(t, e, encode(t, e)); err != nil {
+		t.Fatalf("clean payload refused: %v", err)
 	}
-	payload[i+len(pat)-1] = 0
-	sum := sha256.Sum256(payload)
-	copy(b[len(b)-sha256.Size:], sum[:])
-	if _, err := decode(t, e, b); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("err = %v, want %q", err, want)
+	e.teardowns[0].circ = &Circuit{ID: 99}
+	if _, err := decode(t, e, encode(t, e)); err == nil || !strings.Contains(err.Error(), "teardown refers to unknown circuit 99") {
+		t.Fatalf("err = %v, want a teardown of an unknown circuit refused", err)
 	}
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -46,8 +46,12 @@ const Magic = "WAVESNAP"
 // watchdog's pending-progress flag, the fabric's circuit-transfer ages, the
 // protocol manager's age queue and the two oracle toggles from the embedded
 // configuration. Version 4 added the open-loop traffic generator's
-// calendar of next message starts.
-const Version = 4
+// calendar of next message starts. Version 5 writes each piece of state
+// once: a buffered wormhole flit as its arena reference, no wormhole
+// header queues, active set or live-slot count, no PCS legacy bytes, a
+// probe's path hop as its link alone, and the substrate latency splits as
+// a sum and a count instead of every sample.
+const Version = 5
 
 // ErrDigest is returned by Open when the trailing digest does not match the
 // payload.

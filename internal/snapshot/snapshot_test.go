@@ -163,10 +163,10 @@ func TestLargeFieldsCrossChunks(t *testing.T) {
 func TestHeaderRefused(t *testing.T) {
 	b := encode(t, fullSample().walk)
 
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		old := append([]byte(nil), b...)
 		binary.LittleEndian.PutUint32(old[len(Magic):], v)
-		if _, err := Open(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+		if _, err := Open(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (want 5)", v)) {
 			t.Errorf("version-%d header: err = %v, want an unsupported-version error", v, err)
 		}
 	}

@@ -1,9 +1,10 @@
 package stats
 
-// Snapshot support for the run collector. Series serialise their samples in
-// current order together with the running float sum — the sum is an
-// accumulated value whose rounding depends on addition order, so it must
-// round-trip bit-exactly rather than be recomputed.
+// Snapshot support for the run collector. The latency series writes its
+// samples in current order, and the series and both substrate tallies write
+// their running float sums: a sum is an accumulated value whose rounding
+// depends on addition order, so it must round-trip bit-exactly rather than
+// be recomputed. A tally writes its count beside its sum and no samples.
 
 import "repro/internal/snapshot"
 
@@ -16,8 +17,17 @@ func (s *Series) walk(c *snapshot.Codec) {
 	c.F64(&s.sum)
 }
 
-// State encodes or decodes the run's counters, window bounds and latency
-// series.
+// walk walks the tally's running sum and count, refusing a negative count.
+func (t *Tally) walk(c *snapshot.Codec) {
+	c.F64(&t.sum)
+	snapshot.I64(c, &t.n)
+	if c.Decoding() && t.n < 0 {
+		c.Failf("stats: snapshot tally of %d samples", t.n)
+	}
+}
+
+// State encodes or decodes the run's counters, window bounds, latency
+// series and substrate tallies.
 func (r *Run) State(c *snapshot.Codec) error {
 	snapshot.I64(c, &r.Warmup)
 	snapshot.I64(c, &r.FlitsDelivered)

@@ -1,6 +1,6 @@
 // Package stats collects and summarises simulation measurements: message
 // latency (with warm-up exclusion), accepted throughput, and distribution
-// summaries (mean, percentiles, histogram) for the experiment harness.
+// summaries (mean, deviation, percentiles) for the experiment harness.
 package stats
 
 import (
@@ -124,38 +124,28 @@ func (s *Series) Min() float64 { return s.Percentile(0) }
 // Max returns the largest sample (0 with no samples, like Percentile).
 func (s *Series) Max() float64 { return s.Percentile(100) }
 
-// Histogram bins samples into `bins` equal-width buckets over [min, max] and
-// renders an ASCII bar chart, for the CLI tools.
-func (s *Series) Histogram(bins int) string {
-	if len(s.samples) == 0 || bins < 1 {
-		return "(no samples)"
+// Tally keeps the count and running sum of samples no one reads one by one:
+// its Mean has the bits of a Series' fed the same samples in the same order.
+type Tally struct {
+	n   int
+	sum float64
+}
+
+// Add counts a sample.
+func (t *Tally) Add(v float64) {
+	t.n++
+	t.sum += v
+}
+
+// N returns the sample count.
+func (t *Tally) N() int { return t.n }
+
+// Mean returns the sample mean (0 with no samples).
+func (t *Tally) Mean() float64 {
+	if t.n == 0 {
+		return 0
 	}
-	s.ensureSorted()
-	lo, hi := s.samples[0], s.samples[len(s.samples)-1]
-	if hi == lo {
-		return fmt.Sprintf("all %d samples = %g", len(s.samples), lo)
-	}
-	counts := make([]int, bins)
-	for _, v := range s.samples {
-		b := int((v - lo) / (hi - lo) * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		left := lo + (hi-lo)*float64(i)/float64(bins)
-		bar := strings.Repeat("#", int(math.Round(float64(c)/float64(maxC)*40)))
-		fmt.Fprintf(&b, "%10.1f | %-40s %d\n", left, bar, c)
-	}
-	return b.String()
+	return t.sum / float64(t.n)
 }
 
 // Run aggregates one simulation run: latency by substrate plus throughput
@@ -165,10 +155,10 @@ type Run struct {
 	Warmup int64
 
 	// Latency of all measured messages; CircuitLatency/WormholeLatency split
-	// by substrate.
+	// its count and mean by substrate.
 	Latency         Series
-	CircuitLatency  Series
-	WormholeLatency Series
+	CircuitLatency  Tally
+	WormholeLatency Tally
 
 	// Flit/message accounting within the window.
 	FlitsDelivered int64
@@ -236,13 +226,6 @@ func (r *Run) Snapshot(nodes int) Snapshot {
 		P99Latency: r.Latency.Percentile(99),
 		Throughput: r.Throughput(nodes),
 	}
-}
-
-// Summary renders a one-line digest.
-func (r *Run) Summary(nodes int) string {
-	return fmt.Sprintf("msgs=%d lat(avg=%.1f p50=%.0f p99=%.0f) circ=%d wh=%d thr=%.4f",
-		r.MsgsDelivered, r.Latency.Mean(), r.Latency.Percentile(50), r.Latency.Percentile(99),
-		r.CircuitLatency.N(), r.WormholeLatency.N(), r.Throughput(nodes))
 }
 
 // Table is a small fixed-width text table builder for the experiment

@@ -130,22 +130,22 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
+// TestTallyMatchesSeriesMean: a Tally fed the samples a Series is fed, in
+// the same order, reports the same count and a mean with the same bits.
+func TestTallyMatchesSeriesMean(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 3))
 	var s Series
-	if got := s.Histogram(4); got != "(no samples)" {
-		t.Fatalf("empty histogram = %q", got)
+	var tl Tally
+	if tl.N() != 0 || tl.Mean() != 0 {
+		t.Fatal("empty tally not zero")
 	}
-	s.Add(5)
-	s.Add(5)
-	if !strings.Contains(s.Histogram(4), "all 2 samples") {
-		t.Fatal("degenerate histogram wrong")
-	}
-	for i := 0; i < 100; i++ {
-		s.Add(float64(i))
-	}
-	h := s.Histogram(10)
-	if strings.Count(h, "\n") != 10 {
-		t.Fatalf("histogram rows: %q", h)
+	for i := 0; i < 10_000; i++ {
+		v := float64(rng.IntN(5000)) + rng.Float64()
+		s.Add(v)
+		tl.Add(v)
+		if tl.N() != s.N() || math.Float64bits(tl.Mean()) != math.Float64bits(s.Mean()) {
+			t.Fatalf("after %d samples: tally %d/%v, series %d/%v", i+1, tl.N(), tl.Mean(), s.N(), s.Mean())
+		}
 	}
 }
 
@@ -175,15 +175,6 @@ func TestRunThroughput(t *testing.T) {
 	r.Record(100, 1000, 100, false)
 	if got := r.Throughput(10); got != 0.02 {
 		t.Fatalf("throughput = %g", got)
-	}
-}
-
-func TestRunSummary(t *testing.T) {
-	r := NewRun(0)
-	r.Record(0, 10, 4, true)
-	s := r.Summary(4)
-	if !strings.Contains(s, "msgs=1") || !strings.Contains(s, "circ=1") {
-		t.Fatalf("summary = %q", s)
 	}
 }
 

@@ -28,17 +28,16 @@ package wormhole
 // VC, a header winning an output, a tail flit leaving its port, and recovery
 // re-injects/aborts. Every transition site goes through setPhase, which
 // writes the phase and both sets together; it is O(1) and allocation-free
-// (the bitmaps are sized once at construction). The summaries, the counts
-// and the rotation start (rr modulo NumPorts, advanced with rr) are derived
-// state: a snapshot carries none of them, and decoding rebuilds them.
+// (the bitmaps are sized once at construction). Both sets, with their
+// summaries and counts, and the rotation start (rr modulo NumPorts,
+// advanced with rr) are derived state: a snapshot carries none of them, and
+// decoding rebuilds them from the port phases and rr.
 //
 // The switch-allocation busy flags cost nothing to reset: outLinkBusy and
 // inPortBusy hold the stamp of the traversal pass that last claimed each
 // entry, and an entry is busy only while its stamp equals the current pass.
 // Each traversal pass takes the next stamp, so every flag falls free at once
 // without a clearing sweep.
-
-import mathbits "math/bits"
 
 // portSet is a two-level membership bitmap over the global input-port
 // space: bit p of words is port p, bit w of sum is set while words[w] is
@@ -68,16 +67,11 @@ func (s *portSet) remove(port int) {
 	s.n--
 }
 
-// rebuild recomputes the summary and the count from the words.
-func (s *portSet) rebuild() {
+// reset empties the set.
+func (s *portSet) reset() {
+	clear(s.words)
 	clear(s.sum)
 	s.n = 0
-	for w, word := range s.words {
-		if word != 0 {
-			s.sum[w>>6] |= 1 << uint(w&63)
-			s.n += mathbits.OnesCount64(word)
-		}
-	}
 }
 
 // setPhase moves port from phase *ph to phase to, keeping the routing and

@@ -102,7 +102,8 @@ const (
 
 // flitRef is one buffered flit: the arena slot of its message, its position
 // in the message and its kind. The full flit.Flit is materialised from the
-// slot's message only for snapshots and the test probe.
+// slot's message only for the test probe; a snapshot writes the slot and
+// position.
 type flitRef struct {
 	slot int32
 	seq  int32

@@ -1,13 +1,13 @@
 package wormhole
 
-// Snapshot support: State walks the engine's complete mutable state — the
-// slot arena with its LIFO free-list order, per-VC buffers, injection
-// queues, credit counters and the in-flight credit pipe, output ownership,
-// the active set, recovery bookkeeping and all counters. Per-cycle scratch
-// (the busy-flag stamps and their pass counter, arrivals) is excluded:
-// snapshots are taken between cycles, when no flag of a later pass can read
-// busy. Restoring into an engine built from the identical Params and
-// topology reproduces the original bit for bit.
+// Snapshot support: State walks the engine's mutable state — the slot
+// arena with its LIFO free-list order, per-VC buffers, injection queues,
+// credit counters and the in-flight credit pipe, output ownership,
+// recovery bookkeeping and all counters. Per-cycle scratch (the busy-flag
+// stamps and their pass counter, arrivals) is excluded: snapshots are taken
+// between cycles, when no flag of a later pass can read busy. Restoring
+// into an engine built from the identical Params and topology reproduces
+// the original bit for bit.
 //
 // The format carries every register's logical value, not its stored form
 // (the engine stores some offset, so that their zero value is the reset
@@ -17,21 +17,18 @@ package wormhole
 // credits, the free buffer space downstream, rather than the credits it
 // has spent.
 //
-// Two parts of the byte format are not engine fields but derived from
-// them: buffered flits are written in full, and each VC writes the queue
-// of its buffered headers still to be routed. Decoding refuses bytes that
-// disagree: a flit must be the named flit of a live message, and the
-// header queue must list the buffered heads other than the current
-// message's. The active set is written as its member count and one bitmap
-// (routing | active words); decoding splits each word between the two
-// sets by port phase and rebuilds the summaries. Everything else the
-// decoder would have to cross-check (one slot per live message, the live
-// count, credits, ownership, the sets against the phases, rr >= 0) is a
-// clause of Check, which decoding runs last.
+// Each fact is written once. A buffered flit is its arena reference (slot
+// and sequence number), and decoding takes its kind from its message's
+// length. The live-slot count and the two port sets are not written:
+// decoding recounts the live slots from the arena and rebuilds the sets
+// from the port phases. Decoding refuses only what it cannot represent or
+// index (more flits than a buffer holds, a flit slot past the arena, an
+// unknown phase, an output out of range); everything else (one slot per
+// live message, a flit of a live message at a sequence number it has,
+// credits, ownership, the sets against the phases, rr >= 0) is a clause of
+// Check, which decoding runs last.
 
 import (
-	"slices"
-
 	"repro/internal/flit"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
@@ -57,20 +54,15 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		c.Bool(&sl.parked)
 	})
 	snapshot.Slice(c, &e.freeSlots, func(s *int32) { snapshot.U32(c, s) })
-	snapshot.I64(c, &e.liveSlots)
-
-	// The message index grows with the arena's live slots; the count
-	// written beside them sizes nothing.
-	var slotOf map[flit.MsgID]int32 // decoding: live message -> slot
-	if c.Decoding() && c.Err() == nil {
-		slotOf = make(map[flit.MsgID]int32)
+	if c.Decoding() {
+		e.liveSlots = 0
 		for s := range e.slots {
 			if e.slots[s].live {
-				slotOf[e.slots[s].msg.ID] = int32(s)
+				e.liveSlots++
 			}
 		}
 	}
-	var heads, got []int32
+
 	c.Fixed(len(e.in), "wormhole link VCs", func(i int) {
 		port := int32(i)
 		v := &e.in[i]
@@ -86,18 +78,14 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		}
 		for j := int32(0); j < int32(n) && c.Err() == nil; j++ {
 			r := &e.ring[e.ringAt(port, j)]
-			var fl flit.Flit
-			if !c.Decoding() {
-				fl = e.slots[r.slot].msg.FlitAt(int(r.seq))
-			}
-			fl.Walk(c)
-			if c.Decoding() {
-				s, ok := slotOf[fl.Msg]
-				if !ok || fl.Seq < 0 || fl.Seq >= e.slots[s].msg.Len || fl != e.slots[s].msg.FlitAt(fl.Seq) {
-					c.Failf("wormhole: snapshot VC %d holds flit %+v of no live message", i, fl)
+			snapshot.U32(c, &r.slot)
+			snapshot.U32(c, &r.seq)
+			if c.Decoding() && c.Err() == nil {
+				if r.slot < 0 || int(r.slot) >= len(e.slots) {
+					c.Failf("wormhole: snapshot VC %d holds a flit of slot %d, arena of %d", i, r.slot, len(e.slots))
 					return
 				}
-				*r = flitRef{slot: s, seq: int32(fl.Seq), kind: fl.Kind}
+				r.kind = flit.KindOf(int(r.seq), e.slots[r.slot].msg.Len)
 			}
 		}
 		e.walkPhase(c, &v.phase)
@@ -106,19 +94,6 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		cur := v.curSlot1 - 1
 		snapshot.U32(c, &cur)
 		v.curSlot1 = cur + 1
-		// The headers still to be routed: every buffered head but the
-		// current message's.
-		heads = heads[:0]
-		for j := int32(0); j < v.count; j++ {
-			if r := e.ring[e.ringAt(port, j)]; r.kind.IsHead() && r.slot != cur {
-				heads = append(heads, r.slot)
-			}
-		}
-		got = append(got[:0], heads...)
-		snapshot.Slice(c, &got, func(s *int32) { snapshot.U32(c, s) })
-		if c.Decoding() && c.Err() == nil && !slices.Equal(got, heads) {
-			c.Failf("wormhole: snapshot VC %d head-slot queue %v, buffered heads give %v", i, got, heads)
-		}
 	})
 	for i := range e.out {
 		credits := e.credits(i)
@@ -163,37 +138,13 @@ func (e *Engine) State(c *snapshot.Codec) error {
 		})
 	}
 
-	// Active set: the non-idle port count, then one word per 64 ports,
-	// routing | active. Decoding puts a member in the active set if its
-	// port streams and in the routing set otherwise; Check holds both
-	// sets to the phases.
-	count := e.ActivePorts()
-	snapshot.I64(c, &count)
-	c.Fixed(len(e.routing.words), "wormhole active-bitmap words", func(i int) {
-		w := e.routing.words[i] | e.active.words[i]
-		c.U64(&w)
-		if c.Decoding() {
-			var streaming uint64
-			for b := 0; b < 64 && i<<6+b < e.NumPorts(); b++ {
-				if ph, _ := e.portOut(i<<6 + b); ph == vcActive {
-					streaming |= 1 << uint(b)
-				}
-			}
-			e.routing.words[i], e.active.words[i] = w&^streaming, w&streaming
-		}
-	})
-	if c.Decoding() {
-		e.active.rebuild()
-		e.routing.rebuild()
-		e.routing.n = count - e.active.n
-	}
-
 	// Counters.
 	snapshot.I64(c, &e.FlitsMoved)
 	snapshot.I64(c, &e.FlitsDelivered)
 	snapshot.I64(c, &e.MsgsDelivered)
 	c.Fixed(len(e.LinkFlits), "wormhole link slots", func(i int) { snapshot.I64(c, &e.LinkFlits[i]) })
 	if c.Decoding() && c.Err() == nil {
+		e.rebuildSets()
 		if err := e.Check(); err != nil {
 			return c.Failf("snapshot: %w", err)
 		}
@@ -201,10 +152,25 @@ func (e *Engine) State(c *snapshot.Codec) error {
 	return c.Err()
 }
 
-// walkPhase walks a port phase, refusing an unknown value.
+// rebuildSets puts every routing port in the routing set and every
+// streaming port in the active set.
+func (e *Engine) rebuildSets() {
+	e.routing.reset()
+	e.active.reset()
+	for port := 0; port < e.NumPorts(); port++ {
+		switch ph, _ := e.portOut(port); ph {
+		case vcRouting:
+			e.routing.add(port)
+		case vcActive:
+			e.active.add(port)
+		}
+	}
+}
+
+// walkPhase walks a port phase, refusing an unknown value on decode.
 func (e *Engine) walkPhase(c *snapshot.Codec, ph *vcPhase) {
 	snapshot.U8(c, ph)
-	if *ph > vcActive {
+	if c.Decoding() && *ph > vcActive {
 		c.Failf("wormhole: snapshot port phase %d", *ph)
 	}
 }

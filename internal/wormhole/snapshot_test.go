@@ -105,15 +105,19 @@ func restoreInto(t *testing.T, src *Engine) (*Engine, error) {
 	return dst, nil
 }
 
-// TestRestoreRefusesWrongLiveSlotCount: the live-slot count is written
-// beside the arena it counts. Decoding sized its message index from the
-// count before checking it, so a forged count could demand gigabytes; the
-// count must equal the arena's live slots, and is checked first.
-func TestRestoreRefusesWrongLiveSlotCount(t *testing.T) {
+// TestRestoreRecountsLiveSlots: the live-slot count is not in the byte
+// format; decoding recounts it from the arena's live flags, so a count that
+// disagrees with the arena does not survive a round trip.
+func TestRestoreRecountsLiveSlots(t *testing.T) {
 	h, _ := queuedHeadEngine(t)
+	live := h.eng.liveSlots
 	h.eng.liveSlots++
-	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "live slots") {
-		t.Fatalf("err = %v, want a live-slot count mismatch refused", err)
+	dst, err := restoreInto(t, h.eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.InFlight() != live {
+		t.Fatalf("restored engine counts %d live slots, the arena holds %d", dst.InFlight(), live)
 	}
 }
 
@@ -131,40 +135,70 @@ func TestRestoreRefusesNegativeRotation(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesInconsistentPayload: the byte format carries the
-// buffered flits in full plus each VC's queue of headers still to route,
-// both of which the engine derives from its slot-referenced rings. A
-// payload where they disagree, or whose flit belongs to no live message,
-// must be refused rather than silently re-derived.
+// TestRestoreRefusesInconsistentPayload: a buffered flit is written as its
+// arena reference (slot, sequence number) and decoding derives its kind. A
+// reference to a slot past the arena must be refused before anything reads
+// that slot, and one to a free slot or past its message's end must be
+// refused by Check rather than rebuilt into a flit no message has; so must
+// a port phase the engine does not know.
 func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 	h, port := queuedHeadEngine(t)
 	if _, err := restoreInto(t, h.eng); err != nil {
 		t.Fatalf("clean payload refused: %v", err)
 	}
-
-	t.Run("head-slot queue", func(t *testing.T) {
-		h, port := queuedHeadEngine(t)
-		// Hide one queued header from the encoder's derived queue while
-		// the flit itself is still written as a head.
-		v := &h.eng.in[port]
-		for j := int32(0); j < v.count; j++ {
-			if r := &h.eng.ring[h.eng.ringAt(port, j)]; r.kind.IsHead() && r.slot != v.curSlot1-1 {
-				r.kind = flit.Body
-				break
-			}
-		}
-		_, err := restoreInto(t, h.eng)
-		if err == nil || !strings.Contains(err.Error(), "head-slot queue") {
-			t.Fatalf("err = %v, want a head-slot queue mismatch", err)
-		}
-	})
+	// last returns the ref of the last flit buffered at port.
+	last := func(h *harness) *flitRef {
+		return &h.eng.ring[h.eng.ringAt(port, h.eng.in[port].count-1)]
+	}
 
 	t.Run("flit of no live message", func(t *testing.T) {
-		v := &h.eng.in[port]
-		h.eng.slots[h.eng.ring[h.eng.ringAt(port, v.count-1)].slot].live = false
+		h, _ := queuedHeadEngine(t)
+		h.eng.slots[last(h).slot].live = false
 		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "no live message") {
 			t.Fatalf("err = %v, want a flit of no live message", err)
+		}
+	})
+
+	t.Run("flit of a free slot", func(t *testing.T) {
+		h, _ := queuedHeadEngine(t)
+		if len(h.eng.freeSlots) == 0 {
+			t.Fatal("no free slot in the arena")
+		}
+		last(h).slot = h.eng.freeSlots[0]
+		_, err := restoreInto(t, h.eng)
+		if err == nil || !strings.Contains(err.Error(), "no live message") {
+			t.Fatalf("err = %v, want a flit of a free slot refused", err)
+		}
+	})
+
+	t.Run("flit past its message's end", func(t *testing.T) {
+		h, _ := queuedHeadEngine(t)
+		r := last(h)
+		r.seq = int32(h.eng.slots[r.slot].msg.Len)
+		_, err := restoreInto(t, h.eng)
+		if err == nil || !strings.Contains(err.Error(), "flits long") {
+			t.Fatalf("err = %v, want a flit past its message's end refused", err)
+		}
+	})
+
+	t.Run("flit slot out of range", func(t *testing.T) {
+		for _, slot := range []int32{int32(len(h.eng.slots)), -1} {
+			h, _ := queuedHeadEngine(t)
+			last(h).slot = slot
+			_, err := restoreInto(t, h.eng)
+			if err == nil || !strings.Contains(err.Error(), "arena of") {
+				t.Fatalf("slot %d: err = %v, want a slot out of range refused", slot, err)
+			}
+		}
+	})
+
+	t.Run("unknown port phase", func(t *testing.T) {
+		h, _ := queuedHeadEngine(t)
+		h.eng.in[port].phase = vcActive + 1
+		_, err := restoreInto(t, h.eng)
+		if err == nil || !strings.Contains(err.Error(), "port phase 3") {
+			t.Fatalf("err = %v, want an unknown port phase refused", err)
 		}
 	})
 }

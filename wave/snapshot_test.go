@@ -53,41 +53,41 @@ var (
 
 var snapshotMatrix = []matrixRow{
 	{"clrp-torus", matrixTorus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil,
-		"03bfd5abfa3e30f1a35e9d5466c4a06316a3963e74dec192a858d33360d7e391"},
+		"88275b200bbed41843467b2de1648ad29bc4f087d5b7fa8e809080c64e728999"},
 	{"carp-torus", matrixTorus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil,
-		"28b1d0322db98eb488537ed890b35fe983d7cf5f74b6e2ebb8b63ab791ca21d7"},
+		"e42f9e3a25e5cf8adad429a0bffd8f62a0a92d19029101732287a0d40a69e62c"},
 	{"wormhole-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil,
-		"fe2f610e4517a7bfb041356fa419212f76fefa49705672b5d6d317d3dfe9b69f"},
+		"c54c8fbda1ef848e36d4515dc788572068d852c4043de9a66f12c5ccaa01f697"},
 	{"pcs-torus", matrixTorus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil,
-		"d2857df2fdfae0c6dd9e1683808be7cbaf41a38093b4157f02b5a6d7a4a613f3"},
+		"a98c93f0e737aa884f5a26b51c5a95977ee0ca915d8a3792c2ac35a296616ea6"},
 	{"clrp-hypercube", matrixCube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48,
 		WorkingSet: 4, Reuse: 0.7, RedrawPeriod: 50}, nil,
-		"deab688c4e46243b242a9376026db658bf9441403b0097eb12d9656a5e5b3c87"},
+		"f61c99b211755cce03a7a657e5ec0fddc82a08169d6838f28a309007d621ff69"},
 	{"carp-hypercube", matrixCube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil,
-		"9412bc426b433ae0ccd808dceca5761532e1ee7da2aae812f0d1e3a4701644f4"},
+		"edb20c9312afc229b3def6309e273463fb38451f577569c4e8abc9c18dac32d6"},
 	{"wormhole-hypercube", matrixCube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil,
-		"6ab4a320d03b8e2ae876511f642ebbac50a6a32510b78561f706c5b079a56b3d"},
+		"820d8642af8601f565e31d86be9f6428465ef70d04c452bf67f38be7a88ae951"},
 	{"pcs-hypercube", matrixCube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil,
-		"1f268477d67489ea64c18d147e502ba03bea56393f64b97f132cfeb70671f292"},
+		"3566c9163ebf855be3436fa2bc43f1048b1f1f55a265f1d80f053b06485932f9"},
 	{"wormhole-recovery-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 16},
 		func(c *Config) {
 			c.Routing = "dor-nodateline"
 			c.NumVCs = 1
 			c.RecoveryTimeout = 32
 			c.CreditDelay = 2
-		}, "490a1c05b4d97bd574e0ded6eb0035f22b4932bce87a540e79b582c220e746d4"},
+		}, "fdd8e292fb6e34779d51265a7c637f1a5140b19f5c013ed6db5f8a0a28101593"},
 	{"wormhole-multimsg-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3,
 		BimodalShort: 2, BimodalLong: 3, BimodalPLong: 0.5},
-		func(c *Config) { c.BufDepth = 8 }, "c6d37d42d63306540de26f864c5d619ffc78498503e893330fe9dcbf20b79ff0"},
+		func(c *Config) { c.BufDepth = 8 }, "e8df6aaa6a46ed4f556128f2aa831bef59cf0737b6faae4d63955c5e585e6979"},
 	{"clrp-churn-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
-		func(c *Config) { c.CacheCapacity = 2 }, "7020140b64c67dae45f07132cb6b6a61f55398f11b5cb56bc3c3d62840abc395"},
+		func(c *Config) { c.CacheCapacity = 2 }, "c98f539ff5db5c20c38673e4b48d23ab620ad7866c2f242a26258308efaf1f45"},
 	{"clrp-random-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
 		func(c *Config) {
 			c.CacheCapacity = 2
 			c.ReplacePolicy = "random"
-		}, "1d42058997ea4056d165ddb99a297561a48ef6a4ac82fecb349908bebef24e12"},
+		}, "4c6baebf2d5409aa3e5432b66943e816de54d5d8711b431a2afb4b001b692443"},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -264,16 +264,16 @@ func TestFreshSnapshotPinned(t *testing.T) {
 			c.Topology = matrixTorus
 			c.Protocol = "clrp"
 			c.ReplacePolicy = "random"
-		}, "e2b08aee489045fef5bd3730a8e50a031e5be2ef90e4db3ae91da445f783b333"},
+		}, "f94e0b062a2a60cb75ba6de02f7d6acdf941f86b32563d8b6ec6547351442ae7"},
 		{"wormhole-torus8x8", func(c *Config) {
 			c.Topology = matrixTorus
 			c.Protocol = "wormhole"
-		}, "6df348078e45197305c7d5498d0dd582951bfc61c9396e9dd9ffe4e4696a7885"},
+		}, "8a426c1cfd73a243dddf0f02f841ae4608379f66441658d9e40c7b9ca0bebec2"},
 		{"clrp-fattree4x2", func(c *Config) {
 			c.Topology = TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}
 			c.Routing = "updown"
 			c.Protocol = "clrp"
-		}, "b4ea2e5987f6ba1403a797f09671c4cf6303170dd786b5856054d1b9b9f31e1a"},
+		}, "bde18fa849579285543bf839be0cf2f7f8193c30330c4853f2d0dbd8b0ad1684"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -348,7 +348,7 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	if err := sB.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	checkDigest(t, buf.Bytes(), "23fad7373b6be704b3091149bfd5e99c9374e78e026647c7fed8dfc619854169")
+	checkDigest(t, buf.Bytes(), "1d21eeb46d3cc84435021a1d6a36b4d9f2453576dd698b1f220e4346a872836e")
 	sC, err := Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)

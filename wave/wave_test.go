@@ -728,5 +728,5 @@ func TestCircuitsSnapshot(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkDigest(t, buf.Bytes(), "ce041494537bb671a0935ac995d24828feb6f30494f0ba683709e247b44f9513")
+	checkDigest(t, buf.Bytes(), "3d6cc10f21d0fd064b0291b47cff0db4608309192666e5bcc66bb066842783f7")
 }
