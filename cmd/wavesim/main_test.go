@@ -8,7 +8,30 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/pins"
 )
+
+// TestMain fails a run that leaves a testdata/pins.txt entry unchecked.
+func TestMain(m *testing.M) { os.Exit(pins.Main(m)) }
+
+// TestRun64x64DigestPinned runs the binary's 64x64 CLRP smoke and pins the
+// stats-digest it prints (cli/wavesim-64x64): the digest the compressed
+// routing table and its algorithmic oracle both printed before the cube
+// routing functions read ring cells from the link table.
+func TestRun64x64DigestPinned(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(strings.Fields("-topology torus -radix 64x64 -protocol clrp -seed 7 -load 0.02 -len 16 -warmup 200 -measure 600 -digest"), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "stats-digest" {
+			pins.Check(t, "cli/wavesim-64x64", strings.TrimPrefix(f[1], "sha256:"))
+			return
+		}
+	}
+	t.Fatalf("no stats-digest line:\n%s", out.String())
+}
 
 func TestRunHumanOutput(t *testing.T) {
 	var out bytes.Buffer

@@ -1,34 +1,37 @@
 package verify
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"os"
 	"testing"
 
+	"repro/internal/pins"
 	"repro/internal/protocol"
 	"repro/internal/routing"
 	"repro/wave"
 )
 
+// TestMain fails a run that leaves a testdata/pins.txt entry unchecked.
+func TestMain(m *testing.M) { os.Exit(pins.Main(m)) }
+
 // certDigest hashes the JSON encoding of every certificate in order, one
 // line each; a spec Certify refuses contributes its error text instead.
 func certDigest(t *testing.T, specs []Spec) string {
 	t.Helper()
-	h := sha256.New()
+	var lines []byte
 	for _, sp := range specs {
 		cert, err := Certify(sp)
 		if err != nil {
-			h.Write([]byte("error: " + err.Error() + "\n"))
+			lines = append(lines, "error: "+err.Error()+"\n"...)
 			continue
 		}
 		b, err := json.Marshal(cert)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(append(b, '\n'))
+		lines = append(append(lines, b...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return pins.Sum(lines)
 }
 
 // TestCertificateBytesPinned pins the exact certificate bytes of two sweeps:
@@ -72,16 +75,6 @@ func TestCertificateBytesPinned(t *testing.T) {
 		}
 	}
 
-	for _, c := range []struct {
-		name  string
-		specs []Spec
-		want  string
-	}{
-		{"experiment matrix", matrix, "cb2bed8ba2f22c7a76214c1abc6447f1e1f06eac3c3e4e2a9e8629d2bbf50992"},
-		{"routing all", sweep, "8be2715e8360aa06499bd0db032d0530e33abdb5ad81ce2434528fd1d5bee13c"},
-	} {
-		if got := certDigest(t, c.specs); got != c.want {
-			t.Errorf("%s (%d certificates): digest %s, want %s", c.name, len(c.specs), got, c.want)
-		}
-	}
+	pins.Check(t, "certificate/experiment-matrix", certDigest(t, matrix))
+	pins.Check(t, "certificate/routing-all", certDigest(t, sweep))
 }

@@ -3,6 +3,7 @@ package wave
 import (
 	"testing"
 
+	"repro/internal/pins"
 	"repro/internal/topology"
 )
 
@@ -32,9 +33,9 @@ func isolationEvents(t *testing.T, cfg Config, n int, cycle, repair int64) []Fau
 // subsystem: a 16x16 torus under CLRP with 24 transient mid-run faults and
 // retry/backoff armed must (a) deliver every injected message — RunLoad
 // drains to empty or errors — under Check every 500 cycles, and (b)
-// reproduce the Stats and Result digest pinned when the engine's full-scan
-// mode still agreed with it. Faults, repairs and retries all ride the event
-// queue, which is what makes the run repeat.
+// reproduce the stats/dynamic-fault-torus16 pin, taken when the engine's
+// full-scan mode still agreed with it. Faults, repairs and retries all ride
+// the event queue, which is what makes the run repeat.
 func TestDynamicFaultDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{16, 16}}
@@ -46,9 +47,7 @@ func TestDynamicFaultDeterminism(t *testing.T) {
 	w := Workload{Pattern: "uniform", Load: 0.05, FixedLength: 48}
 
 	serStats, serRes := runForStats(t, cfg, w, 500, 2500)
-	if got, want := digestOf(t, []any{serStats, serRes}), "39ab45f70d8c0f892a6e22a4adf54bbbac88c466af9cf89548942b9e5cc78890"; got != want {
-		t.Errorf("faulted run digest %s, pinned %s", got, want)
-	}
+	pins.Check(t, "stats/dynamic-fault-torus16", pins.SumJSON(t, []any{serStats, serRes}))
 	if serStats.Probes.FaultsInjected != 24 || serStats.Probes.FaultRepairs != 24 {
 		t.Errorf("schedule not fully executed: injected=%d repairs=%d, want 24/24",
 			serStats.Probes.FaultsInjected, serStats.Probes.FaultRepairs)
@@ -146,7 +145,8 @@ func TestDynamicFaultPermanentFallback(t *testing.T) {
 // waits out a long circuit transfer: the fabric is otherwise idle, so only
 // the event queue carries the fault (and its repair) to its exact cycle.
 // The run must hold Check at every cycle of the drain and reproduce the
-// Stats digest pinned when the engine's full-scan mode still agreed with it.
+// stats/fault-during-drain-mesh4 pin, taken when the engine's full-scan
+// mode still agreed with it.
 func TestDynamicFaultDuringTransferDrain(t *testing.T) {
 	topo := topology.MustCube([]int{4, 4}, false)
 	// A channel far from the 0->3 circuit's straight-line path.
@@ -169,9 +169,7 @@ func TestDynamicFaultDuringTransferDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	active := s.Stats()
-	if got, want := digestOf(t, active), "f3d94a39de0ab63b07bafbf2f5aa373bdf218e3b3b0ec6397d70e9479fd4f874"; got != want {
-		t.Errorf("Stats digest %s, pinned %s", got, want)
-	}
+	pins.Check(t, "stats/fault-during-drain-mesh4", pins.SumJSON(t, active))
 	if active.Probes.FaultsInjected != 1 || active.Probes.FaultRepairs != 1 {
 		t.Errorf("fault event did not fire during the drain: injected=%d repairs=%d, want 1/1",
 			active.Probes.FaultsInjected, active.Probes.FaultRepairs)

@@ -2,11 +2,10 @@ package wave
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/pins"
 )
 
 // megaTopoConfig is the 64x64 torus the mega-topology contract is pinned
@@ -23,13 +22,12 @@ func megaTopoConfig() Config {
 	return cfg
 }
 
-// TestRoutingTableSelection: the benchmark's hybrid_32x32 configuration
-// (32x32 torus, MinCircuitFlits 32) must come up without allocating
-// anything quadratic in the node count — a (here, dst) routing table at this
-// size is tens of megabytes, while the ring cells the routing functions
-// read take 2*32*32 cells. (The name predates the removal of the
-// routing-table selection it also covered.)
-func TestRoutingTableSelection(t *testing.T) {
+// TestNewAllocatesNoQuadraticTable: the benchmark's hybrid_32x32
+// configuration (32x32 torus, MinCircuitFlits 32) must come up without
+// allocating anything quadratic in the node count — a (here, dst) routing
+// table at this size is tens of megabytes, while the ring cells the routing
+// functions read take 2*32*32 cells.
+func TestNewAllocatesNoQuadraticTable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology.Radix = []int{32, 32}
 	cfg.MinCircuitFlits = 32
@@ -47,12 +45,11 @@ func TestRoutingTableSelection(t *testing.T) {
 	}
 }
 
-// TestMegaTopoWorkersAndOracleIdentity pins the Stats of one short 64x64
-// run to the digest that the retired compressed routing table and its
-// algorithmic oracle both produced, so a routing change that moves a single
-// flit at mega scale fails here. (The name predates the removal of the
-// worker dimension and of the oracle run it also covered.)
-func TestMegaTopoWorkersAndOracleIdentity(t *testing.T) {
+// TestMegaTopoStatsPinned pins the Stats of one short 64x64 run
+// (stats/mega-torus64, the digest that the retired compressed routing table
+// and its algorithmic oracle both produced), so a routing change that moves
+// a single flit at mega scale fails here.
+func TestMegaTopoStatsPinned(t *testing.T) {
 	w := Workload{Pattern: "uniform", Load: 0.02, FixedLength: 16}
 	s, err := New(megaTopoConfig())
 	if err != nil {
@@ -61,14 +58,7 @@ func TestMegaTopoWorkersAndOracleIdentity(t *testing.T) {
 	if _, err := s.RunLoad(w, 100, 300); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(s.Stats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "b4f152f68dbbd66596af6d6f7bf0cc6e364a65a37387e3f22787e9901c5e339e"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-		t.Errorf("64x64 Stats digest %s, pinned %s", got, want)
-	}
+	pins.Check(t, "stats/mega-torus64", pins.SumJSON(t, s.Stats()))
 }
 
 // TestMegaTopoSnapshotResume extends the PR 8 checkpoint contract beyond

@@ -84,14 +84,20 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Reader returns the serialized program, ready for Simulator.RunProgram.
+// A program with a build error reads as that error, which RunProgram
+// returns.
 func (p *Program) Reader() io.Reader {
 	var buf bytes.Buffer
 	if _, err := p.WriteTo(&buf); err != nil {
-		// Surface build errors at parse time with a malformed line.
-		return bytes.NewReader([]byte("@0 error 0 0\n"))
+		return errReader{err}
 	}
 	return bytes.NewReader(buf.Bytes())
 }
+
+// errReader is a reader whose every Read fails with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // fromTrace wraps a generated trace program.
 func fromTrace(tp trace.Program, err error) (*Program, error) {

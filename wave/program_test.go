@@ -59,15 +59,15 @@ func TestProgramNegativeCycle(t *testing.T) {
 	if _, err := p.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteTo ignored the build error")
 	}
-	// Reader still returns something that fails cleanly at parse time.
+	// Running the program's Reader reports the build error itself.
 	cfg := DefaultConfig()
 	cfg.Protocol = "carp"
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunProgram(p.Reader(), 100); err == nil {
-		t.Fatal("broken program ran")
+	if err := s.RunProgram(p.Reader(), 100); err == nil || err.Error() != p.Err().Error() {
+		t.Fatalf("RunProgram = %v, want the build error %q", err, p.Err())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -14,27 +13,10 @@ import (
 	"testing"
 
 	"repro/internal/pcs"
+	"repro/internal/pins"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
-
-// snapshotDigest is the hex SHA-256 of a complete snapshot stream. The
-// tests below pin it so that any change to the byte format — a field
-// added, dropped, reordered or re-widthed in any layer — fails loudly
-// instead of passing a round trip that is merely self-consistent.
-func snapshotDigest(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// checkDigest fails the test when the snapshot bytes differ from the
-// pinned format.
-func checkDigest(t *testing.T, b []byte, want string) {
-	t.Helper()
-	if got := snapshotDigest(b); got != want {
-		t.Errorf("snapshot digest %s, pinned %s (byte format changed)", got, want)
-	}
-}
 
 // matrixRow is one configuration of the checkpoint/resume matrix.
 type matrixRow struct {
@@ -43,7 +25,6 @@ type matrixRow struct {
 	protocol string
 	w        Workload
 	tweak    func(*Config)
-	digest   string
 }
 
 var (
@@ -52,42 +33,34 @@ var (
 )
 
 var snapshotMatrix = []matrixRow{
-	{"clrp-torus", matrixTorus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil,
-		"88275b200bbed41843467b2de1648ad29bc4f087d5b7fa8e809080c64e728999"},
-	{"carp-torus", matrixTorus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil,
-		"e42f9e3a25e5cf8adad429a0bffd8f62a0a92d19029101732287a0d40a69e62c"},
-	{"wormhole-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil,
-		"c54c8fbda1ef848e36d4515dc788572068d852c4043de9a66f12c5ccaa01f697"},
-	{"pcs-torus", matrixTorus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil,
-		"a98c93f0e737aa884f5a26b51c5a95977ee0ca915d8a3792c2ac35a296616ea6"},
+	{"clrp-torus", matrixTorus, "clrp", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 48}, nil},
+	{"carp-torus", matrixTorus, "carp", Workload{Pattern: "transpose", Load: 0.1, FixedLength: 64, WantCircuit: true}, nil},
+	{"wormhole-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.2, FixedLength: 16}, nil},
+	{"pcs-torus", matrixTorus, "pcs", Workload{Pattern: "uniform", Load: 0.05, FixedLength: 96}, nil},
 	{"clrp-hypercube", matrixCube, "clrp", Workload{Pattern: "bitreverse", Load: 0.12, FixedLength: 48,
-		WorkingSet: 4, Reuse: 0.7, RedrawPeriod: 50}, nil,
-		"f61c99b211755cce03a7a657e5ec0fddc82a08169d6838f28a309007d621ff69"},
-	{"carp-hypercube", matrixCube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil,
-		"edb20c9312afc229b3def6309e273463fb38451f577569c4e8abc9c18dac32d6"},
-	{"wormhole-hypercube", matrixCube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil,
-		"820d8642af8601f565e31d86be9f6428465ef70d04c452bf67f38be7a88ae951"},
-	{"pcs-hypercube", matrixCube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil,
-		"3566c9163ebf855be3436fa2bc43f1048b1f1f55a265f1d80f053b06485932f9"},
+		WorkingSet: 4, Reuse: 0.7, RedrawPeriod: 50}, nil},
+	{"carp-hypercube", matrixCube, "carp", Workload{Pattern: "bitreverse", Load: 0.08, FixedLength: 64, WantCircuit: true}, nil},
+	{"wormhole-hypercube", matrixCube, "wormhole", Workload{Pattern: "uniform", Load: 0.15, FixedLength: 16}, nil},
+	{"pcs-hypercube", matrixCube, "pcs", Workload{Pattern: "uniform", Load: 0.04, FixedLength: 96}, nil},
 	{"wormhole-recovery-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3, FixedLength: 16},
 		func(c *Config) {
 			c.Routing = "dor-nodateline"
 			c.NumVCs = 1
 			c.RecoveryTimeout = 32
 			c.CreditDelay = 2
-		}, "fdd8e292fb6e34779d51265a7c637f1a5140b19f5c013ed6db5f8a0a28101593"},
+		}},
 	{"wormhole-multimsg-torus", matrixTorus, "wormhole", Workload{Pattern: "uniform", Load: 0.3,
 		BimodalShort: 2, BimodalLong: 3, BimodalPLong: 0.5},
-		func(c *Config) { c.BufDepth = 8 }, "e8df6aaa6a46ed4f556128f2aa831bef59cf0737b6faae4d63955c5e585e6979"},
+		func(c *Config) { c.BufDepth = 8 }},
 	{"clrp-churn-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
-		func(c *Config) { c.CacheCapacity = 2 }, "c98f539ff5db5c20c38673e4b48d23ab620ad7866c2f242a26258308efaf1f45"},
+		func(c *Config) { c.CacheCapacity = 2 }},
 	{"clrp-random-torus", matrixTorus, "clrp", Workload{Pattern: "hotspot", Load: 0.1, FixedLength: 32,
 		WorkingSet: 4, Reuse: 0.7},
 		func(c *Config) {
 			c.CacheCapacity = 2
 			c.ReplacePolicy = "random"
-		}, "4c6baebf2d5409aa3e5432b66943e816de54d5d8711b431a2afb4b001b692443"},
+		}},
 }
 
 const matrixWarmup, matrixMeasure, matrixCheckpointAt = 500, 2000, 1000
@@ -184,8 +157,11 @@ func (r matrixRow) cancelledResumed(tb testing.TB) (Stats, Result) {
 //	    stopped, restored and resumed.
 //
 // Stats is comparable with ==, including the per-link flit checksums, so
-// equality here means every flit travelled identically. The digest column
-// pins the SHA-256 of the cycle-1000 snapshot bytes.
+// equality here means every flit travelled identically. Each row's
+// cycle-1000 snapshot bytes are pinned as snapshot/matrix/<row>, so any
+// change to the byte format — a field added, dropped, reordered or
+// re-widthed in any layer — fails here instead of passing a round trip that
+// is merely self-consistent.
 //
 // The wormhole-recovery row covers the two wormhole branches the others
 // leave empty: a credit-return delay (credits in flight in the credit
@@ -214,7 +190,7 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			statsA := sA.Stats()
 
 			statsB, resB, snap := tc.checkpointed(t)
-			checkDigest(t, snap, tc.digest)
+			pins.Check(t, "snapshot/matrix/"+tc.name, pins.Sum(snap))
 			if statsB != statsA {
 				t.Errorf("checkpointed run diverged from uninterrupted:\n A: %+v\n B: %+v", statsA, statsB)
 			}
@@ -251,29 +227,28 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 }
 
 // TestFreshSnapshotPinned pins the snapshot bytes of simulators that have
-// never stepped: every register in its reset state, including the fabric
+// never stepped (snapshot/fresh/<case>): every register in its reset state, including the fabric
 // RNG after it derived the per-node replacement generators and, under the
 // random policy, each node's generator state.
 func TestFreshSnapshotPinned(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		tweak  func(*Config)
-		digest string
+		name  string
+		tweak func(*Config)
 	}{
 		{"clrp-random-torus8x8", func(c *Config) {
 			c.Topology = matrixTorus
 			c.Protocol = "clrp"
 			c.ReplacePolicy = "random"
-		}, "f94e0b062a2a60cb75ba6de02f7d6acdf941f86b32563d8b6ec6547351442ae7"},
+		}},
 		{"wormhole-torus8x8", func(c *Config) {
 			c.Topology = matrixTorus
 			c.Protocol = "wormhole"
-		}, "8a426c1cfd73a243dddf0f02f841ae4608379f66441658d9e40c7b9ca0bebec2"},
+		}},
 		{"clrp-fattree4x2", func(c *Config) {
 			c.Topology = TopologyConfig{Kind: "fattree", Radix: []int{4}, Dims: 2}
 			c.Routing = "updown"
 			c.Protocol = "clrp"
-		}, "bde18fa849579285543bf839be0cf2f7f8193c30330c4853f2d0dbd8b0ad1684"},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -287,7 +262,7 @@ func TestFreshSnapshotPinned(t *testing.T) {
 			if err := s.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			checkDigest(t, buf.Bytes(), tc.digest)
+			pins.Check(t, "snapshot/fresh/"+tc.name, pins.Sum(buf.Bytes()))
 		})
 	}
 }
@@ -310,8 +285,9 @@ func TestSnapshotMatrixHoldsBacktrackedSearch(t *testing.T) {
 	}
 }
 
-// TestSnapshotIdleRoundTrip checkpoints a simulator outside any load run
-// and checks the restored copy steps identically under hand-driven traffic.
+// TestSnapshotIdleRoundTrip checkpoints a simulator outside any load run,
+// pins the bytes (snapshot/idle) and checks the restored copy steps
+// identically under hand-driven traffic.
 func TestSnapshotIdleRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 99
@@ -348,7 +324,7 @@ func TestSnapshotIdleRoundTrip(t *testing.T) {
 	if err := sB.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	checkDigest(t, buf.Bytes(), "1d21eeb46d3cc84435021a1d6a36b4d9f2453576dd698b1f220e4346a872836e")
+	pins.Check(t, "snapshot/idle", pins.Sum(buf.Bytes()))
 	sC, err := Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)

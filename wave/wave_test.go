@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/pins"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -723,10 +725,10 @@ func TestCircuitsSnapshot(t *testing.T) {
 		t.Fatal("snapshot not sorted")
 	}
 	// The checkpoint of this state (two cached circuits, idle fabric) has a
-	// pinned byte format.
+	// pinned byte format, snapshot/circuits.
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkDigest(t, buf.Bytes(), "3d6cc10f21d0fd064b0291b47cff0db4608309192666e5bcc66bb066842783f7")
+	pins.Check(t, "snapshot/circuits", pins.Sum(buf.Bytes()))
 }
