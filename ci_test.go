@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,42 @@ func TestCISelectorsMatch(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Fatal("ci.yml has no go test line with a -run, -bench or -fuzz selector")
+	}
+}
+
+// citedTest matches a Test, Benchmark or Fuzz name in prose, with the
+// -run, -bench or -fuzz flag it may follow and a trailing * that makes it a
+// prefix.
+var citedTest = regexp.MustCompile(`(-(?:run|bench|fuzz)[ =]'?)?\b((?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*)(\*)?`)
+
+// TestDocCitedTestsExist keeps the evidence the documents cite runnable:
+// every Test, Benchmark or Fuzz name in EXPERIMENTS.md, DESIGN.md and
+// README.md must be a function of the module's _test.go files. A name with
+// a trailing * or following a -run, -bench or -fuzz flag is a prefix, which
+// at least one function must have.
+func TestDocCitedTestsExist(t *testing.T) {
+	funcs := testFuncs(t, "./...")
+	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cited := 0
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range citedTest.FindAllStringSubmatch(line, -1) {
+				cited++
+				name, prefix := m[2], m[1] != "" || m[3] != ""
+				found := slices.ContainsFunc(funcs, func(f string) bool {
+					return f == name || prefix && strings.HasPrefix(f, name)
+				})
+				if !found {
+					t.Errorf("%s:%d cites %s%s, which no _test.go function is", doc, i+1, name, m[3])
+				}
+			}
+		}
+		if cited == 0 {
+			t.Errorf("%s cites no test: the pattern no longer reads it", doc)
+		}
 	}
 }
 

@@ -19,8 +19,9 @@ package pcs
 //     live path (consecutive hops the path holds map to each other both
 //     ways, its first hop has no reverse entry and its last no direct
 //     entry), and a Free or Faulty channel has neither;
-//   - history: a live probe's History Store entries name distinct nodes,
-//     and a pooled probe holds none.
+//   - history: a live probe's History Store entries name distinct nodes
+//     and its visited bitset has exactly their bits, and a pooled probe
+//     holds no entry and no set bit.
 //
 // Check allocates and reads every channel: it runs on snapshot decoding,
 // on a watchdog trip and in tests. It follows no index it has not
@@ -28,6 +29,7 @@ package pcs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/circuit"
 )
@@ -232,18 +234,45 @@ func (e *Engine) checkHistory() error {
 		if len(p.histNodes) != len(p.histMasks) {
 			return fmt.Errorf("history: probe %d has %d nodes and %d masks", p.id, len(p.histNodes), len(p.histMasks))
 		}
-		seen := make(map[int]bool, len(p.histNodes))
+		want := make([]uint64, (e.topo.Nodes()+63)/64)
 		for _, n := range p.histNodes {
-			if n < 0 || int(n) >= e.topo.Nodes() || seen[int(n)] {
+			if n < 0 || int(n) >= e.topo.Nodes() || want[n>>6]&(1<<(n&63)) != 0 {
 				return fmt.Errorf("history: probe %d has an entry for node %d out of range or twice", p.id, n)
 			}
-			seen[int(n)] = true
+			want[n>>6] |= 1 << (n & 63)
+		}
+		if err := checkVisited(p, want); err != nil {
+			return err
 		}
 	}
+	none := make([]uint64, (e.topo.Nodes()+63)/64)
 	for _, p := range e.probePool {
 		if len(p.histNodes) != 0 {
 			return fmt.Errorf("history: pooled probe %d keeps %d History Store entries", p.id, len(p.histNodes))
 		}
+		if err := checkVisited(p, none); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkVisited compares p's visited bitset with want, the bits of the nodes
+// its History Store holds.
+func checkVisited(p *probe, want []uint64) error {
+	if len(p.visited) != len(want) {
+		return fmt.Errorf("history: probe %d has a visited bitset of %d words, want %d", p.id, len(p.visited), len(want))
+	}
+	for i, w := range p.visited {
+		d := w ^ want[i]
+		if d == 0 {
+			continue
+		}
+		n := i*64 + bits.TrailingZeros64(d)
+		if w&(d&-d) != 0 {
+			return fmt.Errorf("history: probe %d marks node %d visited without a History Store entry", p.id, n)
+		}
+		return fmt.Errorf("history: probe %d has a History Store entry for node %d without its visited bit", p.id, n)
 	}
 	return nil
 }

@@ -82,6 +82,16 @@ func TestCheckNamesEachClause(t *testing.T) {
 		{"pooled probe keeps history", "history:", func(e *Engine, _ *probe, _ *Circuit) {
 			e.probePool = append(e.probePool, &probe{histNodes: []topology.Node{3}, histMasks: []uint32{1}})
 		}},
+		{"visited bit left after cleanup", "history:", func(e *Engine, p *probe, _ *Circuit) {
+			q := e.newProbe()
+			n := p.histNodes[0]
+			q.visited[n>>6] |= 1 << (n & 63)
+			e.putProbe(q)
+		}},
+		{"visited bit missing for a searched node", "history:", func(e *Engine, p *probe, _ *Circuit) {
+			n := p.histNodes[len(p.histNodes)-1]
+			p.visited[n>>6] &^= 1 << (n & 63)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, p, circ := circuitAndProbe(t)

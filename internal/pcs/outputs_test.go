@@ -130,7 +130,8 @@ func TestOutputsMatchInterfaceReference(t *testing.T) {
 									e.setStatus(int32(link), sw, [...]Status{Free, Free, Free, Reserved, Established, Faulty}[rng.Intn(6)])
 								}
 							}
-							p := &probe{dst: dst, sw: sw, at: at, src: at, maxMis: rng.Intn(maxMis + 1)}
+							p := e.newProbe()
+							p.dst, p.sw, p.at, p.src, p.maxMis = dst, sw, at, at, rng.Intn(maxMis+1)
 							p.misroutes = rng.Intn(p.maxMis + 1)
 							if arrival != topology.Invalid {
 								l, _ := topo.LinkByID(arrival)
@@ -139,6 +140,7 @@ func TestOutputsMatchInterfaceReference(t *testing.T) {
 							}
 							hist := rng.Uint32() & rng.Uint32()
 							p.histNodes, p.histMasks = []topology.Node{at}, []uint32{hist}
+							p.visited[at>>6] |= 1 << (at & 63)
 							f := e.curFrame(p)
 
 							wantPort := -1

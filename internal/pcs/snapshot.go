@@ -14,10 +14,12 @@ package pcs
 // alone, since it always lies on the probe's own switch; and a probe's
 // search frames (per-depth profitable masks and History Store indices) are
 // derived from its path and History Store, so a restored probe rebuilds
-// them on its next step. Decoding refuses only what it cannot represent or
-// resolve (a link or switch out of range, an unknown circuit) and then runs
-// Check, which judges the registers against the paths: path chains, one
-// holder per channel, the mappings and the History Store.
+// them on its next step; its visited-node bitset is rebuilt from the
+// History Store's nodes as they are decoded. Decoding refuses only what it
+// cannot represent or resolve (a link, switch or History Store node out of
+// range, an unknown circuit) and then runs Check, which judges the
+// registers against the paths: path chains, one holder per channel, the
+// mappings and the History Store.
 //
 // Pending work is pure data — every completion reports through a handler
 // registered once (SetProbeDone, SetCircuitFreed) — so encoding cannot fail.
@@ -35,7 +37,7 @@ func walkChannel(c *snapshot.Codec, ch *Channel) {
 // walkProbe walks one probe; the decoder allocates it fresh.
 func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 	if c.Decoding() {
-		*pp = &probe{}
+		*pp = e.newProbe()
 	}
 	p := *pp
 	snapshot.I64(c, &p.id)
@@ -71,6 +73,7 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 	snapshot.I64(c, &p.launched)
 	// History store: the sparse (node, mask) entries in first-touch order —
 	// byte-identical to the dirty-list encoding of the former dense layout.
+	// The visited bitset is derived: decoding sets the bit of each node.
 	n := len(p.histNodes)
 	c.Count(&n)
 	for i := 0; i < n && c.Err() == nil; i++ {
@@ -80,6 +83,13 @@ func (e *Engine) walkProbe(c *snapshot.Codec, pp **probe) {
 		}
 		snapshot.I64(c, &p.histNodes[i])
 		snapshot.U32(c, &p.histMasks[i])
+		if node := p.histNodes[i]; c.Decoding() && c.Err() == nil {
+			if node < 0 || int(node) >= e.topo.Nodes() {
+				c.Failf("pcs: snapshot probe %d History Store node %d out of range", p.id, node)
+				return
+			}
+			p.visited[node>>6] |= 1 << (node & 63)
+		}
 	}
 }
 
