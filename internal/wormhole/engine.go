@@ -436,25 +436,38 @@ func (e *Engine) allocatePass() {
 // into the routing set, and a delivery hook that injects wakes an injection
 // port into the routing set, which this pass does not walk).
 //
-// Each visit is one send block for both port kinds, over locals loaded once
-// per pass: read the port's front flit and held output, then claim the
-// physical input port, the output link and one credit, queue the arrival,
-// and advance the port — a link VC pops its ring and returns the credit
-// for the slot it freed, an injection port counts the flit sent. A port
-// with no output held delivers locally instead, which claims only the
-// input port. The walk re-tests no phase: Check's port-set clause holds
-// active membership to vcActive, and an active injection port to a
-// non-empty queue.
+// A link VC that holds an output channel — most visits under load — sends
+// without a data-dependent branch: the four guards (a buffered flit, the
+// physical input port and the output link not yet claimed this pass, a
+// credit left) fold into one 0/1 flag k, and every write a send makes is
+// scaled or masked by it: the credit spent, both busy stamps
+// (pass&m | old&^m with m = -k), the arrival written at arrivals[n] before
+// n += k, FlitsMoved and LinkFlits, the ring pop and the credit return.
+// Which guard fails is close to random per visit, so a branch on each
+// mispredicted often. Three branches remain: two test configuration
+// constants (a CreditDelay > 0 credit is queued, recovery notes progress)
+// and only then k, and the tail retire needs k & IsTail. The arrivals
+// buffer is grown at pass start to hold one more entry than the active set,
+// so a write at arrivals[n] is always in range. Injection ports and local
+// deliveries (a link VC with no output held) keep the branched send block.
+// The walk re-tests no phase: Check's port-set clause holds active
+// membership to vcActive, and an active injection port to a non-empty
+// queue. FlitsMoved and the arrivals are written back at the pass's single
+// exit.
 func (e *Engine) traversePass(now int64) {
 	nl, total := e.numLinkInputs(), e.NumPorts()
 	s := &e.active
 	if s.n == 0 {
 		return
 	}
-	in, inj, ring, out := e.in, e.inj, e.ring, e.out
+	if cap(e.arrivals) <= s.n {
+		e.arrivals = make([]arrival, 0, 2*s.n+1)
+	}
+	arrivals, n, selfSends := e.arrivals[:cap(e.arrivals)], 0, 0
+	in, inj, ring, out, linkFlits := e.in, e.inj, e.ring, e.out, e.LinkFlits
 	outLinkBusy, inPortBusy := e.outLinkBusy, e.inPortBusy
 	depth, pass, nl32, numLinks := e.depth, e.pass, int32(nl), int32(e.numLinks)
-	creditDelay := int64(e.prm.CreditDelay)
+	creditDelay, recovery := int64(e.prm.CreditDelay), e.recovery != nil
 	for from, to := e.start, total; ; from, to = 0, e.start {
 		wFrom, wTo := from>>6, (to-1)>>6+1
 		for sw := wFrom >> 6; sw <= (wTo-1)>>6; sw++ {
@@ -462,40 +475,48 @@ func (e *Engine) traversePass(now int64) {
 				w := sw<<6 + mathbits.TrailingZeros64(sum)
 				for word := segWord(s.words, w, from, to); word != 0; word &= word - 1 {
 					port := int32(w<<6 + mathbits.TrailingZeros64(word))
-					var v *linkVC
 					var p *injPort
 					var inPort, outLink, outCh1 int32
 					var ref flitRef
 					if port < nl32 {
-						v = &in[port]
-						if v.count == 0 {
-							continue
-						}
+						v := &in[port]
 						inPort, outLink, outCh1 = v.inLink, v.outLink, v.outCh1
 						ref = ring[port*depth+v.head]
-					} else {
-						p = &inj[port-nl32]
-						inPort, outLink, outCh1 = numLinks+port-nl32, p.outLink, p.outCh1
-						ref = flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
-					}
-					if inPortBusy[inPort] == pass {
-						continue
-					}
-					if outCh1 != 0 {
-						o := &out[outCh1-1]
-						if outLinkBusy[outLink] == pass || o.spent == depth {
+						if outCh1 != 0 {
+							o := &out[outCh1-1]
+							k := flag(v.count != 0) & flag(inPortBusy[inPort] != pass) &
+								flag(outLinkBusy[outLink] != pass) & flag(o.spent != depth)
+							m := uint32(-k)
+							o.spent += k
+							outLinkBusy[outLink] = pass&m | outLinkBusy[outLink]&^m
+							inPortBusy[inPort] = pass&m | inPortBusy[inPort]&^m
+							arrivals[n] = arrival{ch: outCh1 - 1, ref: ref}
+							n += int(k)
+							linkFlits[outLink] += int64(k)
+							head := v.head + k
+							if head == depth {
+								head = 0
+							}
+							v.head = head
+							v.count -= k
+							if creditDelay == 0 {
+								out[port].spent -= k
+							} else if k != 0 {
+								e.creditQueue = append(e.creditQueue, pendingCredit{ch: port, at: now + creditDelay})
+							}
+							if recovery && k != 0 {
+								e.noteProgress(ref.slot, now)
+							}
+							if k&flag(ref.kind.IsTail()) != 0 {
+								e.retireVC(port, v)
+							}
 							continue
 						}
-						o.spent++
-						outLinkBusy[outLink] = pass
-						e.arrivals = append(e.arrivals, arrival{ch: outCh1 - 1, ref: ref})
-						e.FlitsMoved++
-						e.LinkFlits[outLink]++
-						e.noteProgress(ref.slot, now)
-					}
-					// Local delivery too consumes one flit per input port per cycle.
-					inPortBusy[inPort] = pass
-					if v != nil {
+						// Local delivery too consumes one flit per input port per cycle.
+						if v.count == 0 || inPortBusy[inPort] == pass {
+							continue
+						}
+						inPortBusy[inPort] = pass
 						if v.head++; v.head == depth {
 							v.head = 0
 						}
@@ -505,18 +526,35 @@ func (e *Engine) traversePass(now int64) {
 						} else {
 							e.creditQueue = append(e.creditQueue, pendingCredit{ch: port, at: now + creditDelay})
 						}
-						if outCh1 == 0 {
-							e.deliverFlit(ref, now)
-						}
+						e.deliverFlit(ref, now)
 						if ref.kind.IsTail() {
 							e.retireVC(port, v)
 						}
 						continue
 					}
+					p = &inj[port-nl32]
+					inPort, outLink, outCh1 = numLinks+port-nl32, p.outLink, p.outCh1
+					if inPortBusy[inPort] == pass {
+						continue
+					}
+					ref = flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
+					if outCh1 != 0 {
+						o := &out[outCh1-1]
+						if outLinkBusy[outLink] == pass || o.spent == depth {
+							continue
+						}
+						o.spent++
+						outLinkBusy[outLink] = pass
+						arrivals[n] = arrival{ch: outCh1 - 1, ref: ref}
+						n++
+						linkFlits[outLink]++
+						e.noteProgress(ref.slot, now)
+					}
+					inPortBusy[inPort] = pass
 					p.sent++
 					if outCh1 == 0 {
 						e.deliverFlit(ref, now)
-						e.FlitsMoved++ // a self-send counts as moved; a link VC's local delivery does not
+						selfSends++
 					}
 					if ref.kind.IsTail() {
 						e.retireFront(topology.Node(port-nl32), p)
@@ -525,9 +563,21 @@ func (e *Engine) traversePass(now int64) {
 			}
 		}
 		if from == 0 {
-			return
+			break
 		}
 	}
+	// Every arrival is a flit moved; so is a self-send, but not a link VC's
+	// local delivery.
+	e.arrivals, e.FlitsMoved = arrivals[:n], e.FlitsMoved+int64(n+selfSends)
+}
+
+// flag returns 1 when b holds and 0 otherwise; the compiler lowers it to a
+// flag set, not a branch.
+func flag(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // claimOutput resolves routing for a header at `here` and claims an output

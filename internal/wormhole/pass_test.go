@@ -150,51 +150,61 @@ func TestQueuesStayBoundedUnderSustainedTraffic(t *testing.T) {
 	}
 }
 
-// TestOneFlitPerLinkPerCycle holds the traversal pass to the switch
-// allocation rule on a loaded 8x8 torus under duato over 3 VCs, so several
-// VCs share every link: after each cycle, no link carried more than one
-// flit, no physical input link let more than one flit leave over all its
-// VCs, and no injection port sent more than one flit.
-func TestOneFlitPerLinkPerCycle(t *testing.T) {
-	const radix, nvc, cycles = 8, 3, 3000
-	e := torusEngine(t, radix, "duato", Params{NumVCs: nvc, BufDepth: 2}, nil)
-	nodes, links := radix*radix, e.numLinks
-	// A burst of 16 messages per node loads the network; a light load
-	// keeps injection ports waking after it drains.
+// contendedTorus returns an 8x8 torus under duato over 3 VCs of depth 2, so
+// several VCs share every link and run out of credit, loaded by a burst of
+// 16 messages per node, and a source of 8-flit messages at the given load
+// that keeps injection ports waking after the burst drains.
+func contendedTorus(t *testing.T, load float64) (*Engine, *uniformSource) {
+	const radix = 8
+	e := torusEngine(t, radix, "duato", Params{NumVCs: 3, BufDepth: 2}, nil)
+	nodes := radix * radix
 	burst := newUniformSource(17, nodes, 12, 12)
 	for i := 0; i < 16; i++ {
 		burst.tick(e, 0)
 	}
-	light := newUniformSource(18, nodes, 8, 0.05)
-	light.next = burst.next
+	after := newUniformSource(18, nodes, 8, load)
+	after.next = burst.next
+	return e, after
+}
 
-	// buffered counts the flits held by each physical input link's VCs,
-	// unsent the flits still to leave each injection port.
-	buffered := func() []int32 {
-		b := make([]int32, links)
-		for ch := range e.in {
-			b[ch/nvc] += e.in[ch].count
-		}
-		return b
+// buffered counts the flits held by each physical input link's VCs.
+func buffered(e *Engine) []int32 {
+	b := make([]int32, e.numLinks)
+	for ch := range e.in {
+		b[int32(ch)/e.nvc] += e.in[ch].count
 	}
-	unsent := func() []int {
-		u := make([]int, nodes)
-		for n := range e.inj {
-			p := &e.inj[n]
-			u[n] = -p.sent
-			for _, s := range p.queue[p.head:] {
-				u[n] += e.slots[s].msg.Len
-			}
+	return b
+}
+
+// unsent counts the flits still to leave each injection port.
+func unsent(e *Engine) []int {
+	u := make([]int, len(e.inj))
+	for n := range e.inj {
+		p := &e.inj[n]
+		u[n] = -p.sent
+		for _, s := range p.queue[p.head:] {
+			u[n] += e.slots[s].msg.Len
 		}
-		return u
 	}
+	return u
+}
+
+// TestOneFlitPerLinkPerCycle holds the traversal pass to the switch
+// allocation rule on the contended torus, lightly loaded once its burst
+// drains: after each cycle, no link carried
+// more than one flit, no physical input link let more than one flit leave
+// over all its VCs, and no injection port sent more than one flit.
+func TestOneFlitPerLinkPerCycle(t *testing.T) {
+	const cycles = 3000
+	e, light := contendedTorus(t, 0.05)
+	nvc, links := e.nvc, e.numLinks
 	shared := 0 // cycles that began with two VCs of one link holding flits
 	for cyc := int64(1); cyc <= cycles; cyc++ {
 		light.tick(e, cyc)
 	scan:
 		for l := 0; l < links; l++ {
 			held := 0
-			for _, v := range e.in[l*nvc:][:nvc] {
+			for _, v := range e.in[int32(l)*nvc:][:nvc] {
 				if v.count > 0 {
 					if held++; held == 2 {
 						shared++
@@ -203,12 +213,12 @@ func TestOneFlitPerLinkPerCycle(t *testing.T) {
 				}
 			}
 		}
-		linkFlits, left, unsentBefore := slices.Clone(e.LinkFlits), buffered(), unsent()
+		linkFlits, left, unsentBefore := slices.Clone(e.LinkFlits), buffered(e), unsent(e)
 		e.Cycle(cyc)
 		for _, a := range e.arrivals {
 			left[a.ch/nvc]++
 		}
-		after, unsentAfter := buffered(), unsent()
+		after, unsentAfter := buffered(e), unsent(e)
 		for l := 0; l < links; l++ {
 			if d := e.LinkFlits[l] - linkFlits[l]; d > 1 {
 				t.Fatalf("cycle %d: link %d carried %d flits", cyc, l, d)
@@ -226,5 +236,76 @@ func TestOneFlitPerLinkPerCycle(t *testing.T) {
 	mustCheck(t, e)
 	if shared < cycles/10 {
 		t.Fatalf("only %d of %d cycles began with VCs sharing a link", shared, cycles)
+	}
+}
+
+// TestTraversalOutcomes holds every busy stamp the traversal pass writes to
+// a flit that really moved, on the contended torus held near saturation,
+// where many visits find an empty buffer, no credit or a claimed link or
+// port and so must leave no trace. After each cycle: an output link carries one new arrival if its
+// stamp is this pass's and none otherwise; a physical input port (a link's
+// VCs together, or an injection port) let exactly one flit leave (sent on
+// or delivered) if stamped and none otherwise; the arrivals number the
+// rise in LinkFlits; and Check holds.
+func TestTraversalOutcomes(t *testing.T) {
+	const cycles = 3000
+	e, src := contendedTorus(t, 0.3)
+	nvc, links := e.nvc, e.numLinks
+	stalled := 0 // cycles in which some input link held flits and sent none
+	for cyc := int64(1); cyc <= cycles; cyc++ {
+		src.tick(e, cyc)
+		var moved int64
+		for _, f := range e.LinkFlits {
+			moved -= f
+		}
+		left, unsentBefore := buffered(e), unsent(e)
+		held := slices.Clone(left)
+		e.Cycle(cyc)
+		carried := make([]int, links)
+		for _, a := range e.arrivals {
+			carried[a.ch/nvc]++
+			left[a.ch/nvc]++
+		}
+		for _, f := range e.LinkFlits {
+			moved += f
+		}
+		if moved != int64(len(e.arrivals)) {
+			t.Fatalf("cycle %d: %d arrivals, LinkFlits rose by %d", cyc, len(e.arrivals), moved)
+		}
+		after, unsentAfter := buffered(e), unsent(e)
+		stall := false
+		for l := 0; l < links; l++ {
+			stamped := 0
+			if e.outLinkBusy[l] == e.pass {
+				stamped = 1
+			}
+			if carried[l] != stamped {
+				t.Fatalf("cycle %d: output link %d stamped %d, carries %d arrivals", cyc, l, stamped, carried[l])
+			}
+			stamped = 0
+			if e.inPortBusy[l] == e.pass {
+				stamped = 1
+			}
+			if d := left[l] - after[l]; d != int32(stamped) {
+				t.Fatalf("cycle %d: input link %d stamped %d, %d flits left it", cyc, l, stamped, d)
+			}
+			stall = stall || (held[l] > 0 && stamped == 0)
+		}
+		for n := range unsentAfter {
+			stamped := 0
+			if e.inPortBusy[links+n] == e.pass {
+				stamped = 1
+			}
+			if d := unsentBefore[n] - unsentAfter[n]; d != stamped {
+				t.Fatalf("cycle %d: injection port %d stamped %d, sent %d flits", cyc, n, stamped, d)
+			}
+		}
+		if stall {
+			stalled++
+		}
+		mustCheck(t, e)
+	}
+	if stalled < cycles/2 {
+		t.Fatalf("only %d of %d cycles held buffered flits that did not move", stalled, cycles)
 	}
 }

@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/flit"
@@ -92,6 +93,42 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 			}
 		})
 	}
+	// BenchmarkWormholeCycle/16x16_uniform's shape, where hundreds of
+	// visits a cycle find an empty buffer, no credit or a claimed port, and
+	// the traversal pass grows its arrivals buffer to the active set.
+	t.Run("16x16_uniform", func(t *testing.T) {
+		eng := torusEngine(t, 16, "duato", Params{NumVCs: 3, BufDepth: 4}, nil)
+		src := newUniformSource(1, 256, 32, 0.15)
+		var now int64
+		step := func() {
+			src.tick(eng, now)
+			eng.Cycle(now)
+			now++
+		}
+		for now < 5000 {
+			step()
+		}
+		// The unbounded source queues and the slot arena still grow a few
+		// times per thousand cycles after warm-up, each time one node's
+		// backlog or the in-flight count meets a new peak; give them room
+		// past any peak of the measured window.
+		for n := range eng.inj {
+			eng.inj[n].queue = slices.Grow(eng.inj[n].queue, 64)
+		}
+		eng.slots = slices.Grow(eng.slots, len(eng.slots))
+		eng.freeSlots = slices.Grow(eng.freeSlots, cap(eng.slots))
+		moved := eng.FlitsMoved
+		if allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 2000; i++ {
+				step()
+			}
+		}); allocs != 0 {
+			t.Errorf("%.0f allocations in 2000 loaded cycles, want 0", allocs)
+		}
+		if eng.FlitsMoved-moved < 4000*100 {
+			t.Fatalf("only %d flits moved in 4000 cycles: the load is too light", eng.FlitsMoved-moved)
+		}
+	})
 }
 
 // TestActiveSetTracksPhases checks the active-set invariant directly: the
