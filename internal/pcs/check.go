@@ -20,8 +20,9 @@ package pcs
 //     ways, its first hop has no reverse entry and its last no direct
 //     entry), and a Free or Faulty channel has neither;
 //   - history: a live probe's History Store entries name distinct nodes
-//     and its visited bitset has exactly their bits, and a pooled probe
-//     holds no entry and no set bit.
+//     and its visited bitset has exactly their bits, the frame at its
+//     current depth (when it has one) holds its node's History Store mask,
+//     and a pooled probe holds no entry and no set bit.
 //
 // Check allocates and reads every channel: it runs on snapshot decoding,
 // on a watchdog trip and in tests. It follows no index it has not
@@ -243,6 +244,11 @@ func (e *Engine) checkHistory() error {
 		}
 		if err := checkVisited(p, want); err != nil {
 			return err
+		}
+		if d := len(p.path); d < len(p.frames) {
+			if got, want := p.frames[d].hmask, p.histAt(p.at); got != want {
+				return fmt.Errorf("history: probe %d's frame at depth %d caches mask %#x, node %d's History Store entry is %#x", p.id, d, got, p.at, want)
+			}
 		}
 	}
 	none := make([]uint64, (e.topo.Nodes()+63)/64)

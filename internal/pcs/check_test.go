@@ -92,6 +92,9 @@ func TestCheckNamesEachClause(t *testing.T) {
 			n := p.histNodes[len(p.histNodes)-1]
 			p.visited[n>>6] &^= 1 << (n & 63)
 		}},
+		{"stale frame mask", "history:", func(e *Engine, p *probe, _ *Circuit) {
+			p.frames[len(p.path)].hmask ^= 1
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, p, circ := circuitAndProbe(t)

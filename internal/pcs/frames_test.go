@@ -60,8 +60,8 @@ func checkFrames(t *testing.T, e *Engine, p *probe, step int) {
 	if at != p.at {
 		t.Fatalf("step %d: path ends at %d, probe at %d", step, at, p.at)
 	}
-	if got, want := p.histOf(&p.frames[len(p.path)]), p.histAt(p.at); got != want {
-		t.Fatalf("step %d: frame history mask %#x, histAt %#x", step, got, want)
+	if got, want := p.frames[len(p.path)].hmask, p.histAt(p.at); got != want {
+		t.Fatalf("step %d: frame's History Store mask %#x, histAt %#x", step, got, want)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestFramesMatchFreshOutputs(t *testing.T) {
 					checkFrames(t, e, p, step)
 					mustCheck(t, e)
 					var free []int
-					for c := e.free[f.cs] &^ p.histOf(f) &^ f.back; c != 0; c &= c - 1 {
+					for c := e.free[f.cs] &^ f.hmask &^ f.back; c != 0; c &= c - 1 {
 						free = append(free, bits.TrailingZeros32(c))
 					}
 					switch r := rng.Intn(10); {
