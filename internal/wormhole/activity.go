@@ -24,7 +24,7 @@ package wormhole
 // sets, summaries, counts and start against the port phases.
 //
 // Membership changes only at phase transitions, which happen on a handful of
-// events: injection into an empty source queue, a flit arriving at an idle
+// events: injection into an empty source queue, a head arriving at an idle
 // VC, a header winning an output, a tail flit leaving its port, and recovery
 // re-injects/aborts. Every transition site goes through setPhase, which
 // writes the phase and both sets together; it is O(1) and allocation-free
@@ -36,8 +36,10 @@ package wormhole
 // The switch-allocation busy flags cost nothing to reset: outLinkBusy and
 // inPortBusy hold the stamp of the traversal pass that last claimed each
 // entry, and an entry is busy only while its stamp equals the current pass.
-// Each traversal pass takes the next stamp, so every flag falls free at once
-// without a clearing sweep.
+// A channel's arrived stamp works the same way: its newest flit is held
+// back only while the stamp equals the current pass. Each traversal pass
+// takes the next stamp, so every flag falls free at once without a
+// clearing sweep.
 
 // portSet is a two-level membership bitmap over the global input-port
 // space: bit p of words is port p, bit w of sum is set while words[w] is
@@ -110,16 +112,18 @@ func (e *Engine) advanceRotation() {
 	}
 }
 
-// nextPass starts a traversal pass: no arrivals, and a fresh stamp so every
-// busy flag of the last pass reads free. The stamp is taken before first
-// use, so the zero entries of a fresh or restored engine never match; when
-// the counter wraps, the arrays are cleared once.
+// nextPass starts a traversal pass with a fresh stamp, so every busy flag
+// and arrived stamp of the last pass reads free. The stamp is taken before
+// first use, so the zero entries of a fresh or restored engine never
+// match; when the counter wraps, every stamp is cleared once.
 func (e *Engine) nextPass() {
-	e.arrivals = e.arrivals[:0]
 	e.pass++
 	if e.pass == 0 {
 		clear(e.outLinkBusy)
 		clear(e.inPortBusy)
+		for i := range e.chans {
+			e.chans[i].arrived = 0
+		}
 		e.pass = 1
 	}
 }

@@ -3,9 +3,14 @@ package wormhole
 // Check is the engine's invariant checker over live state. It holds the
 // properties the deadlock proofs and the active-set walk assume:
 //
-//   - flits: every buffered flit and every queued or parked injection
-//     slot belongs to a live slot, a flit at a sequence number and kind
-//     its message has;
+//   - flits: every buffered message and every queued or parked injection
+//     slot is a live slot, a VC's front flit is one its message has, and
+//     a routing VC fronts a head;
+//   - runs: a VC that fronts no message buffers and queues nothing, an
+//     idle VC fronts nothing and a streaming VC fronts its message, a
+//     queued message holds at least one flit and the buffer's last
+//     message no more than it has left, and a streaming VC with an empty
+//     buffer awaits the flit its channel's owner sends next;
 //   - arena: each live message occupies one slot, liveSlots counts them,
 //     and the free list holds every other slot once;
 //   - credits: on every VC, buffered flits plus credits in flight plus
@@ -30,7 +35,7 @@ import (
 
 // Check returns an error naming the first broken invariant, or nil.
 func (e *Engine) Check() error {
-	for _, clause := range []func() error{e.checkFlits, e.checkArena, e.checkCredits, e.checkOwners, e.checkSets} {
+	for _, clause := range []func() error{e.checkFlits, e.checkRuns, e.checkArena, e.checkCredits, e.checkOwners, e.checkSets} {
 		if err := clause(); err != nil {
 			return fmt.Errorf("wormhole: %w", err)
 		}
@@ -72,18 +77,26 @@ func (e *Engine) checkArena() error {
 }
 
 func (e *Engine) checkFlits() error {
-	for i := range e.in {
-		v := &e.in[i]
-		if v.count < 0 || v.count > e.depth || v.head < 0 || v.head >= e.depth {
-			return fmt.Errorf("flits: VC %d holds %d flits from %d, buffer depth %d", i, v.count, v.head, e.depth)
+	for i := range e.chans {
+		v := &e.chans[i]
+		if v.count < 0 || v.count > e.depth || v.qn < 0 || v.qn >= e.depth {
+			return fmt.Errorf("flits: VC %d holds %d flits and queues %d messages, buffer depth %d", i, v.count, v.qn, e.depth)
 		}
-		for j := int32(0); j < v.count; j++ {
-			r := e.ring[e.ringAt(int32(i), j)]
-			if !e.liveSlot(r.slot) {
-				return fmt.Errorf("flits: VC %d holds a flit of slot %d, no live message", i, r.slot)
+		if v.front1 != 0 {
+			f := v.front1 - 1
+			if !e.liveSlot(f) {
+				return fmt.Errorf("flits: VC %d holds a flit of slot %d, no live message", i, f)
 			}
-			if m := &e.slots[r.slot].msg; r.seq < 0 || int(r.seq) >= m.Len || r.kind != flit.KindOf(int(r.seq), m.Len) {
-				return fmt.Errorf("flits: VC %d holds flit %d (%v) of message %d, %d flits long", i, r.seq, r.kind, m.ID, m.Len)
+			if m := &e.slots[f].msg; v.flen != int32(m.Len) || v.seq < 0 || v.seq >= v.flen {
+				return fmt.Errorf("flits: VC %d fronts flit %d of message %d as %d flits long, it is %d flits long", i, v.seq, m.ID, v.flen, m.Len)
+			}
+			if v.phase == vcRouting && v.seq != 0 {
+				return fmt.Errorf("flits: routing VC %d fronts %v flit %d, not a head", i, flit.KindOf(int(v.seq), int(v.flen)), v.seq)
+			}
+		}
+		for _, s := range e.msgq[int32(i)*e.depth:][:v.qn] {
+			if !e.liveSlot(s) {
+				return fmt.Errorf("flits: VC %d holds a flit of slot %d, no live message", i, s)
 			}
 		}
 	}
@@ -112,18 +125,83 @@ func (e *Engine) checkFlits() error {
 	return nil
 }
 
+func (e *Engine) checkRuns() error {
+	nl := int32(e.numLinkInputs())
+	for i := range e.chans {
+		v := &e.chans[i]
+		switch {
+		case v.front1 == 0 && (v.count != 0 || v.qn != 0):
+			return fmt.Errorf("runs: VC %d holds %d flits and queues %d messages behind no front", i, v.count, v.qn)
+		case v.phase == vcIdle && v.front1 != 0:
+			return fmt.Errorf("runs: idle VC %d fronts slot %d", i, v.front1-1)
+		case v.phase == vcActive && v.front1 == 0:
+			return fmt.Errorf("runs: streaming VC %d fronts no message", i)
+		}
+		// A queued message holds at least its head, and the last message
+		// buffered at most the flits it has left.
+		last, held, left := v.front1-1, v.count, v.flen-v.seq
+		if q := e.msgq[int32(i)*e.depth:][:v.qn]; len(q) > 0 {
+			held -= left
+			for _, s := range q[:len(q)-1] {
+				if e.msgLen(s) < 1 {
+					return fmt.Errorf("runs: VC %d queues the message in slot %d, %d flits long", i, s, e.msgLen(s))
+				}
+				held -= e.msgLen(s)
+			}
+			last, left = q[len(q)-1], e.msgLen(q[len(q)-1])
+			if held < 1 {
+				return fmt.Errorf("runs: VC %d holds %d flits of its last queued message %d", i, held, last)
+			}
+		}
+		if held > left {
+			return fmt.Errorf("runs: VC %d holds %d flits of the message in slot %d, which has %d left", i, held, last, left)
+		}
+		if v.phase != vcActive || v.count != 0 {
+			continue
+		}
+		// An empty streaming VC awaits the next flit its channel's owner
+		// sends. An owner that does not stream onto the channel is left to
+		// the ownership clause.
+		owner := v.owner()
+		var slot, seq int32
+		switch {
+		case owner == -1:
+			return fmt.Errorf("runs: empty streaming VC %d awaits flit %d of slot %d, and its channel has no owner", i, v.seq, v.front1-1)
+		case owner < -1 || owner >= int32(e.NumPorts()):
+			continue
+		case owner < nl:
+			u := &e.chans[owner]
+			if u.phase != vcActive || u.outCh1 != int32(i)+1 {
+				continue
+			}
+			slot, seq = u.front1-1, u.seq
+		default:
+			p := &e.inj[owner-nl]
+			if p.phase != vcActive || p.outCh1 != int32(i)+1 || p.qlen() == 0 {
+				continue
+			}
+			slot, seq = p.front(), int32(p.sent)
+		}
+		if slot != v.front1-1 || seq != v.seq {
+			return fmt.Errorf("runs: empty streaming VC %d awaits flit %d of slot %d, its channel's owner port %d sends flit %d of slot %d",
+				i, v.seq, v.front1-1, owner, seq, slot)
+		}
+	}
+	return nil
+}
+
 func (e *Engine) checkCredits() error {
-	pending := make([]int32, len(e.out))
+	pending := make([]int32, len(e.chans))
 	for _, pc := range e.creditQueue[e.creditHead:] {
-		if pc.ch < 0 || int(pc.ch) >= len(e.out) {
-			return fmt.Errorf("credits: credit in flight for channel %d of %d", pc.ch, len(e.out))
+		if pc.ch < 0 || int(pc.ch) >= len(e.chans) {
+			return fmt.Errorf("credits: credit in flight for channel %d of %d", pc.ch, len(e.chans))
 		}
 		pending[pc.ch]++
 	}
-	for ch := range e.out {
-		if credits := e.credits(ch); e.in[ch].count+pending[ch]+credits != e.depth {
+	for ch := range e.chans {
+		if credits := e.credits(ch); e.chans[ch].count+pending[ch]+credits != e.depth {
 			return fmt.Errorf("credits: VC %d buffers %d flits with %d in flight and %d credits upstream, depth %d",
-				ch, e.in[ch].count, pending[ch], credits, e.depth)
+				ch, e.chans[ch].count, pending[ch], credits, e.depth)
 		}
 	}
 	return nil
@@ -135,23 +213,23 @@ func (e *Engine) portOut(port int) (vcPhase, int32) {
 	if nl := e.numLinkInputs(); port >= nl {
 		return e.inj[port-nl].phase, e.inj[port-nl].outCh1 - 1
 	}
-	return e.in[port].phase, e.in[port].outCh1 - 1
+	return e.chans[port].phase, e.chans[port].outCh1 - 1
 }
 
 func (e *Engine) checkOwners() error {
 	for port := 0; port < e.NumPorts(); port++ {
 		ph, ch := e.portOut(port)
 		switch {
-		case ch < -1 || int(ch) >= len(e.out):
-			return fmt.Errorf("ownership: port %d holds output channel %d of %d", port, ch, len(e.out))
+		case ch < -1 || int(ch) >= len(e.chans):
+			return fmt.Errorf("ownership: port %d holds output channel %d of %d", port, ch, len(e.chans))
 		case ch >= 0 && ph != vcActive:
 			return fmt.Errorf("ownership: port %d in phase %d holds output channel %d", port, ph, ch)
-		case ch >= 0 && e.out[ch].owner() != int32(port):
-			return fmt.Errorf("ownership: port %d streams onto output channel %d, owned by port %d", port, ch, e.out[ch].owner())
+		case ch >= 0 && e.chans[ch].owner() != int32(port):
+			return fmt.Errorf("ownership: port %d streams onto output channel %d, owned by port %d", port, ch, e.chans[ch].owner())
 		}
 	}
-	for ch := range e.out {
-		owner := e.out[ch].owner()
+	for ch := range e.chans {
+		owner := e.chans[ch].owner()
 		if owner == -1 {
 			continue
 		}
@@ -208,8 +286,8 @@ func (e *Engine) checkSets() error {
 // again. The fabric's Check balances the flits it injected against these
 // and FlitsDelivered.
 func (e *Engine) FlitBalance() (held, retaken int64) {
-	for i := range e.in {
-		held += int64(e.in[i].count)
+	for i := range e.chans {
+		held += int64(e.chans[i].count)
 	}
 	for n := range e.inj {
 		p := &e.inj[n]

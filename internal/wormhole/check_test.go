@@ -39,8 +39,32 @@ func setOut(e *Engine, port int, ch int32) {
 	if nl := e.numLinkInputs(); port >= nl {
 		e.inj[port-nl].outCh1 = ch + 1
 	} else {
-		e.in[port].outCh1 = ch + 1
+		e.chans[port].outCh1 = ch + 1
 	}
+}
+
+// emptyStreamingVC cycles e until some VC streams a message of two flits
+// or more with an empty buffer while its channel's owner streams onto it,
+// and returns that VC.
+func emptyStreamingVC(t *testing.T, e *Engine) int32 {
+	t.Helper()
+	for cyc := e.now + 1; cyc < e.now+2000; cyc++ {
+		for i := range e.chans {
+			v := &e.chans[i]
+			if v.phase != vcActive || v.count != 0 || v.flen < 2 {
+				continue
+			}
+			if owner := v.owner(); owner < 0 {
+				continue
+			} else if ph, ch := e.portOut(int(owner)); ph == vcActive && ch == int32(i) {
+				return int32(i)
+			}
+		}
+		e.Cycle(cyc)
+		mustCheck(t, e)
+	}
+	t.Fatal("no VC streamed with an empty buffer")
+	return -1
 }
 
 // TestCheckNamesEachClause corrupts one field of a live engine per case and
@@ -50,7 +74,7 @@ func TestCheckNamesEachClause(t *testing.T) {
 		name, clause string
 		corrupt      func(t *testing.T, e *Engine)
 	}{
-		{"credit bumped", "credits:", func(t *testing.T, e *Engine) { e.out[3].spent-- }},
+		{"credit bumped", "credits:", func(t *testing.T, e *Engine) { e.chans[3].spent-- }},
 		{"channel with a second owner", "ownership:", func(t *testing.T, e *Engine) {
 			a, b := streamingPorts(t, e)
 			_, ch := e.portOut(a)
@@ -61,30 +85,73 @@ func TestCheckNamesEachClause(t *testing.T) {
 			_, ch := e.portOut(a)
 			for port := 0; port < e.NumPorts(); port++ {
 				if ph, _ := e.portOut(port); ph == vcIdle {
-					e.out[ch].owner1 = int32(port) + 1
+					e.chans[ch].owner1 = int32(port) + 1
 					return
 				}
 			}
 			t.Fatal("no idle port")
 		}},
 		{"buffered flit of a freed slot", "flits:", func(t *testing.T, e *Engine) {
-			for i := range e.in {
-				if e.in[i].count > 0 {
-					e.slots[e.ring[e.ringAt(int32(i), 0)].slot].live = false
+			for i := range e.chans {
+				if e.chans[i].count > 0 {
+					e.slots[e.chans[i].front1-1].live = false
 					return
 				}
 			}
 			t.Fatal("no buffered flit")
 		}},
 		{"flit of the wrong kind", "flits:", func(t *testing.T, e *Engine) {
-			for i := range e.in {
-				if e.in[i].count > 0 {
-					r := &e.ring[e.ringAt(int32(i), 0)]
-					r.kind = flit.KindOf(int(r.seq)+1, int(r.seq)+3)
+			// A routing VC fronts a body flit where its header should be.
+			for i := range e.chans {
+				if v := &e.chans[i]; v.phase == vcActive && v.count > 0 && v.flen >= 2 {
+					v.seq = 1
+					e.setPhase(i, &v.phase, vcRouting)
+					return
+				}
+			}
+			t.Fatal("no streaming VC buffers a message of two flits or more")
+		}},
+		{"flits behind no front", "runs:", func(t *testing.T, e *Engine) {
+			for i := range e.chans {
+				if v := &e.chans[i]; v.count > 0 {
+					v.front1 = 0
 					return
 				}
 			}
 			t.Fatal("no buffered flit")
+		}},
+		{"idle VC fronting a message", "runs:", func(t *testing.T, e *Engine) {
+			for i := range e.chans {
+				if v := &e.chans[i]; v.phase == vcIdle {
+					for s := range e.slots {
+						if e.slots[s].live {
+							v.front1, v.seq, v.flen = int32(s)+1, 0, int32(e.slots[s].msg.Len)
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no idle VC")
+		}},
+		{"last queued message without a flit", "runs:", func(t *testing.T, e *Engine) {
+			for i := range e.chans {
+				if v := &e.chans[i]; v.qn > 0 {
+					last := e.msgq[int32(i)*e.depth+v.qn-1]
+					for _, r := range e.vcFlits(int32(i), nil) {
+						if r.slot == last {
+							v.count--
+						}
+					}
+					return
+				}
+			}
+			t.Fatal("no VC queues a message")
+		}},
+		{"empty streaming VC awaiting the wrong flit", "runs:", func(t *testing.T, e *Engine) {
+			v := &e.chans[emptyStreamingVC(t, e)]
+			if v.seq++; v.seq == v.flen {
+				v.seq -= 2
+			}
 		}},
 		{"live count", "arena:", func(t *testing.T, e *Engine) { e.liveSlots++ }},
 		{"message in two slots", "arena:", func(t *testing.T, e *Engine) {

@@ -14,8 +14,10 @@
 // The steady-state cycle allocates nothing: in-flight messages live in a
 // dense slot arena recycled through a free-list in delivery order (never a
 // map — recycling order must be canonical for runs to repeat bit for bit),
-// injection queues and the credit pipe are head-indexed queues compacted in
-// place, and per-cycle scratch slices are length-reset.
+// a VC buffers message runs (its front message and the slots queued behind
+// it) rather than a record per flit, a sent flit is committed downstream
+// within the traversal pass, and injection queues and the credit pipe are
+// head-indexed queues compacted in place.
 //
 // Simplifications relative to hardware, documented per DESIGN.md: by
 // default credits return instantaneously (a zero-cycle credit path;
@@ -100,29 +102,45 @@ const (
 	vcActive                 // output VC allocated; flits streaming
 )
 
-// flitRef is one buffered flit: the arena slot of its message, its position
-// in the message and its kind. The full flit.Flit is materialised from the
-// slot's message only for the test probe; a snapshot writes the slot and
-// position.
+// flitRef names one buffered flit: the arena slot of its message and its
+// position in the message. A buffer stores message runs, not flitRefs;
+// vcFlits expands one into them for the snapshot encoder and tests, and a
+// flit's kind follows from its position and its message's length.
 type flitRef struct {
-	slot int32
-	seq  int32
-	kind flit.Kind
+	slot, seq int32
 }
 
 // Every per-channel and per-port register is stored so that its zero value
 // is its reset state, and New writes none of them: a field whose name ends
-// in 1 holds an index plus one (0: none), and an output channel counts the
-// credits it has spent rather than those it holds. Check, the snapshot
+// in 1 holds an index plus one (0: none), and a channel counts the credits
+// its sender has spent rather than those it holds. Check, the snapshot
 // format and every message read the logical values.
 
-// linkVC is the receive-side state of one virtual channel of one physical
-// link, owned by the link's sink router. Its flits live in the engine's
-// ring region ring[port*BufDepth:][:BufDepth], `count` of them starting at
-// `head`.
-type linkVC struct {
-	phase       vcPhase
-	head, count int32
+// channel is one virtual channel of one physical link, indexed by
+// link*NumVCs + vc: the receive side, which the link's sink router owns
+// (the input VC's buffer, phase and output allocation), and the send side,
+// which the link's source router owns (the input port granted the channel
+// and the credits it has spent). A send touches the sending VC's record
+// and the record of the channel it sends into, and nothing else per flit.
+//
+// The buffer holds runs of messages, not a record per flit. A message's
+// flits enter a VC in order, head first, and only the channel's owner
+// sends into it, one message at a time until its tail. So the buffer holds
+// the rest of the front message, then whole messages, the last of which
+// may still be arriving: the front's next flit is (front1-1, seq), and the
+// qn messages queued behind it are msgq[ch*BufDepth:][:qn], in arrival
+// order.
+type channel struct {
+	phase vcPhase
+	// front1 is the arena slot plus one of the message at the front of
+	// the buffer (0: none), seq the sequence number of its next flit to
+	// leave — the front flit, or while the buffer is empty the next to
+	// arrive — and flen its length. A streaming VC fronts the message it
+	// streams.
+	front1, seq, flen int32
+	// count is the flits buffered and qn the messages queued behind the
+	// front.
+	count, qn int32
 	// rcWait counts remaining route-computation cycles for the header at the
 	// front of the buffer (see Params.RouteDelay).
 	rcWait int32
@@ -134,34 +152,25 @@ type linkVC struct {
 	// (outLink*NumVCs + outVC + 1), 0 for none or local delivery; outLink
 	// is its link, meaningful only while outCh1 is not 0.
 	outLink, outCh1 int32
-	// curSlot1 is the message-arena slot plus one of the message currently
-	// traversing this VC (set while phase is active, 0 otherwise); recovery
-	// uses it to release aborted allocations.
-	curSlot1 int32
-}
-
-// outChan is the upstream view of one output channel: the global input port
-// granted it plus one (0 while free) and the credits spent, which are the
-// flits the downstream buffer holds plus the credits travelling back, so
-// BufDepth - spent credits remain. Input ports: [0, numLinkInputs) are link
-// channels (same index space as `in`); [numLinkInputs, +nodes) are
-// injection ports.
-type outChan struct {
+	// owner1 is the global input port granted this channel plus one (0
+	// while free), and spent the credits spent on it: the flits the buffer
+	// holds plus the credits travelling back, so BufDepth - spent remain.
+	// Input ports: [0, numLinkInputs) are link channels; [numLinkInputs,
+	// +nodes) are injection ports.
 	owner1, spent int32
+	// arrived is the traversal pass in which a flit last arrived. A flit
+	// is committed to the buffer the moment it is sent, and one that
+	// arrived this pass may not leave in it (a flit crosses one link per
+	// cycle); only the owner sends into a channel, one flit per pass, so
+	// at most the newest buffered flit is held back.
+	arrived uint32
 }
 
 // owner returns the input port granted the channel, -1 while free.
-func (o *outChan) owner() int32 { return o.owner1 - 1 }
+func (c *channel) owner() int32 { return c.owner1 - 1 }
 
 // credits returns the free buffer space downstream of output channel ch.
-func (e *Engine) credits(ch int) int32 { return e.depth - e.out[ch].spent }
-
-// arrival is one flit crossing a link this cycle, committed to channel ch's
-// buffer after the traversal pass.
-type arrival struct {
-	ch  int32
-	ref flitRef
-}
+func (e *Engine) credits(ch int) int32 { return e.depth - e.chans[ch].spent }
 
 // injPort is a node's injection interface: an unbounded source queue of
 // messages plus the progress of the message currently being injected. It
@@ -178,7 +187,7 @@ type injPort struct {
 	// traversal loads no slot per flit (derived; State recomputes it).
 	frontLen int
 	phase    vcPhase
-	// outLink and outCh1 are the allocated output, as in linkVC.
+	// outLink and outCh1 are the allocated output, as in channel.
 	outLink, outCh1 int32
 	rcWait          int
 }
@@ -213,11 +222,10 @@ type Engine struct {
 	prm   Params
 	hooks Hooks
 
-	// Dense state, indexed by channel = link*NumVCs + vc. ring holds every
-	// VC's BufDepth-entry flit region back to back.
-	in    []linkVC
-	ring  []flitRef
-	out   []outChan
+	// Dense state, indexed by channel = link*NumVCs + vc. msgq holds every
+	// VC's BufDepth-entry region of queued message slots back to back.
+	chans []channel
+	msgq  []int32
 	depth int32 // BufDepth
 	nvc   int32 // NumVCs
 
@@ -268,7 +276,6 @@ type Engine struct {
 	pass        uint32
 	outLinkBusy []uint32
 	inPortBusy  []uint32
-	arrivals    []arrival
 }
 
 // New constructs an engine for the topology and routing function.
@@ -286,9 +293,8 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 		fn:          fn,
 		prm:         prm,
 		hooks:       hooks,
-		in:          make([]linkVC, nch),
-		ring:        make([]flitRef, nch*prm.BufDepth),
-		out:         make([]outChan, nch),
+		chans:       make([]channel, nch),
+		msgq:        make([]int32, nch*prm.BufDepth),
 		depth:       int32(prm.BufDepth),
 		nvc:         int32(prm.NumVCs),
 		inj:         make([]injPort, topo.Nodes()),
@@ -303,7 +309,7 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 }
 
 // numLinkInputs returns the size of the link-channel input port space.
-func (e *Engine) numLinkInputs() int { return len(e.in) }
+func (e *Engine) numLinkInputs() int { return len(e.chans) }
 
 // NumPorts returns the size of the global input-port space: all link virtual
 // channels plus one injection port per node.
@@ -312,13 +318,28 @@ func (e *Engine) NumPorts() int { return e.numLinkInputs() + len(e.inj) }
 // injInput returns the global input-port index of node n's injection port.
 func (e *Engine) injInput(n topology.Node) int32 { return int32(e.numLinkInputs() + int(n)) }
 
-// ringAt returns the ring index of the i-th buffered flit of VC port.
-func (e *Engine) ringAt(port int32, i int32) int {
-	j := e.in[port].head + i
-	if j >= e.depth {
-		j -= e.depth
+// msgLen returns the length of the message in arena slot s, 0 for a slot
+// past the arena (vcFlits reads queued slots that Check has not judged).
+func (e *Engine) msgLen(s int32) int32 {
+	if s < 0 || int(s) >= len(e.slots) {
+		return 0
 	}
-	return int(port*e.depth + j)
+	return int32(e.slots[s].msg.Len)
+}
+
+// vcFlits appends the flits buffered in VC port to dst, front first: the
+// rest of the front message, then each queued message from its head.
+func (e *Engine) vcFlits(port int32, dst []flitRef) []flitRef {
+	v := &e.chans[port]
+	q := e.msgq[port*e.depth:][:v.qn]
+	slot, seq, n := v.front1-1, v.seq, v.flen
+	for j := int32(0); j < v.count; j++ {
+		dst = append(dst, flitRef{slot, seq})
+		if seq++; seq == n && len(q) > 0 {
+			slot, seq, n, q = q[0], 0, e.msgLen(q[0]), q[1:]
+		}
+	}
+	return dst
 }
 
 // allocSlot places m in the arena and returns its slot.
@@ -384,7 +405,6 @@ func (e *Engine) Cycle(now int64) bool {
 	e.allocatePass()
 	e.nextPass()
 	e.traversePass(now)
-	e.commitArrivals()
 	e.advanceRotation()
 	return aborted || e.FlitsMoved != moved || e.FlitsDelivered != delivered
 }
@@ -393,7 +413,7 @@ func (e *Engine) Cycle(now int64) bool {
 func (e *Engine) drainCredits(now int64) {
 	i := e.creditHead
 	for ; i < len(e.creditQueue) && e.creditQueue[i].at <= now; i++ {
-		e.out[e.creditQueue[i].ch].spent--
+		e.chans[e.creditQueue[i].ch].spent--
 	}
 	e.creditQueue, e.creditHead = sim.Compact(e.creditQueue, i)
 }
@@ -433,37 +453,42 @@ func (e *Engine) allocatePass() {
 
 // traversePass runs switch allocation and link traversal in the same order,
 // walking only the active set (a visit moves its port out of the set or
-// into the routing set, and a delivery hook that injects wakes an injection
-// port into the routing set, which this pass does not walk).
+// into the routing set, and a flit that wakes an idle VC, or a delivery
+// hook that injects, puts a port into the routing set, which this pass
+// does not walk).
+//
+// A flit is committed to the channel it enters as it is sent, on the
+// record whose credits the send has just checked: the channel counts it
+// and stamps arrived with this pass, and a head becomes the front of an
+// empty buffer or queues behind the front (commitHead). A VC sends only
+// a flit that did not arrive this pass, count > (arrived == pass); that is
+// the one-cycle link delay.
 //
 // A link VC that holds an output channel — most visits under load — sends
-// without a data-dependent branch: the four guards (a buffered flit, the
+// without a data-dependent branch: the four guards (a flit to send, the
 // physical input port and the output link not yet claimed this pass, a
 // credit left) fold into one 0/1 flag k, and every write a send makes is
-// scaled or masked by it: the credit spent, both busy stamps
-// (pass&m | old&^m with m = -k), the arrival written at arrivals[n] before
-// n += k, LinkFlits, the ring pop and the credit return. Which guard fails
-// is close to random per visit, so a branch on each mispredicted often.
-// Three branches remain: two test a configuration constant before k (a
-// CreditDelay > 0 credit is queued, recovery notes progress), and the tail
-// retire needs k & IsTail. The arrivals buffer is grown at pass start to
-// hold more entries than the active set has ports, so a write at
-// arrivals[n] is always in range. Injection ports and local deliveries (a
-// link VC with no output held) keep the branched send block. The walk
-// re-tests no phase: Check's port-set clause holds active membership to
-// vcActive, and an active injection port to a non-empty queue. FlitsMoved
-// and the arrivals are written back at the pass's single exit.
+// scaled or masked by it: the credit spent and the flit counted
+// downstream, the arrived stamp and both busy stamps (pass&m | old&^m with
+// m = -k), LinkFlits, the VC's next flit and count, and the credit return.
+// Which guard fails is close to random per visit, so a branch on each
+// mispredicted often. Three branches remain: two test a configuration
+// constant before k (a CreditDelay > 0 credit is queued, recovery notes
+// progress), and the third takes k & (head | tail): a head is committed
+// to the runs downstream, and a tail moves the VC's front to its next
+// message and retires it. Injection ports and local deliveries (a link VC
+// with no output held) keep the branched send block. The walk re-tests no
+// phase: Check's port-set clause holds active membership to vcActive, and
+// an active injection port to a non-empty queue. FlitsMoved is written
+// back at the pass's single exit.
 func (e *Engine) traversePass(now int64) {
 	nl, total := e.numLinkInputs(), e.NumPorts()
 	s := &e.active
 	if s.n == 0 {
 		return
 	}
-	if cap(e.arrivals) <= s.n {
-		e.arrivals = make([]arrival, 0, 2*s.n+1)
-	}
-	arrivals, n, selfSends := e.arrivals[:cap(e.arrivals)], 0, 0
-	in, inj, ring, out, linkFlits := e.in, e.inj, e.ring, e.out, e.LinkFlits
+	moved := 0
+	chans, inj, linkFlits := e.chans, e.inj, e.LinkFlits
 	outLinkBusy, inPortBusy := e.outLinkBusy, e.inPortBusy
 	depth, pass, nl32, numLinks := e.depth, e.pass, int32(nl), int32(e.numLinks)
 	creditDelay, recovery := int64(e.prm.CreditDelay), e.recovery != nil
@@ -475,55 +500,59 @@ func (e *Engine) traversePass(now int64) {
 				for word := segWord(s.words, w, from, to); word != 0; word &= word - 1 {
 					port := int32(w<<6 + mathbits.TrailingZeros64(word))
 					if port < nl32 {
-						v := &in[port]
+						v := &chans[port]
 						inPort, outLink, outCh1 := v.inLink, v.outLink, v.outCh1
-						ref := ring[port*depth+v.head]
+						slot, seq, flen := v.front1-1, v.seq, v.flen
+						ready := flag(v.count > flag(v.arrived == pass))
 						if outCh1 != 0 {
-							o := &out[outCh1-1]
-							k := flag(v.count != 0) & flag(inPortBusy[inPort] != pass) &
+							o := &chans[outCh1-1]
+							k := ready & flag(inPortBusy[inPort] != pass) &
 								flag(outLinkBusy[outLink] != pass) & flag(o.spent != depth)
 							m := uint32(-k)
 							o.spent += k
+							o.count += k
+							o.arrived = pass&m | o.arrived&^m
 							outLinkBusy[outLink] = pass&m | outLinkBusy[outLink]&^m
 							inPortBusy[inPort] = pass&m | inPortBusy[inPort]&^m
-							arrivals[n] = arrival{ch: outCh1 - 1, ref: ref}
-							n += int(k)
+							moved += int(k)
 							linkFlits[outLink] += int64(k)
-							head := v.head + k
-							if head == depth { // a conditional move, not a branch
-								head = 0
-							}
-							v.head = head
+							v.seq = seq + k
 							v.count -= k
 							if creditDelay == 0 {
-								out[port].spent -= k
+								v.spent -= k
 							} else if k != 0 {
 								e.creditQueue = append(e.creditQueue, pendingCredit{ch: port, at: now + creditDelay})
 							}
 							if recovery && k != 0 {
-								e.noteProgress(ref.slot, now)
+								e.noteProgress(slot, now)
 							}
-							if k&flag(ref.kind.IsTail()) != 0 {
-								e.retireVC(port, v)
+							if k&(flag(seq == 0)|flag(seq+1 == flen)) != 0 {
+								if seq == 0 {
+									e.commitHead(outCh1-1, o, slot, flen)
+								}
+								if seq+1 == flen {
+									e.popFront(port, v)
+									e.retireVC(port, v)
+								}
 							}
 							continue
 						}
 						// Local delivery too consumes one flit per input port per cycle.
-						if v.count == 0 || inPortBusy[inPort] == pass {
+						if ready == 0 || inPortBusy[inPort] == pass {
 							continue
 						}
 						inPortBusy[inPort] = pass
-						if v.head++; v.head == depth {
-							v.head = 0
-						}
+						v.seq++
 						v.count--
 						if creditDelay == 0 {
-							out[port].spent--
+							v.spent--
 						} else {
 							e.creditQueue = append(e.creditQueue, pendingCredit{ch: port, at: now + creditDelay})
 						}
-						e.deliverFlit(ref, now)
-						if ref.kind.IsTail() {
+						tail := seq+1 == flen
+						e.deliverFlit(slot, seq, tail, now)
+						if tail {
+							e.popFront(port, v)
 							e.retireVC(port, v)
 						}
 						continue
@@ -533,26 +562,29 @@ func (e *Engine) traversePass(now int64) {
 					if inPortBusy[inPort] == pass {
 						continue
 					}
-					ref := flitRef{slot: p.front(), seq: int32(p.sent), kind: flit.KindOf(p.sent, p.frontLen)}
+					slot, seq, flen := p.front(), int32(p.sent), int32(p.frontLen)
 					if outCh1 != 0 {
-						o := &out[outCh1-1]
+						o := &chans[outCh1-1]
 						if outLinkBusy[outLink] == pass || o.spent == depth {
 							continue
 						}
 						o.spent++
+						o.count++
+						o.arrived = pass
+						if seq == 0 {
+							e.commitHead(outCh1-1, o, slot, flen)
+						}
 						outLinkBusy[outLink] = pass
-						arrivals[n] = arrival{ch: outCh1 - 1, ref: ref}
-						n++
 						linkFlits[outLink]++
-						e.noteProgress(ref.slot, now)
+						e.noteProgress(slot, now)
 					}
 					inPortBusy[inPort] = pass
 					p.sent++
+					moved++ // a link send or a self-send; a link VC's local delivery is not counted
 					if outCh1 == 0 {
-						e.deliverFlit(ref, now)
-						selfSends++
+						e.deliverFlit(slot, seq, seq+1 == flen, now)
 					}
-					if ref.kind.IsTail() {
+					if seq+1 == flen {
 						e.retireFront(topology.Node(port-nl32), p)
 					}
 				}
@@ -562,9 +594,7 @@ func (e *Engine) traversePass(now int64) {
 			break
 		}
 	}
-	// Every arrival is a flit moved; so is a self-send, but not a link VC's
-	// local delivery.
-	e.arrivals, e.FlitsMoved = arrivals[:n], e.FlitsMoved+int64(n+selfSends)
+	e.FlitsMoved += int64(moved)
 }
 
 // flag returns 1 when b holds and 0 otherwise; the compiler lowers it to a
@@ -576,13 +606,46 @@ func flag(b bool) int32 {
 	return 0
 }
 
+// commitHead records the head of the flen-flit message in arena slot
+// slot, just counted into channel ch (record o): it becomes the front of
+// an empty buffer or queues behind the front, and an idle VC starts
+// routing it.
+func (e *Engine) commitHead(ch int32, o *channel, slot, flen int32) {
+	if o.front1 == 0 {
+		o.front1, o.seq, o.flen = slot+1, 0, flen
+	} else {
+		e.msgq[ch*e.depth+o.qn] = slot
+		o.qn++
+	}
+	if o.phase == vcIdle {
+		e.setPhase(int(ch), &o.phase, vcRouting)
+		o.rcWait = int32(e.prm.RouteDelay)
+		o.inLink = ch / e.nvc
+	}
+}
+
+// popFront moves VC port past its front message once the message's tail
+// has left (or recovery removed it): the first queued message becomes the
+// front, or the buffer fronts nothing.
+func (e *Engine) popFront(port int32, v *channel) {
+	if v.qn == 0 {
+		v.front1, v.seq, v.flen = 0, 0, 0
+		return
+	}
+	q := e.msgq[port*e.depth:][:v.qn]
+	s := q[0]
+	copy(q, q[1:])
+	v.qn--
+	v.front1, v.seq, v.flen = s+1, 0, int32(e.slots[s].msg.Len)
+}
+
 // claimOutput resolves routing for a header at `here` and claims an output
 // channel for input port owner. Returns (outLink, outCh1, ok).
 func (e *Engine) claimOutput(here topology.Node, dst int, inLink topology.LinkID, inVC int, owner int32) (int32, int32, bool) {
 	e.cands = e.fn.Candidates(here, topology.Node(dst), inLink, inVC, e.cands[:0])
 	for _, c := range e.cands {
 		idx := int32(c.Link)*e.nvc + int32(c.VC)
-		if o := &e.out[idx]; o.owner1 == 0 {
+		if o := &e.chans[idx]; o.owner1 == 0 {
 			o.owner1 = owner + 1
 			return int32(c.Link), idx + 1, true
 		}
@@ -591,13 +654,12 @@ func (e *Engine) claimOutput(here topology.Node, dst int, inLink topology.LinkID
 }
 
 func (e *Engine) allocateLinkVC(port int32) {
-	v := &e.in[port]
+	v := &e.chans[port]
 	if v.phase != vcRouting || v.count == 0 {
 		return // header not yet arrived
 	}
-	head := e.ring[port*e.depth+v.head]
-	if !head.kind.IsHead() {
-		panic(fmt.Sprintf("wormhole: routing phase with non-head flit %v at front", head.kind))
+	if v.seq != 0 {
+		panic(fmt.Sprintf("wormhole: routing phase with flit %d of a message at front", v.seq))
 	}
 	if v.rcWait > 0 {
 		v.rcWait--
@@ -607,17 +669,15 @@ func (e *Engine) allocateLinkVC(port int32) {
 	if here < 0 {
 		panic("wormhole: flit on non-existent link")
 	}
-	dst := e.slots[head.slot].msg.Dst
+	dst := e.slots[v.front1-1].msg.Dst
 	if int(here) == dst {
 		e.setPhase(int(port), &v.phase, vcActive) // deliver locally: outCh1 stays 0
-		v.curSlot1 = head.slot + 1
 		return
 	}
 	inVC := int(port - v.inLink*e.nvc)
 	if outLink, outCh1, claimed := e.claimOutput(here, dst, topology.LinkID(v.inLink), inVC, port); claimed {
 		e.setPhase(int(port), &v.phase, vcActive)
 		v.outLink, v.outCh1 = outLink, outCh1
-		v.curSlot1 = head.slot + 1
 	}
 }
 
@@ -643,14 +703,15 @@ func (e *Engine) allocateInjection(n topology.Node) {
 	}
 }
 
-// retireVC ends the message VC port was carrying once its tail has left (or
-// recovery aborted it): the output channel is released and the VC routes
-// the next buffered header, or goes idle.
-func (e *Engine) retireVC(port int32, v *linkVC) {
+// retireVC ends the message VC port was streaming once its tail has left
+// (or recovery aborted it) and the buffer's front has moved past it: the
+// output channel is released and the VC routes the next buffered header,
+// or goes idle.
+func (e *Engine) retireVC(port int32, v *channel) {
 	if v.outCh1 != 0 {
-		e.out[v.outCh1-1].owner1 = 0
+		e.chans[v.outCh1-1].owner1 = 0
 	}
-	v.outCh1, v.curSlot1 = 0, 0
+	v.outCh1 = 0
 	if v.count == 0 {
 		e.setPhase(int(port), &v.phase, vcIdle)
 	} else {
@@ -664,7 +725,7 @@ func (e *Engine) retireVC(port int32, v *linkVC) {
 // and the port routes the next queued message, or goes idle.
 func (e *Engine) retireFront(n topology.Node, p *injPort) {
 	if p.outCh1 != 0 {
-		e.out[p.outCh1-1].owner1 = 0
+		e.chans[p.outCh1-1].owner1 = 0
 	}
 	p.popFront()
 	p.sent = 0
@@ -677,48 +738,25 @@ func (e *Engine) retireFront(n topology.Node, p *injPort) {
 	}
 }
 
-// deliverFlit consumes a flit at its destination.
-func (e *Engine) deliverFlit(ref flitRef, now int64) {
+// deliverFlit consumes flit seq of the message in arena slot slot at its
+// destination; the tail completes the message.
+func (e *Engine) deliverFlit(slot, seq int32, tail bool, now int64) {
 	e.FlitsDelivered++
 	if e.flitProbe != nil {
-		e.flitProbe(e.slots[ref.slot].msg.FlitAt(int(ref.seq)))
+		e.flitProbe(e.slots[slot].msg.FlitAt(int(seq)))
 	}
-	if !ref.kind.IsTail() {
+	if !tail {
 		return
 	}
-	sl := &e.slots[ref.slot]
+	sl := &e.slots[slot]
 	if !sl.live {
-		panic(fmt.Sprintf("wormhole: delivered a flit of free slot %d", ref.slot))
+		panic(fmt.Sprintf("wormhole: delivered a flit of free slot %d", slot))
 	}
 	m := sl.msg
-	e.freeSlot(ref.slot)
+	e.freeSlot(slot)
 	e.MsgsDelivered++
 	if e.hooks.Delivered != nil {
 		e.hooks.Delivered(m, now)
-	}
-}
-
-// commitArrivals pushes this cycle's traversing flits into their downstream
-// buffers; doing it after all movement decisions models the one-cycle link
-// delay (a flit cannot cross two links in one cycle).
-func (e *Engine) commitArrivals() {
-	in, ring, depth, nvc := e.in, e.ring, e.depth, e.nvc
-	for _, a := range e.arrivals {
-		v := &in[a.ch]
-		if v.count == depth {
-			panic("wormhole: buffer overflow despite credit check")
-		}
-		j := v.head + v.count
-		if j >= depth {
-			j -= depth
-		}
-		ring[a.ch*depth+j] = a.ref
-		v.count++
-		if v.phase == vcIdle {
-			e.setPhase(int(a.ch), &v.phase, vcRouting)
-			v.rcWait = int32(e.prm.RouteDelay)
-			v.inLink = a.ch / nvc
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -66,11 +67,14 @@ type delivery struct {
 
 // TestPassStampWraparound runs the same sustained load through two
 // engines: one whose pass stamp is moved to a few steps below
-// math.MaxUint32 mid-run, and a fresh one. At the
-// jump every busy entry of the first engine is given the stamp of some
-// earlier pass, 1 to 8, so the counter wraps while flits move and its next
-// passes take stamp values that are still in the arrays. Both engines
-// must move and deliver the same flits at the same cycles.
+// math.MaxUint32 mid-run, and a fresh one. At the jump every busy entry of
+// the first engine is given the stamp of some earlier pass, 1 to 8, and
+// just before the pass that wraps every arrived stamp is given 1, the
+// stamp that pass takes (a stale arrived stamp matters only on a VC still
+// holding a flit of an earlier pass). So the counter wraps while flits
+// move and its next passes take stamp values that are still in the
+// arrays. Both engines must hold the same state after every cycle across
+// the wrap, and move and deliver the same flits at the same cycles.
 func TestPassStampWraparound(t *testing.T) {
 	const cycles, jumpAt = 3000, 500
 	type run struct {
@@ -98,9 +102,17 @@ func TestPassStampWraparound(t *testing.T) {
 				}
 			}
 		}
+		if e := wrapped.eng; e.pass == math.MaxUint32 {
+			for i := range e.chans {
+				e.chans[i].arrived = 1
+			}
+		}
 		for _, r := range runs {
 			r.src.tick(r.eng, now)
 			r.eng.Cycle(now)
+		}
+		if now >= jumpAt && now < jumpAt+16 && !bytes.Equal(stateBytes(t, wrapped.eng), stateBytes(t, fresh.eng)) {
+			t.Fatalf("cycle %d, across the wrap: state differs from the fresh engine's", now)
 		}
 	}
 	if wrapped.eng.pass >= fresh.eng.pass {
@@ -170,8 +182,8 @@ func contendedTorus(t *testing.T, load float64) (*Engine, *uniformSource) {
 // buffered counts the flits held by each physical input link's VCs.
 func buffered(e *Engine) []int32 {
 	b := make([]int32, e.numLinks)
-	for ch := range e.in {
-		b[int32(ch)/e.nvc] += e.in[ch].count
+	for ch := range e.chans {
+		b[int32(ch)/e.nvc] += e.chans[ch].count
 	}
 	return b
 }
@@ -190,13 +202,15 @@ func unsent(e *Engine) []int {
 }
 
 // cycleChecked runs cycle cyc of e and holds what its traversal pass did to
-// the busy stamps the pass wrote: an output link carried one flit (one
-// arrival and one LinkFlits count) if its stamp is this pass's and none
-// otherwise, and a physical input port (a link's VCs together, or an
-// injection port) let one flit leave, sent on or delivered, if stamped and
-// none otherwise. So no link carries two flits and no port sends two, and a
-// visit that does not send leaves no trace. It reports whether some input
-// link held flits at the start of the cycle and sent none.
+// the stamps the pass wrote: an output link carried one flit (one of its
+// channels stamped arrived and one LinkFlits count) if its stamp is this
+// pass's and none otherwise, and a physical input port (a link's VCs
+// together, or an injection port) let one flit leave, sent on or
+// delivered, if stamped and none otherwise. So no link carries two flits
+// and no port sends two, and a visit that does not send leaves no trace. A
+// VC stamped arrived still holds a flit: no flit crosses two links in one
+// cycle. It reports whether some input link held flits at the start of the
+// cycle and sent none.
 func cycleChecked(t *testing.T, e *Engine, cyc int64) (stalled bool) {
 	t.Helper()
 	nvc, links := e.nvc, e.numLinks
@@ -204,9 +218,14 @@ func cycleChecked(t *testing.T, e *Engine, cyc int64) (stalled bool) {
 	held := slices.Clone(left)
 	e.Cycle(cyc)
 	carried := make([]int64, links)
-	for _, a := range e.arrivals {
-		carried[a.ch/nvc]++
-		left[a.ch/nvc]++
+	for ch := range e.chans {
+		if e.chans[ch].arrived == e.pass {
+			carried[int32(ch)/nvc]++
+			left[int32(ch)/nvc]++
+			if e.chans[ch].count == 0 {
+				t.Fatalf("cycle %d: VC %d passed on the flit it received, two links in one cycle", cyc, ch)
+			}
+		}
 	}
 	after, unsentAfter := buffered(e), unsent(e)
 	for l := 0; l < links; l++ {
@@ -218,7 +237,7 @@ func cycleChecked(t *testing.T, e *Engine, cyc int64) (stalled bool) {
 			in = 1
 		}
 		if d := e.LinkFlits[l] - linkFlits[l]; carried[l] != out || d != out {
-			t.Fatalf("cycle %d: output link %d stamped %d, carries %d arrivals, LinkFlits rose by %d", cyc, l, out, carried[l], d)
+			t.Fatalf("cycle %d: output link %d stamped %d, carries %d flits, LinkFlits rose by %d", cyc, l, out, carried[l], d)
 		}
 		if d := int64(left[l] - after[l]); d != in {
 			t.Fatalf("cycle %d: input link %d stamped %d, %d flits left it", cyc, l, in, d)
@@ -251,7 +270,7 @@ func TestOneFlitPerLinkPerCycle(t *testing.T) {
 	scan:
 		for l := 0; l < links; l++ {
 			held := 0
-			for _, v := range e.in[int32(l)*nvc:][:nvc] {
+			for _, v := range e.chans[int32(l)*nvc:][:nvc] {
 				if v.count > 0 {
 					if held++; held == 2 {
 						shared++

@@ -151,19 +151,13 @@ func (e *Engine) abort(s int32, now int64) {
 	sl := &e.slots[s]
 	m := sl.msg
 
-	// 1. Scrub link VC buffers. A VC carrying m (its current message)
+	// 1. Scrub link VC buffers. A VC streaming m (its front message)
 	// releases its output allocation and recycles for whatever is behind.
 	// held counts the flits of m still in the engine; the rest were
 	// delivered and will be delivered again.
 	held := 0
-	for ch := range e.in {
-		if removed := e.scrubVC(int32(ch), s); removed > 0 {
-			e.out[ch].spent -= removed
-			held += int(removed)
-		}
-		if v := &e.in[ch]; v.curSlot1 == s+1 {
-			e.retireVC(int32(ch), v)
-		}
+	for ch := range e.chans {
+		held += int(e.scrubChannel(int32(ch), s))
 	}
 
 	// 2. Source injection port.
@@ -196,20 +190,39 @@ func (e *Engine) abort(s int32, now int64) {
 	sl.hasProgress = false
 }
 
-// scrubVC deletes every buffered flit of the message in slot s from VC
-// port, preserving the order of everything else, and returns the count
-// removed.
-func (e *Engine) scrubVC(port int32, s int32) int32 {
-	v := &e.in[port]
-	var kept int32
-	for i := int32(0); i < v.count; i++ {
-		r := e.ring[e.ringAt(port, i)]
-		if r.slot != s {
-			e.ring[e.ringAt(port, kept)] = r
-			kept++
+// scrubChannel deletes every buffered flit of the message in slot s from
+// channel ch, keeping the order of the other messages, returns their
+// credits and the count removed. A front of s gives way to the first
+// queued message even when none of its flits is buffered, and a VC that
+// streamed s retires.
+func (e *Engine) scrubChannel(ch, s int32) int32 {
+	v := &e.chans[ch]
+	if v.front1 == s+1 {
+		streaming := v.phase == vcActive
+		removed := min(v.count, v.flen-v.seq)
+		v.count -= removed
+		v.spent -= removed
+		e.popFront(ch, v)
+		if streaming {
+			e.retireVC(ch, v)
 		}
+		return removed
 	}
-	removed := v.count - kept
-	v.count = kept
-	return removed
+	q := e.msgq[ch*e.depth:][:v.qn]
+	rest := v.count - (v.flen - v.seq) // the flits behind the front message
+	for i, t := range q {
+		n := int32(e.slots[t].msg.Len)
+		if i == len(q)-1 {
+			n = rest // the last message may still be arriving
+		}
+		if t == s {
+			copy(q[i:], q[i+1:])
+			v.qn--
+			v.count -= n
+			v.spent -= n
+			return n
+		}
+		rest -= n
+	}
+	return 0
 }

@@ -86,18 +86,18 @@ func TestRecoveryRandomTraffic(t *testing.T) {
 		t.Fatalf("delivered %d of %d", len(h.delivered), msgs)
 	}
 	// Post-drain invariants: credits restored, no stale allocations.
-	for ch := range h.eng.out {
+	for ch := range h.eng.chans {
 		if c := h.eng.credits(ch); c != 2 {
 			t.Fatalf("channel %d credits = %d", ch, c)
 		}
 	}
-	for ch, o := range h.eng.out {
+	for ch, o := range h.eng.chans {
 		if owner := o.owner(); owner != -1 {
 			t.Fatalf("channel %d still allocated to %d", ch, owner)
 		}
 	}
-	for i := range h.eng.in {
-		if h.eng.in[i].count != 0 || h.eng.in[i].phase != vcIdle {
+	for i := range h.eng.chans {
+		if h.eng.chans[i].count != 0 || h.eng.chans[i].phase != vcIdle {
 			t.Fatalf("VC %d not clean after drain", i)
 		}
 	}

@@ -3,6 +3,7 @@ package wormhole
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,12 +63,9 @@ func queuedHeadEngine(t *testing.T) (*harness, int32) {
 	}
 	for cyc := int64(0); cyc < 1000; cyc++ {
 		h.eng.Cycle(cyc)
-		for port := range h.eng.in {
-			v := &h.eng.in[port]
-			for j := int32(0); j < v.count; j++ {
-				if r := h.eng.ring[h.eng.ringAt(int32(port), j)]; v.curSlot1 != 0 && r.kind.IsHead() && r.slot != v.curSlot1-1 {
-					return h, int32(port)
-				}
+		for port := range h.eng.chans {
+			if v := &h.eng.chans[port]; v.phase == vcActive && v.qn > 0 {
+				return h, int32(port)
 			}
 		}
 	}
@@ -136,24 +134,26 @@ func TestRestoreRefusesNegativeRotation(t *testing.T) {
 }
 
 // TestRestoreRefusesInconsistentPayload: a buffered flit is written as its
-// arena reference (slot, sequence number) and decoding derives its kind. A
-// reference to a slot past the arena must be refused before anything reads
-// that slot, and one to a free slot or past its message's end must be
-// refused by Check rather than rebuilt into a flit no message has; so must
-// a port phase the engine does not know.
+// arena reference (slot, sequence number), and decoding rebuilds message
+// runs and derives each flit's kind. A reference to a slot past the arena
+// must be refused before anything reads that slot, and flits out of
+// message order because they are not runs; one to a free slot or past its
+// message's end must be refused by Check rather than rebuilt into a flit
+// no message has; so must a port phase the engine does not know.
 func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 	h, port := queuedHeadEngine(t)
 	if _, err := restoreInto(t, h.eng); err != nil {
 		t.Fatalf("clean payload refused: %v", err)
 	}
-	// last returns the ref of the last flit buffered at port.
-	last := func(h *harness) *flitRef {
-		return &h.eng.ring[h.eng.ringAt(port, h.eng.in[port].count-1)]
+	// last returns the slot of the last message queued at port, whose
+	// flits are the last the port buffers.
+	last := func(h *harness) *int32 {
+		return &h.eng.msgq[port*h.eng.depth+h.eng.chans[port].qn-1]
 	}
 
 	t.Run("flit of no live message", func(t *testing.T) {
 		h, _ := queuedHeadEngine(t)
-		h.eng.slots[last(h).slot].live = false
+		h.eng.slots[*last(h)].live = false
 		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "no live message") {
 			t.Fatalf("err = %v, want a flit of no live message", err)
@@ -165,7 +165,7 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 		if len(h.eng.freeSlots) == 0 {
 			t.Fatal("no free slot in the arena")
 		}
-		last(h).slot = h.eng.freeSlots[0]
+		*last(h) = h.eng.freeSlots[0]
 		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "no live message") {
 			t.Fatalf("err = %v, want a flit of a free slot refused", err)
@@ -174,8 +174,8 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 
 	t.Run("flit past its message's end", func(t *testing.T) {
 		h, _ := queuedHeadEngine(t)
-		r := last(h)
-		r.seq = int32(h.eng.slots[r.slot].msg.Len)
+		v := &h.eng.chans[port]
+		v.seq = v.flen
 		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "flits long") {
 			t.Fatalf("err = %v, want a flit past its message's end refused", err)
@@ -185,7 +185,7 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 	t.Run("flit slot out of range", func(t *testing.T) {
 		for _, slot := range []int32{int32(len(h.eng.slots)), -1} {
 			h, _ := queuedHeadEngine(t)
-			last(h).slot = slot
+			*last(h) = slot
 			_, err := restoreInto(t, h.eng)
 			if err == nil || !strings.Contains(err.Error(), "arena of") {
 				t.Fatalf("slot %d: err = %v, want a slot out of range refused", slot, err)
@@ -193,9 +193,31 @@ func TestRestoreRefusesInconsistentPayload(t *testing.T) {
 		}
 	})
 
+	t.Run("flits out of message order", func(t *testing.T) {
+		// A front cut short puts the queued header right behind a flit
+		// that is not its message's tail.
+		h, _ := queuedHeadEngine(t)
+		for cyc := h.eng.now + 1; ; cyc++ {
+			if cyc == h.eng.now+1000 {
+				t.Fatal("no VC queued a header behind two flits of its front")
+			}
+			i := slices.IndexFunc(h.eng.chans, func(v channel) bool { return v.qn > 0 && v.flen-v.seq >= 2 })
+			if i >= 0 {
+				v := &h.eng.chans[i]
+				v.flen = v.seq + 1
+				break
+			}
+			h.eng.Cycle(cyc)
+		}
+		_, err := restoreInto(t, h.eng)
+		if err == nil || !strings.Contains(err.Error(), "out of message order") {
+			t.Fatalf("err = %v, want flits out of message order refused", err)
+		}
+	})
+
 	t.Run("unknown port phase", func(t *testing.T) {
 		h, _ := queuedHeadEngine(t)
-		h.eng.in[port].phase = vcActive + 1
+		h.eng.chans[port].phase = vcActive + 1
 		_, err := restoreInto(t, h.eng)
 		if err == nil || !strings.Contains(err.Error(), "port phase 3") {
 			t.Fatalf("err = %v, want an unknown port phase refused", err)
@@ -219,7 +241,7 @@ func TestRestoreRefusesCreditForNoChannel(t *testing.T) {
 	if _, err := restoreInto(t, h.eng); err != nil {
 		t.Fatalf("clean payload refused: %v", err)
 	}
-	for _, ch := range []int32{int32(len(h.eng.out)), -1} {
+	for _, ch := range []int32{int32(len(h.eng.chans)), -1} {
 		h.eng.creditQueue[h.eng.creditHead].ch = ch
 		if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "credit in flight") {
 			t.Fatalf("credit for channel %d: err = %v, want it refused", ch, err)
@@ -284,5 +306,74 @@ func TestRestoreRecomputesInjectionFrontLen(t *testing.T) {
 	p.queue[p.head+1] = int32(len(h.eng.slots))
 	if _, err := restoreInto(t, h.eng); err == nil || !strings.Contains(err.Error(), "queues slot") {
 		t.Fatalf("err = %v, want an injection port queueing a slot past the arena", err)
+	}
+}
+
+// stateBytes encodes e's state.
+func stateBytes(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc, err := snapshot.NewEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.State(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreDerivesAwaitedFlit: the next flit a streaming VC with an
+// empty buffer awaits is not in the byte format; decoding follows channel
+// owners upstream to it. The test snapshots an engine with such a VC whose
+// owner is an empty streaming VC too, decoded after it, so the derivation
+// must follow the chain, and steps the original and the restored engine
+// side by side until they drain, requiring the same state bytes after
+// every cycle.
+func TestRestoreDerivesAwaitedFlit(t *testing.T) {
+	h := newHarness(t, topology.MustCube([]int{4, 4}, true), "duato", Params{NumVCs: 3, BufDepth: 2})
+	for i := 0; i < 48; i++ {
+		src := i % 16
+		h.eng.Inject(flit.Message{ID: flit.MsgID(i + 1), Src: src, Dst: (src*5 + 3 + i/16) % 16, Len: 6 + i%7})
+	}
+	// chained reports whether some empty streaming VC's channel is owned
+	// by another empty streaming VC of a higher index.
+	chained := func(e *Engine) bool {
+		for i := range e.chans {
+			v := &e.chans[i]
+			if owner := v.owner(); v.phase == vcActive && v.count == 0 && int(owner) > i && int(owner) < len(e.chans) {
+				if u := &e.chans[owner]; u.phase == vcActive && u.count == 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	cyc := int64(0)
+	for ; !chained(h.eng); cyc++ {
+		if cyc == 2000 {
+			t.Fatal("no empty streaming VC was ever owned by another")
+		}
+		h.eng.Cycle(cyc)
+	}
+	dst, err := restoreInto(t, h.eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ; !h.eng.Quiesce(); cyc++ {
+		if cyc == 100_000 {
+			t.Fatal("did not drain")
+		}
+		if !bytes.Equal(stateBytes(t, dst), stateBytes(t, h.eng)) {
+			t.Fatalf("cycle %d: the restored engine's state differs from the original's", cyc)
+		}
+		h.eng.Cycle(cyc)
+		dst.Cycle(cyc)
+	}
+	if !dst.Quiesce() || dst.MsgsDelivered != 48 {
+		t.Fatalf("restored engine delivered %d of 48 messages", dst.MsgsDelivered)
 	}
 }

@@ -44,10 +44,9 @@ func pumpRound(e *Engine, now int64, nextID *flit.MsgID) {
 }
 
 // pumpDrain injects one pumpRound and cycles until the network drains. All
-// state the run grows — slot arena, injection rings, credit pipe, arrival
-// scratch — reaches steady capacity after the first call, so later
-// calls exercise the full inject/route/traverse/deliver path without
-// allocating.
+// state the run grows — slot arena, injection queues, credit pipe —
+// reaches steady capacity after the first call, so later calls exercise
+// the full inject/route/traverse/deliver path without allocating.
 func pumpDrain(tb testing.TB, e *Engine, now *int64, nextID *flit.MsgID) {
 	pumpRound(e, *now, nextID)
 	for i := 0; i < 10000; i++ {
@@ -81,7 +80,7 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 			var now int64
 			var nextID flit.MsgID
 			round := func() { pumpDrain(t, eng, &now, &nextID) }
-			// Warm every ring and the slot arena to steady-state capacity.
+			// Warm every queue and the slot arena to steady-state capacity.
 			for i := 0; i < 3; i++ {
 				round()
 			}
@@ -93,42 +92,66 @@ func TestZeroAllocWormholeCycle(t *testing.T) {
 			}
 		})
 	}
-	// BenchmarkWormholeCycle/16x16_uniform's shape, where hundreds of
-	// visits a cycle find an empty buffer, no credit or a claimed port, and
-	// the traversal pass grows its arrivals buffer to the active set.
-	t.Run("16x16_uniform", func(t *testing.T) {
-		eng := torusEngine(t, 16, "duato", Params{NumVCs: 3, BufDepth: 4}, nil)
-		src := newUniformSource(1, 256, 32, 0.15)
-		var now int64
-		step := func() {
-			src.tick(eng, now)
-			eng.Cycle(now)
-			now++
-		}
-		for now < 5000 {
-			step()
-		}
-		// The unbounded source queues and the slot arena still grow a few
-		// times per thousand cycles after warm-up, each time one node's
-		// backlog or the in-flight count meets a new peak; give them room
-		// past any peak of the measured window.
-		for n := range eng.inj {
-			eng.inj[n].queue = slices.Grow(eng.inj[n].queue, 64)
-		}
-		eng.slots = slices.Grow(eng.slots, len(eng.slots))
-		eng.freeSlots = slices.Grow(eng.freeSlots, cap(eng.slots))
-		moved := eng.FlitsMoved
-		if allocs := testing.AllocsPerRun(1, func() {
-			for i := 0; i < 2000; i++ {
+	// BenchmarkWormholeCycle's loaded shapes: 16x16_uniform, where hundreds
+	// of visits a cycle find an empty buffer, no credit or a claimed port,
+	// and 32x32_hybrid, whose 8-flit messages commit a head every few
+	// flits.
+	for _, c := range loadedShapes {
+		t.Run(c.name, func(t *testing.T) {
+			eng, src := c.build(t)
+			var now int64
+			step := func() {
+				src.tick(eng, now)
+				eng.Cycle(now)
+				now++
+			}
+			for now < 5000 {
 				step()
 			}
-		}); allocs != 0 {
-			t.Errorf("%.0f allocations in 2000 loaded cycles, want 0", allocs)
-		}
-		if eng.FlitsMoved-moved < 4000*100 {
-			t.Fatalf("only %d flits moved in 4000 cycles: the load is too light", eng.FlitsMoved-moved)
-		}
-	})
+			// The unbounded source queues and the slot arena still grow a
+			// few times per thousand cycles after warm-up, each time one
+			// node's backlog or the in-flight count meets a new peak; give
+			// them room past any peak of the measured window.
+			for n := range eng.inj {
+				eng.inj[n].queue = slices.Grow(eng.inj[n].queue, 64)
+			}
+			eng.slots = slices.Grow(eng.slots, len(eng.slots))
+			eng.freeSlots = slices.Grow(eng.freeSlots, cap(eng.slots))
+			moved := eng.FlitsMoved
+			if allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 2000; i++ {
+					step()
+				}
+			}); allocs != 0 {
+				t.Errorf("%.0f allocations in 2000 loaded cycles, want 0", allocs)
+			}
+			if eng.FlitsMoved-moved < 4000*c.minMoved {
+				t.Fatalf("only %d flits moved in 4000 cycles: the load is too light", eng.FlitsMoved-moved)
+			}
+		})
+	}
+}
+
+// loadedShapes are the sustained loads BenchmarkWormholeCycle times and
+// TestZeroAllocWormholeCycle holds to 0 allocations, each on duato over 3
+// VCs of depth 4, the benchmark workloads' router. 16x16_uniform is the
+// wh_uniform_16x16 workload's shape: uniform 32-flit messages at 0.15
+// flits/node/cycle. 32x32_hybrid is hybrid_32x32's wormhole traffic: its
+// 8-flit messages (the long ones ride circuits) at 0.0176 flits/node/cycle
+// (0.08 offered, of which 8-flit messages carry 7.2 of every 32.8 flits),
+// a sparse active set on the largest fabric. minMoved bounds the flits a
+// cycle moves from below, so a shape cannot go idle unnoticed.
+var loadedShapes = []struct {
+	name     string
+	minMoved int64
+	build    func(testing.TB) (*Engine, *uniformSource)
+}{
+	{"16x16_uniform", 100, func(tb testing.TB) (*Engine, *uniformSource) {
+		return torusEngine(tb, 16, "duato", Params{NumVCs: 3, BufDepth: 4}, nil), newUniformSource(1, 256, 32, 0.15)
+	}},
+	{"32x32_hybrid", 100, func(tb testing.TB) (*Engine, *uniformSource) {
+		return torusEngine(tb, 32, "duato", Params{NumVCs: 3, BufDepth: 4}, nil), newUniformSource(1, 1024, 8, 0.0176)
+	}},
 }
 
 // TestActiveSetTracksPhases checks the active-set invariant directly: the
@@ -170,10 +193,9 @@ func TestActiveSetTracksPhases(t *testing.T) {
 // BenchmarkWormholeCycle measures the steady-state cost of one engine cycle
 // under sustained load; allocs/op must report 0, even at -benchtime 1x.
 // The 8x8 case replays a fixed 4-flit pattern (one drained warm-up round
-// grows every buffer first). The 16x16 case is the wh_uniform_16x16
-// benchmark workload's shape — duato over 3 VCs of depth 4, uniform traffic
-// of 32-flit messages at 0.15 flits/node/cycle — warmed up for 5000 cycles;
-// its per-cycle cost includes the source's 256 Bernoulli draws.
+// grows every buffer first). The loadedShapes cases are the wormhole
+// traffic of two benchmark workloads, warmed up for 5000 cycles; their
+// per-cycle cost includes the source's Bernoulli draws, one per node.
 func BenchmarkWormholeCycle(b *testing.B) {
 	b.Run("8x8", func(b *testing.B) {
 		eng, _ := zeroAllocEngine(b, DefaultParams())
@@ -204,22 +226,23 @@ func BenchmarkWormholeCycle(b *testing.B) {
 			now++
 		}
 	})
-	b.Run("16x16_uniform", func(b *testing.B) {
-		eng := torusEngine(b, 16, "duato", Params{NumVCs: 3, BufDepth: 4}, nil)
-		src := newUniformSource(1, 256, 32, 0.15)
-		var now int64
-		for ; now < 5000; now++ {
-			src.tick(eng, now)
-			eng.Cycle(now)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src.tick(eng, now)
-			eng.Cycle(now)
-			now++
-		}
-	})
+	for _, c := range loadedShapes {
+		b.Run(c.name, func(b *testing.B) {
+			eng, src := c.build(b)
+			var now int64
+			for ; now < 5000; now++ {
+				src.tick(eng, now)
+				eng.Cycle(now)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.tick(eng, now)
+				eng.Cycle(now)
+				now++
+			}
+		})
+	}
 }
 
 // BenchmarkWormholeIdleCycle measures one cycle of a completely idle engine.
@@ -231,7 +254,7 @@ func BenchmarkWormholeIdleCycle(b *testing.B) {
 		eng, _ := zeroAllocEngine(b, DefaultParams())
 		var now int64
 		var nextID flit.MsgID
-		// One drained round leaves every ring at steady capacity and the
+		// One drained round leaves every queue at steady capacity and the
 		// active set empty.
 		pumpDrain(b, eng, &now, &nextID)
 		b.ReportAllocs()

@@ -544,10 +544,11 @@ func FuzzRestore(f *testing.F) {
 			f.Add(negativeRotationPayload(f, payload))
 		}
 	}
-	small := smallFuzzSeed(f)
-	cfg, _ := splitConfig(small)
-	configs = append(configs, cfg)
-	f.Add(small)
+	for _, small := range [][]byte{smallFuzzSeed(f), smallWormholeSeed(f)} {
+		cfg, _ := splitConfig(small)
+		configs = append(configs, cfg)
+		f.Add(small)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if cfg, ok := splitConfig(payload); ok && json.Valid(cfg) &&
 			!slices.ContainsFunc(configs, func(c []byte) bool { return bytes.Equal(c, cfg) }) {
@@ -610,6 +611,49 @@ func smallFuzzSeed(tb testing.TB) []byte {
 	}
 	if r.mgr.Fab.PCS.ActiveProbes() == 0 || !r.InLoadRun() {
 		tb.Fatal("small seed has no probe in flight or no load run")
+	}
+	return snap[len(snapshot.Magic)+4 : len(snap)-sha256.Size]
+}
+
+// smallWormholeSeed returns the payload of a 4x4-torus wormhole checkpoint
+// taken mid-RunLoad, at a cycle (105) where its 3-flit messages in 4-flit
+// buffers leave two VCs holding a header queued behind the tail of the
+// message they stream and two streaming with an empty buffer, one of them
+// owned by the other. So the seed alone reaches the decoder's message-run
+// rebuild and its walk up the channel owners.
+func smallWormholeSeed(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{4, 4}}
+	cfg.Protocol = "wormhole"
+	cfg.Seed = 7
+	cfg.NumVCs, cfg.Routing, cfg.BufDepth = 2, "dor", 4
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	s.OnInterval(1, func(now int64) {
+		if now != 105 {
+			return
+		}
+		if err := s.Snapshot(&buf); err != nil {
+			tb.Error(err)
+		}
+	})
+	if _, err := s.RunLoad(Workload{Pattern: "uniform", Load: 0.35, FixedLength: 3}, 100, 400); err != nil {
+		tb.Fatal(err)
+	}
+	snap := buf.Bytes()
+	if len(snap) == 0 || len(snap) > 16<<10 {
+		tb.Fatalf("small wormhole seed checkpoint is %d bytes, want 1..16 KB", len(snap))
+	}
+	r, err := Restore(bytes.NewReader(snap))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if r.mgr.Fab.WH.ActivePorts() == 0 || !r.InLoadRun() {
+		tb.Fatal("small wormhole seed has no port streaming or no load run")
 	}
 	return snap[len(snapshot.Magic)+4 : len(snap)-sha256.Size]
 }
